@@ -1,17 +1,18 @@
 """Delta and nabla derivatives and definite integrals on time scales.
 
-Integrals are computed segment by segment from the window decomposition:
-continuous pieces go through adaptive Simpson quadrature, scattered points
-contribute ``gap * f`` directly.  Integrands receive two arguments
-``(tau, mu)`` so that formulas involving the forward jump can use
-``sigma(tau) = tau + mu``; on continuous pieces ``mu`` is passed as 0.0.
+Integrals are computed segment by segment from the window decomposition by
+one walk, ``_walk``, which the window logarithms share: continuous pieces
+go through adaptive Simpson quadrature, scattered points contribute
+``gap * f`` directly.  Integrands receive two arguments ``(tau, mu)`` so
+that formulas involving the forward jump can use ``sigma(tau) = tau + mu``;
+on continuous pieces ``mu`` is passed as 0.0.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 from .errors import NonFiniteIntegrand, NonFiniteValue, QuadratureFailure
 from .expr import Expr, compile_expr, differentiate, parse, to_text
@@ -175,14 +176,20 @@ def adaptive_simpson(
     return sign * _adapt(f, a, b, fa, fm, fb, whole, tol, 0, max_depth)
 
 
-def _integrate(
-    f: Integrand,
+def _walk(
+    dense: Callable[[float], complex],
+    jump: Integrand,
     ts: TimeScale,
     s: float,
     t: float,
     cfg: ToleranceConfig,
-    nabla: bool,
 ) -> complex:
+    """The one window walk behind every integral and window logarithm.
+
+    Continuous pieces integrate ``dense`` by adaptive Simpson; each
+    scattered jump from tau to tau + mu adds ``mu * jump(tau, mu)``.
+    Swapping the endpoints negates the result.
+    """
     s = ts.snap(s)
     t = ts.snap(t)
     sign = 1.0
@@ -192,14 +199,11 @@ def _integrate(
     total = 0j
     for seg in ts.decompose(s, t):
         if isinstance(seg, ContinuousPiece):
-            total += adaptive_simpson(
-                lambda x: f(x, 0.0), seg.a, seg.b, cfg.quad_tol, cfg.max_quad_depth
-            )
+            total += adaptive_simpson(dense, seg.a, seg.b, cfg.quad_tol, cfg.max_quad_depth)
         else:
-            point = seg.tau + seg.mu if nabla else seg.tau
-            v = complex(f(point, seg.mu))
+            v = jump(seg.tau, seg.mu)
             if not cmath.isfinite(v):
-                raise NonFiniteIntegrand(f"integrand is not finite at tau={point}")
+                raise NonFiniteIntegrand(f"jump term is not finite on the gap after tau={seg.tau}")
             total += seg.mu * v
     return sign * total
 
@@ -213,7 +217,7 @@ def delta_integral(
     each right-scattered tau contributes ``mu * f(tau, mu)``.  Swapping the
     endpoints negates the result.
     """
-    return _integrate(f, ts, s, t, cfg or DEFAULT_TOLERANCES, nabla=False)
+    return _walk(lambda x: f(x, 0.0), f, ts, s, t, cfg or DEFAULT_TOLERANCES)
 
 
 def nabla_integral(
@@ -225,4 +229,6 @@ def nabla_integral(
     contributions are ``nu * f(tau', nu)`` at left-scattered points tau'
     in (s, t] with nu the gap below tau'.
     """
-    return _integrate(f, ts, s, t, cfg or DEFAULT_TOLERANCES, nabla=True)
+    return _walk(
+        lambda x: f(x, 0.0), lambda tau, nu: f(tau + nu, nu), ts, s, t, cfg or DEFAULT_TOLERANCES
+    )

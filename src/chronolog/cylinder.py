@@ -2,10 +2,11 @@
 
 The cylinder maps turn a coefficient z at graininess h into the exponent
 that a product of factors (1 + h*z) accumulates.  Four flavors are
-provided: the forward (delta) map, the backward (nabla) map, the Cayley
-map built from symmetric half-steps, and an eta-weighted interpolation
-between forward and backward.  Each has a principal version and, where it
-matters, a multi-valued version whose period is 2*pi*i/h.
+provided: the forward (delta) map, the backward (nabla) map, an
+eta-weighted interpolation between forward and backward, and its eta = 1/2
+case, the Cayley map built from symmetric half-steps.  Each has a
+principal version and, where it matters, a multi-valued version whose
+period is 2*pi*i/h.
 
 At h = 0 every map degenerates to the identity z -> z.
 """
@@ -54,9 +55,9 @@ def is_nu_regressive(h: float, z: complex) -> bool:
 
 
 def is_cayley_regressive(h: float, z: complex) -> bool:
-    """h*z stays away from both +2 and -2."""
-    half = 0.5 * _require_step(h) * z
-    return not (_vanishes(1 + half, half) or _vanishes(1 - half, half))
+    """h*z stays away from both +2 and -2 (the guard cayley_psi applies)."""
+    hz = _require_step(h) * z
+    return not (_vanishes(1 + 0.5 * hz, hz) or _vanishes(1 - 0.5 * hz, hz))
 
 
 def xi(h: float, z: complex) -> complex:
@@ -101,24 +102,29 @@ def zeta_hat(h: float, z: complex) -> MultiLog:
     return MultiLog(xi_hat(h, z), _lattice(h))
 
 
-def cayley_psi(h: float, z: complex, principal: bool = True):
-    """Cayley cylinder map (1/h) Log((1 + h*z/2) / (1 - h*z/2)).
-
-    Returns a complex number when ``principal`` is true, otherwise a
-    MultiLog with period 2*pi*i/h.
-    """
+def _weighted_psi(eta: float, h: float, z: complex, principal: bool, error: type):
     h = _require_step(h)
     z = complex(z)
     if h == 0:
         val = z
     else:
-        half = 0.5 * h * z
-        num = 1 + half
-        den = 1 - half
-        if _vanishes(num, half) or _vanishes(den, half):
-            raise CayleyNotRegressive(f"h*z reaches +/-2 for h={h}, z={z}")
+        hz = h * z
+        num = 1 + (1.0 - eta) * hz
+        den = 1 - eta * hz
+        if _vanishes(num, hz) or _vanishes(den, hz):
+            raise error(f"weighted denominator vanishes for eta={eta}, h={h}, z={z}")
         val = principal_log(num / den) / h
     return val if principal else MultiLog(val, _lattice(h))
+
+
+def cayley_psi(h: float, z: complex, principal: bool = True):
+    """Cayley cylinder map (1/h) Log((1 + h*z/2) / (1 - h*z/2)): eta_psi at 1/2.
+
+    Returns a complex number when ``principal`` is true, otherwise a
+    MultiLog with period 2*pi*i/h.  Raises CayleyNotRegressive when h*z
+    reaches +/-2.
+    """
+    return _weighted_psi(0.5, h, z, principal, CayleyNotRegressive)
 
 
 def eta_psi(eta: float, h: float, z: complex, principal: bool = True):
@@ -130,18 +136,7 @@ def eta_psi(eta: float, h: float, z: complex, principal: bool = True):
     eta = float(eta)
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    h = _require_step(h)
-    z = complex(z)
-    if h == 0:
-        val = z
-    else:
-        hz = h * z
-        num = 1 + (1.0 - eta) * hz
-        den = 1 - eta * hz
-        if _vanishes(num, hz) or _vanishes(den, hz):
-            raise EtaNotRegressive(f"weighted denominator vanishes for eta={eta}, h={h}, z={z}")
-        val = principal_log(num / den) / h
-    return val if principal else MultiLog(val, _lattice(h))
+    return _weighted_psi(eta, h, z, principal, EtaNotRegressive)
 
 
 def circle_plus(h: float, z: complex, w: complex) -> complex:

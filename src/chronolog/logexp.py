@@ -2,18 +2,26 @@
 
 The central object is the window logarithm of a nonvanishing function p:
 the integral of the cylinder-transformed quotient p^Delta/p from s to t.
-On continuous stretches the integrand is the classical p'(tau)/p(tau); at
-a scattered point the contribution is the gap times the cylinder map of
-the difference quotient.  Variants differ only in which cylinder map sits
-on the scattered contributions:
+On continuous stretches the integrand is the classical p'(tau)/p(tau); a
+jump from tau to sigma = tau + mu, with p_sigma = p(sigma), contributes
 
-    forward (delta)    xi_mu(pDelta / p)
-    backward (nabla)   xi_hat_nu(pNabla / p) over left-scattered points
-    Cayley             psi_mu(2 pDelta / (p + p_sigma))
-    eta-weighted       psi^eta_mu(pDelta / ((1-eta) p + eta p_sigma))
+    mu * map_mu(pDelta / ((1-eta) p + eta p_sigma)),
 
-Each has a principal version (a plain complex number) and a multi-valued
-version carrying the 2*pi*i lattice.  They all agree modulo that lattice.
+which in exact arithmetic is Log(p_sigma / p) modulo 2*pi*i.  Every
+variant is one row of the table below, passed to the single kernel
+``_window_log``; the row fixes the weight eta, the cylinder map, and so the
+side of the branch cut on which a jump with a negative real ratio
+p_sigma/p lands:
+
+    variant   eta   map               cut side
+    delta     0     xi                +i*pi
+    nabla     1     xi_hat            -i*pi
+    Cayley    1/2   cayley_psi        +i*pi
+    eta       eta   eta_psi(eta, .)   +i*pi
+
+Delta, nabla and Cayley each have a principal version (a plain complex
+number) and a multi-valued version carrying the 2*pi*i lattice; eta is
+multi-valued only.  They all agree modulo that lattice.
 
 Also here: the time-scale exponentials built from regressive coefficients,
 the pointwise logarithmic derivative, five older logarithm constructions
@@ -22,17 +30,16 @@ kept for comparison, and an identity-checking suite used by the CLI.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Union
 
 from .calculus import (
     DEFAULT_TOLERANCES,
     ScaleFunction,
     ToleranceConfig,
-    adaptive_simpson,
+    _walk,
     delta_integral,
     nabla_integral,
 )
@@ -97,42 +104,39 @@ def _window_log(
     ts: TimeScale,
     s: float,
     t: float,
-    cfg: ToleranceConfig,
-    jump_term: Callable[[float, float], complex],
-    nabla: bool = False,
+    cfg: ToleranceConfig | None,
+    eta: float,
+    cylinder_map: Callable[[float, complex], complex],
+    error: type,
 ) -> complex:
-    s = ts.snap(s)
-    t = ts.snap(t)
-    sign = 1.0
-    if s > t:
-        s, t = t, s
-        sign = -1.0
+    """The one jump kernel: p'/p on continuous pieces, one cylinder map per jump.
+
+    A jump from tau to tau + mu contributes
+    ``mu * cylinder_map(mu, (p_sigma - p) / mu / ((1-eta) p + eta p_sigma))``
+    and raises ``error`` when the weighted denominator is 0.
+    """
+    cfg = cfg or DEFAULT_TOLERANCES
+    keep = 1.0 - eta
 
     def dense(x: float) -> complex:
         return p.prime(x) / _checked(p, x, cfg)
 
-    total = 0j
-    for seg in ts.decompose(s, t):
-        if isinstance(seg, ContinuousPiece):
-            total += adaptive_simpson(dense, seg.a, seg.b, cfg.quad_tol, cfg.max_quad_depth)
-        else:
-            point = seg.tau + seg.mu if nabla else seg.tau
-            total += seg.mu * jump_term(point, seg.mu)
-    return sign * total
+    def jump(tau: float, mu: float) -> complex:
+        pv = _checked(p, tau, cfg)
+        ps = _checked(p, tau + mu, cfg)
+        mix = keep * pv + eta * ps
+        if mix == 0:
+            raise error(f"(1-eta)p + eta*p_sigma vanishes for eta={eta} at tau={tau}")
+        return cylinder_map(mu, (ps - pv) / mu / mix)
+
+    return _walk(dense, jump, ts, s, t, cfg)
 
 
 def log_delta_principal(
     p: ScaleFunction, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | None = None
 ) -> complex:
     """Principal forward logarithm of p over the window [s, t]."""
-    cfg = cfg or DEFAULT_TOLERANCES
-
-    def jump(tau: float, mu: float) -> complex:
-        pv = _checked(p, tau, cfg)
-        q = (_checked(p, tau + mu, cfg) - pv) / mu
-        return xi(mu, q / pv)
-
-    return _window_log(p, ts, s, t, cfg, jump)
+    return _window_log(p, ts, s, t, cfg, 0.0, xi, NotRegressive)
 
 
 def log_delta_multi(
@@ -146,14 +150,7 @@ def log_nabla_principal(
     p: ScaleFunction, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | None = None
 ) -> complex:
     """Principal backward logarithm: backward quotients at left-scattered points."""
-    cfg = cfg or DEFAULT_TOLERANCES
-
-    def jump(point: float, nu: float) -> complex:
-        pv = _checked(p, point, cfg)
-        q = (pv - _checked(p, point - nu, cfg)) / nu
-        return xi_hat(nu, q / pv)
-
-    return _window_log(p, ts, s, t, cfg, jump, nabla=True)
+    return _window_log(p, ts, s, t, cfg, 1.0, xi_hat, NotNuRegressive)
 
 
 def log_nabla_multi(
@@ -166,18 +163,7 @@ def log_cayley_principal(
     p: ScaleFunction, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | None = None
 ) -> complex:
     """Principal Cayley logarithm: symmetric average in the denominator."""
-    cfg = cfg or DEFAULT_TOLERANCES
-
-    def jump(tau: float, mu: float) -> complex:
-        pv = _checked(p, tau, cfg)
-        ps = _checked(p, tau + mu, cfg)
-        mean = pv + ps
-        if mean == 0:
-            raise CayleyNotRegressive(f"p + p_sigma vanishes at tau={tau}")
-        q = (ps - pv) / mu
-        return cayley_psi(mu, 2.0 * q / mean)
-
-    return _window_log(p, ts, s, t, cfg, jump)
+    return _window_log(p, ts, s, t, cfg, 0.5, cayley_psi, CayleyNotRegressive)
 
 
 def log_cayley_multi(
@@ -202,18 +188,8 @@ def log_eta(
     eta = float(eta)
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    cfg = cfg or DEFAULT_TOLERANCES
-
-    def jump(tau: float, mu: float) -> complex:
-        pv = _checked(p, tau, cfg)
-        ps = _checked(p, tau + mu, cfg)
-        mix = (1.0 - eta) * pv + eta * ps
-        if mix == 0:
-            raise EtaNotRegressive(f"(1-eta)p + eta*p_sigma vanishes at tau={tau}")
-        q = (ps - pv) / mu
-        return eta_psi(eta, mu, q / mix)
-
-    return MultiLog(_window_log(p, ts, s, t, cfg, jump), TWO_PI_I)
+    value = _window_log(p, ts, s, t, cfg, eta, partial(eta_psi, eta), EtaNotRegressive)
+    return MultiLog(value, TWO_PI_I)
 
 
 def log_ts(

@@ -54,6 +54,15 @@ def test_eval_constant_gives_zero(run):
     assert payload["scattered_contributed"] is False
 
 
+def test_eval_cayley_vanishing_mean_exits_3(run):
+    rc, out, err = run(
+        "eval", "--timescale", "hz:1", "--p", "t-0.5", "--s", "0", "--t", "1",
+        "--variant", "cayley-principal",
+    )
+    assert rc == 3 and out == ""
+    assert json.loads(err)["error"] == "CayleyNotRegressive"
+
+
 def test_eval_identity_on_unit_grid(run):
     rc, out, _ = run(
         "eval", "--timescale", "hz:1", "--p", "t", "--s", "1", "--t", "4",

@@ -5,6 +5,8 @@ import pytest
 
 from chronolog.calculus import ScaleFunction, ToleranceConfig
 from chronolog.errors import (
+    CayleyNotRegressive,
+    EtaNotRegressive,
     NonvanishingViolation,
     NotNuRegressive,
     NotRegressive,
@@ -79,12 +81,35 @@ def test_log_on_finite_set():
     assert got == pytest.approx(math.log(10.0 / 26.0), rel=1e-13)
 
 
-def test_log_mixed_union_with_sign_change():
-    # continuous pieces wind through the cut; the jump crosses zero
+@pytest.mark.parametrize(
+    "s, t",
+    [pytest.param(-5.0, 3.0, id="pieces-and-jump"), pytest.param(-4.0, 2.0, id="jump-only")],
+)
+@pytest.mark.parametrize(
+    "variant, eta, side",
+    [
+        pytest.param("delta-principal", None, 1, id="delta-principal"),
+        pytest.param("delta-multi", None, 1, id="delta-multi"),
+        pytest.param("cayley-principal", None, 1, id="cayley-principal"),
+        pytest.param("cayley-multi", None, 1, id="cayley-multi"),
+        pytest.param("eta", 0.0, 1, id="eta:0"),
+        pytest.param("eta", 0.3, 1, id="eta:0.3"),
+        pytest.param("eta", 0.5, 1, id="eta:0.5"),
+        pytest.param("eta", 1.0, 1, id="eta:1"),
+        pytest.param("nabla-principal", None, -1, id="nabla-principal"),
+        pytest.param("nabla-multi", None, -1, id="nabla-multi"),
+    ],
+)
+def test_log_mixed_union_with_sign_change(variant, eta, side, s, t):
+    # continuous pieces wind through the cut; the jump from p(-4) = -64 to
+    # p(2) = 8 crosses zero, and its ratio -1/8 lands on the variant's side
+    # of the cut, which is pinned exactly, not modulo 2*pi*i
     p = ScaleFunction.from_text("t^3")
     ts = parse_timescale("union:[-inf,-4];[2,inf]")
-    got = log_delta_principal(p, ts, -5.0, 3.0)
-    want = complex(math.log(27.0 / 125.0), math.pi)
+    got = log_ts(variant, p, ts, s, t, eta=eta)
+    if isinstance(got, MultiLog):
+        got = got.rep
+    want = complex(3.0 * math.log(abs(t / s)), side * math.pi)
     assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -193,6 +218,42 @@ def test_eta_family_collapses_to_delta(eta):
     m = log_eta(eta, p, ts, 1.0, 16.0)
     k, res = lattice_gap(m, log_delta_principal(p, ts, 1.0, 16.0))
     assert res <= 1e-9
+
+
+def test_vanishing_weighted_denominator_raises_typed_error():
+    # p(0) = -0.5 and p(1) = 0.5: their mean, the eta = 1/2 weight, is 0
+    p = ScaleFunction.from_text("t-0.5")
+    ts = parse_timescale("hz:1")
+    with pytest.raises(CayleyNotRegressive):
+        log_cayley_principal(p, ts, 0.0, 1.0)
+    with pytest.raises(EtaNotRegressive):
+        log_eta(0.5, p, ts, 0.0, 1.0)
+
+
+class RecordingFunction(ScaleFunction):
+    """A ScaleFunction that remembers every point it is evaluated at."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.points = []
+
+    def __call__(self, t):
+        self.points.append(t)
+        return super().__call__(t)
+
+
+@pytest.mark.parametrize(
+    "spec, s, t",
+    [("set:0.1,0.7,1.3,2.9", 0.1, 2.9), ("alt:0.3,0.7", 0.0, 5.0), ("hz:0.3:0.05", 0.05, 2.75)],
+)
+@pytest.mark.parametrize("variant", [v.value for v in LogVariant])
+def test_jumps_evaluate_p_only_at_scale_points(variant, spec, s, t):
+    ts = parse_timescale(spec)
+    p = RecordingFunction.from_text("t^2+1")
+    log_ts(variant, p, ts, s, t, eta=0.3)
+    assert p.points
+    for x in p.points:
+        assert ts.snap(x) == x
 
 
 def test_eta_validation():
