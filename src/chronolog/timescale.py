@@ -7,6 +7,12 @@ between two gap sizes.  Every family can decompose a window [s, t] into
 continuous pieces (graininess zero throughout) and scattered jumps, which
 is what the integration routines consume.
 
+The four discrete families (uniform, geometric, alternating, finite set)
+are point sequences x_k with sigma(x_k) = x_{k+1}.  They share one index
+walk: a point is snapped to its index k once, and a window [x_i, x_j] is
+the jumps x_k -> x_{k+1} for i <= k < j, with x_k read straight off its
+index (a closed form on the grids, the stored tuple on a set).
+
 Scale spec grammar (CLI and :func:`parse_timescale`):
 
     r                          the reals
@@ -141,17 +147,6 @@ class TimeScale:
         """
         raise NotImplementedError
 
-    def _scattered_walk(self, s: float, t: float) -> tuple[Segment, ...]:
-        # shared by the purely discrete families: every point in [s, t) is
-        # right-scattered, so the walk terminates in finitely many steps
-        segs: list[Segment] = []
-        u = s
-        while u < t:
-            nxt = self.sigma(u)
-            segs.append(ScatteredJump(u, nxt - u))
-            u = nxt
-        return tuple(segs)
-
     def _checked_window(self, s: float, t: float) -> tuple[float, float]:
         s = self.snap(s)
         t = self.snap(t)
@@ -197,8 +192,84 @@ class Reals(TimeScale):
         return SegmentDecomposition(s, t, segs)
 
 
+class _Grid(TimeScale):
+    """A purely discrete scale: the increasing point sequence x_k = _point(k).
+
+    Each family supplies ``_point``, ``_nearest`` (the index of the point
+    nearest t) and the index bounds ``_kmin``/``_kmax`` (None when
+    unbounded).  Every point is scattered: sigma(x_k) = x_{k+1} and
+    rho(x_k) = x_{k-1}, each x_k itself past an end of the sequence.
+    """
+
+    _kmin: int | None = None
+    _kmax: int | None = None
+
+    def _point(self, k: int) -> float:
+        raise NotImplementedError
+
+    def _nearest(self, t: float) -> int:
+        raise NotImplementedError
+
+    def _tol(self, x: float) -> float:
+        return MEMBERSHIP_TOL
+
+    def _lookup(self, t: float) -> tuple[int, float]:
+        # index and exact stored point within tolerance of t
+        t = float(t)
+        if not math.isfinite(t):
+            raise PointNotInScale(f"{t!r} is not a finite real")
+        try:
+            k = self._nearest(t)
+        except OverflowError:
+            raise PointNotInScale(f"{t} has no grid index within float range") from None
+        x = self._point(k)
+        if abs(t - x) > self._tol(x):
+            raise PointNotInScale(f"{t} is not a grid point (nearest {x})")
+        return k, x
+
+    def _step(self, k: int, x: float, d: int) -> float:
+        # x_{k+d} for d = +1 or -1, given x = x_k; a neighbour that rounds
+        # onto x (spacing below float resolution) or overflows is no point
+        if k == (self._kmax if d > 0 else self._kmin):
+            return x
+        y = self._point(k + d)
+        if not 0.0 < (y - x) * d < math.inf:
+            raise PointNotInScale(f"the grid neighbour of {x} is not a distinct finite float")
+        return y
+
+    def snap(self, t: float) -> float:
+        return self._lookup(t)[1]
+
+    def sigma(self, t: float) -> float:
+        return self._step(*self._lookup(t), 1)
+
+    def rho(self, t: float) -> float:
+        return self._step(*self._lookup(t), -1)
+
+    @property
+    def min_point(self) -> float | None:
+        return None if self._kmin is None else self._point(self._kmin)
+
+    @property
+    def max_point(self) -> float | None:
+        return None if self._kmax is None else self._point(self._kmax)
+
+    def decompose(self, s: float, t: float) -> SegmentDecomposition:
+        ks, s = self._lookup(s)
+        kt, t = self._lookup(t)
+        if s > t:
+            raise ValueError("decompose requires s <= t")
+        segs: list[Segment] = []
+        x = s
+        for k in range(ks, kt):
+            y = self._step(k, x, 1)
+            segs.append(ScatteredJump(x, y - x))
+            x = y
+        return SegmentDecomposition(s, t, tuple(segs))
+
+
 @dataclass(frozen=True)
-class UniformGrid(TimeScale):
+class UniformGrid(_Grid):
     """anchor + h*Z, two-sided, constant graininess h."""
 
     h: float
@@ -210,26 +281,11 @@ class UniformGrid(TimeScale):
         if not self.h > 0:
             raise InvalidTimeScale(f"step h must be positive, got {self.h}")
 
-    def _index(self, t: float) -> int:
+    def _nearest(self, t: float) -> int:
         return round((t - self.anchor) / self.h)
 
     def _point(self, k: int) -> float:
         return self.anchor + k * self.h
-
-    def snap(self, t: float) -> float:
-        t = float(t)
-        if not math.isfinite(t):
-            raise PointNotInScale(f"{t!r} is not a finite real")
-        x = self._point(self._index(t))
-        if abs(t - x) > MEMBERSHIP_TOL:
-            raise PointNotInScale(f"{t} is not on the grid (nearest point {x})")
-        return x
-
-    def sigma(self, t: float) -> float:
-        return self._point(self._index(self.snap(t)) + 1)
-
-    def rho(self, t: float) -> float:
-        return self._point(self._index(self.snap(t)) - 1)
 
     def mu(self, t: float) -> float:
         self.snap(t)
@@ -239,16 +295,14 @@ class UniformGrid(TimeScale):
         self.snap(t)
         return self.h
 
-    def decompose(self, s: float, t: float) -> SegmentDecomposition:
-        s, t = self._checked_window(s, t)
-        return SegmentDecomposition(s, t, self._scattered_walk(s, t))
-
 
 @dataclass(frozen=True)
-class QGrid(TimeScale):
+class QGrid(_Grid):
     """Geometric grid {q^k : k = 0, 1, 2, ...} with ratio q > 1."""
 
     q: float
+
+    _kmin = 0
 
     def __post_init__(self):
         object.__setattr__(self, "q", _require_finite(self.q, "ratio q"))
@@ -261,40 +315,20 @@ class QGrid(TimeScale):
         except OverflowError:
             raise PointNotInScale(f"q^{k} overflows") from None
 
-    def snap(self, t: float) -> float:
-        t = float(t)
-        if not (math.isfinite(t) and t > 0):
-            raise PointNotInScale(f"{t!r} is not a positive finite real")
-        k = max(0, round(math.log(t) / math.log(self.q)))
-        x = self._point(k)
-        if abs(t - x) > MEMBERSHIP_TOL * max(1.0, abs(x)):
-            raise PointNotInScale(f"{t} is not a power of {self.q} (nearest {x})")
-        return x
+    def _nearest(self, t: float) -> int:
+        return max(0, round(math.log(t) / math.log(self.q))) if t > 0 else 0
 
-    def sigma(self, t: float) -> float:
-        t = self.snap(t)
-        k = round(math.log(t) / math.log(self.q))
-        return self._point(k + 1)
-
-    def rho(self, t: float) -> float:
-        t = self.snap(t)
-        k = round(math.log(t) / math.log(self.q))
-        return t if k == 0 else self._point(k - 1)
-
-    @property
-    def min_point(self) -> float:
-        return 1.0
-
-    def decompose(self, s: float, t: float) -> SegmentDecomposition:
-        s, t = self._checked_window(s, t)
-        return SegmentDecomposition(s, t, self._scattered_walk(s, t))
+    def _tol(self, x: float) -> float:
+        return MEMBERSHIP_TOL * max(1.0, abs(x))
 
 
 @dataclass(frozen=True)
-class DiscreteSet(TimeScale):
+class DiscreteSet(_Grid):
     """A finite set of at least two strictly increasing points."""
 
     points: tuple[float, ...]
+
+    _kmin = 0
 
     def __post_init__(self):
         pts = tuple(_require_finite(p, "point") for p in self.points)
@@ -305,49 +339,30 @@ class DiscreteSet(TimeScale):
                 raise InvalidTimeScale(f"points must strictly increase ({a} !< {b})")
         object.__setattr__(self, "points", pts)
 
-    def snap(self, t: float) -> float:
-        t = float(t)
-        if not math.isfinite(t):
-            raise PointNotInScale(f"{t!r} is not a finite real")
-        i = bisect_left(self.points, t)
-        for j in (i - 1, i):
-            if 0 <= j < len(self.points) and abs(t - self.points[j]) <= MEMBERSHIP_TOL:
-                return self.points[j]
-        raise PointNotInScale(f"{t} is not one of the set points")
-
-    def _index(self, t: float) -> int:
-        i = bisect_left(self.points, t)
-        if i < len(self.points) and self.points[i] == t:
-            return i
-        return i - 1
-
-    def sigma(self, t: float) -> float:
-        i = self._index(self.snap(t))
-        return self.points[min(i + 1, len(self.points) - 1)]
-
-    def rho(self, t: float) -> float:
-        i = self._index(self.snap(t))
-        return self.points[max(i - 1, 0)]
-
     @property
-    def min_point(self) -> float:
-        return self.points[0]
+    def _kmax(self) -> int:
+        return len(self.points) - 1
 
-    @property
-    def max_point(self) -> float:
-        return self.points[-1]
+    def _point(self, k: int) -> float:
+        return self.points[k]
 
-    def decompose(self, s: float, t: float) -> SegmentDecomposition:
-        s, t = self._checked_window(s, t)
-        return SegmentDecomposition(s, t, self._scattered_walk(s, t))
+    def _nearest(self, t: float) -> int:
+        pts = self.points
+        i = bisect_left(pts, t)
+        # pts[i-1] < t <= pts[i]; the lower neighbour wins a tie
+        if i == len(pts) or (i > 0 and t - pts[i - 1] <= pts[i] - t):
+            return i - 1
+        return i
 
 
 @dataclass(frozen=True)
-class AlternatingGrid(TimeScale):
+class AlternatingGrid(_Grid):
     """0, a, a+b, 2a+b, 2a+2b, ...: gaps alternate a, b, a, b from zero."""
 
     alpha: float
     beta: float
+
+    _kmin = 0
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _require_finite(self.alpha, "gap alpha"))
@@ -357,59 +372,15 @@ class AlternatingGrid(TimeScale):
         if self.alpha == self.beta:
             raise InvalidTimeScale("equal gaps form a uniform grid; use hz: instead")
 
-    def _point(self, k: int, second: bool) -> float:
-        period = self.alpha + self.beta
-        return k * period + (self.alpha if second else 0.0)
+    def _point(self, k: int) -> float:
+        # x_{2j} = j*(alpha+beta), x_{2j+1} = x_{2j} + alpha
+        j, odd = divmod(k, 2)
+        return j * (self.alpha + self.beta) + (self.alpha if odd else 0.0)
 
-    def snap(self, t: float) -> float:
-        t = float(t)
-        if not math.isfinite(t) or t < -MEMBERSHIP_TOL:
-            raise PointNotInScale(f"{t!r} is not a nonnegative finite real")
-        period = self.alpha + self.beta
-        k0 = math.floor(t / period)
-        best = None
-        for k in (k0 - 1, k0, k0 + 1):
-            if k < 0:
-                continue
-            for second in (False, True):
-                x = self._point(k, second)
-                if best is None or abs(t - x) < abs(t - best):
-                    best = x
-        if best is None or abs(t - best) > MEMBERSHIP_TOL:
-            raise PointNotInScale(f"{t} is not on the alternating grid (nearest {best})")
-        return best
-
-    def _locate(self, t: float) -> tuple[int, bool]:
-        period = self.alpha + self.beta
-        k = round(t / period)
-        for kk in (k - 1, k, k + 1):
-            if kk < 0:
-                continue
-            if self._point(kk, False) == t:
-                return kk, False
-            if self._point(kk, True) == t:
-                return kk, True
-        raise PointNotInScale(f"{t} is not a stored grid point")
-
-    def sigma(self, t: float) -> float:
-        t = self.snap(t)
-        k, second = self._locate(t)
-        return self._point(k + 1, False) if second else self._point(k, True)
-
-    def rho(self, t: float) -> float:
-        t = self.snap(t)
-        k, second = self._locate(t)
-        if second:
-            return self._point(k, False)
-        return t if k == 0 else self._point(k - 1, True)
-
-    @property
-    def min_point(self) -> float:
-        return 0.0
-
-    def decompose(self, s: float, t: float) -> SegmentDecomposition:
-        s, t = self._checked_window(s, t)
-        return SegmentDecomposition(s, t, self._scattered_walk(s, t))
+    def _nearest(self, t: float) -> int:
+        # the first nearest point of periods j-1, j and j+1, j being t's own
+        j = max(0, math.floor(t / (self.alpha + self.beta)))
+        return min(range(max(0, 2 * j - 2), 2 * j + 4), key=lambda k: abs(t - self._point(k)))
 
 
 @dataclass(frozen=True)
@@ -532,23 +503,14 @@ def parse_timescale(text: str) -> TimeScale:
             raise InvalidTimeScale(f"expected hz:<h> or hz:<h>:<anchor>, got {text!r}")
         h = _parse_float(parts[0], "step h")
         anchor = _parse_float(parts[1], "anchor") if len(parts) == 2 else 0.0
-        if math.isinf(h) or math.isinf(anchor):
-            raise InvalidTimeScale("grid parameters must be finite")
         return UniformGrid(h, anchor)
     if spec.startswith("q:"):
-        q = _parse_float(spec[2:], "ratio q")
-        if math.isinf(q):
-            raise InvalidTimeScale("ratio q must be finite")
-        return QGrid(q)
+        return QGrid(_parse_float(spec[2:], "ratio q"))
     if spec.startswith("alt:"):
         parts = spec[4:].split(",")
         if len(parts) != 2:
             raise InvalidTimeScale(f"expected alt:<a>,<b>, got {text!r}")
-        a = _parse_float(parts[0], "gap alpha")
-        b = _parse_float(parts[1], "gap beta")
-        if math.isinf(a) or math.isinf(b):
-            raise InvalidTimeScale("gaps must be finite")
-        return AlternatingGrid(a, b)
+        return AlternatingGrid(_parse_float(parts[0], "gap alpha"), _parse_float(parts[1], "gap beta"))
     if spec.startswith("union:"):
         body = spec[6:]
         pieces = []

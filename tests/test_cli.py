@@ -100,10 +100,19 @@ def test_eval_csv_format(run):
     assert tail == ""
 
 
-def test_eval_point_outside_scale_exits_2(run):
-    rc, out, err = run(
-        "eval", "--timescale", "hz:1", "--p", "t", "--s", "0.5", "--t", "4",
-    )
+@pytest.mark.parametrize(
+    "scale, p, s, t",
+    [
+        pytest.param("hz:1", "t", "0.5", "4", id="off-grid"),
+        # the grid index of 1e308 is beyond float range
+        pytest.param("hz:0.5", "t^2+1", "0", "1e308", id="hz-index-overflow"),
+        pytest.param("alt:0.1,0.2", "t^2+1", "0", "1e308", id="alt-index-overflow"),
+        # from 2^53 on, the points of hz:0.5 are closer than float spacing
+        pytest.param("hz:0.5", "t^2+1", "9007199254740992", "9007199254740996", id="below-resolution"),
+    ],
+)
+def test_eval_point_outside_scale_exits_2(run, scale, p, s, t):
+    rc, out, err = run("eval", "--timescale", scale, "--p", p, "--s", s, "--t", t)
     assert rc == 2 and out == ""
     payload = json.loads(err)
     assert payload["error"] == "PointNotInScale"

@@ -24,10 +24,12 @@ ALL_SPECS = [
     "hz:1",
     "hz:0.5",
     "hz:2:1",
+    "hz:0.3:0.05",
     "q:2",
     "q:3",
     "alt:1,2",
     "alt:2,0.5",
+    "alt:0.3,0.7",
     "set:-5,-4,3",
     "union:[-6,-4];[2,5]",
     "union:[-inf,-4];[2,inf]",
@@ -172,6 +174,18 @@ def test_discrete_set_ops():
         ts.snap(3.0)
 
 
+def test_discrete_set_snaps_to_nearest_of_close_points():
+    # both points lie within the snap tolerance of each other
+    ts = DiscreteSet((0.0, 1e-13, 1.0))
+    assert ts.snap(1e-13) == 1e-13
+    assert ts.snap(0.4e-13) == 0.0
+    assert ts.snap(0.5e-13) == 0.0  # a tie goes to the lower point
+    assert ts.decompose(0.0, 1.0).segments == (
+        ScatteredJump(0.0, 1e-13),
+        ScatteredJump(1e-13, 1.0 - 1e-13),
+    )
+
+
 def test_discrete_set_validation():
     with pytest.raises(InvalidTimeScale):
         DiscreteSet((1.0,))
@@ -270,6 +284,23 @@ def test_interval_union_validation():
         IntervalUnion(((float("nan"), 1.0),))
 
 
+def test_grid_points_beyond_float_range_or_resolution_raise():
+    # the index of 1e308 overflows on both grids
+    with pytest.raises(PointNotInScale):
+        UniformGrid(0.5).snap(1e308)
+    with pytest.raises(PointNotInScale):
+        AlternatingGrid(0.1, 0.2).snap(1e308)
+    # 2^53 is on hz:0.5, but its neighbours round onto it
+    ts = UniformGrid(0.5)
+    big = 2.0 ** 53
+    assert ts.snap(big) == big
+    for op in (ts.sigma, ts.rho):
+        with pytest.raises(PointNotInScale):
+            op(big)
+    with pytest.raises(PointNotInScale):
+        ts.decompose(big, big + 4.0)
+
+
 def test_snap_returns_exact_stored_points():
     ts = QGrid(3.0)
     t = 3.0 ** 7
@@ -301,17 +332,24 @@ def test_decompose_segments_stay_in_scale(spec):
     rng = random.Random(hash(spec) & 0xFFF)
     for _ in range(10):
         s, t = _some_window(ts, rng)
-        for seg in ts.decompose(ts.snap(s), ts.snap(t)):
+        dec = ts.decompose(ts.snap(s), ts.snap(t))
+        end = dec.start
+        for seg in dec:
             if isinstance(seg, ScatteredJump):
+                assert seg.tau == end
                 assert ts.contains(seg.tau)
                 assert ts.contains(seg.tau + seg.mu)
                 assert seg.mu > 0
-                assert ts.sigma(seg.tau) == pytest.approx(seg.tau + seg.mu, rel=1e-12)
+                end = ts.sigma(seg.tau)
+                assert seg.mu == end - seg.tau
             else:
+                assert seg.a == end
                 assert seg.b > seg.a
                 assert ts.contains(seg.a) and ts.contains(seg.b)
                 mid = 0.5 * (seg.a + seg.b)
                 assert ts.contains(mid) and ts.mu(mid) == 0.0
+                end = seg.b
+        assert end == dec.end
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
@@ -373,6 +411,7 @@ def test_parse_timescale_families():
         "hz:-1",
         "hz:abc",
         "hz:inf",
+        "hz:1:inf",
         "hz:1:2:3",
         "q:1",
         "q:0.5",
@@ -380,6 +419,7 @@ def test_parse_timescale_families():
         "alt:1",
         "alt:1,1",
         "alt:1,2,3",
+        "alt:inf,1",
         "union:",
         "union:(1,2)",
         "union:[3,1]",
@@ -394,13 +434,41 @@ def test_parse_timescale_rejects(bad):
         parse_timescale(bad)
 
 
-@given(st.floats(min_value=0.01, max_value=50.0), st.integers(min_value=-50, max_value=50))
-@settings(max_examples=50, deadline=None)
-def test_uniform_grid_membership_hypothesis(h, k):
-    ts = UniformGrid(h)
-    t = ts.snap(k * h)
-    assert ts.mu(t) == h
-    assert ts.sigma(ts.rho(t)) == pytest.approx(t, rel=1e-9, abs=1e-9)
+_gap = st.floats(min_value=0.01, max_value=50.0)
+
+
+@st.composite
+def _grid_point(draw):
+    """A grid of one of the four discrete families and its k-th point."""
+    family = draw(st.sampled_from(["hz", "q", "alt", "set"]))
+    if family == "hz":
+        h, anchor = draw(_gap), draw(st.floats(min_value=-10.0, max_value=10.0))
+        k = draw(st.integers(min_value=-50, max_value=50))
+        return UniformGrid(h, anchor), anchor + k * h
+    if family == "q":
+        q, k = draw(st.floats(min_value=1.01, max_value=10.0)), draw(st.integers(0, 60))
+        return QGrid(q), q ** k
+    if family == "alt":
+        a = draw(_gap)
+        b = draw(_gap.filter(lambda b: b != a))
+        k = draw(st.integers(0, 100))
+        return AlternatingGrid(a, b), (k // 2) * (a + b) + (a if k % 2 else 0.0)
+    pts = draw(st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=20, unique=True))
+    pts = sorted(pts)
+    return DiscreteSet(tuple(pts)), pts[draw(st.integers(0, len(pts) - 1))]
+
+
+@given(_grid_point())
+@settings(max_examples=200, deadline=None)
+def test_grid_membership_hypothesis(grid_point):
+    ts, x = grid_point
+    assert ts.snap(x) == x
+    if isinstance(ts, UniformGrid):
+        assert ts.mu(x) == ts.h
+    if x != ts.max_point:
+        assert ts.rho(ts.sigma(x)) == x
+    if x != ts.min_point:
+        assert ts.sigma(ts.rho(x)) == x
 
 
 def test_segment_decomposition_iteration():
