@@ -35,7 +35,12 @@ class InvalidTimeScale(ValidationError):
 
 
 class UnboundedWindow(ValidationError):
-    """A window that would require infinitely many scattered contributions."""
+    """A window that jumps more gaps than a decomposition may hold.
+
+    The bound is ``timescale.MAX_WINDOW_JUMPS``; it is checked before any
+    segment is built, so a long window on a fine grid fails fast instead
+    of exhausting memory.
+    """
 
 
 class KappaBoundary(ValidationError):

@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DivisionByZero, LogOfZero, NonFiniteValue
+from .errors import LogOfZero, NonFiniteValue
 
 TWO_PI = 2.0 * math.pi
 TWO_PI_I = complex(0.0, TWO_PI)
@@ -42,13 +42,6 @@ def exp(z: complex) -> complex:
         return cmath.exp(z)
     except OverflowError as e:
         raise NonFiniteValue(f"exp overflow at {z!r}") from e
-
-
-def div(a: complex, b: complex) -> complex:
-    """a / b with an explicit near-zero denominator check."""
-    if abs(b) < NEAR_ZERO_GUARD:
-        raise DivisionByZero(f"division by (near-)zero {b!r}")
-    return a / b
 
 
 def pow_real(z: complex, alpha: float) -> complex:

@@ -3,15 +3,18 @@
 A time scale is a nonempty closed subset of the reals.  The supported
 families are the whole line, uniform grids, geometric grids q^k, finite
 point sets, finite unions of closed intervals, and grids that alternate
-between two gap sizes.  Every family can decompose a window [s, t] into
-continuous pieces (graininess zero throughout) and scattered jumps, which
-is what the integration routines consume.
+between two gap sizes.
 
-The four discrete families (uniform, geometric, alternating, finite set)
-are point sequences x_k with sigma(x_k) = x_{k+1}.  They share one index
-walk: a point is snapped to its index k once, and a window [x_i, x_j] is
-the jumps x_k -> x_{k+1} for i <= k < j, with x_k read straight off its
-index (a closed form on the grids, the stored tuple on a set).
+Every family is an increasing sequence of closed pieces [a_k, b_k]: an
+interval, or an isolated point when a_k = b_k.  The whole line is the one
+piece (-inf, inf), a union lists its intervals, and the four discrete
+families are points x_k = a_k = b_k read straight off their index (a
+closed form on the grids, the stored tuple on a set).  :class:`TimeScale`
+implements membership, the jumps and decomposition once on that sequence:
+a point is snapped to its piece index k once, sigma jumps the gap
+b_k -> a_{k+1}, and a window [s, t] decomposes into continuous pieces
+(graininess zero throughout) and the scattered jumps across the gaps it
+spans, which is what the integration routines consume.
 
 Scale spec grammar (CLI and :func:`parse_timescale`):
 
@@ -28,12 +31,17 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Union
 
-from .errors import InvalidTimeScale, KappaBoundary, PointNotInScale
+from .errors import InvalidTimeScale, KappaBoundary, PointNotInScale, UnboundedWindow
 
 # absolute snap tolerance; geometric grids scale it by the point magnitude
 MEMBERSHIP_TOL = 1e-12
+
+# the most gaps one decomposition may jump; a longer window raises
+# UnboundedWindow before any segment is built (each one costs ~150 bytes)
+MAX_WINDOW_JUMPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -86,7 +94,50 @@ class SegmentDecomposition:
 
 
 class TimeScale:
-    """Base class for all scale families."""
+    """Base class for all scale families: closed pieces [a_k, b_k] increasing in k.
+
+    Each family supplies ``_piece(k)`` -> (a_k, b_k), ``_nearest(t)`` (the
+    index of the piece nearest t) and the index bounds ``_kmin``/``_kmax``
+    (None when unbounded), and may override the snap tolerance ``_tol(x)``.
+    Inside a piece every point is dense; sigma(b_k) = a_{k+1} and
+    rho(a_k) = b_{k-1}, each end itself past the first or last piece.
+    """
+
+    _kmin: int | None = None
+    _kmax: int | None = None
+
+    def _tol(self, x: float) -> float:
+        return MEMBERSHIP_TOL
+
+    def _lookup(self, t: float) -> tuple[int, float, float, float]:
+        # index k, piece (a, b) and the exact stored point within tolerance
+        # of t: the nearer end of the piece (a on a tie), else t inside it
+        t = float(t)
+        if not math.isfinite(t):
+            raise PointNotInScale(f"{t!r} is not a finite real")
+        try:
+            k = self._nearest(t)
+        except OverflowError:
+            raise PointNotInScale(f"{t} has no piece index within float range") from None
+        a, b = self._piece(k)
+        x = a if t - a <= b - t else b
+        if abs(t - x) <= self._tol(x):
+            return k, a, b, x
+        if a < t < b:
+            return k, a, b, t
+        raise PointNotInScale(f"{t} is not in the scale (nearest point {min(max(t, a), b)})")
+
+    def _step(self, k: int, x: float, d: int) -> float:
+        # the end of piece k+d facing x, an end of piece k, for d = +1 or -1;
+        # x itself past the last or first piece.  A neighbour that rounds
+        # onto x (spacing below float resolution) or overflows is no point.
+        if k == (self._kmax if d > 0 else self._kmin):
+            return x
+        a, b = self._piece(k + d)
+        y = a if d > 0 else b
+        if not 0.0 < (y - x) * d < math.inf:
+            raise PointNotInScale(f"the neighbour of {x} is not a distinct finite float")
+        return y
 
     def contains(self, t: float) -> bool:
         try:
@@ -100,15 +151,17 @@ class TimeScale:
 
         Raises PointNotInScale when t is not (close to) a member.
         """
-        raise NotImplementedError
+        return self._lookup(t)[3]
 
     def sigma(self, t: float) -> float:
-        """Forward jump: the next point of the scale (t itself at the max)."""
-        raise NotImplementedError
+        """Forward jump: the next point of the scale (t itself where right-dense or at the max)."""
+        k, _, b, x = self._lookup(t)
+        return x if x < b else self._step(k, x, 1)
 
     def rho(self, t: float) -> float:
-        """Backward jump: the previous point (t itself at the min)."""
-        raise NotImplementedError
+        """Backward jump: the previous point (t itself where left-dense or at the min)."""
+        k, a, _, x = self._lookup(t)
+        return x if x > a else self._step(k, x, -1)
 
     def mu(self, t: float) -> float:
         """Forward graininess sigma(t) - t."""
@@ -122,11 +175,17 @@ class TimeScale:
 
     @property
     def min_point(self) -> float | None:
-        return None
+        if self._kmin is None:
+            return None
+        a = self._piece(self._kmin)[0]
+        return a if math.isfinite(a) else None
 
     @property
     def max_point(self) -> float | None:
-        return None
+        if self._kmax is None:
+            return None
+        b = self._piece(self._kmax)[1]
+        return b if math.isfinite(b) else None
 
     def require_delta_domain(self, t: float) -> None:
         m = self.max_point
@@ -143,16 +202,30 @@ class TimeScale:
 
         Requires s <= t with both in the scale.  Jump sizes are the exact
         float differences between consecutive stored points, so segment
-        lengths telescope to t - s.
+        lengths telescope to t - s.  A window that jumps more than
+        MAX_WINDOW_JUMPS gaps raises UnboundedWindow.
         """
-        raise NotImplementedError
-
-    def _checked_window(self, s: float, t: float) -> tuple[float, float]:
-        s = self.snap(s)
-        t = self.snap(t)
+        ks, _, b, s = self._lookup(s)
+        kt, _, _, t = self._lookup(t)
         if s > t:
             raise ValueError("decompose requires s <= t")
-        return s, t
+        if kt - ks > MAX_WINDOW_JUMPS:
+            raise UnboundedWindow(
+                f"the window [{s}, {t}] jumps {kt - ks} gaps, more than {MAX_WINDOW_JUMPS}"
+            )
+        segs: list[Segment] = []
+        x = s  # the current point; b is the end of its piece
+        for k in range(ks + 1, kt + 1):
+            if b > x:
+                segs.append(ContinuousPiece(x, b))
+            a, nb = self._piece(k)
+            if not 0.0 < a - b < math.inf:
+                raise PointNotInScale(f"the neighbour of {b} is not a distinct finite float")
+            segs.append(ScatteredJump(b, a - b))
+            x, b = a, nb
+        if t > x:
+            segs.append(ContinuousPiece(x, t))
+        return SegmentDecomposition(s, t, tuple(segs))
 
 
 def _require_finite(x: float, what: str) -> float:
@@ -164,112 +237,19 @@ def _require_finite(x: float, what: str) -> float:
 
 @dataclass(frozen=True)
 class Reals(TimeScale):
-    """The whole real line; everything is dense."""
+    """The whole real line, one piece (-inf, inf); everything is dense."""
 
-    def snap(self, t: float) -> float:
-        t = float(t)
-        if not math.isfinite(t):
-            raise PointNotInScale(f"{t!r} is not a finite real")
-        return t
+    _kmin = _kmax = 0
 
-    def sigma(self, t: float) -> float:
-        return self.snap(t)
-
-    def rho(self, t: float) -> float:
-        return self.snap(t)
-
-    def mu(self, t: float) -> float:
-        self.snap(t)
-        return 0.0
-
-    def nu(self, t: float) -> float:
-        self.snap(t)
-        return 0.0
-
-    def decompose(self, s: float, t: float) -> SegmentDecomposition:
-        s, t = self._checked_window(s, t)
-        segs: tuple[Segment, ...] = (ContinuousPiece(s, t),) if t > s else ()
-        return SegmentDecomposition(s, t, segs)
-
-
-class _Grid(TimeScale):
-    """A purely discrete scale: the increasing point sequence x_k = _point(k).
-
-    Each family supplies ``_point``, ``_nearest`` (the index of the point
-    nearest t) and the index bounds ``_kmin``/``_kmax`` (None when
-    unbounded).  Every point is scattered: sigma(x_k) = x_{k+1} and
-    rho(x_k) = x_{k-1}, each x_k itself past an end of the sequence.
-    """
-
-    _kmin: int | None = None
-    _kmax: int | None = None
-
-    def _point(self, k: int) -> float:
-        raise NotImplementedError
+    def _piece(self, k: int) -> tuple[float, float]:
+        return -math.inf, math.inf
 
     def _nearest(self, t: float) -> int:
-        raise NotImplementedError
-
-    def _tol(self, x: float) -> float:
-        return MEMBERSHIP_TOL
-
-    def _lookup(self, t: float) -> tuple[int, float]:
-        # index and exact stored point within tolerance of t
-        t = float(t)
-        if not math.isfinite(t):
-            raise PointNotInScale(f"{t!r} is not a finite real")
-        try:
-            k = self._nearest(t)
-        except OverflowError:
-            raise PointNotInScale(f"{t} has no grid index within float range") from None
-        x = self._point(k)
-        if abs(t - x) > self._tol(x):
-            raise PointNotInScale(f"{t} is not a grid point (nearest {x})")
-        return k, x
-
-    def _step(self, k: int, x: float, d: int) -> float:
-        # x_{k+d} for d = +1 or -1, given x = x_k; a neighbour that rounds
-        # onto x (spacing below float resolution) or overflows is no point
-        if k == (self._kmax if d > 0 else self._kmin):
-            return x
-        y = self._point(k + d)
-        if not 0.0 < (y - x) * d < math.inf:
-            raise PointNotInScale(f"the grid neighbour of {x} is not a distinct finite float")
-        return y
-
-    def snap(self, t: float) -> float:
-        return self._lookup(t)[1]
-
-    def sigma(self, t: float) -> float:
-        return self._step(*self._lookup(t), 1)
-
-    def rho(self, t: float) -> float:
-        return self._step(*self._lookup(t), -1)
-
-    @property
-    def min_point(self) -> float | None:
-        return None if self._kmin is None else self._point(self._kmin)
-
-    @property
-    def max_point(self) -> float | None:
-        return None if self._kmax is None else self._point(self._kmax)
-
-    def decompose(self, s: float, t: float) -> SegmentDecomposition:
-        ks, s = self._lookup(s)
-        kt, t = self._lookup(t)
-        if s > t:
-            raise ValueError("decompose requires s <= t")
-        segs: list[Segment] = []
-        x = s
-        for k in range(ks, kt):
-            y = self._step(k, x, 1)
-            segs.append(ScatteredJump(x, y - x))
-            x = y
-        return SegmentDecomposition(s, t, tuple(segs))
+        return 0
 
 
 @dataclass(frozen=True)
-class UniformGrid(_Grid):
+class UniformGrid(TimeScale):
     """anchor + h*Z, two-sided, constant graininess h."""
 
     h: float
@@ -284,20 +264,23 @@ class UniformGrid(_Grid):
     def _nearest(self, t: float) -> int:
         return round((t - self.anchor) / self.h)
 
-    def _point(self, k: int) -> float:
-        return self.anchor + k * self.h
+    def _piece(self, k: int) -> tuple[float, float]:
+        x = self.anchor + k * self.h
+        return x, x
 
+    # exactly h, not the float difference of two points; sigma and rho
+    # check that the neighbour is a distinct float
     def mu(self, t: float) -> float:
-        self.snap(t)
+        self.sigma(t)
         return self.h
 
     def nu(self, t: float) -> float:
-        self.snap(t)
+        self.rho(t)
         return self.h
 
 
 @dataclass(frozen=True)
-class QGrid(_Grid):
+class QGrid(TimeScale):
     """Geometric grid {q^k : k = 0, 1, 2, ...} with ratio q > 1."""
 
     q: float
@@ -309,11 +292,12 @@ class QGrid(_Grid):
         if not self.q > 1:
             raise InvalidTimeScale(f"ratio q must exceed 1, got {self.q}")
 
-    def _point(self, k: int) -> float:
+    def _piece(self, k: int) -> tuple[float, float]:
         try:
-            return self.q ** k
+            x = self.q ** k
         except OverflowError:
             raise PointNotInScale(f"q^{k} overflows") from None
+        return x, x
 
     def _nearest(self, t: float) -> int:
         return max(0, round(math.log(t) / math.log(self.q))) if t > 0 else 0
@@ -323,7 +307,7 @@ class QGrid(_Grid):
 
 
 @dataclass(frozen=True)
-class DiscreteSet(_Grid):
+class DiscreteSet(TimeScale):
     """A finite set of at least two strictly increasing points."""
 
     points: tuple[float, ...]
@@ -343,8 +327,9 @@ class DiscreteSet(_Grid):
     def _kmax(self) -> int:
         return len(self.points) - 1
 
-    def _point(self, k: int) -> float:
-        return self.points[k]
+    def _piece(self, k: int) -> tuple[float, float]:
+        x = self.points[k]
+        return x, x
 
     def _nearest(self, t: float) -> int:
         pts = self.points
@@ -356,7 +341,7 @@ class DiscreteSet(_Grid):
 
 
 @dataclass(frozen=True)
-class AlternatingGrid(_Grid):
+class AlternatingGrid(TimeScale):
     """0, a, a+b, 2a+b, 2a+2b, ...: gaps alternate a, b, a, b from zero."""
 
     alpha: float
@@ -372,15 +357,16 @@ class AlternatingGrid(_Grid):
         if self.alpha == self.beta:
             raise InvalidTimeScale("equal gaps form a uniform grid; use hz: instead")
 
-    def _point(self, k: int) -> float:
+    def _piece(self, k: int) -> tuple[float, float]:
         # x_{2j} = j*(alpha+beta), x_{2j+1} = x_{2j} + alpha
         j, odd = divmod(k, 2)
-        return j * (self.alpha + self.beta) + (self.alpha if odd else 0.0)
+        x = j * (self.alpha + self.beta) + (self.alpha if odd else 0.0)
+        return x, x
 
     def _nearest(self, t: float) -> int:
         # the first nearest point of periods j-1, j and j+1, j being t's own
         j = max(0, math.floor(t / (self.alpha + self.beta)))
-        return min(range(max(0, 2 * j - 2), 2 * j + 4), key=lambda k: abs(t - self._point(k)))
+        return min(range(max(0, 2 * j - 2), 2 * j + 4), key=lambda k: abs(t - self._piece(k)[0]))
 
 
 @dataclass(frozen=True)
@@ -392,6 +378,8 @@ class IntervalUnion(TimeScale):
     """
 
     pieces: tuple[tuple[float, float], ...]
+
+    _kmin = 0
 
     def __post_init__(self):
         try:
@@ -414,70 +402,20 @@ class IntervalUnion(TimeScale):
                 raise InvalidTimeScale(f"intervals must be disjoint and increasing ({hi} !< {lo})")
         object.__setattr__(self, "pieces", pieces)
 
-    def _piece_index(self, t: float) -> int:
-        for i, (lo, hi) in enumerate(self.pieces):
-            if lo <= t <= hi:
-                return i
-        raise PointNotInScale(f"{t} is in a gap between intervals")
-
-    def snap(self, t: float) -> float:
-        t = float(t)
-        if not math.isfinite(t):
-            raise PointNotInScale(f"{t!r} is not a finite real")
-        for lo, hi in self.pieces:
-            if math.isfinite(lo) and abs(t - lo) <= MEMBERSHIP_TOL:
-                return lo
-            if math.isfinite(hi) and abs(t - hi) <= MEMBERSHIP_TOL:
-                return hi
-            if lo < t < hi:
-                return t
-        raise PointNotInScale(f"{t} is not in any interval of the union")
-
-    def sigma(self, t: float) -> float:
-        t = self.snap(t)
-        i = self._piece_index(t)
-        if t < self.pieces[i][1]:
-            return t
-        if i + 1 < len(self.pieces):
-            return self.pieces[i + 1][0]
-        return t
-
-    def rho(self, t: float) -> float:
-        t = self.snap(t)
-        i = self._piece_index(t)
-        if t > self.pieces[i][0]:
-            return t
-        if i > 0:
-            return self.pieces[i - 1][1]
-        return t
-
     @property
-    def min_point(self) -> float | None:
-        lo = self.pieces[0][0]
-        return lo if math.isfinite(lo) else None
+    def _kmax(self) -> int:
+        return len(self.pieces) - 1
 
-    @property
-    def max_point(self) -> float | None:
-        hi = self.pieces[-1][1]
-        return hi if math.isfinite(hi) else None
+    def _piece(self, k: int) -> tuple[float, float]:
+        return self.pieces[k]
 
-    def decompose(self, s: float, t: float) -> SegmentDecomposition:
-        s, t = self._checked_window(s, t)
-        segs: list[Segment] = []
-        i = self._piece_index(s)
-        a = s
-        while True:
-            lo, hi = self.pieces[i]
-            b = t if t <= hi else hi
-            if b > a:
-                segs.append(ContinuousPiece(a, b))
-            if t <= hi:
-                break
-            nlo = self.pieces[i + 1][0]
-            segs.append(ScatteredJump(hi, nlo - hi))
-            i += 1
-            a = nlo
-        return SegmentDecomposition(s, t, tuple(segs))
+    def _nearest(self, t: float) -> int:
+        pcs = self.pieces
+        i = bisect_left(pcs, t, key=itemgetter(0))
+        # a_{i-1} < t <= a_i; the lower piece wins a tie
+        if i == len(pcs) or (i > 0 and t - pcs[i - 1][1] <= pcs[i][0] - t):
+            return i - 1
+        return i
 
 
 def _parse_float(text: str, what: str) -> float:

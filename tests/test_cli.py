@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import pathlib
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import chronolog
 from chronolog.cli import main
 
 
@@ -117,6 +123,24 @@ def test_eval_point_outside_scale_exits_2(run, scale, p, s, t):
     payload = json.loads(err)
     assert payload["error"] == "PointNotInScale"
     assert err.count("\n") == 1  # single line
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_eval_window_beyond_jump_cap_exits_2():
+    # 10^9 jumps: if the cap failed, the window would fill memory, so the
+    # CLI runs in a child process with a time and an address-space limit
+    src = pathlib.Path(chronolog.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "chronolog.cli", "eval", "--timescale", "hz:1e-6",
+         "--p", "t+2", "--s", "1", "--t", "1000"],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "UnboundedWindow"
 
 
 def test_eval_bad_expression_exits_2(run):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chronolog.errors import InvalidTimeScale, KappaBoundary, PointNotInScale
+from chronolog import timescale
+from chronolog.errors import InvalidTimeScale, KappaBoundary, PointNotInScale, UnboundedWindow
 from chronolog.timescale import (
     AlternatingGrid,
     ContinuousPiece,
@@ -269,6 +270,25 @@ def test_interval_union_degenerate_piece_is_isolated_point():
         ts.require_nabla_domain(0.0)
 
 
+def test_interval_union_snaps_to_the_nearer_piece_end():
+    # pieces closer together, or shorter, than the snap tolerance keep their ends
+    ts = IntervalUnion(((0.0, 1.0), (1 + 1e-13, 2.0)))
+    assert ts.snap(1 + 1e-13) == 1 + 1e-13
+    assert ts.mu(1 + 1e-13) == 0.0
+    assert ts.sigma(1.0) == 1 + 1e-13
+    ts = IntervalUnion(((0.0, 1e-13), (1.0, 2.0)))
+    assert ts.snap(1e-13) == 1e-13
+    assert ts.sigma(1e-13) == 1.0
+
+
+def test_decompose_caps_the_jumps_of_one_window(monkeypatch):
+    monkeypatch.setattr(timescale, "MAX_WINDOW_JUMPS", 10)
+    ts = UniformGrid(0.5)
+    assert len(ts.decompose(0.0, 5.0)) == 10
+    with pytest.raises(UnboundedWindow):
+        ts.decompose(0.0, 5.5)
+
+
 def test_interval_union_validation():
     with pytest.raises(InvalidTimeScale):
         IntervalUnion(((2.0, 1.0),))
@@ -294,7 +314,7 @@ def test_grid_points_beyond_float_range_or_resolution_raise():
     ts = UniformGrid(0.5)
     big = 2.0 ** 53
     assert ts.snap(big) == big
-    for op in (ts.sigma, ts.rho):
+    for op in (ts.sigma, ts.rho, ts.mu, ts.nu):
         with pytest.raises(PointNotInScale):
             op(big)
     with pytest.raises(PointNotInScale):
@@ -317,7 +337,7 @@ def test_snap_returns_exact_stored_points():
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_decompose_lengths_telescope(spec):
     ts = parse_timescale(spec)
-    rng = random.Random(hash(spec) & 0xFFFF)
+    rng = random.Random(f"telescope:{spec}")
     for _ in range(20):
         s, t = _some_window(ts, rng)
         s, t = ts.snap(s), ts.snap(t)
@@ -329,7 +349,7 @@ def test_decompose_lengths_telescope(spec):
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_decompose_segments_stay_in_scale(spec):
     ts = parse_timescale(spec)
-    rng = random.Random(hash(spec) & 0xFFF)
+    rng = random.Random(f"in-scale:{spec}")
     for _ in range(10):
         s, t = _some_window(ts, rng)
         dec = ts.decompose(ts.snap(s), ts.snap(t))
@@ -355,7 +375,7 @@ def test_decompose_segments_stay_in_scale(spec):
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_decompose_concatenates_at_interior_points(spec):
     ts = parse_timescale(spec)
-    rng = random.Random(hash(spec) & 0xFF)
+    rng = random.Random(f"concatenate:{spec}")
     for _ in range(10):
         pts = sorted(ts.snap(x) for x in _some_points(ts, rng, count=3))
         s, r, t = pts
@@ -439,8 +459,8 @@ _gap = st.floats(min_value=0.01, max_value=50.0)
 
 @st.composite
 def _grid_point(draw):
-    """A grid of one of the four discrete families and its k-th point."""
-    family = draw(st.sampled_from(["hz", "q", "alt", "set"]))
+    """A scale of any of the six families and one of its points."""
+    family = draw(st.sampled_from(["hz", "q", "alt", "set", "union", "r"]))
     if family == "hz":
         h, anchor = draw(_gap), draw(st.floats(min_value=-10.0, max_value=10.0))
         k = draw(st.integers(min_value=-50, max_value=50))
@@ -453,22 +473,42 @@ def _grid_point(draw):
         b = draw(_gap.filter(lambda b: b != a))
         k = draw(st.integers(0, 100))
         return AlternatingGrid(a, b), (k // 2) * (a + b) + (a if k % 2 else 0.0)
+    if family == "r":
+        return Reals(), draw(st.floats(allow_nan=False, allow_infinity=False))
     pts = draw(st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=20, unique=True))
     pts = sorted(pts)
-    return DiscreteSet(tuple(pts)), pts[draw(st.integers(0, len(pts) - 1))]
+    if family == "set":
+        return DiscreteSet(tuple(pts)), pts[draw(st.integers(0, len(pts) - 1))]
+    # consecutive pairs of ends, some pieces collapsed to an isolated point
+    pieces = []
+    for a, b in zip(pts[::2], pts[1::2]):
+        pieces.append((a, a) if draw(st.booleans()) else (a, b))
+    a, b = pieces[draw(st.integers(0, len(pieces) - 1))]
+    return IntervalUnion(tuple(pieces)), draw(st.sampled_from([a, b]))
 
 
 @given(_grid_point())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_grid_membership_hypothesis(grid_point):
     ts, x = grid_point
     assert ts.snap(x) == x
     if isinstance(ts, UniformGrid):
         assert ts.mu(x) == ts.h
-    if x != ts.max_point:
-        assert ts.rho(ts.sigma(x)) == x
-    if x != ts.min_point:
-        assert ts.sigma(ts.rho(x)) == x
+    up, down = ts.sigma(x), ts.rho(x)
+    assert down <= x <= up
+    # sigma and rho undo each other across every gap
+    assert up == x or ts.rho(up) == x
+    assert down == x or ts.sigma(down) == x
+    if isinstance(ts, IntervalUnion):
+        # exactly the inner piece ends are scattered, towards their gap
+        assert (up > x) == any(x == b for _, b in ts.pieces[:-1])
+        assert (down < x) == any(x == a for a, _ in ts.pieces[1:])
+    elif isinstance(ts, Reals):
+        assert up == down == x
+    else:
+        # every grid point is isolated; only the ends stay put
+        assert (up == x) == (x == ts.max_point)
+        assert (down == x) == (x == ts.min_point)
 
 
 def test_segment_decomposition_iteration():
