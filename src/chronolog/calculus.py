@@ -3,9 +3,11 @@
 Integrals are computed segment by segment from the window decomposition by
 one walk, ``_walk``, which the window logarithms share: continuous pieces
 go through adaptive Simpson quadrature, scattered points contribute
-``gap * f`` directly.  Integrands receive two arguments ``(tau, mu)`` so
-that formulas involving the forward jump can use ``sigma(tau) = tau + mu``;
-on continuous pieces ``mu`` is passed as 0.0.
+``gap * f`` directly.  The walk returns its running total at each of a
+list of stops, so one pass from a base serves every window that starts
+there; a single window is the one-stop case.  Integrands receive two
+arguments ``(tau, mu)`` so that formulas involving the forward jump can
+use ``sigma(tau) = tau + mu``; on continuous pieces ``mu`` is passed as 0.0.
 """
 
 from __future__ import annotations
@@ -181,31 +183,84 @@ def _walk(
     jump: Integrand,
     ts: TimeScale,
     s: float,
+    stops: list[float],
+    cfg: ToleranceConfig,
+    sign: float = 1.0,
+) -> list[complex]:
+    """The one walk behind every integral and window logarithm.
+
+    ``s`` and ``stops`` are scale points; the stops move away from s, all
+    increasing above it or all decreasing below it.  One pass over the
+    segments between s and the last stop returns ``sign`` times the running
+    total at each stop, the total being the integral over the stretch
+    between s and that stop.  Continuous pieces integrate ``dense`` by
+    adaptive Simpson, split at the stops inside them; each scattered jump
+    from tau to tau + mu adds ``mu * jump(tau, mu)``.  Below s the walk is
+    the mirror image of the walk up: it takes the segments from s downward,
+    and each term keeps its sign.
+    """
+    if not stops:
+        return []
+    end = stops[-1]
+    up = end >= s
+    segs = ts.decompose(s, end).segments if up else ts.decompose(end, s).segments[::-1]
+    totals: list[complex] = []
+    total = 0j
+    rest = iter(stops)
+    nxt = next(rest)
+    for seg in segs:
+        if isinstance(seg, ContinuousPiece):
+            near, far = (seg.a, seg.b) if up else (seg.b, seg.a)
+            while (nxt <= near) if up else (nxt >= near):
+                totals.append(sign * total)
+                nxt = next(rest)
+            x = near
+            while (nxt < far) if up else (nxt > far):
+                total += _piece(dense, x, nxt, cfg)
+                x = nxt
+                while nxt == x:
+                    totals.append(sign * total)
+                    nxt = next(rest)
+            total += _piece(dense, x, far, cfg)
+        else:
+            tau = seg.tau
+            # no scale point lies inside the gap, so going down every stop
+            # above tau is at or above tau + mu, where the jump starts
+            while (nxt <= tau) if up else (nxt > tau):
+                totals.append(sign * total)
+                nxt = next(rest)
+            v = jump(tau, seg.mu)
+            if not cmath.isfinite(v):
+                raise NonFiniteIntegrand(f"jump term is not finite on the gap after tau={tau}")
+            total += seg.mu * v
+    totals.extend([sign * total] * (len(stops) - len(totals)))
+    return totals
+
+
+def _piece(dense: Callable[[float], complex], x: float, y: float, cfg: ToleranceConfig) -> complex:
+    # the integral over the continuous stretch between x and y, either order
+    a, b = (x, y) if x <= y else (y, x)
+    return adaptive_simpson(dense, a, b, cfg.quad_tol, cfg.max_quad_depth)
+
+
+def _window(
+    dense: Callable[[float], complex],
+    jump: Integrand,
+    ts: TimeScale,
+    s: float,
     t: float,
     cfg: ToleranceConfig,
 ) -> complex:
-    """The one window walk behind every integral and window logarithm.
+    """The walk over one window [s, t], the one-stop case.
 
-    Continuous pieces integrate ``dense`` by adaptive Simpson; each
-    scattered jump from tau to tau + mu adds ``mu * jump(tau, mu)``.
-    Swapping the endpoints negates the result.
+    Swapped endpoints walk up from t and negate, so reversing a window
+    negates its value exactly.
     """
     s = ts.snap(s)
     t = ts.snap(t)
-    sign = 1.0
-    if s > t:
-        s, t = t, s
-        sign = -1.0
-    total = 0j
-    for seg in ts.decompose(s, t):
-        if isinstance(seg, ContinuousPiece):
-            total += adaptive_simpson(dense, seg.a, seg.b, cfg.quad_tol, cfg.max_quad_depth)
-        else:
-            v = jump(seg.tau, seg.mu)
-            if not cmath.isfinite(v):
-                raise NonFiniteIntegrand(f"jump term is not finite on the gap after tau={seg.tau}")
-            total += seg.mu * v
-    return sign * total
+    if s <= t:
+        return _walk(dense, jump, ts, s, [t], cfg)[0]
+    return _walk(dense, jump, ts, t, [s], cfg, -1.0)[0]
 
 
 def delta_integral(
@@ -217,7 +272,7 @@ def delta_integral(
     each right-scattered tau contributes ``mu * f(tau, mu)``.  Swapping the
     endpoints negates the result.
     """
-    return _walk(lambda x: f(x, 0.0), f, ts, s, t, cfg or DEFAULT_TOLERANCES)
+    return _window(lambda x: f(x, 0.0), f, ts, s, t, cfg or DEFAULT_TOLERANCES)
 
 
 def nabla_integral(
@@ -229,6 +284,6 @@ def nabla_integral(
     contributions are ``nu * f(tau', nu)`` at left-scattered points tau'
     in (s, t] with nu the gap below tau'.
     """
-    return _walk(
+    return _window(
         lambda x: f(x, 0.0), lambda tau, nu: f(tau + nu, nu), ts, s, t, cfg or DEFAULT_TOLERANCES
     )

@@ -27,6 +27,7 @@ from .logexp import (
     identity_suite,
     legacy_log,
     log_delta_derivative,
+    log_table,
     log_ts,
 )
 from .multivalue import MultiLog
@@ -188,8 +189,8 @@ def _cmd_table(args) -> tuple[str, int]:
     ts = parse_timescale(args.timescale)
     p = _scale_function(args.p)
     pts = _walk_points(ts, getattr(args, "from"), args.to, args.step)
-    rows = []
     if args.quantity == "logderiv":
+        rows = []
         for u in pts:
             value = log_delta_derivative(p, ts, u, cfg)
             quotient = delta_derivative(p, ts, u) / p(u)
@@ -197,11 +198,9 @@ def _cmd_table(args) -> tuple[str, int]:
         header = "t,value_re,value_im,quotient_re,quotient_im"
     else:  # log
         variant, eta = _parse_variant(args.variant)
-        base = ts.snap(args.s if args.s is not None else getattr(args, "from"))
-        for u in pts:
-            value = log_ts(variant, p, ts, base, u, cfg, eta=eta)
-            rep = value.rep if isinstance(value, MultiLog) else complex(value)
-            rows.append((u, rep, None))
+        base = args.s if args.s is not None else getattr(args, "from")
+        values = log_table(variant, p, ts, base, pts, cfg, eta=eta)
+        rows = [(u, value, None) for u, value in zip(pts, values)]
         header = "t,value_re,value_im"
     if args.format == "json":
         out = []

@@ -80,12 +80,12 @@ class LogOfZero(ChronologError):
     """Logarithm of a (near-)zero value."""
 
 
-class DivisionByZero(ChronologError):
-    """Division with a (near-)zero denominator."""
-
-
 class EvalDomain(ChronologError):
-    """Expression evaluated at a point outside a subterm's domain."""
+    """Expression evaluated at a point outside a subterm's domain.
+
+    This covers division by zero, the log of zero and 0 raised to a
+    negative power.
+    """
 
 
 class NonFiniteValue(ChronologError):

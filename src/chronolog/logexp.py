@@ -8,9 +8,9 @@ jump from tau to sigma = tau + mu, with p_sigma = p(sigma), contributes
     mu * map_mu(pDelta / ((1-eta) p + eta p_sigma)),
 
 which in exact arithmetic is Log(p_sigma / p) modulo 2*pi*i.  Every
-variant is one row of the table below, passed to the single kernel
-``_window_log``; the row fixes the weight eta, the cylinder map, and so the
-side of the branch cut on which a jump with a negative real ratio
+variant is one row of the table below (``_ROWS``), read by the single
+kernel ``_kernel``; the row fixes the weight eta, the cylinder map, and so
+the side of the branch cut on which a jump with a negative real ratio
 p_sigma/p lands:
 
     variant   eta   map               cut side
@@ -23,6 +23,11 @@ Delta, nabla and Cayley each have a principal version (a plain complex
 number) and a multi-valued version carrying the 2*pi*i lattice; eta is
 multi-valued only.  They all agree modulo that lattice.
 
+The window logarithm is additive over the window, L(s, u') = L(s, u) +
+L(u, u'), so ``log_table`` gives the logarithm from one base to every
+point of a list from one walk, the running total of the single-window
+sum, instead of one walk per point.
+
 Also here: the time-scale exponentials built from regressive coefficients,
 the pointwise logarithmic derivative, five older logarithm constructions
 kept for comparison, and an identity-checking suite used by the CLI.
@@ -30,6 +35,7 @@ kept for comparison, and an identity-checking suite used by the CLI.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -40,6 +46,7 @@ from .calculus import (
     ScaleFunction,
     ToleranceConfig,
     _walk,
+    _window,
     delta_integral,
     nabla_integral,
 )
@@ -54,7 +61,8 @@ from .errors import (
 )
 from .multivalue import TWO_PI_I, MultiLog, exp as cexp, lattice_gap, principal_log
 from .timescale import ContinuousPiece, TimeScale
-from .cylinder import cayley_psi, eta_psi, is_nu_regressive, is_regressive, xi, xi_hat
+from . import cylinder
+from .cylinder import is_nu_regressive, is_regressive, xi, xi_hat
 
 
 class LogVariant(str, Enum):
@@ -99,23 +107,39 @@ def delta_quotient(p: ScaleFunction, cfg: ToleranceConfig | None = None) -> Call
     return coeff
 
 
-def _window_log(
-    p: ScaleFunction,
-    ts: TimeScale,
-    s: float,
-    t: float,
-    cfg: ToleranceConfig | None,
-    eta: float,
-    cylinder_map: Callable[[float, complex], complex],
-    error: type,
-) -> complex:
-    """The one jump kernel: p'/p on continuous pieces, one cylinder map per jump.
+# The variant table.  Each row gives the weight eta, the name of the
+# cylinder map in `cylinder` (looked up on every call, so that a wrapper
+# installed on the module sees every map) and the error raised when the
+# weighted denominator vanishes.  The eta row takes its weight from the caller.
+_ROWS = {
+    LogVariant.DELTA_MULTI: (0.0, "xi", NotRegressive),
+    LogVariant.DELTA_PRINCIPAL: (0.0, "xi", NotRegressive),
+    LogVariant.NABLA_MULTI: (1.0, "xi_hat", NotNuRegressive),
+    LogVariant.NABLA_PRINCIPAL: (1.0, "xi_hat", NotNuRegressive),
+    LogVariant.CAYLEY_MULTI: (0.5, "cayley_psi", CayleyNotRegressive),
+    LogVariant.CAYLEY_PRINCIPAL: (0.5, "cayley_psi", CayleyNotRegressive),
+    LogVariant.ETA: (None, "eta_psi", EtaNotRegressive),
+}
 
-    A jump from tau to tau + mu contributes
+
+def _kernel(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: float | None):
+    """The one jump kernel, set by the variant's row: (dense, jump) for ``_walk``.
+
+    Continuous pieces integrate p'/p; a jump from tau to tau + mu contributes
     ``mu * cylinder_map(mu, (p_sigma - p) / mu / ((1-eta) p + eta p_sigma))``
-    and raises ``error`` when the weighted denominator is 0.
+    and raises the row's error when the weighted denominator is 0.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
+    weight, map_name, error = _ROWS[variant]
+    cylinder_map = getattr(cylinder, map_name)
+    if weight is None:
+        if eta is None:
+            raise ValueError("the eta variant needs an explicit eta value")
+        eta = float(eta)
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"eta must lie in [0, 1], got {eta}")
+        cylinder_map = partial(cylinder_map, eta)
+    else:
+        eta = weight
     keep = 1.0 - eta
 
     def dense(x: float) -> complex:
@@ -129,14 +153,28 @@ def _window_log(
             raise error(f"(1-eta)p + eta*p_sigma vanishes for eta={eta} at tau={tau}")
         return cylinder_map(mu, (ps - pv) / mu / mix)
 
-    return _walk(dense, jump, ts, s, t, cfg)
+    return dense, jump
+
+
+def _window_log(
+    variant: LogVariant,
+    p: ScaleFunction,
+    ts: TimeScale,
+    s: float,
+    t: float,
+    cfg: ToleranceConfig | None,
+    eta: float | None = None,
+) -> complex:
+    cfg = cfg or DEFAULT_TOLERANCES
+    dense, jump = _kernel(variant, p, cfg, eta)
+    return _window(dense, jump, ts, s, t, cfg)
 
 
 def log_delta_principal(
     p: ScaleFunction, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | None = None
 ) -> complex:
     """Principal forward logarithm of p over the window [s, t]."""
-    return _window_log(p, ts, s, t, cfg, 0.0, xi, NotRegressive)
+    return _window_log(LogVariant.DELTA_PRINCIPAL, p, ts, s, t, cfg)
 
 
 def log_delta_multi(
@@ -150,7 +188,7 @@ def log_nabla_principal(
     p: ScaleFunction, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | None = None
 ) -> complex:
     """Principal backward logarithm: backward quotients at left-scattered points."""
-    return _window_log(p, ts, s, t, cfg, 1.0, xi_hat, NotNuRegressive)
+    return _window_log(LogVariant.NABLA_PRINCIPAL, p, ts, s, t, cfg)
 
 
 def log_nabla_multi(
@@ -163,7 +201,7 @@ def log_cayley_principal(
     p: ScaleFunction, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | None = None
 ) -> complex:
     """Principal Cayley logarithm: symmetric average in the denominator."""
-    return _window_log(p, ts, s, t, cfg, 0.5, cayley_psi, CayleyNotRegressive)
+    return _window_log(LogVariant.CAYLEY_PRINCIPAL, p, ts, s, t, cfg)
 
 
 def log_cayley_multi(
@@ -185,11 +223,7 @@ def log_eta(
     The weighting only reshapes the scattered contributions; the result
     still equals the forward logarithm modulo 2*pi*i.
     """
-    eta = float(eta)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    value = _window_log(p, ts, s, t, cfg, eta, partial(eta_psi, eta), EtaNotRegressive)
-    return MultiLog(value, TWO_PI_I)
+    return MultiLog(_window_log(LogVariant.ETA, p, ts, s, t, cfg, eta), TWO_PI_I)
 
 
 def log_ts(
@@ -204,8 +238,6 @@ def log_ts(
     """Dispatch on the variant name; returns complex or MultiLog."""
     variant = LogVariant(variant)
     if variant is LogVariant.ETA:
-        if eta is None:
-            raise ValueError("the eta variant needs an explicit eta value")
         return log_eta(eta, p, ts, s, t, cfg)
     fn = {
         LogVariant.DELTA_MULTI: log_delta_multi,
@@ -216,6 +248,37 @@ def log_ts(
         LogVariant.CAYLEY_PRINCIPAL: log_cayley_principal,
     }[variant]
     return fn(p, ts, s, t, cfg)
+
+
+def log_table(
+    variant: Union[LogVariant, str],
+    p: ScaleFunction,
+    ts: TimeScale,
+    base: float,
+    points: list[float],
+    cfg: ToleranceConfig | None = None,
+    eta: float | None = None,
+) -> list[complex]:
+    """The window logarithm from ``base`` to each of ``points``, from one walk.
+
+    ``points`` must be in increasing order; each value is the principal
+    value (``.rep`` of the multi-valued variants) of ``log_ts`` over
+    [base, u].  The points above the base share one walk up from it, which
+    on a discrete scale sums the same terms in the same order as
+    ``log_ts``, so those values agree bit for bit; the points below share
+    one walk down from it.  The points split continuous pieces, so there
+    the values may differ from ``log_ts`` in the last bits.
+    """
+    variant = LogVariant(variant)
+    cfg = cfg or DEFAULT_TOLERANCES
+    dense, jump = _kernel(variant, p, cfg, eta)
+    base = ts.snap(base)
+    points = [ts.snap(u) for u in points]
+    if any(v < u for u, v in zip(points, points[1:])):
+        raise ValueError("table points must be in increasing order")
+    n = bisect_left(points, base)
+    below = _walk(dense, jump, ts, base, points[:n][::-1], cfg, -1.0)
+    return below[::-1] + _walk(dense, jump, ts, base, points[n:], cfg)
 
 
 def log_delta_derivative(

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import os
@@ -296,6 +297,51 @@ def test_table_window_log_quantity(run):
     assert float(last[1]) == pytest.approx(math.log(1.4), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "spec, step",
+    [("hz:1", []), ("union:[0,1];[1.5,1.5];[2,4]", ["--step", "0.25"])],
+)
+def test_table_log_rows_below_the_base(run, spec, step):
+    # --s inside [--from, --to]: the rows below the base come from a walk
+    # down from it, the rows above from a walk up
+    base = 2.5 if step else 3.0
+    rc, out, _ = run(
+        "table", "--timescale", spec, "--p", "(t-1-2*i)^3", "--quantity", "log",
+        "--from", "0", "--to", "4", "--s", str(base), *step,
+    )
+    assert rc == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    below = [row for row in rows if float(row[0]) < base]
+    assert len(below) >= 3
+    assert ["0", "0"] in [row[1:] for row in rows if float(row[0]) == base]
+    for cells in rows:
+        u, value = float(cells[0]), complex(float(cells[1]), float(cells[2]))
+        d = value - cmath.log(((u - 1 - 2j) / (base - 1 - 2j)) ** 3)
+        k = round(d.imag / (2 * math.pi))
+        assert abs(d - 2j * math.pi * k) <= 1e-8
+
+
+def test_table_log_is_one_walk(run, monkeypatch):
+    # a walk per row evaluates p about rows^2 times; one walk from the base
+    # evaluates it twice per jump
+    calls = 0
+    evaluate = chronolog.ScaleFunction.__call__
+
+    def counting(self, t):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, t)
+
+    monkeypatch.setattr(chronolog.ScaleFunction, "__call__", counting)
+    rc, out, _ = run(
+        "table", "--timescale", "hz:1", "--p", "t^2+1", "--quantity", "log",
+        "--from", "0", "--to", "999",
+    )
+    assert rc == 0
+    assert len(out.strip().split("\n")) == 1 + 1000
+    assert calls <= 2 * 1000 + 10
+
+
 def test_table_json_format(run):
     rc, out, _ = run(
         "table", "--timescale", "hz:1", "--p", "t", "--quantity", "logderiv",
@@ -324,15 +370,25 @@ def test_table_continuous_needs_step(run):
     assert ts == [1.0, 1.5, 2.0]
 
 
-def test_table_no_partial_output_on_failure(run):
-    # p vanishes at t = 2, inside the walk; nothing must be printed
-    rc, out, err = run(
-        "table", "--timescale", "hz:1", "--p", "t-2", "--quantity", "logderiv",
-        "--from", "0", "--to", "4",
-    )
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["--p", "t-2", "--quantity", "logderiv"], "NonvanishingViolation"),
+        (["--p", "t-2", "--quantity", "log"], "NonvanishingViolation"),
+        (
+            ["--p", "t-0.5", "--quantity", "log", "--variant", "cayley-principal"],
+            "CayleyNotRegressive",
+        ),
+    ],
+    ids=["logderiv-vanishing", "log-vanishing", "log-cayley-mean-vanishing"],
+)
+def test_table_no_partial_output_on_failure(run, args, error):
+    # the walk fails part-way (p vanishes at t = 2, or the Cayley mean
+    # (p(0) + p(1))/2 does); nothing must be printed
+    rc, out, err = run("table", "--timescale", "hz:1", "--from", "0", "--to", "4", *args)
     assert rc == 3
     assert out == ""
-    assert json.loads(err)["error"] == "NonvanishingViolation"
+    assert json.loads(err)["error"] == error
 
 
 def test_table_reversed_range_exits_2(run):

@@ -29,6 +29,7 @@ from chronolog.logexp import (
     log_eta,
     log_nabla_multi,
     log_nabla_principal,
+    log_table,
     log_ts,
     scaled_residual,
 )
@@ -277,6 +278,78 @@ def test_log_ts_dispatch():
         log_ts("eta", p, ts, s, t)
     with pytest.raises(ValueError):
         log_ts("no-such-variant", p, ts, s, t)
+
+
+# ---------------------------------------------------------------------------
+# log_table: one walk from a base
+# ---------------------------------------------------------------------------
+
+TABLE_VARIANTS = [pytest.param(v.value, None, id=v.value) for v in LogVariant if v is not LogVariant.ETA]
+TABLE_VARIANTS.append(pytest.param("eta", 0.3, id="eta:0.3"))
+TABLE_FUNCTIONS = ("(t-1-2*i)^3", "exp(i*t)+0.5")
+
+
+def _rep(value) -> complex:
+    return value.rep if isinstance(value, MultiLog) else value
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def _scale_points(ts, start, stop):
+    points = [ts.snap(start)]
+    while points[-1] < stop:
+        points.append(ts.sigma(points[-1]))
+    return points
+
+
+@pytest.mark.parametrize(
+    "spec, start, stop",
+    [
+        ("hz:1", -3.0, 25.0),
+        ("hz:0.3:0.05", 0.05, 6.05),
+        ("q:1.1", 1.0, 1.1**40),
+        ("alt:0.3,0.7", 0.0, 10.0),
+        ("set:0.1,0.7,1.3,2.9,3.3", 0.1, 3.3),
+    ],
+)
+@pytest.mark.parametrize("variant, eta", TABLE_VARIANTS)
+def test_log_table_forward_rows_match_log_ts_bit_for_bit(variant, eta, spec, start, stop):
+    # on a discrete scale the running total sums the same jump terms in the
+    # same order as a walk per row, so nothing may differ, not even the sign
+    # of a zero part
+    ts = parse_timescale(spec)
+    points = _scale_points(ts, start, stop)
+    for text in TABLE_FUNCTIONS:
+        p = ScaleFunction.from_text(text)
+        rows = log_table(variant, p, ts, start, points, eta=eta)
+        assert len(rows) == len(points)
+        for u, row in zip(points, rows):
+            assert _bits(row) == _bits(_rep(log_ts(variant, p, ts, start, u, eta=eta)))
+
+
+@pytest.mark.parametrize("spec", ["r", "union:[0,1];[1.5,1.5];[2,4]"])
+@pytest.mark.parametrize("variant, eta", TABLE_VARIANTS)
+def test_log_table_dense_rows_match_log_ts_and_closed_form(variant, eta, spec):
+    # the rows split continuous pieces, so they agree with the per-row walk
+    # to quadrature accuracy rather than bit for bit
+    cfg = ToleranceConfig()
+    ts = parse_timescale(spec)
+    points = [u for u in (0.25 * k for k in range(17)) if ts.contains(u)]
+    for text in TABLE_FUNCTIONS:
+        p = ScaleFunction.from_text(text)
+        rows = log_table(variant, p, ts, 0.0, points, cfg, eta=eta)
+        for u, row in zip(points, rows):
+            assert scaled_residual(row, _rep(log_ts(variant, p, ts, 0.0, u, cfg, eta=eta))) <= cfg.cmp_tol
+            _, res = lattice_gap(row, _closed_form(p, ts, 0.0, u))
+            assert res <= cfg.cmp_tol
+
+
+def test_log_table_rejects_unsorted_points():
+    p = ScaleFunction.from_text("t+10")
+    with pytest.raises(ValueError):
+        log_table("delta-principal", p, parse_timescale("hz:1"), 0.0, [1.0, 3.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
