@@ -11,7 +11,15 @@ and is right-associative):
 
 Exponents must evaluate to real constants at parse time.  Supported calls:
 exp, log, sin, cos, sqrt (all principal branch).  Inputs are limited to
-4096 characters and a tree depth of 64.
+4096 characters, a tree depth of 64 and a nesting of 128 (parentheses,
+calls, unary minus and exponents each open one level; bare parentheses add
+no tree depth).  The parser is the only place that checks a tree: each rule
+returns its node with that node's depth, and it counts the reads of ``t``
+so that an exponent depending on t is refused as it is read.
+
+``compile_expr`` is the one evaluator: ``evaluate`` compiles the tree and
+checks that the value is finite, and every value of p comes from a
+compiled closure.
 """
 
 from __future__ import annotations
@@ -95,14 +103,17 @@ _NAME_CONT = _NAME_START + _DIGITS
 
 
 class _Parser:
+    """Recursive descent; each rule returns ``(node, depth of node)``."""
+
     # nesting guard: generous bound that still keeps Python recursion safe;
-    # the authoritative depth limit is checked on the finished tree
+    # the tree depth limit is checked by ``parse`` once the text is read
     MAX_NEST = 128
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
         self.nest = 0
+        self.reads = 0  # occurrences of t read so far
 
     def fail(self, message: str, offset: int | None = None):
         raise ExprSyntaxError(message, self.pos if offset is None else offset)
@@ -124,107 +135,107 @@ class _Parser:
     def enter(self):
         self.nest += 1
         if self.nest > self.MAX_NEST:
-            raise DepthExceeded(f"expression nesting exceeds {MAX_DEPTH}")
+            raise DepthExceeded(f"expression nesting exceeds {self.MAX_NEST}")
 
     def leave(self):
         self.nest -= 1
 
-    def parse(self) -> Expr:
-        node = self.additive()
+    def parse(self) -> tuple[Expr, int]:
+        node, d = self.additive()
         self.skip_ws()
         if self.pos != len(self.text):
             self.fail(f"unexpected character {self.text[self.pos]!r}")
-        return node
+        return node, d
 
-    def additive(self) -> Expr:
-        node = self.term()
+    def additive(self) -> tuple[Expr, int]:
+        node, d = self.term()
         while True:
-            if self.take("+"):
-                node = Add(node, self.term())
-            elif self.take("-"):
-                node = Sub(node, self.term())
-            else:
-                return node
+            op = Add if self.take("+") else Sub if self.take("-") else None
+            if op is None:
+                return node, d
+            right, rd = self.term()
+            node, d = op(node, right), 1 + max(d, rd)
 
-    def term(self) -> Expr:
-        node = self.unary()
+    def term(self) -> tuple[Expr, int]:
+        node, d = self.unary()
         while True:
-            if self.take("*"):
-                node = Mul(node, self.unary())
-            elif self.take("/"):
-                node = Div(node, self.unary())
-            else:
-                return node
+            op = Mul if self.take("*") else Div if self.take("/") else None
+            if op is None:
+                return node, d
+            right, rd = self.unary()
+            node, d = op(node, right), 1 + max(d, rd)
 
-    def unary(self) -> Expr:
+    def unary(self) -> tuple[Expr, int]:
         if self.take("-"):
             self.enter()
             try:
-                return Neg(self.unary())
+                node, d = self.unary()
             finally:
                 self.leave()
+            return Neg(node), 1 + d
         return self.power()
 
-    def power(self) -> Expr:
-        node = self.atom()
+    def power(self) -> tuple[Expr, int]:
+        node, d = self.atom()
         self.skip_ws()
         caret = self.pos
         if self.take("^"):
+            reads = self.reads
             self.enter()
             try:
-                exponent_tree = self.unary()
+                exponent_tree, _ = self.unary()
             finally:
                 self.leave()
-            node = Pow(node, self._constant_exponent(exponent_tree, caret))
-        return node
+            if self.reads != reads:
+                self.fail("exponent must be a real constant, not a function of t", caret)
+            # the exponent folds to a constant, so only the base adds depth
+            return Pow(node, self._constant_exponent(exponent_tree, caret)), 1 + d
+        return node, d
 
     def _constant_exponent(self, tree: Expr, offset: int) -> float:
-        if contains_var(tree):
-            self.fail("exponent must be a real constant, not a function of t", offset)
         try:
             value = evaluate(tree, 0j)
-        except Exception:
+        except Exception:  # a domain error, or an exponent too deep to compile
             self.fail("exponent must evaluate to a real constant", offset)
         if value.imag != 0.0:
             self.fail("exponent must be real", offset)
         return float(value.real)
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         ch = self.peek()
         start = self.pos
         if ch == "(":
             self.pos += 1
-            self.enter()
-            try:
-                node = self.additive()
-            finally:
-                self.leave()
-            if not self.take(")"):
-                self.fail("expected ')'")
-            return node
+            return self.group()  # bare parentheses add no tree depth
         if ch in _DIGITS or ch == ".":
-            return Const(complex(self._number()))
+            return Const(complex(self._number())), 1
         if ch in _NAME_START:
             name = self._name()
             if name == "t":
-                return Var()
+                self.reads += 1
+                return Var(), 1
             if name == "i":
-                return Const(1j)
+                return Const(1j), 1
             if self.take("("):
                 if name not in FUNCTIONS:
                     raise UnknownFunction(f"unknown function {name!r}", start)
-                self.enter()
-                try:
-                    arg = self.additive()
-                finally:
-                    self.leave()
-                if not self.take(")"):
-                    self.fail("expected ')'")
-                return Call(name, arg)
+                arg, d = self.group()
+                return Call(name, arg), 1 + d
             if name in FUNCTIONS:
                 self.fail(f"expected '(' after function name {name!r}", start)
             self.fail(f"unknown identifier {name!r}", start)
         self.fail("expected a number, name, or '('")
+
+    def group(self) -> tuple[Expr, int]:
+        # the expression after an opening '(' and its ')', one level deeper
+        self.enter()
+        try:
+            inner = self.additive()
+        finally:
+            self.leave()
+        if not self.take(")"):
+            self.fail("expected ')'")
+        return inner
 
     def _name(self) -> str:
         start = self.pos
@@ -266,36 +277,10 @@ def parse(text: str) -> Expr:
         raise ExprSyntaxError("empty expression", 0)
     if len(text) > MAX_SOURCE_LEN:
         raise ExprSyntaxError(f"expression longer than {MAX_SOURCE_LEN} characters", MAX_SOURCE_LEN)
-    tree = _Parser(text).parse()
-    if depth(tree) > MAX_DEPTH:
+    tree, d = _Parser(text).parse()
+    if d > MAX_DEPTH:
         raise DepthExceeded(f"expression tree deeper than {MAX_DEPTH}")
     return tree
-
-
-def depth(e: Expr) -> int:
-    if isinstance(e, (Const, Var)):
-        return 1
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return 1 + max(depth(e.left), depth(e.right))
-    if isinstance(e, Pow):
-        return 1 + depth(e.base)
-    if isinstance(e, Neg):
-        return 1 + depth(e.operand)
-    return 1 + depth(e.arg)
-
-
-def contains_var(e: Expr) -> bool:
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, Const):
-        return False
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return contains_var(e.left) or contains_var(e.right)
-    if isinstance(e, Pow):
-        return contains_var(e.base)
-    if isinstance(e, Neg):
-        return contains_var(e.operand)
-    return contains_var(e.arg)
 
 
 # ---------------------------------------------------------------------------
@@ -351,41 +336,19 @@ def _call_value(name: str, v: complex) -> complex:
     raise ValueError(f"no such function {name!r}")
 
 
-def _ev(e: Expr, t: complex) -> complex:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return t
-    if isinstance(e, Add):
-        return _ev(e.left, t) + _ev(e.right, t)
-    if isinstance(e, Sub):
-        return _ev(e.left, t) - _ev(e.right, t)
-    if isinstance(e, Mul):
-        return _ev(e.left, t) * _ev(e.right, t)
-    if isinstance(e, Div):
-        try:
-            return _ev(e.left, t) / _ev(e.right, t)
-        except ZeroDivisionError as exc:
-            raise EvalDomain(f"division by zero at t={t}") from exc
-    if isinstance(e, Pow):
-        return _pow_value(_ev(e.base, t), e.exponent)
-    if isinstance(e, Neg):
-        return -_ev(e.operand, t)
-    return _call_value(e.name, _ev(e.arg, t))
-
-
 def evaluate(e: Expr, t: complex) -> complex:
     """Evaluate the tree at t; non-finite results raise NonFiniteValue."""
-    v = _ev(e, complex(t))
+    v = compile_expr(e)(complex(t))
     if not cmath.isfinite(v):
         raise NonFiniteValue(f"expression not finite at t={t}")
     return v
 
 
 def compile_expr(e: Expr) -> Callable[[complex], complex]:
-    """Build a closure computing the same values as :func:`evaluate`.
+    """Build a closure computing the value of the tree at a complex t.
 
-    The caller is responsible for finiteness checks on the result.
+    This is the only evaluator.  The caller is responsible for finiteness
+    checks on the result (``evaluate`` is compile plus that check).
     """
     if isinstance(e, Const):
         v = e.value

@@ -53,6 +53,7 @@ from .calculus import (
 from .errors import (
     CayleyNotRegressive,
     EtaNotRegressive,
+    EvalDomain,
     NonvanishingViolation,
     NotNuRegressive,
     NotRegressive,
@@ -107,15 +108,15 @@ def delta_quotient(p: ScaleFunction, cfg: ToleranceConfig | None = None) -> Call
     return coeff
 
 
-# The variant table.  Each row gives the weight eta, the name of the
-# cylinder map in `cylinder` (looked up on every call, so that a wrapper
-# installed on the module sees every map) and the error raised when the
-# weighted denominator vanishes.  The eta row takes its weight from the caller.
+# The variant table: the weight eta (the eta row's comes from the caller), the
+# name of the map in `cylinder` (looked up per call, so that a wrapper on the
+# module sees every map) and the error for a vanishing weighted denominator.
+# Delta and nabla need none: theirs is p or p_sigma, held above eps_min.
 _ROWS = {
-    LogVariant.DELTA_MULTI: (0.0, "xi", NotRegressive),
-    LogVariant.DELTA_PRINCIPAL: (0.0, "xi", NotRegressive),
-    LogVariant.NABLA_MULTI: (1.0, "xi_hat", NotNuRegressive),
-    LogVariant.NABLA_PRINCIPAL: (1.0, "xi_hat", NotNuRegressive),
+    LogVariant.DELTA_MULTI: (0.0, "xi", None),
+    LogVariant.DELTA_PRINCIPAL: (0.0, "xi", None),
+    LogVariant.NABLA_MULTI: (1.0, "xi_hat", None),
+    LogVariant.NABLA_PRINCIPAL: (1.0, "xi_hat", None),
     LogVariant.CAYLEY_MULTI: (0.5, "cayley_psi", CayleyNotRegressive),
     LogVariant.CAYLEY_PRINCIPAL: (0.5, "cayley_psi", CayleyNotRegressive),
     LogVariant.ETA: (None, "eta_psi", EtaNotRegressive),
@@ -235,19 +236,10 @@ def log_ts(
     cfg: ToleranceConfig | None = None,
     eta: float | None = None,
 ):
-    """Dispatch on the variant name; returns complex or MultiLog."""
+    """Any variant's window logarithm: complex if ``*-principal``, else MultiLog."""
     variant = LogVariant(variant)
-    if variant is LogVariant.ETA:
-        return log_eta(eta, p, ts, s, t, cfg)
-    fn = {
-        LogVariant.DELTA_MULTI: log_delta_multi,
-        LogVariant.DELTA_PRINCIPAL: log_delta_principal,
-        LogVariant.NABLA_MULTI: log_nabla_multi,
-        LogVariant.NABLA_PRINCIPAL: log_nabla_principal,
-        LogVariant.CAYLEY_MULTI: log_cayley_multi,
-        LogVariant.CAYLEY_PRINCIPAL: log_cayley_principal,
-    }[variant]
-    return fn(p, ts, s, t, cfg)
+    value = _window_log(variant, p, ts, s, t, cfg, eta)
+    return value if variant.value.endswith("-principal") else MultiLog(value, TWO_PI_I)
 
 
 def log_table(
@@ -346,7 +338,7 @@ def legacy_log(
     t: float,
     cfg: ToleranceConfig | None = None,
 ) -> complex:
-    """Older logarithm constructions, kept for comparison.
+    """Older logarithm constructions, kept for comparison (a zero denominator is EvalDomain).
 
     huff                integral of 2/(tau + sigma(tau)) from t0 to t
     euler-cauchy        integral of 1/(tau + 2*mu(tau)) from t0 to t
@@ -359,10 +351,15 @@ def legacy_log(
     if kind in (LegacyKind.INTEGRAL_QUOTIENT, LegacyKind.JACKSON) and p is None:
         raise ValueError(f"the {kind.value} logarithm needs a function p")
 
+    def ratio(num: float, den: float, tau: float) -> float:
+        if den == 0:
+            raise EvalDomain(f"the {kind.value} integrand divides by zero at tau={tau}")
+        return num / den
+
     if kind is LegacyKind.HUFF:
-        return delta_integral(lambda tau, mu: 2.0 / (2.0 * tau + mu), ts, t0, t, cfg)
+        return delta_integral(lambda tau, mu: ratio(2.0, 2.0 * tau + mu, tau), ts, t0, t, cfg)
     if kind is LegacyKind.EULER_CAUCHY:
-        return delta_integral(lambda tau, mu: 1.0 / (tau + 2.0 * mu), ts, t0, t, cfg)
+        return delta_integral(lambda tau, mu: ratio(1.0, tau + 2.0 * mu, tau), ts, t0, t, cfg)
     if kind is LegacyKind.INTEGRAL_QUOTIENT:
         return delta_integral(delta_quotient(p, cfg), ts, t0, t, cfg)
     if kind is LegacyKind.JACKSON:
@@ -374,7 +371,7 @@ def legacy_log(
         one = ts.snap(1.0)
     except PointNotInScale:
         raise OneNotInScale("this construction integrates from 1, which is not in the scale") from None
-    return delta_integral(lambda tau, mu: 1.0 / tau, ts, one, t, cfg)
+    return delta_integral(lambda tau, mu: ratio(1.0, tau, tau), ts, one, t, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +472,8 @@ def identity_suite(
     res = scaled_residual(lhs, Lp)
     rows.append(IdentityResult("cayley-principal", lhs, Lp, res, 0, res <= tol))
 
-    lhs_m = log_cayley_multi(p, ts, s, t, cfg)
+    # log_cayley_multi is the same walk with the lattice attached
+    lhs_m = MultiLog(lhs, TWO_PI_I)
     k, res = lattice_gap(lhs_m, Lp)
     rows.append(IdentityResult("cayley-multi", lhs_m.rep, Lp, res, k, res <= tol))
 

@@ -152,6 +152,14 @@ def test_eval_bad_expression_exits_2(run):
     assert json.loads(err)["error"] == "ExprSyntaxError"
 
 
+def test_eval_deep_expression_exits_2(run):
+    # 1,500 terms (2,999 characters) fit the source limit but not the depth
+    p = "+".join(["t"] * 1500)
+    rc, out, err = run("eval", "--timescale", "hz:1", "--p", p, "--s", "0", "--t", "1")
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "DepthExceeded"
+
+
 def test_eval_bad_variant_exits_2(run):
     rc, _, err = run(
         "eval", "--timescale", "r", "--p", "t", "--s", "1", "--t", "2",
@@ -458,6 +466,23 @@ def test_legacy_unknown_kind(run):
     )
     assert rc == 2
     assert "proto" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(("--timescale", "r", "--kind", "huff", "--t0", "0", "--t", "3"), id="huff"),
+        pytest.param(("--timescale", "r", "--kind", "euler-cauchy", "--t0", "0", "--t", "3"), id="euler-cauchy"),
+        pytest.param(("--timescale", "hz:1", "--kind", "mozyrska", "--t", "0"), id="mozyrska"),
+    ],
+)
+def test_legacy_integrand_dividing_by_zero_exits_3(run, args):
+    # each integrand's denominator is 0 at tau = 0
+    rc, out, err = run("legacy", *args)
+    assert rc == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "EvalDomain"
+    assert "tau=0.0" in payload["message"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import cmath
 import random
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chronolog.errors import (
     DepthExceeded,
@@ -9,8 +12,10 @@ from chronolog.errors import (
     ExprSyntaxError,
     NonFiniteValue,
     UnknownFunction,
+    ValidationError,
 )
 from chronolog.expr import (
+    MAX_SOURCE_LEN,
     Add,
     Call,
     Const,
@@ -189,6 +194,8 @@ def test_depth_limit_parens():
     parse("(" * 100 + "t" + ")" * 100)
     with pytest.raises(DepthExceeded):
         parse("(" * 200 + "t" + ")" * 200)
+    with pytest.raises(DepthExceeded, match="nesting exceeds 128$"):
+        parse("(" * 130 + "t" + ")" * 130)
 
 
 def test_depth_limit_nested_calls():
@@ -207,6 +214,12 @@ def test_depth_limit_flat_sum():
     # left-leaning chains count toward depth too
     with pytest.raises(DepthExceeded):
         parse("+".join(["1"] * 100))
+    # chains deeper than the Python recursion limit, still under MAX_SOURCE_LEN
+    with pytest.raises(DepthExceeded):
+        parse("+".join(["t"] * 1500))
+    # an exponent folds to a constant, so its own depth is not the tree's
+    with pytest.raises(ValidationError):
+        parse("2^(" + "+".join(["1"] * 1500) + ")")
 
 
 def test_eval_division_by_zero():
@@ -240,3 +253,37 @@ def test_zero_power_zero_is_one():
 def test_call_nodes_print_readably():
     assert to_text(parse("exp(sin(t))")) == "exp(sin(t))"
     assert to_text(Mul(Const(2 + 0j), Call("sqrt", Add(Var(), Const(1 + 0j))))) == "2.0*sqrt(t+1.0)"
+
+
+# the pieces of the grammar, with a few near misses to reach every error
+_TOKENS = (
+    "t", "i", "1", "2.5", ".5", "1e3", "2e", "1e999", "0", "(", ")", "+", "-", "*", "/", "^",
+    "exp", "log", "sin", "cos", "sqrt", "foo", "x", " ", ",",
+)
+_CHAINS = ("t+", "1+", "t*", "2^", "-", "(", ")", "exp(", "t^2+", "1/")
+
+
+@st.composite
+def _token_text(draw):
+    head = draw(st.lists(st.sampled_from(_TOKENS), max_size=30))
+    chain = draw(st.sampled_from(_CHAINS)) * draw(st.integers(0, 2000))
+    tail = draw(st.lists(st.sampled_from(_TOKENS), max_size=30))
+    return ("".join(head) + chain + "".join(tail))[:MAX_SOURCE_LEN]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_token_text())
+@example("+".join(["t"] * 1500))
+@example("2^(" + "+".join(["1"] * 1500) + ")")
+@example("2^(" + "+".join(["t"] * 1500) + ")")
+def test_parse_returns_a_tree_or_raises_a_validation_error(text):
+    # hypothesis raises the recursion limit while it runs a test; parse at
+    # the interpreter's default limit, the one the CLI runs with
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        parse(text)
+    except ValidationError:
+        pass
+    finally:
+        sys.setrecursionlimit(limit)
