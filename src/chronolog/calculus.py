@@ -13,10 +13,11 @@ use ``sigma(tau) = tau + mu``; on continuous pieces ``mu`` is passed as 0.0.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import NonFiniteIntegrand, NonFiniteValue, QuadratureFailure
+from .errors import NonFiniteIntegrand, NonFiniteValue, QuadratureFailure, ValidationError
 from .expr import Expr, compile_expr, differentiate, parse, to_text
 from .expr import Mul as _Mul
 from .expr import Div as _Div
@@ -42,10 +43,11 @@ class ToleranceConfig:
     max_quad_depth: int = 40
 
     def __post_init__(self):
-        if not (self.quad_tol > 0 and self.eps_min > 0 and self.cmp_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if int(self.max_quad_depth) != self.max_quad_depth or self.max_quad_depth < 10:
-            raise ValueError("max_quad_depth must be an integer >= 10")
+        if not all(0 < x < math.inf for x in (self.quad_tol, self.eps_min, self.cmp_tol)):
+            raise ValidationError("tolerances must be positive and finite")
+        depth = self.max_quad_depth
+        if not (math.isfinite(depth) and int(depth) == depth and depth >= 10):
+            raise ValidationError("max_quad_depth must be an integer >= 10")
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -92,7 +94,10 @@ class ScaleFunction:
         return ScaleFunction(_Div(self.body, other.body), label=f"({self.label})/({other.label})")
 
     def pow(self, alpha: float) -> "ScaleFunction":
-        return ScaleFunction(_Pow(self.body, float(alpha)), label=f"({self.label})^{alpha}")
+        exponent = float(alpha)
+        if not math.isfinite(exponent):
+            raise ValidationError(f"alpha must be finite, got {alpha}")
+        return ScaleFunction(_Pow(self.body, exponent), label=f"({self.label})^{alpha}")
 
     def __repr__(self) -> str:
         return f"ScaleFunction({self.label!r})"

@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface: parse argv, call the library, render the payload.
 
 Subcommands:
 
@@ -7,9 +7,13 @@ Subcommands:
     table    walk a range and tabulate pointwise or window quantities
     legacy   older logarithm constructions
 
-Errors print a single-line JSON object on stderr; exit code 2 flags bad
-input and 3 a numerical failure.  `check` exits 1 when an identity fails.
-Output is deterministic: identical invocations produce identical bytes.
+Each command returns a dict (eval, legacy) or a list of dicts (check,
+table), which one renderer writes as JSON or CSV.  Input checks live in the
+library, which raises ValidationError.  Errors print a single-line JSON
+object on stderr; exit code 2 flags bad input (an unwritable ``--out``
+file too) and 3 a numerical failure.  `check` exits 1 when an identity
+fails.  Output is deterministic: identical invocations produce identical
+bytes.
 """
 
 from __future__ import annotations
@@ -36,48 +40,28 @@ from .timescale import ContinuousPiece, TimeScale, parse_timescale
 TOL_ENV_VAR = "CHRONOLOG_TOL"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _config(args) -> ToleranceConfig:
-    tol = getattr(args, "tol", None)
-    if tol is None:
-        raw = os.environ.get(TOL_ENV_VAR)
-        if raw is not None:
-            try:
-                tol = float(raw)
-            except ValueError:
-                raise ValidationError(f"bad {TOL_ENV_VAR} value {raw!r}") from None
-    try:
-        return ToleranceConfig(quad_tol=tol) if tol is not None else ToleranceConfig()
-    except ValueError as e:
-        raise ValidationError(str(e)) from None
+    tol = args.tol
+    raw = os.environ.get(TOL_ENV_VAR)
+    if tol is None and raw is not None:
+        try:
+            tol = float(raw)
+        except ValueError:
+            raise ValidationError(f"bad {TOL_ENV_VAR} value {raw!r}") from None
+    return ToleranceConfig() if tol is None else ToleranceConfig(quad_tol=tol)
 
 
 def _parse_variant(text: str) -> tuple[LogVariant, float | None]:
-    if text.startswith("eta:"):
-        try:
-            eta = float(text[4:])
-        except ValueError:
-            raise ValidationError(f"bad eta value in variant {text!r}") from None
-        if not 0.0 <= eta <= 1.0:
-            raise ValidationError(f"eta must lie in [0, 1], got {eta}")
-        return LogVariant.ETA, eta
-    try:
+    if not text.startswith("eta:"):
         return LogVariant(text), None
+    try:
+        return LogVariant.ETA, float(text[4:])
     except ValueError:
-        choices = ", ".join(v.value for v in LogVariant if v is not LogVariant.ETA)
-        raise ValidationError(f"unknown variant {text!r} (expected one of {choices}, or eta:<value>)") from None
-
-
-def _scale_function(text: str) -> ScaleFunction:
-    return ScaleFunction.from_text(text)
+        raise ValidationError(f"bad eta value in variant {text!r}") from None
 
 
 def _window_has_jumps(ts: TimeScale, a: float, b: float) -> bool:
-    lo, hi = min(a, b), max(a, b)
-    return ts.decompose(ts.snap(lo), ts.snap(hi)).has_jumps
+    return ts.decompose(ts.snap(min(a, b)), ts.snap(max(a, b))).has_jumps
 
 
 def _point_payload(variant_label: str, value, scattered: bool) -> dict:
@@ -92,17 +76,8 @@ def _point_payload(variant_label: str, value, scattered: bool) -> dict:
     }
 
 
-def _payload_csv(payload: dict) -> str:
-    head = ",".join(payload.keys())
-    cells = []
-    for v in payload.values():
-        if isinstance(v, bool):
-            cells.append("true" if v else "false")
-        elif isinstance(v, float):
-            cells.append(_fmt(v))
-        else:
-            cells.append(str(v))
-    return head + "\n" + ",".join(cells) + "\n"
+def _complex(z: complex) -> dict:
+    return {"re": z.real, "im": z.imag}
 
 
 def _walk_points(ts: TimeScale, start: float, stop: float, step: float | None) -> list[float]:
@@ -137,112 +112,86 @@ def _walk_points(ts: TimeScale, start: float, stop: float, step: float | None) -
     return out
 
 
-def _cmd_eval(args) -> tuple[str, int]:
-    cfg = _config(args)
-    ts = parse_timescale(args.timescale)
-    p = _scale_function(args.p)
+def _cmd_eval(args, cfg: ToleranceConfig, ts: TimeScale) -> tuple[dict, int]:
+    p = ScaleFunction.from_text(args.p)
     variant, eta = _parse_variant(args.variant)
     s = ts.snap(args.s)
     t = ts.snap(args.t)
     value = log_ts(variant, p, ts, s, t, cfg, eta=eta)
-    payload = _point_payload(args.variant, value, _window_has_jumps(ts, s, t))
-    if args.format == "csv":
-        return _payload_csv(payload), 0
-    return json.dumps(payload) + "\n", 0
+    return _point_payload(args.variant, value, _window_has_jumps(ts, s, t)), 0
 
 
-def _cmd_check(args) -> tuple[str, int]:
-    cfg = _config(args)
-    ts = parse_timescale(args.timescale)
-    p = _scale_function(args.p)
-    q = _scale_function(args.q)
+def _cmd_check(args, cfg: ToleranceConfig, ts: TimeScale) -> tuple[list, int]:
+    p = ScaleFunction.from_text(args.p)
+    q = ScaleFunction.from_text(args.q)
     s = ts.snap(args.s)
     t = ts.snap(args.t)
-    try:
-        rows = identity_suite(p, q, ts, s, t, args.alpha, cfg)
-    except ValueError as e:
-        raise ValidationError(str(e)) from None
-    rc = 0 if all(r.passed for r in rows) else 1
-    if args.format == "csv":
-        lines = ["identity,lhs_re,lhs_im,rhs_re,rhs_im,residual,lattice_k,pass"]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [
-                        r.identity,
-                        _fmt(r.lhs.real),
-                        _fmt(r.lhs.imag),
-                        _fmt(r.rhs.real),
-                        _fmt(r.rhs.imag),
-                        _fmt(r.residual),
-                        str(r.lattice_k),
-                        "true" if r.passed else "false",
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n", rc
-    return json.dumps([r.to_json_dict() for r in rows], indent=2) + "\n", rc
+    rows = identity_suite(p, q, ts, s, t, args.alpha, cfg)
+    return [r.to_json_dict() for r in rows], 0 if all(r.passed for r in rows) else 1
 
 
-def _cmd_table(args) -> tuple[str, int]:
-    cfg = _config(args)
-    ts = parse_timescale(args.timescale)
-    p = _scale_function(args.p)
+def _cmd_table(args, cfg: ToleranceConfig, ts: TimeScale) -> tuple[list, int]:
+    p = ScaleFunction.from_text(args.p)
     pts = _walk_points(ts, getattr(args, "from"), args.to, args.step)
     if args.quantity == "logderiv":
-        rows = []
-        for u in pts:
-            value = log_delta_derivative(p, ts, u, cfg)
-            quotient = delta_derivative(p, ts, u) / p(u)
-            rows.append((u, value, quotient))
-        header = "t,value_re,value_im,quotient_re,quotient_im"
+        rows = [
+            {
+                "t": u,
+                "value": _complex(log_delta_derivative(p, ts, u, cfg)),
+                "quotient": _complex(delta_derivative(p, ts, u) / p(u)),
+            }
+            for u in pts
+        ]
     else:  # log
         variant, eta = _parse_variant(args.variant)
         base = args.s if args.s is not None else getattr(args, "from")
         values = log_table(variant, p, ts, base, pts, cfg, eta=eta)
-        rows = [(u, value, None) for u, value in zip(pts, values)]
-        header = "t,value_re,value_im"
-    if args.format == "json":
-        out = []
-        for u, value, quotient in rows:
-            entry = {"t": u, "value": {"re": value.real, "im": value.imag}}
-            if quotient is not None:
-                entry["quotient"] = {"re": quotient.real, "im": quotient.imag}
-            out.append(entry)
-        return json.dumps(out, indent=2) + "\n", 0
-    lines = [header]
-    for u, value, quotient in rows:
-        cells = [_fmt(u), _fmt(value.real), _fmt(value.imag)]
-        if quotient is not None:
-            cells.extend([_fmt(quotient.real), _fmt(quotient.imag)])
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n", 0
+        rows = [{"t": u, "value": _complex(value)} for u, value in zip(pts, values)]
+    return rows, 0
 
 
-def _cmd_legacy(args) -> tuple[str, int]:
-    cfg = _config(args)
-    ts = parse_timescale(args.timescale)
-    try:
-        kind = LegacyKind(args.kind)
-    except ValueError:
-        choices = ", ".join(k.value for k in LegacyKind)
-        raise ValidationError(f"unknown legacy kind {args.kind!r} (expected one of {choices})") from None
-    p = _scale_function(args.p) if args.p is not None else None
-    if kind in (LegacyKind.INTEGRAL_QUOTIENT, LegacyKind.JACKSON) and p is None:
-        raise ValidationError(f"--p is required for the {kind.value} logarithm")
+def _cmd_legacy(args, cfg: ToleranceConfig, ts: TimeScale) -> tuple[dict, int]:
+    kind = LegacyKind(args.kind)
+    p = ScaleFunction.from_text(args.p) if args.p is not None else None
     t = ts.snap(args.t)
     t0 = ts.snap(args.t0) if args.t0 is not None else None
-    if kind in (LegacyKind.HUFF, LegacyKind.EULER_CAUCHY, LegacyKind.INTEGRAL_QUOTIENT):
-        if t0 is None:
-            raise ValidationError(f"--t0 is required for the {kind.value} logarithm")
-        scattered = _window_has_jumps(ts, t0, t)
-    else:
-        scattered = False
+    windowed = kind in (LegacyKind.HUFF, LegacyKind.EULER_CAUCHY, LegacyKind.INTEGRAL_QUOTIENT)
+    if windowed and t0 is None:
+        raise ValidationError(f"--t0 is required for the {kind.value} logarithm")
     value = legacy_log(kind, p, ts, t0 if t0 is not None else t, t, cfg)
-    payload = _point_payload(f"legacy-{kind.value}", value, scattered)
-    if args.format == "csv":
-        return _payload_csv(payload), 0
-    return json.dumps(payload) + "\n", 0
+    scattered = windowed and _window_has_jumps(ts, t0, t)
+    return _point_payload(f"legacy-{kind.value}", value, scattered), 0
+
+
+def _cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+
+def _flat(row: dict) -> dict:
+    out = {}
+    for key, v in row.items():
+        if isinstance(v, dict):
+            out.update((f"{key}_{part}", x) for part, x in v.items())
+        else:
+            out[key] = v
+    return out
+
+
+def _render(payload, fmt: str) -> str:
+    """JSON (compact for a dict, indented for a list) or CSV with a header.
+
+    CSV flattens a nested {re, im} value to ``<key>_re`` and ``<key>_im``
+    columns and writes floats with 17 significant digits, so they
+    round-trip exactly.
+    """
+    many = isinstance(payload, list)
+    if fmt == "json":
+        return json.dumps(payload, indent=2 if many else None) + "\n"
+    rows = [_flat(row) for row in (payload if many else [payload])]
+    lines = [",".join(rows[0])] + [",".join(map(_cell, row.values())) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -303,16 +252,20 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text, rc = _COMMANDS[args.command](args)
+        payload, rc = _COMMANDS[args.command](args, _config(args), parse_timescale(args.timescale))
+        text = _render(payload, args.format)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            except OSError as e:
+                raise ValidationError(f"cannot write --out {args.out!r}: {e.strerror}") from None
     except ChronologError as exc:
         line = json.dumps({"error": type(exc).__name__, "message": str(exc)})
         sys.stderr.write(line + "\n")
         return 2 if exc.category == "validation" else 3
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return rc
 
 

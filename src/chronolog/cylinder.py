@@ -20,6 +20,7 @@ from .errors import (
     EtaNotRegressive,
     NotNuRegressive,
     NotRegressive,
+    ValidationError,
 )
 from .multivalue import TWO_PI, MultiLog, pow_real, principal_log
 
@@ -34,8 +35,15 @@ def _vanishes(w: complex, scale: complex) -> bool:
 def _require_step(h: float) -> float:
     h = float(h)
     if not (math.isfinite(h) and h >= 0):
-        raise ValueError(f"graininess must be a nonnegative finite real, got {h!r}")
+        raise ValidationError(f"graininess must be a nonnegative finite real, got {h!r}")
     return h
+
+
+def _require_eta(eta: float) -> float:
+    eta = float(eta)
+    if not 0.0 <= eta <= 1.0:
+        raise ValidationError(f"eta must lie in [0, 1], got {eta}")
+    return eta
 
 
 def _lattice(h: float) -> complex:
@@ -133,10 +141,7 @@ def eta_psi(eta: float, h: float, z: complex, principal: bool = True):
     eta=0 is the forward map, eta=1 the backward map, eta=1/2 the Cayley
     map.  Requires 0 <= eta <= 1.
     """
-    eta = float(eta)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    return _weighted_psi(eta, h, z, principal, EtaNotRegressive)
+    return _weighted_psi(_require_eta(eta), h, z, principal, EtaNotRegressive)
 
 
 def circle_plus(h: float, z: complex, w: complex) -> complex:

@@ -3,7 +3,8 @@
 Every error raised by the library derives from :class:`ChronologError` and
 carries a ``category`` attribute that the CLI maps to an exit code:
 ``"validation"`` (bad input, exit 2) or ``"numerical"`` (the computation
-itself failed, exit 3).
+itself failed, exit 3).  :class:`ValidationError` is also a ``ValueError``,
+so callers that catch ``ValueError`` for a rejected argument still do.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ class ChronologError(Exception):
     category = "numerical"
 
 
-class ValidationError(ChronologError):
+class ValidationError(ChronologError, ValueError):
     """Bad input: rejected before any numerical work starts."""
 
     category = "validation"

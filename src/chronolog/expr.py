@@ -289,27 +289,22 @@ def parse(text: str) -> Expr:
 
 
 def _pow_value(z: complex, a: float) -> complex:
-    # native complex pow multiplies exactly for small integer exponents;
-    # beyond that it switches to polar form, same as the principal formula
-    if a == int(a) and abs(a) <= 100:
-        n = int(a)
-        if z == 0:
-            if n < 0:
-                raise EvalDomain("0 raised to a negative power")
-            return 1 + 0j if n == 0 else 0j
-        return z ** n
     if z == 0:
         if a < 0:
             raise EvalDomain("0 raised to a negative power")
-        return 0j
-    if z.imag == 0.0:
+        return 1 + 0j if a == 0 else 0j
+    # native complex pow multiplies exactly for small integer exponents;
+    # beyond that it switches to polar form, same as the principal formula
+    if a == int(a) and abs(a) <= 100:
+        a = int(a)
+    elif z.imag == 0.0:
         z = complex(z.real, 0.0)  # keep -0.0 off the branch cut
     try:
         return z ** a
     except OverflowError as e:
         raise NonFiniteValue(f"overflow in {z!r} ** {a}") from e
     except ZeroDivisionError as e:
-        raise EvalDomain("0 raised to a negative power") from e
+        raise EvalDomain(f"division by zero in {z!r} ** {a}") from e
 
 
 def _call_value(name: str, v: complex) -> complex:

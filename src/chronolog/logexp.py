@@ -59,6 +59,7 @@ from .errors import (
     NotRegressive,
     OneNotInScale,
     PointNotInScale,
+    ValidationError,
 )
 from .multivalue import TWO_PI_I, MultiLog, exp as cexp, lattice_gap, principal_log
 from .timescale import ContinuousPiece, TimeScale
@@ -75,6 +76,11 @@ class LogVariant(str, Enum):
     CAYLEY_PRINCIPAL = "cayley-principal"
     ETA = "eta"
 
+    @classmethod
+    def _missing_(cls, value):
+        choices = ", ".join(v.value for v in cls if v is not cls.ETA)
+        raise ValidationError(f"unknown variant {value!r} (expected one of {choices}, or eta:<value>)")
+
 
 class LegacyKind(str, Enum):
     HUFF = "huff"
@@ -82,6 +88,11 @@ class LegacyKind(str, Enum):
     INTEGRAL_QUOTIENT = "integral-quotient"
     JACKSON = "jackson"
     MOZYRSKA = "mozyrska"
+
+    @classmethod
+    def _missing_(cls, value):
+        choices = ", ".join(k.value for k in cls)
+        raise ValidationError(f"unknown legacy kind {value!r} (expected one of {choices})")
 
 
 def _checked(p: ScaleFunction, tau: float, cfg: ToleranceConfig) -> complex:
@@ -134,10 +145,8 @@ def _kernel(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: fl
     cylinder_map = getattr(cylinder, map_name)
     if weight is None:
         if eta is None:
-            raise ValueError("the eta variant needs an explicit eta value")
-        eta = float(eta)
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {eta}")
+            raise ValidationError("the eta variant needs an explicit eta value")
+        eta = cylinder._require_eta(eta)
         cylinder_map = partial(cylinder_map, eta)
     else:
         eta = weight
@@ -267,7 +276,7 @@ def log_table(
     base = ts.snap(base)
     points = [ts.snap(u) for u in points]
     if any(v < u for u, v in zip(points, points[1:])):
-        raise ValueError("table points must be in increasing order")
+        raise ValidationError("table points must be in increasing order")
     n = bisect_left(points, base)
     below = _walk(dense, jump, ts, base, points[:n][::-1], cfg, -1.0)
     return below[::-1] + _walk(dense, jump, ts, base, points[n:], cfg)
@@ -349,7 +358,7 @@ def legacy_log(
     kind = LegacyKind(kind)
     cfg = cfg or DEFAULT_TOLERANCES
     if kind in (LegacyKind.INTEGRAL_QUOTIENT, LegacyKind.JACKSON) and p is None:
-        raise ValueError(f"the {kind.value} logarithm needs a function p")
+        raise ValidationError(f"the {kind.value} logarithm needs a function p")
 
     def ratio(num: float, den: float, tau: float) -> float:
         if den == 0:
@@ -435,10 +444,11 @@ def identity_suite(
     2*pi*i lattice; the exponential round trip and (for positive real p)
     the power rule hold exactly.  The power rule with general complex p is
     only testable for integer alpha (mod the lattice); other combinations
-    raise ValueError.  Rows are sorted by identity name.
+    raise ValidationError.  Rows are sorted by identity name.
     """
     cfg = cfg or DEFAULT_TOLERANCES
     alpha = float(alpha)
+    p_alpha = p.pow(alpha)
     tol = cfg.cmp_tol
     rows: list[IdentityResult] = []
 
@@ -458,7 +468,7 @@ def identity_suite(
     k, res = lattice_gap(lhs, Lp - Lq)
     rows.append(IdentityResult("quotient-rule", lhs, Lp - Lq, res, k, res <= tol))
 
-    lhs = log_delta_principal(p.pow(alpha), ts, s, t, cfg)
+    lhs = log_delta_principal(p_alpha, ts, s, t, cfg)
     if _positive_real_on_window(p, ts, s, t):
         res = scaled_residual(lhs, alpha * Lp)
         rows.append(IdentityResult("power-rule", lhs, alpha * Lp, res, 0, res <= tol))
@@ -466,7 +476,7 @@ def identity_suite(
         k, res = lattice_gap(lhs, alpha * Lp)
         rows.append(IdentityResult("power-rule", lhs, alpha * Lp, res, k, res <= tol))
     else:
-        raise ValueError("power rule with non-integer alpha needs p positive real on the window")
+        raise ValidationError("power rule with non-integer alpha needs p positive real on the window")
 
     lhs = log_cayley_principal(p, ts, s, t, cfg)
     res = scaled_residual(lhs, Lp)

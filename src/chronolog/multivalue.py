@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import LogOfZero, NonFiniteValue
+from .errors import LogOfZero, NonFiniteValue, ValidationError
 
 TWO_PI = 2.0 * math.pi
 TWO_PI_I = complex(0.0, TWO_PI)
@@ -68,7 +68,7 @@ def lattice_gap(a, b, period: complex = TWO_PI_I) -> tuple[int, float]:
 def mod2pi_equal(a, b, tol: float) -> bool:
     """True when a and b agree modulo the 2*pi*i lattice within tol."""
     if not tol > 0:
-        raise ValueError("tol must be positive")
+        raise ValidationError("tol must be positive")
     _, res = lattice_gap(a, b, TWO_PI_I)
     return res <= tol
 
@@ -91,7 +91,7 @@ class MultiLog:
         if not (cmath.isfinite(rep) and cmath.isfinite(period)):
             raise NonFiniteValue(f"non-finite MultiLog({rep!r}, {period!r})")
         if period.real != 0.0:
-            raise ValueError("period must be purely imaginary")
+            raise ValidationError("period must be purely imaginary")
         object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "period", period)
 
@@ -105,13 +105,13 @@ class MultiLog:
         if other.period == 0:
             return self.period
         if abs(other.period - self.period) > 1e-12 * abs(self.period):
-            raise ValueError("cannot combine lattices with different periods")
+            raise ValidationError("cannot combine lattices with different periods")
         return self.period
 
     def mod_equal(self, other, tol: float) -> bool:
         """Set equality up to the lattice: residual <= tol for the best k."""
         if not tol > 0:
-            raise ValueError("tol must be positive")
+            raise ValidationError("tol must be positive")
         period = self.period
         if isinstance(other, MultiLog):
             period = self._join_period(other)
@@ -141,7 +141,7 @@ class MultiLog:
         # non-integers must reason about the lattice themselves
         s = complex(scalar)
         if s.imag != 0.0:
-            raise ValueError("MultiLog scaling requires a real scalar")
+            raise ValidationError("MultiLog scaling requires a real scalar")
         return MultiLog(self.rep * s.real, self.period)
 
     __rmul__ = __mul__

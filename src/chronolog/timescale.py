@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Union
 
-from .errors import InvalidTimeScale, KappaBoundary, PointNotInScale, UnboundedWindow
+from .errors import InvalidTimeScale, KappaBoundary, PointNotInScale, UnboundedWindow, ValidationError
 
 # absolute snap tolerance; geometric grids scale it by the point magnitude
 MEMBERSHIP_TOL = 1e-12
@@ -208,7 +208,7 @@ class TimeScale:
         ks, _, b, s = self._lookup(s)
         kt, _, _, t = self._lookup(t)
         if s > t:
-            raise ValueError("decompose requires s <= t")
+            raise ValidationError("decompose requires s <= t")
         if kt - ks > MAX_WINDOW_JUMPS:
             raise UnboundedWindow(
                 f"the window [{s}, {t}] jumps {kt - ks} gaps, more than {MAX_WINDOW_JUMPS}"

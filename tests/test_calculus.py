@@ -18,6 +18,7 @@ from chronolog.errors import (
     NonFiniteIntegrand,
     NonFiniteValue,
     QuadratureFailure,
+    ValidationError,
 )
 from chronolog.timescale import (
     DiscreteSet,
@@ -310,5 +311,16 @@ def test_tolerance_config_validation():
         ToleranceConfig(max_quad_depth=5)
     with pytest.raises(ValueError):
         ToleranceConfig(max_quad_depth=12.5)
+    # an infinite tolerance would accept any estimate or pass any row, and
+    # an infinite depth would overflow int(); all are input errors
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            ToleranceConfig(quad_tol=bad)
+        with pytest.raises(ValidationError, match="positive and finite"):
+            ToleranceConfig(eps_min=bad)
+        with pytest.raises(ValidationError, match="positive and finite"):
+            ToleranceConfig(cmp_tol=bad)
+        with pytest.raises(ValidationError, match="max_quad_depth"):
+            ToleranceConfig(max_quad_depth=bad)
     cfg = ToleranceConfig(quad_tol=1e-8)
     assert cfg.quad_tol == 1e-8 and cfg.cmp_tol == 1e-8

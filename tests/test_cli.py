@@ -186,6 +186,19 @@ def test_eval_overflow_exits_3(run):
     assert payload["error"] in ("NonFiniteValue", "NonFiniteIntegrand")
 
 
+@pytest.mark.parametrize(
+    "p, s, t, error",
+    [
+        pytest.param("(t*1e300)^2+1", "0", "2", "NonFiniteValue", id="overflow"),
+        pytest.param("(t*1e-300)^(-2)", "1", "3", "EvalDomain", id="division-by-zero"),
+    ],
+)
+def test_eval_integer_power_failure_exits_3(run, p, s, t, error):
+    rc, out, err = run("eval", "--timescale", "hz:1", "--p", p, "--s", s, "--t", t)
+    assert rc == 3 and out == ""
+    assert json.loads(err)["error"] == error
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -239,6 +252,17 @@ def test_check_fractional_alpha_complex_p_exits_2(run):
         "--s", "0", "--t", "5", "--alpha", "0.5",
     )
     assert rc == 2
+    assert json.loads(err)["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+def test_check_non_finite_alpha_exits_2(run, alpha):
+    # a non-finite exponent is an input error, not an int() failure mid-suite
+    rc, out, err = run(
+        "check", "--timescale", "hz:1", "--p", "t+3*i", "--q", "t+10",
+        "--s", "0", "--t", "5", "--alpha", alpha,
+    )
+    assert rc == 2 and out == ""
     assert json.loads(err)["error"] == "ValidationError"
 
 
@@ -524,12 +548,16 @@ def test_tol_env_bad_value_exits_2(run, monkeypatch):
     assert json.loads(err)["error"] == "ValidationError"
 
 
-def test_negative_tol_exits_2(run):
-    rc, _, err = run(
-        "eval", "--timescale", "r", "--p", "t", "--s", "1", "--t", "2",
-        "--tol", "-1",
+@pytest.mark.parametrize("tol", ["-1", "inf"])
+def test_bad_tol_exits_2(run, tol):
+    # an infinite tolerance accepts the first quadrature estimate, which on
+    # this window has real part -0.4923 where the log's is -0.1507
+    rc, out, err = run(
+        "eval", "--timescale", "r", "--p", "exp(sin(t))+2", "--s", "0", "--t", "10",
+        "--tol", tol,
     )
-    assert rc == 2
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "ValidationError"
 
 
 def test_out_writes_file(run, tmp_path):
@@ -542,3 +570,45 @@ def test_out_writes_file(run, tmp_path):
     assert out == ""
     payload = json.loads(target.read_text(encoding="utf-8"))
     assert payload["rep_re"] == pytest.approx(math.log(4.0), rel=1e-12)
+
+
+def test_out_unwritable_exits_2(run, tmp_path):
+    target = tmp_path / "missing" / "result.json"
+    rc, out, err = run(
+        "eval", "--timescale", "hz:1", "--p", "t", "--s", "1", "--t", "4",
+        "--out", str(target),
+    )
+    assert rc == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    assert "result.json" in payload["message"]
+    assert err.count("\n") == 1
+
+
+# the exact stdout of each command and quantity in both formats; the one
+# renderer must reproduce these bytes
+PINS = json.loads(pathlib.Path(__file__).with_name("cli_stdout_pins.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("pin", PINS, ids=[pin["id"] for pin in PINS])
+def test_stdout_bytes_are_pinned(run, pin):
+    rc, out, err = run(*pin["argv"])
+    assert (rc, err) == (0, "")
+    assert out.encode("utf-8") == pin["stdout"].encode("utf-8")
+
+
+def test_cli_imports_only_the_standard_library():
+    # the runtime has no third-party dependencies: a fresh interpreter that
+    # imports the CLI loads only standard-library modules and chronolog
+    src = pathlib.Path(chronolog.__file__).resolve().parents[1]
+    script = "import sys; before = set(sys.modules); import chronolog.cli; print(*sorted(set(sys.modules) - before))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "chronolog.cli" in loaded
+    roots = {name.partition(".")[0] for name in loaded}
+    assert roots - set(sys.stdlib_module_names) - {"chronolog"} == set()

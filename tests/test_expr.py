@@ -246,6 +246,23 @@ def test_eval_overflow_is_reported():
         evaluate(parse("exp(700)*exp(700)"), 0)
 
 
+def test_integer_power_failures_are_typed():
+    # an integer power goes through the same guard as a real one
+    with pytest.raises(NonFiniteValue):
+        evaluate(parse("(t*1e300)^2"), 1)
+    with pytest.raises(EvalDomain):
+        evaluate(parse("(t*1e-300)^(-2)"), 1)
+    with pytest.raises(NonFiniteValue):
+        evaluate(parse("(t*1e300)^2.5"), 1)
+
+
+def test_integer_power_keeps_native_bits():
+    z = 1.1 - 0.3j
+    for n in (-3, -1, 2, 5, 100):
+        assert evaluate(parse(f"(t)^({n})"), z) == z ** n
+    assert evaluate(parse("t^0.5"), -4) == complex(-4.0, 0.0) ** 0.5
+
+
 def test_zero_power_zero_is_one():
     assert evaluate(parse("t^0"), 0) == 1
 
