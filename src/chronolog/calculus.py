@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import NonFiniteIntegrand, NonFiniteValue, QuadratureFailure, ValidationError
+from .errors import ChronologError, NonFiniteIntegrand, NonFiniteValue, QuadratureFailure, ValidationError
 from .expr import Expr, compile_expr, differentiate, parse, to_text
 from .expr import Mul as _Mul
 from .expr import Div as _Div
@@ -200,9 +200,9 @@ def _walk(
     total at each stop, the total being the integral over the stretch
     between s and that stop.  Continuous pieces integrate ``dense`` by
     adaptive Simpson, split at the stops inside them; each scattered jump
-    from tau to tau + mu adds ``mu * jump(tau, mu)``.  Below s the walk is
-    the mirror image of the walk up: it takes the segments from s downward,
-    and each term keeps its sign.
+    from tau to tau + mu adds ``mu * jump(tau, mu)``, and any ChronologError
+    there names the gap.  Below s the walk is the mirror image of the walk
+    up: it takes the segments from s downward, and each term keeps its sign.
     """
     if not stops:
         return []
@@ -234,9 +234,13 @@ def _walk(
             while (nxt <= tau) if up else (nxt > tau):
                 totals.append(sign * total)
                 nxt = next(rest)
-            v = jump(tau, seg.mu)
-            if not cmath.isfinite(v):
-                raise NonFiniteIntegrand(f"jump term is not finite on the gap after tau={tau}")
+            try:
+                v = jump(tau, seg.mu)
+                if not cmath.isfinite(v):
+                    raise NonFiniteIntegrand("jump term is not finite")
+            except ChronologError as exc:
+                exc.args = (f"{exc} on the gap after tau={tau}",) + exc.args[1:]
+                raise
             total += seg.mu * v
     totals.extend([sign * total] * (len(stops) - len(totals)))
     return totals

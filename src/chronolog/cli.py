@@ -24,7 +24,7 @@ import os
 import sys
 
 from .calculus import ScaleFunction, ToleranceConfig, delta_derivative
-from .errors import ChronologError, ValidationError
+from .errors import ChronologError, UnboundedWindow, ValidationError
 from .logexp import (
     LegacyKind,
     LogVariant,
@@ -35,7 +35,7 @@ from .logexp import (
     log_ts,
 )
 from .multivalue import MultiLog
-from .timescale import ContinuousPiece, TimeScale, parse_timescale
+from .timescale import MAX_WINDOW_JUMPS, ContinuousPiece, TimeScale, parse_timescale
 
 TOL_ENV_VAR = "CHRONOLOG_TOL"
 
@@ -84,19 +84,26 @@ def _walk_points(ts: TimeScale, start: float, stop: float, step: float | None) -
     """All scale points of [start, stop] to tabulate, in increasing order.
 
     Scattered stretches contribute every grid point; continuous stretches
-    are sampled every `step` (required if any are present).
+    are sampled every `step` (required if any are present).  More than
+    MAX_WINDOW_JUMPS rows raise UnboundedWindow before any row is built.
     """
     start = ts.snap(start)
     stop = ts.snap(stop)
     if stop < start:
         raise ValidationError("--to must not be less than --from")
+    segs = ts.decompose(start, stop).segments
+    pieces = [seg for seg in segs if isinstance(seg, ContinuousPiece)]
+    if pieces:
+        if step is None:
+            raise ValidationError("--step is required when the range has continuous stretches")
+        if not step > 0:
+            raise ValidationError("--step must be positive")
+    rows = len(segs) - len(pieces) + sum((seg.b - seg.a) / step for seg in pieces)
+    if rows > MAX_WINDOW_JUMPS:
+        raise UnboundedWindow(f"the table has {rows:.4g} rows, more than {MAX_WINDOW_JUMPS}")
     points: list[float] = []
-    for seg in ts.decompose(start, stop):
+    for seg in segs:
         if isinstance(seg, ContinuousPiece):
-            if step is None:
-                raise ValidationError("--step is required when the range has continuous stretches")
-            if not step > 0:
-                raise ValidationError("--step must be positive")
             points.append(seg.a)
             k = 1
             while seg.a + k * step < seg.b:

@@ -9,6 +9,10 @@ principal version and, where it matters, a multi-valued version whose
 period is 2*pi*i/h.
 
 At h = 0 every map degenerates to the identity z -> z.
+
+Each map raises its regressivity error when a factor that depends on h*z
+vanishes: 1 + h*z (forward), 1 - h*z (backward), 1 + (1-eta)h*z if eta < 1
+and 1 - eta*h*z if eta > 0 (weighted; both for Cayley).
 """
 
 from __future__ import annotations
@@ -119,7 +123,7 @@ def _weighted_psi(eta: float, h: float, z: complex, principal: bool, error: type
         hz = h * z
         num = 1 + (1.0 - eta) * hz
         den = 1 - eta * hz
-        if _vanishes(num, hz) or _vanishes(den, hz):
+        if (eta < 1 and _vanishes(num, hz)) or (eta > 0 and _vanishes(den, hz)):
             raise error(f"weighted denominator vanishes for eta={eta}, h={h}, z={z}")
         val = principal_log(num / den) / h
     return val if principal else MultiLog(val, _lattice(h))

@@ -36,11 +36,11 @@ class InvalidTimeScale(ValidationError):
 
 
 class UnboundedWindow(ValidationError):
-    """A window that jumps more gaps than a decomposition may hold.
+    """A window that jumps more gaps, or a table with more rows, than allowed.
 
-    The bound is ``timescale.MAX_WINDOW_JUMPS``; it is checked before any
-    segment is built, so a long window on a fine grid fails fast instead
-    of exhausting memory.
+    The bound is ``timescale.MAX_WINDOW_JUMPS`` for both.  It is checked
+    before any segment or row is built, so a long window on a fine grid or
+    a table with a tiny ``--step`` fails fast instead of exhausting memory.
     """
 
 

@@ -13,9 +13,9 @@ kernel ``_kernel``; the row fixes the weight eta, the cylinder map, and so
 the side of the branch cut on which a jump with a negative real ratio
 p_sigma/p lands:
 
-    variant   eta   map               cut side
-    delta     0     xi                +i*pi
-    nabla     1     xi_hat            -i*pi
+    variant   eta   map               cut side   also read by
+    delta     0     xi                +i*pi      exp_delta
+    nabla     1     xi_hat            -i*pi      exp_nabla
     Cayley    1/2   cayley_psi        +i*pi
     eta       eta   eta_psi(eta, .)   +i*pi
 
@@ -23,14 +23,18 @@ Delta, nabla and Cayley each have a principal version (a plain complex
 number) and a multi-valued version carrying the 2*pi*i lattice; eta is
 multi-valued only.  They all agree modulo that lattice.
 
+The exponentials read the same rows: exp_delta of c walks xi(mu, c(tau))
+and exp_nabla walks xi_hat(mu, c(sigma(tau))), with the map as the only
+regressivity check.
+
 The window logarithm is additive over the window, L(s, u') = L(s, u) +
 L(u, u'), so ``log_table`` gives the logarithm from one base to every
 point of a list from one walk, the running total of the single-window
 sum, instead of one walk per point.
 
-Also here: the time-scale exponentials built from regressive coefficients,
-the pointwise logarithmic derivative, five older logarithm constructions
-kept for comparison, and an identity-checking suite used by the CLI.
+Also here: the pointwise logarithmic derivative, five older logarithm
+constructions kept for comparison, and an identity-checking suite used by
+the CLI.
 """
 
 from __future__ import annotations
@@ -48,15 +52,12 @@ from .calculus import (
     _walk,
     _window,
     delta_integral,
-    nabla_integral,
 )
 from .errors import (
     CayleyNotRegressive,
     EtaNotRegressive,
     EvalDomain,
     NonvanishingViolation,
-    NotNuRegressive,
-    NotRegressive,
     OneNotInScale,
     PointNotInScale,
     ValidationError,
@@ -64,7 +65,6 @@ from .errors import (
 from .multivalue import TWO_PI_I, MultiLog, exp as cexp, lattice_gap, principal_log
 from .timescale import ContinuousPiece, TimeScale
 from . import cylinder
-from .cylinder import is_nu_regressive, is_regressive, xi, xi_hat
 
 
 class LogVariant(str, Enum):
@@ -135,7 +135,7 @@ _ROWS = {
 
 
 def _kernel(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: float | None):
-    """The one jump kernel, set by the variant's row: (dense, jump) for ``_walk``.
+    """The logarithm's jump kernel, set by the variant's row: (dense, jump) for ``_walk``.
 
     Continuous pieces integrate p'/p; a jump from tau to tau + mu contributes
     ``mu * cylinder_map(mu, (p_sigma - p) / mu / ((1-eta) p + eta p_sigma))``
@@ -160,7 +160,7 @@ def _kernel(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: fl
         ps = _checked(p, tau + mu, cfg)
         mix = keep * pv + eta * ps
         if mix == 0:
-            raise error(f"(1-eta)p + eta*p_sigma vanishes for eta={eta} at tau={tau}")
+            raise error(f"(1-eta)p + eta*p_sigma vanishes for eta={eta}")
         return cylinder_map(mu, (ps - pv) / mu / mix)
 
     return dense, jump
@@ -301,12 +301,22 @@ def log_delta_derivative(
     return p.prime(t) / pv
 
 
-def _coerce_coefficient(coeff) -> Callable[[float, float], complex]:
-    if isinstance(coeff, ScaleFunction):
-        return lambda tau, mu: coeff(tau)
-    if callable(coeff):
-        return coeff
-    raise TypeError("coefficient must be a ScaleFunction or a callable (tau, mu) -> complex")
+def _exponential(variant: LogVariant, coeff, ts: TimeScale, s: float, t: float, cfg) -> complex:
+    """exp of the walk of the coefficient c, set by the variant's row.
+
+    Continuous stretches integrate c itself; a jump from tau takes the row's
+    map of c sampled at tau (weight 0) or at sigma(tau) = tau + mu (weight 1).
+    """
+    if not callable(coeff):
+        raise TypeError("coefficient must be a ScaleFunction or a callable (tau, mu) -> complex")
+    c = (lambda tau, mu: coeff(tau)) if isinstance(coeff, ScaleFunction) else coeff
+    weight, map_name, _ = _ROWS[variant]
+    cylinder_map = getattr(cylinder, map_name)
+
+    def jump(tau: float, mu: float) -> complex:
+        return cylinder_map(mu, c(tau + mu if weight else tau, mu))
+
+    return cexp(_window(lambda x: c(x, 0.0), jump, ts, s, t, cfg or DEFAULT_TOLERANCES))
 
 
 def exp_delta(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | None = None) -> complex:
@@ -315,28 +325,12 @@ def exp_delta(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | N
     The coefficient must be regressive: 1 + mu*c != 0 at every scattered
     point of the window.
     """
-    c = _coerce_coefficient(coeff)
-
-    def f(tau: float, mu: float) -> complex:
-        w = c(tau, mu)
-        if mu > 0 and not is_regressive(mu, w):
-            raise NotRegressive(f"coefficient fails 1 + mu*c != 0 at tau={tau}")
-        return xi(mu, w)
-
-    return cexp(delta_integral(f, ts, s, t, cfg))
+    return _exponential(LogVariant.DELTA_PRINCIPAL, coeff, ts, s, t, cfg)
 
 
 def exp_nabla(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | None = None) -> complex:
     """Backward exponential; needs 1 - nu*c != 0 at left-scattered points."""
-    c = _coerce_coefficient(coeff)
-
-    def f(tau: float, nu: float) -> complex:
-        w = c(tau, nu)
-        if nu > 0 and not is_nu_regressive(nu, w):
-            raise NotNuRegressive(f"coefficient fails 1 - nu*c != 0 at tau={tau}")
-        return xi_hat(nu, w)
-
-    return cexp(nabla_integral(f, ts, s, t, cfg))
+    return _exponential(LogVariant.NABLA_PRINCIPAL, coeff, ts, s, t, cfg)
 
 
 def legacy_log(
@@ -452,46 +446,35 @@ def identity_suite(
     tol = cfg.cmp_tol
     rows: list[IdentityResult] = []
 
+    def exact(name: str, lhs: complex, rhs: complex) -> None:
+        res = scaled_residual(lhs, rhs)
+        rows.append(IdentityResult(name, lhs, rhs, res, 0, res <= tol))
+
+    def modulo_lattice(name: str, lhs, rhs: complex) -> None:
+        k, res = lattice_gap(lhs, rhs)
+        rows.append(IdentityResult(name, getattr(lhs, "rep", lhs), rhs, res, k, res <= tol))
+
     Lp = log_delta_principal(p, ts, s, t, cfg)
     Lq = log_delta_principal(q, ts, s, t, cfg)
-
-    lhs = cexp(Lp)
-    rhs = exp_delta(delta_quotient(p, cfg), ts, s, t, cfg)
-    res = scaled_residual(lhs, rhs)
-    rows.append(IdentityResult("exp-of-principal-log", lhs, rhs, res, 0, res <= tol))
-
-    lhs = log_delta_principal(p * q, ts, s, t, cfg)
-    k, res = lattice_gap(lhs, Lp + Lq)
-    rows.append(IdentityResult("product-rule", lhs, Lp + Lq, res, k, res <= tol))
-
-    lhs = log_delta_principal(p / q, ts, s, t, cfg)
-    k, res = lattice_gap(lhs, Lp - Lq)
-    rows.append(IdentityResult("quotient-rule", lhs, Lp - Lq, res, k, res <= tol))
+    exact("exp-of-principal-log", cexp(Lp), exp_delta(delta_quotient(p, cfg), ts, s, t, cfg))
+    modulo_lattice("product-rule", log_delta_principal(p * q, ts, s, t, cfg), Lp + Lq)
+    modulo_lattice("quotient-rule", log_delta_principal(p / q, ts, s, t, cfg), Lp - Lq)
 
     lhs = log_delta_principal(p_alpha, ts, s, t, cfg)
     if _positive_real_on_window(p, ts, s, t):
-        res = scaled_residual(lhs, alpha * Lp)
-        rows.append(IdentityResult("power-rule", lhs, alpha * Lp, res, 0, res <= tol))
+        exact("power-rule", lhs, alpha * Lp)
     elif alpha == int(alpha):
-        k, res = lattice_gap(lhs, alpha * Lp)
-        rows.append(IdentityResult("power-rule", lhs, alpha * Lp, res, k, res <= tol))
+        modulo_lattice("power-rule", lhs, alpha * Lp)
     else:
         raise ValidationError("power rule with non-integer alpha needs p positive real on the window")
 
     lhs = log_cayley_principal(p, ts, s, t, cfg)
-    res = scaled_residual(lhs, Lp)
-    rows.append(IdentityResult("cayley-principal", lhs, Lp, res, 0, res <= tol))
-
-    # log_cayley_multi is the same walk with the lattice attached
-    lhs_m = MultiLog(lhs, TWO_PI_I)
-    k, res = lattice_gap(lhs_m, Lp)
-    rows.append(IdentityResult("cayley-multi", lhs_m.rep, Lp, res, k, res <= tol))
-
+    exact("cayley-principal", lhs, Lp)
+    # log_cayley_multi and log_eta at 1/2 are the same walk with the lattice attached
+    cayley = MultiLog(lhs, TWO_PI_I)
+    modulo_lattice("cayley-multi", cayley, Lp)
     for eta in (0.0, 0.25, 0.5, 0.75, 1.0):
-        lhs_m = log_eta(eta, p, ts, s, t, cfg)
-        k, res = lattice_gap(lhs_m, Lp)
-        name = f"eta-{eta:g}"
-        rows.append(IdentityResult(name, lhs_m.rep, Lp, res, k, res <= tol))
+        modulo_lattice(f"eta-{eta:g}", cayley if eta == 0.5 else log_eta(eta, p, ts, s, t, cfg), Lp)
 
     rows.sort(key=lambda r: r.identity)
     return rows

@@ -144,6 +144,39 @@ def test_eval_window_beyond_jump_cap_exits_2():
     assert json.loads(proc.stderr)["error"] == "UnboundedWindow"
 
 
+@pytest.mark.parametrize(
+    "p, eta, twin, value",
+    [
+        ("1+1e13*t", "eta:0", "delta-principal", 29.933606208922694),
+        ("1e13*(1-t)+1", "eta:1", "nabla-principal", -29.933606208922694),
+    ],
+)
+def test_eval_eta_endpoint_accepts_what_its_twin_accepts(run, p, eta, twin, value):
+    # |h*z| = 1e13: the constant factor 1 of the eta map at 0 or 1 used to
+    # fall under the relative guard and exit 3
+    argv = ["eval", "--timescale", "set:0,1", "--p", p, "--s", "0", "--t", "1", "--variant"]
+    for variant in (eta, twin):
+        rc, out, err = run(*argv, variant)
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["rep_re"] == value
+
+
+@pytest.mark.parametrize(
+    "scale, p, variant, error",
+    [
+        ("set:0,1,2", "1-2*t", "cayley-principal", "CayleyNotRegressive"),
+        ("hz:1", "1-4*t", "eta:0.25", "EtaNotRegressive"),
+        ("hz:1", "t-1", "nabla-multi", "NonvanishingViolation"),
+    ],
+)
+def test_eval_jump_error_names_its_gap(run, scale, p, variant, error):
+    rc, out, err = run("eval", "--timescale", scale, "--p", p, "--s", "0", "--t", "2", "--variant", variant)
+    assert rc == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == error
+    assert payload["message"].endswith(" on the gap after tau=0.0")
+
+
 def test_eval_bad_expression_exits_2(run):
     rc, _, err = run(
         "eval", "--timescale", "r", "--p", "t++", "--s", "1", "--t", "2",
@@ -421,6 +454,31 @@ def test_table_no_partial_output_on_failure(run, args, error):
     assert rc == 3
     assert out == ""
     assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize(
+    "args, count",
+    [
+        (["--from", "0", "--to", "1", "--step", "1e-8"], "1e+08 rows"),
+        # below the float spacing of the start, k*step would not move it
+        (["--from", "1e17", "--to", "2e17", "--step", "1"], "1e+17 rows"),
+        (["--from", "0", "--to", "1", "--step", "1e-320"], "inf rows"),
+    ],
+    ids=["small-step", "step-below-spacing", "subnormal-step"],
+)
+def test_table_rows_beyond_the_cap_exit_2(args, count):
+    # the rows are counted before any is built: in a child process with a
+    # time and an address-space limit, building them would fail or hang
+    src = pathlib.Path(chronolog.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "chronolog.cli", "table", "--timescale", "r", "--p", "t+3", *args],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "UnboundedWindow"
+    assert count in payload["message"]
 
 
 def test_table_reversed_range_exits_2(run):

@@ -135,6 +135,22 @@ def test_non_regressive_raises():
         circle_dot(1.0, 2.0, -1.0 + 0j)
 
 
+@pytest.mark.parametrize("hz", [1e12, 1e13, -1e13, 3e15 + 4e15j, 1e300])
+def test_eta_endpoints_guard_only_the_factor_that_depends_on_hz(hz):
+    # at eta = 0 the denominator, at eta = 1 the numerator, is the constant
+    # 1; the relative guard must not refuse it once |hz| is large
+    for h in (1.0, 0.25):
+        z = hz / h
+        assert eta_psi(0.0, h, z) == xi(h, z)
+        # the same factor 1 - hz, on the other side of the cut where it is negative
+        assert eta_psi(1.0, h, z).real == xi_hat(h, z).real
+        assert cmath.exp(-h * eta_psi(1.0, h, z)) == pytest.approx(1 - hz, rel=1e-12)
+    with pytest.raises(EtaNotRegressive):
+        eta_psi(0.0, 1.0, -1.0 + 0j)
+    with pytest.raises(EtaNotRegressive):
+        eta_psi(1.0, 1.0, 1.0 + 0j)
+
+
 def test_step_validation():
     with pytest.raises(ValueError):
         xi(-1.0, 0j)

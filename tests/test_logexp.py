@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from chronolog import calculus
 from chronolog.calculus import ScaleFunction, ToleranceConfig
+from chronolog.cylinder import xi, xi_hat
 from chronolog.errors import (
     CayleyNotRegressive,
     EtaNotRegressive,
@@ -34,7 +36,7 @@ from chronolog.logexp import (
     scaled_residual,
 )
 from chronolog.multivalue import TWO_PI_I, MultiLog, lattice_gap
-from chronolog.timescale import parse_timescale
+from chronolog.timescale import ContinuousPiece, parse_timescale
 
 
 def _closed_form(p, ts, s, t):
@@ -449,6 +451,50 @@ def test_exp_regressivity_guards():
         exp_nabla(lambda tau, nu: 1.0 + 0j, ts, 0.0, 3.0)
 
 
+@pytest.mark.parametrize(
+    "compute, error",
+    [
+        (lambda ts: log_cayley_principal(ScaleFunction.from_text("1-2*t"), ts, 0.0, 3.0), CayleyNotRegressive),
+        (lambda ts: log_eta(0.25, ScaleFunction.from_text("1-4*t"), ts, 3.0, 0.0), EtaNotRegressive),
+        (lambda ts: log_delta_principal(ScaleFunction.from_text("t-1"), ts, 0.0, 3.0), NonvanishingViolation),
+        (lambda ts: exp_delta(lambda tau, mu: -1.0 if tau == 0.0 else 0.5, ts, -2.0, 3.0), NotRegressive),
+        (lambda ts: exp_nabla(lambda tau, nu: 1.0 if tau == 1.0 else 0.5, ts, 3.0, -2.0), NotNuRegressive),
+    ],
+    ids=["cayley", "eta", "nonvanishing", "exp-delta", "exp-nabla"],
+)
+def test_jump_errors_name_their_gap(compute, error):
+    # the map or the nonvanishing check raises inside the walk, which adds
+    # the gap; the error keeps its class
+    with pytest.raises(error, match=r" on the gap after tau=0\.0$"):
+        compute(parse_timescale("hz:1"))
+
+
+@pytest.mark.parametrize(
+    "spec, lo, hi",
+    [("hz:1", 0.0, 3.0), ("q:2", 1.0, 8.0), ("alt:0.3,0.7", 0.0, 3.0), ("set:0.5,1,2.5,3", 0.5, 3.0),
+     ("union:[0,1];[2,3]", 0.5, 3.0), ("r", 0.5, 3.0)],
+)
+@pytest.mark.parametrize("forward_window", [True, False])
+def test_exponentials_read_the_delta_and_nabla_rows(spec, lo, hi, forward_window):
+    # a jump term is the row's cylinder map of the coefficient: at tau for
+    # delta, at sigma(tau) for nabla; continuous stretches integrate c itself
+    ts = parse_timescale(spec)
+    s, t = (lo, hi) if forward_window else (hi, lo)
+    c = ScaleFunction.from_text("0.3+0.2*i*t")
+    sign = 1.0 if s <= t else -1.0
+    forward = backward = 0j
+    for seg in ts.decompose(lo, hi):
+        if isinstance(seg, ContinuousPiece):
+            dense = (0.3 * (seg.b - seg.a)) + 0.1j * (seg.b**2 - seg.a**2)
+            forward += dense
+            backward += dense
+        else:
+            forward += seg.mu * xi(seg.mu, c(seg.tau))
+            backward += seg.mu * xi_hat(seg.mu, c(seg.tau + seg.mu))
+    assert exp_delta(c, ts, s, t) == pytest.approx(cmath.exp(sign * forward), rel=1e-12)
+    assert exp_nabla(c, ts, s, t) == pytest.approx(cmath.exp(sign * backward), rel=1e-12)
+
+
 def test_exp_of_log_recovers_quotient():
     p = ScaleFunction.from_text("t^2+1")
     ts = parse_timescale("hz:1")
@@ -555,6 +601,26 @@ def test_identity_suite_all_pass_on_unit_grid():
     names = [r.identity for r in rows]
     assert names == sorted(names)
     assert "power-rule" in names and "eta-0.25" in names
+
+
+def test_identity_suite_is_eleven_walks(monkeypatch):
+    # the eta-1/2 row reuses the Cayley walk, and cayley-multi reuses it too
+    walks = 0
+    walk = calculus._walk
+
+    def counting(*args, **kwargs):
+        nonlocal walks
+        walks += 1
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(calculus, "_walk", counting)
+    p = ScaleFunction.from_text("t^2+1")
+    q = ScaleFunction.from_text("t+3")
+    rows = identity_suite(p, q, parse_timescale("hz:1"), 0.0, 6.0, 2.0)
+    assert len(rows) == 11
+    assert walks == 11
+    by_name = {r.identity: r for r in rows}
+    assert by_name["eta-0.5"].lhs == by_name["cayley-principal"].lhs
 
 
 def test_identity_suite_json_shape():
