@@ -3,11 +3,13 @@
 Integrals are computed segment by segment from the window decomposition by
 one walk, ``_walk``, which the window logarithms share: continuous pieces
 go through adaptive Simpson quadrature, scattered points contribute
-``gap * f`` directly.  The walk returns its running total at each of a
-list of stops, so one pass from a base serves every window that starts
-there; a single window is the one-stop case.  Integrands receive two
-arguments ``(tau, mu)`` so that formulas involving the forward jump can
-use ``sigma(tau) = tau + mu``; on continuous pieces ``mu`` is passed as 0.0.
+``gap * f`` directly.  An integral is additive over windows, so the walk
+returns its running total at each of a list of stops by crossing each
+stretch between stops as its own window; one pass from a base serves every
+window that starts there, and a single window is the one-stop case.
+Integrands receive two arguments ``(tau, mu)`` so that formulas involving
+the forward jump can use ``sigma(tau) = tau + mu``; on continuous pieces
+``mu`` is passed as 0.0.
 """
 
 from __future__ import annotations
@@ -35,6 +37,12 @@ class ToleranceConfig:
     eps_min         minimum admissible |p(t)| for logarithm arguments
     cmp_tol         residual threshold for identity comparisons
     max_quad_depth  adaptive bisection depth cap (at least 10)
+
+    The eps_min floor is absolute and stays at 1e-10 by default: a p that
+    never vanishes but dips below it where it is sampled raises
+    NonvanishingViolation, e.g. exp(600*sin(t)) on the reals over [0, 10],
+    where |p(10)| = 1.7e-142.  Callers who need such a p pass a smaller
+    eps_min.
     """
 
     quad_tol: float = 1e-10
@@ -194,62 +202,39 @@ def _walk(
 ) -> list[complex]:
     """The one walk behind every integral and window logarithm.
 
-    ``s`` and ``stops`` are scale points; the stops move away from s, all
-    increasing above it or all decreasing below it.  One pass over the
-    segments between s and the last stop returns ``sign`` times the running
-    total at each stop, the total being the integral over the stretch
-    between s and that stop.  Continuous pieces integrate ``dense`` by
-    adaptive Simpson, split at the stops inside them; each scattered jump
-    from tau to tau + mu adds ``mu * jump(tau, mu)``, and any ChronologError
-    there names the gap.  Below s the walk is the mirror image of the walk
-    up: it takes the segments from s downward, and each term keeps its sign.
+    ``s`` and ``stops`` are scale points, the stops moving away from s.  The
+    integral is additive over windows, so each stretch, from s to the first
+    stop and from each stop to the next, is one decomposition, reversed going
+    down, and the walk returns ``sign`` times the running total at each stop.
+    Continuous pieces integrate ``dense`` by adaptive Simpson; each jump from
+    tau to tau + mu adds ``mu * jump(tau, mu)``.  A ChronologError in a term
+    names its piece or gap.  MAX_WINDOW_JUMPS caps the whole span, before
+    any term.
     """
     if not stops:
         return []
-    end = stops[-1]
-    up = end >= s
-    segs = ts.decompose(s, end).segments if up else ts.decompose(end, s).segments[::-1]
+    ts.gap_count(min(s, stops[-1]), max(s, stops[-1]))
     totals: list[complex] = []
     total = 0j
-    rest = iter(stops)
-    nxt = next(rest)
-    for seg in segs:
-        if isinstance(seg, ContinuousPiece):
-            near, far = (seg.a, seg.b) if up else (seg.b, seg.a)
-            while (nxt <= near) if up else (nxt >= near):
-                totals.append(sign * total)
-                nxt = next(rest)
-            x = near
-            while (nxt < far) if up else (nxt > far):
-                total += _piece(dense, x, nxt, cfg)
-                x = nxt
-                while nxt == x:
-                    totals.append(sign * total)
-                    nxt = next(rest)
-            total += _piece(dense, x, far, cfg)
-        else:
-            tau = seg.tau
-            # no scale point lies inside the gap, so going down every stop
-            # above tau is at or above tau + mu, where the jump starts
-            while (nxt <= tau) if up else (nxt > tau):
-                totals.append(sign * total)
-                nxt = next(rest)
+    for stop in stops:
+        segs = ts.decompose(s, stop).segments if s <= stop else ts.decompose(stop, s).segments[::-1]
+        for seg in segs:
+            piece = isinstance(seg, ContinuousPiece)
             try:
-                v = jump(tau, seg.mu)
-                if not cmath.isfinite(v):
-                    raise NonFiniteIntegrand("jump term is not finite")
+                if piece:
+                    total += adaptive_simpson(dense, seg.a, seg.b, cfg.quad_tol, cfg.max_quad_depth)
+                else:
+                    v = jump(seg.tau, seg.mu)
+                    if not cmath.isfinite(v):
+                        raise NonFiniteIntegrand("jump term is not finite")
+                    total += seg.mu * v
             except ChronologError as exc:
-                exc.args = (f"{exc} on the gap after tau={tau}",) + exc.args[1:]
+                where = f"piece [{seg.a}, {seg.b}]" if piece else f"gap after tau={seg.tau}"
+                exc.args = (f"{exc} on the {where}",) + exc.args[1:]
                 raise
-            total += seg.mu * v
-    totals.extend([sign * total] * (len(stops) - len(totals)))
+        totals.append(sign * total)
+        s = stop
     return totals
-
-
-def _piece(dense: Callable[[float], complex], x: float, y: float, cfg: ToleranceConfig) -> complex:
-    # the integral over the continuous stretch between x and y, either order
-    a, b = (x, y) if x <= y else (y, x)
-    return adaptive_simpson(dense, a, b, cfg.quad_tol, cfg.max_quad_depth)
 
 
 def _window(

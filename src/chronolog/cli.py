@@ -61,7 +61,7 @@ def _parse_variant(text: str) -> tuple[LogVariant, float | None]:
 
 
 def _window_has_jumps(ts: TimeScale, a: float, b: float) -> bool:
-    return ts.decompose(ts.snap(min(a, b)), ts.snap(max(a, b))).has_jumps
+    return ts.gap_count(min(a, b), max(a, b)) > 0
 
 
 def _point_payload(variant_label: str, value, scattered: bool) -> dict:
@@ -122,18 +122,14 @@ def _walk_points(ts: TimeScale, start: float, stop: float, step: float | None) -
 def _cmd_eval(args, cfg: ToleranceConfig, ts: TimeScale) -> tuple[dict, int]:
     p = ScaleFunction.from_text(args.p)
     variant, eta = _parse_variant(args.variant)
-    s = ts.snap(args.s)
-    t = ts.snap(args.t)
-    value = log_ts(variant, p, ts, s, t, cfg, eta=eta)
-    return _point_payload(args.variant, value, _window_has_jumps(ts, s, t)), 0
+    value = log_ts(variant, p, ts, args.s, args.t, cfg, eta=eta)
+    return _point_payload(args.variant, value, _window_has_jumps(ts, args.s, args.t)), 0
 
 
 def _cmd_check(args, cfg: ToleranceConfig, ts: TimeScale) -> tuple[list, int]:
     p = ScaleFunction.from_text(args.p)
     q = ScaleFunction.from_text(args.q)
-    s = ts.snap(args.s)
-    t = ts.snap(args.t)
-    rows = identity_suite(p, q, ts, s, t, args.alpha, cfg)
+    rows = identity_suite(p, q, ts, args.s, args.t, args.alpha, cfg)
     return [r.to_json_dict() for r in rows], 0 if all(r.passed for r in rows) else 1
 
 
@@ -160,8 +156,7 @@ def _cmd_table(args, cfg: ToleranceConfig, ts: TimeScale) -> tuple[list, int]:
 def _cmd_legacy(args, cfg: ToleranceConfig, ts: TimeScale) -> tuple[dict, int]:
     kind = LegacyKind(args.kind)
     p = ScaleFunction.from_text(args.p) if args.p is not None else None
-    t = ts.snap(args.t)
-    t0 = ts.snap(args.t0) if args.t0 is not None else None
+    t0, t = args.t0, args.t
     windowed = kind in (LegacyKind.HUFF, LegacyKind.EULER_CAUCHY, LegacyKind.INTEGRAL_QUOTIENT)
     if windowed and t0 is None:
         raise ValidationError(f"--t0 is required for the {kind.value} logarithm")

@@ -410,7 +410,7 @@ def scaled_residual(a: complex, b: complex) -> float:
 def _positive_real_on_window(p: ScaleFunction, ts: TimeScale, s: float, t: float) -> bool:
     lo, hi = min(s, t), max(s, t)
     points: list[float] = [lo, hi]
-    for seg in ts.decompose(ts.snap(lo), ts.snap(hi)):
+    for seg in ts.decompose(lo, hi):
         if isinstance(seg, ContinuousPiece):
             n = 8
             points.extend(seg.a + (seg.b - seg.a) * k / n for k in range(n + 1))
@@ -440,6 +440,8 @@ def identity_suite(
     only testable for integer alpha (mod the lattice); other combinations
     raise ValidationError.  Rows are sorted by identity name.
     """
+    s = ts.snap(s)
+    t = ts.snap(t)
     cfg = cfg or DEFAULT_TOLERANCES
     alpha = float(alpha)
     p_alpha = p.pow(alpha)

@@ -39,8 +39,8 @@ from .errors import InvalidTimeScale, KappaBoundary, PointNotInScale, UnboundedW
 # absolute snap tolerance; geometric grids scale it by the point magnitude
 MEMBERSHIP_TOL = 1e-12
 
-# the most gaps one decomposition may jump; a longer window raises
-# UnboundedWindow before any segment is built (each one costs ~150 bytes)
+# the most gaps one window may jump; a longer window raises UnboundedWindow
+# before any segment is built (each one costs ~150 bytes)
 MAX_WINDOW_JUMPS = 10**6
 
 
@@ -84,10 +84,6 @@ class SegmentDecomposition:
 
     def __len__(self) -> int:
         return len(self.segments)
-
-    @property
-    def has_jumps(self) -> bool:
-        return any(isinstance(seg, ScatteredJump) for seg in self.segments)
 
     def total_length(self) -> float:
         return sum(seg.length for seg in self.segments)
@@ -197,14 +193,8 @@ class TimeScale:
         if m is not None and self.snap(t) == m and self.sigma(m) > m:
             raise KappaBoundary(f"nabla operation undefined at right-scattered minimum {m}")
 
-    def decompose(self, s: float, t: float) -> SegmentDecomposition:
-        """Split [s, t] into continuous pieces and scattered jumps.
-
-        Requires s <= t with both in the scale.  Jump sizes are the exact
-        float differences between consecutive stored points, so segment
-        lengths telescope to t - s.  A window that jumps more than
-        MAX_WINDOW_JUMPS gaps raises UnboundedWindow.
-        """
+    def _span(self, s: float, t: float) -> tuple[int, int, float, float, float]:
+        # piece indices ks, kt, the end b of piece ks, and the stored s <= t
         ks, _, b, s = self._lookup(s)
         kt, _, _, t = self._lookup(t)
         if s > t:
@@ -213,6 +203,23 @@ class TimeScale:
             raise UnboundedWindow(
                 f"the window [{s}, {t}] jumps {kt - ks} gaps, more than {MAX_WINDOW_JUMPS}"
             )
+        return ks, kt, b, s, t
+
+    def gap_count(self, s: float, t: float) -> int:
+        """The number of scattered jumps in ``decompose(s, t)``, which it
+        does not build; it raises what decompose raises for the window."""
+        ks, kt, _, _, _ = self._span(s, t)
+        return kt - ks
+
+    def decompose(self, s: float, t: float) -> SegmentDecomposition:
+        """Split [s, t] into continuous pieces and scattered jumps.
+
+        Requires s <= t with both in the scale.  Jump sizes are the exact
+        float differences between consecutive stored points, so segment
+        lengths telescope to t - s.  A window that jumps more than
+        MAX_WINDOW_JUMPS gaps raises UnboundedWindow.
+        """
+        ks, kt, b, s, t = self._span(s, t)
         segs: list[Segment] = []
         x = s  # the current point; b is the end of its piece
         for k in range(ks + 1, kt + 1):

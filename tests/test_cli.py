@@ -177,6 +177,46 @@ def test_eval_jump_error_names_its_gap(run, scale, p, variant, error):
     assert payload["message"].endswith(" on the gap after tau=0.0")
 
 
+@pytest.mark.parametrize(
+    "scale, p, t, error, piece",
+    [
+        ("r", "t-0.5", "1", "NonvanishingViolation", "[0.0, 1.0]"),
+        ("r", "1+1e9*t", "0.5", "QuadratureFailure", "[0.0, 0.5]"),
+        ("union:[0,1];[2,3]", "t-2.5", "3", "NonvanishingViolation", "[2.0, 3.0]"),
+    ],
+)
+def test_eval_piece_error_names_its_piece(run, scale, p, t, error, piece):
+    rc, out, err = run("eval", "--timescale", scale, "--p", p, "--s", "0", "--t", t)
+    assert rc == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == error
+    assert payload["message"].endswith(f" on the piece {piece}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--timescale", "union:[0,1];[2,3]", "--p", "t+1", "--s", "0.5", "--t", "3"],
+        ["legacy", "--timescale", "hz:1", "--kind", "huff", "--t0", "1", "--t", "4"],
+    ],
+    ids=["eval", "legacy-huff"],
+)
+def test_cli_decomposes_its_window_once(run, monkeypatch, argv):
+    # the log walks the window; whether it has jumps is counted, not decomposed again
+    calls = []
+    decompose = chronolog.timescale.TimeScale.decompose
+
+    def counting(self, s, t):
+        calls.append((s, t))
+        return decompose(self, s, t)
+
+    monkeypatch.setattr(chronolog.timescale.TimeScale, "decompose", counting)
+    rc, out, err = run(*argv)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["scattered_contributed"] is True
+    assert len(calls) == 1
+
+
 def test_eval_bad_expression_exits_2(run):
     rc, _, err = run(
         "eval", "--timescale", "r", "--p", "t++", "--s", "1", "--t", "2",

@@ -104,10 +104,11 @@ def test_regressivity_predicates():
 
 
 def test_guard_is_relative_to_magnitude():
-    # 1 + h*z cancels to ~1e-10 but |h*z| ~ 1e6, within the relative guard
-    big = 1e6
-    z = complex(-(1.0 + 1e-10 / big) * big, 0.0)
-    assert not is_regressive(1e-0, z / 1e0) or True  # just must not crash
+    # |1 + h*z| = w against a guard of 1e-12 * (1 + |h*z|), about 2e-12
+    # whatever the step: w = 1e-13 falls inside it and 1e-11 outside
+    for h in (1e6, 1.0, 1e-6):
+        assert not is_regressive(h, complex(-(1.0 - 1e-13) / h, 0.0))
+        assert is_regressive(h, complex(-(1.0 - 1e-11) / h, 0.0))
     # and a clean miss passes
     assert is_regressive(1.0, complex(-1.0 + 1e-3, 0.0))
 

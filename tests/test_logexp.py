@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from chronolog import calculus
+from chronolog import calculus, timescale
 from chronolog.calculus import ScaleFunction, ToleranceConfig
 from chronolog.cylinder import xi, xi_hat
 from chronolog.errors import (
@@ -13,6 +13,7 @@ from chronolog.errors import (
     NotNuRegressive,
     NotRegressive,
     OneNotInScale,
+    UnboundedWindow,
 )
 from chronolog.logexp import (
     IdentityResult,
@@ -159,6 +160,17 @@ def test_nonvanishing_floor_respects_eps_min():
     log_delta_principal(p, ts, 0.0, 4.0)  # |p(2)| = 1e-4, fine by default
     with pytest.raises(NonvanishingViolation):
         log_delta_principal(p, ts, 0.0, 4.0, ToleranceConfig(eps_min=1e-3))
+
+
+def test_nonvanishing_floor_is_absolute():
+    # p never vanishes, but |p(10)| = 1.7e-142 sits below the default floor;
+    # a caller who needs such a p lowers eps_min
+    p = ScaleFunction.from_text("exp(600*sin(t))")
+    ts = parse_timescale("r")
+    with pytest.raises(NonvanishingViolation, match=r"at tau=10\.0 on the piece \[0\.0, 10\.0\]$"):
+        log_delta_principal(p, ts, 0.0, 10.0)
+    value = log_delta_principal(p, ts, 0.0, 10.0, ToleranceConfig(eps_min=1e-300))
+    assert value == pytest.approx(600 * math.sin(10.0), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +358,19 @@ def test_log_table_dense_rows_match_log_ts_and_closed_form(variant, eta, spec):
             assert scaled_residual(row, _rep(log_ts(variant, p, ts, 0.0, u, cfg, eta=eta))) <= cfg.cmp_tol
             _, res = lattice_gap(row, _closed_form(p, ts, 0.0, u))
             assert res <= cfg.cmp_tol
+
+
+@pytest.mark.parametrize("base", [0.0, 12.0])
+def test_log_table_caps_the_whole_walk_before_any_term(monkeypatch, base):
+    # every stretch between rows jumps one gap, but each walk spans 12 > 10
+    monkeypatch.setattr(timescale, "MAX_WINDOW_JUMPS", 10)
+    evals = []
+    monkeypatch.setattr(ScaleFunction, "__call__", lambda self, t: evals.append(t))
+    monkeypatch.setattr(ScaleFunction, "prime", lambda self, t: evals.append(t))
+    ts = parse_timescale("hz:1")
+    with pytest.raises(UnboundedWindow):
+        log_table("delta-principal", ScaleFunction.from_text("t+10"), ts, base, [float(k) for k in range(13)])
+    assert evals == []
 
 
 def test_log_table_rejects_unsorted_points():

@@ -285,8 +285,11 @@ def test_decompose_caps_the_jumps_of_one_window(monkeypatch):
     monkeypatch.setattr(timescale, "MAX_WINDOW_JUMPS", 10)
     ts = UniformGrid(0.5)
     assert len(ts.decompose(0.0, 5.0)) == 10
+    assert ts.gap_count(0.0, 5.0) == 10
     with pytest.raises(UnboundedWindow):
         ts.decompose(0.0, 5.5)
+    with pytest.raises(UnboundedWindow):
+        ts.gap_count(0.0, 5.5)
 
 
 def test_interval_union_validation():
@@ -373,6 +376,16 @@ def test_decompose_segments_stay_in_scale(spec):
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
+def test_gap_count_counts_the_jumps_of_decompose(spec):
+    ts = parse_timescale(spec)
+    rng = random.Random(f"gap-count:{spec}")
+    for _ in range(10):
+        s, t = _some_window(ts, rng)
+        jumps = sum(isinstance(seg, ScatteredJump) for seg in ts.decompose(ts.snap(s), ts.snap(t)))
+        assert ts.gap_count(s, t) == jumps
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
 def test_decompose_concatenates_at_interior_points(spec):
     ts = parse_timescale(spec)
     rng = random.Random(f"concatenate:{spec}")
@@ -396,7 +409,7 @@ def test_decompose_empty_window():
         (x,) = [ts.snap(p) for p in _some_points(ts, rng, count=1)]
         dec = ts.decompose(x, x)
         assert dec.segments == ()
-        assert not dec.has_jumps
+        assert ts.gap_count(x, x) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -515,4 +528,3 @@ def test_segment_decomposition_iteration():
     dec = SegmentDecomposition(0.0, 2.0, (ScatteredJump(0.0, 2.0),))
     assert len(dec) == 1
     assert list(dec) == [ScatteredJump(0.0, 2.0)]
-    assert dec.has_jumps
