@@ -2,19 +2,24 @@
 
 Integrals are computed segment by segment from the window decomposition by
 one walk, ``_walk``, which the window logarithms share: continuous pieces
-go through adaptive Simpson quadrature, scattered points contribute
-``gap * f`` directly.  An integral is additive over windows, so the walk
-returns its running total at each of a list of stops by crossing each
-stretch between stops as its own window; one pass from a base serves every
-window that starts there, and a single window is the one-stop case.
-Integrands receive two arguments ``(tau, mu)`` so that formulas involving
-the forward jump can use ``sigma(tau) = tau + mu``; on continuous pieces
-``mu`` is passed as 0.0.
+go through one globally adaptive Gauss-Kronrod (G7K15) integrator, and
+scattered points contribute ``gap * f`` directly.  The integrator keeps its
+panels in a heap ordered by the error estimate |K15 - G7| and bisects the
+worst until the estimates sum to at most ``quad_tol``; a piece that needs
+more than ``timescale.MAX_QUAD_SAMPLES`` samples raises QuadratureFailure
+rather than return an unconverged value.  An integral is additive over
+windows, so the walk returns its running total at each of a list of stops
+by crossing each stretch between stops as its own window; one pass from a
+base serves every window that starts there, and a single window is the
+one-stop case.  Integrands receive two arguments ``(tau, mu)`` so that
+formulas involving the forward jump can use ``sigma(tau) = tau + mu``; on
+continuous pieces ``mu`` is passed as 0.0.
 """
 
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -24,6 +29,7 @@ from .expr import Expr, compile_expr, differentiate, parse, to_text
 from .expr import Mul as _Mul
 from .expr import Div as _Div
 from .expr import Pow as _Pow
+from . import timescale
 from .timescale import ContinuousPiece, TimeScale
 
 Integrand = Callable[[float, float], complex]
@@ -33,10 +39,14 @@ Integrand = Callable[[float, float], complex]
 class ToleranceConfig:
     """Numerical knobs shared by the integration and comparison layers.
 
-    quad_tol        absolute tolerance per continuous piece
-    eps_min         minimum admissible |p(t)| for logarithm arguments
-    cmp_tol         residual threshold for identity comparisons
-    max_quad_depth  adaptive bisection depth cap (at least 10)
+    quad_tol  absolute tolerance per continuous piece: the bound on the sum
+              of the piece's G7K15 error estimates |K15 - G7|
+    eps_min   minimum admissible |p(t)| for logarithm arguments
+    cmp_tol   residual threshold for identity comparisons
+
+    The quadrature's work is capped by ``timescale.MAX_QUAD_SAMPLES`` per
+    piece, not by a knob here: a quad_tol that the cap cannot reach raises
+    QuadratureFailure instead of returning an unconverged value.
 
     The eps_min floor is absolute and stays at 1e-10 by default: a p that
     never vanishes but dips below it where it is sampled raises
@@ -48,14 +58,10 @@ class ToleranceConfig:
     quad_tol: float = 1e-10
     eps_min: float = 1e-10
     cmp_tol: float = 1e-8
-    max_quad_depth: int = 40
 
     def __post_init__(self):
         if not all(0 < x < math.inf for x in (self.quad_tol, self.eps_min, self.cmp_tol)):
             raise ValidationError("tolerances must be positive and finite")
-        depth = self.max_quad_depth
-        if not (math.isfinite(depth) and int(depth) == depth and depth >= 10):
-            raise ValidationError("max_quad_depth must be an integer >= 10")
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -138,30 +144,47 @@ def _sample(f: Callable[[float], complex], x: float) -> complex:
     return v
 
 
-def _simpson(fa: complex, fm: complex, fb: complex, half: float) -> complex:
-    return (half / 3.0) * (fa + 4.0 * fm + fb)
+# G7K15 from QUADPACK's qk15: the positive Kronrod nodes on [-1, 1], outermost
+# first, with the Gauss nodes at the odd indices, and the weights of both
+# rules; the centre node 0 carries _WK0 and _WG0
+_XK = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+)
+_WK = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+)
+_WK0 = 0.209482141084727828012999174891714
+_WG = (
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+)
+_WG0 = 0.417959183673469387755102040816327
 
 
-def _adapt(f, a, b, fa, fm, fb, whole, tol, depth, max_depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    if not (a < lm < m < rm < b):
-        return whole  # interval narrower than float spacing; cannot refine
-    flm = _sample(f, lm)
-    frm = _sample(f, rm)
-    quarter = 0.25 * (b - a)
-    left = _simpson(fa, flm, fm, quarter)
-    right = _simpson(fm, frm, fb, quarter)
-    err = (left + right - whole) / 15.0
-    if abs(err) <= tol:
-        return left + right + err
-    if depth >= max_depth:
-        raise QuadratureFailure(f"no convergence on [{a}, {b}] after {depth} bisections")
-    half_tol = 0.5 * tol
-    return _adapt(f, a, m, fa, flm, fm, left, half_tol, depth + 1, max_depth) + _adapt(
-        f, m, b, fm, frm, fb, right, half_tol, depth + 1, max_depth
-    )
+def _panel(f: Callable[[float], complex], a: float, b: float) -> tuple[float, float, float, complex]:
+    """The G7K15 rule on [a, b]: (-error, a, b, K15), a heap entry.
+
+    The error estimate is |K15 - G7|; one non-finite sample makes the sums
+    non-finite, and only then are the nodes sampled one by one to name it.
+    """
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    pairs = [f(c - h * x) + f(c + h * x) for x in _XK]
+    fc = f(c)
+    kronrod = h * (_WK0 * fc + sum(w * v for w, v in zip(_WK, pairs)))
+    gauss = h * (_WG0 * fc + sum(w * v for w, v in zip(_WG, pairs[1::2])))
+    err = abs(kronrod - gauss)
+    if not math.isfinite(err):
+        for node in [c] + [c + side * h * x for x in _XK for side in (-1.0, 1.0)]:
+            _sample(f, node)
+        raise NonFiniteIntegrand(f"quadrature sum is not finite on [{a}, {b}]")
+    return -err, a, b, complex(kronrod)
 
 
 def adaptive_simpson(
@@ -169,13 +192,19 @@ def adaptive_simpson(
     a: float,
     b: float,
     tol: float = DEFAULT_TOLERANCES.quad_tol,
-    max_depth: int = DEFAULT_TOLERANCES.max_quad_depth,
 ) -> complex:
-    """Integrate a complex-valued function over [a, b].
+    """Integrate a complex-valued function over [a, b], globally adaptively.
 
-    Each bisection halves the local error budget and the halves are
-    combined with Richardson extrapolation.  Raises QuadratureFailure when
-    the depth cap is hit and NonFiniteIntegrand on bad samples.
+    The name predates the rule and stays because callers, the benchmark's
+    tracer among them, look the integrator up by it.  Each panel is
+    integrated by the Gauss-Kronrod G7K15 rule with error estimate
+    |K15 - G7|; starting from the two halves of [a, b], the panel with the
+    largest estimate is bisected until the estimates sum to at most ``tol``
+    (QUADPACK's QAG).  The Gauss nodes are open, so f is first sampled at a
+    and b, where a log's integrand checks p.  Raises QuadratureFailure when
+    another bisection would pass ``timescale.MAX_QUAD_SAMPLES`` samples or
+    the worst panel is too narrow to bisect, and NonFiniteIntegrand on bad
+    samples.
     """
     if a == b:
         return 0j
@@ -183,12 +212,36 @@ def adaptive_simpson(
     if b < a:
         a, b = b, a
         sign = -1.0
-    fa = _sample(f, a)
-    fb = _sample(f, b)
+    _sample(f, a)
+    _sample(f, b)
     m = 0.5 * (a + b)
-    fm = _sample(f, m)
-    whole = _simpson(fa, fm, fb, 0.5 * (b - a))
-    return sign * _adapt(f, a, b, fa, fm, fb, whole, tol, 0, max_depth)
+    heap = [_panel(f, a, m), _panel(f, m, b)]
+    heapq.heapify(heap)
+    samples = 32  # the two ends and two panels of 15
+    err = -(heap[0][0] + heap[1][0])
+    while True:
+        if err <= tol:
+            # the running sum drifts by rounding; settle on the exact one
+            err = math.fsum(-e for e, *_ in heap)
+            if err <= tol:
+                break
+        if samples + 30 > timescale.MAX_QUAD_SAMPLES:
+            raise QuadratureFailure(f"error estimate {err:.3g} above tol {tol:.3g} after {samples} samples")
+        neg, lo, hi, _ = heap[0]
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # one float wide: halving it would repeat it
+            raise QuadratureFailure(
+                f"error estimate {err:.3g} above tol {tol:.3g} on a panel at tau={lo} too narrow to bisect"
+            )
+        left = _panel(f, lo, mid)
+        right = _panel(f, mid, hi)
+        heapq.heapreplace(heap, left)
+        heapq.heappush(heap, right)
+        samples += 30
+        err += neg - left[0] - right[0]
+    re = math.fsum(v.real for *_, v in heap)
+    im = math.fsum(v.imag for *_, v in heap)
+    return sign * complex(re, im)
 
 
 def _walk(
@@ -206,10 +259,10 @@ def _walk(
     integral is additive over windows, so each stretch, from s to the first
     stop and from each stop to the next, is one decomposition, reversed going
     down, and the walk returns ``sign`` times the running total at each stop.
-    Continuous pieces integrate ``dense`` by adaptive Simpson; each jump from
-    tau to tau + mu adds ``mu * jump(tau, mu)``.  A ChronologError in a term
-    names its piece or gap.  MAX_WINDOW_JUMPS caps the whole span, before
-    any term.
+    Continuous pieces integrate ``dense`` by ``adaptive_simpson``, looked up
+    here at call time; each jump from tau to tau + mu adds
+    ``mu * jump(tau, mu)``.  A ChronologError in a term names its piece or
+    gap.  MAX_WINDOW_JUMPS caps the whole span, before any term.
     """
     if not stops:
         return []
@@ -222,7 +275,7 @@ def _walk(
             piece = isinstance(seg, ContinuousPiece)
             try:
                 if piece:
-                    total += adaptive_simpson(dense, seg.a, seg.b, cfg.quad_tol, cfg.max_quad_depth)
+                    total += adaptive_simpson(dense, seg.a, seg.b, cfg.quad_tol)
                 else:
                     v = jump(seg.tau, seg.mu)
                     if not cmath.isfinite(v):

@@ -110,7 +110,11 @@ class EtaNotRegressive(ChronologError):
 
 
 class QuadratureFailure(ChronologError):
-    """Adaptive quadrature hit its depth cap before converging."""
+    """Quadrature could not bring its error estimate within the tolerance.
+
+    Raised when another bisection would pass ``timescale.MAX_QUAD_SAMPLES``
+    samples on the piece, or when the worst panel is too narrow to bisect.
+    """
 
 
 class NonFiniteIntegrand(ChronologError):

@@ -43,6 +43,10 @@ MEMBERSHIP_TOL = 1e-12
 # before any segment is built (each one costs ~150 bytes)
 MAX_WINDOW_JUMPS = 10**6
 
+# the most integrand samples the quadrature may take on one continuous piece;
+# a piece that needs more raises QuadratureFailure
+MAX_QUAD_SAMPLES = 200_000
+
 
 @dataclass(frozen=True)
 class ContinuousPiece:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from chronolog import timescale
 from chronolog.calculus import (
     DEFAULT_TOLERANCES,
     ScaleFunction,
@@ -69,10 +70,30 @@ def test_adaptive_simpson_empty_and_reversed():
     assert rev == -fwd
 
 
-def test_adaptive_simpson_depth_cap():
-    f = lambda x: complex(abs(x - 1.0 / 3.0) ** -0.9)
-    with pytest.raises(QuadratureFailure):
-        adaptive_simpson(f, 0.0, 1.0, tol=1e-12, max_depth=10)
+def test_adaptive_simpson_sample_budget(monkeypatch):
+    # 32 samples place the ends and the first two panels; each bisection
+    # takes 30 more, so a budget of 100 allows two and refuses the third
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return cmath.exp(40j * x)
+
+    monkeypatch.setattr(timescale, "MAX_QUAD_SAMPLES", 100)
+    with pytest.raises(QuadratureFailure, match=r"above tol 1e-10 after 92 samples$"):
+        adaptive_simpson(f, 0.0, 1.0)
+    assert len(seen) == 92
+    monkeypatch.setattr(timescale, "MAX_QUAD_SAMPLES", 10_000)
+    got = adaptive_simpson(f, 0.0, 1.0)
+    assert got == pytest.approx((cmath.exp(40j) - 1.0) / 40j, abs=1e-12)
+
+
+def test_adaptive_simpson_panel_too_narrow():
+    # a non-integrable spike at a power of two: bisection reaches a panel
+    # one float wide whose nodes round onto two different floats
+    f = lambda x: complex(1.0 / abs(x - 0.5)) if x != 0.5 else 0j
+    with pytest.raises(QuadratureFailure, match=r"on a panel at tau=0\.5 too narrow to bisect$"):
+        adaptive_simpson(f, 0.0, 1.0)
 
 
 def test_adaptive_simpson_nonfinite_sample():
@@ -203,11 +224,14 @@ def test_integral_nonfinite_jump_value():
 
 
 def test_integral_tolerance_config_respected():
+    # a Lorentzian spike of height 1e6 at x = 1/3, finite at every node
     ts = Reals()
-    cfg = ToleranceConfig(max_quad_depth=10, quad_tol=1e-14)
-    spiky = lambda x, mu: complex(abs(x - 1.0 / 3.0) ** -0.9)
-    with pytest.raises(QuadratureFailure):
-        delta_integral(spiky, ts, 0.0, 1.0, cfg)
+    spiky = lambda x, mu: complex(1.0 / (1e-6 + (x - 1.0 / 3.0) ** 2))
+    want = 1e3 * (math.atan((2.0 / 3.0) / 1e-3) + math.atan((1.0 / 3.0) / 1e-3))
+    loose = ToleranceConfig(quad_tol=1e-3)
+    assert delta_integral(spiky, ts, 0.0, 1.0, loose) == pytest.approx(want, abs=1e-3)
+    with pytest.raises(QuadratureFailure, match=r"above tol 1e-300 after \d+ samples on the piece \[0\.0, 1\.0\]$"):
+        delta_integral(spiky, ts, 0.0, 1.0, ToleranceConfig(quad_tol=1e-300))
 
 
 def test_union_integral_against_dense_trapezoid():
@@ -307,12 +331,7 @@ def test_tolerance_config_validation():
         ToleranceConfig(eps_min=-1.0)
     with pytest.raises(ValueError):
         ToleranceConfig(cmp_tol=0.0)
-    with pytest.raises(ValueError):
-        ToleranceConfig(max_quad_depth=5)
-    with pytest.raises(ValueError):
-        ToleranceConfig(max_quad_depth=12.5)
-    # an infinite tolerance would accept any estimate or pass any row, and
-    # an infinite depth would overflow int(); all are input errors
+    # an infinite tolerance would accept any estimate or pass any row
     for bad in (math.inf, math.nan):
         with pytest.raises(ValidationError, match="positive and finite"):
             ToleranceConfig(quad_tol=bad)
@@ -320,7 +339,5 @@ def test_tolerance_config_validation():
             ToleranceConfig(eps_min=bad)
         with pytest.raises(ValidationError, match="positive and finite"):
             ToleranceConfig(cmp_tol=bad)
-        with pytest.raises(ValidationError, match="max_quad_depth"):
-            ToleranceConfig(max_quad_depth=bad)
     cfg = ToleranceConfig(quad_tol=1e-8)
     assert cfg.quad_tol == 1e-8 and cfg.cmp_tol == 1e-8

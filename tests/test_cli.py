@@ -181,7 +181,7 @@ def test_eval_jump_error_names_its_gap(run, scale, p, variant, error):
     "scale, p, t, error, piece",
     [
         ("r", "t-0.5", "1", "NonvanishingViolation", "[0.0, 1.0]"),
-        ("r", "1+1e9*t", "0.5", "QuadratureFailure", "[0.0, 0.5]"),
+        ("r", "2+sin(1e6*t)", "0.5", "QuadratureFailure", "[0.0, 0.5]"),
         ("union:[0,1];[2,3]", "t-2.5", "3", "NonvanishingViolation", "[2.0, 3.0]"),
     ],
 )
@@ -306,17 +306,17 @@ def test_check_csv_format(run):
     assert all(line.endswith(",true") for line in lines[1:])
 
 
-def test_check_loose_quadrature_fails_rows(run):
-    # a deliberately sloppy quadrature tolerance leaves residuals above
-    # cmp_tol where the two sides integrate different curved functions
-    rc, out, _ = run(
+def test_check_tol_flag_reaches_quadrature(run):
+    # no piece can meet a tolerance of 1e-300 within MAX_QUAD_SAMPLES, so
+    # the flag's value must be the one the integrator was given
+    rc, out, err = run(
         "check", "--timescale", "r", "--p", "t^2+1", "--q", "sin(t)+3",
-        "--s", "0", "--t", "6", "--tol", "1e-2",
+        "--s", "0", "--t", "6", "--tol", "1e-300",
     )
-    rows = json.loads(out)
-    assert rc == 1
-    assert any(not r["pass"] for r in rows)
-    assert any(r["pass"] for r in rows)  # report is complete, not truncated
+    assert rc == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "QuadratureFailure"
+    assert "above tol 1e-300 after" in payload["message"]
 
 
 def test_check_fractional_alpha_complex_p_exits_2(run):
@@ -628,13 +628,14 @@ def test_tol_env_variable_used(run, monkeypatch):
         "check", "--timescale", "r", "--p", "t^2+1", "--q", "sin(t)+3",
         "--s", "0", "--t", "6",
     )
-    monkeypatch.setenv("CHRONOLOG_TOL", "1e-2")
-    rc_env, _, _ = run(*argv)
-    assert rc_env == 1  # sloppy tolerance fails rows
+    monkeypatch.setenv("CHRONOLOG_TOL", "1e-300")
+    rc_env, _, err = run(*argv)
+    assert rc_env == 3  # a tolerance no piece can meet within the sample budget
+    assert json.loads(err)["error"] == "QuadratureFailure"
     # explicit flag takes precedence over the environment
-    monkeypatch.setenv("CHRONOLOG_TOL", "1e-2")
-    rc_flag, _, _ = run(*argv, "--tol", "1e-10")
+    rc_flag, out, _ = run(*argv, "--tol", "1e-10")
     assert rc_flag == 0
+    assert all(r["pass"] for r in json.loads(out))
 
 
 def test_tol_env_bad_value_exits_2(run, monkeypatch):

@@ -16,7 +16,6 @@ P = ScaleFunction.from_text("t+10")
 
 REJECTED = {
     "tolerance": lambda: ToleranceConfig(quad_tol=0.0),
-    "quad-depth": lambda: ToleranceConfig(max_quad_depth=5),
     "graininess": lambda: xi(-1.0, 1.0),
     "eta-psi-range": lambda: eta_psi(1.5, 1.0, 0.1),
     "eta-missing": lambda: log_ts(LogVariant.ETA, P, HZ, 0.0, 4.0),

@@ -174,6 +174,64 @@ def test_nonvanishing_floor_is_absolute():
 
 
 # ---------------------------------------------------------------------------
+# dense windows against the closed form: each case once returned a wrong
+# number or failed under adaptive Simpson
+# ---------------------------------------------------------------------------
+
+EIGHT_PI = 8 * math.pi
+
+
+@pytest.mark.parametrize(
+    "text, quad_tol",
+    [("exp(sin(t))", None), ("exp(sin(t))", 1e-3), ("2+sin(t)", 1e-3)],
+)
+def test_dense_log_over_whole_periods_is_zero(text, quad_tol):
+    # Simpson's five first samples alias on [0, 8*pi]: it returned 8*pi and
+    # 4*pi; the estimate is bounded by quad_tol, the value sits at the lattice
+    cfg = ToleranceConfig(quad_tol=quad_tol) if quad_tol else None
+    p = ScaleFunction.from_text(text)
+    got = log_delta_principal(p, parse_timescale("r"), 0.0, EIGHT_PI, cfg)
+    k, res = lattice_gap(got, _closed_form(p, None, 0.0, EIGHT_PI))
+    assert k == 0 and res <= (quad_tol or 1e-10)
+
+
+def test_exp_delta_of_cos_over_whole_periods_is_one():
+    # Simpson gave 8.2e10
+    got = exp_delta(ScaleFunction.from_text("cos(t)"), parse_timescale("r"), 0.0, EIGHT_PI)
+    assert got == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("text", ["1+1e9*t", "1+1e13*t"])
+def test_dense_log_of_steep_linear_p(text):
+    # Simpson hit its depth cap near t = 0, where p'/p = 1e9 (1e13)
+    p = ScaleFunction.from_text(text)
+    got = log_delta_principal(p, parse_timescale("r"), 0.0, 0.5)
+    assert got == pytest.approx(_closed_form(p, None, 0.0, 0.5), rel=1e-12, abs=1e-10)
+
+
+def test_dense_log_samples_grow_about_linearly_with_the_window(monkeypatch):
+    # the tolerance is per piece, not halved per bisection: quadrupling the
+    # window costs at most about 4.5 times the samples
+    quad = calculus.adaptive_simpson
+    counts = []
+
+    def counting(f, *args):
+        def sample(x):
+            counts[-1] += 1
+            return f(x)
+
+        return quad(sample, *args)
+
+    monkeypatch.setattr(calculus, "adaptive_simpson", counting)
+    p = ScaleFunction.from_text("2+sin(t)")
+    for t in (500.0, 2000.0):
+        counts.append(0)
+        got = log_delta_principal(p, parse_timescale("r"), 0.5, t)
+        assert got == pytest.approx(_closed_form(p, None, 0.5, t), abs=1e-9)
+    assert 0 < counts[1] <= 4.5 * counts[0]
+
+
+# ---------------------------------------------------------------------------
 # nabla variant
 # ---------------------------------------------------------------------------
 
