@@ -11,9 +11,9 @@ rather than return an unconverged value.  An integral is additive over
 windows, so the walk returns its running total at each of a list of stops
 by crossing each stretch between stops as its own window; one pass from a
 base serves every window that starts there, and a single window is the
-one-stop case.  Integrands receive two arguments ``(tau, mu)`` so that
-formulas involving the forward jump can use ``sigma(tau) = tau + mu``; on
-continuous pieces ``mu`` is passed as 0.0.
+one-stop case.  Public integrands receive ``(tau, mu)``, with mu = 0.0 on
+continuous pieces; the walk's own jump terms also receive the stored
+successor sigma, which tau + mu may round off.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from . import timescale
 from .timescale import ContinuousPiece, TimeScale
 
 Integrand = Callable[[float, float], complex]
+JumpTerm = Callable[[float, float, float], complex]  # (tau, mu, sigma)
 
 
 @dataclass(frozen=True)
@@ -121,9 +122,9 @@ def delta_derivative(p: ScaleFunction, ts: TimeScale, t: float) -> complex:
     """Forward difference quotient at scattered t, classical p' at dense t."""
     t = ts.snap(t)
     ts.require_delta_domain(t)
-    m = ts.mu(t)
-    if m > 0:
-        return (p(ts.sigma(t)) - p(t)) / m
+    sigma = ts.sigma(t)
+    if sigma > t:
+        return (p(sigma) - p(t)) / (sigma - t)
     return p.prime(t)
 
 
@@ -131,9 +132,9 @@ def nabla_derivative(p: ScaleFunction, ts: TimeScale, t: float) -> complex:
     """Backward difference quotient at scattered t, classical p' at dense t."""
     t = ts.snap(t)
     ts.require_nabla_domain(t)
-    n = ts.nu(t)
-    if n > 0:
-        return (p(t) - p(ts.rho(t))) / n
+    rho = ts.rho(t)
+    if rho < t:
+        return (p(t) - p(rho)) / (t - rho)
     return p.prime(t)
 
 
@@ -246,7 +247,7 @@ def adaptive_simpson(
 
 def _walk(
     dense: Callable[[float], complex],
-    jump: Integrand,
+    jump: JumpTerm,
     ts: TimeScale,
     s: float,
     stops: list[float],
@@ -260,9 +261,10 @@ def _walk(
     stop and from each stop to the next, is one decomposition, reversed going
     down, and the walk returns ``sign`` times the running total at each stop.
     Continuous pieces integrate ``dense`` by ``adaptive_simpson``, looked up
-    here at call time; each jump from tau to tau + mu adds
-    ``mu * jump(tau, mu)``.  A ChronologError in a term names its piece or
-    gap.  MAX_WINDOW_JUMPS caps the whole span, before any term.
+    here at call time; each jump from tau to its stored successor sigma, a
+    gap mu = sigma - tau, adds ``mu * jump(tau, mu, sigma)``.  A
+    ChronologError in a term names its piece or gap.  MAX_WINDOW_JUMPS caps
+    the whole span, before any term.
     """
     if not stops:
         return []
@@ -277,7 +279,7 @@ def _walk(
                 if piece:
                     total += adaptive_simpson(dense, seg.a, seg.b, cfg.quad_tol)
                 else:
-                    v = jump(seg.tau, seg.mu)
+                    v = jump(seg.tau, seg.mu, seg.sigma)
                     if not cmath.isfinite(v):
                         raise NonFiniteIntegrand("jump term is not finite")
                     total += seg.mu * v
@@ -292,7 +294,7 @@ def _walk(
 
 def _window(
     dense: Callable[[float], complex],
-    jump: Integrand,
+    jump: JumpTerm,
     ts: TimeScale,
     s: float,
     t: float,
@@ -319,7 +321,7 @@ def delta_integral(
     each right-scattered tau contributes ``mu * f(tau, mu)``.  Swapping the
     endpoints negates the result.
     """
-    return _window(lambda x: f(x, 0.0), f, ts, s, t, cfg or DEFAULT_TOLERANCES)
+    return _window(lambda x: f(x, 0.0), lambda tau, mu, sigma: f(tau, mu), ts, s, t, cfg or DEFAULT_TOLERANCES)
 
 
 def nabla_integral(
@@ -329,8 +331,6 @@ def nabla_integral(
 
     Identical to the forward integral on continuous stretches; scattered
     contributions are ``nu * f(tau', nu)`` at left-scattered points tau'
-    in (s, t] with nu the gap below tau'.
+    in (s, t], the stored successors, with nu the gap below tau'.
     """
-    return _window(
-        lambda x: f(x, 0.0), lambda tau, nu: f(tau + nu, nu), ts, s, t, cfg or DEFAULT_TOLERANCES
-    )
+    return _window(lambda x: f(x, 0.0), lambda tau, nu, sigma: f(sigma, nu), ts, s, t, cfg or DEFAULT_TOLERANCES)

@@ -3,7 +3,8 @@
 The central object is the window logarithm of a nonvanishing function p:
 the integral of the cylinder-transformed quotient p^Delta/p from s to t.
 On continuous stretches the integrand is the classical p'(tau)/p(tau); a
-jump from tau to sigma = tau + mu, with p_sigma = p(sigma), contributes
+jump from tau to its stored successor sigma, a gap mu = sigma - tau, with
+p_sigma = p(sigma), contributes
 
     mu * map_mu(pDelta / ((1-eta) p + eta p_sigma)),
 
@@ -106,17 +107,21 @@ def delta_quotient(p: ScaleFunction, cfg: ToleranceConfig | None = None) -> Call
     """The coefficient (tau, mu) -> pDelta(tau)/p(tau) driving the logarithm.
 
     At mu = 0 this is the classical p'(tau)/p(tau); across a gap it is the
-    difference quotient divided by the left value.
+    difference quotient divided by the left value.  A (tau, mu) coefficient
+    cannot see the stored successor, so this is the one place that evaluates
+    p at tau + mu, which may round off the scale (0.04999999999999999 for the
+    point 0.05 of hz:0.3:0.05 after tau = -0.25).
     """
     cfg = cfg or DEFAULT_TOLERANCES
+    return lambda tau, mu: _quotient(p, cfg, tau, tau + mu, mu)
 
-    def coeff(tau: float, mu: float) -> complex:
-        pv = _checked(p, tau, cfg)
-        if mu > 0:
-            return (_checked(p, tau + mu, cfg) - pv) / mu / pv
-        return p.prime(tau) / pv
 
-    return coeff
+def _quotient(p: ScaleFunction, cfg: ToleranceConfig, tau: float, sigma: float, mu: float) -> complex:
+    # pDelta(tau)/p(tau) across the gap mu to sigma, p'(tau)/p(tau) where mu = 0
+    pv = _checked(p, tau, cfg)
+    if mu > 0:
+        return (_checked(p, sigma, cfg) - pv) / mu / pv
+    return p.prime(tau) / pv
 
 
 # The variant table: the weight eta (the eta row's comes from the caller), the
@@ -137,9 +142,10 @@ _ROWS = {
 def _kernel(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: float | None):
     """The logarithm's jump kernel, set by the variant's row: (dense, jump) for ``_walk``.
 
-    Continuous pieces integrate p'/p; a jump from tau to tau + mu contributes
-    ``mu * cylinder_map(mu, (p_sigma - p) / mu / ((1-eta) p + eta p_sigma))``
-    and raises the row's error when the weighted denominator is 0.
+    Continuous pieces integrate p'/p; a jump from tau to its stored successor
+    sigma contributes ``mu * cylinder_map(mu, (p_sigma - p) / mu / ((1-eta) p
+    + eta p_sigma))`` and raises the row's error when the weighted
+    denominator is 0.  p is evaluated only at stored points.
     """
     weight, map_name, error = _ROWS[variant]
     cylinder_map = getattr(cylinder, map_name)
@@ -155,9 +161,9 @@ def _kernel(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: fl
     def dense(x: float) -> complex:
         return p.prime(x) / _checked(p, x, cfg)
 
-    def jump(tau: float, mu: float) -> complex:
+    def jump(tau: float, mu: float, sigma: float) -> complex:
         pv = _checked(p, tau, cfg)
-        ps = _checked(p, tau + mu, cfg)
+        ps = _checked(p, sigma, cfg)
         mix = keep * pv + eta * ps
         if mix == 0:
             raise error(f"(1-eta)p + eta*p_sigma vanishes for eta={eta}")
@@ -293,11 +299,10 @@ def log_delta_derivative(
     cfg = cfg or DEFAULT_TOLERANCES
     t = ts.snap(t)
     ts.require_delta_domain(t)
-    m = ts.mu(t)
+    sigma = ts.sigma(t)
     pv = _checked(p, t, cfg)
-    if m > 0:
-        ps = _checked(p, ts.sigma(t), cfg)
-        return principal_log(ps / pv) / m
+    if sigma > t:
+        return principal_log(_checked(p, sigma, cfg) / pv) / (sigma - t)
     return p.prime(t) / pv
 
 
@@ -305,7 +310,8 @@ def _exponential(variant: LogVariant, coeff, ts: TimeScale, s: float, t: float, 
     """exp of the walk of the coefficient c, set by the variant's row.
 
     Continuous stretches integrate c itself; a jump from tau takes the row's
-    map of c sampled at tau (weight 0) or at sigma(tau) = tau + mu (weight 1).
+    map of c sampled at tau (weight 0) or at the stored successor sigma
+    (weight 1).
     """
     if not callable(coeff):
         raise TypeError("coefficient must be a ScaleFunction or a callable (tau, mu) -> complex")
@@ -313,8 +319,8 @@ def _exponential(variant: LogVariant, coeff, ts: TimeScale, s: float, t: float, 
     weight, map_name, _ = _ROWS[variant]
     cylinder_map = getattr(cylinder, map_name)
 
-    def jump(tau: float, mu: float) -> complex:
-        return cylinder_map(mu, c(tau + mu if weight else tau, mu))
+    def jump(tau: float, mu: float, sigma: float) -> complex:
+        return cylinder_map(mu, c(sigma if weight else tau, mu))
 
     return cexp(_window(lambda x: c(x, 0.0), jump, ts, s, t, cfg or DEFAULT_TOLERANCES))
 
@@ -368,7 +374,8 @@ def legacy_log(
     if kind is LegacyKind.JACKSON:
         t = ts.snap(t)
         ts.require_delta_domain(t)
-        return delta_quotient(p, cfg)(t, ts.mu(t))
+        sigma = ts.sigma(t)
+        return _quotient(p, cfg, t, sigma, sigma - t)
     # mozyrska
     try:
         one = ts.snap(1.0)
@@ -415,7 +422,7 @@ def _positive_real_on_window(p: ScaleFunction, ts: TimeScale, s: float, t: float
             n = 8
             points.extend(seg.a + (seg.b - seg.a) * k / n for k in range(n + 1))
         else:
-            points.extend((seg.tau, seg.tau + seg.mu))
+            points.extend((seg.tau, seg.sigma))
     for x in points:
         v = p(x)
         if abs(v.imag) > 1e-12 * (1.0 + abs(v)) or v.real <= 0:

@@ -62,10 +62,11 @@ class ContinuousPiece:
 
 @dataclass(frozen=True)
 class ScatteredJump:
-    """A right-scattered point tau whose successor is tau + mu."""
+    """A right-scattered point tau, its stored successor sigma and the gap mu = sigma - tau."""
 
     tau: float
     mu: float
+    sigma: float
 
     @property
     def length(self) -> float:
@@ -165,13 +166,11 @@ class TimeScale:
 
     def mu(self, t: float) -> float:
         """Forward graininess sigma(t) - t."""
-        t = self.snap(t)
-        return self.sigma(t) - t
+        return self.sigma(t) - self.snap(t)
 
     def nu(self, t: float) -> float:
         """Backward graininess t - rho(t)."""
-        t = self.snap(t)
-        return t - self.rho(t)
+        return self.snap(t) - self.rho(t)
 
     @property
     def min_point(self) -> float | None:
@@ -218,10 +217,10 @@ class TimeScale:
     def decompose(self, s: float, t: float) -> SegmentDecomposition:
         """Split [s, t] into continuous pieces and scattered jumps.
 
-        Requires s <= t with both in the scale.  Jump sizes are the exact
-        float differences between consecutive stored points, so segment
-        lengths telescope to t - s.  A window that jumps more than
-        MAX_WINDOW_JUMPS gaps raises UnboundedWindow.
+        Requires s <= t with both in the scale.  Each jump carries its stored
+        successor, and its size is the exact float difference of the two
+        points, so segment lengths telescope to t - s.  A window that jumps
+        more than MAX_WINDOW_JUMPS gaps raises UnboundedWindow.
         """
         ks, kt, b, s, t = self._span(s, t)
         segs: list[Segment] = []
@@ -232,7 +231,7 @@ class TimeScale:
             a, nb = self._piece(k)
             if not 0.0 < a - b < math.inf:
                 raise PointNotInScale(f"the neighbour of {b} is not a distinct finite float")
-            segs.append(ScatteredJump(b, a - b))
+            segs.append(ScatteredJump(b, a - b, a))
             x, b = a, nb
         if t > x:
             segs.append(ContinuousPiece(x, t))
@@ -261,7 +260,7 @@ class Reals(TimeScale):
 
 @dataclass(frozen=True)
 class UniformGrid(TimeScale):
-    """anchor + h*Z, two-sided, constant graininess h."""
+    """anchor + h*Z, two-sided, step h; mu(t) = sigma(t) - t may differ from h in the last bits."""
 
     h: float
     anchor: float = 0.0
@@ -278,16 +277,6 @@ class UniformGrid(TimeScale):
     def _piece(self, k: int) -> tuple[float, float]:
         x = self.anchor + k * self.h
         return x, x
-
-    # exactly h, not the float difference of two points; sigma and rho
-    # check that the neighbour is a distinct float
-    def mu(self, t: float) -> float:
-        self.sigma(t)
-        return self.h
-
-    def nu(self, t: float) -> float:
-        self.rho(t)
-        return self.h
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve end-to-end checks at pinned tolerances.
+"""Acceptance gate: thirteen end-to-end checks at pinned tolerances.
 
 Each test prints one `[criterion NN] ...: PASS` (or FAIL) line.  The lines
 are written past pytest's capture so they always land in the run log.
@@ -20,6 +20,7 @@ from chronolog.cylinder import (
     circle_plus,
     xi,
 )
+from chronolog.errors import ChronologError
 from chronolog.expr import evaluate, parse, to_text
 from chronolog.logexp import (
     delta_quotient,
@@ -398,3 +399,83 @@ def test_property_bundle():
                 assert abs(va - vb) <= 1e-15 * max(1.0, abs(va))
 
         assert time.perf_counter() - t0 < 60.0
+
+
+# The paper's comparison: which properties each construction has over
+# [1, 16] on four scales.  None marks a property that cannot be stated for
+# huff and euler-cauchy, which take no p (they are logarithms of t only).
+# On r a real p that changes sign has a zero, so no log of it is defined.
+COMPARISON_SCALES = ("hz:1", "q:2", "alt:1,2", "r")
+COMPARISON = {
+    "delta": {
+        "reduces to ln t": (True, True, True, True),
+        "exp round trip": (True, True, True, True),
+        "product rule mod 2pi*i": (True, True, True, True),
+        "defined for p with sign changes": (True, True, True, False),
+    },
+    "huff": {
+        "reduces to ln t": (False, False, False, True),
+        "exp round trip": (None,) * 4,
+        "product rule mod 2pi*i": (None,) * 4,
+        "defined for p with sign changes": (None,) * 4,
+    },
+    "euler-cauchy": {
+        "reduces to ln t": (False, False, False, True),
+        "exp round trip": (None,) * 4,
+        "product rule mod 2pi*i": (None,) * 4,
+        "defined for p with sign changes": (None,) * 4,
+    },
+    "integral-quotient": {
+        "reduces to ln t": (False, False, False, True),
+        "exp round trip": (False, False, False, True),
+        "product rule mod 2pi*i": (False, False, False, True),
+        "defined for p with sign changes": (False, False, False, False),
+    },
+}
+
+
+def _comparison_cell(construction, ts, prop):
+    """Whether one property holds for one construction on one scale, to 1e-9.
+
+    reduces to ln t:  the log of p = t over [1, 16] is ln 16
+    exp round trip:   exp of the log of p = t^2+1 is p(16)/p(1)
+    product rule:     the log of t*(t+1) is the sum of the logs, mod 2pi*i
+    sign changes:     the log of p = t-2.5 (p(1) < 0 < p(16)) exists and
+                      its exp is p(16)/p(1) = -9
+    A construction that raises for the input does not have the property.
+    """
+    s, t = 1.0, 16.0
+
+    def log_of(text):
+        p = ScaleFunction.from_text(text)
+        if construction == "delta":
+            return log_delta_principal(p, ts, s, t)
+        return legacy_log(construction, p, ts, s, t)
+
+    def round_trip(text):
+        p = ScaleFunction.from_text(text)
+        return scaled_residual(cmath.exp(log_of(text)), p(t) / p(s)) <= 1e-9
+
+    takes_p = construction in ("delta", "integral-quotient")
+    try:
+        if prop == "reduces to ln t":
+            got = log_of("t") if takes_p else legacy_log(construction, None, ts, s, t)
+            return abs(got - math.log(t / s)) <= 1e-9
+        if not takes_p:
+            return None
+        if prop == "exp round trip":
+            return round_trip("t^2+1")
+        if prop == "product rule mod 2pi*i":
+            return _mod_residual(log_of("t*(t+1)"), log_of("t") + log_of("t+1")) <= 1e-9
+        return round_trip("t-2.5")
+    except ChronologError:
+        return False
+
+
+def test_comparison_with_older_constructions():
+    with _gate(13, "the new log alone has all four compared properties on every scale with gaps"):
+        scales = [parse_timescale(spec) for spec in COMPARISON_SCALES]
+        for construction, row in COMPARISON.items():
+            for prop, want in row.items():
+                got = tuple(_comparison_cell(construction, ts, prop) for ts in scales)
+                assert got == want, (construction, prop, COMPARISON_SCALES)

@@ -216,6 +216,16 @@ def test_nabla_integrand_sampled_at_upper_point():
     jump_taus = [tau for tau, mu in seen if mu == 6.0]
     assert jump_taus == [2.0]
 
+    # the upper point is the stored successor, also where tau + nu rounds
+    # off it (-0.25 + 0.30000000000000004 is 0.04999999999999999, not 0.05)
+    seen.clear()
+    ts = parse_timescale("hz:0.3:0.05")
+    s, t = ts.snap(-3.25), ts.snap(3.35)
+    nabla_integral(f, ts, s, t)
+    taus = [tau for tau, _ in seen]
+    assert taus == [seg.sigma for seg in ts.decompose(s, t)]
+    assert all(ts.snap(tau) == tau for tau in taus) and 0.05 in taus
+
 
 def test_integral_nonfinite_jump_value():
     ts = UniformGrid(1.0)

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -317,7 +318,16 @@ class RecordingFunction(ScaleFunction):
 
 @pytest.mark.parametrize(
     "spec, s, t",
-    [("set:0.1,0.7,1.3,2.9", 0.1, 2.9), ("alt:0.3,0.7", 0.0, 5.0), ("hz:0.3:0.05", 0.05, 2.75)],
+    [
+        ("set:0.1,0.7,1.3,2.9", 0.1, 2.9),
+        ("alt:0.3,0.7", 0.0, 5.0),
+        ("hz:0.3:0.05", 0.05, 2.75),
+        # windows where tau + mu rounds off the stored successor: -0.25 +
+        # 0.30000000000000004 is 0.04999999999999999, not 0.05
+        ("hz:0.3:0.05", -3.25, 3.35),
+        ("q:2.5", 1.0, 2.5**40),
+        ("set:-5.5,0.1,3.3,100000", -5.5, 100000.0),
+    ],
 )
 @pytest.mark.parametrize("variant", [v.value for v in LogVariant])
 def test_jumps_evaluate_p_only_at_scale_points(variant, spec, s, t):
@@ -555,15 +565,16 @@ def test_jump_errors_name_their_gap(compute, error):
 @pytest.mark.parametrize(
     "spec, lo, hi",
     [("hz:1", 0.0, 3.0), ("q:2", 1.0, 8.0), ("alt:0.3,0.7", 0.0, 3.0), ("set:0.5,1,2.5,3", 0.5, 3.0),
-     ("union:[0,1];[2,3]", 0.5, 3.0), ("r", 0.5, 3.0)],
+     ("union:[0,1];[2,3]", 0.5, 3.0), ("r", 0.5, 3.0), ("hz:0.3:0.05", -3.25, 3.35)],
 )
 @pytest.mark.parametrize("forward_window", [True, False])
 def test_exponentials_read_the_delta_and_nabla_rows(spec, lo, hi, forward_window):
     # a jump term is the row's cylinder map of the coefficient: at tau for
-    # delta, at sigma(tau) for nabla; continuous stretches integrate c itself
+    # delta, at the stored sigma(tau) for nabla; continuous stretches
+    # integrate c itself
     ts = parse_timescale(spec)
     s, t = (lo, hi) if forward_window else (hi, lo)
-    c = ScaleFunction.from_text("0.3+0.2*i*t")
+    c = RecordingFunction.from_text("0.3+0.2*i*t")
     sign = 1.0 if s <= t else -1.0
     forward = backward = 0j
     for seg in ts.decompose(lo, hi):
@@ -573,9 +584,13 @@ def test_exponentials_read_the_delta_and_nabla_rows(spec, lo, hi, forward_window
             backward += dense
         else:
             forward += seg.mu * xi(seg.mu, c(seg.tau))
-            backward += seg.mu * xi_hat(seg.mu, c(seg.tau + seg.mu))
+            backward += seg.mu * xi_hat(seg.mu, c(seg.sigma))
+    c.points.clear()
     assert exp_delta(c, ts, s, t) == pytest.approx(cmath.exp(sign * forward), rel=1e-12)
     assert exp_nabla(c, ts, s, t) == pytest.approx(cmath.exp(sign * backward), rel=1e-12)
+    assert c.points
+    for x in c.points:
+        assert ts.snap(x) == x
 
 
 def test_exp_of_log_recovers_quotient():
@@ -633,6 +648,15 @@ def test_jackson_is_pointwise_and_ignores_t0():
     assert a == b == pytest.approx(5.0 / 4.0, rel=1e-13)
     ts = parse_timescale("r")
     assert legacy_log("jackson", p, ts, 0.0, 3.0) == pytest.approx(2.0 / 3.0, rel=1e-12)
+    # on hz:0.01, 2.98 + 0.01 rounds to 2.9899999999999998, not the stored
+    # 2.99; the quotient of t^2+1 across [2.98, 2.99] is exactly
+    # 5.97 / 9.8804.  Evaluating p at t + h instead lands 5.9e-15 from it.
+    ts = parse_timescale("hz:0.01")
+    p = RecordingFunction.from_text("t^2+1")
+    got = legacy_log("jackson", p, ts, 0.0, 2.98)
+    assert sorted(p.points) == [ts.snap(2.98), ts.sigma(2.98)] == [2.98, 2.99]
+    assert got.imag == 0.0
+    assert abs(Fraction(got.real) - Fraction(597, 100) / Fraction(98804, 10000)) < Fraction(4, 10**15)
 
 
 def test_jackson_differs_from_log_derivative_on_grids():

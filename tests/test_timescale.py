@@ -117,10 +117,16 @@ def test_uniform_grid_ops():
 
 
 def test_uniform_grid_constant_graininess():
+    # the graininess is sigma(t) - t; it is exactly h on a dyadic grid, and
+    # may differ from h in the last bits off one
     for h, anchor in ((0.5, 0.0), (2.0, 1.0), (0.1, 0.3)):
         ts = UniformGrid(h, anchor)
         for k in range(-5, 15):
-            assert ts.mu(anchor + k * h) == h
+            t = ts.snap(anchor + k * h)
+            assert ts.mu(t) == ts.sigma(t) - t
+            assert ts.nu(t) == t - ts.rho(t)
+            if h in (0.5, 2.0):
+                assert ts.mu(t) == ts.nu(t) == h
 
 
 def test_uniform_grid_snap_tolerance():
@@ -182,8 +188,8 @@ def test_discrete_set_snaps_to_nearest_of_close_points():
     assert ts.snap(0.4e-13) == 0.0
     assert ts.snap(0.5e-13) == 0.0  # a tie goes to the lower point
     assert ts.decompose(0.0, 1.0).segments == (
-        ScatteredJump(0.0, 1e-13),
-        ScatteredJump(1e-13, 1.0 - 1e-13),
+        ScatteredJump(0.0, 1e-13, 1e-13),
+        ScatteredJump(1e-13, 1.0 - 1e-13, 1.0),
     )
 
 
@@ -256,7 +262,7 @@ def test_interval_union_unbounded():
     dec = ts.decompose(-5.0, 3.0)
     assert dec.segments == (
         ContinuousPiece(-5.0, -4.0),
-        ScatteredJump(-4.0, 6.0),
+        ScatteredJump(-4.0, 6.0, 2.0),
         ContinuousPiece(2.0, 3.0),
     )
 
@@ -364,6 +370,7 @@ def test_decompose_segments_stay_in_scale(spec):
                 assert ts.contains(seg.tau + seg.mu)
                 assert seg.mu > 0
                 end = ts.sigma(seg.tau)
+                assert seg.sigma == end  # the stored successor, bit for bit
                 assert seg.mu == end - seg.tau
             else:
                 assert seg.a == end
@@ -505,9 +512,10 @@ def _grid_point(draw):
 def test_grid_membership_hypothesis(grid_point):
     ts, x = grid_point
     assert ts.snap(x) == x
-    if isinstance(ts, UniformGrid):
-        assert ts.mu(x) == ts.h
     up, down = ts.sigma(x), ts.rho(x)
+    # one graininess on every family: the float gap to the stored neighbour
+    assert ts.mu(x) == up - x
+    assert ts.nu(x) == x - down
     assert down <= x <= up
     # sigma and rho undo each other across every gap
     assert up == x or ts.rho(up) == x
@@ -525,6 +533,6 @@ def test_grid_membership_hypothesis(grid_point):
 
 
 def test_segment_decomposition_iteration():
-    dec = SegmentDecomposition(0.0, 2.0, (ScatteredJump(0.0, 2.0),))
+    dec = SegmentDecomposition(0.0, 2.0, (ScatteredJump(0.0, 2.0, 2.0),))
     assert len(dec) == 1
-    assert list(dec) == [ScatteredJump(0.0, 2.0)]
+    assert list(dec) == [ScatteredJump(0.0, 2.0, 2.0)]
