@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ChronologError, NonFiniteIntegrand, NonFiniteValue, QuadratureFailure, ValidationError
-from .expr import Expr, compile_expr, differentiate, parse, to_text
+from .expr import CompiledPair, Expr, differentiate, parse, to_text
 from .expr import Mul as _Mul
 from .expr import Div as _Div
 from .expr import Pow as _Pow
@@ -73,34 +73,50 @@ class ScaleFunction:
 
     The symbolic derivative supplies the classical derivative wherever the
     scale is dense; difference quotients take over at scattered points.
-    Values must stay finite; callers that take logarithms additionally
-    check the nonvanishing floor.
+    The tree and its derivative are compiled into straight-line code that
+    computes each shared subexpression once (``expr.CompiledPair``), each
+    of p, p' and the pair on its first use; ``pair`` returns p and p' from
+    one evaluation.  Values must stay finite;
+    callers that take logarithms additionally check the nonvanishing floor.
     """
 
-    __slots__ = ("body", "derivative", "label", "_f", "_df")
+    __slots__ = ("body", "derivative", "label", "_code")
 
     def __init__(self, body: Expr, derivative: Expr | None = None, label: str = ""):
         self.body = body
         self.derivative = differentiate(body) if derivative is None else derivative
         self.label = label or to_text(body)
-        self._f = compile_expr(self.body)
-        self._df = compile_expr(self.derivative)
+        self._code = CompiledPair(self.body, self.derivative)
 
     @classmethod
     def from_text(cls, text: str) -> "ScaleFunction":
         return cls(parse(text), label=text.strip())
 
     def __call__(self, t: complex) -> complex:
-        v = complex(self._f(complex(t)))
+        v = self._code.value(complex(t))
         if not cmath.isfinite(v):
             raise NonFiniteValue(f"{self.label} is not finite at t={t}")
         return v
 
     def prime(self, t: complex) -> complex:
-        v = complex(self._df(complex(t)))
+        v = self._code.prime(complex(t))
         if not cmath.isfinite(v):
             raise NonFiniteValue(f"derivative of {self.label} is not finite at t={t}")
         return v
+
+    def pair(self, t: complex) -> tuple[complex, complex]:
+        """(p(t), p'(t)) from one evaluation, raising what ``prime(t)`` and
+        then ``self(t)`` would raise."""
+        try:
+            v, d = self._code.pair(complex(t))
+        except ChronologError:
+            self.prime(t)  # a failure of p' comes first, even a non-finite value
+            raise
+        if not cmath.isfinite(d):
+            raise NonFiniteValue(f"derivative of {self.label} is not finite at t={t}")
+        if not cmath.isfinite(v):
+            raise NonFiniteValue(f"{self.label} is not finite at t={t}")
+        return v, d
 
     def __mul__(self, other: "ScaleFunction") -> "ScaleFunction":
         return ScaleFunction(_Mul(self.body, other.body), label=f"({self.label})*({other.label})")
@@ -120,9 +136,7 @@ class ScaleFunction:
 
 def delta_derivative(p: ScaleFunction, ts: TimeScale, t: float) -> complex:
     """Forward difference quotient at scattered t, classical p' at dense t."""
-    t = ts.snap(t)
-    ts.require_delta_domain(t)
-    sigma = ts.sigma(t)
+    t, sigma = ts.delta_point(t)
     if sigma > t:
         return (p(sigma) - p(t)) / (sigma - t)
     return p.prime(t)
@@ -130,9 +144,7 @@ def delta_derivative(p: ScaleFunction, ts: TimeScale, t: float) -> complex:
 
 def nabla_derivative(p: ScaleFunction, ts: TimeScale, t: float) -> complex:
     """Backward difference quotient at scattered t, classical p' at dense t."""
-    t = ts.snap(t)
-    ts.require_nabla_domain(t)
-    rho = ts.rho(t)
+    t, rho = ts.nabla_point(t)
     if rho < t:
         return (p(t) - p(rho)) / (t - rho)
     return p.prime(t)

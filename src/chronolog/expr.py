@@ -17,18 +17,27 @@ no tree depth).  The parser is the only place that checks a tree: each rule
 returns its node with that node's depth, and it counts the reads of ``t``
 so that an exponent depending on t is refused as it is read.
 
-``compile_expr`` is the one evaluator: ``evaluate`` compiles the tree and
-checks that the value is finite, and every value of p comes from a
-compiled closure.
+Trees are evaluated by generated code: ``compile_expr`` and
+``CompiledPair`` write Python source with one assignment per distinct node,
+fold the subtrees that read no t, and compile it once per shape of tree
+(constants reach the code through its namespace, never as text).
+``CompiledPair`` gives p, p' and both at once from one program, computing
+what the two trees share once.  ``evaluate`` compiles the tree and checks
+that the value is finite.  The generated code raises the typed errors that
+a walk of the tree would, with the same messages, and returns the same bits.
 """
 
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
+from functools import cached_property, lru_cache, partial
+from types import CodeType
 from typing import Callable, Union
 
 from .errors import (
+    ChronologError,
     DepthExceeded,
     EvalDomain,
     ExprSyntaxError,
@@ -193,9 +202,14 @@ class _Parser:
         return node, d
 
     def _constant_exponent(self, tree: Expr, offset: int) -> float:
+        # the tree reads no t, so the constant folder computes it whole; a
+        # node left unfolded is one that raised
+        prog = _Program()
         try:
-            value = evaluate(tree, 0j)
-        except Exception:  # a domain error, or an exponent too deep to compile
+            value = prog.consts.get(prog.node(tree))
+        except RecursionError:  # an exponent too deep to fold
+            value = None
+        if value is None or not cmath.isfinite(value):
             self.fail("exponent must evaluate to a real constant", offset)
         if value.imag != 0.0:
             self.fail("exponent must be real", offset)
@@ -331,6 +345,160 @@ def _call_value(name: str, v: complex) -> complex:
     raise ValueError(f"no such function {name!r}")
 
 
+def _guarded(name: str, fn: Callable[[complex], complex]) -> Callable[[complex], complex]:
+    # fn itself on the fast path; a failure goes back through _call_value,
+    # which raises it as the typed error with its message
+    def call(v: complex) -> complex:
+        try:
+            return fn(v)
+        except (OverflowError, ValueError):
+            return _call_value(name, v)
+
+    return call
+
+
+def _division_error(t: complex) -> EvalDomain:
+    return EvalDomain(f"division by zero at t={t}")
+
+
+# the names the generated code calls besides its operators; log and sqrt go
+# through _call_value on every call, for their branch cuts and log's zero
+_HELPERS = {
+    "_pow": _pow_value,
+    "_exp": _guarded("exp", cmath.exp),
+    "_sin": _guarded("sin", cmath.sin),
+    "_cos": _guarded("cos", cmath.cos),
+    "_log": partial(_call_value, "log"),
+    "_sqrt": partial(_call_value, "sqrt"),
+    "_division": _division_error,
+}
+_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+_BINARY_OPS = frozenset(_BINARY.values())
+_APPLY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "neg": operator.neg,
+    **_HELPERS,
+}
+
+# compiled sources kept for reuse: a source depends only on a tree's shape,
+# so every p of one shape shares its code objects
+_CODE_MEMO_SIZE = 64
+
+
+class _Program:
+    """Straight-line code for some trees: one assignment per distinct node.
+
+    A name is ``t``, ``cK`` for a constant or ``vK`` for the K-th computed
+    node.  Constants reach the code through its namespace (``consts``) and
+    are never written into the source, so the source depends only on the
+    trees' shape.  A node whose operands are all constants is computed here,
+    by the operation the code would run on the same values; one that raises
+    is left in the code, to raise at run time with its usual message.
+    Nothing else is simplified: ``x*0`` or ``x+0`` can change the sign of a
+    zero, or an inf into a nan.
+
+    Steps are made in the post-order of the trees passed to ``node``, one
+    tree after the other, each step at its first use: the order in which
+    evaluating those trees reaches them, so that the first step to raise is
+    the one that evaluating the trees would raise first.
+    """
+
+    def __init__(self):
+        self.consts: dict[str, object] = {}
+        self.steps: dict[str, tuple[str, tuple[str, ...]]] = {}  # name -> (line, operands)
+        self._names: dict[tuple, str] = {}
+
+    def const(self, value) -> str:
+        # keyed by repr, which tells -0.0 from 0.0 where == does not
+        key = (type(value), repr(value))
+        name = self._names.get(key)
+        if name is None:
+            name = self._names[key] = f"c{len(self.consts)}"
+            self.consts[name] = value
+        return name
+
+    def node(self, e: Expr) -> str:
+        """The name that holds the value of e."""
+        if isinstance(e, Var):
+            return "t"
+        if isinstance(e, Const):
+            return self.const(e.value)
+        if isinstance(e, Pow):
+            op, args = "_pow", (self.node(e.base), self.const(e.exponent))
+        elif isinstance(e, Neg):
+            op, args = "neg", (self.node(e.operand),)
+        elif isinstance(e, Call):
+            if e.name not in FUNCTIONS:
+                raise ValueError(f"no such function {e.name!r}")
+            op, args = "_" + e.name, (self.node(e.arg),)
+        else:
+            op, args = _BINARY[type(e)], (self.node(e.left), self.node(e.right))
+        key = (op, args)
+        name = self._names.get(key)
+        if name is None:
+            name = self._names[key] = self._fold(op, args) or self._step(op, args)
+        return name
+
+    def _fold(self, op: str, args: tuple[str, ...]) -> str | None:
+        consts = self.consts
+        if args[0] in consts and args[-1] in consts:
+            try:
+                return self.const(_APPLY[op](*[consts[a] for a in args]))
+            except (ArithmeticError, ChronologError):
+                pass
+        return None
+
+    def _step(self, op: str, args: tuple[str, ...]) -> str:
+        name = f"v{len(self.steps)}"
+        if op in _BINARY_OPS:
+            text = f"{args[0]} {op} {args[1]}"
+        elif op == "neg":
+            text = f"-{args[0]}"
+        else:
+            text = f"{op}({', '.join(args)})"
+        self.steps[name] = (f"        {name} = {text}", args)
+        return name
+
+    def post_order(self, root: str) -> list[str]:
+        """The steps that the value of ``root`` needs, in the order its
+        tree's own evaluation reaches them."""
+        order: list[str] = []
+
+        def visit(name: str) -> None:
+            if name in self.steps and name not in seen:
+                seen.add(name)
+                for a in self.steps[name][1]:
+                    visit(a)
+                order.append(name)
+
+        seen: set[str] = set()
+        visit(root)
+        return order
+
+    def function(self, fname: str, results: tuple[str, ...], steps) -> Callable:
+        """Compile ``def fname(t)``, which runs the named steps in turn and
+        returns ``results``, in a namespace of the constants and helpers."""
+        lines = [
+            f"def {fname}(t):",
+            "    try:",
+            *[self.steps[s][0] for s in steps],
+            f"        return {', '.join(results)}",
+            "    except ZeroDivisionError as e:",
+            "        raise _division(t) from e",
+        ]
+        namespace = {**_HELPERS, **self.consts}
+        exec(_code("\n".join(lines) + "\n"), namespace)
+        return namespace[fname]
+
+
+@lru_cache(maxsize=_CODE_MEMO_SIZE)
+def _code(source: str) -> CodeType:
+    return compile(source, "<chronolog.expr>", "exec")
+
+
 def evaluate(e: Expr, t: complex) -> complex:
     """Evaluate the tree at t; non-finite results raise NonFiniteValue."""
     v = compile_expr(e)(complex(t))
@@ -340,43 +508,57 @@ def evaluate(e: Expr, t: complex) -> complex:
 
 
 def compile_expr(e: Expr) -> Callable[[complex], complex]:
-    """Build a closure computing the value of the tree at a complex t.
+    """Build a function computing the value of the tree at a complex t.
 
-    This is the only evaluator.  The caller is responsible for finiteness
-    checks on the result (``evaluate`` is compile plus that check).
+    The caller is responsible for finiteness checks on the result
+    (``evaluate`` is compile plus that check).
     """
-    if isinstance(e, Const):
-        v = e.value
-        return lambda t: v
-    if isinstance(e, Var):
-        return lambda t: t
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        f = compile_expr(e.left)
-        g = compile_expr(e.right)
-        if isinstance(e, Add):
-            return lambda t: f(t) + g(t)
-        if isinstance(e, Sub):
-            return lambda t: f(t) - g(t)
-        if isinstance(e, Mul):
-            return lambda t: f(t) * g(t)
+    prog = _Program()
+    root = prog.node(e)
+    return prog.function("value", (root,), prog.steps)
 
-        def _div(t):
-            try:
-                return f(t) / g(t)
-            except ZeroDivisionError as exc:
-                raise EvalDomain(f"division by zero at t={t}") from exc
 
-        return _div
-    if isinstance(e, Pow):
-        f = compile_expr(e.base)
-        a = e.exponent
-        return lambda t: _pow_value(f(t), a)
-    if isinstance(e, Neg):
-        f = compile_expr(e.operand)
-        return lambda t: -f(t)
-    f = compile_expr(e.arg)
-    name = e.name
-    return lambda t: _call_value(name, f(t))
+class CompiledPair:
+    """Functions of a complex t for a tree e and its derivative de:
+    ``value`` (e), ``prime`` (de) and ``pair`` ((e, de) at once).
+
+    All three come from one program, so ``pair`` computes each
+    subexpression the two trees share once.  Each is generated and compiled
+    on first use, from its own source: compiling costs more than building
+    the program, and most callers use one or two of the three.  ``pair``
+    runs de's steps first, so it raises what ``prime`` would raise before
+    what ``value`` would.  At a complex t every value is complex, a
+    constant tree's too.  No finiteness checks, as for ``compile_expr``.
+    """
+
+    def __init__(self, e: Expr, de: Expr):
+        self._trees = (e, de)
+
+    @cached_property
+    def _program(self) -> tuple[_Program, str, str, list[str]]:
+        e, de = self._trees
+        prog = _Program()
+        d = prog.node(de)
+        prime_steps = list(prog.steps)
+        p = prog.node(e)
+        # a constant tree's value is returned complex, like every other
+        p, d = (prog.const(complex(prog.consts[r])) if r in prog.consts else r for r in (p, d))
+        return prog, p, d, prime_steps
+
+    @cached_property
+    def value(self) -> Callable[[complex], complex]:
+        prog, p, _, _ = self._program
+        return prog.function("value", (p,), prog.post_order(p))
+
+    @cached_property
+    def prime(self) -> Callable[[complex], complex]:
+        prog, _, d, prime_steps = self._program
+        return prog.function("prime", (d,), prime_steps)
+
+    @cached_property
+    def pair(self) -> Callable[[complex], tuple[complex, complex]]:
+        prog, p, d, _ = self._program
+        return prog.function("pair", (p, d), prog.steps)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ from .calculus import (
 )
 from .errors import (
     CayleyNotRegressive,
+    ChronologError,
     EtaNotRegressive,
     EvalDomain,
     NonvanishingViolation,
@@ -97,10 +98,20 @@ class LegacyKind(str, Enum):
 
 
 def _checked(p: ScaleFunction, tau: float, cfg: ToleranceConfig) -> complex:
-    v = p(tau)
+    return _above_floor(p, tau, p(tau), cfg)
+
+
+def _above_floor(p: ScaleFunction, tau: float, v: complex, cfg: ToleranceConfig) -> complex:
     if abs(v) < cfg.eps_min:
         raise NonvanishingViolation(f"|{p.label}| = {abs(v):.3e} < eps_min at tau={tau}")
     return v
+
+
+def _slope(p: ScaleFunction, cfg: ToleranceConfig, tau: float) -> complex:
+    # p'(tau)/p(tau) from one evaluation of both, raising what p.prime(tau)
+    # and then _checked(p, tau, cfg) would raise
+    v, d = p.pair(tau)
+    return d / _above_floor(p, tau, v, cfg)
 
 
 def delta_quotient(p: ScaleFunction, cfg: ToleranceConfig | None = None) -> Callable:
@@ -118,10 +129,14 @@ def delta_quotient(p: ScaleFunction, cfg: ToleranceConfig | None = None) -> Call
 
 def _quotient(p: ScaleFunction, cfg: ToleranceConfig, tau: float, sigma: float, mu: float) -> complex:
     # pDelta(tau)/p(tau) across the gap mu to sigma, p'(tau)/p(tau) where mu = 0
-    pv = _checked(p, tau, cfg)
     if mu > 0:
+        pv = _checked(p, tau, cfg)
         return (_checked(p, sigma, cfg) - pv) / mu / pv
-    return p.prime(tau) / pv
+    try:
+        return _slope(p, cfg, tau)
+    except ChronologError:
+        _checked(p, tau, cfg)  # here a failure of p, or its floor, comes before one of p'
+        raise
 
 
 # The variant table: the weight eta (the eta row's comes from the caller), the
@@ -158,9 +173,6 @@ def _kernel(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: fl
         eta = weight
     keep = 1.0 - eta
 
-    def dense(x: float) -> complex:
-        return p.prime(x) / _checked(p, x, cfg)
-
     def jump(tau: float, mu: float, sigma: float) -> complex:
         pv = _checked(p, tau, cfg)
         ps = _checked(p, sigma, cfg)
@@ -169,7 +181,7 @@ def _kernel(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: fl
             raise error(f"(1-eta)p + eta*p_sigma vanishes for eta={eta}")
         return cylinder_map(mu, (ps - pv) / mu / mix)
 
-    return dense, jump
+    return partial(_slope, p, cfg), jump
 
 
 def _window_log(
@@ -297,9 +309,7 @@ def log_delta_derivative(
     points.
     """
     cfg = cfg or DEFAULT_TOLERANCES
-    t = ts.snap(t)
-    ts.require_delta_domain(t)
-    sigma = ts.sigma(t)
+    t, sigma = ts.delta_point(t)
     pv = _checked(p, t, cfg)
     if sigma > t:
         return principal_log(_checked(p, sigma, cfg) / pv) / (sigma - t)
@@ -372,9 +382,7 @@ def legacy_log(
     if kind is LegacyKind.INTEGRAL_QUOTIENT:
         return delta_integral(delta_quotient(p, cfg), ts, t0, t, cfg)
     if kind is LegacyKind.JACKSON:
-        t = ts.snap(t)
-        ts.require_delta_domain(t)
-        sigma = ts.sigma(t)
+        t, sigma = ts.delta_point(t)
         return _quotient(p, cfg, t, sigma, sigma - t)
     # mozyrska
     try:

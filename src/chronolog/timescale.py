@@ -186,15 +186,31 @@ class TimeScale:
         b = self._piece(self._kmax)[1]
         return b if math.isfinite(b) else None
 
-    def require_delta_domain(self, t: float) -> None:
-        m = self.max_point
-        if m is not None and self.snap(t) == m and self.rho(m) < m:
-            raise KappaBoundary(f"delta operation undefined at left-scattered maximum {m}")
+    def delta_point(self, t: float) -> tuple[float, float]:
+        """The stored point x within tolerance of t and sigma(x), from one
+        piece lookup.
 
-    def require_nabla_domain(self, t: float) -> None:
-        m = self.min_point
-        if m is not None and self.snap(t) == m and self.sigma(m) > m:
-            raise KappaBoundary(f"nabla operation undefined at right-scattered minimum {m}")
+        Raises KappaBoundary where no delta operation is defined: at a
+        left-scattered maximum, the start of the last piece with a piece
+        below it.
+        """
+        k, a, b, x = self._lookup(t)
+        if x == a and x == self.max_point and self._step(k, x, -1) < x:
+            raise KappaBoundary(f"delta operation undefined at left-scattered maximum {x}")
+        return x, (x if x < b else self._step(k, x, 1))
+
+    def nabla_point(self, t: float) -> tuple[float, float]:
+        """The stored point x within tolerance of t and rho(x), from one
+        piece lookup.
+
+        Raises KappaBoundary where no nabla operation is defined: at a
+        right-scattered minimum, the end of the first piece with a piece
+        above it.
+        """
+        k, a, b, x = self._lookup(t)
+        if x == b and x == self.min_point and self._step(k, x, 1) > x:
+            raise KappaBoundary(f"nabla operation undefined at right-scattered minimum {x}")
+        return x, (x if x > a else self._step(k, x, -1))
 
     def _span(self, s: float, t: float) -> tuple[int, int, float, float, float]:
         # piece indices ks, kt, the end b of piece ks, and the stored s <= t

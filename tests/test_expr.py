@@ -1,12 +1,17 @@
 import cmath
+import math
 import random
+import re
 import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chronolog import expr
+from chronolog.calculus import ScaleFunction
 from chronolog.errors import (
+    ChronologError,
     DepthExceeded,
     EvalDomain,
     ExprSyntaxError,
@@ -15,14 +20,20 @@ from chronolog.errors import (
     ValidationError,
 )
 from chronolog.expr import (
+    FUNCTIONS,
     MAX_SOURCE_LEN,
     Add,
     Call,
     Const,
+    Div,
     Mul,
     Neg,
     Pow,
+    Sub,
     Var,
+    _call_value,
+    _pow_value,
+    CompiledPair,
     compile_expr,
     differentiate,
     evaluate,
@@ -304,3 +315,242 @@ def test_parse_returns_a_tree_or_raises_a_validation_error(text):
         pass
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_parse_time_exponents_compile_no_code():
+    assert _compiled_sources(lambda: parse("t^(1/3)+(-8)^(1/3)*t^(2^-1)")) == []
+    assert evaluate(parse("(-8)^(1/3)"), 0) == complex(-8.0, 0.0) ** (1 / 3)
+    for text, offset, message in (
+        ("t + 2^(1/0)", 5, "exponent must evaluate to a real constant"),
+        ("t^(log(0))", 1, "exponent must evaluate to a real constant"),
+        ("t^(exp(1000))", 1, "exponent must evaluate to a real constant"),
+        ("t^1e999", 1, "exponent must evaluate to a real constant"),
+        ("1+t^(2*i)", 3, "exponent must be real"),
+    ):
+        with pytest.raises(ExprSyntaxError, match=message) as exc:
+            parse(text)
+        assert exc.value.offset == offset
+
+
+# ---------------------------------------------------------------------------
+# generated code against a tree walk
+# ---------------------------------------------------------------------------
+
+
+def _walk(e, t):
+    """The reference evaluator: the tree, node by node, left operand first."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return t
+    if isinstance(e, Neg):
+        return -_walk(e.operand, t)
+    if isinstance(e, Pow):
+        return _pow_value(_walk(e.base, t), e.exponent)
+    if isinstance(e, Call):
+        return _call_value(e.name, _walk(e.arg, t))
+    a, b = _walk(e.left, t), _walk(e.right, t)
+    if isinstance(e, Add):
+        return a + b
+    if isinstance(e, Sub):
+        return a - b
+    if isinstance(e, Mul):
+        return a * b
+    try:
+        return a / b
+    except ZeroDivisionError as exc:
+        raise EvalDomain(f"division by zero at t={t}") from exc
+
+
+def _outcome(f):
+    # a value by its repr, which tells the sign of a zero; an error by class and message
+    try:
+        return repr(f())
+    except ChronologError as e:
+        return type(e), str(e)
+
+
+def _assert_matches_walk(e, d, t):
+    code = CompiledPair(e, d)
+    value, prime, pair = code.value, code.prime, code.pair
+
+    def walked_pair():
+        dv = _walk(d, t)
+        return _walk(e, t), dv
+
+    assert _outcome(lambda: compile_expr(e)(t)) == _outcome(lambda: _walk(e, t))
+    assert _outcome(lambda: value(t)) == _outcome(lambda: _walk(e, t))
+    assert _outcome(lambda: prime(t)) == _outcome(lambda: _walk(d, t))
+    assert _outcome(lambda: pair(t)) == _outcome(walked_pair)
+
+    sf = ScaleFunction(e, d)
+
+    def separately():
+        dv = sf.prime(t)
+        return sf(t), dv
+
+    assert _outcome(lambda: sf.pair(t)) == _outcome(separately)
+
+
+_SPECIAL = (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 1e308, -1e308, 5e-324, math.inf, -math.inf, math.nan)
+_reals = st.one_of(st.sampled_from(_SPECIAL), st.floats(-1e3, 1e3))
+_EXPONENTS = (0.0, -0.0, 1.0, 2.0, 3.0, -1.0, -2.0, 0.5, -0.5, 1 / 3, 2.5, 100.0, 101.0)
+_trees = st.recursive(
+    st.one_of(
+        st.just(Var()),
+        _reals.map(lambda x: Const(complex(x))),
+        st.builds(complex, _reals, _reals).map(Const),
+    ),
+    lambda kids: st.one_of(
+        *(st.builds(node, kids, kids) for node in (Add, Sub, Mul, Div)),
+        st.builds(Neg, kids),
+        st.builds(Pow, kids, st.sampled_from(_EXPONENTS)),
+        st.builds(Call, st.sampled_from(FUNCTIONS), kids),
+    ),
+    max_leaves=12,
+)
+_points = st.one_of(
+    st.sampled_from(
+        (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1 + 0j, -1 + 0j,
+         complex(-4.0, 0.0), complex(-4.0, -0.0), 1j, 710 + 0j, 1000 + 0j, -1000 + 0j)
+    ),
+    st.builds(complex, st.floats(-50, 50), st.floats(-5, 5)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trees, _trees, _points)
+def test_generated_code_matches_tree_walk_bit_for_bit(e, other, t):
+    _assert_matches_walk(e, differentiate(e), t)
+    _assert_matches_walk(e, other, t)
+
+
+def _cnum(re_, im):
+    return f"({re_!r}{'-' if im < 0 else '+'}{abs(im)!r}*i)"
+
+
+_coef = st.floats(-5, 5).map(lambda x: round(x, 4))
+_FAMILIES = (
+    lambda a, b, c, d: f"(t-({a!r}))^2+{abs(b) + 0.5!r}",
+    lambda a, b, c, d: f"(t-{_cnum(a, b)})^3",
+    lambda a, b, c, d: f"exp(i*t)+{_cnum(a, b)}",
+    lambda a, b, c, d: f"exp({a!r}*sin({b!r}*t))+{c!r}",
+    lambda a, b, c, d: f"exp(i*{a!r}*sin(t))+{_cnum(b, c)}",
+    lambda a, b, c, d: f"(t-{_cnum(a, b)})*(t-{_cnum(c, d)})",
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_FAMILIES), _coef, _coef, _coef, _coef, st.lists(st.floats(-20, 20), min_size=1, max_size=5))
+def test_workload_families_match_tree_walk_bit_for_bit(family, a, b, c, d, ts):
+    e = parse(family(a, b, c, d))
+    for t in ts:
+        _assert_matches_walk(e, differentiate(e), complex(t))
+
+
+@pytest.mark.parametrize(
+    "text, t, error",
+    [
+        ("1/t", 0j, EvalDomain),
+        ("t+1/(t-t)", 2 + 0j, EvalDomain),
+        ("log(t)", 0j, EvalDomain),
+        ("log(t)*0", 0j, EvalDomain),
+        ("exp(t)", 1000 + 0j, NonFiniteValue),
+        ("exp(700)*exp(700)*t", 1 + 0j, None),
+        ("sin(t*1e308*10)", 1 + 0j, EvalDomain),
+        ("sqrt(t)", complex(-4.0, -0.0), None),
+        ("sqrt(-4+t)", complex(0.0, -0.0), None),
+        ("t^0.5", complex(-4.0, -0.0), None),
+        ("t^(1/3)", complex(-0.0, -0.0), None),
+        ("t^-1", complex(-0.0, 0.0), EvalDomain),
+        ("(0*t)^-0.5", complex(-1.0, -0.0), EvalDomain),
+        ("t^3", complex(-0.0, -0.0), None),
+        ("(t*1e300)^2", 1 + 0j, NonFiniteValue),
+    ],
+)
+def test_generated_code_matches_tree_walk_on_edge_cases(text, t, error):
+    e = parse(text)
+    _assert_matches_walk(e, differentiate(e), t)
+    outcome = _outcome(lambda: compile_expr(e)(t))
+    if error is None:
+        assert isinstance(outcome, str)
+    else:
+        assert outcome[0] is error
+
+
+# ---------------------------------------------------------------------------
+# generated source and its memo
+# ---------------------------------------------------------------------------
+
+_NAME = r"(?:t|v\d+|c\d+)"
+_SOURCE_LINE = re.compile(
+    "|".join(
+        (
+            r"def (?:value|prime|pair)\(t\):",
+            r"    try:",
+            rf"        v\d+ = {_NAME} [-+*/] {_NAME}",
+            rf"        v\d+ = -{_NAME}",
+            rf"        v\d+ = _pow\({_NAME}, c\d+\)",
+            rf"        v\d+ = _(?:exp|log|sin|cos|sqrt)\({_NAME}\)",
+            rf"        return {_NAME}(?:, {_NAME})?",
+            r"    except ZeroDivisionError as e:",
+            r"        raise _division\(t\) from e",
+        )
+    )
+)
+
+
+def _compiled_sources(build):
+    """The sources that the code memo is asked for while build() runs."""
+    sources = []
+    code = expr._code
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expr, "_code", lambda source: sources.append(source) or code(source))
+        build()
+    return sources
+
+
+@settings(max_examples=100, deadline=None)
+@given(_trees)
+def test_generated_source_holds_only_names_and_operators(e):
+    code = CompiledPair(e, differentiate(e))
+    sources = _compiled_sources(lambda: (code.value, code.prime, code.pair))
+    assert sources
+    for source in sources:
+        for line in source.splitlines():
+            assert _SOURCE_LINE.fullmatch(line), line
+
+
+def test_parsed_text_never_reaches_the_source():
+    texts = DERIVATIVE_CORPUS + ["exp(i*1.25*sin(t))+(0.1-2.0*i)", "1e999*t+2^(1/3)", "t^(2^-1)+.5e1"]
+    codes = [CompiledPair(e, differentiate(e)) for e in map(parse, texts)]
+    sources = _compiled_sources(lambda: [(code.value, code.prime, code.pair) for code in codes])
+    assert len(sources) == 3 * len(texts)
+    for source in sources:
+        for line in source.splitlines():
+            assert _SOURCE_LINE.fullmatch(line), line
+
+
+def test_functions_of_one_shape_share_one_code_object():
+    a = ScaleFunction.from_text("exp(1.25*sin(0.98*t))+2.04")
+    b = ScaleFunction.from_text("exp(1.21*sin(1.03*t))+1.93")
+    assert a(0.5) != b(0.5) and a.prime(0.5) != b.prime(0.5) and a.pair(0.5) != b.pair(0.5)
+    for name in ("value", "prime", "pair"):
+        assert getattr(a._code, name).__code__ is getattr(b._code, name).__code__
+
+
+def test_scale_function_compiles_each_function_on_first_use():
+    text = "exp(1.25*sin(0.98*t))+2.04"
+    assert _compiled_sources(lambda: ScaleFunction.from_text(text)) == []
+    p = ScaleFunction.from_text(text)
+    sources = _compiled_sources(lambda: (p(0.5), p(0.7), p.pair(0.5), p.pair(0.7)))
+    assert [source.split("(")[0] for source in sources] == ["def value", "def pair"]
+
+
+def test_code_memo_stays_bounded():
+    assert expr._code.cache_info().maxsize == expr._CODE_MEMO_SIZE
+    e = Var()
+    for _ in range(expr._CODE_MEMO_SIZE + 10):
+        e = Add(e, Var())  # one more step each time: a new shape
+        compile_expr(e)
+        assert expr._code.cache_info().currsize <= expr._CODE_MEMO_SIZE

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from chronolog.cylinder import xi, xi_hat
 from chronolog.errors import (
     CayleyNotRegressive,
     EtaNotRegressive,
+    EvalDomain,
     NonvanishingViolation,
     NotNuRegressive,
     NotRegressive,
@@ -435,6 +437,7 @@ def test_log_table_caps_the_whole_walk_before_any_term(monkeypatch, base):
     evals = []
     monkeypatch.setattr(ScaleFunction, "__call__", lambda self, t: evals.append(t))
     monkeypatch.setattr(ScaleFunction, "prime", lambda self, t: evals.append(t))
+    monkeypatch.setattr(ScaleFunction, "pair", lambda self, t: evals.append(t))
     ts = parse_timescale("hz:1")
     with pytest.raises(UnboundedWindow):
         log_table("delta-principal", ScaleFunction.from_text("t+10"), ts, base, [float(k) for k in range(13)])
@@ -497,6 +500,55 @@ def test_log_derivative_differs_from_plain_quotient_on_grids():
     assert quot == pytest.approx(0.5)
     assert logd == pytest.approx(math.log(1.5))
     assert abs(quot - logd) > 0.09
+
+
+@pytest.mark.parametrize(
+    "text, quotient_error, dense_error",
+    [
+        # where p and p' both fail, the quotient reports p and the log's
+        # integrand reports p' (it evaluates p' first)
+        ("log(t)", (EvalDomain, "log of zero"), (EvalDomain, "division by zero at t=0j on the piece")),
+        (
+            "1e-12+0*sqrt(t)",
+            (NonvanishingViolation, "< eps_min at tau=0.0"),
+            (EvalDomain, "division by zero at t=0j on the piece"),
+        ),
+    ],
+)
+def test_p_and_its_derivative_failing_together_keep_their_order(text, quotient_error, dense_error):
+    p = ScaleFunction.from_text(text)
+    r = parse_timescale("r")
+    error, message = quotient_error
+    with pytest.raises(error, match=re.escape(message)):
+        delta_quotient(p)(0.0, 0.0)
+    with pytest.raises(error, match=re.escape(message)):
+        legacy_log("jackson", p, r, 0.0, 0.0)
+    error, message = dense_error
+    with pytest.raises(error, match=re.escape(message)):
+        log_delta_principal(p, r, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("spec, t", [("hz:1", 2.0), ("r", 2.0), ("union:[0,1];[2,5]", 1.0), ("set:1,2,5", 2.0)])
+def test_pointwise_calls_look_the_point_up_once(monkeypatch, spec, t):
+    ts = parse_timescale(spec)
+    p = ScaleFunction.from_text("t^2+1")
+    lookups = []
+    lookup = timescale.TimeScale._lookup
+
+    def counting(self, x):
+        lookups.append(x)
+        return lookup(self, x)
+
+    monkeypatch.setattr(timescale.TimeScale, "_lookup", counting)
+    for call in (
+        lambda: calculus.delta_derivative(p, ts, t),
+        lambda: calculus.nabla_derivative(p, ts, t),
+        lambda: log_delta_derivative(p, ts, t),
+        lambda: legacy_log("jackson", p, ts, 0.0, t),
+    ):
+        lookups.clear()
+        call()
+        assert lookups == [t]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -162,8 +163,8 @@ def test_qgrid_graininess_proportional_to_t():
 def test_qgrid_nabla_boundary():
     ts = QGrid(2.0)
     with pytest.raises(KappaBoundary):
-        ts.require_nabla_domain(1.0)
-    ts.require_delta_domain(1.0)  # no maximum, fine
+        ts.nabla_point(1.0)
+    ts.delta_point(1.0)  # no maximum, fine
 
 
 def test_discrete_set_ops():
@@ -174,9 +175,9 @@ def test_discrete_set_ops():
     assert ts.nu(5.0) == 3.0
     assert ts.min_point == 1.0 and ts.max_point == 5.0
     with pytest.raises(KappaBoundary):
-        ts.require_delta_domain(5.0)
+        ts.delta_point(5.0)
     with pytest.raises(KappaBoundary):
-        ts.require_nabla_domain(1.0)
+        ts.nabla_point(1.0)
     with pytest.raises(PointNotInScale):
         ts.snap(3.0)
 
@@ -213,7 +214,7 @@ def test_alternating_grid_pattern():
     assert ts.rho(0.0) == 0.0
     assert ts.min_point == 0.0
     with pytest.raises(KappaBoundary):
-        ts.require_nabla_domain(0.0)
+        ts.nabla_point(0.0)
     with pytest.raises(PointNotInScale):
         ts.snap(2.0)
     with pytest.raises(PointNotInScale):
@@ -248,8 +249,8 @@ def test_interval_union_ops():
     assert ts.rho(-6.0) == -6.0
     assert ts.min_point == -6.0 and ts.max_point == 5.0
     # endpoints of a nondegenerate interval are dense on the inner side
-    ts.require_delta_domain(5.0)
-    ts.require_nabla_domain(-6.0)
+    ts.delta_point(5.0)
+    ts.nabla_point(-6.0)
     with pytest.raises(PointNotInScale):
         ts.snap(0.0)
 
@@ -273,7 +274,7 @@ def test_interval_union_degenerate_piece_is_isolated_point():
     assert ts.rho(0.0) == 0.0
     assert ts.mu(0.0) == 1.0
     with pytest.raises(KappaBoundary):
-        ts.require_nabla_domain(0.0)
+        ts.nabla_point(0.0)
 
 
 def test_interval_union_snaps_to_the_nearer_piece_end():
@@ -402,6 +403,26 @@ def test_decompose_concatenates_at_interior_points(spec):
         joined = _normalize(ts.decompose(s, r).segments + ts.decompose(r, t).segments)
         whole = _normalize(ts.decompose(s, t).segments)
         assert joined == whole
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + ["set:1,2,5", "union:[0,1];[3,3]", "union:[0,0];[2,3]"])
+def test_delta_and_nabla_points_agree_with_snap_sigma_rho(spec):
+    ts = parse_timescale(spec)
+    rng = random.Random(f"points:{spec}")
+    ends = [x for x in (ts.min_point, ts.max_point) if x is not None]
+    ends += [x for piece in getattr(ts, "pieces", ()) for x in piece if math.isfinite(x)]
+    for t in _some_points(ts, rng, count=20) + ends:
+        x = ts.snap(t)
+        if x == ts.max_point and ts.rho(x) < x:
+            with pytest.raises(KappaBoundary, match=f"left-scattered maximum {re.escape(str(x))}$"):
+                ts.delta_point(t)
+        else:
+            assert ts.delta_point(t) == (x, ts.sigma(x))
+        if x == ts.min_point and ts.sigma(x) > x:
+            with pytest.raises(KappaBoundary, match=f"right-scattered minimum {re.escape(str(x))}$"):
+                ts.nabla_point(t)
+        else:
+            assert ts.nabla_point(t) == (x, ts.rho(x))
 
 
 def test_decompose_rejects_reversed_window():
