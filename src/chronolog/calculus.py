@@ -1,19 +1,23 @@
 """Delta and nabla derivatives and definite integrals on time scales.
 
-Integrals are computed segment by segment from the window decomposition by
-one walk, ``_walk``, which the window logarithms share: continuous pieces
-go through one globally adaptive Gauss-Kronrod (G7K15) integrator, and
-scattered points contribute ``gap * f`` directly.  The integrator keeps its
-panels in a heap ordered by the error estimate |K15 - G7| and bisects the
-worst until the estimates sum to at most ``quad_tol``; a piece that needs
-more than ``timescale.MAX_QUAD_SAMPLES`` samples raises QuadratureFailure
-rather than return an unconverged value.  An integral is additive over
-windows, so the walk returns its running total at each of a list of stops
-by crossing each stretch between stops as its own window; one pass from a
-base serves every window that starts there, and a single window is the
-one-stop case.  Public integrands receive ``(tau, mu)``, with mu = 0.0 on
-continuous pieces; the walk's own jump terms also receive the stored
-successor sigma, which tau + mu may round off.
+Integrals, exponentials and window logarithms are computed by one walk,
+``_walk``, which streams the scale's pieces by index from the start of a
+window and builds no segment: continuous stretches go through one
+globally adaptive Gauss-Kronrod (G7K15) integrator, and each jump is
+handed to a sum of jumps.  The integrator keeps its panels in a heap
+ordered by the error estimate |K15 - G7| and bisects the worst until the
+estimates sum to at most ``quad_tol``; a piece that needs more than
+``timescale.MAX_QUAD_SAMPLES`` samples raises QuadratureFailure rather
+than return an unconverged value.  A sum of jumps is either ``Terms``,
+the definition, in which each jump adds ``gap * f`` (integrals,
+exponentials and the cylinder-map definition of the logarithm), or the
+window logarithm's theorem (``logexp._Winding``), which adds one closed
+form per run of consecutive jumps.  An integral is additive over windows,
+so the walk returns its running total at each of a list of stops; one
+pass from a base serves every window that starts there, and a single
+window is the one-stop case.  Public integrands receive ``(tau, mu)``,
+with mu = 0.0 on continuous pieces; the walk's own jump terms also
+receive the stored successor sigma, which tau + mu may round off.
 """
 
 from __future__ import annotations
@@ -24,13 +28,20 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ChronologError, NonFiniteIntegrand, NonFiniteValue, QuadratureFailure, ValidationError
+from .errors import (
+    ChronologError,
+    NonFiniteIntegrand,
+    NonFiniteValue,
+    PointNotInScale,
+    QuadratureFailure,
+    ValidationError,
+)
 from .expr import CompiledPair, Expr, differentiate, parse, to_text
 from .expr import Mul as _Mul
 from .expr import Div as _Div
 from .expr import Pow as _Pow
 from . import timescale
-from .timescale import ContinuousPiece, TimeScale
+from .timescale import TimeScale
 
 Integrand = Callable[[float, float], complex]
 JumpTerm = Callable[[float, float, float], complex]  # (tau, mu, sigma)
@@ -257,56 +268,117 @@ def adaptive_simpson(
     return sign * complex(re, im)
 
 
+class Terms:
+    """Jumps summed one term at a time, the definition of a walk's jumps.
+
+    A jump from tau to its stored successor sigma, a gap mu = sigma - tau,
+    adds ``mu * term(tau, mu, sigma)``.  This is one of the two ways ``_walk``
+    sums a run of consecutive jumps; the other is the window logarithm's
+    closed form (``logexp._Winding``).  Both answer the same three calls:
+    ``start(up)`` opens a run walked up or down, ``step(total, tau, mu,
+    sigma)`` takes one jump and returns the running total, and
+    ``close(total)`` gives the total at the run's current end, leaving the
+    run open.
+    """
+
+    __slots__ = ("term",)
+
+    def __init__(self, term: JumpTerm):
+        self.term = term
+
+    def start(self, up: bool) -> None:
+        pass
+
+    def step(self, total: complex, tau: float, mu: float, sigma: float) -> complex:
+        v = self.term(tau, mu, sigma)
+        if not cmath.isfinite(v):
+            raise NonFiniteIntegrand("jump term is not finite")
+        return total + mu * v
+
+    def close(self, total: complex) -> complex:
+        return total
+
+
+def _name(exc: ChronologError, where: str) -> None:
+    # name the piece or gap where a term failed, keeping the error's class
+    exc.args = (f"{exc} on the {where}",) + exc.args[1:]
+
+
 def _walk(
     dense: Callable[[float], complex],
-    jump: JumpTerm,
+    jumps,
     ts: TimeScale,
     s: float,
     stops: list[float],
     cfg: ToleranceConfig,
     sign: float = 1.0,
 ) -> list[complex]:
-    """The one walk behind every integral and window logarithm.
+    """The one walk behind every integral, exponential and window logarithm.
 
     ``s`` and ``stops`` are scale points, the stops moving away from s.  The
-    integral is additive over windows, so each stretch, from s to the first
-    stop and from each stop to the next, is one decomposition, reversed going
-    down, and the walk returns ``sign`` times the running total at each stop.
-    Continuous pieces integrate ``dense`` by ``adaptive_simpson``, looked up
-    here at call time; each jump from tau to its stored successor sigma, a
-    gap mu = sigma - tau, adds ``mu * jump(tau, mu, sigma)``.  A
-    ChronologError in a term names its piece or gap.  MAX_WINDOW_JUMPS caps
-    the whole span, before any term.
+    walk streams the scale's pieces by index from s, building no segment,
+    and returns ``sign`` times the running total at each stop.  Continuous
+    stretches integrate ``dense`` by ``adaptive_simpson``, looked up here at
+    call time, always from their lower end, so a walk down sums the terms of
+    the walk up in reverse order.  Each jump from tau to its stored
+    successor sigma, a gap mu = sigma - tau, goes to ``jumps`` (``Terms``
+    or ``logexp._Winding``), which opens a run at the first jump after a
+    stretch and closes it at the next stretch; a run goes on across stops.
+    A ChronologError in a term names its piece or gap.  MAX_WINDOW_JUMPS
+    caps the whole span, before any term.
     """
     if not stops:
         return []
-    ts.gap_count(min(s, stops[-1]), max(s, stops[-1]))
-    totals: list[complex] = []
+    up = s <= stops[-1]
+    ks, kt, _, _, _ = ts._span(s, stops[-1]) if up else ts._span(stops[-1], s)
+    k = ks if up else kt
+    dk = 1 if up else -1
+    a, b = ts._piece(k)
+    x = s  # the current point, in piece k = [a, b]
     total = 0j
+    running = False  # inside a run of jumps
+    totals: list[complex] = []
     for stop in stops:
-        segs = ts.decompose(s, stop).segments if s <= stop else ts.decompose(stop, s).segments[::-1]
-        for seg in segs:
-            piece = isinstance(seg, ContinuousPiece)
+        while True:
+            end = b if up else a  # the end of piece k the walk moves towards
+            if (stop <= end) if up else (stop >= end):
+                end = stop
+            if end != x:
+                if running:
+                    total = jumps.close(total)
+                    running = False
+                lo, hi = (x, end) if up else (end, x)
+                try:
+                    total += adaptive_simpson(dense, lo, hi, cfg.quad_tol)
+                except ChronologError as exc:
+                    _name(exc, f"piece [{lo}, {hi}]")
+                    raise
+                x = end
+            if x == stop:
+                break
+            na, nb = ts._piece(k + dk)
+            tau, sigma = (b, na) if up else (nb, a)
+            mu = sigma - tau
+            if not 0.0 < mu < math.inf:
+                raise PointNotInScale(f"the neighbour of {tau} is not a distinct finite float")
+            if not running:
+                jumps.start(up)
+                running = True
             try:
-                if piece:
-                    total += adaptive_simpson(dense, seg.a, seg.b, cfg.quad_tol)
-                else:
-                    v = jump(seg.tau, seg.mu, seg.sigma)
-                    if not cmath.isfinite(v):
-                        raise NonFiniteIntegrand("jump term is not finite")
-                    total += seg.mu * v
+                total = jumps.step(total, tau, mu, sigma)
             except ChronologError as exc:
-                where = f"piece [{seg.a}, {seg.b}]" if piece else f"gap after tau={seg.tau}"
-                exc.args = (f"{exc} on the {where}",) + exc.args[1:]
+                _name(exc, f"gap after tau={tau}")
                 raise
-        totals.append(sign * total)
-        s = stop
+            k += dk
+            a, b = na, nb
+            x = sigma if up else tau
+        totals.append(sign * (jumps.close(total) if running else total))
     return totals
 
 
 def _window(
     dense: Callable[[float], complex],
-    jump: JumpTerm,
+    jumps,
     ts: TimeScale,
     s: float,
     t: float,
@@ -320,8 +392,8 @@ def _window(
     s = ts.snap(s)
     t = ts.snap(t)
     if s <= t:
-        return _walk(dense, jump, ts, s, [t], cfg)[0]
-    return _walk(dense, jump, ts, t, [s], cfg, -1.0)[0]
+        return _walk(dense, jumps, ts, s, [t], cfg)[0]
+    return _walk(dense, jumps, ts, t, [s], cfg, -1.0)[0]
 
 
 def delta_integral(
@@ -333,7 +405,8 @@ def delta_integral(
     each right-scattered tau contributes ``mu * f(tau, mu)``.  Swapping the
     endpoints negates the result.
     """
-    return _window(lambda x: f(x, 0.0), lambda tau, mu, sigma: f(tau, mu), ts, s, t, cfg or DEFAULT_TOLERANCES)
+    jumps = Terms(lambda tau, mu, sigma: f(tau, mu))
+    return _window(lambda x: f(x, 0.0), jumps, ts, s, t, cfg or DEFAULT_TOLERANCES)
 
 
 def nabla_integral(
@@ -345,4 +418,5 @@ def nabla_integral(
     contributions are ``nu * f(tau', nu)`` at left-scattered points tau'
     in (s, t], the stored successors, with nu the gap below tau'.
     """
-    return _window(lambda x: f(x, 0.0), lambda tau, nu, sigma: f(sigma, nu), ts, s, t, cfg or DEFAULT_TOLERANCES)
+    jumps = Terms(lambda tau, nu, sigma: f(sigma, nu))
+    return _window(lambda x: f(x, 0.0), jumps, ts, s, t, cfg or DEFAULT_TOLERANCES)

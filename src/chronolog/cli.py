@@ -161,7 +161,11 @@ def _cmd_legacy(args, cfg: ToleranceConfig, ts: TimeScale) -> tuple[dict, int]:
     if windowed and t0 is None:
         raise ValidationError(f"--t0 is required for the {kind.value} logarithm")
     value = legacy_log(kind, p, ts, t0 if t0 is not None else t, t, cfg)
-    scattered = windowed and _window_has_jumps(ts, t0, t)
+    if kind is LegacyKind.JACKSON:  # a quotient across the gap to sigma(t), if any
+        x, sigma = ts.delta_point(t)
+        scattered = sigma > x
+    else:  # an integral over [t0, t], or over [1, t] for mozyrska
+        scattered = _window_has_jumps(ts, 1.0 if kind is LegacyKind.MOZYRSKA else t0, t)
     return _point_payload(f"legacy-{kind.value}", value, scattered), 0
 
 

@@ -39,8 +39,10 @@ class UnboundedWindow(ValidationError):
     """A window that jumps more gaps, or a table with more rows, than allowed.
 
     The bound is ``timescale.MAX_WINDOW_JUMPS`` for both.  It is checked
-    before any segment or row is built, so a long window on a fine grid or
-    a table with a tiny ``--step`` fails fast instead of exhausting memory.
+    before any term, segment or row, so a long window on a fine grid or a
+    table with a tiny ``--step`` fails fast.  A walk streams the scale and
+    keeps no segments, so there the bound caps time; ``decompose`` and a
+    table build one object per gap or row, so there it caps memory too.
     """
 
 

@@ -4,21 +4,34 @@ The central object is the window logarithm of a nonvanishing function p:
 the integral of the cylinder-transformed quotient p^Delta/p from s to t.
 On continuous stretches the integrand is the classical p'(tau)/p(tau); a
 jump from tau to its stored successor sigma, a gap mu = sigma - tau, with
-p_sigma = p(sigma), contributes
+p_sigma = p(sigma), contributes, by definition,
 
     mu * map_mu(pDelta / ((1-eta) p + eta p_sigma)),
 
-which in exact arithmetic is Log(p_sigma / p) modulo 2*pi*i.  Every
-variant is one row of the table below (``_ROWS``), read by the single
-kernel ``_kernel``; the row fixes the weight eta, the cylinder map, and so
-the side of the branch cut on which a jump with a negative real ratio
-p_sigma/p lands:
+which in exact arithmetic is Log(p_sigma / p), on the side of the branch
+cut that the map sets.  Every variant is one row of the table below
+(``_ROWS``); the row fixes the weight eta, the cylinder map, its
+regressivity error and the side of the cut on which a jump with an
+exactly negative real ratio p_sigma/p lands:
 
     variant   eta   map               cut side   also read by
     delta     0     xi                +i*pi      exp_delta
     nabla     1     xi_hat            -i*pi      exp_nabla
     Cayley    1/2   cayley_psi        +i*pi
     eta       eta   eta_psi(eta, .)   +i*pi
+
+so eta = 1 has the nabla weight but lands on +i*pi.
+
+Theorem and definition.  Summing the definition's terms over a run of
+consecutive jumps x_0 -> ... -> x_n gives the closed form
+Log(p(x_n)/p(x_0)) + 2*pi*i*K, with the winding K the exact integer
+round((sum of Arg(p(x_j+1)/p(x_j)) - Arg(p(x_n)/p(x_0))) / 2*pi).  Every
+public logarithm computes its jumps this way (``_Winding``): p once per
+point, carried from sigma to the next tau, and at each jump the checks
+and errors of the row's map, at the map's guard.  On a discrete scale a
+whole window is one run.  The definition, the walk of the cylinder maps
+(``_kernel``), stays as the independent second side of the identity
+suite, and the exponentials walk the maps.
 
 Delta, nabla and Cayley each have a principal version (a plain complex
 number) and a multi-valued version carrying the 2*pi*i lattice; eta is
@@ -30,8 +43,8 @@ regressivity check.
 
 The window logarithm is additive over the window, L(s, u') = L(s, u) +
 L(u, u'), so ``log_table`` gives the logarithm from one base to every
-point of a list from one walk, the running total of the single-window
-sum, instead of one walk per point.
+point of a list from one walk, each row the closed form from the base
+plus the running winding, instead of one walk per point.
 
 Also here: the pointwise logarithmic derivative, five older logarithm
 constructions kept for comparison, and an identity-checking suite used by
@@ -40,6 +53,8 @@ the CLI.
 
 from __future__ import annotations
 
+import cmath
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -49,22 +64,27 @@ from typing import Callable, Union
 from .calculus import (
     DEFAULT_TOLERANCES,
     ScaleFunction,
+    Terms,
     ToleranceConfig,
     _walk,
     _window,
     delta_integral,
 )
+from .cylinder import REGRESSIVITY_GUARD
 from .errors import (
     CayleyNotRegressive,
     ChronologError,
     EtaNotRegressive,
     EvalDomain,
+    NonFiniteIntegrand,
     NonvanishingViolation,
+    NotNuRegressive,
+    NotRegressive,
     OneNotInScale,
     PointNotInScale,
     ValidationError,
 )
-from .multivalue import TWO_PI_I, MultiLog, exp as cexp, lattice_gap, principal_log
+from .multivalue import TWO_PI, TWO_PI_I, MultiLog, exp as cexp, lattice_gap, principal_log
 from .timescale import ContinuousPiece, TimeScale
 from . import cylinder
 
@@ -127,6 +147,13 @@ def delta_quotient(p: ScaleFunction, cfg: ToleranceConfig | None = None) -> Call
     return lambda tau, mu: _quotient(p, cfg, tau, tau + mu, mu)
 
 
+def _stored_quotient(p: ScaleFunction, cfg: ToleranceConfig):
+    """pDelta/p for the walk, (dense, jump term): p'/p on continuous
+    stretches, and across each gap the quotient to the stored successor."""
+    quotient = partial(_quotient, p, cfg)
+    return (lambda x: quotient(x, x, 0.0)), (lambda tau, mu, sigma: quotient(tau, sigma, mu))
+
+
 def _quotient(p: ScaleFunction, cfg: ToleranceConfig, tau: float, sigma: float, mu: float) -> complex:
     # pDelta(tau)/p(tau) across the gap mu to sigma, p'(tau)/p(tau) where mu = 0
     if mu > 0:
@@ -141,36 +168,48 @@ def _quotient(p: ScaleFunction, cfg: ToleranceConfig, tau: float, sigma: float, 
 
 # The variant table: the weight eta (the eta row's comes from the caller), the
 # name of the map in `cylinder` (looked up per call, so that a wrapper on the
-# module sees every map) and the error for a vanishing weighted denominator.
-# Delta and nabla need none: theirs is p or p_sigma, held above eps_min.
+# module sees every map), the map's regressivity error, which the row also
+# raises when the weighted denominator (1-eta)p + eta*p_sigma is 0, and the
+# side of the cut (+1 for +i*pi, -1 for -i*pi) on which a jump whose ratio
+# p_sigma/p is exactly negative real lands.
 _ROWS = {
-    LogVariant.DELTA_MULTI: (0.0, "xi", None),
-    LogVariant.DELTA_PRINCIPAL: (0.0, "xi", None),
-    LogVariant.NABLA_MULTI: (1.0, "xi_hat", None),
-    LogVariant.NABLA_PRINCIPAL: (1.0, "xi_hat", None),
-    LogVariant.CAYLEY_MULTI: (0.5, "cayley_psi", CayleyNotRegressive),
-    LogVariant.CAYLEY_PRINCIPAL: (0.5, "cayley_psi", CayleyNotRegressive),
-    LogVariant.ETA: (None, "eta_psi", EtaNotRegressive),
+    LogVariant.DELTA_MULTI: (0.0, "xi", NotRegressive, 1.0),
+    LogVariant.DELTA_PRINCIPAL: (0.0, "xi", NotRegressive, 1.0),
+    LogVariant.NABLA_MULTI: (1.0, "xi_hat", NotNuRegressive, -1.0),
+    LogVariant.NABLA_PRINCIPAL: (1.0, "xi_hat", NotNuRegressive, -1.0),
+    LogVariant.CAYLEY_MULTI: (0.5, "cayley_psi", CayleyNotRegressive, 1.0),
+    LogVariant.CAYLEY_PRINCIPAL: (0.5, "cayley_psi", CayleyNotRegressive, 1.0),
+    LogVariant.ETA: (None, "eta_psi", EtaNotRegressive, 1.0),
 }
 
 
+# a cheap necessary condition for the regressivity guard (see _Winding.step)
+_SCREEN = 4.0 * REGRESSIVITY_GUARD
+
+
+def _row_eta(weight: float | None, eta: float | None) -> float:
+    if weight is not None:
+        return weight
+    if eta is None:
+        raise ValidationError("the eta variant needs an explicit eta value")
+    return cylinder._require_eta(eta)
+
+
 def _kernel(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: float | None):
-    """The logarithm's jump kernel, set by the variant's row: (dense, jump) for ``_walk``.
+    """The logarithm by its definition, set by the variant's row: (dense, Terms) for ``_walk``.
 
     Continuous pieces integrate p'/p; a jump from tau to its stored successor
     sigma contributes ``mu * cylinder_map(mu, (p_sigma - p) / mu / ((1-eta) p
     + eta p_sigma))`` and raises the row's error when the weighted
-    denominator is 0.  p is evaluated only at stored points.
+    denominator is 0.  p is evaluated only at stored points, twice at each
+    point inside the window.  The identity suite checks the theorem against
+    this walk.
     """
-    weight, map_name, error = _ROWS[variant]
+    weight, map_name, error, _ = _ROWS[variant]
     cylinder_map = getattr(cylinder, map_name)
+    eta = _row_eta(weight, eta)
     if weight is None:
-        if eta is None:
-            raise ValidationError("the eta variant needs an explicit eta value")
-        eta = cylinder._require_eta(eta)
         cylinder_map = partial(cylinder_map, eta)
-    else:
-        eta = weight
     keep = 1.0 - eta
 
     def jump(tau: float, mu: float, sigma: float) -> complex:
@@ -181,7 +220,95 @@ def _kernel(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: fl
             raise error(f"(1-eta)p + eta*p_sigma vanishes for eta={eta}")
         return cylinder_map(mu, (ps - pv) / mu / mix)
 
-    return partial(_slope, p, cfg), jump
+    return partial(_slope, p, cfg), Terms(jump)
+
+
+class _Winding:
+    """The theorem over a run of jumps x_0 -> ... -> x_n, for ``_walk``.
+
+    Each jump's cylinder term equals Log(p_sigma/p) in exact arithmetic, on
+    the row's side of the cut, so the run contributes
+
+        Log(p(x_n)/p(x_0)) + 2*pi*i*K,
+        K = round((sum of Arg(p_sigma/p) - Arg(p(x_n)/p(x_0))) / 2*pi),
+
+    with K an exact integer; a run walked down gives the same for its upward
+    orientation.  p is evaluated once per point: a run's first jump
+    evaluates tau and then sigma, and each later jump only its new end,
+    carrying the other forward.  Each jump raises what the row's map would:
+    NonvanishingViolation below eps_min and NonFiniteValue at each point,
+    and the row's error when (1-eta)p + eta*p_sigma is 0 or when a factor
+    of the map, p_sigma/mix or p/mix, falls under the map's
+    ``REGRESSIVITY_GUARD`` relative to 1 + |mu*z| = (|mix| + |p_sigma - p|)/|mix|.
+    """
+
+    __slots__ = ("p", "cfg", "keep", "eta", "error", "cut", "up", "first", "last", "last_abs", "turns")
+
+    def __init__(self, p: ScaleFunction, cfg: ToleranceConfig, eta: float, error: type, side: float):
+        self.p = p
+        self.cfg = cfg
+        self.keep = 1.0 - eta
+        self.eta = eta
+        self.error = error
+        self.cut = side * math.pi  # Arg of an exactly negative real ratio
+
+    def start(self, up: bool) -> None:
+        self.up = up
+        self.first = None  # p at the run's first point, evaluated with its first jump
+
+    def step(self, total: complex, tau: float, mu: float, sigma: float) -> complex:
+        p, cfg = self.p, self.cfg
+        if self.first is None:
+            pv = _checked(p, tau, cfg)
+            ps = _checked(p, sigma, cfg)
+            apv, aps = abs(pv), abs(ps)
+            self.first = pv if self.up else ps
+            self.turns = 0.0
+        elif self.up:
+            pv, apv = self.last, self.last_abs
+            ps = p(sigma)
+            aps = abs(ps)
+            if aps < cfg.eps_min:
+                _above_floor(p, sigma, ps, cfg)  # raises
+        else:
+            ps, aps = self.last, self.last_abs
+            pv = p(tau)
+            apv = abs(pv)
+            if apv < cfg.eps_min:
+                _above_floor(p, tau, pv, cfg)  # raises
+        self.last, self.last_abs = (ps, aps) if self.up else (pv, apv)
+        eta = self.eta
+        # at eta = 0 or 1 the weighted denominator is p or p_sigma, above the floor
+        if 0.0 < eta < 1.0 and self.keep * pv + eta * ps == 0:
+            raise self.error(f"(1-eta)p + eta*p_sigma vanishes for eta={eta}")
+        r = ps / pv
+        # the guard's bound is at most 3 * GUARD * max(|p|, |p_sigma|), so a
+        # factor can vanish only where one value is that far below the other
+        if aps < _SCREEN * apv or apv < _SCREEN * aps:
+            mix = self.keep * pv + eta * ps
+            bound = REGRESSIVITY_GUARD * (abs(mix) + abs(ps - pv))
+            if (eta < 1.0 and aps < bound) or (eta > 0.0 and apv < bound):
+                raise self.error(f"the jump ratio p_sigma/p = {r} is not regressive for eta={eta}")
+        if r == 0 or not cmath.isfinite(r):
+            raise NonFiniteIntegrand(f"the jump ratio p_sigma/p = {r} is not finite and nonzero")
+        self.turns += self.cut if r.imag == 0.0 and r.real < 0.0 else math.atan2(r.imag, r.real)
+        return total
+
+    def close(self, total: complex) -> complex:
+        # the closed form in the walk's direction, Log(p(x_n)/p(x_0)), which a
+        # walk down negates into the upward value; K absorbs its branch, so
+        # any Log will do where the quotient leaves float range
+        d = 1.0 if self.up else -1.0
+        r = self.last / self.first
+        log = cmath.log(r) if r and cmath.isfinite(r) else cmath.log(self.last) - cmath.log(self.first)
+        k = round((d * self.turns - log.imag) / TWO_PI)
+        return total + d * complex(log.real, log.imag + TWO_PI * k)
+
+
+def _theorem(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: float | None):
+    """The logarithm by the theorem, set by the variant's row: (dense, _Winding) for ``_walk``."""
+    weight, _, error, side = _ROWS[variant]
+    return partial(_slope, p, cfg), _Winding(p, cfg, _row_eta(weight, eta), error, side)
 
 
 def _window_log(
@@ -192,10 +319,12 @@ def _window_log(
     t: float,
     cfg: ToleranceConfig | None,
     eta: float | None = None,
+    rule: Callable | None = None,
 ) -> complex:
+    """The window logarithm by the theorem, or by ``rule`` (``_kernel``: the definition)."""
     cfg = cfg or DEFAULT_TOLERANCES
-    dense, jump = _kernel(variant, p, cfg, eta)
-    return _window(dense, jump, ts, s, t, cfg)
+    dense, jumps = (rule or _theorem)(variant, p, cfg, eta)
+    return _window(dense, jumps, ts, s, t, cfg)
 
 
 def log_delta_principal(
@@ -282,22 +411,25 @@ def log_table(
 
     ``points`` must be in increasing order; each value is the principal
     value (``.rep`` of the multi-valued variants) of ``log_ts`` over
-    [base, u].  The points above the base share one walk up from it, which
-    on a discrete scale sums the same terms in the same order as
-    ``log_ts``, so those values agree bit for bit; the points below share
-    one walk down from it.  The points split continuous pieces, so there
-    the values may differ from ``log_ts`` in the last bits.
+    [base, u].  The points above the base share one walk up from it; on a
+    discrete scale each of those rows is Log(p(u)/p(base)) plus the winding
+    summed so far, the same numbers in the same order as ``log_ts``, so the
+    values agree bit for bit.  The points below share one walk down from
+    it, whose rows are Log(p(u)/p(base)) in that direction.  The points
+    split continuous pieces, so there the values may differ from
+    ``log_ts`` in the last bits.  p is evaluated once per scale point the
+    walks cross, the base once per walk.
     """
     variant = LogVariant(variant)
     cfg = cfg or DEFAULT_TOLERANCES
-    dense, jump = _kernel(variant, p, cfg, eta)
+    dense, jumps = _theorem(variant, p, cfg, eta)
     base = ts.snap(base)
     points = [ts.snap(u) for u in points]
     if any(v < u for u, v in zip(points, points[1:])):
         raise ValidationError("table points must be in increasing order")
     n = bisect_left(points, base)
-    below = _walk(dense, jump, ts, base, points[:n][::-1], cfg, -1.0)
-    return below[::-1] + _walk(dense, jump, ts, base, points[n:], cfg)
+    below = _walk(dense, jumps, ts, base, points[:n][::-1], cfg, -1.0)
+    return below[::-1] + _walk(dense, jumps, ts, base, points[n:], cfg)
 
 
 def log_delta_derivative(
@@ -316,37 +448,44 @@ def log_delta_derivative(
     return p.prime(t) / pv
 
 
-def _exponential(variant: LogVariant, coeff, ts: TimeScale, s: float, t: float, cfg) -> complex:
-    """exp of the walk of the coefficient c, set by the variant's row.
+def _exponential(variant: LogVariant, dense, coeff, ts: TimeScale, s: float, t: float, cfg) -> complex:
+    """exp of the walk of a coefficient, set by the variant's row.
 
-    Continuous stretches integrate c itself; a jump from tau takes the row's
-    map of c sampled at tau (weight 0) or at the stored successor sigma
-    (weight 1).
+    Continuous stretches integrate ``dense(x)``; a jump from tau to its
+    stored successor sigma takes the row's map of ``coeff(tau, mu, sigma)``,
+    the map being the only regressivity check.
     """
+    cylinder_map = getattr(cylinder, _ROWS[variant][1])
+    jumps = Terms(lambda tau, mu, sigma: cylinder_map(mu, coeff(tau, mu, sigma)))
+    return cexp(_window(dense, jumps, ts, s, t, cfg or DEFAULT_TOLERANCES))
+
+
+def _coefficient(coeff) -> Callable:
     if not callable(coeff):
         raise TypeError("coefficient must be a ScaleFunction or a callable (tau, mu) -> complex")
-    c = (lambda tau, mu: coeff(tau)) if isinstance(coeff, ScaleFunction) else coeff
-    weight, map_name, _ = _ROWS[variant]
-    cylinder_map = getattr(cylinder, map_name)
-
-    def jump(tau: float, mu: float, sigma: float) -> complex:
-        return cylinder_map(mu, c(sigma if weight else tau, mu))
-
-    return cexp(_window(lambda x: c(x, 0.0), jump, ts, s, t, cfg or DEFAULT_TOLERANCES))
+    return (lambda tau, mu: coeff(tau)) if isinstance(coeff, ScaleFunction) else coeff
 
 
 def exp_delta(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | None = None) -> complex:
     """Forward exponential: exp of the integral of the cylinder-mapped coefficient.
 
-    The coefficient must be regressive: 1 + mu*c != 0 at every scattered
-    point of the window.
+    The coefficient c(tau, mu) is sampled at tau.  It must be regressive:
+    1 + mu*c != 0 at every scattered point of the window.
     """
-    return _exponential(LogVariant.DELTA_PRINCIPAL, coeff, ts, s, t, cfg)
+    c = _coefficient(coeff)
+    return _exponential(
+        LogVariant.DELTA_PRINCIPAL, lambda x: c(x, 0.0), lambda tau, mu, sigma: c(tau, mu), ts, s, t, cfg
+    )
 
 
 def exp_nabla(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | None = None) -> complex:
-    """Backward exponential; needs 1 - nu*c != 0 at left-scattered points."""
-    return _exponential(LogVariant.NABLA_PRINCIPAL, coeff, ts, s, t, cfg)
+    """Backward exponential: c(tau', nu) is sampled at the left-scattered
+    points tau' = sigma(tau), the stored successors, with nu the gap below
+    them; needs 1 - nu*c != 0 there."""
+    c = _coefficient(coeff)
+    return _exponential(
+        LogVariant.NABLA_PRINCIPAL, lambda x: c(x, 0.0), lambda tau, nu, sigma: c(sigma, nu), ts, s, t, cfg
+    )
 
 
 def legacy_log(
@@ -376,11 +515,13 @@ def legacy_log(
         return num / den
 
     if kind is LegacyKind.HUFF:
-        return delta_integral(lambda tau, mu: ratio(2.0, 2.0 * tau + mu, tau), ts, t0, t, cfg)
+        jumps = Terms(lambda tau, mu, sigma: ratio(2.0, tau + sigma, tau))
+        return _window(lambda x: ratio(2.0, 2.0 * x, x), jumps, ts, t0, t, cfg)
     if kind is LegacyKind.EULER_CAUCHY:
         return delta_integral(lambda tau, mu: ratio(1.0, tau + 2.0 * mu, tau), ts, t0, t, cfg)
     if kind is LegacyKind.INTEGRAL_QUOTIENT:
-        return delta_integral(delta_quotient(p, cfg), ts, t0, t, cfg)
+        dense, term = _stored_quotient(p, cfg)
+        return _window(dense, Terms(term), ts, t0, t, cfg)
     if kind is LegacyKind.JACKSON:
         t, sigma = ts.delta_point(t)
         return _quotient(p, cfg, t, sigma, sigma - t)
@@ -454,6 +595,13 @@ def identity_suite(
     the power rule hold exactly.  The power rule with general complex p is
     only testable for integer alpha (mod the lattice); other combinations
     raise ValidationError.  Rows are sorted by identity name.
+
+    The logarithms on the left of the rules and the reference Lp come from
+    the theorem (``_Winding``).  The Cayley and eta rows walk the
+    definition (``_kernel``: the cylinder maps) and compare it with Lp, and
+    the exponential round trip walks the forward map of the quotient
+    pDelta/p, so a fault in either construction fails a row rather than
+    appearing on both sides of it.
     """
     s = ts.snap(s)
     t = ts.snap(t)
@@ -473,7 +621,8 @@ def identity_suite(
 
     Lp = log_delta_principal(p, ts, s, t, cfg)
     Lq = log_delta_principal(q, ts, s, t, cfg)
-    exact("exp-of-principal-log", cexp(Lp), exp_delta(delta_quotient(p, cfg), ts, s, t, cfg))
+    rhs = _exponential(LogVariant.DELTA_PRINCIPAL, *_stored_quotient(p, cfg), ts, s, t, cfg)
+    exact("exp-of-principal-log", cexp(Lp), rhs)
     modulo_lattice("product-rule", log_delta_principal(p * q, ts, s, t, cfg), Lp + Lq)
     modulo_lattice("quotient-rule", log_delta_principal(p / q, ts, s, t, cfg), Lp - Lq)
 
@@ -485,13 +634,13 @@ def identity_suite(
     else:
         raise ValidationError("power rule with non-integer alpha needs p positive real on the window")
 
-    lhs = log_cayley_principal(p, ts, s, t, cfg)
-    exact("cayley-principal", lhs, Lp)
-    # log_cayley_multi and log_eta at 1/2 are the same walk with the lattice attached
-    cayley = MultiLog(lhs, TWO_PI_I)
+    cayley = _window_log(LogVariant.CAYLEY_PRINCIPAL, p, ts, s, t, cfg, rule=_kernel)
+    exact("cayley-principal", cayley, Lp)
+    # the multi-valued Cayley log and eta = 1/2 are the same walk with the lattice attached
     modulo_lattice("cayley-multi", cayley, Lp)
     for eta in (0.0, 0.25, 0.5, 0.75, 1.0):
-        modulo_lattice(f"eta-{eta:g}", cayley if eta == 0.5 else log_eta(eta, p, ts, s, t, cfg), Lp)
+        lhs = cayley if eta == 0.5 else _window_log(LogVariant.ETA, p, ts, s, t, cfg, eta, rule=_kernel)
+        modulo_lattice(f"eta-{eta:g}", lhs, Lp)
 
     rows.sort(key=lambda r: r.identity)
     return rows

@@ -14,7 +14,8 @@ implements membership, the jumps and decomposition once on that sequence:
 a point is snapped to its piece index k once, sigma jumps the gap
 b_k -> a_{k+1}, and a window [s, t] decomposes into continuous pieces
 (graininess zero throughout) and the scattered jumps across the gaps it
-spans, which is what the integration routines consume.
+spans.  The window walk (``calculus._walk``) reads the same sequence by
+index, from ``_span`` and ``_piece``, without building the segments.
 
 Scale spec grammar (CLI and :func:`parse_timescale`):
 
@@ -40,7 +41,9 @@ from .errors import InvalidTimeScale, KappaBoundary, PointNotInScale, UnboundedW
 MEMBERSHIP_TOL = 1e-12
 
 # the most gaps one window may jump; a longer window raises UnboundedWindow
-# before any segment is built (each one costs ~150 bytes)
+# before any work.  The window walk streams the pieces and keeps no segment,
+# so for it the cap is a time bound (a million jumps take seconds); only
+# decompose still builds a window's segments, ~150 bytes per gap
 MAX_WINDOW_JUMPS = 10**6
 
 # the most integrand samples the quadrature may take on one continuous piece;

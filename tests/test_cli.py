@@ -201,8 +201,9 @@ def test_eval_piece_error_names_its_piece(run, scale, p, t, error, piece):
     ],
     ids=["eval", "legacy-huff"],
 )
-def test_cli_decomposes_its_window_once(run, monkeypatch, argv):
-    # the log walks the window; whether it has jumps is counted, not decomposed again
+def test_cli_walks_its_window_without_decomposing(run, monkeypatch, argv):
+    # the walk streams the scale's pieces, and whether the window has jumps
+    # is counted; neither builds the window's segments
     calls = []
     decompose = chronolog.timescale.TimeScale.decompose
 
@@ -214,7 +215,7 @@ def test_cli_decomposes_its_window_once(run, monkeypatch, argv):
     rc, out, err = run(*argv)
     assert (rc, err) == (0, "")
     assert json.loads(out)["scattered_contributed"] is True
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_eval_bad_expression_exits_2(run):
@@ -292,6 +293,17 @@ def test_check_default_suite_passes(run):
     for r in rows:
         assert r["pass"] is True
         assert r["residual"] < 1e-8
+
+
+def test_check_passes_where_tau_plus_mu_rounds_off_the_scale(run):
+    # at 2.5^k for large k, tau + mu is not the stored successor, and p turns
+    # a full circle every 2*pi; the exponential round trip reads the stored one
+    rc, out, _ = run(
+        "check", "--timescale", "q:2.5", "--p", "exp(i*t)+0.5", "--q", "exp(2*i*t)+2",
+        "--s", "1", "--t", repr(2.5**40),
+    )
+    assert rc == 0
+    assert all(r["pass"] for r in json.loads(out))
 
 
 def test_check_csv_format(run):
@@ -428,7 +440,7 @@ def test_table_log_rows_below_the_base(run, spec, step):
 
 def test_table_log_is_one_walk(run, monkeypatch):
     # a walk per row evaluates p about rows^2 times; one walk from the base
-    # evaluates it twice per jump
+    # evaluates it once per point
     calls = 0
     evaluate = chronolog.ScaleFunction.__call__
 
@@ -444,7 +456,7 @@ def test_table_log_is_one_walk(run, monkeypatch):
     )
     assert rc == 0
     assert len(out.strip().split("\n")) == 1 + 1000
-    assert calls <= 2 * 1000 + 10
+    assert calls == 1000
 
 
 def test_table_json_format(run):
@@ -572,6 +584,30 @@ def test_legacy_jackson_needs_p(run):
     )
     assert rc == 0
     assert json.loads(out)["rep_re"] == pytest.approx(1.25, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "args, scattered",
+    [
+        pytest.param(("--timescale", "hz:1", "--kind", "mozyrska", "--t", "5"), True, id="mozyrska-grid"),
+        pytest.param(("--timescale", "r", "--kind", "mozyrska", "--t", "5"), False, id="mozyrska-reals"),
+        pytest.param(("--timescale", "hz:1", "--kind", "mozyrska", "--t", "1"), False, id="mozyrska-at-one"),
+        pytest.param(("--timescale", "hz:1", "--kind", "jackson", "--p", "t", "--t", "2"), True, id="jackson-grid"),
+        pytest.param(("--timescale", "union:[0,1];[2,3]", "--kind", "jackson", "--p", "t+1", "--t", "1"), True,
+                     id="jackson-right-scattered"),
+        pytest.param(("--timescale", "union:[0,1];[2,3]", "--kind", "jackson", "--p", "t+1", "--t", "0.5"), False,
+                     id="jackson-dense"),
+        pytest.param(("--timescale", "hz:1", "--kind", "huff", "--t0", "1", "--t", "4"), True, id="huff-grid"),
+        pytest.param(("--timescale", "r", "--kind", "euler-cauchy", "--t0", "1", "--t", "4"), False,
+                     id="euler-cauchy-reals"),
+    ],
+)
+def test_legacy_scattered_flag(run, args, scattered):
+    # mozyrska integrates over [1, t] and jackson is a quotient across the
+    # gap to sigma(t); the others integrate over [t0, t]
+    rc, out, _ = run("legacy", *args)
+    assert rc == 0
+    assert json.loads(out)["scattered_contributed"] is scattered
 
 
 def test_legacy_huff_needs_t0(run):

@@ -1,15 +1,18 @@
 import cmath
 import math
+import random
 import re
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
 
-from chronolog import calculus, timescale
+from chronolog import calculus, logexp, timescale
 from chronolog.calculus import ScaleFunction, ToleranceConfig
 from chronolog.cylinder import xi, xi_hat
 from chronolog.errors import (
     CayleyNotRegressive,
+    ChronologError,
     EtaNotRegressive,
     EvalDomain,
     NonvanishingViolation,
@@ -331,14 +334,47 @@ class RecordingFunction(ScaleFunction):
         ("set:-5.5,0.1,3.3,100000", -5.5, 100000.0),
     ],
 )
-@pytest.mark.parametrize("variant", [v.value for v in LogVariant])
+@pytest.mark.parametrize("variant", [v.value for v in LogVariant] + ["identity-suite", "integral-quotient"])
 def test_jumps_evaluate_p_only_at_scale_points(variant, spec, s, t):
+    # the identity suite's exponential round trip and the integral-quotient
+    # log take the quotient pDelta/p across each gap to the stored successor
     ts = parse_timescale(spec)
     p = RecordingFunction.from_text("t^2+1")
-    log_ts(variant, p, ts, s, t, eta=0.3)
+    if variant == "identity-suite":
+        identity_suite(p, ScaleFunction.from_text("t+3"), ts, s, t, 2.0)
+    elif variant == "integral-quotient":
+        legacy_log(variant, p, ts, s, t)
+    else:
+        log_ts(variant, p, ts, s, t, eta=0.3)
     assert p.points
     for x in p.points:
         assert ts.snap(x) == x
+
+
+def test_exp_round_trip_reads_the_stored_successor():
+    # tau + mu rounds off the stored successor at 2.5^k for large k, and p
+    # turns a full circle every 2*pi: the public (tau, mu) quotient gives
+    # 0.4288+0.5536i there, the suite's own quotient p(t)/p(1)
+    p = ScaleFunction.from_text("exp(i*t)+0.5")
+    q = ScaleFunction.from_text("exp(2*i*t)+2")
+    ts = parse_timescale("q:2.5")
+    rows = {row.identity: row for row in identity_suite(p, q, ts, 1.0, 2.5**40, 2.0)}
+    assert all(row.passed for row in rows.values())
+    assert rows["exp-of-principal-log"].rhs == pytest.approx(p(2.5**40) / p(1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("spec, lo, hi", [("alt:0.3,0.7", 0.0, 10.0), ("q:2.5", 1.0, 2.5**40)])
+def test_huff_sums_over_the_stored_successor(spec, lo, hi):
+    # the huff term 2/(tau + sigma) reads sigma as stored, not as tau + mu:
+    # on alt:0.3,0.7, 2*tau + mu is 1.2999999999999998 for the jump from 0.3
+    # to 1, where tau + sigma is 1.3
+    ts = parse_timescale(spec)
+    total = 0j
+    for seg in ts.decompose(lo, hi):
+        term = seg.mu * (2.0 / (seg.tau + seg.sigma))
+        assert legacy_log("huff", None, ts, seg.tau, seg.sigma) == term
+        total += term
+    assert legacy_log("huff", None, ts, lo, hi) == total
 
 
 def test_eta_validation():
@@ -362,6 +398,194 @@ def test_log_ts_dispatch():
         log_ts("eta", p, ts, s, t)
     with pytest.raises(ValueError):
         log_ts("no-such-variant", p, ts, s, t)
+
+
+# ---------------------------------------------------------------------------
+# the theorem against the definition
+# ---------------------------------------------------------------------------
+
+# every row, the eta row at both ends and inside
+ROWS = [pytest.param(v.value, None, id=v.value) for v in LogVariant if v is not LogVariant.ETA]
+ROWS += [pytest.param("eta", e, id=f"eta:{e:g}") for e in (0.0, 0.3, 0.5, 1.0)]
+
+
+def _stored_points(ts, lo, hi, midpoints=True):
+    # the window's ends and every point a jump touches, in increasing order,
+    # and the midpoint of each continuous piece
+    points = [lo]
+    for seg in ts.decompose(lo, hi):
+        if isinstance(seg, ContinuousPiece):
+            points += [0.5 * (seg.a + seg.b), seg.b] if midpoints else [seg.b]
+        else:
+            points.append(seg.sigma)
+    return points
+
+
+def _definition(variant, p, ts, s, t, cfg=None, eta=None):
+    # the cylinder-map walk, which the identity suite checks the theorem against
+    return logexp._window_log(LogVariant(variant), p, ts, s, t, cfg, eta, rule=logexp._kernel)
+
+
+def _definition_table(variant, p, ts, base, points, cfg, eta):
+    # log_table's two walks from the base, summing the cylinder-map terms
+    dense, jumps = logexp._kernel(LogVariant(variant), p, cfg, eta)
+    n = bisect_left(points, base)
+    below = calculus._walk(dense, jumps, ts, base, points[:n][::-1], cfg, -1.0)
+    return below[::-1] + calculus._walk(dense, jumps, ts, base, points[n:], cfg)
+
+
+THEOREM_WINDOWS = [
+    pytest.param("hz:0.5", "(t-1-2*i)^3", -4.0, 9.5, id="hz"),
+    pytest.param("hz:0.3:0.05", "exp(i*t)+0.5", -3.25, 3.35, id="hz-anchored"),
+    pytest.param("q:1.5", "(t-3+2*i)^2", 1.0, 1.5**12, id="q"),
+    pytest.param("alt:0.3,0.7", "exp(i*t)+0.9*i", 0.0, 12.0, id="alt"),
+    pytest.param("set:-5,-4,-1.5,0.5,2,2.25,4,7", "1-t+i*t^2", -5.0, 7.0, id="set"),
+    # the jump from p(-4) = -64 to p(2) = 8 lands on the row's side of the cut
+    pytest.param("union:[-inf,-4];[2,inf]", "t^3", -5.0, 3.0, id="union-sign-change"),
+    pytest.param("union:[0,1];[1.5,1.5];[2,2];[3,4]", "exp(i*t)+2", 0.25, 3.5, id="union-isolated-points"),
+]
+
+
+@pytest.mark.parametrize("spec, text, lo, hi", THEOREM_WINDOWS)
+@pytest.mark.parametrize("variant, eta", ROWS)
+@pytest.mark.parametrize("forward", [True, False], ids=["up", "down"])
+def test_theorem_equals_the_definition_walk(variant, eta, spec, text, lo, hi, forward):
+    # each jump's cylinder term is Log(p_sigma/p) on the row's side of the
+    # cut, so the two agree on the representative itself (k = 0), not only
+    # modulo 2*pi*i; the table's walk down from its top row agrees too
+    ts = parse_timescale(spec)
+    p = ScaleFunction.from_text(text)
+    s, t = (lo, hi) if forward else (hi, lo)
+    theorem = _rep(log_ts(variant, p, ts, s, t, eta=eta))
+    definition = _definition(variant, p, ts, s, t, eta=eta)
+    k, res = lattice_gap(theorem, definition)
+    assert k == 0 and res <= 1e-12 * max(1.0, abs(theorem))
+    points = _stored_points(ts, lo, hi)
+    base = lo if forward else hi
+    cfg = ToleranceConfig()
+    rows = log_table(variant, p, ts, base, points, cfg, eta=eta)
+    for row, want in zip(rows, _definition_table(variant, p, ts, base, points, cfg, eta)):
+        k, res = lattice_gap(row, want)
+        assert k == 0 and res <= 1e-12 * max(1.0, abs(row))
+
+
+@pytest.mark.parametrize(
+    "spec, lo, hi",
+    [
+        ("hz:1", -3.0, 33.0),
+        ("q:1.5", 1.0, 1.5**20),
+        ("alt:0.3,0.7", 0.0, 12.0),
+        ("set:-5,-4,-1.5,0.5,2,2.25,4,7", -5.0, 7.0),
+    ],
+)
+@pytest.mark.parametrize("variant, eta", ROWS)
+def test_log_over_n_jumps_evaluates_p_n_plus_1_times(variant, eta, spec, lo, hi):
+    # once at each point, the carried value serving as the next jump's p(tau)
+    ts = parse_timescale(spec)
+    points = _scale_points(ts, lo, hi)
+    assert len(points) == ts.gap_count(lo, hi) + 1
+    for s, t in ((lo, hi), (hi, lo)):
+        p = RecordingFunction.from_text("t^2+1")
+        log_ts(variant, p, ts, s, t, eta=eta)
+        assert sorted(p.points) == points
+    for base in (lo, hi):
+        p = RecordingFunction.from_text("t^2+1")
+        log_table(variant, p, ts, base, points, eta=eta)
+        assert sorted(p.points) == points
+
+
+@pytest.mark.parametrize("variant", ["delta-principal", "nabla-principal", "cayley-principal"])
+def test_theorem_takes_the_closed_form_apart_beyond_float_range(variant):
+    # p(700)/p(-20) overflows although both values, and every jump ratio e,
+    # are finite floats
+    p = ScaleFunction.from_text("exp(t)")
+    ts = parse_timescale("hz:1")
+    assert log_ts(variant, p, ts, -20.0, 700.0) == pytest.approx(720.0, rel=1e-14)
+    assert log_ts(variant, p, ts, 700.0, -20.0) == pytest.approx(-720.0, rel=1e-14)
+    assert log_table(variant, p, ts, 700.0, [-20.0, 0.0, 700.0]) == pytest.approx([-720.0, -700.0, 0.0], rel=1e-14)
+
+
+def _error_corpus(seed: int = 20261018):
+    """Seeded cases (spec, p text, lo, hi), each window holding one defect.
+
+    The defects: p at the eps_min floor at the window's low end, inside it
+    and at its high end; p not finite inside it; a spike or a dip of p at
+    an interior point, whose jump ratios p_sigma/p reach 1e-11 to 1e-13 on
+    one side of it and 1e11 to 1e13 on the other; and, across the gap from
+    0 to 1, p = t - 0.3 and p = t - 0.5, whose ratio -(1-eta)/eta makes
+    (1-eta)p + eta*p_sigma exactly 0 for eta = 0.3 and 0.5.  A spike sits
+    on an isolated point at least 0.4 from any other, so a bump of width
+    1e-3 touches no other point and no continuous piece.
+    """
+    rng = random.Random(seed)
+    # (spec, stored points a window may start or end at, isolated points)
+    scales = (
+        ("hz:1", [float(k) for k in range(-3, 7)], None),
+        ("alt:0.4,0.7", _stored_points(parse_timescale("alt:0.4,0.7"), 0.0, 6.6), None),
+        ("set:-3,-2.5,-1,0,1,1.25,2,3.5,4,6", [-3.0, -2.5, -1.0, 0.0, 1.0, 1.25, 2.0, 3.5, 4.0, 6.0], None),
+        ("union:[-3,-2];[-1,-1];[0,0];[1,1];[2,3]", [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0], [-1.0, 0.0, 1.0]),
+    )
+    cases = []
+    for spec, points, isolated in scales:
+        for _ in range(2):
+            mid = rng.choice(isolated or points[1:-1])
+            m = points.index(mid)
+            i = rng.randrange(0, m)
+            j = rng.randrange(m + 1, len(points))
+            lo, hi = points[i], points[j]
+            bump = f"exp(-1e5*(t-({mid!r}))^2)"
+            cases += [(spec, f"t-({x!r})", lo, hi) for x in (lo, points[rng.randrange(i + 1, j)], hi)]
+            cases.append((spec, f"1+exp(800-1e6*(t-({mid!r}))^2)", lo, hi))
+            for a in ("1e11", "1e12", "1e13"):
+                cases.append((spec, f"1+{a}*{bump}", lo, hi))
+                cases.append((spec, f"{a}-({a}-1)*{bump}", lo, hi))
+        if 0.0 in points and 1.0 in points and parse_timescale(spec).sigma(0.0) == 1.0:
+            lo = rng.choice(points[: points.index(0.0) + 1])
+            hi = rng.choice(points[points.index(1.0) :])
+            cases += [(spec, f"t-{eta}", lo, hi) for eta in ("0.3", "0.5")]
+    return cases
+
+
+def _outcome(compute):
+    try:
+        return "value", compute()
+    except ChronologError as exc:
+        return type(exc).__name__, str(exc).rpartition(" on the ")[2]
+
+
+def _near(value, want) -> bool:
+    return lattice_gap(value, want)[1] <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("variant, eta", ROWS)
+def test_theorem_raises_what_the_definition_raises(variant, eta):
+    # the same error class at the same point or gap, for both window
+    # directions and both table walks; where neither raises, the theorem
+    # gives the closed form (the maps lose up to 1e-7 on the 1e11 ratios)
+    cfg = ToleranceConfig(eps_min=1e-10)
+    kinds = set()
+    for spec, text, lo, hi in _error_corpus():
+        ts = parse_timescale(spec)
+        p = ScaleFunction.from_text(text)
+        points = _stored_points(ts, lo, hi)
+        for s, t in ((lo, hi), (hi, lo)):
+            got = _outcome(lambda: _rep(log_ts(variant, p, ts, s, t, cfg, eta=eta)))
+            want = _outcome(lambda: _definition(variant, p, ts, s, t, cfg, eta=eta))
+            assert got[0] == want[0] and (got[0] == "value" or got == want), (spec, text, s, t, got, want)
+            if got[0] == "value" and ts.gap_count(lo, hi) == len(points) - 1:
+                assert _near(got[1], _closed_form(p, ts, s, t)), (spec, text, s, t, got)
+            kinds.add(got[0])
+        for base in (lo, hi):
+            got = _outcome(lambda: log_table(variant, p, ts, base, points, cfg, eta=eta))
+            want = _outcome(lambda: _definition_table(variant, p, ts, base, points, cfg, eta))
+            assert got[0] == want[0] and (got[0] == "value" or got == want), (spec, text, base, got, want)
+    # the corpus reaches every check the row has
+    expected = {"value", "NonvanishingViolation", "NonFiniteValue"}
+    if variant.startswith(("delta", "nabla")) or eta in (0.0, 1.0):
+        expected.add({"delta": "NotRegressive", "nabla": "NotNuRegressive"}.get(variant[:5], "EtaNotRegressive"))
+    else:
+        expected.add("CayleyNotRegressive" if variant.startswith("cayley") else "EtaNotRegressive")
+    assert kinds == expected
 
 
 # ---------------------------------------------------------------------------
@@ -763,21 +987,27 @@ def test_identity_suite_all_pass_on_unit_grid():
 
 
 def test_identity_suite_is_eleven_walks(monkeypatch):
-    # the eta-1/2 row reuses the Cayley walk, and cayley-multi reuses it too
-    walks = 0
-    walk = calculus._walk
+    # five logs by the theorem (p, q, pq, p/q, p^alpha) and six definition
+    # walks: Cayley, which the eta-1/2 and cayley-multi rows reuse, four
+    # more eta rows, and the exponential of the quotient
+    calls = {"walk": 0, "theorem": 0, "definition": 0}
 
-    def counting(*args, **kwargs):
-        nonlocal walks
-        walks += 1
-        return walk(*args, **kwargs)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(calculus, "_walk", counting)
+        return wrapper
+
+    monkeypatch.setattr(calculus, "_walk", counting("walk", calculus._walk))
+    monkeypatch.setattr(logexp, "_theorem", counting("theorem", logexp._theorem))
+    monkeypatch.setattr(logexp, "_kernel", counting("definition", logexp._kernel))
+    monkeypatch.setattr(logexp, "_exponential", counting("definition", logexp._exponential))
     p = ScaleFunction.from_text("t^2+1")
     q = ScaleFunction.from_text("t+3")
     rows = identity_suite(p, q, parse_timescale("hz:1"), 0.0, 6.0, 2.0)
     assert len(rows) == 11
-    assert walks == 11
+    assert calls == {"walk": 11, "theorem": 5, "definition": 6}
     by_name = {r.identity: r for r in rows}
     assert by_name["eta-0.5"].lhs == by_name["cayley-principal"].lhs
 
