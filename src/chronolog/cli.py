@@ -157,10 +157,7 @@ def _cmd_legacy(args, cfg: ToleranceConfig, ts: TimeScale) -> tuple[dict, int]:
     kind = LegacyKind(args.kind)
     p = ScaleFunction.from_text(args.p) if args.p is not None else None
     t0, t = args.t0, args.t
-    windowed = kind in (LegacyKind.HUFF, LegacyKind.EULER_CAUCHY, LegacyKind.INTEGRAL_QUOTIENT)
-    if windowed and t0 is None:
-        raise ValidationError(f"--t0 is required for the {kind.value} logarithm")
-    value = legacy_log(kind, p, ts, t0 if t0 is not None else t, t, cfg)
+    value = legacy_log(kind, p, ts, t0, t, cfg)
     if kind is LegacyKind.JACKSON:  # a quotient across the gap to sigma(t), if any
         x, sigma = ts.delta_point(t)
         scattered = sigma > x

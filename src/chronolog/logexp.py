@@ -25,21 +25,23 @@ so eta = 1 has the nabla weight but lands on +i*pi.
 Theorem and definition.  Summing the definition's terms over a run of
 consecutive jumps x_0 -> ... -> x_n gives the closed form
 Log(p(x_n)/p(x_0)) + 2*pi*i*K, with the winding K the exact integer
-round((sum of Arg(p(x_j+1)/p(x_j)) - Arg(p(x_n)/p(x_0))) / 2*pi).  Every
-public logarithm computes its jumps this way (``_Winding``): p once per
-point, carried from sigma to the next tau, and at each jump the checks
-and errors of the row's map, at the map's guard.  On a discrete scale a
-whole window is one run.  The definition, the walk of the cylinder maps
-(``_kernel``), stays as the independent second side of the identity
-suite, and the exponentials walk the maps.
+round((sum of Arg(p(x_j+1)/p(x_j)) - Arg(p(x_n)/p(x_0))) / 2*pi).  Each
+side has one path.  The theorem: ``log_ts``, which every ``log_*``
+function calls, and ``log_table`` walk their jumps this way
+(``_Winding``): p once per point, carried from sigma to the next tau,
+and at each jump the checks and errors of the row's map, at the map's
+guard.  On a discrete scale a whole window is one run.  The definition:
+every walk of the cylinder maps goes through ``_cylinder_walk``.  Its
+walk of the weighted quotient (``_kernel``) is the independent second
+side of the identity suite.
 
 Delta, nabla and Cayley each have a principal version (a plain complex
 number) and a multi-valued version carrying the 2*pi*i lattice; eta is
 multi-valued only.  They all agree modulo that lattice.
 
-The exponentials read the same rows: exp_delta of c walks xi(mu, c(tau))
-and exp_nabla walks xi_hat(mu, c(sigma(tau))), with the map as the only
-regressivity check.
+The exponentials are exp of a ``_cylinder_walk`` of their coefficient:
+exp_delta of c walks xi(mu, c(tau)) and exp_nabla walks xi_hat(mu,
+c(sigma(tau))), with the map as the only regressivity check.
 
 The window logarithm is additive over the window, L(s, u') = L(s, u) +
 L(u, u'), so ``log_table`` gives the logarithm from one base to every
@@ -85,7 +87,7 @@ from .errors import (
     ValidationError,
 )
 from .multivalue import TWO_PI, TWO_PI_I, MultiLog, exp as cexp, lattice_gap, principal_log
-from .timescale import ContinuousPiece, TimeScale
+from .timescale import TimeScale
 from . import cylinder
 
 
@@ -147,13 +149,6 @@ def delta_quotient(p: ScaleFunction, cfg: ToleranceConfig | None = None) -> Call
     return lambda tau, mu: _quotient(p, cfg, tau, tau + mu, mu)
 
 
-def _stored_quotient(p: ScaleFunction, cfg: ToleranceConfig):
-    """pDelta/p for the walk, (dense, jump term): p'/p on continuous
-    stretches, and across each gap the quotient to the stored successor."""
-    quotient = partial(_quotient, p, cfg)
-    return (lambda x: quotient(x, x, 0.0)), (lambda tau, mu, sigma: quotient(tau, sigma, mu))
-
-
 def _quotient(p: ScaleFunction, cfg: ToleranceConfig, tau: float, sigma: float, mu: float) -> complex:
     # pDelta(tau)/p(tau) across the gap mu to sigma, p'(tau)/p(tau) where mu = 0
     if mu > 0:
@@ -195,32 +190,42 @@ def _row_eta(weight: float | None, eta: float | None) -> float:
     return cylinder._require_eta(eta)
 
 
+def _cylinder_walk(variant: LogVariant, dense: Callable, coeff: Callable, eta: float | None = None):
+    """The definition's walk of a coefficient, set by the variant's row: (dense, Terms) for ``_walk``.
+
+    A jump from tau to its stored successor sigma, a gap mu, adds ``mu *
+    map(mu, coeff(tau, mu, sigma))``, the row's cylinder map (the eta row's
+    at the checked ``eta``) being the only regressivity check.  Every walk
+    of the cylinder maps comes here: ``_kernel`` and both exponentials.
+    """
+    cylinder_map = getattr(cylinder, _ROWS[variant][1])
+    if variant is LogVariant.ETA:
+        cylinder_map = partial(cylinder_map, eta)
+    return dense, Terms(lambda tau, mu, sigma: cylinder_map(mu, coeff(tau, mu, sigma)))
+
+
 def _kernel(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: float | None):
     """The logarithm by its definition, set by the variant's row: (dense, Terms) for ``_walk``.
 
-    Continuous pieces integrate p'/p; a jump from tau to its stored successor
-    sigma contributes ``mu * cylinder_map(mu, (p_sigma - p) / mu / ((1-eta) p
-    + eta p_sigma))`` and raises the row's error when the weighted
-    denominator is 0.  p is evaluated only at stored points, twice at each
-    point inside the window.  The identity suite checks the theorem against
-    this walk.
+    The ``_cylinder_walk`` of p'/p and of the weighted quotient ``(p_sigma
+    - p) / mu / ((1-eta) p + eta p_sigma)``, which raises the row's error
+    when its denominator is 0.  p is evaluated only at stored points, twice
+    at each point inside the window.  The identity suite checks the theorem
+    and the exponential round trip against this walk.
     """
-    weight, map_name, error, _ = _ROWS[variant]
-    cylinder_map = getattr(cylinder, map_name)
+    weight, _, error, _ = _ROWS[variant]
     eta = _row_eta(weight, eta)
-    if weight is None:
-        cylinder_map = partial(cylinder_map, eta)
     keep = 1.0 - eta
 
-    def jump(tau: float, mu: float, sigma: float) -> complex:
+    def coeff(tau: float, mu: float, sigma: float) -> complex:
         pv = _checked(p, tau, cfg)
         ps = _checked(p, sigma, cfg)
         mix = keep * pv + eta * ps
         if mix == 0:
             raise error(f"(1-eta)p + eta*p_sigma vanishes for eta={eta}")
-        return cylinder_map(mu, (ps - pv) / mu / mix)
+        return (ps - pv) / mu / mix
 
-    return partial(_slope, p, cfg), Terms(jump)
+    return _cylinder_walk(variant, partial(_slope, p, cfg), coeff, eta)
 
 
 class _Winding:
@@ -311,60 +316,44 @@ def _theorem(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: f
     return partial(_slope, p, cfg), _Winding(p, cfg, _row_eta(weight, eta), error, side)
 
 
-def _window_log(
-    variant: LogVariant,
-    p: ScaleFunction,
-    ts: TimeScale,
-    s: float,
-    t: float,
-    cfg: ToleranceConfig | None,
-    eta: float | None = None,
-    rule: Callable | None = None,
-) -> complex:
-    """The window logarithm by the theorem, or by ``rule`` (``_kernel``: the definition)."""
-    cfg = cfg or DEFAULT_TOLERANCES
-    dense, jumps = (rule or _theorem)(variant, p, cfg, eta)
-    return _window(dense, jumps, ts, s, t, cfg)
-
-
 def log_delta_principal(
     p: ScaleFunction, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | None = None
 ) -> complex:
     """Principal forward logarithm of p over the window [s, t]."""
-    return _window_log(LogVariant.DELTA_PRINCIPAL, p, ts, s, t, cfg)
+    return log_ts(LogVariant.DELTA_PRINCIPAL, p, ts, s, t, cfg)
 
 
 def log_delta_multi(
     p: ScaleFunction, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | None = None
 ) -> MultiLog:
     """Multi-valued forward logarithm: principal value plus the lattice."""
-    return MultiLog(log_delta_principal(p, ts, s, t, cfg), TWO_PI_I)
+    return log_ts(LogVariant.DELTA_MULTI, p, ts, s, t, cfg)
 
 
 def log_nabla_principal(
     p: ScaleFunction, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | None = None
 ) -> complex:
     """Principal backward logarithm: backward quotients at left-scattered points."""
-    return _window_log(LogVariant.NABLA_PRINCIPAL, p, ts, s, t, cfg)
+    return log_ts(LogVariant.NABLA_PRINCIPAL, p, ts, s, t, cfg)
 
 
 def log_nabla_multi(
     p: ScaleFunction, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | None = None
 ) -> MultiLog:
-    return MultiLog(log_nabla_principal(p, ts, s, t, cfg), TWO_PI_I)
+    return log_ts(LogVariant.NABLA_MULTI, p, ts, s, t, cfg)
 
 
 def log_cayley_principal(
     p: ScaleFunction, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | None = None
 ) -> complex:
     """Principal Cayley logarithm: symmetric average in the denominator."""
-    return _window_log(LogVariant.CAYLEY_PRINCIPAL, p, ts, s, t, cfg)
+    return log_ts(LogVariant.CAYLEY_PRINCIPAL, p, ts, s, t, cfg)
 
 
 def log_cayley_multi(
     p: ScaleFunction, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | None = None
 ) -> MultiLog:
-    return MultiLog(log_cayley_principal(p, ts, s, t, cfg), TWO_PI_I)
+    return log_ts(LogVariant.CAYLEY_MULTI, p, ts, s, t, cfg)
 
 
 def log_eta(
@@ -380,7 +369,7 @@ def log_eta(
     The weighting only reshapes the scattered contributions; the result
     still equals the forward logarithm modulo 2*pi*i.
     """
-    return MultiLog(_window_log(LogVariant.ETA, p, ts, s, t, cfg, eta), TWO_PI_I)
+    return log_ts(LogVariant.ETA, p, ts, s, t, cfg, eta)
 
 
 def log_ts(
@@ -392,9 +381,13 @@ def log_ts(
     cfg: ToleranceConfig | None = None,
     eta: float | None = None,
 ):
-    """Any variant's window logarithm: complex if ``*-principal``, else MultiLog."""
+    """Any variant's window logarithm by the theorem: complex if ``*-principal``, else MultiLog.
+
+    Every ``log_*`` function comes here with its variant.
+    """
     variant = LogVariant(variant)
-    value = _window_log(variant, p, ts, s, t, cfg, eta)
+    cfg = cfg or DEFAULT_TOLERANCES
+    value = _window(*_theorem(variant, p, cfg, eta), ts, s, t, cfg)
     return value if variant.value.endswith("-principal") else MultiLog(value, TWO_PI_I)
 
 
@@ -448,18 +441,6 @@ def log_delta_derivative(
     return p.prime(t) / pv
 
 
-def _exponential(variant: LogVariant, dense, coeff, ts: TimeScale, s: float, t: float, cfg) -> complex:
-    """exp of the walk of a coefficient, set by the variant's row.
-
-    Continuous stretches integrate ``dense(x)``; a jump from tau to its
-    stored successor sigma takes the row's map of ``coeff(tau, mu, sigma)``,
-    the map being the only regressivity check.
-    """
-    cylinder_map = getattr(cylinder, _ROWS[variant][1])
-    jumps = Terms(lambda tau, mu, sigma: cylinder_map(mu, coeff(tau, mu, sigma)))
-    return cexp(_window(dense, jumps, ts, s, t, cfg or DEFAULT_TOLERANCES))
-
-
 def _coefficient(coeff) -> Callable:
     if not callable(coeff):
         raise TypeError("coefficient must be a ScaleFunction or a callable (tau, mu) -> complex")
@@ -473,9 +454,8 @@ def exp_delta(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | N
     1 + mu*c != 0 at every scattered point of the window.
     """
     c = _coefficient(coeff)
-    return _exponential(
-        LogVariant.DELTA_PRINCIPAL, lambda x: c(x, 0.0), lambda tau, mu, sigma: c(tau, mu), ts, s, t, cfg
-    )
+    walk = _cylinder_walk(LogVariant.DELTA_PRINCIPAL, lambda x: c(x, 0.0), lambda tau, mu, sigma: c(tau, mu))
+    return cexp(_window(*walk, ts, s, t, cfg or DEFAULT_TOLERANCES))
 
 
 def exp_nabla(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | None = None) -> complex:
@@ -483,16 +463,15 @@ def exp_nabla(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | N
     points tau' = sigma(tau), the stored successors, with nu the gap below
     them; needs 1 - nu*c != 0 there."""
     c = _coefficient(coeff)
-    return _exponential(
-        LogVariant.NABLA_PRINCIPAL, lambda x: c(x, 0.0), lambda tau, nu, sigma: c(sigma, nu), ts, s, t, cfg
-    )
+    walk = _cylinder_walk(LogVariant.NABLA_PRINCIPAL, lambda x: c(x, 0.0), lambda tau, nu, sigma: c(sigma, nu))
+    return cexp(_window(*walk, ts, s, t, cfg or DEFAULT_TOLERANCES))
 
 
 def legacy_log(
     kind: Union[LegacyKind, str],
     p: ScaleFunction | None,
     ts: TimeScale,
-    t0: float,
+    t0: float | None,
     t: float,
     cfg: ToleranceConfig | None = None,
 ) -> complex:
@@ -502,10 +481,16 @@ def legacy_log(
     euler-cauchy        integral of 1/(tau + 2*mu(tau)) from t0 to t
     integral-quotient   integral of pDelta/p from t0 to t (no cylinder map)
     jackson             pointwise pDelta(t)/p(t); ignores t0
-    mozyrska            integral of 1/tau from 1 to t; needs 1 in the scale
+    mozyrska            integral of 1/tau from 1 to t; needs 1 in the scale; ignores t0
+
+    t0 may be None for jackson and mozyrska; the three kinds that integrate
+    from it raise ValidationError without it, as does a missing p where the
+    kind needs one.
     """
     kind = LegacyKind(kind)
     cfg = cfg or DEFAULT_TOLERANCES
+    if t0 is None and kind in (LegacyKind.HUFF, LegacyKind.EULER_CAUCHY, LegacyKind.INTEGRAL_QUOTIENT):
+        raise ValidationError(f"the {kind.value} logarithm integrates from t0, which is missing")
     if kind in (LegacyKind.INTEGRAL_QUOTIENT, LegacyKind.JACKSON) and p is None:
         raise ValidationError(f"the {kind.value} logarithm needs a function p")
 
@@ -520,8 +505,8 @@ def legacy_log(
     if kind is LegacyKind.EULER_CAUCHY:
         return delta_integral(lambda tau, mu: ratio(1.0, tau + 2.0 * mu, tau), ts, t0, t, cfg)
     if kind is LegacyKind.INTEGRAL_QUOTIENT:
-        dense, term = _stored_quotient(p, cfg)
-        return _window(dense, Terms(term), ts, t0, t, cfg)
+        jumps = Terms(lambda tau, mu, sigma: _quotient(p, cfg, tau, sigma, mu))
+        return _window(lambda x: _quotient(p, cfg, x, x, 0.0), jumps, ts, t0, t, cfg)
     if kind is LegacyKind.JACKSON:
         t, sigma = ts.delta_point(t)
         return _quotient(p, cfg, t, sigma, sigma - t)
@@ -564,18 +549,21 @@ def scaled_residual(a: complex, b: complex) -> float:
 
 
 def _positive_real_on_window(p: ScaleFunction, ts: TimeScale, s: float, t: float) -> bool:
+    """Whether p is positive real at every scale point of the window and at
+    9 points across each continuous stretch, evaluating p once per point in
+    increasing order and stopping at the first point where it is not."""
     lo, hi = min(s, t), max(s, t)
-    points: list[float] = [lo, hi]
-    for seg in ts.decompose(lo, hi):
-        if isinstance(seg, ContinuousPiece):
-            n = 8
-            points.extend(seg.a + (seg.b - seg.a) * k / n for k in range(n + 1))
-        else:
-            points.extend((seg.tau, seg.sigma))
-    for x in points:
-        v = p(x)
-        if abs(v.imag) > 1e-12 * (1.0 + abs(v)) or v.real <= 0:
-            return False
+    ks, kt, _, _, _ = ts._span(lo, hi)
+    last = None
+    for k in range(ks, kt + 1):
+        a, b = ts._piece(k)
+        a, b = max(a, lo), min(b, hi)
+        for x in [a + (b - a) * j / 8 for j in range(9)] + [b] if b > a else (a,):
+            if x != last:
+                v = p(x)
+                if abs(v.imag) > 1e-12 * (1.0 + abs(v)) or v.real <= 0:
+                    return False
+                last = x
     return True
 
 
@@ -596,12 +584,12 @@ def identity_suite(
     only testable for integer alpha (mod the lattice); other combinations
     raise ValidationError.  Rows are sorted by identity name.
 
-    The logarithms on the left of the rules and the reference Lp come from
-    the theorem (``_Winding``).  The Cayley and eta rows walk the
-    definition (``_kernel``: the cylinder maps) and compare it with Lp, and
-    the exponential round trip walks the forward map of the quotient
-    pDelta/p, so a fault in either construction fails a row rather than
-    appearing on both sides of it.
+    The five logarithms on the left of the rules, among them the reference
+    Lp, come from the theorem (``log_ts``).  The other six walks are the
+    definition (``_kernel``: the cylinder maps): the Cayley and eta rows
+    compare it with Lp, and the exponential round trip compares exp(Lp)
+    with exp of the delta row's walk, so a fault in either construction
+    fails a row rather than appearing on both sides of it.
     """
     s = ts.snap(s)
     t = ts.snap(t)
@@ -619,10 +607,12 @@ def identity_suite(
         k, res = lattice_gap(lhs, rhs)
         rows.append(IdentityResult(name, getattr(lhs, "rep", lhs), rhs, res, k, res <= tol))
 
+    def definition(variant: LogVariant, eta: float | None = None) -> complex:
+        return _window(*_kernel(variant, p, cfg, eta), ts, s, t, cfg)
+
     Lp = log_delta_principal(p, ts, s, t, cfg)
     Lq = log_delta_principal(q, ts, s, t, cfg)
-    rhs = _exponential(LogVariant.DELTA_PRINCIPAL, *_stored_quotient(p, cfg), ts, s, t, cfg)
-    exact("exp-of-principal-log", cexp(Lp), rhs)
+    exact("exp-of-principal-log", cexp(Lp), cexp(definition(LogVariant.DELTA_PRINCIPAL)))
     modulo_lattice("product-rule", log_delta_principal(p * q, ts, s, t, cfg), Lp + Lq)
     modulo_lattice("quotient-rule", log_delta_principal(p / q, ts, s, t, cfg), Lp - Lq)
 
@@ -634,12 +624,12 @@ def identity_suite(
     else:
         raise ValidationError("power rule with non-integer alpha needs p positive real on the window")
 
-    cayley = _window_log(LogVariant.CAYLEY_PRINCIPAL, p, ts, s, t, cfg, rule=_kernel)
+    cayley = definition(LogVariant.CAYLEY_PRINCIPAL)
     exact("cayley-principal", cayley, Lp)
     # the multi-valued Cayley log and eta = 1/2 are the same walk with the lattice attached
     modulo_lattice("cayley-multi", cayley, Lp)
     for eta in (0.0, 0.25, 0.5, 0.75, 1.0):
-        lhs = cayley if eta == 0.5 else _window_log(LogVariant.ETA, p, ts, s, t, cfg, eta, rule=_kernel)
+        lhs = cayley if eta == 0.5 else definition(LogVariant.ETA, eta)
         modulo_lattice(f"eta-{eta:g}", lhs, Lp)
 
     rows.sort(key=lambda r: r.identity)

@@ -22,6 +22,9 @@ REJECTED = {
     "eta-range": lambda: log_ts(LogVariant.ETA, P, HZ, 0.0, 4.0, eta=2.0),
     "table-order": lambda: log_table("delta-principal", P, HZ, 0.0, [2.0, 1.0]),
     "legacy-needs-p": lambda: legacy_log("jackson", None, HZ, 0.0, 2.0),
+    "legacy-huff-needs-t0": lambda: legacy_log("huff", None, HZ, None, 3.0),
+    "legacy-euler-cauchy-needs-t0": lambda: legacy_log("euler-cauchy", None, HZ, None, 3.0),
+    "legacy-integral-quotient-needs-t0": lambda: legacy_log("integral-quotient", P, HZ, None, 3.0),
     "infinite-power": lambda: P.pow(math.inf),
     "fractional-power-rule": lambda: identity_suite(
         ScaleFunction.from_text("t+3*i"), P, HZ, 0.0, 5.0, 0.5

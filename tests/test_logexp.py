@@ -423,7 +423,8 @@ def _stored_points(ts, lo, hi, midpoints=True):
 
 def _definition(variant, p, ts, s, t, cfg=None, eta=None):
     # the cylinder-map walk, which the identity suite checks the theorem against
-    return logexp._window_log(LogVariant(variant), p, ts, s, t, cfg, eta, rule=logexp._kernel)
+    cfg = cfg or calculus.DEFAULT_TOLERANCES
+    return calculus._window(*logexp._kernel(LogVariant(variant), p, cfg, eta), ts, s, t, cfg)
 
 
 def _definition_table(variant, p, ts, base, points, cfg, eta):
@@ -988,8 +989,9 @@ def test_identity_suite_all_pass_on_unit_grid():
 
 def test_identity_suite_is_eleven_walks(monkeypatch):
     # five logs by the theorem (p, q, pq, p/q, p^alpha) and six definition
-    # walks: Cayley, which the eta-1/2 and cayley-multi rows reuse, four
-    # more eta rows, and the exponential of the quotient
+    # walks, all of them _kernel: the delta row for the exponential round
+    # trip, Cayley, which the eta-1/2 and cayley-multi rows reuse, and four
+    # more eta rows
     calls = {"walk": 0, "theorem": 0, "definition": 0}
 
     def counting(name, fn):
@@ -1002,7 +1004,6 @@ def test_identity_suite_is_eleven_walks(monkeypatch):
     monkeypatch.setattr(calculus, "_walk", counting("walk", calculus._walk))
     monkeypatch.setattr(logexp, "_theorem", counting("theorem", logexp._theorem))
     monkeypatch.setattr(logexp, "_kernel", counting("definition", logexp._kernel))
-    monkeypatch.setattr(logexp, "_exponential", counting("definition", logexp._exponential))
     p = ScaleFunction.from_text("t^2+1")
     q = ScaleFunction.from_text("t+3")
     rows = identity_suite(p, q, parse_timescale("hz:1"), 0.0, 6.0, 2.0)
@@ -1010,6 +1011,47 @@ def test_identity_suite_is_eleven_walks(monkeypatch):
     assert calls == {"walk": 11, "theorem": 5, "definition": 6}
     by_name = {r.identity: r for r in rows}
     assert by_name["eta-0.5"].lhs == by_name["cayley-principal"].lhs
+
+
+def _old_positivity_samples(ts, lo, hi):
+    # the positivity samples read from the decomposition: the ends, every
+    # jump's two points and 9 points across each continuous stretch
+    points = {lo, hi}
+    for seg in ts.decompose(lo, hi):
+        if isinstance(seg, ContinuousPiece):
+            points.update(seg.a + (seg.b - seg.a) * k / 8 for k in range(9))
+        else:
+            points.update((seg.tau, seg.sigma))
+    return points
+
+
+@pytest.mark.parametrize(
+    "spec, lo, hi",
+    [("hz:1", 0.0, 50.0), ("union:[0,1];[2,3];[3.5,5]", 0.5, 4.25), ("union:[-2,-1];[0,0];[1,2.5]", -2.0, 2.5),
+     ("r", -1.0, 3.0), ("q:2", 1.0, 64.0), ("set:0.1,0.7,1.3,2.9", 0.7, 0.7)],
+)
+def test_positivity_scan_evaluates_each_sample_once(spec, lo, hi):
+    # the power rule's positivity scan reads the pieces by index: the same
+    # samples as a scan of the decomposition, each evaluated once (a
+    # decomposition hands each point inside the window over twice)
+    ts = parse_timescale(spec)
+    p = RecordingFunction.from_text("t^2+1")
+    assert logexp._positive_real_on_window(p, ts, lo, hi)
+    assert len(p.points) == len(set(p.points))
+    assert set(p.points) == _old_positivity_samples(ts, lo, hi)
+    assert p.points == sorted(p.points)
+    if spec == "hz:1":
+        assert len(p.points) == 51
+
+
+def test_positivity_scan_stops_at_the_first_failing_point():
+    ts = parse_timescale("hz:1")
+    p = RecordingFunction.from_text("t-0.5")
+    assert not logexp._positive_real_on_window(p, ts, 0.0, 50.0)
+    assert p.points == [0.0]
+    p = RecordingFunction.from_text("(t-20.5)*(t-30)")
+    assert not logexp._positive_real_on_window(p, ts, 0.0, 50.0)
+    assert p.points == [float(x) for x in range(22)]
 
 
 def test_identity_suite_json_shape():
