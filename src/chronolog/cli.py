@@ -35,7 +35,7 @@ from .logexp import (
     log_ts,
 )
 from .multivalue import MultiLog
-from .timescale import MAX_WINDOW_JUMPS, ContinuousPiece, TimeScale, parse_timescale
+from .timescale import MAX_WINDOW_JUMPS, TimeScale, parse_timescale
 
 TOL_ENV_VAR = "CHRONOLOG_TOL"
 
@@ -91,31 +91,26 @@ def _walk_points(ts: TimeScale, start: float, stop: float, step: float | None) -
     stop = ts.snap(stop)
     if stop < start:
         raise ValidationError("--to must not be less than --from")
-    segs = ts.decompose(start, stop).segments
-    pieces = [seg for seg in segs if isinstance(seg, ContinuousPiece)]
-    if pieces:
-        if step is None:
-            raise ValidationError("--step is required when the range has continuous stretches")
-        if not step > 0:
-            raise ValidationError("--step must be positive")
-    rows = len(segs) - len(pieces) + sum((seg.b - seg.a) / step for seg in pieces)
+    jumps, dense = -1, 0.0
+    for a, b in ts._clipped_pieces(start, stop):
+        if b > a:
+            if step is None:
+                raise ValidationError("--step is required when the range has continuous stretches")
+            if not step > 0:
+                raise ValidationError("--step must be positive")
+            dense += (b - a) / step
+        jumps += 1
+    rows = jumps + dense
     if rows > MAX_WINDOW_JUMPS:
         raise UnboundedWindow(f"the table has {rows:.4g} rows, more than {MAX_WINDOW_JUMPS}")
-    points: list[float] = []
-    for seg in segs:
-        if isinstance(seg, ContinuousPiece):
-            points.append(seg.a)
-            k = 1
-            while seg.a + k * step < seg.b:
-                points.append(seg.a + k * step)
-                k += 1
-        else:
-            points.append(seg.tau)
-    points.append(stop)
     out: list[float] = []
-    for x in points:
-        if not out or x > out[-1]:
-            out.append(x)
+    for a, b in ts._clipped_pieces(start, stop):
+        k, x = 1, a
+        while x < b:  # a, then a + k*step below b, each above the last row
+            if not out or x > out[-1]:
+                out.append(x)
+            x, k = a + k * step, k + 1
+        out.append(b)
     return out
 
 

@@ -1,44 +1,56 @@
 """Cylinder transformations and the circle algebra of regressive functions.
 
 The cylinder maps turn a coefficient z at graininess h into the exponent
-that a product of factors (1 + h*z) accumulates.  Four flavors are
-provided: the forward (delta) map, the backward (nabla) map, an
-eta-weighted interpolation between forward and backward, and its eta = 1/2
-case, the Cayley map built from symmetric half-steps.  Each has a
-principal version and, where it matters, a multi-valued version whose
-period is 2*pi*i/h.
-
-At h = 0 every map degenerates to the identity z -> z.
-
-Each map raises its regressivity error when a factor that depends on h*z
-vanishes: 1 + h*z (forward), 1 - h*z (backward), 1 + (1-eta)h*z if eta < 1
-and 1 - eta*h*z if eta > 0 (weighted; both for Cayley).
+that a product of factors (1 + h*z) accumulates.  They are one family in
+eta: with num = 1 + (1-eta)h*z and den = 1 - eta*h*z, the map is
+(1/h) Log(num/den), or -(1/h) Log(den/num) on the -i*pi side of the cut,
+and z itself at h = 0.  Each public map is that body at its row
+(``_ROWS``): eta 0 for xi, 1 for xi_hat (on the -i*pi side), 1/2 for
+cayley_psi and the caller's for eta_psi.  The Cayley and eta maps may
+return the multi-valued map, period 2*pi*i/h, as do ``zeta`` and
+``zeta_hat`` for xi and xi_hat.  One guard
+(``_singular``) serves every regressivity check, here and in the window
+logarithm's closed form: a factor that depends on h*z, num if eta < 1 and
+den if eta > 0, vanishes below GUARD * (1 + |h*z|).  No function here
+returns an infinity or NaN: it raises NonFiniteValue, a predicate where
+h*z is not finite.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from .errors import (
     CayleyNotRegressive,
     EtaNotRegressive,
+    NonFiniteValue,
     NotNuRegressive,
     NotRegressive,
     ValidationError,
 )
 from .multivalue import TWO_PI, MultiLog, pow_real, principal_log
 
-# relative guard: |denominator| below GUARD * (1 + |h*z|) counts as vanishing
+# relative guard: a factor below GUARD * (1 + |h*z|) counts as vanishing
 REGRESSIVITY_GUARD = 1e-12
 
+# one row per map: its name, the weight eta (None: the caller's), its
+# regressivity error and the side of the cut (+1 for +i*pi, -1 for -i*pi)
+_XI = ("xi", 0.0, NotRegressive, 1.0)
+_XI_HAT = ("xi_hat", 1.0, NotNuRegressive, -1.0)
+_CAYLEY = ("cayley_psi", 0.5, CayleyNotRegressive, 1.0)
+_ETA = ("eta_psi", None, EtaNotRegressive, 1.0)
+_ROWS = {row[0]: row for row in (_XI, _XI_HAT, _CAYLEY, _ETA)}
 
-def _vanishes(w: complex, scale: complex) -> bool:
-    return abs(w) < REGRESSIVITY_GUARD * (1.0 + abs(scale))
+
+def _singular(eta: float, num: complex, den: complex, bound: float) -> bool:
+    """Whether a factor of the eta map vanishes: num (if eta < 1) or den (if eta > 0) under ``bound``."""
+    return (eta < 1.0 and abs(num) < bound) or (eta > 0.0 and abs(den) < bound)
 
 
 def _require_step(h: float) -> float:
     h = float(h)
-    if not (math.isfinite(h) and h >= 0):
+    if not 0.0 <= h < math.inf:
         raise ValidationError(f"graininess must be a nonnegative finite real, got {h!r}")
     return h
 
@@ -50,26 +62,51 @@ def _require_eta(eta: float) -> float:
     return eta
 
 
-def _lattice(h: float) -> complex:
-    return complex(0.0, TWO_PI / h) if h > 0 else 0j
+def _finite(val: complex, what: str) -> complex:
+    if not cmath.isfinite(val):
+        raise NonFiniteValue(f"{what} is not finite: {val!r}")
+    return val
+
+
+def _psi(row: tuple, h: float, z: complex, principal: bool = True, eta: float | None = None):
+    # the map of one row, at the caller's eta for the eta row
+    name, weight, error, side = row
+    h = _require_step(h)
+    z = complex(z)
+    eta = weight if eta is None else eta
+    if h == 0:
+        val = z
+    else:
+        hz = h * z
+        num = 1 + (1.0 - eta) * hz
+        den = 1 - eta * hz
+        # where |hz| <= 1/2 both factors are at least 1/2, far above the bound
+        if abs(hz) > 0.5 and _singular(eta, num, den, REGRESSIVITY_GUARD * (1.0 + abs(hz))):
+            raise error(f"{name}: a factor vanishes for eta={eta}, h={h}, z={z}")
+        val = principal_log(num / den) / h if side > 0 else -principal_log(den / num) / h
+    if not cmath.isfinite(val):
+        raise NonFiniteValue(f"{name} is not finite for eta={eta}, h={h}, z={z}: {val!r}")
+    return val if principal else MultiLog(val, complex(0.0, TWO_PI / h) if h > 0 else 0j)
+
+
+def _is_regressive(row: tuple, h: float, z: complex) -> bool:
+    eta, hz = row[1], _finite(_require_step(h) * z, "h*z")
+    return not _singular(eta, 1 + (1.0 - eta) * hz, 1 - eta * hz, REGRESSIVITY_GUARD * (1.0 + abs(hz)))
 
 
 def is_regressive(h: float, z: complex) -> bool:
-    """1 + h*z stays away from zero."""
-    hz = _require_step(h) * z
-    return not _vanishes(1 + hz, hz)
+    """1 + h*z stays away from zero (the guard xi applies)."""
+    return _is_regressive(_XI, h, z)
 
 
 def is_nu_regressive(h: float, z: complex) -> bool:
-    """1 - h*z stays away from zero."""
-    hz = _require_step(h) * z
-    return not _vanishes(1 - hz, hz)
+    """1 - h*z stays away from zero (the guard xi_hat applies)."""
+    return _is_regressive(_XI_HAT, h, z)
 
 
 def is_cayley_regressive(h: float, z: complex) -> bool:
     """h*z stays away from both +2 and -2 (the guard cayley_psi applies)."""
-    hz = _require_step(h) * z
-    return not (_vanishes(1 + 0.5 * hz, hz) or _vanishes(1 - 0.5 * hz, hz))
+    return _is_regressive(_CAYLEY, h, z)
 
 
 def xi(h: float, z: complex) -> complex:
@@ -77,56 +114,22 @@ def xi(h: float, z: complex) -> complex:
 
     The imaginary part lands in (-pi/h, pi/h].
     """
-    h = _require_step(h)
-    z = complex(z)
-    if h == 0:
-        return z
-    hz = h * z
-    w = 1 + hz
-    if _vanishes(w, hz):
-        raise NotRegressive(f"1 + h*z vanishes for h={h}, z={z}")
-    # rounding can land exactly on -pi/h for points a hair below the cut
-    val = principal_log(w) / h
-    assert -math.pi / h <= val.imag <= math.pi / h
-    return val
+    return _psi(_XI, h, z)
 
 
 def zeta(h: float, z: complex) -> MultiLog:
     """Multi-valued forward cylinder map: xi plus the 2*pi*i/h lattice."""
-    return MultiLog(xi(h, z), _lattice(h))
+    return _psi(_XI, h, z, False)
 
 
 def xi_hat(h: float, z: complex) -> complex:
     """Principal backward cylinder map -(1/h) Log(1 - h*z); z at h=0."""
-    h = _require_step(h)
-    z = complex(z)
-    if h == 0:
-        return z
-    hz = h * z
-    w = 1 - hz
-    if _vanishes(w, hz):
-        raise NotNuRegressive(f"1 - h*z vanishes for h={h}, z={z}")
-    return -principal_log(w) / h
+    return _psi(_XI_HAT, h, z)
 
 
 def zeta_hat(h: float, z: complex) -> MultiLog:
     """Multi-valued backward cylinder map."""
-    return MultiLog(xi_hat(h, z), _lattice(h))
-
-
-def _weighted_psi(eta: float, h: float, z: complex, principal: bool, error: type):
-    h = _require_step(h)
-    z = complex(z)
-    if h == 0:
-        val = z
-    else:
-        hz = h * z
-        num = 1 + (1.0 - eta) * hz
-        den = 1 - eta * hz
-        if (eta < 1 and _vanishes(num, hz)) or (eta > 0 and _vanishes(den, hz)):
-            raise error(f"weighted denominator vanishes for eta={eta}, h={h}, z={z}")
-        val = principal_log(num / den) / h
-    return val if principal else MultiLog(val, _lattice(h))
+    return _psi(_XI_HAT, h, z, False)
 
 
 def cayley_psi(h: float, z: complex, principal: bool = True):
@@ -136,7 +139,7 @@ def cayley_psi(h: float, z: complex, principal: bool = True):
     MultiLog with period 2*pi*i/h.  Raises CayleyNotRegressive when h*z
     reaches +/-2.
     """
-    return _weighted_psi(0.5, h, z, principal, CayleyNotRegressive)
+    return _psi(_CAYLEY, h, z, principal)
 
 
 def eta_psi(eta: float, h: float, z: complex, principal: bool = True):
@@ -145,13 +148,13 @@ def eta_psi(eta: float, h: float, z: complex, principal: bool = True):
     eta=0 is the forward map, eta=1 the backward map, eta=1/2 the Cayley
     map.  Requires 0 <= eta <= 1.
     """
-    return _weighted_psi(_require_eta(eta), h, z, principal, EtaNotRegressive)
+    return _psi(_ETA, h, z, principal, _require_eta(eta))
 
 
 def circle_plus(h: float, z: complex, w: complex) -> complex:
     """Group operation z + w + h*z*w of regressive coefficients."""
     _require_step(h)
-    return z + w + h * z * w
+    return _finite(z + w + h * z * w, "circle_plus")
 
 
 def circle_minus(h: float, z: complex, w: complex) -> complex:
@@ -159,9 +162,9 @@ def circle_minus(h: float, z: complex, w: complex) -> complex:
     h = _require_step(h)
     hw = h * w
     den = 1 + hw
-    if _vanishes(den, hw):
+    if _singular(0.0, den, 1.0, REGRESSIVITY_GUARD * (1.0 + abs(hw))):
         raise NotRegressive(f"1 + h*w vanishes for h={h}, w={w}")
-    return (z - w) / den
+    return _finite((z - w) / den, "circle_minus")
 
 
 def circle_dot(h: float, alpha: float, z: complex) -> complex:
@@ -169,9 +172,9 @@ def circle_dot(h: float, alpha: float, z: complex) -> complex:
     h = _require_step(h)
     alpha = float(alpha)
     if h == 0:
-        return alpha * z
+        return _finite(alpha * z, "circle_dot")
     hz = h * z
     w = 1 + hz
-    if _vanishes(w, hz):
+    if _singular(0.0, w, 1.0, REGRESSIVITY_GUARD * (1.0 + abs(hz))):
         raise NotRegressive(f"1 + h*z vanishes for h={h}, z={z}")
-    return (pow_real(w, alpha) - 1) / h
+    return _finite((pow_real(w, alpha) - 1) / h, "circle_dot")

@@ -40,9 +40,10 @@ class UnboundedWindow(ValidationError):
 
     The bound is ``timescale.MAX_WINDOW_JUMPS`` for both.  It is checked
     before any term, segment or row, so a long window on a fine grid or a
-    table with a tiny ``--step`` fails fast.  A walk streams the scale and
-    keeps no segments, so there the bound caps time; ``decompose`` and a
-    table build one object per gap or row, so there it caps memory too.
+    table with a tiny ``--step`` fails fast.  A walk, or a table's count of
+    rows, streams the scale and keeps no segments, so there the bound caps
+    time; ``decompose`` and a table build one object per gap or row, so
+    there it caps memory too.
     """
 
 

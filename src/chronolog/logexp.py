@@ -9,18 +9,11 @@ p_sigma = p(sigma), contributes, by definition,
     mu * map_mu(pDelta / ((1-eta) p + eta p_sigma)),
 
 which in exact arithmetic is Log(p_sigma / p), on the side of the branch
-cut that the map sets.  Every variant is one row of the table below
-(``_ROWS``); the row fixes the weight eta, the cylinder map, its
-regressivity error and the side of the cut on which a jump with an
-exactly negative real ratio p_sigma/p lands:
-
-    variant   eta   map               cut side   also read by
-    delta     0     xi                +i*pi      exp_delta
-    nabla     1     xi_hat            -i*pi      exp_nabla
-    Cayley    1/2   cayley_psi        +i*pi
-    eta       eta   eta_psi(eta, .)   +i*pi
-
-so eta = 1 has the nabla weight but lands on +i*pi.
+cut that the map sets.  Every variant names its map (``_ROWS``): delta
+xi, nabla xi_hat, Cayley cayley_psi and eta eta_psi, whose row in
+``cylinder`` fixes the weight eta, the regressivity error and the side of
+the cut on which a jump with an exactly negative real ratio p_sigma/p
+lands; so eta = 1 has the nabla weight but lands on +i*pi.
 
 Theorem and definition.  Summing the definition's terms over a run of
 consecutive jumps x_0 -> ... -> x_n gives the closed form
@@ -29,11 +22,11 @@ round((sum of Arg(p(x_j+1)/p(x_j)) - Arg(p(x_n)/p(x_0))) / 2*pi).  Each
 side has one path.  The theorem: ``log_ts``, which every ``log_*``
 function calls, and ``log_table`` walk their jumps this way
 (``_Winding``): p once per point, carried from sigma to the next tau,
-and at each jump the checks and errors of the row's map, at the map's
-guard.  On a discrete scale a whole window is one run.  The definition:
-every walk of the cylinder maps goes through ``_cylinder_walk``.  Its
-walk of the weighted quotient (``_kernel``) is the independent second
-side of the identity suite.
+and at each jump the checks and errors of the row's map, through the
+maps' one guard (``cylinder._singular``).  On a discrete scale a whole
+window is one run.  The definition: every walk of the cylinder maps goes
+through ``_cylinder_walk``.  Its walk of the weighted quotient
+(``_kernel``) is the independent second side of the identity suite.
 
 Delta, nabla and Cayley each have a principal version (a plain complex
 number) and a multi-valued version carrying the 2*pi*i lattice; eta is
@@ -41,7 +34,9 @@ multi-valued only.  They all agree modulo that lattice.
 
 The exponentials are exp of a ``_cylinder_walk`` of their coefficient:
 exp_delta of c walks xi(mu, c(tau)) and exp_nabla walks xi_hat(mu,
-c(sigma(tau))), with the map as the only regressivity check.
+c(sigma(tau))), with the map as the only regressivity and finiteness
+check: a coefficient that is not finite at a jump raises the map's
+NonFiniteValue.
 
 The window logarithm is additive over the window, L(s, u') = L(s, u) +
 L(u, u'), so ``log_table`` gives the logarithm from one base to every
@@ -74,14 +69,10 @@ from .calculus import (
 )
 from .cylinder import REGRESSIVITY_GUARD
 from .errors import (
-    CayleyNotRegressive,
     ChronologError,
-    EtaNotRegressive,
     EvalDomain,
     NonFiniteIntegrand,
     NonvanishingViolation,
-    NotNuRegressive,
-    NotRegressive,
     OneNotInScale,
     PointNotInScale,
     ValidationError,
@@ -161,20 +152,17 @@ def _quotient(p: ScaleFunction, cfg: ToleranceConfig, tau: float, sigma: float, 
         raise
 
 
-# The variant table: the weight eta (the eta row's comes from the caller), the
-# name of the map in `cylinder` (looked up per call, so that a wrapper on the
-# module sees every map), the map's regressivity error, which the row also
-# raises when the weighted denominator (1-eta)p + eta*p_sigma is 0, and the
-# side of the cut (+1 for +i*pi, -1 for -i*pi) on which a jump whose ratio
-# p_sigma/p is exactly negative real lands.
+# The variant table: the name of the variant's map, looked up in `cylinder` per
+# call so that a wrapper on the module sees every map.  The map's row there
+# gives eta, the error (also raised when (1-eta)p + eta*p_sigma is 0) and the side.
 _ROWS = {
-    LogVariant.DELTA_MULTI: (0.0, "xi", NotRegressive, 1.0),
-    LogVariant.DELTA_PRINCIPAL: (0.0, "xi", NotRegressive, 1.0),
-    LogVariant.NABLA_MULTI: (1.0, "xi_hat", NotNuRegressive, -1.0),
-    LogVariant.NABLA_PRINCIPAL: (1.0, "xi_hat", NotNuRegressive, -1.0),
-    LogVariant.CAYLEY_MULTI: (0.5, "cayley_psi", CayleyNotRegressive, 1.0),
-    LogVariant.CAYLEY_PRINCIPAL: (0.5, "cayley_psi", CayleyNotRegressive, 1.0),
-    LogVariant.ETA: (None, "eta_psi", EtaNotRegressive, 1.0),
+    LogVariant.DELTA_MULTI: "xi",
+    LogVariant.DELTA_PRINCIPAL: "xi",
+    LogVariant.NABLA_MULTI: "xi_hat",
+    LogVariant.NABLA_PRINCIPAL: "xi_hat",
+    LogVariant.CAYLEY_MULTI: "cayley_psi",
+    LogVariant.CAYLEY_PRINCIPAL: "cayley_psi",
+    LogVariant.ETA: "eta_psi",
 }
 
 
@@ -182,12 +170,14 @@ _ROWS = {
 _SCREEN = 4.0 * REGRESSIVITY_GUARD
 
 
-def _row_eta(weight: float | None, eta: float | None) -> float:
-    if weight is not None:
-        return weight
-    if eta is None:
-        raise ValidationError("the eta variant needs an explicit eta value")
-    return cylinder._require_eta(eta)
+def _row(variant: LogVariant, eta: float | None) -> tuple[float, type, float]:
+    # the variant's map row (eta, error, side of the cut), the eta row's at the checked eta
+    _, weight, error, side = cylinder._ROWS[_ROWS[variant]]
+    if weight is None:
+        if eta is None:
+            raise ValidationError("the eta variant needs an explicit eta value")
+        weight = cylinder._require_eta(eta)
+    return weight, error, side
 
 
 def _cylinder_walk(variant: LogVariant, dense: Callable, coeff: Callable, eta: float | None = None):
@@ -198,7 +188,7 @@ def _cylinder_walk(variant: LogVariant, dense: Callable, coeff: Callable, eta: f
     at the checked ``eta``) being the only regressivity check.  Every walk
     of the cylinder maps comes here: ``_kernel`` and both exponentials.
     """
-    cylinder_map = getattr(cylinder, _ROWS[variant][1])
+    cylinder_map = getattr(cylinder, _ROWS[variant])
     if variant is LogVariant.ETA:
         cylinder_map = partial(cylinder_map, eta)
     return dense, Terms(lambda tau, mu, sigma: cylinder_map(mu, coeff(tau, mu, sigma)))
@@ -213,8 +203,7 @@ def _kernel(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: fl
     at each point inside the window.  The identity suite checks the theorem
     and the exponential round trip against this walk.
     """
-    weight, _, error, _ = _ROWS[variant]
-    eta = _row_eta(weight, eta)
+    eta, error, _ = _row(variant, eta)
     keep = 1.0 - eta
 
     def coeff(tau: float, mu: float, sigma: float) -> complex:
@@ -243,8 +232,9 @@ class _Winding:
     carrying the other forward.  Each jump raises what the row's map would:
     NonvanishingViolation below eps_min and NonFiniteValue at each point,
     and the row's error when (1-eta)p + eta*p_sigma is 0 or when a factor
-    of the map, p_sigma/mix or p/mix, falls under the map's
-    ``REGRESSIVITY_GUARD`` relative to 1 + |mu*z| = (|mix| + |p_sigma - p|)/|mix|.
+    of the map, p_sigma/mix or p/mix, falls under the maps' guard
+    (``cylinder._singular``, run only where one value is far below the other)
+    relative to 1 + |mu*z| = (|mix| + |p_sigma - p|)/|mix|.
     """
 
     __slots__ = ("p", "cfg", "keep", "eta", "error", "cut", "up", "first", "last", "last_abs", "turns")
@@ -290,9 +280,8 @@ class _Winding:
         # the guard's bound is at most 3 * GUARD * max(|p|, |p_sigma|), so a
         # factor can vanish only where one value is that far below the other
         if aps < _SCREEN * apv or apv < _SCREEN * aps:
-            mix = self.keep * pv + eta * ps
-            bound = REGRESSIVITY_GUARD * (abs(mix) + abs(ps - pv))
-            if (eta < 1.0 and aps < bound) or (eta > 0.0 and apv < bound):
+            bound = REGRESSIVITY_GUARD * (abs(self.keep * pv + eta * ps) + abs(ps - pv))
+            if cylinder._singular(eta, ps, pv, bound):
                 raise self.error(f"the jump ratio p_sigma/p = {r} is not regressive for eta={eta}")
         if r == 0 or not cmath.isfinite(r):
             raise NonFiniteIntegrand(f"the jump ratio p_sigma/p = {r} is not finite and nonzero")
@@ -312,8 +301,7 @@ class _Winding:
 
 def _theorem(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: float | None):
     """The logarithm by the theorem, set by the variant's row: (dense, _Winding) for ``_walk``."""
-    weight, _, error, side = _ROWS[variant]
-    return partial(_slope, p, cfg), _Winding(p, cfg, _row_eta(weight, eta), error, side)
+    return partial(_slope, p, cfg), _Winding(p, cfg, *_row(variant, eta))
 
 
 def log_delta_principal(
@@ -451,7 +439,10 @@ def exp_delta(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | N
     """Forward exponential: exp of the integral of the cylinder-mapped coefficient.
 
     The coefficient c(tau, mu) is sampled at tau.  It must be regressive:
-    1 + mu*c != 0 at every scattered point of the window.
+    1 + mu*c != 0 at every scattered point of the window.  The map forms
+    1 + mu*c from the coefficient, so for c = pDelta/p that factor is
+    1 + (p_sigma/p - 1), which cancels when p_sigma/p << 1; given only c,
+    the public (h, z) maps cannot avoid this.
     """
     c = _coefficient(coeff)
     walk = _cylinder_walk(LogVariant.DELTA_PRINCIPAL, lambda x: c(x, 0.0), lambda tau, mu, sigma: c(tau, mu))
@@ -461,7 +452,12 @@ def exp_delta(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | N
 def exp_nabla(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | None = None) -> complex:
     """Backward exponential: c(tau', nu) is sampled at the left-scattered
     points tau' = sigma(tau), the stored successors, with nu the gap below
-    them; needs 1 - nu*c != 0 there."""
+    them; needs 1 - nu*c != 0 there.
+
+    The map forms 1 - nu*c from the coefficient, so for c = pNabla/p at
+    sigma that factor is 1 - (1 - p/p_sigma), which cancels when
+    p/p_sigma << 1; given only c, the public (h, z) maps cannot avoid this.
+    """
     c = _coefficient(coeff)
     walk = _cylinder_walk(LogVariant.NABLA_PRINCIPAL, lambda x: c(x, 0.0), lambda tau, nu, sigma: c(sigma, nu))
     return cexp(_window(*walk, ts, s, t, cfg or DEFAULT_TOLERANCES))
@@ -552,12 +548,8 @@ def _positive_real_on_window(p: ScaleFunction, ts: TimeScale, s: float, t: float
     """Whether p is positive real at every scale point of the window and at
     9 points across each continuous stretch, evaluating p once per point in
     increasing order and stopping at the first point where it is not."""
-    lo, hi = min(s, t), max(s, t)
-    ks, kt, _, _, _ = ts._span(lo, hi)
     last = None
-    for k in range(ks, kt + 1):
-        a, b = ts._piece(k)
-        a, b = max(a, lo), min(b, hi)
+    for a, b in ts._clipped_pieces(min(s, t), max(s, t)):
         for x in [a + (b - a) * j / 8 for j in range(9)] + [b] if b > a else (a,):
             if x != last:
                 v = p(x)

@@ -41,9 +41,9 @@ from .errors import InvalidTimeScale, KappaBoundary, PointNotInScale, UnboundedW
 MEMBERSHIP_TOL = 1e-12
 
 # the most gaps one window may jump; a longer window raises UnboundedWindow
-# before any work.  The window walk streams the pieces and keeps no segment,
-# so for it the cap is a time bound (a million jumps take seconds); only
-# decompose still builds a window's segments, ~150 bytes per gap
+# before any work.  The window walk and the CLI's table stream the pieces and
+# keep no segment, so for them the cap is a time bound (a million jumps take
+# seconds); only decompose still builds a window's segments, ~150 bytes per gap
 MAX_WINDOW_JUMPS = 10**6
 
 # the most integrand samples the quadrature may take on one continuous piece;
@@ -233,6 +233,19 @@ class TimeScale:
         ks, kt, _, _, _ = self._span(s, t)
         return kt - ks
 
+    def _clipped_pieces(self, s: float, t: float) -> Iterator[tuple[float, float]]:
+        # the pieces (a, b) of [s, t] clipped to it, increasing from the stored s
+        # to the stored t, a jump joining each b to the next a; raises what _span
+        # raises, and PointNotInScale for a neighbour that is no distinct finite float
+        ks, kt, b, x, t = self._span(s, t)
+        for k in range(ks + 1, kt + 1):
+            yield x, b
+            x, nb = self._piece(k)
+            if not 0.0 < x - b < math.inf:
+                raise PointNotInScale(f"the neighbour of {b} is not a distinct finite float")
+            b = nb
+        yield x, t
+
     def decompose(self, s: float, t: float) -> SegmentDecomposition:
         """Split [s, t] into continuous pieces and scattered jumps.
 
@@ -241,20 +254,15 @@ class TimeScale:
         points, so segment lengths telescope to t - s.  A window that jumps
         more than MAX_WINDOW_JUMPS gaps raises UnboundedWindow.
         """
-        ks, kt, b, s, t = self._span(s, t)
-        segs: list[Segment] = []
-        x = s  # the current point; b is the end of its piece
-        for k in range(ks + 1, kt + 1):
-            if b > x:
-                segs.append(ContinuousPiece(x, b))
-            a, nb = self._piece(k)
-            if not 0.0 < a - b < math.inf:
-                raise PointNotInScale(f"the neighbour of {b} is not a distinct finite float")
-            segs.append(ScatteredJump(b, a - b, a))
-            x, b = a, nb
-        if t > x:
-            segs.append(ContinuousPiece(x, t))
-        return SegmentDecomposition(s, t, tuple(segs))
+        pieces = self._clipped_pieces(s, t)
+        s, end = next(pieces)
+        segs: list[Segment] = [ContinuousPiece(s, end)] if end > s else []
+        for a, b in pieces:
+            segs.append(ScatteredJump(end, a - end, a))
+            if b > a:
+                segs.append(ContinuousPiece(a, b))
+            end = b
+        return SegmentDecomposition(s, end, tuple(segs))
 
 
 def _require_finite(x: float, what: str) -> float:

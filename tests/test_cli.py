@@ -198,12 +198,19 @@ def test_eval_piece_error_names_its_piece(run, scale, p, t, error, piece):
     [
         ["eval", "--timescale", "union:[0,1];[2,3]", "--p", "t+1", "--s", "0.5", "--t", "3"],
         ["legacy", "--timescale", "hz:1", "--kind", "huff", "--t0", "1", "--t", "4"],
+        *(
+            ["table", "--timescale", scale, "--p", "t+1", "--quantity", quantity,
+             "--from", "0.5", "--to", "3", "--step", "0.25", "--format", "json"]
+            for scale in ("union:[0,1];[2,3]", "hz:0.5")
+            for quantity in ("log", "logderiv")
+        ),
     ],
-    ids=["eval", "legacy-huff"],
+    ids=["eval", "legacy-huff", "table-log-union", "table-logderiv-union", "table-log-hz", "table-logderiv-hz"],
 )
 def test_cli_walks_its_window_without_decomposing(run, monkeypatch, argv):
-    # the walk streams the scale's pieces, and whether the window has jumps
-    # is counted; neither builds the window's segments
+    # the walk streams the scale's pieces, whether the window has jumps is
+    # counted, and a table lists its rows from the pieces; none builds the
+    # window's segments
     calls = []
     decompose = chronolog.timescale.TimeScale.decompose
 
@@ -214,8 +221,9 @@ def test_cli_walks_its_window_without_decomposing(run, monkeypatch, argv):
     monkeypatch.setattr(chronolog.timescale.TimeScale, "decompose", counting)
     rc, out, err = run(*argv)
     assert (rc, err) == (0, "")
-    assert json.loads(out)["scattered_contributed"] is True
     assert calls == []
+    if argv[0] != "table":
+        assert json.loads(out)["scattered_contributed"] is True
 
 
 def test_eval_bad_expression_exits_2(run):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from chronolog.errors import (
     CayleyNotRegressive,
     EtaNotRegressive,
+    NonFiniteValue,
     NotNuRegressive,
     NotRegressive,
 )
@@ -134,6 +135,104 @@ def test_non_regressive_raises():
         circle_minus(1.0, 5j, -1.0 + 0j)
     with pytest.raises(NotRegressive):
         circle_dot(1.0, 2.0, -1.0 + 0j)
+
+
+# (map, its predicate, its error): the map raises its error exactly where the
+# predicate is false, since both apply the one guard
+_GUARDED = {
+    "xi": (xi, is_regressive, NotRegressive),
+    "xi_hat": (xi_hat, is_nu_regressive, NotNuRegressive),
+    "cayley_psi": (cayley_psi, is_cayley_regressive, CayleyNotRegressive),
+    "eta_psi-0": (lambda h, z: eta_psi(0.0, h, z), is_regressive, EtaNotRegressive),
+    "eta_psi-1": (lambda h, z: eta_psi(1.0, h, z), is_nu_regressive, EtaNotRegressive),
+    "eta_psi-0.5": (lambda h, z: eta_psi(0.5, h, z), is_cayley_regressive, EtaNotRegressive),
+}
+
+
+def _near_factor_zeros():
+    # z on either side of the guard of each factor's zero: the factor is
+    # hz*d (relative) or h*d (absolute) away from 0, against a bound of
+    # about 1e-12 * (1 + |hz|)
+    out = []
+    for h in (1e-8, 0.5, 1.0, 3.0, 1e8):
+        for hz0 in (-1.0, 1.0, -2.0, 2.0):
+            z0 = hz0 / h
+            for d in (1e-13, 9e-13, 1.9e-12, 2.1e-12, 5.9e-12, 6.1e-12, 1e-11, 1e-9):
+                for turn in (1, -1, 1j, -1j):
+                    out.append((h, z0 * (1 + d * turn)))
+                    out.append((h, z0 + d * turn / h))
+    return out
+
+
+_NEAR_ZEROS = _near_factor_zeros()
+
+# h*z is not finite: a NaN or infinite z (at h = 0 too), or an overflowing product
+_NONFINITE = [
+    pytest.param(1.0, complex(math.nan, 0.0), id="nan"),
+    pytest.param(0.0, complex(0.0, math.nan), id="nan-at-h0"),
+    pytest.param(1.0, complex(math.inf, 0.0), id="inf"),
+    pytest.param(0.5, complex(0.0, -math.inf), id="inf-imag"),
+    pytest.param(0.0, complex(-math.inf, 1.0), id="inf-at-h0"),
+    pytest.param(1e300, 1e300 + 0j, id="hz-overflow"),
+    pytest.param(1e300, complex(-1e300, 1e300), id="hz-overflow-complex"),
+]
+
+
+@pytest.mark.parametrize("name", sorted(_GUARDED))
+def test_maps_raise_their_error_exactly_where_their_predicate_is_false(name):
+    cylinder_map, predicate, error = _GUARDED[name]
+    seen = set()
+    for h, z in _NEAR_ZEROS:
+        regressive = predicate(h, z)
+        seen.add(regressive)
+        if regressive:
+            assert cmath.isfinite(cylinder_map(h, z)), (h, z)
+        else:
+            with pytest.raises(error):
+                cylinder_map(h, z)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("h, z", _NONFINITE)
+@pytest.mark.parametrize("name", sorted(_GUARDED))
+def test_maps_and_predicates_raise_nonfinite_value(name, h, z):
+    cylinder_map, predicate, _ = _GUARDED[name]
+    with pytest.raises(NonFiniteValue):
+        predicate(h, z)
+    with pytest.raises(NonFiniteValue):
+        cylinder_map(h, z)
+
+
+# every public function of the module, with z as the argument that varies
+_EVERY_FUNCTION = {
+    "xi": xi,
+    "zeta": zeta,
+    "xi_hat": xi_hat,
+    "zeta_hat": zeta_hat,
+    "cayley_psi": cayley_psi,
+    "cayley_psi-multi": lambda h, z: cayley_psi(h, z, principal=False),
+    "eta_psi": lambda h, z: eta_psi(0.25, h, z),
+    "eta_psi-multi": lambda h, z: eta_psi(0.75, h, z, principal=False),
+    "is_regressive": is_regressive,
+    "is_nu_regressive": is_nu_regressive,
+    "is_cayley_regressive": is_cayley_regressive,
+    "circle_plus": lambda h, z: circle_plus(h, z, 1.0 - 2j),
+    "circle_minus": lambda h, z: circle_minus(h, z, z),
+    "circle_dot": lambda h, z: circle_dot(h, 2.0, z),
+}
+
+
+@pytest.mark.parametrize("h, z", _NONFINITE)
+@pytest.mark.parametrize("name", sorted(_EVERY_FUNCTION))
+def test_no_cylinder_function_returns_a_nonfinite_value(name, h, z):
+    # NonFiniteValue, or a finite number: (z - z) / (1 + h*z) is 0 where h*z
+    # overflows; a predicate has no finite answer, so it must raise
+    try:
+        value = _EVERY_FUNCTION[name](h, z)
+    except NonFiniteValue:
+        return
+    value = getattr(value, "rep", value)
+    assert cmath.isfinite(value) and not isinstance(value, bool)
 
 
 @pytest.mark.parametrize("hz", [1e12, 1e13, -1e13, 3e15 + 4e15j, 1e300])
