@@ -2,17 +2,19 @@
 
 Integrals, exponentials and window logarithms are computed by one walk,
 ``_walk``, which streams the scale's pieces by index from the start of a
-window and builds no segment: continuous stretches go through one
-globally adaptive Gauss-Kronrod (G7K15) integrator, and each jump is
-handed to a sum of jumps.  The integrator keeps its panels in a heap
-ordered by the error estimate |K15 - G7| and bisects the worst until the
-estimates sum to at most ``quad_tol``; a piece that needs more than
+window and builds no segment, handing each continuous stretch and each
+jump to a sum object.  The sum is either ``Terms``, the definition, in
+which a stretch adds its integral to ``quad_tol`` and a jump adds ``gap *
+f`` (integrals, exponentials, the older logarithms and the cylinder-map
+definition of the logarithm), or the window logarithm's theorem
+(``logexp._Winding``), which adds one closed form Log(p(x_n)/p(x_0)) +
+2*pi*i*K for the whole walk and integrates only to find the integer K.
+Both integrate with one globally adaptive Gauss-Kronrod (G7K15)
+integrator, ``adaptive_simpson``.  It keeps its panels in a heap ordered
+by the error estimate |K15 - G7| and bisects the worst until the
+estimates sum to at most its tolerance; a piece that needs more than
 ``timescale.MAX_QUAD_SAMPLES`` samples raises QuadratureFailure rather
-than return an unconverged value.  A sum of jumps is either ``Terms``,
-the definition, in which each jump adds ``gap * f`` (integrals,
-exponentials and the cylinder-map definition of the logarithm), or the
-window logarithm's theorem (``logexp._Winding``), which adds one closed
-form per run of consecutive jumps.  An integral is additive over windows,
+than return an unconverged value.  An integral is additive over windows,
 so the walk returns its running total at each of a list of stops; one
 pass from a base serves every window that starts there, and a single
 window is the one-stop case.  Public integrands receive ``(tau, mu)``,
@@ -25,9 +27,9 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable
 
+from ._record import Record
 from .errors import (
     ChronologError,
     NonFiniteIntegrand,
@@ -47,18 +49,23 @@ Integrand = Callable[[float, float], complex]
 JumpTerm = Callable[[float, float, float], complex]  # (tau, mu, sigma)
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
+class ToleranceConfig(Record):
     """Numerical knobs shared by the integration and comparison layers.
 
-    quad_tol  absolute tolerance per continuous piece: the bound on the sum
-              of the piece's G7K15 error estimates |K15 - G7|
+    quad_tol  absolute tolerance per continuous piece of integrals,
+              exponentials, the older logarithms and the logarithm's
+              definition: the bound on the sum of the piece's G7K15 error
+              estimates |K15 - G7|; and the floor of the window
+              logarithm's search for its winding K, which starts at the
+              loose ``timescale._WINDING_TOL`` and tightens 100-fold only
+              while K lacks a witness
     eps_min   minimum admissible |p(t)| for logarithm arguments
     cmp_tol   residual threshold for identity comparisons
 
     The quadrature's work is capped by ``timescale.MAX_QUAD_SAMPLES`` per
     piece, not by a knob here: a quad_tol that the cap cannot reach raises
-    QuadratureFailure instead of returning an unconverged value.
+    QuadratureFailure instead of returning an unconverged value, except
+    in a window logarithm whose winding is witnessed at a looser tolerance.
 
     The eps_min floor is absolute and stays at 1e-10 by default: a p that
     never vanishes but dips below it where it is sampled raises
@@ -67,9 +74,8 @@ class ToleranceConfig:
     eps_min.
     """
 
-    quad_tol: float = 1e-10
-    eps_min: float = 1e-10
-    cmp_tol: float = 1e-8
+    __slots__ = ("quad_tol", "eps_min", "cmp_tol")
+    _defaults = {"quad_tol": 1e-10, "eps_min": 1e-10, "cmp_tol": 1e-8}
 
     def __post_init__(self):
         if not all(0 < x < math.inf for x in (self.quad_tol, self.eps_min, self.cmp_tol)):
@@ -269,25 +275,32 @@ def adaptive_simpson(
 
 
 class Terms:
-    """Jumps summed one term at a time, the definition of a walk's jumps.
+    """A walk's pieces and jumps summed by the definition, one term at a time.
 
-    A jump from tau to its stored successor sigma, a gap mu = sigma - tau,
-    adds ``mu * term(tau, mu, sigma)``.  This is one of the two ways ``_walk``
-    sums a run of consecutive jumps; the other is the window logarithm's
-    closed form (``logexp._Winding``).  Both answer the same three calls:
-    ``start(up)`` opens a run walked up or down, ``step(total, tau, mu,
-    sigma)`` takes one jump and returns the running total, and
-    ``close(total)`` gives the total at the run's current end, leaving the
-    run open.
+    A continuous piece [lo, hi] adds the integral of ``dense`` over it, to
+    ``tol``; a jump from tau to its stored successor sigma, a gap mu = sigma
+    - tau, adds ``mu * term(tau, mu, sigma)``.  This sums integrals,
+    exponentials, the older logarithms and the cylinder-map definition of
+    the window logarithm.  The other sum ``_walk`` takes is the window
+    logarithm's theorem (``logexp._Winding``).  Both answer the same four
+    calls: ``start(up)`` opens the walk up or down, ``piece(total, lo, hi)``
+    takes a continuous piece and ``step(total, tau, mu, sigma)`` a jump,
+    each returning the running total, and ``close(total)`` gives the total
+    at the walk's current point, leaving the walk open.
     """
 
-    __slots__ = ("term",)
+    __slots__ = ("dense", "term", "tol")
 
-    def __init__(self, term: JumpTerm):
+    def __init__(self, dense: Callable[[float], complex], term: JumpTerm, tol: float):
+        self.dense = dense
         self.term = term
+        self.tol = tol
 
     def start(self, up: bool) -> None:
         pass
+
+    def piece(self, total: complex, lo: float, hi: float) -> complex:
+        return total + adaptive_simpson(self.dense, lo, hi, self.tol)
 
     def step(self, total: complex, tau: float, mu: float, sigma: float) -> complex:
         v = self.term(tau, mu, sigma)
@@ -304,28 +317,18 @@ def _name(exc: ChronologError, where: str) -> None:
     exc.args = (f"{exc} on the {where}",) + exc.args[1:]
 
 
-def _walk(
-    dense: Callable[[float], complex],
-    jumps,
-    ts: TimeScale,
-    s: float,
-    stops: list[float],
-    cfg: ToleranceConfig,
-    sign: float = 1.0,
-) -> list[complex]:
+def _walk(sums, ts: TimeScale, s: float, stops: list[float], sign: float = 1.0) -> list[complex]:
     """The one walk behind every integral, exponential and window logarithm.
 
     ``s`` and ``stops`` are scale points, the stops moving away from s.  The
     walk streams the scale's pieces by index from s, building no segment,
-    and returns ``sign`` times the running total at each stop.  Continuous
-    stretches integrate ``dense`` by ``adaptive_simpson``, looked up here at
-    call time, always from their lower end, so a walk down sums the terms of
-    the walk up in reverse order.  Each jump from tau to its stored
-    successor sigma, a gap mu = sigma - tau, goes to ``jumps`` (``Terms``
-    or ``logexp._Winding``), which opens a run at the first jump after a
-    stretch and closes it at the next stretch; a run goes on across stops.
-    A ChronologError in a term names its piece or gap.  MAX_WINDOW_JUMPS
-    caps the whole span, before any term.
+    and returns ``sign`` times the running total at each stop.  It opens
+    ``sums`` (``Terms`` or ``logexp._Winding``) once, hands it each
+    continuous stretch as [lo, hi] whichever way it walks, so that a walk
+    down sums the terms of the walk up in reverse order, and each jump from
+    tau to its stored successor sigma, a gap mu = sigma - tau, and closes it
+    at each stop.  A ChronologError in a term names its piece or gap.
+    MAX_WINDOW_JUMPS caps the whole span, before any term.
     """
     if not stops:
         return []
@@ -336,20 +339,17 @@ def _walk(
     a, b = ts._piece(k)
     x = s  # the current point, in piece k = [a, b]
     total = 0j
-    running = False  # inside a run of jumps
     totals: list[complex] = []
+    sums.start(up)
     for stop in stops:
         while True:
             end = b if up else a  # the end of piece k the walk moves towards
             if (stop <= end) if up else (stop >= end):
                 end = stop
             if end != x:
-                if running:
-                    total = jumps.close(total)
-                    running = False
                 lo, hi = (x, end) if up else (end, x)
                 try:
-                    total += adaptive_simpson(dense, lo, hi, cfg.quad_tol)
+                    total = sums.piece(total, lo, hi)
                 except ChronologError as exc:
                     _name(exc, f"piece [{lo}, {hi}]")
                     raise
@@ -361,29 +361,19 @@ def _walk(
             mu = sigma - tau
             if not 0.0 < mu < math.inf:
                 raise PointNotInScale(f"the neighbour of {tau} is not a distinct finite float")
-            if not running:
-                jumps.start(up)
-                running = True
             try:
-                total = jumps.step(total, tau, mu, sigma)
+                total = sums.step(total, tau, mu, sigma)
             except ChronologError as exc:
                 _name(exc, f"gap after tau={tau}")
                 raise
             k += dk
             a, b = na, nb
             x = sigma if up else tau
-        totals.append(sign * (jumps.close(total) if running else total))
+        totals.append(sign * sums.close(total))
     return totals
 
 
-def _window(
-    dense: Callable[[float], complex],
-    jumps,
-    ts: TimeScale,
-    s: float,
-    t: float,
-    cfg: ToleranceConfig,
-) -> complex:
+def _window(sums, ts: TimeScale, s: float, t: float) -> complex:
     """The walk over one window [s, t], the one-stop case.
 
     Swapped endpoints walk up from t and negate, so reversing a window
@@ -392,8 +382,8 @@ def _window(
     s = ts.snap(s)
     t = ts.snap(t)
     if s <= t:
-        return _walk(dense, jumps, ts, s, [t], cfg)[0]
-    return _walk(dense, jumps, ts, t, [s], cfg, -1.0)[0]
+        return _walk(sums, ts, s, [t])[0]
+    return _walk(sums, ts, t, [s], -1.0)[0]
 
 
 def delta_integral(
@@ -405,8 +395,8 @@ def delta_integral(
     each right-scattered tau contributes ``mu * f(tau, mu)``.  Swapping the
     endpoints negates the result.
     """
-    jumps = Terms(lambda tau, mu, sigma: f(tau, mu))
-    return _window(lambda x: f(x, 0.0), jumps, ts, s, t, cfg or DEFAULT_TOLERANCES)
+    cfg = cfg or DEFAULT_TOLERANCES
+    return _window(Terms(lambda x: f(x, 0.0), lambda tau, mu, sigma: f(tau, mu), cfg.quad_tol), ts, s, t)
 
 
 def nabla_integral(
@@ -418,5 +408,5 @@ def nabla_integral(
     contributions are ``nu * f(tau', nu)`` at left-scattered points tau'
     in (s, t], the stored successors, with nu the gap below tau'.
     """
-    jumps = Terms(lambda tau, nu, sigma: f(sigma, nu))
-    return _window(lambda x: f(x, 0.0), jumps, ts, s, t, cfg or DEFAULT_TOLERANCES)
+    cfg = cfg or DEFAULT_TOLERANCES
+    return _window(Terms(lambda x: f(x, 0.0), lambda tau, nu, sigma: f(sigma, nu), cfg.quad_tol), ts, s, t)

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import cmath
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from types import CodeType
 from typing import Callable, Union
 
+from ._record import Record
 from .errors import (
     ChronologError,
     DepthExceeded,
@@ -53,55 +53,40 @@ MAX_DEPTH = 64
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 
 
-@dataclass(frozen=True)
-class Const:
-    value: complex
+class Const(Record):
+    __slots__ = ("value",)  # complex
 
 
-@dataclass(frozen=True)
-class Var:
-    pass
+class Var(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
+class Add(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
+class Sub(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
+class Mul(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "Expr"
-    right: "Expr"
+class Div(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: float  # real constant by construction
+class Pow(Record):
+    __slots__ = ("base", "exponent")  # the exponent a real constant by construction
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+class Neg(Record):
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str
-    arg: "Expr"
+class Call(Record):
+    __slots__ = ("name", "arg")
 
 
 Expr = Union[Const, Var, Add, Sub, Mul, Div, Pow, Neg, Call]
@@ -478,9 +463,9 @@ class _Program:
         visit(root)
         return order
 
-    def function(self, fname: str, results: tuple[str, ...], steps) -> Callable:
-        """Compile ``def fname(t)``, which runs the named steps in turn and
-        returns ``results``, in a namespace of the constants and helpers."""
+    def source(self, fname: str, results: tuple[str, ...], steps) -> str:
+        """The source of ``def fname(t)``, which runs the named steps in turn
+        and returns ``results``."""
         lines = [
             f"def {fname}(t):",
             "    try:",
@@ -489,14 +474,19 @@ class _Program:
             "    except ZeroDivisionError as e:",
             "        raise _division(t) from e",
         ]
-        namespace = {**_HELPERS, **self.consts}
-        exec(_code("\n".join(lines) + "\n"), namespace)
-        return namespace[fname]
+        return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=_CODE_MEMO_SIZE)
 def _code(source: str) -> CodeType:
     return compile(source, "<chronolog.expr>", "exec")
+
+
+def _function(source: str, fname: str, consts: dict) -> Callable:
+    # the function fname defined by source, in a namespace of the constants and helpers
+    namespace = {**_HELPERS, **consts}
+    exec(_code(source), namespace)
+    return namespace[fname]
 
 
 def evaluate(e: Expr, t: complex) -> complex:
@@ -515,7 +505,7 @@ def compile_expr(e: Expr) -> Callable[[complex], complex]:
     """
     prog = _Program()
     root = prog.node(e)
-    return prog.function("value", (root,), prog.steps)
+    return _function(prog.source("value", (root,), prog.steps), "value", prog.consts)
 
 
 class CompiledPair:
@@ -523,42 +513,48 @@ class CompiledPair:
     ``value`` (e), ``prime`` (de) and ``pair`` ((e, de) at once).
 
     All three come from one program, so ``pair`` computes each
-    subexpression the two trees share once.  Each is generated and compiled
-    on first use, from its own source: compiling costs more than building
-    the program, and most callers use one or two of the three.  ``pair``
-    runs de's steps first, so it raises what ``prime`` would raise before
-    what ``value`` would.  At a complex t every value is complex, a
-    constant tree's too.  No finiteness checks, as for ``compile_expr``.
+    subexpression the two trees share once.  The first use of any of them
+    builds the program and writes the three sources, keeping only those and
+    the constants; each function is compiled on its first use, from its own
+    source, which is then dropped: compiling costs more than writing, and
+    most callers use one or two of the three.  ``pair`` runs de's steps
+    first, so it raises what ``prime`` would raise before what ``value``
+    would.  At a complex t every value is complex, a constant tree's too.
+    No finiteness checks, as for ``compile_expr``.
     """
 
     def __init__(self, e: Expr, de: Expr):
         self._trees = (e, de)
+        self._sources: dict[str, str] | None = None
 
-    @cached_property
-    def _program(self) -> tuple[_Program, str, str, list[str]]:
-        e, de = self._trees
-        prog = _Program()
-        d = prog.node(de)
-        prime_steps = list(prog.steps)
-        p = prog.node(e)
-        # a constant tree's value is returned complex, like every other
-        p, d = (prog.const(complex(prog.consts[r])) if r in prog.consts else r for r in (p, d))
-        return prog, p, d, prime_steps
+    def _compile(self, fname: str) -> Callable:
+        if self._sources is None:
+            e, de = self._trees
+            prog = _Program()
+            d = prog.node(de)
+            prime_steps = list(prog.steps)
+            p = prog.node(e)
+            # a constant tree's value is returned complex, like every other
+            p, d = (prog.const(complex(prog.consts[r])) if r in prog.consts else r for r in (p, d))
+            self._consts = prog.consts
+            self._sources = {
+                "value": prog.source("value", (p,), prog.post_order(p)),
+                "prime": prog.source("prime", (d,), prime_steps),
+                "pair": prog.source("pair", (p, d), prog.steps),
+            }
+        return _function(self._sources.pop(fname), fname, self._consts)
 
     @cached_property
     def value(self) -> Callable[[complex], complex]:
-        prog, p, _, _ = self._program
-        return prog.function("value", (p,), prog.post_order(p))
+        return self._compile("value")
 
     @cached_property
     def prime(self) -> Callable[[complex], complex]:
-        prog, _, d, prime_steps = self._program
-        return prog.function("prime", (d,), prime_steps)
+        return self._compile("prime")
 
     @cached_property
     def pair(self) -> Callable[[complex], tuple[complex, complex]]:
-        prog, p, d, _ = self._program
-        return prog.function("pair", (p, d), prog.steps)
+        return self._compile("pair")
 
 
 # ---------------------------------------------------------------------------

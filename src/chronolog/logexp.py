@@ -2,9 +2,10 @@
 
 The central object is the window logarithm of a nonvanishing function p:
 the integral of the cylinder-transformed quotient p^Delta/p from s to t.
-On continuous stretches the integrand is the classical p'(tau)/p(tau); a
-jump from tau to its stored successor sigma, a gap mu = sigma - tau, with
-p_sigma = p(sigma), contributes, by definition,
+On continuous stretches the integrand is the classical p'(tau)/p(tau),
+whose integral over [a, b] is Log(p(b)/p(a)) + 2*pi*i*K for an integer K;
+a jump from tau to its stored successor sigma, a gap mu = sigma - tau,
+with p_sigma = p(sigma), contributes, by definition,
 
     mu * map_mu(pDelta / ((1-eta) p + eta p_sigma)),
 
@@ -15,18 +16,22 @@ xi, nabla xi_hat, Cayley cayley_psi and eta eta_psi, whose row in
 the cut on which a jump with an exactly negative real ratio p_sigma/p
 lands; so eta = 1 has the nabla weight but lands on +i*pi.
 
-Theorem and definition.  Summing the definition's terms over a run of
-consecutive jumps x_0 -> ... -> x_n gives the closed form
+Theorem and definition.  Summing the definition's terms over a walk
+x_0 -> ... -> x_n of jumps and continuous pieces gives the closed form
 Log(p(x_n)/p(x_0)) + 2*pi*i*K, with the winding K the exact integer
-round((sum of Arg(p(x_j+1)/p(x_j)) - Arg(p(x_n)/p(x_0))) / 2*pi).  Each
-side has one path.  The theorem: ``log_ts``, which every ``log_*``
-function calls, and ``log_table`` walk their jumps this way
-(``_Winding``): p once per point, carried from sigma to the next tau,
-and at each jump the checks and errors of the row's map, through the
-maps' one guard (``cylinder._singular``).  On a discrete scale a whole
-window is one run.  The definition: every walk of the cylinder maps goes
-through ``_cylinder_walk``.  Its walk of the weighted quotient
-(``_kernel``) is the independent second side of the identity suite.
+round((sum of the turns - Arg(p(x_n)/p(x_0))) / 2*pi): a jump turns by
+Arg(p(x_j+1)/p(x_j)), and a piece by Arg(p(b)/p(a)) plus 2*pi times its
+own integer, which a loose integral of p'/p finds and two witnesses
+confirm.  Each side has one path.  The theorem: ``log_ts``, which every
+``log_*`` function calls, and ``log_table`` walk their window this way
+(``_Winding``): p once per point, carried from each end to the next
+piece or jump, and at each jump the checks and errors of the row's map,
+through the maps' one guard (``cylinder._singular``).  A whole window is
+one run.  The definition: every walk of the cylinder maps goes through
+``_cylinder_walk``, which integrates p'/p on each piece to ``quad_tol``.
+Its walk of the weighted quotient (``_kernel``) is the independent
+second side of the identity suite: the two sides share no step that
+computes a value on a dense piece.
 
 Delta, nabla and Cayley each have a principal version (a plain complex
 number) and a multi-valued version carrying the 2*pi*i lattice; eta is
@@ -53,11 +58,11 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Callable, Union
 
+from ._record import Record
 from .calculus import (
     DEFAULT_TOLERANCES,
     ScaleFunction,
@@ -75,11 +80,12 @@ from .errors import (
     NonvanishingViolation,
     OneNotInScale,
     PointNotInScale,
+    QuadratureFailure,
     ValidationError,
 )
 from .multivalue import TWO_PI, TWO_PI_I, MultiLog, exp as cexp, lattice_gap, principal_log
-from .timescale import TimeScale
-from . import cylinder
+from .timescale import _WINDING_SLACK, _WINDING_TOL, TimeScale
+from . import calculus, cylinder
 
 
 class LogVariant(str, Enum):
@@ -180,9 +186,12 @@ def _row(variant: LogVariant, eta: float | None) -> tuple[float, type, float]:
     return weight, error, side
 
 
-def _cylinder_walk(variant: LogVariant, dense: Callable, coeff: Callable, eta: float | None = None):
-    """The definition's walk of a coefficient, set by the variant's row: (dense, Terms) for ``_walk``.
+def _cylinder_walk(
+    variant: LogVariant, dense: Callable, coeff: Callable, cfg: ToleranceConfig, eta: float | None = None
+) -> Terms:
+    """The definition's walk of a coefficient, set by the variant's row: ``Terms`` for ``_walk``.
 
+    A continuous piece adds the integral of ``dense`` at ``cfg.quad_tol``.
     A jump from tau to its stored successor sigma, a gap mu, adds ``mu *
     map(mu, coeff(tau, mu, sigma))``, the row's cylinder map (the eta row's
     at the checked ``eta``) being the only regressivity check.  Every walk
@@ -191,11 +200,11 @@ def _cylinder_walk(variant: LogVariant, dense: Callable, coeff: Callable, eta: f
     cylinder_map = getattr(cylinder, _ROWS[variant])
     if variant is LogVariant.ETA:
         cylinder_map = partial(cylinder_map, eta)
-    return dense, Terms(lambda tau, mu, sigma: cylinder_map(mu, coeff(tau, mu, sigma)))
+    return Terms(dense, lambda tau, mu, sigma: cylinder_map(mu, coeff(tau, mu, sigma)), cfg.quad_tol)
 
 
-def _kernel(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: float | None):
-    """The logarithm by its definition, set by the variant's row: (dense, Terms) for ``_walk``.
+def _kernel(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: float | None) -> Terms:
+    """The logarithm by its definition, set by the variant's row: ``Terms`` for ``_walk``.
 
     The ``_cylinder_walk`` of p'/p and of the weighted quotient ``(p_sigma
     - p) / mu / ((1-eta) p + eta p_sigma)``, which raises the row's error
@@ -214,22 +223,35 @@ def _kernel(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: fl
             raise error(f"(1-eta)p + eta*p_sigma vanishes for eta={eta}")
         return (ps - pv) / mu / mix
 
-    return _cylinder_walk(variant, partial(_slope, p, cfg), coeff, eta)
+    return _cylinder_walk(variant, partial(_slope, p, cfg), coeff, cfg, eta)
 
 
 class _Winding:
-    """The theorem over a run of jumps x_0 -> ... -> x_n, for ``_walk``.
+    """The theorem over a walk x_0 -> ... -> x_n of pieces and jumps, for ``_walk``.
 
     Each jump's cylinder term equals Log(p_sigma/p) in exact arithmetic, on
-    the row's side of the cut, so the run contributes
+    the row's side of the cut, and each continuous piece [lo, hi] adds the
+    integral of p'/p, which is Log(p(hi)/p(lo)) + 2*pi*i*K_piece; so the walk
+    contributes
 
         Log(p(x_n)/p(x_0)) + 2*pi*i*K,
-        K = round((sum of Arg(p_sigma/p) - Arg(p(x_n)/p(x_0))) / 2*pi),
+        K = round((sum of the turns - Arg(p(x_n)/p(x_0))) / 2*pi),
 
-    with K an exact integer; a run walked down gives the same for its upward
-    orientation.  p is evaluated once per point: a run's first jump
-    evaluates tau and then sigma, and each later jump only its new end,
-    carrying the other forward.  Each jump raises what the row's map would:
+    with K an exact integer, a jump turning by Arg(p_sigma/p) and a piece by
+    Arg(p(hi)/p(lo)) + 2*pi*K_piece; a walk down gives the same for its
+    upward orientation.  Only the integer K_piece needs the integral, so it
+    is taken at the loose tolerance ``timescale._WINDING_TOL``, by
+    ``calculus.adaptive_simpson`` looked up at call time, and accepted only
+    on two witnesses: its ratio (Im I - Arg)/2*pi lies within
+    ``_WINDING_SLACK`` of an integer, and Re I, which equals ln|p(hi)/p(lo)|
+    exactly, agrees with it within the tolerance.  Otherwise the integral is
+    retried at 1/100 of the tolerance, down to ``cfg.quad_tol``, after which
+    the piece raises QuadratureFailure.  The integral samples each end, p'
+    before p and the floor at each, before the closed form reads p there.
+
+    p is evaluated once per point: the walk's first piece or jump evaluates
+    both its ends, and each later one only its new end, carrying the other
+    forward.  Each jump raises what the row's map would:
     NonvanishingViolation below eps_min and NonFiniteValue at each point,
     and the row's error when (1-eta)p + eta*p_sigma is 0 or when a factor
     of the map, p_sigma/mix or p/mix, falls under the maps' guard
@@ -237,11 +259,12 @@ class _Winding:
     relative to 1 + |mu*z| = (|mix| + |p_sigma - p|)/|mix|.
     """
 
-    __slots__ = ("p", "cfg", "keep", "eta", "error", "cut", "up", "first", "last", "last_abs", "turns")
+    __slots__ = ("p", "cfg", "slope", "keep", "eta", "error", "cut", "up", "first", "last", "last_abs", "turns")
 
     def __init__(self, p: ScaleFunction, cfg: ToleranceConfig, eta: float, error: type, side: float):
         self.p = p
         self.cfg = cfg
+        self.slope = partial(_slope, p, cfg)
         self.keep = 1.0 - eta
         self.eta = eta
         self.error = error
@@ -249,7 +272,37 @@ class _Winding:
 
     def start(self, up: bool) -> None:
         self.up = up
-        self.first = None  # p at the run's first point, evaluated with its first jump
+        self.first = None  # p at the walk's first point, evaluated with its first piece or jump
+
+    def piece(self, total: complex, lo: float, hi: float) -> complex:
+        p, cfg = self.p, self.cfg
+        tol = max(_WINDING_TOL, cfg.quad_tol)
+        # sampling lo and hi first, the integral raises at the ends what the definition would
+        integral = calculus.adaptive_simpson(self.slope, lo, hi, tol)
+        if self.first is None:
+            pl, ph = _checked(p, lo, cfg), _checked(p, hi, cfg)
+            self.first = pl if self.up else ph
+            self.turns = 0.0
+        elif self.up:
+            pl, ph = self.last, _checked(p, hi, cfg)
+        else:
+            pl, ph = _checked(p, lo, cfg), self.last
+        self.last, self.last_abs = (ph, abs(ph)) if self.up else (pl, abs(pl))
+        log = _log_ratio(ph, pl)
+        while True:
+            x = (integral.imag - log.imag) / TWO_PI
+            k = round(x)
+            off = abs(integral.real - log.real)
+            if abs(x - k) <= _WINDING_SLACK and off <= tol:
+                self.turns += log.imag + TWO_PI * k
+                return total
+            if tol <= cfg.quad_tol:
+                raise QuadratureFailure(
+                    f"no integer winding of p'/p is witnessed at tol {tol:.3g}: "
+                    f"{x:.6g} turns, real part off by {off:.3g}"
+                )
+            tol = max(tol / 100.0, cfg.quad_tol)
+            integral = calculus.adaptive_simpson(self.slope, lo, hi, tol)
 
     def step(self, total: complex, tau: float, mu: float, sigma: float) -> complex:
         p, cfg = self.p, self.cfg
@@ -290,18 +343,25 @@ class _Winding:
 
     def close(self, total: complex) -> complex:
         # the closed form in the walk's direction, Log(p(x_n)/p(x_0)), which a
-        # walk down negates into the upward value; K absorbs its branch, so
-        # any Log will do where the quotient leaves float range
+        # walk down negates into the upward value
+        if self.first is None:
+            return total
         d = 1.0 if self.up else -1.0
-        r = self.last / self.first
-        log = cmath.log(r) if r and cmath.isfinite(r) else cmath.log(self.last) - cmath.log(self.first)
+        log = _log_ratio(self.last, self.first)
         k = round((d * self.turns - log.imag) / TWO_PI)
         return total + d * complex(log.real, log.imag + TWO_PI * k)
 
 
-def _theorem(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: float | None):
-    """The logarithm by the theorem, set by the variant's row: (dense, _Winding) for ``_walk``."""
-    return partial(_slope, p, cfg), _Winding(p, cfg, *_row(variant, eta))
+def _log_ratio(num: complex, den: complex) -> complex:
+    # Log(num/den); where the quotient leaves float range, a log equal to it
+    # modulo 2*pi*i, whose branch the caller's integer absorbs
+    r = num / den
+    return cmath.log(r) if r and cmath.isfinite(r) else cmath.log(num) - cmath.log(den)
+
+
+def _theorem(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: float | None) -> _Winding:
+    """The logarithm by the theorem, set by the variant's row: ``_Winding`` for ``_walk``."""
+    return _Winding(p, cfg, *_row(variant, eta))
 
 
 def log_delta_principal(
@@ -375,7 +435,7 @@ def log_ts(
     """
     variant = LogVariant(variant)
     cfg = cfg or DEFAULT_TOLERANCES
-    value = _window(*_theorem(variant, p, cfg, eta), ts, s, t, cfg)
+    value = _window(_theorem(variant, p, cfg, eta), ts, s, t)
     return value if variant.value.endswith("-principal") else MultiLog(value, TWO_PI_I)
 
 
@@ -392,25 +452,26 @@ def log_table(
 
     ``points`` must be in increasing order; each value is the principal
     value (``.rep`` of the multi-valued variants) of ``log_ts`` over
-    [base, u].  The points above the base share one walk up from it; on a
-    discrete scale each of those rows is Log(p(u)/p(base)) plus the winding
-    summed so far, the same numbers in the same order as ``log_ts``, so the
-    values agree bit for bit.  The points below share one walk down from
-    it, whose rows are Log(p(u)/p(base)) in that direction.  The points
-    split continuous pieces, so there the values may differ from
-    ``log_ts`` in the last bits.  p is evaluated once per scale point the
-    walks cross, the base once per walk.
+    [base, u].  The points above the base share one walk up from it; each
+    of those rows is Log(p(u)/p(base)) plus 2*pi*i times the winding so
+    far, from the same two values of p as ``log_ts``, so the values agree
+    bit for bit on every scale (the points split continuous pieces, which
+    changes the turns summed, but not their integer).  The points below
+    share one walk down from it, whose rows are Log(p(u)/p(base)) in that
+    direction, so they may differ from ``log_ts`` in the last bits.  Outside
+    the winding integrals, p is evaluated once per scale point the walks
+    cross or stop at, the base once per walk.
     """
     variant = LogVariant(variant)
     cfg = cfg or DEFAULT_TOLERANCES
-    dense, jumps = _theorem(variant, p, cfg, eta)
+    winding = _theorem(variant, p, cfg, eta)
     base = ts.snap(base)
     points = [ts.snap(u) for u in points]
     if any(v < u for u, v in zip(points, points[1:])):
         raise ValidationError("table points must be in increasing order")
     n = bisect_left(points, base)
-    below = _walk(dense, jumps, ts, base, points[:n][::-1], cfg, -1.0)
-    return below[::-1] + _walk(dense, jumps, ts, base, points[n:], cfg)
+    below = _walk(winding, ts, base, points[:n][::-1], -1.0)
+    return below[::-1] + _walk(winding, ts, base, points[n:])
 
 
 def log_delta_derivative(
@@ -445,8 +506,9 @@ def exp_delta(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | N
     the public (h, z) maps cannot avoid this.
     """
     c = _coefficient(coeff)
-    walk = _cylinder_walk(LogVariant.DELTA_PRINCIPAL, lambda x: c(x, 0.0), lambda tau, mu, sigma: c(tau, mu))
-    return cexp(_window(*walk, ts, s, t, cfg or DEFAULT_TOLERANCES))
+    cfg = cfg or DEFAULT_TOLERANCES
+    walk = _cylinder_walk(LogVariant.DELTA_PRINCIPAL, lambda x: c(x, 0.0), lambda tau, mu, sigma: c(tau, mu), cfg)
+    return cexp(_window(walk, ts, s, t))
 
 
 def exp_nabla(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | None = None) -> complex:
@@ -459,8 +521,9 @@ def exp_nabla(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | N
     p/p_sigma << 1; given only c, the public (h, z) maps cannot avoid this.
     """
     c = _coefficient(coeff)
-    walk = _cylinder_walk(LogVariant.NABLA_PRINCIPAL, lambda x: c(x, 0.0), lambda tau, nu, sigma: c(sigma, nu))
-    return cexp(_window(*walk, ts, s, t, cfg or DEFAULT_TOLERANCES))
+    cfg = cfg or DEFAULT_TOLERANCES
+    walk = _cylinder_walk(LogVariant.NABLA_PRINCIPAL, lambda x: c(x, 0.0), lambda tau, nu, sigma: c(sigma, nu), cfg)
+    return cexp(_window(walk, ts, s, t))
 
 
 def legacy_log(
@@ -496,13 +559,13 @@ def legacy_log(
         return num / den
 
     if kind is LegacyKind.HUFF:
-        jumps = Terms(lambda tau, mu, sigma: ratio(2.0, tau + sigma, tau))
-        return _window(lambda x: ratio(2.0, 2.0 * x, x), jumps, ts, t0, t, cfg)
+        dense, term = (lambda x: ratio(2.0, 2.0 * x, x)), (lambda tau, mu, sigma: ratio(2.0, tau + sigma, tau))
+        return _window(Terms(dense, term, cfg.quad_tol), ts, t0, t)
     if kind is LegacyKind.EULER_CAUCHY:
         return delta_integral(lambda tau, mu: ratio(1.0, tau + 2.0 * mu, tau), ts, t0, t, cfg)
     if kind is LegacyKind.INTEGRAL_QUOTIENT:
-        jumps = Terms(lambda tau, mu, sigma: _quotient(p, cfg, tau, sigma, mu))
-        return _window(lambda x: _quotient(p, cfg, x, x, 0.0), jumps, ts, t0, t, cfg)
+        dense, term = (lambda x: _quotient(p, cfg, x, x, 0.0)), (lambda tau, mu, sigma: _quotient(p, cfg, tau, sigma, mu))
+        return _window(Terms(dense, term, cfg.quad_tol), ts, t0, t)
     if kind is LegacyKind.JACKSON:
         t, sigma = ts.delta_point(t)
         return _quotient(p, cfg, t, sigma, sigma - t)
@@ -519,14 +582,8 @@ def legacy_log(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityResult:
-    identity: str
-    lhs: complex
-    rhs: complex
-    residual: float
-    lattice_k: int
-    passed: bool
+class IdentityResult(Record):
+    __slots__ = ("identity", "lhs", "rhs", "residual", "lattice_k", "passed")
 
     def to_json_dict(self) -> dict:
         return {
@@ -600,7 +657,7 @@ def identity_suite(
         rows.append(IdentityResult(name, getattr(lhs, "rep", lhs), rhs, res, k, res <= tol))
 
     def definition(variant: LogVariant, eta: float | None = None) -> complex:
-        return _window(*_kernel(variant, p, cfg, eta), ts, s, t, cfg)
+        return _window(_kernel(variant, p, cfg, eta), ts, s, t)
 
     Lp = log_delta_principal(p, ts, s, t, cfg)
     Lq = log_delta_principal(q, ts, s, t, cfg)

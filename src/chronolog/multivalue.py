@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import LogOfZero, NonFiniteValue, ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -73,8 +73,7 @@ def mod2pi_equal(a, b, tol: float) -> bool:
     return res <= tol
 
 
-@dataclass(frozen=True)
-class MultiLog:
+class MultiLog(Record):
     """A value determined only up to integer multiples of a period.
 
     Denotes the set ``{rep + k*period : k integer}``.  ``period`` must be
@@ -82,8 +81,8 @@ class MultiLog:
     with graininess h); zero period means a plain single value.
     """
 
-    rep: complex
-    period: complex = TWO_PI_I
+    __slots__ = ("rep", "period")
+    _defaults = {"period": TWO_PI_I}
 
     def __post_init__(self):
         rep = complex(self.rep)

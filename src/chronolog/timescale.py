@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Union
 
+from ._record import Record
 from .errors import InvalidTimeScale, KappaBoundary, PointNotInScale, UnboundedWindow, ValidationError
 
 # absolute snap tolerance; geometric grids scale it by the point magnitude
@@ -50,26 +50,27 @@ MAX_WINDOW_JUMPS = 10**6
 # a piece that needs more raises QuadratureFailure
 MAX_QUAD_SAMPLES = 200_000
 
+# the window logarithm's theorem needs only the integer winding of p'/p over
+# a continuous piece: it integrates at this loose tolerance first, and accepts
+# the integer where the integral's turns lie within this slack of it
+_WINDING_TOL = 1e-2
+_WINDING_SLACK = 0.05
 
-@dataclass(frozen=True)
-class ContinuousPiece:
+
+class ContinuousPiece(Record):
     """A closed interval [a, b] inside the scale with zero graininess."""
 
-    a: float
-    b: float
+    __slots__ = ("a", "b")
 
     @property
     def length(self) -> float:
         return self.b - self.a
 
 
-@dataclass(frozen=True)
-class ScatteredJump:
+class ScatteredJump(Record):
     """A right-scattered point tau, its stored successor sigma and the gap mu = sigma - tau."""
 
-    tau: float
-    mu: float
-    sigma: float
+    __slots__ = ("tau", "mu", "sigma")
 
     @property
     def length(self) -> float:
@@ -79,13 +80,10 @@ class ScatteredJump:
 Segment = Union[ContinuousPiece, ScatteredJump]
 
 
-@dataclass(frozen=True)
-class SegmentDecomposition:
+class SegmentDecomposition(Record):
     """Ordered cover of [start, end] by continuous pieces and jumps."""
 
-    start: float
-    end: float
-    segments: tuple[Segment, ...]
+    __slots__ = ("start", "end", "segments")  # segments: tuple[Segment, ...]
 
     def __iter__(self) -> Iterator[Segment]:
         return iter(self.segments)
@@ -97,15 +95,18 @@ class SegmentDecomposition:
         return sum(seg.length for seg in self.segments)
 
 
-class TimeScale:
+class TimeScale(Record):
     """Base class for all scale families: closed pieces [a_k, b_k] increasing in k.
 
-    Each family supplies ``_piece(k)`` -> (a_k, b_k), ``_nearest(t)`` (the
-    index of the piece nearest t) and the index bounds ``_kmin``/``_kmax``
-    (None when unbounded), and may override the snap tolerance ``_tol(x)``.
+    Each family is a frozen ``Record`` of its parameters.  It supplies
+    ``_piece(k)`` -> (a_k, b_k), ``_nearest(t)`` (the index of the piece
+    nearest t) and the index bounds ``_kmin``/``_kmax`` (None when
+    unbounded), and may override the snap tolerance ``_tol(x)``.
     Inside a piece every point is dense; sigma(b_k) = a_{k+1} and
     rho(a_k) = b_{k-1}, each end itself past the first or last piece.
     """
+
+    __slots__ = ()
 
     _kmin: int | None = None
     _kmax: int | None = None
@@ -272,10 +273,10 @@ def _require_finite(x: float, what: str) -> float:
     return x
 
 
-@dataclass(frozen=True)
 class Reals(TimeScale):
     """The whole real line, one piece (-inf, inf); everything is dense."""
 
+    __slots__ = ()
     _kmin = _kmax = 0
 
     def _piece(self, k: int) -> tuple[float, float]:
@@ -285,12 +286,11 @@ class Reals(TimeScale):
         return 0
 
 
-@dataclass(frozen=True)
 class UniformGrid(TimeScale):
     """anchor + h*Z, two-sided, step h; mu(t) = sigma(t) - t may differ from h in the last bits."""
 
-    h: float
-    anchor: float = 0.0
+    __slots__ = ("h", "anchor")
+    _defaults = {"anchor": 0.0}
 
     def __post_init__(self):
         object.__setattr__(self, "h", _require_finite(self.h, "step h"))
@@ -306,12 +306,10 @@ class UniformGrid(TimeScale):
         return x, x
 
 
-@dataclass(frozen=True)
 class QGrid(TimeScale):
     """Geometric grid {q^k : k = 0, 1, 2, ...} with ratio q > 1."""
 
-    q: float
-
+    __slots__ = ("q",)
     _kmin = 0
 
     def __post_init__(self):
@@ -333,12 +331,10 @@ class QGrid(TimeScale):
         return MEMBERSHIP_TOL * max(1.0, abs(x))
 
 
-@dataclass(frozen=True)
 class DiscreteSet(TimeScale):
     """A finite set of at least two strictly increasing points."""
 
-    points: tuple[float, ...]
-
+    __slots__ = ("points",)
     _kmin = 0
 
     def __post_init__(self):
@@ -367,13 +363,10 @@ class DiscreteSet(TimeScale):
         return i
 
 
-@dataclass(frozen=True)
 class AlternatingGrid(TimeScale):
     """0, a, a+b, 2a+b, 2a+2b, ...: gaps alternate a, b, a, b from zero."""
 
-    alpha: float
-    beta: float
-
+    __slots__ = ("alpha", "beta")
     _kmin = 0
 
     def __post_init__(self):
@@ -396,7 +389,6 @@ class AlternatingGrid(TimeScale):
         return min(range(max(0, 2 * j - 2), 2 * j + 4), key=lambda k: abs(t - self._piece(k)[0]))
 
 
-@dataclass(frozen=True)
 class IntervalUnion(TimeScale):
     """A finite union of closed intervals with strictly positive gaps.
 
@@ -404,8 +396,7 @@ class IntervalUnion(TimeScale):
     [a, a] are allowed and behave as isolated points.
     """
 
-    pieces: tuple[tuple[float, float], ...]
-
+    __slots__ = ("pieces",)
     _kmin = 0
 
     def __post_init__(self):

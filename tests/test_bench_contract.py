@@ -71,7 +71,9 @@ def test_tracer_counts_the_gated_layers_and_uninstalls_cleanly():
 
         logexp.log_delta_principal(p, timescale.parse_timescale("r"), 0.0, 2.0)
         dense = tracer.layer_metrics(1)
-        assert dense["calculus.quad_samples"] > 0
+        assert dense["calculus.quad_samples"] > suite["calculus.quad_samples"]
+        # the theorem's one piece takes one quadrature call, for its winding
+        assert dense["calculus.quad_calls"] == suite["calculus.quad_calls"] + 1
         assert dense["logexp.window_calls"] > suite["logexp.window_calls"] > 0
     finally:
         tracer.uninstall()

@@ -547,6 +547,18 @@ def test_scale_function_compiles_each_function_on_first_use():
     assert [source.split("(")[0] for source in sources] == ["def value", "def pair"]
 
 
+def test_compiled_pair_keeps_no_program():
+    # the program is only a step towards the sources; once the code is
+    # written, a pair keeps the sources it has not compiled yet, and no more
+    code = CompiledPair(parse("exp(i*t)+2*t^2"), differentiate(parse("exp(i*t)+2*t^2")))
+    code.value(0.5j)
+    assert not any(isinstance(v, expr._Program) for v in vars(code).values())
+    assert sorted(code._sources) == ["pair", "prime"]
+    code.prime(0.5j)
+    code.pair(0.5j)
+    assert code._sources == {}
+
+
 def test_code_memo_stays_bounded():
     assert expr._code.cache_info().maxsize == expr._CODE_MEMO_SIZE
     e = Var()

@@ -5,6 +5,7 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from chronolog import calculus, logexp, timescale
@@ -19,6 +20,7 @@ from chronolog.errors import (
     NotNuRegressive,
     NotRegressive,
     OneNotInScale,
+    QuadratureFailure,
     UnboundedWindow,
 )
 from chronolog.logexp import (
@@ -215,26 +217,108 @@ def test_dense_log_of_steep_linear_p(text):
     assert got == pytest.approx(_closed_form(p, None, 0.0, 0.5), rel=1e-12, abs=1e-10)
 
 
-def test_dense_log_samples_grow_about_linearly_with_the_window(monkeypatch):
-    # the tolerance is per piece, not halved per bisection: quadrupling the
-    # window costs at most about 4.5 times the samples
+def _counting_samples(monkeypatch):
+    # count the integrand samples of every quadrature call, by the name the walks look up
     quad = calculus.adaptive_simpson
-    counts = []
+    counts = [0]
 
     def counting(f, *args):
         def sample(x):
-            counts[-1] += 1
+            counts[0] += 1
             return f(x)
 
         return quad(sample, *args)
 
     monkeypatch.setattr(calculus, "adaptive_simpson", counting)
+    return counts
+
+
+def test_dense_log_samples_grow_about_linearly_with_the_window(monkeypatch):
+    # the tolerance is per piece, not halved per bisection: quadrupling the
+    # window costs the definition's full-tolerance integral at most about 4.5
+    # times the samples
+    counts = _counting_samples(monkeypatch)
     p = ScaleFunction.from_text("2+sin(t)")
+    samples = []
     for t in (500.0, 2000.0):
-        counts.append(0)
-        got = log_delta_principal(p, parse_timescale("r"), 0.5, t)
+        counts[0] = 0
+        got = _definition("delta-principal", p, parse_timescale("r"), 0.5, t)
         assert got == pytest.approx(_closed_form(p, None, 0.5, t), abs=1e-9)
-    assert 0 < counts[1] <= 4.5 * counts[0]
+        samples.append(counts[0])
+    assert 0 < samples[1] <= 4.5 * samples[0]
+
+
+@pytest.mark.parametrize("t", [500.0, 2000.0])
+def test_theorem_log_takes_a_third_of_the_definitions_samples(monkeypatch, t):
+    # the theorem integrates only for the winding K, at a loose tolerance
+    counts = _counting_samples(monkeypatch)
+    p = ScaleFunction.from_text("2+sin(t)")
+    r = parse_timescale("r")
+    theorem = log_delta_principal(p, r, 0.5, t)
+    theorem_samples, counts[0] = counts[0], 0
+    definition = _definition("delta-principal", p, r, 0.5, t)
+    assert 0 < 3 * theorem_samples <= counts[0]
+    assert theorem == pytest.approx(definition, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the dense winding K and its witnesses
+# ---------------------------------------------------------------------------
+
+
+def _perturbing(monkeypatch, shift, above):
+    # integrate by the real integrator, adding shift to the results taken at
+    # tolerances above `above`; records each call's tolerance
+    quad = calculus.adaptive_simpson
+    tols = []
+
+    def perturbed(f, a, b, tol):
+        tols.append(tol)
+        v = quad(f, a, b, tol)
+        return v + shift if tol > above else v
+
+    monkeypatch.setattr(calculus, "adaptive_simpson", perturbed)
+    return tols
+
+
+@pytest.mark.parametrize("shift", [1j * math.pi, 0.5], ids=["half-turn", "real-part"])
+def test_a_winding_without_its_witness_is_retried_tighter(monkeypatch, shift):
+    # a half turn breaks the integer witness and 0.5 the real-part witness;
+    # either way the loose estimate at 1e-2 is refused, and the one at 1e-4 accepted
+    p = ScaleFunction.from_text("exp(i*50*t)+0.5")
+    r = parse_timescale("r")
+    want = log_delta_principal(p, r, 0.0, 10.0)  # 80 turns
+    tols = _perturbing(monkeypatch, shift, 1e-3)
+    assert log_delta_principal(p, r, 0.0, 10.0) == want
+    assert tols == [1e-2, 1e-4]
+
+
+@pytest.mark.parametrize("shift", [1j * math.pi, 0.5], ids=["half-turn", "real-part"])
+def test_a_winding_never_witnessed_raises_naming_its_piece(monkeypatch, shift):
+    tols = _perturbing(monkeypatch, shift, 0.0)
+    p = ScaleFunction.from_text("exp(i*t)+2")
+    ts = parse_timescale("union:[0,1];[2,3]")
+    with pytest.raises(QuadratureFailure, match=re.escape("on the piece [0.5, 1.0]")):
+        log_delta_principal(p, ts, 0.5, 3.0, ToleranceConfig(quad_tol=1e-7))
+    assert tols == [1e-2, 1e-4, 1e-6, 1e-7]
+
+
+def test_a_theorem_log_needs_no_tolerance_the_integrator_cannot_meet():
+    # no piece meets 1e-300 within MAX_QUAD_SAMPLES, but the winding is
+    # witnessed at the first, loose tolerance
+    p = ScaleFunction.from_text("exp(i*t)+2")
+    got = log_delta_principal(p, parse_timescale("r"), 0.0, 20.0, ToleranceConfig(quad_tol=1e-300))
+    assert got == _closed_form(p, None, 0.0, 20.0)
+
+
+def test_dense_log_of_a_fast_oscillation_matches_mpmath():
+    # the full-tolerance integral of p'/p needs more than MAX_QUAD_SAMPLES here
+    p = ScaleFunction.from_text("2+sin(1e4*t)")
+    got = log_delta_principal(p, parse_timescale("r"), 0.0, 0.5)
+    with mpmath.workdps(40):
+        want = mpmath.log((2 + mpmath.sin(mpmath.mpf(5000))) / 2)
+    assert got.imag == 0.0
+    assert abs(got.real - float(want)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +508,15 @@ def _stored_points(ts, lo, hi, midpoints=True):
 def _definition(variant, p, ts, s, t, cfg=None, eta=None):
     # the cylinder-map walk, which the identity suite checks the theorem against
     cfg = cfg or calculus.DEFAULT_TOLERANCES
-    return calculus._window(*logexp._kernel(LogVariant(variant), p, cfg, eta), ts, s, t, cfg)
+    return calculus._window(logexp._kernel(LogVariant(variant), p, cfg, eta), ts, s, t)
 
 
 def _definition_table(variant, p, ts, base, points, cfg, eta):
     # log_table's two walks from the base, summing the cylinder-map terms
-    dense, jumps = logexp._kernel(LogVariant(variant), p, cfg, eta)
+    terms = logexp._kernel(LogVariant(variant), p, cfg, eta)
     n = bisect_left(points, base)
-    below = calculus._walk(dense, jumps, ts, base, points[:n][::-1], cfg, -1.0)
-    return below[::-1] + calculus._walk(dense, jumps, ts, base, points[n:], cfg)
+    below = calculus._walk(terms, ts, base, points[:n][::-1], -1.0)
+    return below[::-1] + calculus._walk(terms, ts, base, points[n:])
 
 
 THEOREM_WINDOWS = [
@@ -444,6 +528,13 @@ THEOREM_WINDOWS = [
     # the jump from p(-4) = -64 to p(2) = 8 lands on the row's side of the cut
     pytest.param("union:[-inf,-4];[2,inf]", "t^3", -5.0, 3.0, id="union-sign-change"),
     pytest.param("union:[0,1];[1.5,1.5];[2,2];[3,4]", "exp(i*t)+2", 0.25, 3.5, id="union-isolated-points"),
+    # dense windows whose winding K the theorem takes from a loose integral
+    pytest.param("r", "exp(i*200*t)+0.9", 0.0, 3.0, id="r-fast-winding"),  # K = 95
+    pytest.param("r", "exp(i*50*t)+0.5", 0.0, 10.0, id="r-winding"),
+    pytest.param("r", "exp(i*20*sin(t))+0.3", 0.0, 50.0, id="r-back-and-forth"),
+    pytest.param("r", "exp(i*t)+0.5", 0.0, 1000.0, id="r-long"),
+    pytest.param("r", "exp(sin(t))", 0.0, 8 * math.pi, id="r-whole-periods"),
+    pytest.param("r", "(t-1.234)+1e-6*i", 0.0, 3.0, id="r-near-zero"),
 ]
 
 
@@ -641,8 +732,9 @@ def test_log_table_forward_rows_match_log_ts_bit_for_bit(variant, eta, spec, sta
 @pytest.mark.parametrize("spec", ["r", "union:[0,1];[1.5,1.5];[2,4]"])
 @pytest.mark.parametrize("variant, eta", TABLE_VARIANTS)
 def test_log_table_dense_rows_match_log_ts_and_closed_form(variant, eta, spec):
-    # the rows split continuous pieces, so they agree with the per-row walk
-    # to quadrature accuracy rather than bit for bit
+    # the rows split continuous pieces, which changes the turns summed but
+    # not the integer winding, so each row is the per-row walk's closed form
+    # from the same two values of p, bit for bit
     cfg = ToleranceConfig()
     ts = parse_timescale(spec)
     points = [u for u in (0.25 * k for k in range(17)) if ts.contains(u)]
@@ -650,7 +742,7 @@ def test_log_table_dense_rows_match_log_ts_and_closed_form(variant, eta, spec):
         p = ScaleFunction.from_text(text)
         rows = log_table(variant, p, ts, 0.0, points, cfg, eta=eta)
         for u, row in zip(points, rows):
-            assert scaled_residual(row, _rep(log_ts(variant, p, ts, 0.0, u, cfg, eta=eta))) <= cfg.cmp_tol
+            assert _bits(row) == _bits(_rep(log_ts(variant, p, ts, 0.0, u, cfg, eta=eta)))
             _, res = lattice_gap(row, _closed_form(p, ts, 0.0, u))
             assert res <= cfg.cmp_tol
 
