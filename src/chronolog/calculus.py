@@ -9,6 +9,10 @@ f`` (integrals, exponentials, the older logarithms and the cylinder-map
 definition of the logarithm), or the window logarithm's theorem
 (``logexp._Winding``), which adds one closed form Log(p(x_n)/p(x_0)) +
 2*pi*i*K for the whole walk and integrates only to find the integer K.
+On the point families a long run of jumps goes to the sum in blocks, its
+``run`` taking a block's points at once; a block whose run fails is
+walked again jump by jump, so that every error is the one a single jump
+raises, at the same gap.
 Both integrate with one globally adaptive Gauss-Kronrod (G7K15)
 integrator, ``adaptive_simpson``.  It keeps its panels in a heap ordered
 by the error estimate |K15 - G7| and bisects the worst until the
@@ -27,7 +31,8 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from typing import Callable
+import operator
+from typing import Callable, Sequence
 
 from ._record import Record
 from .errors import (
@@ -92,9 +97,10 @@ class ScaleFunction:
     scale is dense; difference quotients take over at scattered points.
     The tree and its derivative are compiled into straight-line code that
     computes each shared subexpression once (``expr.CompiledPair``), each
-    of p, p' and the pair on its first use; ``pair`` returns p and p' from
-    one evaluation.  Values must stay finite;
-    callers that take logarithms additionally check the nonvanishing floor.
+    of p, p', the pair and the list on its first use; ``pair`` returns p and
+    p' from one evaluation, and ``values`` p at each point of a list from
+    one call.  Values must stay finite; callers that take logarithms
+    additionally check the nonvanishing floor.
     """
 
     __slots__ = ("body", "derivative", "label", "_code")
@@ -134,6 +140,17 @@ class ScaleFunction:
         if not cmath.isfinite(v):
             raise NonFiniteValue(f"{self.label} is not finite at t={t}")
         return v, d
+
+    def values(self, xs: Sequence[float]) -> list[complex]:
+        """``[self(x) for x in xs]``, the same bits from one generated loop,
+        raising what that list would raise."""
+        try:
+            vs = self._code.values(xs)
+            if all(map(cmath.isfinite, vs)):
+                return vs
+        except ChronologError:
+            pass
+        return [self(x) for x in xs]  # raises at the first point that fails
 
     def __mul__(self, other: "ScaleFunction") -> "ScaleFunction":
         return ScaleFunction(_Mul(self.body, other.body), label=f"({self.label})*({other.label})")
@@ -282,14 +299,17 @@ class Terms:
     - tau, adds ``mu * term(tau, mu, sigma)``.  This sums integrals,
     exponentials, the older logarithms and the cylinder-map definition of
     the window logarithm.  The other sum ``_walk`` takes is the window
-    logarithm's theorem (``logexp._Winding``).  Both answer the same four
+    logarithm's theorem (``logexp._Winding``).  Both answer the same five
     calls: ``start(up)`` opens the walk up or down, ``piece(total, lo, hi)``
-    takes a continuous piece and ``step(total, tau, mu, sigma)`` a jump,
-    each returning the running total, and ``close(total)`` gives the total
-    at the walk's current point, leaving the walk open.
+    takes a continuous piece, ``step(total, tau, mu, sigma)`` a jump and
+    ``run(total, xs)`` a block of jumps through the points xs in walk
+    order, each returning the running total, and ``close(total)`` gives the
+    total at the walk's current point, leaving the walk open.  Here ``run``
+    is a loop of ``step``; ``_walk`` re-walks a block whose run raises by
+    ``step``, which names the gap.
     """
 
-    __slots__ = ("dense", "term", "tol")
+    __slots__ = ("dense", "term", "tol", "up")
 
     def __init__(self, dense: Callable[[float], complex], term: JumpTerm, tol: float):
         self.dense = dense
@@ -297,7 +317,7 @@ class Terms:
         self.tol = tol
 
     def start(self, up: bool) -> None:
-        pass
+        self.up = up
 
     def piece(self, total: complex, lo: float, hi: float) -> complex:
         return total + adaptive_simpson(self.dense, lo, hi, self.tol)
@@ -308,6 +328,11 @@ class Terms:
             raise NonFiniteIntegrand("jump term is not finite")
         return total + mu * v
 
+    def run(self, total: complex, xs: Sequence[float]) -> complex:
+        for tau, sigma in zip(xs, xs[1:]) if self.up else zip(xs[1:], xs):
+            total = self.step(total, tau, sigma - tau, sigma)
+        return total
+
     def close(self, total: complex) -> complex:
         return total
 
@@ -315,6 +340,16 @@ class Terms:
 def _name(exc: ChronologError, where: str) -> None:
     # name the piece or gap where a term failed, keeping the error's class
     exc.args = (f"{exc} on the {where}",) + exc.args[1:]
+
+
+# the jumps towards each stop that the walk takes one at a time before it
+# looks up how far the stop is; the fewest jumps to a stop that it takes in
+# blocks, since the first block of a p compiles p's evaluation loop
+# (``ScaleFunction.values``), which costs about as much as 250 single jumps;
+# and the most jumps in one block, which bounds the memory a block holds
+_HANDFUL = 8
+_LONG_RUN = 256
+_BLOCK = 512
 
 
 def _walk(sums, ts: TimeScale, s: float, stops: list[float], sign: float = 1.0) -> list[complex]:
@@ -329,6 +364,16 @@ def _walk(sums, ts: TimeScale, s: float, stops: list[float], sign: float = 1.0) 
     tau to its stored successor sigma, a gap mu = sigma - tau, and closes it
     at each stop.  A ChronologError in a term names its piece or gap.
     MAX_WINDOW_JUMPS caps the whole span, before any term.
+
+    On the point families, a stop at least ``_HANDFUL + _LONG_RUN`` jumps
+    away is reached in blocks: after ``_HANDFUL`` single jumps, the walk
+    lists up to ``_BLOCK`` jumps' points at once (``TimeScale._points``)
+    and hands them to ``sums.run``, so that a run of jumps costs one call;
+    a nearer stop is reached jump by jump.  A block is taken only where
+    every gap in it is a distinct finite float and it passes no stop; a
+    run that fails (returns None, or raises) leaves ``sums`` as it was, and
+    the walk re-walks that block once, jump by jump, so that the same
+    error is raised at the same gap.
     """
     if not stops:
         return []
@@ -336,12 +381,15 @@ def _walk(sums, ts: TimeScale, s: float, stops: list[float], sign: float = 1.0) 
     ks, kt, _, _, _ = ts._span(s, stops[-1]) if up else ts._span(stops[-1], s)
     k = ks if up else kt
     dk = 1 if up else -1
+    blocks = ts._points(k, k) is not None
     a, b = ts._piece(k)
     x = s  # the current point, in piece k = [a, b]
     total = 0j
     totals: list[complex] = []
     sums.start(up)
     for stop in stops:
+        single = _HANDFUL  # jumps to take one at a time before the next block
+        kstop = None
         while True:
             end = b if up else a  # the end of piece k the walk moves towards
             if (stop <= end) if up else (stop >= end):
@@ -356,6 +404,24 @@ def _walk(sums, ts: TimeScale, s: float, stops: list[float], sign: float = 1.0) 
                 x = end
             if x == stop:
                 break
+            if single <= 0 and blocks and kstop is None:
+                kstop = min(ts._nearest(stop), kt) if up else max(ts._nearest(stop), ks)
+                if (kstop - k) * dk < _LONG_RUN:
+                    single = (kstop - k) * dk  # the rest of a short run, jump by jump
+            if single <= 0 and blocks:
+                m = k + dk * min((kstop - k) * dk, _BLOCK)
+                xs = _block(ts, k, m, stop, up)
+                ran = None
+                if xs is not None:
+                    try:
+                        ran = sums.run(total, xs)
+                    except (ChronologError, ArithmeticError):
+                        pass
+                if ran is not None:
+                    total, k, x = ran, m, xs[-1]
+                    a = b = x
+                    continue
+                single = max(1, (m - k) * dk)  # the block again, jump by jump
             na, nb = ts._piece(k + dk)
             tau, sigma = (b, na) if up else (nb, a)
             mu = sigma - tau
@@ -369,8 +435,20 @@ def _walk(sums, ts: TimeScale, s: float, stops: list[float], sign: float = 1.0) 
             k += dk
             a, b = na, nb
             x = sigma if up else tau
+            single -= 1
         totals.append(sign * sums.close(total))
     return totals
+
+
+def _block(ts: TimeScale, k: int, m: int, stop: float, up: bool) -> Sequence[float] | None:
+    # the points x_k, ..., x_m in walk order, if single jumps through them
+    # would each pass the walk's gap check and none would pass the stop
+    inc = ts._points(k, m) if up else ts._points(m, k)
+    if not (len(inc) > 1 and all(map(operator.lt, inc, inc[1:])) and inc[-1] - inc[0] < math.inf):
+        return None
+    if up:
+        return inc if inc[-1] <= stop else None
+    return inc[::-1] if inc[0] >= stop else None
 
 
 def _window(sums, ts: TimeScale, s: float, t: float) -> complex:

@@ -22,9 +22,10 @@ Trees are evaluated by generated code: ``compile_expr`` and
 fold the subtrees that read no t, and compile it once per shape of tree
 (constants reach the code through its namespace, never as text).
 ``CompiledPair`` gives p, p' and both at once from one program, computing
-what the two trees share once.  ``evaluate`` compiles the tree and checks
-that the value is finite.  The generated code raises the typed errors that
-a walk of the tree would, with the same messages, and returns the same bits.
+what the two trees share once, and p at each point of a list from one
+call.  ``evaluate`` compiles the tree and checks that the value is finite.
+The generated code raises the typed errors that a walk of the tree would,
+with the same messages, and returns the same bits.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import cmath
 import operator
 from functools import cached_property, lru_cache, partial
 from types import CodeType
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 from ._record import Record
 from .errors import (
@@ -476,6 +477,25 @@ class _Program:
         ]
         return "\n".join(lines) + "\n"
 
+    def loop_source(self, fname: str, result: str, steps) -> str:
+        """The source of ``def fname(xs)``, which runs the named steps at
+        t = complex(x) for each x of xs in turn and returns the list of
+        ``result``, raising at the first point that raises."""
+        lines = [
+            f"def {fname}(xs):",
+            "    out = []",
+            "    append = out.append",
+            "    t = None",
+            "    try:",
+            "        for t in map(complex, xs):",
+            *["    " + self.steps[s][0] for s in steps],
+            f"            append({result})",
+            "    except ZeroDivisionError as e:",
+            "        raise _division(t) from e",
+            "    return out",
+        ]
+        return "\n".join(lines) + "\n"
+
 
 @lru_cache(maxsize=_CODE_MEMO_SIZE)
 def _code(source: str) -> CodeType:
@@ -510,17 +530,20 @@ def compile_expr(e: Expr) -> Callable[[complex], complex]:
 
 class CompiledPair:
     """Functions of a complex t for a tree e and its derivative de:
-    ``value`` (e), ``prime`` (de) and ``pair`` ((e, de) at once).
+    ``value`` (e), ``prime`` (de) and ``pair`` ((e, de) at once), and
+    ``values``, e at each point of a sequence, from one call.
 
-    All three come from one program, so ``pair`` computes each
-    subexpression the two trees share once.  The first use of any of them
-    builds the program and writes the three sources, keeping only those and
-    the constants; each function is compiled on its first use, from its own
-    source, which is then dropped: compiling costs more than writing, and
-    most callers use one or two of the three.  ``pair`` runs de's steps
-    first, so it raises what ``prime`` would raise before what ``value``
-    would.  At a complex t every value is complex, a constant tree's too.
-    No finiteness checks, as for ``compile_expr``.
+    All four come from one program, so ``pair`` computes each
+    subexpression the two trees share once, and ``values`` runs the steps
+    of ``value`` in a loop inside the generated code, for the same bits
+    point by point.  The first use of any of them builds the program and
+    writes the four sources, keeping only those and the constants; each
+    function is compiled on its first use, from its own source, which is
+    then dropped: compiling costs more than writing, and most callers use
+    one or two of the four.  ``pair`` runs de's steps first, so it raises
+    what ``prime`` would raise before what ``value`` would.  At a complex t
+    every value is complex, a constant tree's too.  No finiteness checks,
+    as for ``compile_expr``.
     """
 
     def __init__(self, e: Expr, de: Expr):
@@ -541,6 +564,7 @@ class CompiledPair:
                 "value": prog.source("value", (p,), prog.post_order(p)),
                 "prime": prog.source("prime", (d,), prime_steps),
                 "pair": prog.source("pair", (p, d), prog.steps),
+                "values": prog.loop_source("values", p, prog.post_order(p)),
             }
         return _function(self._sources.pop(fname), fname, self._consts)
 
@@ -555,6 +579,10 @@ class CompiledPair:
     @cached_property
     def pair(self) -> Callable[[complex], tuple[complex, complex]]:
         return self._compile("pair")
+
+    @cached_property
+    def values(self) -> Callable[[Sequence[float]], list[complex]]:
+        return self._compile("values")
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,10 @@ confirm.  Each side has one path.  The theorem: ``log_ts``, which every
 (``_Winding``): p once per point, carried from each end to the next
 piece or jump, and at each jump the checks and errors of the row's map,
 through the maps' one guard (``cylinder._singular``).  A whole window is
-one run.  The definition: every walk of the cylinder maps goes through
-``_cylinder_walk``, which integrates p'/p on each piece to ``quad_tol``.
+one run, and a long run of jumps is taken in blocks, p at a block's points
+from one call (``_Winding.run``).  The definition: every walk of the
+cylinder maps goes through ``_cylinder_walk``, which integrates p'/p on
+each piece to ``quad_tol``.
 Its walk of the weighted quotient (``_kernel``) is the independent
 second side of the identity suite: the two sides share no step that
 computes a value on a dense piece.
@@ -60,7 +62,7 @@ import math
 from bisect import bisect_left
 from enum import Enum
 from functools import partial
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 from ._record import Record
 from .calculus import (
@@ -257,6 +259,14 @@ class _Winding:
     of the map, p_sigma/mix or p/mix, falls under the maps' guard
     (``cylinder._singular``, run only where one value is far below the other)
     relative to 1 + |mu*z| = (|mix| + |p_sigma - p|)/|mix|.
+
+    ``run`` takes a block of jumps through points xs of a point family, in
+    walk order, after a step has opened the walk: p at xs[1:] from one
+    ``ScaleFunction.values`` call, then the floor, every check of ``step``
+    and the turns in one loop.  It commits the turns and the carried value
+    only when the whole block passes, and otherwise returns None, so that
+    ``_walk`` walks the block again by ``step``, which raises the error
+    at its gap.
     """
 
     __slots__ = ("p", "cfg", "slope", "keep", "eta", "error", "cut", "up", "first", "last", "last_abs", "turns")
@@ -339,6 +349,35 @@ class _Winding:
         if r == 0 or not cmath.isfinite(r):
             raise NonFiniteIntegrand(f"the jump ratio p_sigma/p = {r} is not finite and nonzero")
         self.turns += self.cut if r.imag == 0.0 and r.real < 0.0 else math.atan2(r.imag, r.real)
+        return total
+
+    def run(self, total: complex, xs: Sequence[float]) -> complex | None:
+        # xs[0] is the walk's current point, whose p the last step carried
+        vs = self.p.values(xs[1:])
+        avs = list(map(abs, vs))
+        if min(avs) < self.cfg.eps_min:
+            return None
+        olds, aolds = [self.last] + vs, [self.last_abs] + avs
+        pvs, pss, apvs, apss = (olds, vs, aolds, avs) if self.up else (vs, olds, avs, aolds)
+        keep, eta, cut = self.keep, self.eta, self.cut
+        mixed = 0.0 < eta < 1.0
+        isfinite, atan2, screen = cmath.isfinite, math.atan2, _SCREEN
+        turns = self.turns
+        for pv, ps, apv, aps in zip(pvs, pss, apvs, apss):
+            if mixed and keep * pv + eta * ps == 0:
+                return None
+            r = ps / pv
+            # r can be 0 only where |p_sigma| < _SCREEN * |p|, on a screened jump
+            if aps < screen * apv or apv < screen * aps:
+                bound = REGRESSIVITY_GUARD * (abs(keep * pv + eta * ps) + abs(ps - pv))
+                if r == 0 or cylinder._singular(eta, ps, pv, bound):
+                    return None
+            if not isfinite(r):
+                return None
+            im = r.imag
+            turns += cut if im == 0.0 and r.real < 0.0 else atan2(im, r.real)
+        self.turns = turns
+        self.last, self.last_abs = vs[-1], avs[-1]
         return total
 
     def close(self, total: complex) -> complex:

@@ -29,7 +29,9 @@ def principal_log(z: complex) -> complex:
     to -pi).
     """
     z = complex(z)
-    if abs(z) < NEAR_ZERO_GUARD:
+    # a nan is not near zero, and abs() of it can raise a stale OverflowError
+    # (CPython may read errno as an earlier failed math call left it)
+    if z == z and abs(z) < NEAR_ZERO_GUARD:
         raise LogOfZero(f"log of (near-)zero value {z!r}")
     if z.imag == 0.0:
         z = complex(z.real, 0.0)  # squash -0.0 so the cut maps to +pi

@@ -41,9 +41,11 @@ from .errors import InvalidTimeScale, KappaBoundary, PointNotInScale, UnboundedW
 MEMBERSHIP_TOL = 1e-12
 
 # the most gaps one window may jump; a longer window raises UnboundedWindow
-# before any work.  The window walk and the CLI's table stream the pieces and
-# keep no segment, so for them the cap is a time bound (a million jumps take
-# seconds); only decompose still builds a window's segments, ~150 bytes per gap
+# before any work.  The window walk and the CLI's table stream the pieces, so
+# for them the cap is a time bound (a million jumps take seconds): the walk
+# holds at most one block of a few hundred points at a time, and it is the
+# block, not the window, that bounds its memory.  Only decompose still builds
+# a window's segments, ~150 bytes per gap
 MAX_WINDOW_JUMPS = 10**6
 
 # the most integrand samples the quadrature may take on one continuous piece;
@@ -101,7 +103,9 @@ class TimeScale(Record):
     Each family is a frozen ``Record`` of its parameters.  It supplies
     ``_piece(k)`` -> (a_k, b_k), ``_nearest(t)`` (the index of the piece
     nearest t) and the index bounds ``_kmin``/``_kmax`` (None when
-    unbounded), and may override the snap tolerance ``_tol(x)``.
+    unbounded), and may override the snap tolerance ``_tol(x)``.  The four
+    point families also list the points x_k0, ..., x_k1 at once
+    (``_points``), for the walk's blocks of jumps.
     Inside a piece every point is dense; sigma(b_k) = a_{k+1} and
     rho(a_k) = b_{k-1}, each end itself past the first or last piece.
     """
@@ -143,6 +147,11 @@ class TimeScale(Record):
         if not 0.0 < (y - x) * d < math.inf:
             raise PointNotInScale(f"the neighbour of {x} is not a distinct finite float")
         return y
+
+    def _points(self, k0: int, k1: int) -> list[float] | tuple[float, ...] | None:
+        # the points x_k0, ..., x_k1 of a point family, each by the expression
+        # of _piece(k)[0], so the bits match; None where pieces are intervals
+        return None
 
     def contains(self, t: float) -> bool:
         try:
@@ -305,6 +314,10 @@ class UniformGrid(TimeScale):
         x = self.anchor + k * self.h
         return x, x
 
+    def _points(self, k0: int, k1: int) -> list[float]:
+        anchor, h = self.anchor, self.h
+        return [anchor + k * h for k in range(k0, k1 + 1)]
+
 
 class QGrid(TimeScale):
     """Geometric grid {q^k : k = 0, 1, 2, ...} with ratio q > 1."""
@@ -323,6 +336,11 @@ class QGrid(TimeScale):
         except OverflowError:
             raise PointNotInScale(f"q^{k} overflows") from None
         return x, x
+
+    def _points(self, k0: int, k1: int) -> list[float]:
+        # inside a window, whose two ends are finite, no power overflows
+        q = self.q
+        return [q ** k for k in range(k0, k1 + 1)]
 
     def _nearest(self, t: float) -> int:
         return max(0, round(math.log(t) / math.log(self.q))) if t > 0 else 0
@@ -354,6 +372,9 @@ class DiscreteSet(TimeScale):
         x = self.points[k]
         return x, x
 
+    def _points(self, k0: int, k1: int) -> tuple[float, ...]:
+        return self.points[k0 : k1 + 1]
+
     def _nearest(self, t: float) -> int:
         pts = self.points
         i = bisect_left(pts, t)
@@ -382,6 +403,10 @@ class AlternatingGrid(TimeScale):
         j, odd = divmod(k, 2)
         x = j * (self.alpha + self.beta) + (self.alpha if odd else 0.0)
         return x, x
+
+    def _points(self, k0: int, k1: int) -> list[float]:
+        alpha, period = self.alpha, self.alpha + self.beta
+        return [(k >> 1) * period + (alpha if k & 1 else 0.0) for k in range(k0, k1 + 1)]
 
     def _nearest(self, t: float) -> int:
         # the first nearest point of periods j-1, j and j+1, j being t's own

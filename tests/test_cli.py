@@ -450,16 +450,23 @@ def test_table_log_rows_below_the_base(run, spec, step):
 
 def test_table_log_is_one_walk(run, monkeypatch):
     # a walk per row evaluates p about rows^2 times; one walk from the base
-    # evaluates it once per point
+    # evaluates it once per point, one at a time or in a list
     calls = 0
     evaluate = chronolog.ScaleFunction.__call__
+    evaluate_all = chronolog.ScaleFunction.values
 
     def counting(self, t):
         nonlocal calls
         calls += 1
         return evaluate(self, t)
 
+    def counting_all(self, xs):
+        nonlocal calls
+        calls += len(xs)
+        return evaluate_all(self, xs)
+
     monkeypatch.setattr(chronolog.ScaleFunction, "__call__", counting)
+    monkeypatch.setattr(chronolog.ScaleFunction, "values", counting_all)
     rc, out, _ = run(
         "table", "--timescale", "hz:1", "--p", "t^2+1", "--quantity", "log",
         "--from", "0", "--to", "999",

@@ -382,6 +382,7 @@ def _assert_matches_walk(e, d, t):
     assert _outcome(lambda: value(t)) == _outcome(lambda: _walk(e, t))
     assert _outcome(lambda: prime(t)) == _outcome(lambda: _walk(d, t))
     assert _outcome(lambda: pair(t)) == _outcome(walked_pair)
+    assert _outcome(lambda: code.values([t, t])) == _outcome(lambda: [_walk(e, t), _walk(e, t)])
 
     sf = ScaleFunction(e, d)
 
@@ -390,6 +391,7 @@ def _assert_matches_walk(e, d, t):
         return sf(t), dv
 
     assert _outcome(lambda: sf.pair(t)) == _outcome(separately)
+    assert _outcome(lambda: sf.values([t])) == _outcome(lambda: [sf(t)])
 
 
 _SPECIAL = (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 1e308, -1e308, 5e-324, math.inf, -math.inf, math.nan)
@@ -488,13 +490,21 @@ _SOURCE_LINE = re.compile(
         (
             r"def (?:value|prime|pair)\(t\):",
             r"    try:",
-            rf"        v\d+ = {_NAME} [-+*/] {_NAME}",
-            rf"        v\d+ = -{_NAME}",
-            rf"        v\d+ = _pow\({_NAME}, c\d+\)",
-            rf"        v\d+ = _(?:exp|log|sin|cos|sqrt)\({_NAME}\)",
+            rf"        (?:    )?v\d+ = {_NAME} [-+*/] {_NAME}",
+            rf"        (?:    )?v\d+ = -{_NAME}",
+            rf"        (?:    )?v\d+ = _pow\({_NAME}, c\d+\)",
+            rf"        (?:    )?v\d+ = _(?:exp|log|sin|cos|sqrt)\({_NAME}\)",
             rf"        return {_NAME}(?:, {_NAME})?",
             r"    except ZeroDivisionError as e:",
             r"        raise _division\(t\) from e",
+            # values: the steps of value in a loop over the points
+            r"def values\(xs\):",
+            r"    out = \[\]",
+            r"    append = out\.append",
+            r"    t = None",
+            r"        for t in map\(complex, xs\):",
+            rf"            append\({_NAME}\)",
+            r"    return out",
         )
     )
 )
@@ -514,7 +524,7 @@ def _compiled_sources(build):
 @given(_trees)
 def test_generated_source_holds_only_names_and_operators(e):
     code = CompiledPair(e, differentiate(e))
-    sources = _compiled_sources(lambda: (code.value, code.prime, code.pair))
+    sources = _compiled_sources(lambda: (code.value, code.prime, code.pair, code.values))
     assert sources
     for source in sources:
         for line in source.splitlines():
@@ -524,8 +534,8 @@ def test_generated_source_holds_only_names_and_operators(e):
 def test_parsed_text_never_reaches_the_source():
     texts = DERIVATIVE_CORPUS + ["exp(i*1.25*sin(t))+(0.1-2.0*i)", "1e999*t+2^(1/3)", "t^(2^-1)+.5e1"]
     codes = [CompiledPair(e, differentiate(e)) for e in map(parse, texts)]
-    sources = _compiled_sources(lambda: [(code.value, code.prime, code.pair) for code in codes])
-    assert len(sources) == 3 * len(texts)
+    sources = _compiled_sources(lambda: [(code.value, code.prime, code.pair, code.values) for code in codes])
+    assert len(sources) == 4 * len(texts)
     for source in sources:
         for line in source.splitlines():
             assert _SOURCE_LINE.fullmatch(line), line
@@ -535,7 +545,8 @@ def test_functions_of_one_shape_share_one_code_object():
     a = ScaleFunction.from_text("exp(1.25*sin(0.98*t))+2.04")
     b = ScaleFunction.from_text("exp(1.21*sin(1.03*t))+1.93")
     assert a(0.5) != b(0.5) and a.prime(0.5) != b.prime(0.5) and a.pair(0.5) != b.pair(0.5)
-    for name in ("value", "prime", "pair"):
+    assert a.values([0.5]) != b.values([0.5])
+    for name in ("value", "prime", "pair", "values"):
         assert getattr(a._code, name).__code__ is getattr(b._code, name).__code__
 
 
@@ -553,9 +564,10 @@ def test_compiled_pair_keeps_no_program():
     code = CompiledPair(parse("exp(i*t)+2*t^2"), differentiate(parse("exp(i*t)+2*t^2")))
     code.value(0.5j)
     assert not any(isinstance(v, expr._Program) for v in vars(code).values())
-    assert sorted(code._sources) == ["pair", "prime"]
+    assert sorted(code._sources) == ["pair", "prime", "values"]
     code.prime(0.5j)
     code.pair(0.5j)
+    code.values([0.5])
     assert code._sources == {}
 
 

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import random
 import re
@@ -20,6 +21,7 @@ from chronolog.errors import (
     NotNuRegressive,
     NotRegressive,
     OneNotInScale,
+    PointNotInScale,
     QuadratureFailure,
     UnboundedWindow,
 )
@@ -394,7 +396,8 @@ def test_vanishing_weighted_denominator_raises_typed_error():
 
 
 class RecordingFunction(ScaleFunction):
-    """A ScaleFunction that remembers every point it is evaluated at."""
+    """A ScaleFunction that remembers every point it is evaluated at, one
+    at a time or in a list."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -403,6 +406,10 @@ class RecordingFunction(ScaleFunction):
     def __call__(self, t):
         self.points.append(t)
         return super().__call__(t)
+
+    def values(self, xs):
+        self.points.extend(xs)
+        return super().values(xs)
 
 
 @pytest.mark.parametrize(
@@ -538,6 +545,21 @@ THEOREM_WINDOWS = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def _jump_free_definitions(spec, text, lo, hi, forward):
+    # on a window without jumps the definition of every row is the same
+    # integral of p'/p, so it is walked once per window and direction: the
+    # window, then the table from its low or high end
+    ts = parse_timescale(spec)
+    assert ts.gap_count(lo, hi) == 0
+    p = ScaleFunction.from_text(text)
+    s, t = (lo, hi) if forward else (hi, lo)
+    points = _stored_points(ts, lo, hi)
+    base = lo if forward else hi
+    cfg = ToleranceConfig()
+    return _definition("delta-principal", p, ts, s, t), _definition_table("delta-principal", p, ts, base, points, cfg, None)
+
+
 @pytest.mark.parametrize("spec, text, lo, hi", THEOREM_WINDOWS)
 @pytest.mark.parametrize("variant, eta", ROWS)
 @pytest.mark.parametrize("forward", [True, False], ids=["up", "down"])
@@ -548,15 +570,19 @@ def test_theorem_equals_the_definition_walk(variant, eta, spec, text, lo, hi, fo
     ts = parse_timescale(spec)
     p = ScaleFunction.from_text(text)
     s, t = (lo, hi) if forward else (hi, lo)
-    theorem = _rep(log_ts(variant, p, ts, s, t, eta=eta))
-    definition = _definition(variant, p, ts, s, t, eta=eta)
-    k, res = lattice_gap(theorem, definition)
-    assert k == 0 and res <= 1e-12 * max(1.0, abs(theorem))
     points = _stored_points(ts, lo, hi)
     base = lo if forward else hi
     cfg = ToleranceConfig()
+    if ts.gap_count(lo, hi) == 0:
+        definition, table = _jump_free_definitions(spec, text, lo, hi, forward)
+    else:
+        definition = _definition(variant, p, ts, s, t, eta=eta)
+        table = _definition_table(variant, p, ts, base, points, cfg, eta)
+    theorem = _rep(log_ts(variant, p, ts, s, t, eta=eta))
+    k, res = lattice_gap(theorem, definition)
+    assert k == 0 and res <= 1e-12 * max(1.0, abs(theorem))
     rows = log_table(variant, p, ts, base, points, cfg, eta=eta)
-    for row, want in zip(rows, _definition_table(variant, p, ts, base, points, cfg, eta)):
+    for row, want in zip(rows, table):
         k, res = lattice_gap(row, want)
         assert k == 0 and res <= 1e-12 * max(1.0, abs(row))
 
@@ -681,6 +707,254 @@ def test_theorem_raises_what_the_definition_raises(variant, eta):
 
 
 # ---------------------------------------------------------------------------
+# errors across the walk's blocks of jumps
+# ---------------------------------------------------------------------------
+
+# a window of _LONG jumps: walked either way, the walk takes _HANDFUL single
+# jumps, one full block and a last block of _HANDFUL jumps, so that its
+# gaps 0, H - 1, H, H + B - 1, H + B and _LONG - 1 are the first and last
+# jumps and the jumps on either side of each boundary, in both directions
+_H, _B = calculus._HANDFUL, calculus._BLOCK
+_LONG = 2 * _H + _B
+_BOUNDARY_GAPS = sorted({0, _H - 1, _H, _H + _B - 1, _H + _B, _LONG - 1})
+
+
+def _long_set(seed: int = 20261019, zero_at: int | None = None) -> list[float]:
+    # 2 * _LONG + 2 points with gaps drawn from [0.5, 1.5]; with zero_at,
+    # points zero_at and zero_at + 1 are 0 and 1
+    rng = random.Random(seed)
+    gaps = [round(rng.uniform(0.5, 1.5), 3) for _ in range(2 * _LONG + 1)]
+    if zero_at is None:
+        return [-3.0 + sum(gaps[:k]) for k in range(2 * _LONG + 2)]
+    below = [-sum(gaps[k:zero_at]) for k in range(zero_at)]
+    above = [1.0 + sum(gaps[zero_at:k]) for k in range(zero_at, 2 * _LONG + 1)]
+    return below + [0.0] + above
+
+
+def _long_window(spec: str) -> tuple:
+    # the scale and the stored points of a window of _LONG jumps on it
+    if spec == "set":
+        points = _long_set()
+        return parse_timescale("set:" + ",".join(map(repr, points))), points[: _LONG + 1]
+    ts = parse_timescale(spec)
+    points = [ts.snap(1.0 if spec.startswith("q:") else 0.0)]
+    while len(points) <= _LONG:
+        points.append(ts.sigma(points[-1]))
+    return ts, points
+
+
+# the map row of each variant: its weight eta and its regressivity error
+_ROW_ERRORS = {
+    "delta-principal": (0.0, "NotRegressive"),
+    "nabla-principal": (1.0, "NotNuRegressive"),
+    "cayley-multi": (0.5, "CayleyNotRegressive"),
+    "eta": (0.3, "EtaNotRegressive"),
+}
+
+
+def _first_failing_gap(points, d, up, into, out_of):
+    # the lower end of the first gap, in walk order, that fails among the
+    # gap into point d (from below) and the gap out of it (upwards)
+    gaps = ([d - 1] if into and d > 0 else []) + ([d] if out_of and d < len(points) - 1 else [])
+    return points[(gaps if up else gaps[::-1])[0]] if gaps else None
+
+
+def _block_walks(variant, eta, p, ts, points, cfg):
+    # log_ts over the window both ways (each walks up, the swapped one
+    # negated) and log_table from either end: from the bottom it walks up,
+    # from the top down; each as (outcome, whether the walk is up, s, t)
+    lo, hi = points[0], points[-1]
+    yield _outcome(lambda: _rep(log_ts(variant, p, ts, lo, hi, cfg, eta=eta))), True, lo, hi
+    yield _outcome(lambda: _rep(log_ts(variant, p, ts, hi, lo, cfg, eta=eta))), True, hi, lo
+    yield _outcome(lambda: log_table(variant, p, ts, lo, [lo, hi], cfg, eta=eta)[1]), True, lo, hi
+    yield _outcome(lambda: log_table(variant, p, ts, hi, [lo, hi], cfg, eta=eta)[0]), False, hi, lo
+
+
+@pytest.mark.parametrize("spec", ["hz:1", "q:1.001", "alt:0.4,0.7", "set"])
+def test_blocks_of_jumps_give_the_bits_of_single_jumps(monkeypatch, spec):
+    # the same walks with the blocks and with every jump taken by step; the
+    # second p winds around 0 many times over the window, so that the
+    # winding K of most rows is not 0
+    ts, points = _long_window(spec)
+    stops = [points[k] for k in sorted({0, 3, 4, _H + 1, 3 * _H, _H + _B + 2, _H + _B + 3, _LONG})]
+    lo, hi = points[0], points[-1]
+
+    def walks(p):
+        out = []
+        for variant, eta in ((v.value, None) for v in LogVariant if v is not LogVariant.ETA):
+            out += [_rep(log_ts(variant, p, ts, lo, hi)), _rep(log_ts(variant, p, ts, hi, lo))]
+            out += log_table(variant, p, ts, lo, stops) + log_table(variant, p, ts, hi, stops)
+        for eta in (0.0, 0.3, 1.0):
+            out += log_table("eta", p, ts, stops[3], stops, eta=eta)
+        coeff = delta_quotient(p)
+        out += [exp_delta(coeff, ts, lo, hi), exp_nabla(coeff, ts, hi, lo)]
+        out.append(calculus.delta_integral(lambda tau, mu: tau * mu + 1j, ts, lo, hi))
+        return [complex(v) for v in out]
+
+    functions = [ScaleFunction.from_text(text) for text in ("(t-2-3*i)^3+exp(i*t)", "exp(30*i*t)+0.5")]
+    blocked = [walks(p) for p in functions]
+    assert any(abs(v.imag) > 2 * math.pi for v in blocked[1])
+    monkeypatch.setattr(calculus, "_HANDFUL", 10**9)
+    for p, want in zip(functions, blocked):
+        assert [_bits(v) for v in walks(p)] == [_bits(v) for v in want]
+
+
+def test_a_block_never_walks_past_a_stop(monkeypatch):
+    # should the lookup of a stop's index land 40 jumps past it, the walk
+    # still stops there, with the bits of a walk that found it
+    ts = parse_timescale("hz:1")
+    p = ScaleFunction.from_text("exp(30*i*t)+0.5")
+
+    def walks():
+        winding = logexp._theorem(LogVariant.DELTA_PRINCIPAL, p, calculus.DEFAULT_TOLERANCES, None)
+        up = calculus._walk(winding, ts, 0.0, [300.0, 600.0])
+        down = calculus._walk(winding, ts, 600.0, [300.0, 0.0], -1.0)
+        return [_bits(v) for v in up + down]
+
+    want = walks()
+    nearest = type(ts)._nearest
+    for skew in (40, -40):  # past the stop at 300 going up, then going down
+        monkeypatch.setattr(type(ts), "_nearest", lambda self, t: nearest(self, t) + (skew if t == 300.0 else 0))
+        assert walks() == want
+
+
+@pytest.mark.parametrize("spec", ["hz:1", "q:1.001", "alt:0.4,0.7", "set"])
+@pytest.mark.parametrize("defect", ["floor", "not-finite", "spike"])
+def test_an_error_across_a_block_boundary_names_its_gap(spec, defect):
+    # a defect at one point d, the gap named derived from the point list:
+    # p below the floor (1e-11, not 0, for a ratio the screen lets through)
+    # and p not finite fail the first gap that reaches d;
+    # a spike of 1e12 fails a gap into d where eta > 0 and one out of it
+    # where eta < 1 (both factors of the map are then tested)
+    cfg = ToleranceConfig(eps_min=1e-10)
+    ts, points = _long_window(spec)
+    defects = sorted(set(_BOUNDARY_GAPS) | {g + 1 for g in _BOUNDARY_GAPS})
+    variants = ["delta-principal", "cayley-multi"] if defect != "spike" else list(_ROW_ERRORS)
+    for d in defects:
+        x = points[d]
+        near = min(abs(x - y) for y in points[max(d - 1, 0) : d + 2] if y != x)
+        width = 2000.0 / near**2  # exp(-width * gap^2) is 0 at every other point
+        text = {
+            "floor": f"t-({x!r})+1e-11",
+            "not-finite": f"1+exp(800-{width!r}*(t-({x!r}))^2)",
+            "spike": f"1+1e12*exp(-{width!r}*(t-({x!r}))^2)",
+        }[defect]
+        p = ScaleFunction.from_text(text)
+        for variant in variants:
+            weight, row_error = _ROW_ERRORS[variant]
+            eta = weight if variant == "eta" else None
+            for got, up, s, t in _block_walks(variant, eta, p, ts, points, cfg):
+                if defect == "spike":
+                    error, tau = row_error, _first_failing_gap(points, d, up, weight > 0, weight < 1)
+                else:
+                    error = "NonvanishingViolation" if defect == "floor" else "NonFiniteValue"
+                    tau = _first_failing_gap(points, d, up, True, True)
+                if tau is None:
+                    assert got[0] == "value" and _near(got[1], _closed_form(p, ts, s, t)), (d, variant, up, got)
+                else:
+                    assert got == (error, f"gap after tau={tau}"), (d, variant, up, got)
+
+
+@pytest.mark.parametrize("spec", ["hz:1", "set"])
+def test_a_vanishing_weighted_denominator_across_a_block_boundary_names_its_gap(spec):
+    # p = t - 0.3 makes (1 - 0.3) p(0) + 0.3 p(1) exactly 0, which only the
+    # eta = 0.3 row tests; the gap from 0 to 1 sits at each boundary gap
+    cfg = ToleranceConfig()
+    p = ScaleFunction.from_text("t-0.3")
+    if spec == "hz:1":
+        everything = [float(k - _LONG) for k in range(2 * _LONG + 2)]
+        ts = parse_timescale(spec)
+    else:
+        everything = _long_set(zero_at=_LONG)
+        ts = parse_timescale("set:" + ",".join(map(repr, everything)))
+    for g in _BOUNDARY_GAPS:
+        points = everything[_LONG - g : 2 * _LONG - g + 1]
+        assert (points[g], points[g + 1]) == (0.0, 1.0)
+        for variant, eta in (("eta", 0.3), ("delta-principal", None)):
+            for got, _, s, t in _block_walks(variant, eta, p, ts, points, cfg):
+                if variant == "eta":
+                    assert got == ("EtaNotRegressive", "gap after tau=0.0"), (g, got)
+                else:
+                    assert got[0] == "value" and _near(got[1], _closed_form(p, ts, s, t)), (g, got)
+
+
+def test_a_jump_ratio_that_is_not_finite_across_a_block_boundary_names_its_gap():
+    # p is 1.2e308*(1+i) at the two ends of gap g and 1 elsewhere: the
+    # ratio of the two equal values is nan (the complex division
+    # overflows), the ratio from 1 up to them finite and regressive for
+    # the delta row, and the ratio back down to 1 is 0, where xi's guard
+    # trips; a walk up meets gap g first, a walk down the gap above it
+    ts = parse_timescale("hz:1")
+    for g in _BOUNDARY_GAPS:
+        points = [float(k) for k in range(_LONG + 1)]
+        bumps = "+".join(f"1.2e308*(1+i)*exp(-1e4*(t-{x!r})^2)" for x in (points[g], points[g + 1]))
+        p = ScaleFunction.from_text(f"1+{bumps}")
+        up = ("NonFiniteIntegrand", f"gap after tau={points[g]}")
+        down = ("NotRegressive", f"gap after tau={points[g + 1]}") if g + 1 < _LONG else up
+        lo, hi = points[0], points[-1]
+        assert _outcome(lambda: log_ts("delta-principal", p, ts, lo, hi)) == up
+        assert _outcome(lambda: log_ts("delta-principal", p, ts, hi, lo)) == up
+        assert _outcome(lambda: log_table("delta-principal", p, ts, hi, [lo, hi])) == down
+
+
+@pytest.mark.parametrize("up", [True, False], ids=["up", "down"])
+def test_a_failing_block_is_walked_again_once(up):
+    # a defect in the middle of the first block: the block evaluates p at
+    # its points once, and its jumps up to the defect are walked once more
+    ts, points = _long_window("hz:1")
+    d = _H + _B // 2 if up else _LONG - _H - _B // 2
+    p = RecordingFunction.from_text(f"t-({points[d]!r})")
+    lo, hi = points[0], points[-1]
+    with pytest.raises(NonvanishingViolation):
+        if up:
+            log_ts("delta-principal", p, ts, lo, hi)
+        else:
+            log_table("delta-principal", p, ts, hi, [lo, hi])
+    assert len(p.points) <= len(points) + _B // 2 + 2
+
+
+@pytest.mark.parametrize(
+    "spec, k0, k1",
+    [
+        # the first jump from 1.0 rounds onto it
+        ("hz:1e-17:1.0", 0, 22),
+        # h = 1.5e-16 is more than the float spacing below |x| = 1 and less
+        # than the one above it: the points collapse past 1.0 going up, a
+        # block's length from the anchor, and past -1.0 going down
+        (f"hz:1.5e-16:{1.0 - 20 * 1.5e-16!r}", 0, 35),
+        (f"hz:1.5e-16:{1.0 - 20 * 1.5e-16!r}", 5, 60),
+        (f"hz:1.5e-16:{1.0 - 600 * 1.5e-16!r}", 0, 640),
+        (f"hz:1.5e-16:{-1.0 - 40 * 1.5e-16!r}", 0, 640),
+    ],
+)
+def test_points_that_are_not_distinct_floats_raise_at_the_first_such_gap(spec, k0, k1):
+    ts = parse_timescale(spec)
+    h, anchor = ts.h, ts.anchor
+    points = [anchor + k * h for k in range(k0, k1 + 1)]  # the grid's own expression
+    lo, hi = points[0], points[-1]
+    # walks stop at the first point equal to the stop, so a window may end
+    # before its last index, and a collapse after it goes unseen
+    up_end = points.index(hi)
+    down_end = len(points) - 1 - points[::-1].index(lo)
+    up = [k for k in range(up_end) if not points[k] < points[k + 1]]
+    down = [k for k in range(down_end, len(points) - 1) if not points[k] < points[k + 1]]
+    assert up and down
+    p = ScaleFunction.from_text("t")
+    want_up = ("PointNotInScale", f"the neighbour of {points[up[0]]!r} is not a distinct finite float")
+    want_down = ("PointNotInScale", f"the neighbour of {points[down[-1]]!r} is not a distinct finite float")
+    for compute, want in (
+        (lambda: log_ts("delta-principal", p, ts, lo, hi), want_up),
+        (lambda: log_ts("cayley-principal", p, ts, hi, lo), want_up),
+        (lambda: log_table("delta-principal", p, ts, lo, [lo, hi]), want_up),
+        (lambda: log_table("nabla-principal", p, ts, hi, [lo, hi]), want_down),
+        (lambda: exp_delta(p, ts, lo, hi), want_up),
+    ):
+        with pytest.raises(PointNotInScale) as info:
+            compute()
+        assert ("PointNotInScale", str(info.value)) == want
+
+
+# ---------------------------------------------------------------------------
 # log_table: one walk from a base
 # ---------------------------------------------------------------------------
 
@@ -755,6 +1029,7 @@ def test_log_table_caps_the_whole_walk_before_any_term(monkeypatch, base):
     monkeypatch.setattr(ScaleFunction, "__call__", lambda self, t: evals.append(t))
     monkeypatch.setattr(ScaleFunction, "prime", lambda self, t: evals.append(t))
     monkeypatch.setattr(ScaleFunction, "pair", lambda self, t: evals.append(t))
+    monkeypatch.setattr(ScaleFunction, "values", lambda self, xs: evals.extend(xs))
     ts = parse_timescale("hz:1")
     with pytest.raises(UnboundedWindow):
         log_table("delta-principal", ScaleFunction.from_text("t+10"), ts, base, [float(k) for k in range(13)])

@@ -51,6 +51,16 @@ def test_principal_log_zero_raises():
         principal_log(complex(1e-320, 0.0))
 
 
+def test_principal_log_of_nan_is_nan_whatever_failed_before():
+    # a failed math call leaves errno set, after which abs() of a complex
+    # with a nan part can raise OverflowError (CPython 3.11 does)
+    for z in (complex(math.nan, math.nan), complex(math.nan, 1.0), complex(2.0, math.nan)):
+        with pytest.raises(OverflowError):
+            math.exp(1000.0)
+        w = principal_log(z)
+        assert math.isnan(w.real) or math.isnan(w.imag)
+
+
 def test_exp_overflow_maps_to_numerical_error():
     with pytest.raises(NonFiniteValue):
         exp(complex(1e9, 0.0))

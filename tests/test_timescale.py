@@ -425,6 +425,32 @@ def test_delta_and_nabla_points_agree_with_snap_sigma_rho(spec):
             assert ts.nabla_point(t) == (x, ts.rho(x))
 
 
+@pytest.mark.parametrize(
+    "spec, k0, k1",
+    [
+        ("hz:1", -5, 5),
+        ("hz:0.3:0.05", -40, 3000),
+        ("hz:1.5e-16:0.999999999999997", 0, 60),  # points that round onto each other
+        ("q:1.001", 0, 3000),
+        ("q:2.5", 0, 700),
+        ("alt:0.3,0.7", 0, 3001),
+        ("alt:2,0.5", 7, 8),
+        ("set:-5,-4,3", 0, 2),
+        ("set:-5,-4,3", 1, 1),
+    ],
+)
+def test_points_are_the_pieces_stored_points_bit_for_bit(spec, k0, k1):
+    ts = parse_timescale(spec)
+    want = [ts._piece(k)[0].hex() for k in range(k0, k1 + 1)]
+    assert [x.hex() for x in ts._points(k0, k1)] == want
+    assert len(ts._points(k1, k0 - 1)) == 0
+
+
+@pytest.mark.parametrize("spec", ["r", "union:[-6,-4];[2,5]", "union:[0,0];[2,3]"])
+def test_interval_families_list_no_points(spec):
+    assert parse_timescale(spec)._points(0, 0) is None
+
+
 def test_decompose_rejects_reversed_window():
     with pytest.raises(ValueError):
         Reals().decompose(3.0, 1.0)
