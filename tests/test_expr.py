@@ -370,6 +370,12 @@ def _outcome(f):
         return type(e), str(e)
 
 
+def _checked(fn):
+    """fn's checked form, run as fn's first failure runs it: compiled into
+    fn's namespace on first use."""
+    return lambda arg: expr._rerun(fn.__globals__, arg)
+
+
 def _assert_matches_walk(e, d, t):
     code = CompiledPair(e, d)
     value, prime, pair = code.value, code.prime, code.pair
@@ -378,11 +384,15 @@ def _assert_matches_walk(e, d, t):
         dv = _walk(d, t)
         return _walk(e, t), dv
 
-    assert _outcome(lambda: compile_expr(e)(t)) == _outcome(lambda: _walk(e, t))
-    assert _outcome(lambda: value(t)) == _outcome(lambda: _walk(e, t))
-    assert _outcome(lambda: prime(t)) == _outcome(lambda: _walk(d, t))
-    assert _outcome(lambda: pair(t)) == _outcome(walked_pair)
-    assert _outcome(lambda: code.values([t, t])) == _outcome(lambda: [_walk(e, t), _walk(e, t)])
+    # each function, fast and checked, against the walk
+    for fn in (compile_expr(e), value, _checked(compile_expr(e)), _checked(value)):
+        assert _outcome(lambda: fn(t)) == _outcome(lambda: _walk(e, t))
+    for fn in (prime, _checked(prime)):
+        assert _outcome(lambda: fn(t)) == _outcome(lambda: _walk(d, t))
+    for fn in (pair, _checked(pair)):
+        assert _outcome(lambda: fn(t)) == _outcome(walked_pair)
+    for fn in (code.values, _checked(code.values)):
+        assert _outcome(lambda: fn([t, t])) == _outcome(lambda: [_walk(e, t), _walk(e, t)])
 
     sf = ScaleFunction(e, d)
 
@@ -406,7 +416,7 @@ _trees = st.recursive(
     lambda kids: st.one_of(
         *(st.builds(node, kids, kids) for node in (Add, Sub, Mul, Div)),
         st.builds(Neg, kids),
-        st.builds(Pow, kids, st.sampled_from(_EXPONENTS)),
+        st.builds(Pow, kids, st.one_of(st.sampled_from(_EXPONENTS), st.integers(-101, 101).map(float))),
         st.builds(Call, st.sampled_from(FUNCTIONS), kids),
     ),
     max_leaves=12,
@@ -480,6 +490,56 @@ def test_generated_code_matches_tree_walk_on_edge_cases(text, t, error):
         assert outcome[0] is error
 
 
+_ZERO_BASES = (0j, -0j, complex(-0.0, 0.0), complex(0.0, -0.0))
+
+
+@pytest.mark.parametrize("a", [0.0, 1, 1.0, 2.0, 3.0, -1.0, -2.0, 100.0, 101.0, 2.5])
+@pytest.mark.parametrize("t", [*_ZERO_BASES, complex(math.nan, 0.0), complex(-4.0, -0.0), 1.1 - 0.3j])
+def test_fast_powers_match_checked_form_and_walk(a, t):
+    # the fast form decides an integral exponent's power when the code is
+    # written, and leaves a zero base of either sign to _pow_value; the
+    # derivative holds t^a as differentiate writes it (t^1.0 for t^2.0)
+    _assert_matches_walk(Pow(Var(), a), differentiate(Pow(Var(), a + 1.0)), t)
+
+
+@pytest.mark.parametrize(
+    "text, good, bad, error, message",
+    [
+        ("(1e200*t)^2", 1e-100, 1, NonFiniteValue, "overflow in (1e+200+0j) ** 2"),
+        ("exp(1000*t)", 0.5, 1, NonFiniteValue, "overflow in exp((1000+0j))"),
+        ("sin(1000*i*t)", 0.5, 1, NonFiniteValue, "overflow in sin(1000j)"),
+        ("(1e-200*t)^-2", 1e100, 1e-200, EvalDomain, "0 raised to a negative power"),
+        ("(1e-300*t)^-2", 1e200, 1, EvalDomain, "division by zero in (1e-300+0j) ** -2"),
+        ("1/(t-3)", 0.5, 3, EvalDomain, "division by zero at t=(3+0j)"),
+    ],
+)
+def test_fast_form_failures_keep_class_and_message(text, good, bad, error, message):
+    e = parse(text)
+    d = differentiate(e)
+    code = CompiledPair(e, d)
+    good, bad = complex(good), complex(bad)
+    assert _outcome(lambda: code.value(bad)) == (error, message)
+    assert _outcome(lambda: compile_expr(e)(bad)) == (error, message)
+    _assert_matches_walk(e, d, bad)
+    # the first point that raises, after one that does not
+    points = [good, bad, 2 * bad]
+    assert isinstance(_outcome(lambda: code.values([good])), str)
+    assert _outcome(lambda: code.values(points)) == _outcome(lambda: [_walk(e, x) for x in points])
+
+
+def test_fast_calls_that_never_raise_compile_no_checked_source():
+    e = parse("exp(i*t)+(t-1)^2*sin(t)/cos(t)+t^0.5")
+    code = CompiledPair(e, differentiate(e))
+    sources = _compiled_sources(
+        lambda: (code.value(0.5), code.prime(0.5), code.pair(0.5), code.values([0.5, 1.5]), compile_expr(e)(0.5))
+    )
+    assert [source.split("(")[0] for source in sources] == ["def value", "def prime", "def pair", "def values", "def value"]
+    # the first failure compiles the checked form; later ones reuse it
+    sources = _compiled_sources(lambda: [_outcome(lambda: code.value(1000j)) for _ in range(3)])
+    assert [source.split("(")[0] for source in sources] == ["def _checked"]
+    assert _outcome(lambda: code.value(1000j)) == (NonFiniteValue, "overflow in sin(1000j)")
+
+
 # ---------------------------------------------------------------------------
 # generated source and its memo
 # ---------------------------------------------------------------------------
@@ -488,23 +548,30 @@ _NAME = r"(?:t|v\d+|c\d+)"
 _SOURCE_LINE = re.compile(
     "|".join(
         (
-            r"def (?:value|prime|pair)\(t\):",
+            r"def (?:value|prime|pair|_checked)\(t\):",
             r"    try:",
             rf"        (?:    )?v\d+ = {_NAME} [-+*/] {_NAME}",
             rf"        (?:    )?v\d+ = -{_NAME}",
             rf"        (?:    )?v\d+ = _pow\({_NAME}, c\d+\)",
             rf"        (?:    )?v\d+ = _(?:exp|log|sin|cos|sqrt)\({_NAME}\)",
+            # the fast form's integer power and direct cmath calls
+            rf"        (?:    )?v\d+ = (?P<b>{_NAME}) \*\* (?P<n>c\d+) if (?P=b) else _pow\((?P=b), (?P=n)\)",
+            rf"        (?:    )?v\d+ = (?:exp|sin|cos)\({_NAME}\)",
             rf"        return {_NAME}(?:, {_NAME})?",
             r"    except ZeroDivisionError as e:",
             r"        raise _division\(t\) from e",
+            # the fast form's failure: the checked form reruns the argument
+            r"    except \(ArithmeticError, ValueError\):",
+            r"        pass",
+            r"    return _rerun\(globals\(\), (?:t|xs)\)",
             # values: the steps of value in a loop over the points
-            r"def values\(xs\):",
+            r"def (?:values|_checked)\(xs\):",
             r"    out = \[\]",
             r"    append = out\.append",
             r"    t = None",
             r"        for t in map\(complex, xs\):",
             rf"            append\({_NAME}\)",
-            r"    return out",
+            r"        return out",
         )
     )
 )
@@ -520,12 +587,21 @@ def _compiled_sources(build):
     return sources
 
 
+def _compile_both_forms(code):
+    """Compile a pair's four functions, fast and checked."""
+    for fn, arg in ((code.value, 0j), (code.prime, 0j), (code.pair, 0j), (code.values, [0j])):
+        try:
+            _checked(fn)(arg)  # compiles the checked form, whatever it then computes
+        except ChronologError:
+            pass
+
+
 @settings(max_examples=100, deadline=None)
 @given(_trees)
 def test_generated_source_holds_only_names_and_operators(e):
     code = CompiledPair(e, differentiate(e))
-    sources = _compiled_sources(lambda: (code.value, code.prime, code.pair, code.values))
-    assert sources
+    sources = _compiled_sources(lambda: _compile_both_forms(code))
+    assert len(sources) == 8
     for source in sources:
         for line in source.splitlines():
             assert _SOURCE_LINE.fullmatch(line), line
@@ -534,8 +610,8 @@ def test_generated_source_holds_only_names_and_operators(e):
 def test_parsed_text_never_reaches_the_source():
     texts = DERIVATIVE_CORPUS + ["exp(i*1.25*sin(t))+(0.1-2.0*i)", "1e999*t+2^(1/3)", "t^(2^-1)+.5e1"]
     codes = [CompiledPair(e, differentiate(e)) for e in map(parse, texts)]
-    sources = _compiled_sources(lambda: [(code.value, code.prime, code.pair, code.values) for code in codes])
-    assert len(sources) == 4 * len(texts)
+    sources = _compiled_sources(lambda: [_compile_both_forms(code) for code in codes])
+    assert len(sources) == 8 * len(texts)
     for source in sources:
         for line in source.splitlines():
             assert _SOURCE_LINE.fullmatch(line), line
