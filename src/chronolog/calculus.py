@@ -305,8 +305,9 @@ class Terms:
     ``run(total, xs)`` a block of jumps through the points xs in walk
     order, each returning the running total, and ``close(total)`` gives the
     total at the walk's current point, leaving the walk open.  Here ``run``
-    is a loop of ``step``; ``_walk`` re-walks a block whose run raises by
-    ``step``, which names the gap.
+    is a loop of ``step``; the exponentials' subclass (``logexp._Exponent``)
+    takes a block as the product of its factors.  ``_walk`` re-walks a block
+    whose run fails by ``step``, which names the gap.
     """
 
     __slots__ = ("dense", "term", "tol", "up")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from typing import Iterable
 
 from .errors import (
     CayleyNotRegressive,
@@ -87,6 +88,27 @@ def _psi(row: tuple, h: float, z: complex, principal: bool = True, eta: float | 
     if not cmath.isfinite(val):
         raise NonFiniteValue(f"{name} is not finite for eta={eta}, h={h}, z={z}: {val!r}")
     return val if principal else MultiLog(val, complex(0.0, TWO_PI / h) if h > 0 else 0j)
+
+
+def _log_product(eta: float, hzs: Iterable[complex]) -> complex | None:
+    """Log of the product of the eta map's factors num/den over a run's values of h*z.
+
+    This equals the run's sum of h * map(h, z) modulo 2*pi*i.  The values are
+    drawn in order, and each factor passes ``_psi``'s guard before the next
+    is drawn.  Returns None, and draws no further value, where a guard trips
+    or the running product leaves [1e-280, 1e280], a non-finite one included.
+    """
+    keep = 1.0 - eta
+    prod = 1 + 0j
+    for hz in hzs:
+        num = 1 + keep * hz
+        den = 1 - eta * hz
+        if abs(hz) > 0.5 and _singular(eta, num, den, REGRESSIVITY_GUARD * (1.0 + abs(hz))):
+            return None
+        prod *= num / den
+        if not 1e-280 <= abs(prod) <= 1e280:
+            return None
+    return principal_log(prod)
 
 
 def _is_regressive(row: tuple, h: float, z: complex) -> bool:

@@ -48,6 +48,7 @@ from .errors import (
     LogOfZero,
     NonFiniteValue,
     UnknownFunction,
+    ValidationError,
 )
 from .multivalue import principal_log
 
@@ -83,6 +84,10 @@ class Div(Record):
 
 class Pow(Record):
     __slots__ = ("base", "exponent")  # the exponent a real constant by construction
+
+    def __post_init__(self):
+        if not cmath.isfinite(self.exponent):
+            raise ValidationError(f"exponent must be finite, got {self.exponent!r}")
 
 
 class Neg(Record):

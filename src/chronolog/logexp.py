@@ -29,9 +29,9 @@ piece or jump, and at each jump the checks and errors of the row's map,
 through the maps' one guard (``cylinder._singular``).  A whole window is
 one run, and a long run of jumps is taken in blocks, p at a block's points
 from one call (``_Winding.run``).  The definition: every walk of the
-cylinder maps goes through ``_cylinder_walk``, which integrates p'/p on
-each piece to ``quad_tol``.
-Its walk of the weighted quotient (``_kernel``) is the independent
+cylinder maps takes its jump terms from ``_cylinder_term``.  Its walk of
+the weighted quotient (``_kernel``), which integrates p'/p on each piece
+to ``quad_tol`` and sums one principal Log per jump, is the independent
 second side of the identity suite: the two sides share no step that
 computes a value on a dense piece.
 
@@ -39,11 +39,15 @@ Delta, nabla and Cayley each have a principal version (a plain complex
 number) and a multi-valued version carrying the 2*pi*i lattice; eta is
 multi-valued only.  They all agree modulo that lattice.
 
-The exponentials are exp of a ``_cylinder_walk`` of their coefficient:
-exp_delta of c walks xi(mu, c(tau)) and exp_nabla walks xi_hat(mu,
-c(sigma(tau))), with the map as the only regressivity and finiteness
-check: a coefficient that is not finite at a jump raises the map's
-NonFiniteValue.
+The exponentials are exp of the definition's walk of their coefficient
+(``_Exponent``): exp_delta of c walks xi(mu, c(tau)) and exp_nabla walks
+xi_hat(mu, c(sigma(tau))), with the map as the only regressivity and
+finiteness check: a coefficient that is not finite at a jump raises the
+map's NonFiniteValue.  Since exp of a sum of Log(1 + mu*c) is the product
+of the factors 1 + mu*c, a block of jumps adds the Log of its factors'
+product, taken in one loop under the maps' guard, and p at a block's
+points comes from one call where chronolog owns the coefficient
+(``delta_quotient``, a ScaleFunction).
 
 The window logarithm is additive over the window, L(s, u') = L(s, u) +
 L(u, u'), so ``log_table`` gives the logarithm from one base to every
@@ -59,6 +63,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from bisect import bisect_left
 from enum import Enum
 from functools import partial
@@ -142,17 +147,28 @@ def delta_quotient(p: ScaleFunction, cfg: ToleranceConfig | None = None) -> Call
     difference quotient divided by the left value.  A (tau, mu) coefficient
     cannot see the stored successor, so this is the one place that evaluates
     p at tau + mu, which may round off the scale (0.04999999999999999 for the
-    point 0.05 of hz:0.3:0.05 after tau = -0.25).
+    point 0.05 of hz:0.3:0.05 after tau = -0.25).  It is ``_quotient`` at
+    (p, cfg), which an exponential knows and lists over a block of jumps
+    from one call (``_quotient_block``), at the same points.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
-    return lambda tau, mu: _quotient(p, cfg, tau, tau + mu, mu)
+    return partial(_quotient, p, cfg or DEFAULT_TOLERANCES)
 
 
-def _quotient(p: ScaleFunction, cfg: ToleranceConfig, tau: float, sigma: float, mu: float) -> complex:
-    # pDelta(tau)/p(tau) across the gap mu to sigma, p'(tau)/p(tau) where mu = 0
+def _quotient_block(p: ScaleFunction, cfg: ToleranceConfig, taus: Sequence, mus: Sequence) -> list | None:
+    # _quotient at each tau and gap mu > 0, p at the taus and at tau + mu from
+    # one values call each; None where a value of p is below the floor
+    pvs = p.values(taus)
+    pss = p.values(list(map(operator.add, taus, mus)))
+    if min(map(abs, pvs)) < cfg.eps_min or min(map(abs, pss)) < cfg.eps_min:
+        return None
+    return list(map(operator.truediv, map(operator.truediv, map(operator.sub, pss, pvs), mus), pvs))
+
+
+def _quotient(p: ScaleFunction, cfg: ToleranceConfig, tau: float, mu: float, sigma: float | None = None) -> complex:
+    # pDelta(tau)/p(tau) across the gap mu to sigma (tau + mu if None), p'(tau)/p(tau) where mu = 0
     if mu > 0:
         pv = _checked(p, tau, cfg)
-        return (_checked(p, sigma, cfg) - pv) / mu / pv
+        return (_checked(p, tau + mu if sigma is None else sigma, cfg) - pv) / mu / pv
     try:
         return _slope(p, cfg, tau)
     except ChronologError:
@@ -188,31 +204,31 @@ def _row(variant: LogVariant, eta: float | None) -> tuple[float, type, float]:
     return weight, error, side
 
 
-def _cylinder_walk(
-    variant: LogVariant, dense: Callable, coeff: Callable, cfg: ToleranceConfig, eta: float | None = None
-) -> Terms:
-    """The definition's walk of a coefficient, set by the variant's row: ``Terms`` for ``_walk``.
+def _cylinder_term(variant: LogVariant, coeff: Callable, eta: float | None = None) -> Callable:
+    """The definition's jump term of a coefficient, set by the variant's row, for ``Terms``.
 
-    A continuous piece adds the integral of ``dense`` at ``cfg.quad_tol``.
-    A jump from tau to its stored successor sigma, a gap mu, adds ``mu *
-    map(mu, coeff(tau, mu, sigma))``, the row's cylinder map (the eta row's
-    at the checked ``eta``) being the only regressivity check.  Every walk
-    of the cylinder maps comes here: ``_kernel`` and both exponentials.
+    A jump from tau to its stored successor sigma, a gap mu, has the term
+    ``map(mu, coeff(tau, mu, sigma))``, which ``Terms`` adds mu times; the
+    row's cylinder map (the eta row's at the checked ``eta``) is the only
+    regressivity check.  Every walk of the cylinder maps takes its jumps
+    from here: ``_kernel`` and both exponentials (``_Exponent``).
     """
     cylinder_map = getattr(cylinder, _ROWS[variant])
     if variant is LogVariant.ETA:
         cylinder_map = partial(cylinder_map, eta)
-    return Terms(dense, lambda tau, mu, sigma: cylinder_map(mu, coeff(tau, mu, sigma)), cfg.quad_tol)
+    return lambda tau, mu, sigma: cylinder_map(mu, coeff(tau, mu, sigma))
 
 
 def _kernel(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: float | None) -> Terms:
     """The logarithm by its definition, set by the variant's row: ``Terms`` for ``_walk``.
 
-    The ``_cylinder_walk`` of p'/p and of the weighted quotient ``(p_sigma
-    - p) / mu / ((1-eta) p + eta p_sigma)``, which raises the row's error
-    when its denominator is 0.  p is evaluated only at stored points, twice
-    at each point inside the window.  The identity suite checks the theorem
-    and the exponential round trip against this walk.
+    The integral of p'/p on each piece, at ``cfg.quad_tol``, and one
+    principal Log per jump, in blocks too: the ``_cylinder_term`` of the
+    weighted quotient ``(p_sigma - p) / mu / ((1-eta) p + eta p_sigma)``,
+    which raises the row's error when its denominator is 0.  p is evaluated
+    only at stored points, twice at each point inside the window.  The
+    identity suite checks the theorem and the exponential round trip
+    against this walk.
     """
     eta, error, _ = _row(variant, eta)
     keep = 1.0 - eta
@@ -225,7 +241,7 @@ def _kernel(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: fl
             raise error(f"(1-eta)p + eta*p_sigma vanishes for eta={eta}")
         return (ps - pv) / mu / mix
 
-    return _cylinder_walk(variant, partial(_slope, p, cfg), coeff, cfg, eta)
+    return Terms(partial(_slope, p, cfg), _cylinder_term(variant, coeff, eta), cfg.quad_tol)
 
 
 class _Winding:
@@ -529,25 +545,59 @@ def log_delta_derivative(
     return p.prime(t) / pv
 
 
-def _coefficient(coeff) -> Callable:
-    if not callable(coeff):
-        raise TypeError("coefficient must be a ScaleFunction or a callable (tau, mu) -> complex")
-    return (lambda tau, mu: coeff(tau)) if isinstance(coeff, ScaleFunction) else coeff
+class _Exponent(Terms):
+    """An exponential's exponent: ``Terms`` of the ``_cylinder_term`` of c at tau (delta) or sigma (nabla).
+
+    ``run`` adds a block's terms as the Log of the product of the row's
+    factors (``cylinder._log_product``), equal to their sum modulo 2*pi*i,
+    which exp discards.  A ScaleFunction lists the block's c from one
+    ``values`` call, ``delta_quotient`` by ``_quotient_block``; any other
+    c is called inside the product's loop, jump by jump, so the first
+    failure in walk order is the one raised.  A block returns None where a
+    factor trips the guard, a value is not finite, the product leaves
+    [1e-280, 1e280] or a gap is below 1e-300 (where mu * map(mu, c) can
+    overflow), and ``_walk`` walks it again by ``step``.
+    """
+
+    __slots__ = ("c", "listed", "eta", "at_sigma")
+
+    def __init__(self, variant: LogVariant, coeff, cfg: ToleranceConfig):
+        if not callable(coeff):
+            raise TypeError("coefficient must be a ScaleFunction or a callable (tau, mu) -> complex")
+        if isinstance(coeff, ScaleFunction):
+            c, self.listed = (lambda tau, mu: coeff(tau)), (lambda ats, mus: coeff.values(ats))
+        else:
+            c, self.listed = coeff, None
+            if isinstance(coeff, partial) and coeff.func is _quotient:  # delta_quotient's
+                self.listed = partial(_quotient_block, *coeff.args)
+        at_sigma = variant is LogVariant.NABLA_PRINCIPAL
+        term = (lambda tau, mu, sigma: c(sigma, mu)) if at_sigma else (lambda tau, mu, sigma: c(tau, mu))
+        super().__init__(lambda x: c(x, 0.0), _cylinder_term(variant, term), cfg.quad_tol)
+        self.c, self.eta, self.at_sigma = c, _row(variant, None)[0], at_sigma
+
+    def run(self, total: complex, xs: Sequence[float]) -> complex | None:
+        taus, sigmas = (xs[:-1], xs[1:]) if self.up else (xs[1:], xs[:-1])
+        mus = list(map(operator.sub, sigmas, taus))
+        if min(mus) < 1e-300:
+            return None
+        ats = sigmas if self.at_sigma else taus
+        cs = self.listed(ats, mus) if self.listed else map(complex, map(self.c, ats, mus))
+        log = None if cs is None else cylinder._log_product(self.eta, map(operator.mul, mus, cs))
+        return None if log is None else total + log
 
 
 def exp_delta(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | None = None) -> complex:
     """Forward exponential: exp of the integral of the cylinder-mapped coefficient.
 
     The coefficient c(tau, mu) is sampled at tau.  It must be regressive:
-    1 + mu*c != 0 at every scattered point of the window.  The map forms
-    1 + mu*c from the coefficient, so for c = pDelta/p that factor is
-    1 + (p_sigma/p - 1), which cancels when p_sigma/p << 1; given only c,
-    the public (h, z) maps cannot avoid this.
+    1 + mu*c != 0 at every scattered point of the window.  A run of jumps
+    contributes the product of its factors 1 + mu*c, a block of them from
+    one loop, and a single jump exp(mu * xi(mu, c)).  The factor is formed
+    from the coefficient, so for c = pDelta/p it is 1 + (p_sigma/p - 1),
+    which cancels when p_sigma/p << 1; given only c, the public (h, z)
+    maps cannot avoid this.
     """
-    c = _coefficient(coeff)
-    cfg = cfg or DEFAULT_TOLERANCES
-    walk = _cylinder_walk(LogVariant.DELTA_PRINCIPAL, lambda x: c(x, 0.0), lambda tau, mu, sigma: c(tau, mu), cfg)
-    return cexp(_window(walk, ts, s, t))
+    return cexp(_window(_Exponent(LogVariant.DELTA_PRINCIPAL, coeff, cfg or DEFAULT_TOLERANCES), ts, s, t))
 
 
 def exp_nabla(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | None = None) -> complex:
@@ -555,14 +605,13 @@ def exp_nabla(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | N
     points tau' = sigma(tau), the stored successors, with nu the gap below
     them; needs 1 - nu*c != 0 there.
 
-    The map forms 1 - nu*c from the coefficient, so for c = pNabla/p at
-    sigma that factor is 1 - (1 - p/p_sigma), which cancels when
-    p/p_sigma << 1; given only c, the public (h, z) maps cannot avoid this.
+    A run of jumps contributes the product of its factors 1/(1 - nu*c), a
+    block of them from one loop.  The factor is formed from the coefficient,
+    so for c = pNabla/p at sigma it is 1 - (1 - p/p_sigma), which cancels
+    when p/p_sigma << 1; given only c, the public (h, z) maps cannot avoid
+    this.
     """
-    c = _coefficient(coeff)
-    cfg = cfg or DEFAULT_TOLERANCES
-    walk = _cylinder_walk(LogVariant.NABLA_PRINCIPAL, lambda x: c(x, 0.0), lambda tau, nu, sigma: c(sigma, nu), cfg)
-    return cexp(_window(walk, ts, s, t))
+    return cexp(_window(_Exponent(LogVariant.NABLA_PRINCIPAL, coeff, cfg or DEFAULT_TOLERANCES), ts, s, t))
 
 
 def legacy_log(
@@ -603,11 +652,11 @@ def legacy_log(
     if kind is LegacyKind.EULER_CAUCHY:
         return delta_integral(lambda tau, mu: ratio(1.0, tau + 2.0 * mu, tau), ts, t0, t, cfg)
     if kind is LegacyKind.INTEGRAL_QUOTIENT:
-        dense, term = (lambda x: _quotient(p, cfg, x, x, 0.0)), (lambda tau, mu, sigma: _quotient(p, cfg, tau, sigma, mu))
+        dense, term = (lambda x: _quotient(p, cfg, x, 0.0)), (lambda tau, mu, sigma: _quotient(p, cfg, tau, mu, sigma))
         return _window(Terms(dense, term, cfg.quad_tol), ts, t0, t)
     if kind is LegacyKind.JACKSON:
         t, sigma = ts.delta_point(t)
-        return _quotient(p, cfg, t, sigma, sigma - t)
+        return _quotient(p, cfg, t, sigma - t, sigma)
     # mozyrska
     try:
         one = ts.snap(1.0)

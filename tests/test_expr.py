@@ -267,6 +267,19 @@ def test_integer_power_failures_are_typed():
         evaluate(parse("(t*1e300)^2.5"), 1)
 
 
+@pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
+def test_a_tree_built_with_a_non_finite_exponent_is_refused(a):
+    # the parser refuses such exponents; a tree built directly is refused
+    # when its Pow is, before any entry point compiles or evaluates it
+    for compute in (
+        lambda: compile_expr(Pow(Var(), a))(2 + 0j),
+        lambda: evaluate(Add(Const(1 + 0j), Pow(Var(), a)), 2 + 0j),
+        lambda: ScaleFunction(Pow(Var(), a))(2),
+    ):
+        with pytest.raises(ValidationError, match="exponent must be finite"):
+            compute()
+
+
 def test_integer_power_keeps_native_bits():
     z = 1.1 - 0.3j
     for n in (-3, -1, 2, 5, 100):

@@ -774,7 +774,8 @@ def _block_walks(variant, eta, p, ts, points, cfg):
 def test_blocks_of_jumps_give_the_bits_of_single_jumps(monkeypatch, spec):
     # the same walks with the blocks and with every jump taken by step; the
     # second p winds around 0 many times over the window, so that the
-    # winding K of most rows is not 0
+    # winding K of most rows is not 0.  An exponential's block is a product
+    # of factors, not the single jumps' sum of Logs: see the next test
     ts, points = _long_window(spec)
     stops = [points[k] for k in sorted({0, 3, 4, _H + 1, 3 * _H, _H + _B + 2, _H + _B + 3, _LONG})]
     lo, hi = points[0], points[-1]
@@ -786,8 +787,6 @@ def test_blocks_of_jumps_give_the_bits_of_single_jumps(monkeypatch, spec):
             out += log_table(variant, p, ts, lo, stops) + log_table(variant, p, ts, hi, stops)
         for eta in (0.0, 0.3, 1.0):
             out += log_table("eta", p, ts, stops[3], stops, eta=eta)
-        coeff = delta_quotient(p)
-        out += [exp_delta(coeff, ts, lo, hi), exp_nabla(coeff, ts, hi, lo)]
         out.append(calculus.delta_integral(lambda tau, mu: tau * mu + 1j, ts, lo, hi))
         return [complex(v) for v in out]
 
@@ -797,6 +796,203 @@ def test_blocks_of_jumps_give_the_bits_of_single_jumps(monkeypatch, spec):
     monkeypatch.setattr(calculus, "_HANDFUL", 10**9)
     for p, want in zip(functions, blocked):
         assert [_bits(v) for v in walks(p)] == [_bits(v) for v in want]
+
+
+def _exp_cases(p):
+    # (exponential, coefficient, factor of one jump from tau to sigma): the
+    # coefficient listed in one call (delta_quotient, a ScaleFunction) and
+    # one called jump by jump, forward and backward
+    dq = delta_quotient(p)
+    c = ScaleFunction.from_text("0.002*i*t-0.001")
+    back = lambda tau, nu: (p(tau) - p(tau - nu)) / nu / p(tau)  # noqa: E731
+    mpc = lambda z: mpmath.mpc(z.real, z.imag)  # noqa: E731
+    return [
+        (exp_delta, dq, lambda tau, sigma: mpc(1 + (sigma - tau) * dq(tau, sigma - tau))),
+        (exp_delta, c, lambda tau, sigma: mpc(1 + (sigma - tau) * c(tau))),
+        (exp_nabla, dq, lambda tau, sigma: 1 / mpc(1 - (sigma - tau) * dq(sigma, sigma - tau))),
+        (exp_nabla, back, lambda tau, sigma: 1 / mpc(1 - (sigma - tau) * back(sigma, sigma - tau))),
+    ]
+
+
+@pytest.mark.parametrize("spec", ["hz:1", "q:1.001", "alt:0.4,0.7", "set"])
+def test_exponentials_in_blocks_are_the_product_of_their_factors(monkeypatch, spec):
+    # the blocked and the jump-by-jump exponentials, either way over a
+    # window of _LONG jumps, against the exact product of the float factors.
+    # The blocks are within 1e-13; exp of the single jumps' sum of Logs
+    # carries the sum's rounding, a few ulps of the sum of |Log factor|, into
+    # its relative error, 6.2e-13 for the second p on hz:1, which winds
+    ts, points = _long_window(spec)
+    lo, hi = points[0], points[-1]
+    functions = [ScaleFunction.from_text(text) for text in ("(t-2-3*i)^3+exp(i*t)", "exp(30*i*t)+0.5")]
+    with mpmath.workdps(40):
+        cases, want, mass = [], [], []
+        for p in functions:
+            for exp, coeff, factor in _exp_cases(p):
+                factors = [factor(tau, sigma) for tau, sigma in zip(points, points[1:])]
+                product = mpmath.fprod(factors)
+                cases += [(exp, coeff, lo, hi), (exp, coeff, hi, lo)]
+                want += [product, 1 / product]
+                mass += 2 * [float(sum(abs(mpmath.log(f)) for f in factors))]
+        walks = {}
+        for handful in (_H, 10**9):
+            monkeypatch.setattr(calculus, "_HANDFUL", handful)
+            walks[handful] = [exp(coeff, ts, s, t) for exp, coeff, s, t in cases]
+        for handful, values in walks.items():
+            for value, exact, logs in zip(values, want, mass):
+                tol = 1e-13 if handful == _H else max(1e-13, 8 * 2**-52 * logs)
+                assert abs(mpmath.mpc(value.real, value.imag) / exact - 1) < tol
+    assert walks[10**9] != walks[_H]  # the blocks were taken
+
+
+@pytest.mark.parametrize("exp", [exp_delta, exp_nabla])
+@pytest.mark.parametrize("big_first", [True, False])
+def test_an_exponential_block_out_of_float_range_is_walked_by_single_jumps(monkeypatch, exp, big_first):
+    # factors of 10 over the first 300 jumps of hz:1 and of 1/10 over the
+    # rest, or the other way round: the block's running product passes
+    # 1e280 (or 1e-280), the window's exponential stays finite, and the
+    # block is walked again by step, with the bits of single jumps.  The
+    # window ends with the block, since the walk takes the jumps after a
+    # block in a block of their own
+    ts, points = _long_window("hz:1")
+    lo, hi = points[0], points[_H + _B]
+    big, small = (9.0, -0.9) if exp is exp_delta else (0.9, -9.0)
+    if not big_first:
+        big, small = small, big
+    coeff = lambda x, mu: complex(big if x <= 300.0 else small)  # noqa: E731
+    values = {}
+    for handful in (_H, 10**9):
+        monkeypatch.setattr(calculus, "_HANDFUL", handful)
+        values[handful] = [_bits(exp(coeff, ts, s, t)) for s, t in ((lo, hi), (hi, lo))]
+    assert values[_H] == values[10**9]
+    assert 1e50 < abs(exp(coeff, ts, lo, hi)) ** (1 if big_first else -1) < 1e100
+
+
+class _SingleCallsFunction(RecordingFunction):
+    """A RecordingFunction that also keeps the points it is called at one at a time."""
+
+    def __call__(self, t):
+        self.singles.append(t)
+        return super().__call__(t)
+
+
+@pytest.mark.parametrize("listed", ["delta_quotient", "ScaleFunction"])
+def test_an_exponential_lists_a_chronolog_coefficient_in_one_call_per_block(listed):
+    # over _LONG jumps, the coefficient is called point by point only on
+    # the _H single jumps; the two blocks after them (of _B jumps and of the
+    # last _H) take their values from values calls
+    ts, points = _long_window("hz:1")
+    f = _SingleCallsFunction.from_text("t^2+1" if listed == "delta_quotient" else "0.001*i*t")
+    f.singles = []
+    per_jump = 2 if listed == "delta_quotient" else 1  # p at tau and tau + mu, or c at tau
+    exp_delta(delta_quotient(f) if listed == "delta_quotient" else f, ts, points[0], points[-1])
+    assert len(f.singles) == per_jump * _H
+    assert len(f.points) == per_jump * _LONG
+
+
+def _exp_outcome(compute):
+    # the class and the whole message of what a walk raises, or its value
+    try:
+        return "value", compute()
+    except Exception as exc:  # the coefficient's own errors too
+        return type(exc).__name__, str(exc)
+
+
+def _same_outcomes(blocked, single) -> bool:
+    # the same errors, and values within 1e-12 (a block is a product)
+    return len(blocked) == len(single) and all(
+        a == b or (a[0] == b[0] == "value" and abs(a[1] - b[1]) <= 1e-12 * abs(b[1]))
+        for a, b in zip(blocked, single)
+    )
+
+
+@pytest.mark.parametrize("spec", ["hz:1", "q:1.001", "alt:0.4,0.7", "set"])
+@pytest.mark.parametrize("exp", [exp_delta, exp_nabla])
+def test_an_exponential_error_across_a_block_boundary_is_the_single_jumps(monkeypatch, spec, exp):
+    # a coefficient called jump by jump, with a defect at one gap g (the
+    # first and last jumps and either side of each boundary): a factor that
+    # vanishes, a value that is not finite, or the coefficient raising,
+    # alone or at the jump after a vanishing factor in walk order; each
+    # walk raises the class and message of the walk by single jumps
+    ts, points = _long_window(spec)
+    index = {x: k for k, x in enumerate(points)}
+    lo, hi = points[0], points[-1]
+    forward = exp is exp_delta
+    vanishing = NotRegressive if forward else NotNuRegressive
+    raised = {"chronolog": EvalDomain, "arithmetic": ZeroDivisionError, "type": TypeError}
+    outcomes = {}
+    for handful in (_H, 10**9):
+        monkeypatch.setattr(calculus, "_HANDFUL", handful)
+        got = outcomes[handful] = []
+        for g in _BOUNDARY_GAPS:
+            for defect in ["vanishing", "inf", "nan"] + [f"{k}{after}" for k in raised for after in ("", "-after")]:
+                for s, t in ((lo, hi), (hi, lo)):
+
+                    kind, after = defect.removesuffix("-after"), defect.endswith("-after")
+
+                    def coeff(x, mu):
+                        k = index[x] if forward else index[x] - 1  # the gap sampled
+                        if k == g and (kind == "vanishing" or after):
+                            return complex(-1.0 / mu if forward else 1.0 / mu)
+                        if k == g and kind in ("inf", "nan"):
+                            return complex(kind)
+                        if kind in raised and k == (g + 1 if after else g):  # either window walks up
+                            raise raised[kind](f"no coefficient at gap {k}")
+                        return 0.01 + 0.02j
+
+                    got.append(_exp_outcome(lambda: exp(coeff, ts, s, t)))
+                    if kind == "vanishing" or after:
+                        assert got[-1][0] == vanishing.__name__, (g, defect, s, got[-1])
+    assert outcomes[_H] == outcomes[10**9]
+    assert all(kind != "value" for kind, _ in outcomes[_H])
+
+
+def test_an_exponential_term_that_overflows_on_a_tiny_gap_is_the_single_jumps(monkeypatch):
+    # on gaps of 1e-308 the factor 1 + mu*c = 0.01 is finite, but the
+    # single jump's term mu * xi(mu, c) = Log(0.01) overflows in xi
+    points = [k * 1e-308 for k in range(2 * _H + _B + 1)]
+    ts = parse_timescale("set:" + ",".join(map(repr, points)))
+    coeff = lambda x, mu: complex(-0.99e308) if x == points[300] else 0j  # noqa: E731
+    outcomes = []
+    for handful in (_H, 10**9):
+        monkeypatch.setattr(calculus, "_HANDFUL", handful)
+        outcomes.append(_exp_outcome(lambda: exp_delta(coeff, ts, points[0], points[-1])))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == "NonFiniteValue"
+
+
+@pytest.mark.parametrize("spec", ["hz:1", "q:1.001", "alt:0.4,0.7", "set"])
+@pytest.mark.parametrize("defect", ["floor", "not-finite", "spike"])
+def test_a_listed_coefficient_error_across_a_block_boundary_is_the_single_jumps(monkeypatch, spec, defect):
+    # delta_quotient(p) with p's defects of the logs' test above, both
+    # exponentials and both directions: p below the floor or not finite at
+    # a point d next to a boundary gap, or a spike of 1e12 there, whose
+    # factor 1e-12 out of d (delta) or into it (nabla) vanishes
+    cfg = ToleranceConfig(eps_min=1e-10)
+    ts, points = _long_window(spec)
+    lo, hi = points[0], points[-1]
+    outcomes = {}
+    for handful in (_H, 10**9):
+        monkeypatch.setattr(calculus, "_HANDFUL", handful)
+        got = outcomes[handful] = []
+        for d in sorted(set(_BOUNDARY_GAPS) | {g + 1 for g in _BOUNDARY_GAPS}):
+            x = points[d]
+            near = min(abs(x - y) for y in points[max(d - 1, 0) : d + 2] if y != x)
+            width = 2000.0 / near**2
+            text = {
+                "floor": f"t-({x!r})+1e-11",
+                "not-finite": f"1+exp(800-{width!r}*(t-({x!r}))^2)",
+                "spike": f"1+1e12*exp(-{width!r}*(t-({x!r}))^2)",
+            }[defect]
+            coeff = delta_quotient(ScaleFunction.from_text(text), cfg)
+            for exp in (exp_delta, exp_nabla):
+                for s, t in ((lo, hi), (hi, lo)):
+                    got.append(_exp_outcome(lambda: exp(coeff, ts, s, t, cfg)))
+    assert _same_outcomes(outcomes[_H], outcomes[10**9])
+    assert {kind for kind, _ in outcomes[10**9]} >= {
+        "floor": {"NonvanishingViolation"},
+        "not-finite": {"NonFiniteValue"},
+        "spike": {"NotRegressive"},
+    }[defect]
 
 
 def test_a_block_never_walks_past_a_stop(monkeypatch):
