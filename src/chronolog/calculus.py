@@ -2,8 +2,8 @@
 
 Integrals, exponentials and window logarithms are computed by one walk,
 ``_walk``, which streams the scale's pieces by index from the start of a
-window and builds no segment, handing each continuous stretch and each
-jump to a sum object.  The sum is either ``Terms``, the definition, in
+window, keeping nothing per jump, and hands each continuous stretch and
+each jump to a sum object.  The sum is either ``Terms``, the definition, in
 which a stretch adds its integral to ``quad_tol`` and a jump adds ``gap *
 f`` (integrals, exponentials, the older logarithms and the cylinder-map
 definition of the logarithm), or the window logarithm's theorem
@@ -357,7 +357,7 @@ def _walk(sums, ts: TimeScale, s: float, stops: list[float], sign: float = 1.0) 
     """The one walk behind every integral, exponential and window logarithm.
 
     ``s`` and ``stops`` are scale points, the stops moving away from s.  The
-    walk streams the scale's pieces by index from s, building no segment,
+    walk streams the scale's pieces by index from s, keeping nothing per jump,
     and returns ``sign`` times the running total at each stop.  It opens
     ``sums`` (``Terms`` or ``logexp._Winding``) once, hands it each
     continuous stretch as [lo, hi] whichever way it walks, so that a walk

@@ -61,7 +61,8 @@ def _parse_variant(text: str) -> tuple[LogVariant, float | None]:
 
 
 def _window_has_jumps(ts: TimeScale, a: float, b: float) -> bool:
-    return ts.gap_count(min(a, b), max(a, b)) > 0
+    ks, kt, *_ = ts._span(min(a, b), max(a, b))
+    return kt > ks
 
 
 def _point_payload(variant_label: str, value, scattered: bool) -> dict:
@@ -91,13 +92,13 @@ def _walk_points(ts: TimeScale, start: float, stop: float, step: float | None) -
     stop = ts.snap(stop)
     if stop < start:
         raise ValidationError("--to must not be less than --from")
+    if step is not None and not step > 0:
+        raise ValidationError("--step must be positive")
     jumps, dense = -1, 0.0
     for a, b in ts._clipped_pieces(start, stop):
         if b > a:
             if step is None:
                 raise ValidationError("--step is required when the range has continuous stretches")
-            if not step > 0:
-                raise ValidationError("--step must be positive")
             dense += (b - a) / step
         jumps += 1
     rows = jumps + dense

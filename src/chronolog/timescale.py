@@ -1,4 +1,4 @@
-"""Time-scale representations: membership, jump operators, decomposition.
+"""Time-scale representations: membership, jump operators, window pieces.
 
 A time scale is a nonempty closed subset of the reals.  The supported
 families are the whole line, uniform grids, geometric grids q^k, finite
@@ -10,12 +10,13 @@ interval, or an isolated point when a_k = b_k.  The whole line is the one
 piece (-inf, inf), a union lists its intervals, and the four discrete
 families are points x_k = a_k = b_k read straight off their index (a
 closed form on the grids, the stored tuple on a set).  :class:`TimeScale`
-implements membership, the jumps and decomposition once on that sequence:
-a point is snapped to its piece index k once, sigma jumps the gap
-b_k -> a_{k+1}, and a window [s, t] decomposes into continuous pieces
-(graininess zero throughout) and the scattered jumps across the gaps it
-spans.  The window walk (``calculus._walk``) reads the same sequence by
-index, from ``_span`` and ``_piece``, without building the segments.
+implements membership and the jumps once on that sequence: a point is
+snapped to its piece index k once, and sigma jumps the gap b_k -> a_{k+1}.
+A window [s, t] is its pieces clipped to it (``_clipped_pieces``): each
+piece with b > a is a continuous stretch (graininess zero throughout), and
+consecutive pieces are joined by the scattered jump across their gap.  The
+window walk (``calculus._walk``) reads the same sequence by index, from
+``_span`` and ``_piece``.
 
 Scale spec grammar (CLI and :func:`parse_timescale`):
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Iterator, Union
+from typing import Iterator
 
 from ._record import Record
 from .errors import InvalidTimeScale, KappaBoundary, PointNotInScale, UnboundedWindow, ValidationError
@@ -44,8 +45,7 @@ MEMBERSHIP_TOL = 1e-12
 # before any work.  The window walk and the CLI's table stream the pieces, so
 # for them the cap is a time bound (a million jumps take seconds): the walk
 # holds at most one block of a few hundred points at a time, and it is the
-# block, not the window, that bounds its memory.  Only decompose still builds
-# a window's segments, ~150 bytes per gap
+# block, not the window, that bounds its memory
 MAX_WINDOW_JUMPS = 10**6
 
 # the most integrand samples the quadrature may take on one continuous piece;
@@ -59,42 +59,11 @@ _WINDING_TOL = 1e-2
 _WINDING_SLACK = 0.05
 
 
-class ContinuousPiece(Record):
-    """A closed interval [a, b] inside the scale with zero graininess."""
-
-    __slots__ = ("a", "b")
-
-    @property
-    def length(self) -> float:
-        return self.b - self.a
-
-
+# unused by the library; perfbench/tracer.py reads it, until ROADMAP item 1's benchmark change
 class ScatteredJump(Record):
     """A right-scattered point tau, its stored successor sigma and the gap mu = sigma - tau."""
 
     __slots__ = ("tau", "mu", "sigma")
-
-    @property
-    def length(self) -> float:
-        return self.mu
-
-
-Segment = Union[ContinuousPiece, ScatteredJump]
-
-
-class SegmentDecomposition(Record):
-    """Ordered cover of [start, end] by continuous pieces and jumps."""
-
-    __slots__ = ("start", "end", "segments")  # segments: tuple[Segment, ...]
-
-    def __iter__(self) -> Iterator[Segment]:
-        return iter(self.segments)
-
-    def __len__(self) -> int:
-        return len(self.segments)
-
-    def total_length(self) -> float:
-        return sum(seg.length for seg in self.segments)
 
 
 class TimeScale(Record):
@@ -230,18 +199,12 @@ class TimeScale(Record):
         ks, _, b, s = self._lookup(s)
         kt, _, _, t = self._lookup(t)
         if s > t:
-            raise ValidationError("decompose requires s <= t")
+            raise ValidationError(f"the window [{s}, {t}] is reversed: its start must not exceed its end")
         if kt - ks > MAX_WINDOW_JUMPS:
             raise UnboundedWindow(
                 f"the window [{s}, {t}] jumps {kt - ks} gaps, more than {MAX_WINDOW_JUMPS}"
             )
         return ks, kt, b, s, t
-
-    def gap_count(self, s: float, t: float) -> int:
-        """The number of scattered jumps in ``decompose(s, t)``, which it
-        does not build; it raises what decompose raises for the window."""
-        ks, kt, _, _, _ = self._span(s, t)
-        return kt - ks
 
     def _clipped_pieces(self, s: float, t: float) -> Iterator[tuple[float, float]]:
         # the pieces (a, b) of [s, t] clipped to it, increasing from the stored s
@@ -255,24 +218,6 @@ class TimeScale(Record):
                 raise PointNotInScale(f"the neighbour of {b} is not a distinct finite float")
             b = nb
         yield x, t
-
-    def decompose(self, s: float, t: float) -> SegmentDecomposition:
-        """Split [s, t] into continuous pieces and scattered jumps.
-
-        Requires s <= t with both in the scale.  Each jump carries its stored
-        successor, and its size is the exact float difference of the two
-        points, so segment lengths telescope to t - s.  A window that jumps
-        more than MAX_WINDOW_JUMPS gaps raises UnboundedWindow.
-        """
-        pieces = self._clipped_pieces(s, t)
-        s, end = next(pieces)
-        segs: list[Segment] = [ContinuousPiece(s, end)] if end > s else []
-        for a, b in pieces:
-            segs.append(ScatteredJump(end, a - end, a))
-            if b > a:
-                segs.append(ContinuousPiece(a, b))
-            end = b
-        return SegmentDecomposition(s, end, tuple(segs))
 
 
 def _require_finite(x: float, what: str) -> float:

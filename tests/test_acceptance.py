@@ -358,8 +358,11 @@ def test_property_bundle():
         for spec, windows in WINDOWS.items():
             ts = SCALES[spec]
             s, t = windows[0]
-            dec = ts.decompose(ts.snap(s), ts.snap(t))
-            assert abs(dec.total_length() - (t - s)) <= 1e-12 * max(1.0, t - s)
+            pieces = list(ts._clipped_pieces(ts.snap(s), ts.snap(t)))
+            total = sum(b - a for a, b in pieces) + sum(a - b for (_, b), (a, _) in zip(pieces, pieces[1:]))
+            assert abs(total - (t - s)) <= 1e-12 * max(1.0, t - s)
+            walked = delta_integral(lambda x, mu: 1.0 + 0j, ts, s, t)
+            assert abs(walked - (t - s)) <= 1e-9 * max(1.0, t - s)
 
         # integral additivity and linearity
         ts = SCALES["union:[-6,-4];[2,5]"]

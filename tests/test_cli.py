@@ -207,23 +207,37 @@ def test_eval_piece_error_names_its_piece(run, scale, p, t, error, piece):
     ],
     ids=["eval", "legacy-huff", "table-log-union", "table-logderiv-union", "table-log-hz", "table-logderiv-hz"],
 )
-def test_cli_walks_its_window_without_decomposing(run, monkeypatch, argv):
-    # the walk streams the scale's pieces, whether the window has jumps is
-    # counted, and a table lists its rows from the pieces; none builds the
-    # window's segments
-    calls = []
-    decompose = chronolog.timescale.TimeScale.decompose
-
-    def counting(self, s, t):
-        calls.append((s, t))
-        return decompose(self, s, t)
-
-    monkeypatch.setattr(chronolog.timescale.TimeScale, "decompose", counting)
+def test_cli_walks_its_window_without_decomposing(run, argv):
+    # the walk streams the scale's pieces, whether the window has jumps comes
+    # from the piece indices of its two ends, and a table lists its rows from
+    # the clipped pieces; the library has no call that builds a window's
+    # segments
     rc, out, err = run(*argv)
     assert (rc, err) == (0, "")
-    assert calls == []
     if argv[0] != "table":
         assert json.loads(out)["scattered_contributed"] is True
+
+
+@pytest.mark.parametrize(
+    "scale, s, t, scattered",
+    [
+        ("hz:1", "0", "5", True),
+        ("hz:1", "5", "0", True),
+        ("hz:1", "3", "3", False),
+        ("r", "0", "5", False),
+        ("union:[0,1];[2,3]", "2.25", "2.75", False),
+        ("union:[0,1];[2,3]", "1", "2", True),
+        ("union:[0,1];[2,3]", "2", "1", True),
+    ],
+    ids=["grid", "grid-reversed", "grid-empty", "reals", "union-one-interval", "union-across-gap",
+         "union-across-gap-reversed"],
+)
+def test_eval_scattered_flag(run, scale, s, t, scattered):
+    # a window has jumps when its two ends lie in different pieces of the
+    # scale, whichever way it runs
+    rc, out, err = run("eval", "--timescale", scale, "--p", "t+10", "--s", s, "--t", t)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["scattered_contributed"] is scattered
 
 
 def test_eval_bad_expression_exits_2(run):
@@ -502,6 +516,22 @@ def test_table_continuous_needs_step(run):
     assert rc == 0
     ts = [float(line.split(",")[0]) for line in out.strip().split("\n")[1:]]
     assert ts == [1.0, 1.5, 2.0]
+
+
+@pytest.mark.parametrize("step", ["0", "-1", "nan", "-inf"])
+@pytest.mark.parametrize(
+    "scale, start, stop",
+    [("hz:1", "0", "2"), ("set:0,1,2.5", "0", "2.5"), ("union:[0,0];[1,1];[2,3]", "0", "1")],
+    ids=["grid", "set", "union-without-stretch"],
+)
+def test_table_step_must_be_positive_on_every_scale(run, scale, start, stop, step):
+    # the step is checked whenever it is given, also where no continuous
+    # stretch would use it
+    rc, out, err = run(
+        "table", "--timescale", scale, "--p", "t+1", "--from", start, "--to", stop, f"--step={step}",
+    )
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": "ValidationError", "message": "--step must be positive"}
 
 
 @pytest.mark.parametrize(

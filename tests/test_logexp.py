@@ -47,7 +47,7 @@ from chronolog.logexp import (
     scaled_residual,
 )
 from chronolog.multivalue import TWO_PI_I, MultiLog, lattice_gap
-from chronolog.timescale import ContinuousPiece, parse_timescale
+from chronolog.timescale import parse_timescale
 
 
 def _closed_form(p, ts, s, t):
@@ -454,6 +454,12 @@ def test_exp_round_trip_reads_the_stored_successor():
     assert rows["exp-of-principal-log"].rhs == pytest.approx(p(2.5**40) / p(1.0), rel=1e-12)
 
 
+def _jumps(ts, lo, hi):
+    # the window's jumps (tau, sigma): each piece's end to the next piece's start
+    pieces = list(ts._clipped_pieces(lo, hi))
+    return [(b, a) for (_, b), (a, _) in zip(pieces, pieces[1:])]
+
+
 @pytest.mark.parametrize("spec, lo, hi", [("alt:0.3,0.7", 0.0, 10.0), ("q:2.5", 1.0, 2.5**40)])
 def test_huff_sums_over_the_stored_successor(spec, lo, hi):
     # the huff term 2/(tau + sigma) reads sigma as stored, not as tau + mu:
@@ -461,9 +467,9 @@ def test_huff_sums_over_the_stored_successor(spec, lo, hi):
     # to 1, where tau + sigma is 1.3
     ts = parse_timescale(spec)
     total = 0j
-    for seg in ts.decompose(lo, hi):
-        term = seg.mu * (2.0 / (seg.tau + seg.sigma))
-        assert legacy_log("huff", None, ts, seg.tau, seg.sigma) == term
+    for tau, sigma in _jumps(ts, lo, hi):
+        term = (sigma - tau) * (2.0 / (tau + sigma))
+        assert legacy_log("huff", None, ts, tau, sigma) == term
         total += term
     assert legacy_log("huff", None, ts, lo, hi) == total
 
@@ -504,11 +510,11 @@ def _stored_points(ts, lo, hi, midpoints=True):
     # the window's ends and every point a jump touches, in increasing order,
     # and the midpoint of each continuous piece
     points = [lo]
-    for seg in ts.decompose(lo, hi):
-        if isinstance(seg, ContinuousPiece):
-            points += [0.5 * (seg.a + seg.b), seg.b] if midpoints else [seg.b]
-        else:
-            points.append(seg.sigma)
+    for i, (a, b) in enumerate(ts._clipped_pieces(lo, hi)):
+        if i:  # the jump to the start of this piece
+            points.append(a)
+        if b > a:
+            points += [0.5 * (a + b), b] if midpoints else [b]
     return points
 
 
@@ -551,7 +557,7 @@ def _jump_free_definitions(spec, text, lo, hi, forward):
     # integral of p'/p, so it is walked once per window and direction: the
     # window, then the table from its low or high end
     ts = parse_timescale(spec)
-    assert ts.gap_count(lo, hi) == 0
+    assert not _jumps(ts, lo, hi)
     p = ScaleFunction.from_text(text)
     s, t = (lo, hi) if forward else (hi, lo)
     points = _stored_points(ts, lo, hi)
@@ -573,7 +579,7 @@ def test_theorem_equals_the_definition_walk(variant, eta, spec, text, lo, hi, fo
     points = _stored_points(ts, lo, hi)
     base = lo if forward else hi
     cfg = ToleranceConfig()
-    if ts.gap_count(lo, hi) == 0:
+    if not _jumps(ts, lo, hi):
         definition, table = _jump_free_definitions(spec, text, lo, hi, forward)
     else:
         definition = _definition(variant, p, ts, s, t, eta=eta)
@@ -601,7 +607,7 @@ def test_log_over_n_jumps_evaluates_p_n_plus_1_times(variant, eta, spec, lo, hi)
     # once at each point, the carried value serving as the next jump's p(tau)
     ts = parse_timescale(spec)
     points = _scale_points(ts, lo, hi)
-    assert len(points) == ts.gap_count(lo, hi) + 1
+    assert len(points) == len(_jumps(ts, lo, hi)) + 1
     for s, t in ((lo, hi), (hi, lo)):
         p = RecordingFunction.from_text("t^2+1")
         log_ts(variant, p, ts, s, t, eta=eta)
@@ -690,7 +696,7 @@ def test_theorem_raises_what_the_definition_raises(variant, eta):
             got = _outcome(lambda: _rep(log_ts(variant, p, ts, s, t, cfg, eta=eta)))
             want = _outcome(lambda: _definition(variant, p, ts, s, t, cfg, eta=eta))
             assert got[0] == want[0] and (got[0] == "value" or got == want), (spec, text, s, t, got, want)
-            if got[0] == "value" and ts.gap_count(lo, hi) == len(points) - 1:
+            if got[0] == "value" and len(_jumps(ts, lo, hi)) == len(points) - 1:
                 assert _near(got[1], _closed_form(p, ts, s, t)), (spec, text, s, t, got)
             kinds.add(got[0])
         for base in (lo, hi):
@@ -1417,14 +1423,17 @@ def test_exponentials_read_the_delta_and_nabla_rows(spec, lo, hi, forward_window
     c = RecordingFunction.from_text("0.3+0.2*i*t")
     sign = 1.0 if s <= t else -1.0
     forward = backward = 0j
-    for seg in ts.decompose(lo, hi):
-        if isinstance(seg, ContinuousPiece):
-            dense = (0.3 * (seg.b - seg.a)) + 0.1j * (seg.b**2 - seg.a**2)
+    tau = None
+    for a, b in ts._clipped_pieces(lo, hi):
+        if tau is not None:  # the jump from the last piece's end to a
+            mu = a - tau
+            forward += mu * xi(mu, c(tau))
+            backward += mu * xi_hat(mu, c(a))
+        if b > a:
+            dense = (0.3 * (b - a)) + 0.1j * (b**2 - a**2)
             forward += dense
             backward += dense
-        else:
-            forward += seg.mu * xi(seg.mu, c(seg.tau))
-            backward += seg.mu * xi_hat(seg.mu, c(seg.sigma))
+        tau = b
     c.points.clear()
     assert exp_delta(c, ts, s, t) == pytest.approx(cmath.exp(sign * forward), rel=1e-12)
     assert exp_nabla(c, ts, s, t) == pytest.approx(cmath.exp(sign * backward), rel=1e-12)
@@ -1577,14 +1586,13 @@ def test_identity_suite_is_eleven_walks(monkeypatch):
 
 
 def _old_positivity_samples(ts, lo, hi):
-    # the positivity samples read from the decomposition: the ends, every
+    # the positivity samples read from the window's pieces: the ends, every
     # jump's two points and 9 points across each continuous stretch
     points = {lo, hi}
-    for seg in ts.decompose(lo, hi):
-        if isinstance(seg, ContinuousPiece):
-            points.update(seg.a + (seg.b - seg.a) * k / 8 for k in range(9))
-        else:
-            points.update((seg.tau, seg.sigma))
+    for a, b in ts._clipped_pieces(lo, hi):
+        if b > a:
+            points.update(a + (b - a) * k / 8 for k in range(9))
+        points.update((a, b))
     return points
 
 

@@ -20,12 +20,7 @@ def _records():
         (expr.Pow(expr.Var(), 2.0), "Pow(base=Var(), exponent=2.0)"),
         (expr.Neg(expr.Var()), "Neg(operand=Var())"),
         (expr.Call("exp", expr.Var()), "Call(name='exp', arg=Var())"),
-        (timescale.ContinuousPiece(0.0, 1.0), "ContinuousPiece(a=0.0, b=1.0)"),
         (timescale.ScatteredJump(1.0, 0.5, 1.5), "ScatteredJump(tau=1.0, mu=0.5, sigma=1.5)"),
-        (
-            timescale.SegmentDecomposition(0.0, 1.0, (timescale.ContinuousPiece(0.0, 1.0),)),
-            "SegmentDecomposition(start=0.0, end=1.0, segments=(ContinuousPiece(a=0.0, b=1.0),))",
-        ),
         (timescale.Reals(), "Reals()"),
         (timescale.UniformGrid(0.5), "UniformGrid(h=0.5, anchor=0.0)"),
         (timescale.QGrid(2), "QGrid(q=2.0)"),

@@ -7,16 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronolog import timescale
-from chronolog.errors import InvalidTimeScale, KappaBoundary, PointNotInScale, UnboundedWindow
+from chronolog.calculus import delta_integral
+from chronolog.cli import _window_has_jumps
+from chronolog.errors import InvalidTimeScale, KappaBoundary, PointNotInScale, UnboundedWindow, ValidationError
 from chronolog.timescale import (
     AlternatingGrid,
-    ContinuousPiece,
     DiscreteSet,
     IntervalUnion,
     QGrid,
     Reals,
-    ScatteredJump,
-    SegmentDecomposition,
     UniformGrid,
     parse_timescale,
 )
@@ -38,20 +37,10 @@ ALL_SPECS = [
 ]
 
 
-def _normalize(segments):
-    """Merge adjacent continuous pieces so concatenations compare equal."""
-    out = []
-    for seg in segments:
-        if (
-            out
-            and isinstance(seg, ContinuousPiece)
-            and isinstance(out[-1], ContinuousPiece)
-            and out[-1].b == seg.a
-        ):
-            out[-1] = ContinuousPiece(out[-1].a, seg.b)
-        else:
-            out.append(seg)
-    return tuple(out)
+def _pieces(ts, s, t):
+    """The window [s, t] as its pieces clipped to it: a piece (a, b) with
+    b > a is a continuous stretch, and a jump joins each b to the next a."""
+    return list(ts._clipped_pieces(s, t))
 
 
 def _some_window(ts, rng):
@@ -94,9 +83,8 @@ def test_reals_everything_dense():
     assert ts.nu(-2.0) == 0.0
     assert ts.sigma(5.0) == 5.0
     assert ts.rho(5.0) == 5.0
-    dec = ts.decompose(1.0, 4.0)
-    assert dec.segments == (ContinuousPiece(1.0, 4.0),)
-    assert ts.decompose(2.0, 2.0).segments == ()
+    assert _pieces(ts, 1.0, 4.0) == [(1.0, 4.0)]
+    assert _pieces(ts, 2.0, 2.0) == [(2.0, 2.0)]
 
 
 def test_reals_rejects_nonfinite():
@@ -188,10 +176,7 @@ def test_discrete_set_snaps_to_nearest_of_close_points():
     assert ts.snap(1e-13) == 1e-13
     assert ts.snap(0.4e-13) == 0.0
     assert ts.snap(0.5e-13) == 0.0  # a tie goes to the lower point
-    assert ts.decompose(0.0, 1.0).segments == (
-        ScatteredJump(0.0, 1e-13, 1e-13),
-        ScatteredJump(1e-13, 1.0 - 1e-13, 1.0),
-    )
+    assert _pieces(ts, 0.0, 1.0) == [(0.0, 0.0), (1e-13, 1e-13), (1.0, 1.0)]
 
 
 def test_discrete_set_validation():
@@ -260,12 +245,7 @@ def test_interval_union_unbounded():
     assert ts.min_point is None and ts.max_point is None
     assert ts.contains(-1000.0) and ts.contains(1000.0)
     assert not ts.contains(0.0)
-    dec = ts.decompose(-5.0, 3.0)
-    assert dec.segments == (
-        ContinuousPiece(-5.0, -4.0),
-        ScatteredJump(-4.0, 6.0, 2.0),
-        ContinuousPiece(2.0, 3.0),
-    )
+    assert _pieces(ts, -5.0, 3.0) == [(-5.0, -4.0), (2.0, 3.0)]
 
 
 def test_interval_union_degenerate_piece_is_isolated_point():
@@ -289,14 +269,18 @@ def test_interval_union_snaps_to_the_nearer_piece_end():
 
 
 def test_decompose_caps_the_jumps_of_one_window(monkeypatch):
+    # the cap holds for the clipped pieces, the piece indices and the walk
     monkeypatch.setattr(timescale, "MAX_WINDOW_JUMPS", 10)
     ts = UniformGrid(0.5)
-    assert len(ts.decompose(0.0, 5.0)) == 10
-    assert ts.gap_count(0.0, 5.0) == 10
-    with pytest.raises(UnboundedWindow):
-        ts.decompose(0.0, 5.5)
-    with pytest.raises(UnboundedWindow):
-        ts.gap_count(0.0, 5.5)
+    assert len(_pieces(ts, 0.0, 5.0)) == 11
+    ks, kt, *_ = ts._span(0.0, 5.0)
+    assert kt - ks == 10
+    one = lambda x, mu: 1.0 + 0j
+    assert delta_integral(one, ts, 0.0, 5.0) == 5.0
+    for window in (lambda: _pieces(ts, 0.0, 5.5), lambda: ts._span(0.0, 5.5),
+                   lambda: delta_integral(one, ts, 0.0, 5.5), lambda: delta_integral(one, ts, 5.5, 0.0)):
+        with pytest.raises(UnboundedWindow):
+            window()
 
 
 def test_interval_union_validation():
@@ -328,7 +312,7 @@ def test_grid_points_beyond_float_range_or_resolution_raise():
         with pytest.raises(PointNotInScale):
             op(big)
     with pytest.raises(PointNotInScale):
-        ts.decompose(big, big + 4.0)
+        _pieces(ts, big, big + 4.0)
 
 
 def test_snap_returns_exact_stored_points():
@@ -346,14 +330,16 @@ def test_snap_returns_exact_stored_points():
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_decompose_lengths_telescope(spec):
+    # the pieces' lengths and the gaps between them sum to t - s
     ts = parse_timescale(spec)
     rng = random.Random(f"telescope:{spec}")
     for _ in range(20):
         s, t = _some_window(ts, rng)
         s, t = ts.snap(s), ts.snap(t)
-        dec = ts.decompose(s, t)
-        assert dec.start == s and dec.end == t
-        assert abs(dec.total_length() - (t - s)) <= 1e-12 * max(1.0, abs(t - s))
+        pieces = _pieces(ts, s, t)
+        assert pieces[0][0] == s and pieces[-1][1] == t
+        total = sum(b - a for a, b in pieces) + sum(a - b for (_, b), (a, _) in zip(pieces, pieces[1:]))
+        assert abs(total - (t - s)) <= 1e-12 * max(1.0, abs(t - s))
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
@@ -362,47 +348,51 @@ def test_decompose_segments_stay_in_scale(spec):
     rng = random.Random(f"in-scale:{spec}")
     for _ in range(10):
         s, t = _some_window(ts, rng)
-        dec = ts.decompose(ts.snap(s), ts.snap(t))
-        end = dec.start
-        for seg in dec:
-            if isinstance(seg, ScatteredJump):
-                assert seg.tau == end
-                assert ts.contains(seg.tau)
-                assert ts.contains(seg.tau + seg.mu)
-                assert seg.mu > 0
-                end = ts.sigma(seg.tau)
-                assert seg.sigma == end  # the stored successor, bit for bit
-                assert seg.mu == end - seg.tau
-            else:
-                assert seg.a == end
-                assert seg.b > seg.a
-                assert ts.contains(seg.a) and ts.contains(seg.b)
-                mid = 0.5 * (seg.a + seg.b)
+        s, t = ts.snap(s), ts.snap(t)
+        pieces = _pieces(ts, s, t)
+        end = s
+        for i, (a, b) in enumerate(pieces):
+            if i:  # the jump from the last piece's end tau = end to a
+                tau, mu = end, a - end
+                assert ts.contains(tau) and ts.contains(tau + mu)
+                assert mu > 0
+                assert a == ts.sigma(tau)  # the stored successor, bit for bit
+                assert mu == ts.mu(tau)
+            assert a >= end and b >= a
+            assert ts.contains(a) and ts.contains(b)
+            if b > a:  # a continuous stretch
+                mid = 0.5 * (a + b)
                 assert ts.contains(mid) and ts.mu(mid) == 0.0
-                end = seg.b
-        assert end == dec.end
+            end = b
+        assert end == t
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_gap_count_counts_the_jumps_of_decompose(spec):
+    # the number of gaps a window jumps is the difference of its ends' piece
+    # indices, from which the CLI's scattered_contributed flag reads it
     ts = parse_timescale(spec)
     rng = random.Random(f"gap-count:{spec}")
     for _ in range(10):
         s, t = _some_window(ts, rng)
-        jumps = sum(isinstance(seg, ScatteredJump) for seg in ts.decompose(ts.snap(s), ts.snap(t)))
-        assert ts.gap_count(s, t) == jumps
+        jumps = len(_pieces(ts, ts.snap(s), ts.snap(t))) - 1
+        ks, kt, *_ = ts._span(s, t)
+        assert kt - ks == jumps
+        assert _window_has_jumps(ts, s, t) == _window_has_jumps(ts, t, s) == (jumps > 0)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_decompose_concatenates_at_interior_points(spec):
+    # the windows [s, r] and [r, t] meet in one piece, which splits at r
     ts = parse_timescale(spec)
     rng = random.Random(f"concatenate:{spec}")
     for _ in range(10):
         pts = sorted(ts.snap(x) for x in _some_points(ts, rng, count=3))
         s, r, t = pts
-        joined = _normalize(ts.decompose(s, r).segments + ts.decompose(r, t).segments)
-        whole = _normalize(ts.decompose(s, t).segments)
-        assert joined == whole
+        left, right = _pieces(ts, s, r), _pieces(ts, r, t)
+        assert left[-1][1] == r == right[0][0]
+        joined = left[:-1] + [(left[-1][0], right[0][1])] + right[1:]
+        assert joined == _pieces(ts, s, t)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS + ["set:1,2,5", "union:[0,1];[3,3]", "union:[0,0];[2,3]"])
@@ -452,8 +442,8 @@ def test_interval_families_list_no_points(spec):
 
 
 def test_decompose_rejects_reversed_window():
-    with pytest.raises(ValueError):
-        Reals().decompose(3.0, 1.0)
+    with pytest.raises(ValidationError, match=r"^the window \[3\.0, 1\.0\] is reversed"):
+        _pieces(Reals(), 3.0, 1.0)
 
 
 def test_decompose_empty_window():
@@ -461,9 +451,8 @@ def test_decompose_empty_window():
         ts = parse_timescale(spec)
         rng = random.Random(1)
         (x,) = [ts.snap(p) for p in _some_points(ts, rng, count=1)]
-        dec = ts.decompose(x, x)
-        assert dec.segments == ()
-        assert ts.gap_count(x, x) == 0
+        assert _pieces(ts, x, x) == [(x, x)]
+        assert not _window_has_jumps(ts, x, x)
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +566,3 @@ def test_grid_membership_hypothesis(grid_point):
         # every grid point is isolated; only the ends stay put
         assert (up == x) == (x == ts.max_point)
         assert (down == x) == (x == ts.min_point)
-
-
-def test_segment_decomposition_iteration():
-    dec = SegmentDecomposition(0.0, 2.0, (ScatteredJump(0.0, 2.0, 2.0),))
-    assert len(dec) == 1
-    assert list(dec) == [ScatteredJump(0.0, 2.0, 2.0)]
