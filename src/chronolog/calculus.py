@@ -1,14 +1,15 @@
 """Delta and nabla derivatives and definite integrals on time scales.
 
 Integrals, exponentials and window logarithms are computed by one walk,
-``_walk``, which streams the scale's pieces by index from the start of a
-window, keeping nothing per jump, and hands each continuous stretch and
-each jump to a sum object.  The sum is either ``Terms``, the definition, in
-which a stretch adds its integral to ``quad_tol`` and a jump adds ``gap *
-f`` (integrals, exponentials, the older logarithms and the cylinder-map
-definition of the logarithm), or the window logarithm's theorem
-(``logexp._Winding``), which adds one closed form Log(p(x_n)/p(x_0)) +
-2*pi*i*K for the whole walk and integrates only to find the integer K.
+``_walk``, which streams the scale's pieces by index up from the lower end
+of a window, keeping nothing per jump, and hands each continuous stretch
+and each jump to a sum object.  The sum is either ``Terms``, the
+definition, in which a stretch adds its integral to ``quad_tol`` and a
+jump adds ``gap * f`` (integrals, exponentials, the older logarithms and
+the cylinder-map definition of the logarithm), or the window logarithm's
+theorem (``logexp._Winding``), which adds one closed form
+Log(p(x_n)/p(x_0)) + 2*pi*i*K for the whole walk and integrates only to
+find the integer K.
 On the point families a long run of jumps goes to the sum in blocks, its
 ``run`` taking a block's points at once; a block whose run fails is
 walked again jump by jump, so that every error is the one a single jump
@@ -18,12 +19,13 @@ integrator, ``adaptive_simpson``.  It keeps its panels in a heap ordered
 by the error estimate |K15 - G7| and bisects the worst until the
 estimates sum to at most its tolerance; a piece that needs more than
 ``timescale.MAX_QUAD_SAMPLES`` samples raises QuadratureFailure rather
-than return an unconverged value.  An integral is additive over windows,
-so the walk returns its running total at each of a list of stops; one
-pass from a base serves every window that starts there, and a single
-window is the one-stop case.  Public integrands receive ``(tau, mu)``,
-with mu = 0.0 on continuous pieces; the walk's own jump terms also
-receive the stored successor sigma, which tau + mu may round off.
+than return an unconverged value.  An integral is additive over windows
+and reversing a window negates it, so the walk only goes up: it marks
+each of a list of stops, one walk serving every window between two of
+them, and a window with swapped ends is walked up and negated.  Public
+integrands receive ``(tau, mu)``, with mu = 0.0 on continuous pieces; the
+walk's own jump terms also receive the stored successor sigma, which tau
++ mu may round off.
 """
 
 from __future__ import annotations
@@ -300,25 +302,23 @@ class Terms:
     exponentials, the older logarithms and the cylinder-map definition of
     the window logarithm.  The other sum ``_walk`` takes is the window
     logarithm's theorem (``logexp._Winding``).  Both answer the same five
-    calls: ``start(up)`` opens the walk up or down, ``piece(total, lo, hi)``
-    takes a continuous piece, ``step(total, tau, mu, sigma)`` a jump and
-    ``run(total, xs)`` a block of jumps through the points xs in walk
-    order, each returning the running total, and ``close(total)`` gives the
-    total at the walk's current point, leaving the walk open.  Here ``run``
-    is a loop of ``step``; the exponentials' subclass (``logexp._Exponent``)
-    takes a block as the product of its factors.  ``_walk`` re-walks a block
-    whose run fails by ``step``, which names the gap.
+    calls: ``piece(total, lo, hi)`` takes a continuous piece, ``step(total,
+    tau, mu, sigma)`` a jump and ``run(total, xs)`` a block of jumps through
+    the increasing points xs, each returning the running total;
+    ``close(total)`` marks the walk's current point, leaving the walk open,
+    and ``between(a, b)`` gives the sum from mark a to mark b.  Here a mark
+    is the running total and ``between`` is b - a; ``run`` is a loop of
+    ``step``, and the exponentials' subclass (``logexp._Exponent``) takes a
+    block as the product of its factors.  ``_walk`` re-walks a block whose
+    run fails by ``step``, which names the gap.  Every walk gets a fresh sum.
     """
 
-    __slots__ = ("dense", "term", "tol", "up")
+    __slots__ = ("dense", "term", "tol")
 
     def __init__(self, dense: Callable[[float], complex], term: JumpTerm, tol: float):
         self.dense = dense
         self.term = term
         self.tol = tol
-
-    def start(self, up: bool) -> None:
-        self.up = up
 
     def piece(self, total: complex, lo: float, hi: float) -> complex:
         return total + adaptive_simpson(self.dense, lo, hi, self.tol)
@@ -330,12 +330,15 @@ class Terms:
         return total + mu * v
 
     def run(self, total: complex, xs: Sequence[float]) -> complex:
-        for tau, sigma in zip(xs, xs[1:]) if self.up else zip(xs[1:], xs):
+        for tau, sigma in zip(xs, xs[1:]):
             total = self.step(total, tau, sigma - tau, sigma)
         return total
 
     def close(self, total: complex) -> complex:
         return total
+
+    def between(self, a: complex, b: complex) -> complex:
+        return b - a
 
 
 def _name(exc: ChronologError, where: str) -> None:
@@ -353,17 +356,16 @@ _LONG_RUN = 256
 _BLOCK = 512
 
 
-def _walk(sums, ts: TimeScale, s: float, stops: list[float], sign: float = 1.0) -> list[complex]:
+def _walk(sums, ts: TimeScale, s: float, stops: list[float]) -> list:
     """The one walk behind every integral, exponential and window logarithm.
 
-    ``s`` and ``stops`` are scale points, the stops moving away from s.  The
-    walk streams the scale's pieces by index from s, keeping nothing per jump,
-    and returns ``sign`` times the running total at each stop.  It opens
-    ``sums`` (``Terms`` or ``logexp._Winding``) once, hands it each
-    continuous stretch as [lo, hi] whichever way it walks, so that a walk
-    down sums the terms of the walk up in reverse order, and each jump from
-    tau to its stored successor sigma, a gap mu = sigma - tau, and closes it
-    at each stop.  A ChronologError in a term names its piece or gap.
+    ``s`` and ``stops`` are scale points, the stops increasing from s.  The
+    walk streams the scale's pieces by index up from s, keeping nothing per
+    jump, and returns ``sums.close`` at each stop, a mark that
+    ``sums.between`` turns into the sum from one stop to another.  It hands
+    ``sums`` (``Terms`` or ``logexp._Winding``) each continuous stretch as
+    [lo, hi] and each jump from tau to its stored successor sigma, a gap mu
+    = sigma - tau.  A ChronologError in a term names its piece or gap.
     MAX_WINDOW_JUMPS caps the whole span, before any term.
 
     On the point families, a stop at least ``_HANDFUL + _LONG_RUN`` jumps
@@ -378,40 +380,33 @@ def _walk(sums, ts: TimeScale, s: float, stops: list[float], sign: float = 1.0) 
     """
     if not stops:
         return []
-    up = s <= stops[-1]
-    ks, kt, _, _, _ = ts._span(s, stops[-1]) if up else ts._span(stops[-1], s)
-    k = ks if up else kt
-    dk = 1 if up else -1
+    k, kt, _, _, _ = ts._span(s, stops[-1])
     blocks = ts._points(k, k) is not None
-    a, b = ts._piece(k)
-    x = s  # the current point, in piece k = [a, b]
+    b = ts._piece(k)[1]
+    x = s  # the current point, in piece k, which ends at b
     total = 0j
-    totals: list[complex] = []
-    sums.start(up)
+    marks = []
     for stop in stops:
         single = _HANDFUL  # jumps to take one at a time before the next block
         kstop = None
         while True:
-            end = b if up else a  # the end of piece k the walk moves towards
-            if (stop <= end) if up else (stop >= end):
-                end = stop
+            end = stop if stop <= b else b
             if end != x:
-                lo, hi = (x, end) if up else (end, x)
                 try:
-                    total = sums.piece(total, lo, hi)
+                    total = sums.piece(total, x, end)
                 except ChronologError as exc:
-                    _name(exc, f"piece [{lo}, {hi}]")
+                    _name(exc, f"piece [{x}, {end}]")
                     raise
                 x = end
             if x == stop:
                 break
             if single <= 0 and blocks and kstop is None:
-                kstop = min(ts._nearest(stop), kt) if up else max(ts._nearest(stop), ks)
-                if (kstop - k) * dk < _LONG_RUN:
-                    single = (kstop - k) * dk  # the rest of a short run, jump by jump
+                kstop = min(ts._nearest(stop), kt)
+                if kstop - k < _LONG_RUN:
+                    single = kstop - k  # the rest of a short run, jump by jump
             if single <= 0 and blocks:
-                m = k + dk * min((kstop - k) * dk, _BLOCK)
-                xs = _block(ts, k, m, stop, up)
+                m = k + min(kstop - k, _BLOCK)
+                xs = _block(ts, k, m, stop)
                 ran = None
                 if xs is not None:
                     try:
@@ -420,11 +415,11 @@ def _walk(sums, ts: TimeScale, s: float, stops: list[float], sign: float = 1.0) 
                         pass
                 if ran is not None:
                     total, k, x = ran, m, xs[-1]
-                    a = b = x
+                    b = x
                     continue
-                single = max(1, (m - k) * dk)  # the block again, jump by jump
-            na, nb = ts._piece(k + dk)
-            tau, sigma = (b, na) if up else (nb, a)
+                single = max(1, m - k)  # the block again, jump by jump
+            tau = b
+            sigma, b = ts._piece(k + 1)
             mu = sigma - tau
             if not 0.0 < mu < math.inf:
                 raise PointNotInScale(f"the neighbour of {tau} is not a distinct finite float")
@@ -433,36 +428,34 @@ def _walk(sums, ts: TimeScale, s: float, stops: list[float], sign: float = 1.0) 
             except ChronologError as exc:
                 _name(exc, f"gap after tau={tau}")
                 raise
-            k += dk
-            a, b = na, nb
-            x = sigma if up else tau
+            k += 1
+            x = sigma
             single -= 1
-        totals.append(sign * sums.close(total))
-    return totals
+        marks.append(sums.close(total))
+    return marks
 
 
-def _block(ts: TimeScale, k: int, m: int, stop: float, up: bool) -> Sequence[float] | None:
-    # the points x_k, ..., x_m in walk order, if single jumps through them
-    # would each pass the walk's gap check and none would pass the stop
-    inc = ts._points(k, m) if up else ts._points(m, k)
-    if not (len(inc) > 1 and all(map(operator.lt, inc, inc[1:])) and inc[-1] - inc[0] < math.inf):
-        return None
-    if up:
-        return inc if inc[-1] <= stop else None
-    return inc[::-1] if inc[0] >= stop else None
+def _block(ts: TimeScale, k: int, m: int, stop: float) -> Sequence[float] | None:
+    # the points x_k, ..., x_m, if single jumps through them would each pass
+    # the walk's gap check and none would pass the stop
+    xs = ts._points(k, m)
+    if len(xs) > 1 and all(map(operator.lt, xs, xs[1:])) and xs[-1] - xs[0] < math.inf and xs[-1] <= stop:
+        return xs
+    return None
 
 
 def _window(sums, ts: TimeScale, s: float, t: float) -> complex:
-    """The walk over one window [s, t], the one-stop case.
+    """The walk over one window [s, t], from mark to mark.
 
-    Swapped endpoints walk up from t and negate, so reversing a window
-    negates its value exactly.
+    The walk goes up from the lower end, with both ends as stops; swapped
+    endpoints negate, so reversing a window negates its value exactly.
     """
     s = ts.snap(s)
     t = ts.snap(t)
-    if s <= t:
-        return _walk(sums, ts, s, [t])[0]
-    return _walk(sums, ts, t, [s], -1.0)[0]
+    lo, hi = (s, t) if s <= t else (t, s)
+    value = sums.between(*_walk(sums, ts, lo, [lo, hi]))
+    # -1.0 * value, not -value: the two differ in the signs of zero parts, which the CLI prints
+    return value if s <= t else -1.0 * value
 
 
 def delta_integral(

@@ -51,8 +51,8 @@ points comes from one call where chronolog owns the coefficient
 
 The window logarithm is additive over the window, L(s, u') = L(s, u) +
 L(u, u'), so ``log_table`` gives the logarithm from one base to every
-point of a list from one walk, each row the closed form from the base
-plus the running winding, instead of one walk per point.
+point of a list from one walk up through all of them, each row the
+closed form between the base and the row, instead of one walk per point.
 
 Also here: the pointwise logarithmic derivative, five older logarithm
 constructions kept for comparison, and an identity-checking suite used by
@@ -256,9 +256,11 @@ class _Winding:
         K = round((sum of the turns - Arg(p(x_n)/p(x_0))) / 2*pi),
 
     with K an exact integer, a jump turning by Arg(p_sigma/p) and a piece by
-    Arg(p(hi)/p(lo)) + 2*pi*K_piece; a walk down gives the same for its
-    upward orientation.  Only the integer K_piece needs the integral, so it
-    is taken at the loose tolerance ``timescale._WINDING_TOL``, by
+    Arg(p(hi)/p(lo)) + 2*pi*K_piece.  The same holds between any two points
+    of the walk: ``close`` marks a point with p there and the turns so far,
+    and ``between`` takes the closed form from one mark to another.  Only
+    the integer K_piece needs the integral, so it is taken at the loose
+    tolerance ``timescale._WINDING_TOL``, by
     ``calculus.adaptive_simpson`` looked up at call time, and accepted only
     on two witnesses: its ratio (Im I - Arg)/2*pi lies within
     ``_WINDING_SLACK`` of an integer, and Re I, which equals ln|p(hi)/p(lo)|
@@ -276,8 +278,8 @@ class _Winding:
     (``cylinder._singular``, run only where one value is far below the other)
     relative to 1 + |mu*z| = (|mix| + |p_sigma - p|)/|mix|.
 
-    ``run`` takes a block of jumps through points xs of a point family, in
-    walk order, after a step has opened the walk: p at xs[1:] from one
+    ``run`` takes a block of jumps through increasing points xs of a point
+    family, after a step has opened the walk: p at xs[1:] from one
     ``ScaleFunction.values`` call, then the floor, every check of ``step``
     and the turns in one loop.  It commits the turns and the carried value
     only when the whole block passes, and otherwise returns None, so that
@@ -285,7 +287,7 @@ class _Winding:
     at its gap.
     """
 
-    __slots__ = ("p", "cfg", "slope", "keep", "eta", "error", "cut", "up", "first", "last", "last_abs", "turns")
+    __slots__ = ("p", "cfg", "slope", "keep", "eta", "error", "cut", "first", "last", "last_abs", "turns")
 
     def __init__(self, p: ScaleFunction, cfg: ToleranceConfig, eta: float, error: type, side: float):
         self.p = p
@@ -295,10 +297,8 @@ class _Winding:
         self.eta = eta
         self.error = error
         self.cut = side * math.pi  # Arg of an exactly negative real ratio
-
-    def start(self, up: bool) -> None:
-        self.up = up
         self.first = None  # p at the walk's first point, evaluated with its first piece or jump
+        self.turns = 0.0
 
     def piece(self, total: complex, lo: float, hi: float) -> complex:
         p, cfg = self.p, self.cfg
@@ -307,13 +307,10 @@ class _Winding:
         integral = calculus.adaptive_simpson(self.slope, lo, hi, tol)
         if self.first is None:
             pl, ph = _checked(p, lo, cfg), _checked(p, hi, cfg)
-            self.first = pl if self.up else ph
-            self.turns = 0.0
-        elif self.up:
-            pl, ph = self.last, _checked(p, hi, cfg)
+            self.first = pl
         else:
-            pl, ph = _checked(p, lo, cfg), self.last
-        self.last, self.last_abs = (ph, abs(ph)) if self.up else (pl, abs(pl))
+            pl, ph = self.last, _checked(p, hi, cfg)
+        self.last, self.last_abs = ph, abs(ph)
         log = _log_ratio(ph, pl)
         while True:
             x = (integral.imag - log.imag) / TWO_PI
@@ -336,21 +333,14 @@ class _Winding:
             pv = _checked(p, tau, cfg)
             ps = _checked(p, sigma, cfg)
             apv, aps = abs(pv), abs(ps)
-            self.first = pv if self.up else ps
-            self.turns = 0.0
-        elif self.up:
+            self.first = pv
+        else:
             pv, apv = self.last, self.last_abs
             ps = p(sigma)
             aps = abs(ps)
             if aps < cfg.eps_min:
                 _above_floor(p, sigma, ps, cfg)  # raises
-        else:
-            ps, aps = self.last, self.last_abs
-            pv = p(tau)
-            apv = abs(pv)
-            if apv < cfg.eps_min:
-                _above_floor(p, tau, pv, cfg)  # raises
-        self.last, self.last_abs = (ps, aps) if self.up else (pv, apv)
+        self.last, self.last_abs = ps, aps
         eta = self.eta
         # at eta = 0 or 1 the weighted denominator is p or p_sigma, above the floor
         if 0.0 < eta < 1.0 and self.keep * pv + eta * ps == 0:
@@ -373,13 +363,12 @@ class _Winding:
         avs = list(map(abs, vs))
         if min(avs) < self.cfg.eps_min:
             return None
-        olds, aolds = [self.last] + vs, [self.last_abs] + avs
-        pvs, pss, apvs, apss = (olds, vs, aolds, avs) if self.up else (vs, olds, avs, aolds)
+        pvs, apvs = [self.last] + vs, [self.last_abs] + avs
         keep, eta, cut = self.keep, self.eta, self.cut
         mixed = 0.0 < eta < 1.0
         isfinite, atan2, screen = cmath.isfinite, math.atan2, _SCREEN
         turns = self.turns
-        for pv, ps, apv, aps in zip(pvs, pss, apvs, apss):
+        for pv, ps, apv, aps in zip(pvs, vs, apvs, avs):
             if mixed and keep * pv + eta * ps == 0:
                 return None
             r = ps / pv
@@ -396,15 +385,20 @@ class _Winding:
         self.last, self.last_abs = vs[-1], avs[-1]
         return total
 
-    def close(self, total: complex) -> complex:
-        # the closed form in the walk's direction, Log(p(x_n)/p(x_0)), which a
-        # walk down negates into the upward value
-        if self.first is None:
-            return total
-        d = 1.0 if self.up else -1.0
-        log = _log_ratio(self.last, self.first)
-        k = round((d * self.turns - log.imag) / TWO_PI)
-        return total + d * complex(log.real, log.imag + TWO_PI * k)
+    def close(self, total: complex) -> tuple[complex, float] | None:
+        # p at the walk's current point and the turns so far; None at its first point
+        return None if self.first is None else (self.last, self.turns)
+
+    def between(self, a: tuple[complex, float] | None, b: tuple[complex, float] | None) -> complex:
+        # Log(p_b/p_a) + 2*pi*i*round((T_b - T_a - Arg(p_b/p_a)) / 2*pi), from
+        # the marks (p, T) of two points of the walk
+        if a is None and b is None:
+            return 0j
+        pa, ta = (self.first, 0.0) if a is None else a
+        pb, tb = (self.first, 0.0) if b is None else b
+        log = _log_ratio(pb, pa)
+        k = round((tb - ta - log.imag) / TWO_PI)
+        return complex(log.real, log.imag + TWO_PI * k)
 
 
 def _log_ratio(num: complex, den: complex) -> complex:
@@ -507,15 +501,17 @@ def log_table(
 
     ``points`` must be in increasing order; each value is the principal
     value (``.rep`` of the multi-valued variants) of ``log_ts`` over
-    [base, u].  The points above the base share one walk up from it; each
-    of those rows is Log(p(u)/p(base)) plus 2*pi*i times the winding so
-    far, from the same two values of p as ``log_ts``, so the values agree
-    bit for bit on every scale (the points split continuous pieces, which
-    changes the turns summed, but not their integer).  The points below
-    share one walk down from it, whose rows are Log(p(u)/p(base)) in that
-    direction, so they may differ from ``log_ts`` in the last bits.  Outside
-    the winding integrals, p is evaluated once per scale point the walks
-    cross or stop at, the base once per walk.
+    [base, u].  One walk goes up from the lowest of the base and the
+    points, with the base among its stops, and each row is the theorem
+    between the marks at the base and at u (``_Winding.between``):
+    Log(p(u)/p(base)) plus 2*pi*i times the winding between them, and 0 at
+    the base.  A row above the base comes from the same two values of p as
+    ``log_ts``, so the values agree bit for bit on every scale (the points
+    split continuous pieces, which changes the turns summed, but not their
+    integer).  A row below the base is that closed form too, where
+    ``log_ts`` takes Log(p(base)/p(u)) and negates it, so they may differ in
+    the last bits.  Outside the winding integrals, p is evaluated once per
+    scale point the walk crosses or stops at, the base included.
     """
     variant = LogVariant(variant)
     cfg = cfg or DEFAULT_TOLERANCES
@@ -525,8 +521,13 @@ def log_table(
     if any(v < u for u, v in zip(points, points[1:])):
         raise ValidationError("table points must be in increasing order")
     n = bisect_left(points, base)
-    below = _walk(winding, ts, base, points[:n][::-1], -1.0)
-    return below[::-1] + _walk(winding, ts, base, points[n:])
+    stops = points[:n] + [base] + points[n:]
+    marks = _walk(winding, ts, stops[0], stops)
+    at_base = marks.pop(n)
+    rows = [0j if u == base else winding.between(at_base, m) for u, m in zip(points, marks)]
+    # a row below the base reverses the window [u, base], 0j - v, as _window
+    # reverses one, so that its zero parts have the signs of log_ts(base, u)
+    return [-1.0 * (0j - v) for v in rows[:n]] + rows[n:]
 
 
 def log_delta_derivative(
@@ -576,7 +577,7 @@ class _Exponent(Terms):
         self.c, self.eta, self.at_sigma = c, _row(variant, None)[0], at_sigma
 
     def run(self, total: complex, xs: Sequence[float]) -> complex | None:
-        taus, sigmas = (xs[:-1], xs[1:]) if self.up else (xs[1:], xs[:-1])
+        taus, sigmas = xs[:-1], xs[1:]
         mus = list(map(operator.sub, sigmas, taus))
         if min(mus) < 1e-300:
             return None

@@ -202,7 +202,7 @@ class TimeScale(Record):
             raise ValidationError(f"the window [{s}, {t}] is reversed: its start must not exceed its end")
         if kt - ks > MAX_WINDOW_JUMPS:
             raise UnboundedWindow(
-                f"the window [{s}, {t}] jumps {kt - ks} gaps, more than {MAX_WINDOW_JUMPS}"
+                f"the window [{s}, {t}] jumps {kt - ks:.4g} gaps, more than {MAX_WINDOW_JUMPS}"
             )
         return ks, kt, b, s, t
 

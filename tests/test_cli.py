@@ -144,6 +144,16 @@ def test_eval_window_beyond_jump_cap_exits_2():
     assert json.loads(proc.stderr)["error"] == "UnboundedWindow"
 
 
+def test_eval_window_cap_message_writes_the_count_short(run):
+    # 10^300 jumps: the count is written as the table cap writes its rows,
+    # 1e+300, not as 301 digits
+    rc, out, err = run("eval", "--timescale", "hz:1", "--p", "t^2+1", "--s", "0", "--t", "1e300")
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["error"] == "UnboundedWindow"
+    assert "jumps 1e+300 gaps" in json.loads(err)["message"]
+    assert len(err.encode()) < 200
+
+
 @pytest.mark.parametrize(
     "p, eta, twin, value",
     [
@@ -443,8 +453,8 @@ def test_table_window_log_quantity(run):
     [("hz:1", []), ("union:[0,1];[1.5,1.5];[2,4]", ["--step", "0.25"])],
 )
 def test_table_log_rows_below_the_base(run, spec, step):
-    # --s inside [--from, --to]: the rows below the base come from a walk
-    # down from it, the rows above from a walk up
+    # --s inside [--from, --to]: one walk up from --from through the base
+    # gives the rows on both sides of it
     base = 2.5 if step else 3.0
     rc, out, _ = run(
         "table", "--timescale", spec, "--p", "(t-1-2*i)^3", "--quantity", "log",
@@ -463,9 +473,9 @@ def test_table_log_rows_below_the_base(run, spec, step):
 
 
 def test_table_log_is_one_walk(run, monkeypatch):
-    # a walk per row evaluates p about rows^2 times; one walk from the base
-    # evaluates it once per point, one at a time or in a list
-    calls = 0
+    # a walk per row evaluates p about rows^2 times; one walk through the
+    # rows and the base evaluates it once per point, one at a time or in a
+    # list, the base once too where it lies among the rows
     evaluate = chronolog.ScaleFunction.__call__
     evaluate_all = chronolog.ScaleFunction.values
 
@@ -481,13 +491,15 @@ def test_table_log_is_one_walk(run, monkeypatch):
 
     monkeypatch.setattr(chronolog.ScaleFunction, "__call__", counting)
     monkeypatch.setattr(chronolog.ScaleFunction, "values", counting_all)
-    rc, out, _ = run(
-        "table", "--timescale", "hz:1", "--p", "t^2+1", "--quantity", "log",
-        "--from", "0", "--to", "999",
-    )
-    assert rc == 0
-    assert len(out.strip().split("\n")) == 1 + 1000
-    assert calls == 1000
+    for base in ([], ["--s", "500"]):
+        calls = 0
+        rc, out, _ = run(
+            "table", "--timescale", "hz:1", "--p", "t^2+1", "--quantity", "log",
+            "--from", "0", "--to", "999", *base,
+        )
+        assert rc == 0
+        assert len(out.strip().split("\n")) == 1 + 1000
+        assert calls == 1000, base
 
 
 def test_table_json_format(run):

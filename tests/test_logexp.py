@@ -525,11 +525,14 @@ def _definition(variant, p, ts, s, t, cfg=None, eta=None):
 
 
 def _definition_table(variant, p, ts, base, points, cfg, eta):
-    # log_table's two walks from the base, summing the cylinder-map terms
+    # log_table's one walk up through the points and the base, summing the
+    # cylinder-map terms; each row is the sum from the base to its point
     terms = logexp._kernel(LogVariant(variant), p, cfg, eta)
     n = bisect_left(points, base)
-    below = calculus._walk(terms, ts, base, points[:n][::-1], -1.0)
-    return below[::-1] + calculus._walk(terms, ts, base, points[n:])
+    stops = points[:n] + [base] + points[n:]
+    marks = calculus._walk(terms, ts, stops[0], stops)
+    at_base = marks.pop(n)
+    return [terms.between(at_base, m) for m in marks]
 
 
 THEOREM_WINDOWS = [
@@ -572,7 +575,7 @@ def _jump_free_definitions(spec, text, lo, hi, forward):
 def test_theorem_equals_the_definition_walk(variant, eta, spec, text, lo, hi, forward):
     # each jump's cylinder term is Log(p_sigma/p) on the row's side of the
     # cut, so the two agree on the representative itself (k = 0), not only
-    # modulo 2*pi*i; the table's walk down from its top row agrees too
+    # modulo 2*pi*i; the table from its top row agrees too
     ts = parse_timescale(spec)
     p = ScaleFunction.from_text(text)
     s, t = (lo, hi) if forward else (hi, lo)
@@ -716,10 +719,10 @@ def test_theorem_raises_what_the_definition_raises(variant, eta):
 # errors across the walk's blocks of jumps
 # ---------------------------------------------------------------------------
 
-# a window of _LONG jumps: walked either way, the walk takes _HANDFUL single
-# jumps, one full block and a last block of _HANDFUL jumps, so that its
-# gaps 0, H - 1, H, H + B - 1, H + B and _LONG - 1 are the first and last
-# jumps and the jumps on either side of each boundary, in both directions
+# a window of _LONG jumps: walked up from its lower end, the walk takes
+# _HANDFUL single jumps, one full block and a last block of _HANDFUL jumps,
+# so that its gaps 0, H - 1, H, H + B - 1, H + B and _LONG - 1 are the
+# first and last jumps and the jumps on either side of each boundary
 _H, _B = calculus._HANDFUL, calculus._BLOCK
 _LONG = 2 * _H + _B
 _BOUNDARY_GAPS = sorted({0, _H - 1, _H, _H + _B - 1, _H + _B, _LONG - 1})
@@ -737,14 +740,15 @@ def _long_set(seed: int = 20261019, zero_at: int | None = None) -> list[float]:
     return below + [0.0] + above
 
 
-def _long_window(spec: str) -> tuple:
-    # the scale and the stored points of a window of _LONG jumps on it
+def _long_window(spec: str, jumps: int = _LONG) -> tuple:
+    # the scale and the stored points of a window of `jumps` jumps on it, at
+    # most 2 * _LONG + 1
     if spec == "set":
         points = _long_set()
-        return parse_timescale("set:" + ",".join(map(repr, points))), points[: _LONG + 1]
+        return parse_timescale("set:" + ",".join(map(repr, points))), points[: jumps + 1]
     ts = parse_timescale(spec)
     points = [ts.snap(1.0 if spec.startswith("q:") else 0.0)]
-    while len(points) <= _LONG:
+    while len(points) <= jumps:
         points.append(ts.sigma(points[-1]))
     return ts, points
 
@@ -758,22 +762,22 @@ _ROW_ERRORS = {
 }
 
 
-def _first_failing_gap(points, d, up, into, out_of):
-    # the lower end of the first gap, in walk order, that fails among the
-    # gap into point d (from below) and the gap out of it (upwards)
+def _first_failing_gap(points, d, into, out_of):
+    # the lower end of the first gap, in walk order (upwards), that fails
+    # among the gap into point d (from below) and the gap out of it
     gaps = ([d - 1] if into and d > 0 else []) + ([d] if out_of and d < len(points) - 1 else [])
-    return points[(gaps if up else gaps[::-1])[0]] if gaps else None
+    return points[gaps[0]] if gaps else None
 
 
 def _block_walks(variant, eta, p, ts, points, cfg):
-    # log_ts over the window both ways (each walks up, the swapped one
-    # negated) and log_table from either end: from the bottom it walks up,
-    # from the top down; each as (outcome, whether the walk is up, s, t)
+    # log_ts over the window both ways and log_table from either end, each
+    # as (outcome, s, t); all four walk up from the bottom, the swapped
+    # window and the table's rows below its base reversing what they find
     lo, hi = points[0], points[-1]
-    yield _outcome(lambda: _rep(log_ts(variant, p, ts, lo, hi, cfg, eta=eta))), True, lo, hi
-    yield _outcome(lambda: _rep(log_ts(variant, p, ts, hi, lo, cfg, eta=eta))), True, hi, lo
-    yield _outcome(lambda: log_table(variant, p, ts, lo, [lo, hi], cfg, eta=eta)[1]), True, lo, hi
-    yield _outcome(lambda: log_table(variant, p, ts, hi, [lo, hi], cfg, eta=eta)[0]), False, hi, lo
+    yield _outcome(lambda: _rep(log_ts(variant, p, ts, lo, hi, cfg, eta=eta))), lo, hi
+    yield _outcome(lambda: _rep(log_ts(variant, p, ts, hi, lo, cfg, eta=eta))), hi, lo
+    yield _outcome(lambda: log_table(variant, p, ts, lo, [lo, hi], cfg, eta=eta)[1]), lo, hi
+    yield _outcome(lambda: log_table(variant, p, ts, hi, [lo, hi], cfg, eta=eta)[0]), hi, lo
 
 
 @pytest.mark.parametrize("spec", ["hz:1", "q:1.001", "alt:0.4,0.7", "set"])
@@ -1009,13 +1013,12 @@ def test_a_block_never_walks_past_a_stop(monkeypatch):
 
     def walks():
         winding = logexp._theorem(LogVariant.DELTA_PRINCIPAL, p, calculus.DEFAULT_TOLERANCES, None)
-        up = calculus._walk(winding, ts, 0.0, [300.0, 600.0])
-        down = calculus._walk(winding, ts, 600.0, [300.0, 0.0], -1.0)
-        return [_bits(v) for v in up + down]
+        marks = calculus._walk(winding, ts, 0.0, [0.0, 300.0, 600.0])
+        return [_bits(winding.between(a, b)) for a in marks for b in marks if a is not b]
 
     want = walks()
     nearest = type(ts)._nearest
-    for skew in (40, -40):  # past the stop at 300 going up, then going down
+    for skew in (40, -40):  # past the stop at 300, then short of it
         monkeypatch.setattr(type(ts), "_nearest", lambda self, t: nearest(self, t) + (skew if t == 300.0 else 0))
         assert walks() == want
 
@@ -1045,16 +1048,16 @@ def test_an_error_across_a_block_boundary_names_its_gap(spec, defect):
         for variant in variants:
             weight, row_error = _ROW_ERRORS[variant]
             eta = weight if variant == "eta" else None
-            for got, up, s, t in _block_walks(variant, eta, p, ts, points, cfg):
+            for got, s, t in _block_walks(variant, eta, p, ts, points, cfg):
                 if defect == "spike":
-                    error, tau = row_error, _first_failing_gap(points, d, up, weight > 0, weight < 1)
+                    error, tau = row_error, _first_failing_gap(points, d, weight > 0, weight < 1)
                 else:
                     error = "NonvanishingViolation" if defect == "floor" else "NonFiniteValue"
-                    tau = _first_failing_gap(points, d, up, True, True)
+                    tau = _first_failing_gap(points, d, True, True)
                 if tau is None:
-                    assert got[0] == "value" and _near(got[1], _closed_form(p, ts, s, t)), (d, variant, up, got)
+                    assert got[0] == "value" and _near(got[1], _closed_form(p, ts, s, t)), (d, variant, s, got)
                 else:
-                    assert got == (error, f"gap after tau={tau}"), (d, variant, up, got)
+                    assert got == (error, f"gap after tau={tau}"), (d, variant, s, got)
 
 
 @pytest.mark.parametrize("spec", ["hz:1", "set"])
@@ -1073,7 +1076,7 @@ def test_a_vanishing_weighted_denominator_across_a_block_boundary_names_its_gap(
         points = everything[_LONG - g : 2 * _LONG - g + 1]
         assert (points[g], points[g + 1]) == (0.0, 1.0)
         for variant, eta in (("eta", 0.3), ("delta-principal", None)):
-            for got, _, s, t in _block_walks(variant, eta, p, ts, points, cfg):
+            for got, s, t in _block_walks(variant, eta, p, ts, points, cfg):
                 if variant == "eta":
                     assert got == ("EtaNotRegressive", "gap after tau=0.0"), (g, got)
                 else:
@@ -1085,24 +1088,26 @@ def test_a_jump_ratio_that_is_not_finite_across_a_block_boundary_names_its_gap()
     # ratio of the two equal values is nan (the complex division
     # overflows), the ratio from 1 up to them finite and regressive for
     # the delta row, and the ratio back down to 1 is 0, where xi's guard
-    # trips; a walk up meets gap g first, a walk down the gap above it
+    # trips; every walk goes up, so each meets gap g first, the table from
+    # its top row too
     ts = parse_timescale("hz:1")
     for g in _BOUNDARY_GAPS:
         points = [float(k) for k in range(_LONG + 1)]
         bumps = "+".join(f"1.2e308*(1+i)*exp(-1e4*(t-{x!r})^2)" for x in (points[g], points[g + 1]))
         p = ScaleFunction.from_text(f"1+{bumps}")
         up = ("NonFiniteIntegrand", f"gap after tau={points[g]}")
-        down = ("NotRegressive", f"gap after tau={points[g + 1]}") if g + 1 < _LONG else up
         lo, hi = points[0], points[-1]
         assert _outcome(lambda: log_ts("delta-principal", p, ts, lo, hi)) == up
         assert _outcome(lambda: log_ts("delta-principal", p, ts, hi, lo)) == up
-        assert _outcome(lambda: log_table("delta-principal", p, ts, hi, [lo, hi])) == down
+        assert _outcome(lambda: log_table("delta-principal", p, ts, hi, [lo, hi])) == up
 
 
 @pytest.mark.parametrize("up", [True, False], ids=["up", "down"])
 def test_a_failing_block_is_walked_again_once(up):
-    # a defect in the middle of the first block: the block evaluates p at
-    # its points once, and its jumps up to the defect are walked once more
+    # a defect in the middle of the first block, of log_ts or of the table
+    # from its top row, which walks up from its lowest row: the block
+    # evaluates p at its points once, and its jumps up to the defect are
+    # walked once more
     ts, points = _long_window("hz:1")
     d = _H + _B // 2 if up else _LONG - _H - _B // 2
     p = RecordingFunction.from_text(f"t-({points[d]!r})")
@@ -1121,8 +1126,8 @@ def test_a_failing_block_is_walked_again_once(up):
         # the first jump from 1.0 rounds onto it
         ("hz:1e-17:1.0", 0, 22),
         # h = 1.5e-16 is more than the float spacing below |x| = 1 and less
-        # than the one above it: the points collapse past 1.0 going up, a
-        # block's length from the anchor, and past -1.0 going down
+        # than the one above it: the points collapse past 1.0, a block's
+        # length from the anchor, and from the start of the window to -1.0
         (f"hz:1.5e-16:{1.0 - 20 * 1.5e-16!r}", 0, 35),
         (f"hz:1.5e-16:{1.0 - 20 * 1.5e-16!r}", 5, 60),
         (f"hz:1.5e-16:{1.0 - 600 * 1.5e-16!r}", 0, 640),
@@ -1134,22 +1139,19 @@ def test_points_that_are_not_distinct_floats_raise_at_the_first_such_gap(spec, k
     h, anchor = ts.h, ts.anchor
     points = [anchor + k * h for k in range(k0, k1 + 1)]  # the grid's own expression
     lo, hi = points[0], points[-1]
-    # walks stop at the first point equal to the stop, so a window may end
-    # before its last index, and a collapse after it goes unseen
-    up_end = points.index(hi)
-    down_end = len(points) - 1 - points[::-1].index(lo)
-    up = [k for k in range(up_end) if not points[k] < points[k + 1]]
-    down = [k for k in range(down_end, len(points) - 1) if not points[k] < points[k + 1]]
-    assert up and down
+    # every walk goes up from lo and stops at the first point equal to hi,
+    # so a window may end before its last index, and a collapse after it
+    # goes unseen
+    up = [k for k in range(points.index(hi)) if not points[k] < points[k + 1]]
+    assert up
     p = ScaleFunction.from_text("t")
-    want_up = ("PointNotInScale", f"the neighbour of {points[up[0]]!r} is not a distinct finite float")
-    want_down = ("PointNotInScale", f"the neighbour of {points[down[-1]]!r} is not a distinct finite float")
-    for compute, want in (
-        (lambda: log_ts("delta-principal", p, ts, lo, hi), want_up),
-        (lambda: log_ts("cayley-principal", p, ts, hi, lo), want_up),
-        (lambda: log_table("delta-principal", p, ts, lo, [lo, hi]), want_up),
-        (lambda: log_table("nabla-principal", p, ts, hi, [lo, hi]), want_down),
-        (lambda: exp_delta(p, ts, lo, hi), want_up),
+    want = ("PointNotInScale", f"the neighbour of {points[up[0]]!r} is not a distinct finite float")
+    for compute in (
+        lambda: log_ts("delta-principal", p, ts, lo, hi),
+        lambda: log_ts("cayley-principal", p, ts, hi, lo),
+        lambda: log_table("delta-principal", p, ts, lo, [lo, hi]),
+        lambda: log_table("nabla-principal", p, ts, hi, [lo, hi]),
+        lambda: exp_delta(p, ts, lo, hi),
     ):
         with pytest.raises(PointNotInScale) as info:
             compute()
@@ -1221,6 +1223,47 @@ def test_log_table_dense_rows_match_log_ts_and_closed_form(variant, eta, spec):
             assert _bits(row) == _bits(_rep(log_ts(variant, p, ts, 0.0, u, cfg, eta=eta)))
             _, res = lattice_gap(row, _closed_form(p, ts, 0.0, u))
             assert res <= cfg.cmp_tol
+
+
+@pytest.mark.parametrize("spec", ["hz:1", "q:1.001", "alt:0.4,0.7", "set", "r", "union:[0,1];[1.5,1.5];[2,4]"])
+@pytest.mark.parametrize("variant, eta", TABLE_VARIANTS)
+def test_log_table_rows_below_the_base_are_the_closed_form_bit_for_bit(monkeypatch, variant, eta, spec):
+    # a mid-range base; each row below it is Log(p(u)/p(base)) + 2*pi*i*K
+    # from the walk's two values of p, and near log_ts(base, u), which takes
+    # Log(p(base)/p(u)) and negates it.  On the point families the stops
+    # below and above the base lie far enough apart that blocks run on both
+    # sides of it
+    if spec in ("r", "union:[0,1];[1.5,1.5];[2,4]"):
+        ts = parse_timescale(spec)
+        points = [u for u in (0.25 * k for k in range(17)) if ts.contains(u)]
+        base = points[len(points) // 2]
+    else:
+        ts, everything = _long_window(spec, 2 * _LONG)
+        points = [everything[k] for k in (0, 3, 200, _LONG - 1, _LONG + 5, _LONG + 300, 2 * _LONG)]
+        base = everything[_LONG]
+    blocks = []
+    run = logexp._Winding.run
+
+    def recording(self, total, xs):
+        ran = run(self, total, xs)
+        if ran is not None:
+            blocks.append((xs[0], xs[-1]))
+        return ran
+
+    monkeypatch.setattr(logexp._Winding, "run", recording)
+    for text in TABLE_FUNCTIONS:
+        p = ScaleFunction.from_text(text)
+        rows = log_table(variant, p, ts, base, points, eta=eta)
+        below = [(u, row) for u, row in zip(points, rows) if u < base]
+        assert len(below) >= 3
+        for u, row in below:
+            log = logexp._log_ratio(p(u), p(base))
+            k = round((row.imag - log.imag) / (2 * math.pi))
+            assert row.real == log.real and row.imag == log.imag + 2 * math.pi * k, (u, row, log)
+            gap, res = lattice_gap(row, _rep(log_ts(variant, p, ts, base, u, eta=eta)))
+            assert gap == 0 and res <= 1e-12 * max(1.0, abs(row)), (u, row)
+    if ts._points(0, 0) is not None:
+        assert any(hi <= base for _, hi in blocks) and any(lo >= base for lo, _ in blocks)
 
 
 @pytest.mark.parametrize("base", [0.0, 12.0])
