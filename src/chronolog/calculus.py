@@ -18,7 +18,7 @@ Both integrate with one globally adaptive Gauss-Kronrod (G7K15)
 integrator, ``adaptive_simpson``.  It keeps its panels in a heap ordered
 by the error estimate |K15 - G7| and bisects the worst until the
 estimates sum to at most its tolerance; a piece that needs more than
-``timescale.MAX_QUAD_SAMPLES`` samples raises QuadratureFailure rather
+``MAX_QUAD_SAMPLES`` samples raises QuadratureFailure rather
 than return an unconverged value.  An integral is additive over windows
 and reversing a window negates it, so the walk only goes up: it marks
 each of a list of stops, one walk serving every window between two of
@@ -49,11 +49,14 @@ from .expr import CompiledPair, Expr, differentiate, parse, to_text
 from .expr import Mul as _Mul
 from .expr import Div as _Div
 from .expr import Pow as _Pow
-from . import timescale
 from .timescale import TimeScale
 
 Integrand = Callable[[float, float], complex]
 JumpTerm = Callable[[float, float, float], complex]  # (tau, mu, sigma)
+
+# the most integrand samples the quadrature may take on one continuous piece;
+# a piece that needs more raises QuadratureFailure
+MAX_QUAD_SAMPLES = 200_000
 
 
 class ToleranceConfig(Record):
@@ -64,12 +67,12 @@ class ToleranceConfig(Record):
               definition: the bound on the sum of the piece's G7K15 error
               estimates |K15 - G7|; and the floor of the window
               logarithm's search for its winding K, which starts at the
-              loose ``timescale._WINDING_TOL`` and tightens 100-fold only
+              loose ``logexp._WINDING_TOL`` and tightens 100-fold only
               while K lacks a witness
     eps_min   minimum admissible |p(t)| for logarithm arguments
     cmp_tol   residual threshold for identity comparisons
 
-    The quadrature's work is capped by ``timescale.MAX_QUAD_SAMPLES`` per
+    The quadrature's work is capped by ``MAX_QUAD_SAMPLES`` per
     piece, not by a knob here: a quad_tol that the cap cannot reach raises
     QuadratureFailure instead of returning an unconverged value, except
     in a window logarithm whose winding is witnessed at a looser tolerance.
@@ -251,7 +254,7 @@ def adaptive_simpson(
     largest estimate is bisected until the estimates sum to at most ``tol``
     (QUADPACK's QAG).  The Gauss nodes are open, so f is first sampled at a
     and b, where a log's integrand checks p.  Raises QuadratureFailure when
-    another bisection would pass ``timescale.MAX_QUAD_SAMPLES`` samples or
+    another bisection would pass ``MAX_QUAD_SAMPLES`` samples or
     the worst panel is too narrow to bisect, and NonFiniteIntegrand on bad
     samples.
     """
@@ -274,7 +277,7 @@ def adaptive_simpson(
             err = math.fsum(-e for e, *_ in heap)
             if err <= tol:
                 break
-        if samples + 30 > timescale.MAX_QUAD_SAMPLES:
+        if samples + 30 > MAX_QUAD_SAMPLES:
             raise QuadratureFailure(f"error estimate {err:.3g} above tol {tol:.3g} after {samples} samples")
         neg, lo, hi, _ = heap[0]
         mid = 0.5 * (lo + hi)

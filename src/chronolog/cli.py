@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -81,6 +82,20 @@ def _complex(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
+def _tries(a: float, b: float, step: float) -> float:
+    # the points a + k*step below b, k = 0, 1, ..., that _walk_points tries on
+    # a continuous piece [a, b]: with a step of at least 4 ulps of the piece,
+    # each is a row and their count is within one of (b - a)/step, so it is
+    # exact; below that, several round to one point and this estimates tries
+    n = (b - a) / step
+    if step < 4 * math.ulp(max(abs(a), abs(b))):
+        return n + 1
+    n = math.ceil(n) + 1
+    while a + (n - 1) * step >= b:
+        n -= 1
+    return n
+
+
 def _walk_points(ts: TimeScale, start: float, stop: float, step: float | None) -> list[float]:
     """All scale points of [start, stop] to tabulate, in increasing order.
 
@@ -94,16 +109,15 @@ def _walk_points(ts: TimeScale, start: float, stop: float, step: float | None) -
         raise ValidationError("--to must not be less than --from")
     if step is not None and not step > 0:
         raise ValidationError("--step must be positive")
-    jumps, dense = -1, 0.0
+    rows = 0
     for a, b in ts._clipped_pieces(start, stop):
         if b > a:
             if step is None:
                 raise ValidationError("--step is required when the range has continuous stretches")
-            dense += (b - a) / step
-        jumps += 1
-    rows = jumps + dense
+            rows += _tries(a, b, step)
+        rows += 1  # b
     if rows > MAX_WINDOW_JUMPS:
-        raise UnboundedWindow(f"the table has {rows:.4g} rows, more than {MAX_WINDOW_JUMPS}")
+        raise UnboundedWindow(f"the table has {rows:.10g} rows, more than {MAX_WINDOW_JUMPS}")
     out: list[float] = []
     for a, b in ts._clipped_pieces(start, stop):
         k, x = 1, a

@@ -114,7 +114,7 @@ class EtaNotRegressive(ChronologError):
 class QuadratureFailure(ChronologError):
     """Quadrature could not bring its error estimate within the tolerance.
 
-    Raised when another bisection would pass ``timescale.MAX_QUAD_SAMPLES``
+    Raised when another bisection would pass ``calculus.MAX_QUAD_SAMPLES``
     samples on the piece, or when the worst panel is too narrow to bisect.
     """
 

@@ -25,10 +25,11 @@ fold the subtrees that read no t, and compile it once per shape of tree
 what the two trees share once, and p at each point of a list from one
 call.  ``evaluate`` compiles the tree and checks that the value is finite.
 The generated code raises the typed errors that a walk of the tree would,
-with the same messages, and returns the same bits.  Each function is written
-in two forms from the same steps: a fast one, run first, which raises bare
-Python errors, and a checked one, which types them and is compiled only when
-the fast one first fails.
+with the same messages, and returns the same bits.  It calls no Python
+helper for an integer power or for exp, sin and cos, so it raises bare
+Python errors; when it does, its own steps are replayed at the same
+argument through ``_APPLY``, the table that also folds constants, which
+raises the typed error.
 """
 
 from __future__ import annotations
@@ -339,23 +340,16 @@ def _call_value(name: str, v: complex) -> complex:
     raise ValueError(f"no such function {name!r}")
 
 
-def _division_error(t: complex) -> EvalDomain:
-    return EvalDomain(f"division by zero at t={t}")
-
-
-# the names the checked form calls besides its operators: every call and
-# every power goes through _call_value or _pow_value, which raise the typed
-# errors with their messages
-_HELPERS = {
-    "_pow": _pow_value,
-    **{"_" + name: partial(_call_value, name) for name in FUNCTIONS},
-    "_division": _division_error,
-}
-# the cmath functions that the fast form calls directly: they have no branch
-# cut or zero of their own to keep, only failures for the checked form to type
+# a step's calls and powers, with the typed errors and messages they raise:
+# generated code calls _pow (for a non-integer exponent or a zero base), _log
+# and _sqrt from here, and the replay of a failure calls all of them
+_HELPERS = {"_pow": _pow_value, **{"_" + name: partial(_call_value, name) for name in FUNCTIONS}}
+# the cmath functions that generated code calls directly: they have no branch
+# cut or zero of their own to keep, only failures for the replay to type
 _DIRECT = {"exp": cmath.exp, "sin": cmath.sin, "cos": cmath.cos}
 _BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 _BINARY_OPS = frozenset(_BINARY.values())
+# what a step computes, for constant folding and for the replay of a failure
 _APPLY = {
     "+": operator.add,
     "-": operator.sub,
@@ -388,19 +382,16 @@ class _Program:
     evaluating those trees reaches them, so that the first step to raise is
     the one that evaluating the trees would raise first.
 
-    Each function is written twice from the same steps.  The fast form
-    calls no Python helper for an integer power or for exp, sin and cos:
-    an exponent that ``_pow_value`` would turn into an int (integral, at
-    most 100 in size) is made one here and the power written ``b ** n``,
-    and the three calls go to cmath directly.  A zero base, of either
-    sign, still goes to ``_pow_value``, which gives 0j or 1 where ``**``
-    can give a zero of another sign.  The checked form calls
-    ``_pow_value`` and ``_call_value`` for every power and call and types
-    a division by zero.  When anything in the fast form raises a bare
-    ``ArithmeticError`` or ``ValueError``, it reruns its argument through
-    the checked form: the steps before the failure computed the same bits
-    in both, so the checked form raises the typed error, with its message,
-    that a walk of the tree would raise first.
+    The code calls no Python helper for an integer power or for exp, sin
+    and cos: an exponent that ``_pow_value`` would turn into an int
+    (integral, at most 100 in size) is made one here and the power written
+    ``b ** n``, and the three calls go to cmath directly.  A zero base, of
+    either sign, still goes to ``_pow_value``, which gives 0j or 1 where
+    ``**`` can give a zero of another sign.  When anything in the code
+    raises a bare ``ArithmeticError`` or ``ValueError``, ``_rerun`` replays
+    its steps at the same argument through ``_APPLY``: the steps before the
+    failure compute the same bits both ways, so the replay raises the typed
+    error, with its message, that a walk of the tree would raise first.
     """
 
     def __init__(self):
@@ -474,54 +465,40 @@ class _Program:
         visit(root)
         return order
 
-    def _line(self, name: str, fast: bool) -> str:
+    def _line(self, name: str) -> str:
         op, args = self.steps[name]
         if op in _BINARY_OPS:
             text = f"{args[0]} {op} {args[1]}"
         elif op == "neg":
             text = f"-{args[0]}"
-        elif op == "**" and fast:
+        elif op == "**":
             # a zero base, of either sign, goes to _pow_value for its 0j or 1
             base, n = args
             text = f"{base} ** {n} if {base} else _pow({base}, {n})"
-        elif op[1:] in _DIRECT and fast:
+        elif op[1:] in _DIRECT:
             text = f"{op[1:]}({args[0]})"
         else:
-            text = f"{'_pow' if op == '**' else op}({', '.join(args)})"
+            text = f"{op}({', '.join(args)})"
         return f"        {name} = {text}"
 
-    def sources(self, fname: str, results: tuple[str, ...], steps, loop: bool = False) -> tuple[str, str]:
-        """The fast and the checked source of ``def fname(t)``, which runs
-        the named steps in turn and returns ``results``; with ``loop``, of
-        ``def fname(xs)``, which runs them at t = complex(x) for each x of
-        xs in turn and returns the list of ``results[0]``, raising at the
-        first point that raises.  The checked source defines ``_checked``,
-        which the fast one reruns its argument through (``_rerun``) when
-        anything in it raises."""
-        fast = self._source(fname, results, steps, loop, True)
-        return _shared(fast), _shared(self._source("_checked", results, steps, loop, False))
-
-    def _source(self, fname: str, results: tuple[str, ...], steps, loop: bool, fast: bool) -> str:
-        body = [self._line(s, fast) for s in steps]
+    def source(self, fname: str, results: tuple[str, ...], steps, loop: bool = False) -> tuple[str, tuple]:
+        """The source of ``def fname(t)``, which runs the named steps in
+        turn and returns ``results``; with ``loop``, of ``def fname(xs)``,
+        which runs them at t = complex(x) for each x of xs in turn and
+        returns the list of ``results[0]``.  With it, the replay that
+        ``_rerun`` runs when anything in the function raises: the steps as
+        ``(name, op, args)``, a getter of the results, and ``loop``."""
+        body = [self._line(s) for s in steps]
         if loop:
             lines = [f"def {fname}(xs):", "    out = []", "    append = out.append", "    t = None", "    try:"]
             lines += ["        for t in map(complex, xs):", *["    " + line for line in body]]
             lines += [f"            append({results[0]})", "        return out"]
         else:
             lines = [f"def {fname}(t):", "    try:", *body, f"        return {', '.join(results)}"]
-        if fast:
-            lines += ["    except (ArithmeticError, ValueError):", "        pass"]
-            lines.append(f"    return _rerun(globals(), {'xs' if loop else 't'})")
-        else:
-            lines += ["    except ZeroDivisionError as e:", "        raise _division(t) from e"]
-        return "\n".join(lines) + "\n"
-
-
-@lru_cache(maxsize=_CODE_MEMO_SIZE)
-def _shared(source: str) -> str:
-    # one string for equal sources, so that the p's of one shape keep one
-    # copy of each source they have not compiled (most checked sources)
-    return source
+        lines += ["    except (ArithmeticError, ValueError):", "        pass"]
+        lines.append(f"    return _rerun(globals(), {'xs' if loop else 't'})")
+        replay = tuple((s, *self.steps[s]) for s in steps), operator.itemgetter(*results), loop
+        return "\n".join(lines) + "\n", replay
 
 
 @lru_cache(maxsize=_CODE_MEMO_SIZE)
@@ -529,21 +506,31 @@ def _code(source: str) -> CodeType:
     return compile(source, "<chronolog.expr>", "exec")
 
 
-def _function(sources: tuple[str, str], fname: str, consts: dict) -> Callable:
-    # the function fname of the fast source, in a namespace of the constants,
-    # the helpers and the checked source
-    fast, checked = sources
-    namespace = {**_HELPERS, **_DIRECT, **consts, "_rerun": _rerun, "_source": checked}
-    exec(_code(fast), namespace)
+def _function(source: str, replay: tuple, fname: str, consts: dict) -> Callable:
+    # the function fname of the source, in a namespace of the constants, the
+    # helpers and its replay
+    namespace = {**_HELPERS, **_DIRECT, **consts, "_rerun": _rerun, "_replay": replay}
+    exec(_code(source), namespace)
     return namespace[fname]
 
 
 def _rerun(namespace: dict, arg):
-    # the checked form at arg, for a fast form that failed there; the first
-    # failure compiles it into the fast form's namespace, in place of its source
-    if "_source" in namespace:
-        exec(_code(namespace.pop("_source")), namespace)
-    return namespace["_checked"](arg)
+    # the steps of a generated function that failed at arg, replayed one by
+    # one through _APPLY, which types what the code raised bare; a division
+    # by zero is the one failure that no step types itself
+    steps, results, loop = namespace["_replay"]
+    env = dict(namespace)
+
+    def run(t):
+        env["t"] = t
+        try:
+            for name, op, args in steps:
+                env[name] = _APPLY[op](*[env[a] for a in args])
+        except ZeroDivisionError as e:
+            raise EvalDomain(f"division by zero at t={t}") from e
+        return results(env)
+
+    return [run(t) for t in map(complex, arg)] if loop else run(arg)
 
 
 def evaluate(e: Expr, t: complex) -> complex:
@@ -562,7 +549,7 @@ def compile_expr(e: Expr) -> Callable[[complex], complex]:
     """
     prog = _Program()
     root = prog.node(e)
-    return _function(prog.sources("value", (root,), prog.steps), "value", prog.consts)
+    return _function(*prog.source("value", (root,), prog.steps), "value", prog.consts)
 
 
 class CompiledPair:
@@ -574,20 +561,18 @@ class CompiledPair:
     subexpression the two trees share once, and ``values`` runs the steps
     of ``value`` in a loop inside the generated code, for the same bits
     point by point.  The first use of any of them builds the program and
-    writes the four pairs of sources, fast and checked (see ``_Program``),
-    keeping only those and the constants; each function is compiled on its
-    first use, from its own fast source, which is then dropped, and its
-    checked source only on its first failure: compiling costs more than
-    writing, most callers use one or two of the four, and most never
-    fail.  ``pair`` runs de's steps first, so it raises
-    what ``prime`` would raise before what ``value`` would.  At a complex t
-    every value is complex, a constant tree's too.  No finiteness checks,
-    as for ``compile_expr``.
+    writes the four sources with their replays (see ``_Program``), keeping
+    only those and the constants; each function is compiled on its first
+    use, from its own source, which is then dropped: compiling costs more
+    than writing, and most callers use one or two of the four.  ``pair``
+    runs de's steps first, so it raises what ``prime`` would raise before
+    what ``value`` would.  At a complex t every value is complex, a
+    constant tree's too.  No finiteness checks, as for ``compile_expr``.
     """
 
     def __init__(self, e: Expr, de: Expr):
         self._trees = (e, de)
-        self._sources: dict[str, tuple[str, str]] | None = None
+        self._sources: dict[str, tuple[str, tuple]] | None = None
 
     def _compile(self, fname: str) -> Callable:
         if self._sources is None:
@@ -600,12 +585,12 @@ class CompiledPair:
             p, d = (prog.const(complex(prog.consts[r])) if r in prog.consts else r for r in (p, d))
             self._consts = prog.consts
             self._sources = {
-                "value": prog.sources("value", (p,), prog.post_order(p)),
-                "prime": prog.sources("prime", (d,), prime_steps),
-                "pair": prog.sources("pair", (p, d), prog.steps),
-                "values": prog.sources("values", (p,), prog.post_order(p), loop=True),
+                "value": prog.source("value", (p,), prog.post_order(p)),
+                "prime": prog.source("prime", (d,), prime_steps),
+                "pair": prog.source("pair", (p, d), prog.steps),
+                "values": prog.source("values", (p,), prog.post_order(p), loop=True),
             }
-        return _function(self._sources.pop(fname), fname, self._consts)
+        return _function(*self._sources.pop(fname), fname, self._consts)
 
     @cached_property
     def value(self) -> Callable[[complex], complex]:

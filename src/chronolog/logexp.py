@@ -91,7 +91,7 @@ from .errors import (
     ValidationError,
 )
 from .multivalue import TWO_PI, TWO_PI_I, MultiLog, exp as cexp, lattice_gap, principal_log
-from .timescale import _WINDING_SLACK, _WINDING_TOL, TimeScale
+from .timescale import TimeScale
 from . import calculus, cylinder
 
 
@@ -244,6 +244,13 @@ def _kernel(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: fl
     return Terms(partial(_slope, p, cfg), _cylinder_term(variant, coeff, eta), cfg.quad_tol)
 
 
+# the window logarithm's theorem needs only the integer winding of p'/p over
+# a continuous piece: it integrates at this loose tolerance first, and accepts
+# the integer where the integral's turns lie within this slack of it
+_WINDING_TOL = 1e-2
+_WINDING_SLACK = 0.05
+
+
 class _Winding:
     """The theorem over a walk x_0 -> ... -> x_n of pieces and jumps, for ``_walk``.
 
@@ -260,7 +267,7 @@ class _Winding:
     of the walk: ``close`` marks a point with p there and the turns so far,
     and ``between`` takes the closed form from one mark to another.  Only
     the integer K_piece needs the integral, so it is taken at the loose
-    tolerance ``timescale._WINDING_TOL``, by
+    tolerance ``_WINDING_TOL``, by
     ``calculus.adaptive_simpson`` looked up at call time, and accepted only
     on two witnesses: its ratio (Im I - Arg)/2*pi lies within
     ``_WINDING_SLACK`` of an integer, and Re I, which equals ln|p(hi)/p(lo)|

@@ -48,16 +48,6 @@ MEMBERSHIP_TOL = 1e-12
 # block, not the window, that bounds its memory
 MAX_WINDOW_JUMPS = 10**6
 
-# the most integrand samples the quadrature may take on one continuous piece;
-# a piece that needs more raises QuadratureFailure
-MAX_QUAD_SAMPLES = 200_000
-
-# the window logarithm's theorem needs only the integer winding of p'/p over
-# a continuous piece: it integrates at this loose tolerance first, and accepts
-# the integer where the integral's turns lie within this slack of it
-_WINDING_TOL = 1e-2
-_WINDING_SLACK = 0.05
-
 
 # unused by the library; perfbench/tracer.py reads it, until ROADMAP item 1's benchmark change
 class ScatteredJump(Record):
@@ -202,7 +192,7 @@ class TimeScale(Record):
             raise ValidationError(f"the window [{s}, {t}] is reversed: its start must not exceed its end")
         if kt - ks > MAX_WINDOW_JUMPS:
             raise UnboundedWindow(
-                f"the window [{s}, {t}] jumps {kt - ks:.4g} gaps, more than {MAX_WINDOW_JUMPS}"
+                f"the window [{s}, {t}] jumps {kt - ks:.10g} gaps, more than {MAX_WINDOW_JUMPS}"
             )
         return ks, kt, b, s, t
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from chronolog import timescale
+from chronolog import calculus
 from chronolog.calculus import (
     DEFAULT_TOLERANCES,
     ScaleFunction,
@@ -81,11 +81,11 @@ def test_adaptive_simpson_sample_budget(monkeypatch):
         seen.append(x)
         return cmath.exp(40j * x)
 
-    monkeypatch.setattr(timescale, "MAX_QUAD_SAMPLES", 100)
+    monkeypatch.setattr(calculus, "MAX_QUAD_SAMPLES", 100)
     with pytest.raises(QuadratureFailure, match=r"above tol 1e-10 after 92 samples$"):
         adaptive_simpson(f, 0.0, 1.0)
     assert len(seen) == 92
-    monkeypatch.setattr(timescale, "MAX_QUAD_SAMPLES", 10_000)
+    monkeypatch.setattr(calculus, "MAX_QUAD_SAMPLES", 10_000)
     got = adaptive_simpson(f, 0.0, 1.0)
     assert got == pytest.approx((cmath.exp(40j) - 1.0) / 40j, abs=1e-12)
 

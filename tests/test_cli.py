@@ -10,7 +10,9 @@ import sys
 import pytest
 
 import chronolog
-from chronolog.cli import main
+from chronolog.cli import _walk_points, main
+from chronolog.errors import UnboundedWindow
+from chronolog.timescale import UniformGrid, parse_timescale
 
 
 @pytest.fixture
@@ -152,6 +154,41 @@ def test_eval_window_cap_message_writes_the_count_short(run):
     assert json.loads(err)["error"] == "UnboundedWindow"
     assert "jumps 1e+300 gaps" in json.loads(err)["message"]
     assert len(err.encode()) < 200
+
+
+def test_eval_window_cap_message_writes_every_digit_of_the_count(run):
+    # one gap past the cap: the count is written whole, not rounded to 1e+06
+    rc, out, err = run("eval", "--timescale", "hz:1", "--p", "t+2", "--s", "0", "--t", "1000001")
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["error"] == "UnboundedWindow"
+    assert "jumps 1000001 gaps" in json.loads(err)["message"]
+
+
+def test_table_cap_counts_rows_not_gaps():
+    # 10^6 gaps join 10^6 + 1 rows, one past the cap
+    with pytest.raises(UnboundedWindow, match="the table has 1000001 rows"):
+        _walk_points(UniformGrid(1.0), 0, 10**6, None)
+
+
+@pytest.mark.parametrize(
+    "scale, start, stop, step",
+    [
+        ("union:[0,1];[2,3]", 0, 3, 0.25),
+        ("r", 0, 1, 0.1),
+        ("r", 0.1, 7.7, 0.3),
+        ("hz:0.5", 0, 4, None),
+        ("union:[-1,0];[0.5,2]", -1, 2, 1 / 3),
+    ],
+)
+def test_table_cap_counts_the_rows_it_builds(monkeypatch, scale, start, stop, step):
+    # a cap of the row count admits the table; one less refuses it, naming the count
+    ts = parse_timescale(scale)
+    rows = len(_walk_points(ts, start, stop, step))
+    monkeypatch.setattr("chronolog.cli.MAX_WINDOW_JUMPS", rows)
+    assert len(_walk_points(ts, start, stop, step)) == rows
+    monkeypatch.setattr("chronolog.cli.MAX_WINDOW_JUMPS", rows - 1)
+    with pytest.raises(UnboundedWindow, match=f"the table has {rows} rows, more than {rows - 1}"):
+        _walk_points(ts, start, stop, step)
 
 
 @pytest.mark.parametrize(
@@ -570,7 +607,7 @@ def test_table_no_partial_output_on_failure(run, args, error):
 @pytest.mark.parametrize(
     "args, count",
     [
-        (["--from", "0", "--to", "1", "--step", "1e-8"], "1e+08 rows"),
+        (["--from", "0", "--to", "1", "--step", "1e-8"], "100000001 rows"),
         # below the float spacing of the start, k*step would not move it
         (["--from", "1e17", "--to", "2e17", "--step", "1"], "1e+17 rows"),
         (["--from", "0", "--to", "1", "--step", "1e-320"], "inf rows"),

@@ -384,8 +384,7 @@ def _outcome(f):
 
 
 def _checked(fn):
-    """fn's checked form, run as fn's first failure runs it: compiled into
-    fn's namespace on first use."""
+    """fn's replay, run as fn's failures run it: its steps through _APPLY."""
     return lambda arg: expr._rerun(fn.__globals__, arg)
 
 
@@ -397,7 +396,7 @@ def _assert_matches_walk(e, d, t):
         dv = _walk(d, t)
         return _walk(e, t), dv
 
-    # each function, fast and checked, against the walk
+    # each function, and its replay, against the walk
     for fn in (compile_expr(e), value, _checked(compile_expr(e)), _checked(value)):
         assert _outcome(lambda: fn(t)) == _outcome(lambda: _walk(e, t))
     for fn in (prime, _checked(prime)):
@@ -540,17 +539,24 @@ def test_fast_form_failures_keep_class_and_message(text, good, bad, error, messa
     assert _outcome(lambda: code.values(points)) == _outcome(lambda: [_walk(e, x) for x in points])
 
 
-def test_fast_calls_that_never_raise_compile_no_checked_source():
+def test_failing_calls_compile_no_source():
     e = parse("exp(i*t)+(t-1)^2*sin(t)/cos(t)+t^0.5")
     code = CompiledPair(e, differentiate(e))
     sources = _compiled_sources(
         lambda: (code.value(0.5), code.prime(0.5), code.pair(0.5), code.values([0.5, 1.5]), compile_expr(e)(0.5))
     )
     assert [source.split("(")[0] for source in sources] == ["def value", "def prime", "def pair", "def values", "def value"]
-    # the first failure compiles the checked form; later ones reuse it
-    sources = _compiled_sources(lambda: [_outcome(lambda: code.value(1000j)) for _ in range(3)])
-    assert [source.split("(")[0] for source in sources] == ["def _checked"]
+    # a failure replays the steps, and compiles nothing
+    sources = _compiled_sources(
+        lambda: [
+            [_outcome(lambda: fn(arg)) for fn, arg in ((code.value, 1000j), (code.values, [0.5, 1000j]), (code.pair, 0j))]
+            for _ in range(3)
+        ]
+    )
+    assert sources == []
     assert _outcome(lambda: code.value(1000j)) == (NonFiniteValue, "overflow in sin(1000j)")
+    assert _outcome(lambda: code.values([0.5, 1000j])) == (NonFiniteValue, "overflow in sin(1000j)")
+    assert _outcome(lambda: code.pair(0j)) == (EvalDomain, "0 raised to a negative power")
 
 
 # ---------------------------------------------------------------------------
@@ -561,24 +567,22 @@ _NAME = r"(?:t|v\d+|c\d+)"
 _SOURCE_LINE = re.compile(
     "|".join(
         (
-            r"def (?:value|prime|pair|_checked)\(t\):",
+            r"def (?:value|prime|pair)\(t\):",
             r"    try:",
             rf"        (?:    )?v\d+ = {_NAME} [-+*/] {_NAME}",
             rf"        (?:    )?v\d+ = -{_NAME}",
             rf"        (?:    )?v\d+ = _pow\({_NAME}, c\d+\)",
-            rf"        (?:    )?v\d+ = _(?:exp|log|sin|cos|sqrt)\({_NAME}\)",
-            # the fast form's integer power and direct cmath calls
+            rf"        (?:    )?v\d+ = _(?:log|sqrt)\({_NAME}\)",
+            # an integer power and the direct cmath calls
             rf"        (?:    )?v\d+ = (?P<b>{_NAME}) \*\* (?P<n>c\d+) if (?P=b) else _pow\((?P=b), (?P=n)\)",
             rf"        (?:    )?v\d+ = (?:exp|sin|cos)\({_NAME}\)",
             rf"        return {_NAME}(?:, {_NAME})?",
-            r"    except ZeroDivisionError as e:",
-            r"        raise _division\(t\) from e",
-            # the fast form's failure: the checked form reruns the argument
+            # a failure: the replay reruns the argument
             r"    except \(ArithmeticError, ValueError\):",
             r"        pass",
             r"    return _rerun\(globals\(\), (?:t|xs)\)",
             # values: the steps of value in a loop over the points
-            r"def (?:values|_checked)\(xs\):",
+            r"def values\(xs\):",
             r"    out = \[\]",
             r"    append = out\.append",
             r"    t = None",
@@ -600,21 +604,18 @@ def _compiled_sources(build):
     return sources
 
 
-def _compile_both_forms(code):
-    """Compile a pair's four functions, fast and checked."""
-    for fn, arg in ((code.value, 0j), (code.prime, 0j), (code.pair, 0j), (code.values, [0j])):
-        try:
-            _checked(fn)(arg)  # compiles the checked form, whatever it then computes
-        except ChronologError:
-            pass
+def _compile_functions(code):
+    """Compile a pair's four functions."""
+    for fn in (code.value, code.prime, code.pair, code.values):
+        assert callable(fn)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_trees)
 def test_generated_source_holds_only_names_and_operators(e):
     code = CompiledPair(e, differentiate(e))
-    sources = _compiled_sources(lambda: _compile_both_forms(code))
-    assert len(sources) == 8
+    sources = _compiled_sources(lambda: _compile_functions(code))
+    assert len(sources) == 4
     for source in sources:
         for line in source.splitlines():
             assert _SOURCE_LINE.fullmatch(line), line
@@ -623,8 +624,8 @@ def test_generated_source_holds_only_names_and_operators(e):
 def test_parsed_text_never_reaches_the_source():
     texts = DERIVATIVE_CORPUS + ["exp(i*1.25*sin(t))+(0.1-2.0*i)", "1e999*t+2^(1/3)", "t^(2^-1)+.5e1"]
     codes = [CompiledPair(e, differentiate(e)) for e in map(parse, texts)]
-    sources = _compiled_sources(lambda: [_compile_both_forms(code) for code in codes])
-    assert len(sources) == 8 * len(texts)
+    sources = _compiled_sources(lambda: [_compile_functions(code) for code in codes])
+    assert len(sources) == 4 * len(texts)
     for source in sources:
         for line in source.splitlines():
             assert _SOURCE_LINE.fullmatch(line), line
