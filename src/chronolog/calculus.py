@@ -311,9 +311,11 @@ class Terms:
     ``close(total)`` marks the walk's current point, leaving the walk open,
     and ``between(a, b)`` gives the sum from mark a to mark b.  Here a mark
     is the running total and ``between`` is b - a; ``run`` is a loop of
-    ``step``, and the exponentials' subclass (``logexp._Exponent``) takes a
-    block as the product of its factors.  ``_walk`` re-walks a block whose
-    run fails by ``step``, which names the gap.  Every walk gets a fresh sum.
+    ``step``, and the exponentials' subclasses take a block as the product
+    of its factors (``logexp._Exponent``), or, for p's own quotient, as the
+    ratio of p at the run's ends (``logexp._Ratios``).  ``_walk`` re-walks
+    a block whose run fails by ``step``, which names the gap.  Every walk
+    gets a fresh sum.
     """
 
     __slots__ = ("dense", "term", "tol")

@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from itertools import islice
 
 from .calculus import ScaleFunction, ToleranceConfig, delta_derivative
 from .errors import ChronologError, UnboundedWindow, ValidationError
@@ -82,26 +83,64 @@ def _complex(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _tries(a: float, b: float, step: float) -> float:
-    # the points a + k*step below b, k = 0, 1, ..., that _walk_points tries on
-    # a continuous piece [a, b]: with a step of at least 4 ulps of the piece,
-    # each is a row and their count is within one of (b - a)/step, so it is
-    # exact; below that, several round to one point and this estimates tries
-    n = (b - a) / step
-    if step < 4 * math.ulp(max(abs(a), abs(b))):
-        return n + 1
-    n = math.ceil(n) + 1
-    while a + (n - 1) * step >= b:
-        n -= 1
-    return n
+def _tries(a: float, b: float, step: float, limit: int) -> float:
+    # the rows _piece_rows takes on a continuous piece [a, b]: with a step of
+    # at least 4 ulps of the piece, each try a + k*step is a row and their
+    # count is within one of (b - a)/step, so it is exact; below that,
+    # several tries round to one row, and the rows are counted as they are
+    # taken, or inf where they pass limit, as does the fewest they can be:
+    # one per step plus 4 ulps, by which two tries in a row differ at most
+    spacing = math.ulp(max(abs(a), abs(b)))
+    if step >= 4 * spacing:
+        n = math.ceil((b - a) / step) + 1
+        while a + (n - 1) * step >= b:
+            n -= 1
+        return n
+    if not (b - a) / (step + 4 * spacing) <= limit or not (b - a) / step < math.inf:
+        return math.inf
+    n = sum(1 for _ in islice(_piece_rows(a, b, step), limit + 1))
+    return n if n <= limit else math.inf
+
+
+def _piece_rows(a: float, b: float, step: float):
+    # the rows below b of a continuous piece [a, b]: a, then each try
+    # a + k*step above the last row; where the next try rounds onto the last
+    # row, k goes straight to the first try above it
+    k, x = 0, a
+    while x < b:
+        yield x
+        k += 1
+        y = a + k * step
+        if y <= x:
+            k = _first_try_above(a, step, x, k)
+            y = a + k * step
+        x = y
+
+
+def _first_try_above(a: float, step: float, x: float, lo: int) -> int:
+    # the least k whose try a + k*step rounds above x, given that try lo does
+    # not: from the estimate (nextafter(x) - a)/step, doubling the distance
+    # until each side of the bracket holds, then halving it
+    hi, d = max(lo + 1, math.ceil((math.nextafter(x, math.inf) - a) / step)), 1
+    while a + hi * step <= x:
+        lo, hi, d = hi, hi + d, 2 * d
+    d = 1
+    while hi - d > lo and a + (hi - d) * step > x:
+        hi, d = hi - d, 2 * d
+    lo = max(lo, hi - d)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if a + mid * step <= x else (lo, mid)
+    return hi
 
 
 def _walk_points(ts: TimeScale, start: float, stop: float, step: float | None) -> list[float]:
     """All scale points of [start, stop] to tabulate, in increasing order.
 
     Scattered stretches contribute every grid point; continuous stretches
-    are sampled every `step` (required if any are present).  More than
-    MAX_WINDOW_JUMPS rows raise UnboundedWindow before any row is built.
+    are sampled every `step` (required if any are present), each sample
+    above the last.  More than MAX_WINDOW_JUMPS rows raise UnboundedWindow
+    before any row is built.
     """
     start = ts.snap(start)
     stop = ts.snap(stop)
@@ -114,17 +153,15 @@ def _walk_points(ts: TimeScale, start: float, stop: float, step: float | None) -
         if b > a:
             if step is None:
                 raise ValidationError("--step is required when the range has continuous stretches")
-            rows += _tries(a, b, step)
+            rows += _tries(a, b, step, max(0, MAX_WINDOW_JUMPS - rows))
         rows += 1  # b
     if rows > MAX_WINDOW_JUMPS:
-        raise UnboundedWindow(f"the table has {rows:.10g} rows, more than {MAX_WINDOW_JUMPS}")
+        has = f"{rows:.10g} rows, more than" if rows < math.inf else "more rows than"
+        raise UnboundedWindow(f"the table has {has} {MAX_WINDOW_JUMPS}")
     out: list[float] = []
     for a, b in ts._clipped_pieces(start, stop):
-        k, x = 1, a
-        while x < b:  # a, then a + k*step below b, each above the last row
-            if not out or x > out[-1]:
-                out.append(x)
-            x, k = a + k * step, k + 1
+        if b > a:
+            out += _piece_rows(a, b, step)
         out.append(b)
     return out
 

@@ -49,6 +49,11 @@ def _singular(eta: float, num: complex, den: complex, bound: float) -> bool:
     return (eta < 1.0 and abs(num) < bound) or (eta > 0.0 and abs(den) < bound)
 
 
+def _vanishing(row: tuple, eta: float, h: float, z: complex) -> Exception:
+    """The row's regressivity error for a factor that vanishes at eta, h and z."""
+    return row[2](f"{row[0]}: a factor vanishes for eta={eta}, h={h}, z={z}")
+
+
 def _require_step(h: float) -> float:
     h = float(h)
     if not 0.0 <= h < math.inf:
@@ -83,7 +88,7 @@ def _psi(row: tuple, h: float, z: complex, principal: bool = True, eta: float | 
         den = 1 - eta * hz
         # where |hz| <= 1/2 both factors are at least 1/2, far above the bound
         if abs(hz) > 0.5 and _singular(eta, num, den, REGRESSIVITY_GUARD * (1.0 + abs(hz))):
-            raise error(f"{name}: a factor vanishes for eta={eta}, h={h}, z={z}")
+            raise _vanishing(row, eta, h, z)
         val = principal_log(num / den) / h if side > 0 else -principal_log(den / num) / h
     if not cmath.isfinite(val):
         raise NonFiniteValue(f"{name} is not finite for eta={eta}, h={h}, z={z}: {val!r}")
@@ -91,21 +96,23 @@ def _psi(row: tuple, h: float, z: complex, principal: bool = True, eta: float | 
 
 
 def _log_product(eta: float, hzs: Iterable[complex]) -> complex | None:
-    """Log of the product of the eta map's factors num/den over a run's values of h*z.
+    """Log of the product of the exponentials' factors over a run's values of h*z.
 
-    This equals the run's sum of h * map(h, z) modulo 2*pi*i.  The values are
-    drawn in order, and each factor passes ``_psi``'s guard before the next
-    is drawn.  Returns None, and draws no further value, where a guard trips
-    or the running product leaves [1e-280, 1e280], a non-finite one included.
+    The forward row (xi, eta 0) multiplies by each 1 + h*z and the backward
+    row (xi_hat, eta 1) divides by each 1 - h*z, so the Log equals the run's
+    sum of h * map(h, z) modulo 2*pi*i.  The values are drawn in order, and
+    each factor passes ``_psi``'s guard before the next is drawn.  Returns
+    None, and draws no further value, where a guard trips or the running
+    product leaves [1e-280, 1e280], a non-finite one included.
     """
-    keep = 1.0 - eta
+    forward = eta == 0.0
     prod = 1 + 0j
     for hz in hzs:
-        num = 1 + keep * hz
-        den = 1 - eta * hz
-        if abs(hz) > 0.5 and _singular(eta, num, den, REGRESSIVITY_GUARD * (1.0 + abs(hz))):
+        factor = 1 + hz if forward else 1 - hz
+        # the factor is xi's num or xi_hat's den, the one _singular tests at eta
+        if abs(hz) > 0.5 and _singular(eta, factor, factor, REGRESSIVITY_GUARD * (1.0 + abs(hz))):
             return None
-        prod *= num / den
+        prod = prod * factor if forward else prod / factor
         if not 1e-280 <= abs(prod) <= 1e280:
             return None
     return principal_log(prod)

@@ -45,9 +45,13 @@ xi_hat(mu, c(sigma(tau))), with the map as the only regressivity and
 finiteness check: a coefficient that is not finite at a jump raises the
 map's NonFiniteValue.  Since exp of a sum of Log(1 + mu*c) is the product
 of the factors 1 + mu*c, a block of jumps adds the Log of its factors'
-product, taken in one loop under the maps' guard, and p at a block's
-points comes from one call where chronolog owns the coefficient
-(``delta_quotient``, a ScaleFunction).
+product, taken in one loop under the maps' guard, with a ScaleFunction
+coefficient listed from one call.  The exponential of p's own quotient,
+delta_quotient(p) forward or nabla_quotient(p) backward, whose factor at
+each jump is p(sigma)/p(tau), takes that ratio at the stored points
+instead (``_Ratios``): p once per point, as the theorem takes it, a run
+of jumps multiplying by p at its end over p at its start, and each factor
+under the row's guard.
 
 The window logarithm is additive over the window, L(s, u') = L(s, u) +
 L(u, u'), so ``log_table`` gives the logarithm from one base to every
@@ -145,29 +149,37 @@ def delta_quotient(p: ScaleFunction, cfg: ToleranceConfig | None = None) -> Call
 
     At mu = 0 this is the classical p'(tau)/p(tau); across a gap it is the
     difference quotient divided by the left value.  A (tau, mu) coefficient
-    cannot see the stored successor, so this is the one place that evaluates
-    p at tau + mu, which may round off the scale (0.04999999999999999 for the
-    point 0.05 of hz:0.3:0.05 after tau = -0.25).  It is ``_quotient`` at
-    (p, cfg), which an exponential knows and lists over a block of jumps
-    from one call (``_quotient_block``), at the same points.
+    cannot see the stored successor, so a call evaluates p at tau + mu, which
+    may round off the scale (0.04999999999999999 for the point 0.05 of
+    hz:0.3:0.05 after tau = -0.25).  ``exp_delta`` knows this coefficient
+    (``_quotient`` at (p, cfg)) and takes each jump's factor 1 + mu*c as the
+    ratio p(sigma)/p(tau) at the stored points instead (``_Ratios``).
     """
     return partial(_quotient, p, cfg or DEFAULT_TOLERANCES)
 
 
-def _quotient_block(p: ScaleFunction, cfg: ToleranceConfig, taus: Sequence, mus: Sequence) -> list | None:
-    # _quotient at each tau and gap mu > 0, p at the taus and at tau + mu from
-    # one values call each; None where a value of p is below the floor
-    pvs = p.values(taus)
-    pss = p.values(list(map(operator.add, taus, mus)))
-    if min(map(abs, pvs)) < cfg.eps_min or min(map(abs, pss)) < cfg.eps_min:
-        return None
-    return list(map(operator.truediv, map(operator.truediv, map(operator.sub, pss, pvs), mus), pvs))
+def nabla_quotient(p: ScaleFunction, cfg: ToleranceConfig | None = None) -> Callable:
+    """The coefficient (tau, nu) -> pNabla(tau)/p(tau), the backward quotient for ``exp_nabla``.
+
+    At nu = 0 this is p'(tau)/p(tau); across the gap nu below tau it is
+    (p(tau) - p(tau - nu)) / nu / p(tau).  ``exp_nabla`` knows this
+    coefficient and takes each jump's factor 1/(1 - nu*c) as the ratio
+    p(sigma)/p(tau) at the stored points (``_Ratios``), so that it reproduces
+    p(t)/p(s), as ``exp_delta`` of ``delta_quotient`` does.
+    """
+    return partial(_quotient, p, cfg or DEFAULT_TOLERANCES, backward=True)
 
 
-def _quotient(p: ScaleFunction, cfg: ToleranceConfig, tau: float, mu: float, sigma: float | None = None) -> complex:
-    # pDelta(tau)/p(tau) across the gap mu to sigma (tau + mu if None), p'(tau)/p(tau) where mu = 0
+def _quotient(
+    p: ScaleFunction, cfg: ToleranceConfig, tau: float, mu: float, sigma: float | None = None, backward: bool = False
+) -> complex:
+    # pDelta(tau)/p(tau) across the gap mu to sigma (tau + mu if None), or if
+    # backward pNabla(tau)/p(tau) across the gap mu down to tau - mu;
+    # p'(tau)/p(tau) where mu = 0
     if mu > 0:
         pv = _checked(p, tau, cfg)
+        if backward:
+            return (pv - _checked(p, tau - mu, cfg)) / mu / pv
         return (_checked(p, tau + mu if sigma is None else sigma, cfg) - pv) / mu / pv
     try:
         return _slope(p, cfg, tau)
@@ -190,8 +202,18 @@ _ROWS = {
 }
 
 
-# a cheap necessary condition for the regressivity guard (see _Winding.step)
+# the guard's bound is at most 3 * GUARD * max(|p|, |p_sigma|), so a factor
+# can vanish only where one value is this far below the other: a cheap
+# necessary condition for the guard
 _SCREEN = 4.0 * REGRESSIVITY_GUARD
+
+
+def _vanishes(eta: float, pv: complex, ps: complex) -> bool:
+    # whether a factor of the row's map vanishes on the jump from p to
+    # p_sigma: the maps' guard relative to 1 + |mu*z| = (|mix| + |p_sigma - p|)/|mix|,
+    # with mix = (1-eta)p + eta*p_sigma
+    bound = REGRESSIVITY_GUARD * (abs((1.0 - eta) * pv + eta * ps) + abs(ps - pv))
+    return cylinder._singular(eta, ps, pv, bound)
 
 
 def _row(variant: LogVariant, eta: float | None) -> tuple[float, type, float]:
@@ -282,7 +304,7 @@ class _Winding:
     NonvanishingViolation below eps_min and NonFiniteValue at each point,
     and the row's error when (1-eta)p + eta*p_sigma is 0 or when a factor
     of the map, p_sigma/mix or p/mix, falls under the maps' guard
-    (``cylinder._singular``, run only where one value is far below the other)
+    (``_vanishes``, run only where one value is far below the other)
     relative to 1 + |mu*z| = (|mix| + |p_sigma - p|)/|mix|.
 
     ``run`` takes a block of jumps through increasing points xs of a point
@@ -353,12 +375,8 @@ class _Winding:
         if 0.0 < eta < 1.0 and self.keep * pv + eta * ps == 0:
             raise self.error(f"(1-eta)p + eta*p_sigma vanishes for eta={eta}")
         r = ps / pv
-        # the guard's bound is at most 3 * GUARD * max(|p|, |p_sigma|), so a
-        # factor can vanish only where one value is that far below the other
-        if aps < _SCREEN * apv or apv < _SCREEN * aps:
-            bound = REGRESSIVITY_GUARD * (abs(self.keep * pv + eta * ps) + abs(ps - pv))
-            if cylinder._singular(eta, ps, pv, bound):
-                raise self.error(f"the jump ratio p_sigma/p = {r} is not regressive for eta={eta}")
+        if (aps < _SCREEN * apv or apv < _SCREEN * aps) and _vanishes(eta, pv, ps):
+            raise self.error(f"the jump ratio p_sigma/p = {r} is not regressive for eta={eta}")
         if r == 0 or not cmath.isfinite(r):
             raise NonFiniteIntegrand(f"the jump ratio p_sigma/p = {r} is not finite and nonzero")
         self.turns += self.cut if r.imag == 0.0 and r.real < 0.0 else math.atan2(r.imag, r.real)
@@ -380,10 +398,8 @@ class _Winding:
                 return None
             r = ps / pv
             # r can be 0 only where |p_sigma| < _SCREEN * |p|, on a screened jump
-            if aps < screen * apv or apv < screen * aps:
-                bound = REGRESSIVITY_GUARD * (abs(keep * pv + eta * ps) + abs(ps - pv))
-                if r == 0 or cylinder._singular(eta, ps, pv, bound):
-                    return None
+            if (aps < screen * apv or apv < screen * aps) and (r == 0 or _vanishes(eta, pv, ps)):
+                return None
             if not isfinite(r):
                 return None
             im = r.imag
@@ -559,12 +575,12 @@ class _Exponent(Terms):
     ``run`` adds a block's terms as the Log of the product of the row's
     factors (``cylinder._log_product``), equal to their sum modulo 2*pi*i,
     which exp discards.  A ScaleFunction lists the block's c from one
-    ``values`` call, ``delta_quotient`` by ``_quotient_block``; any other
-    c is called inside the product's loop, jump by jump, so the first
-    failure in walk order is the one raised.  A block returns None where a
-    factor trips the guard, a value is not finite, the product leaves
-    [1e-280, 1e280] or a gap is below 1e-300 (where mu * map(mu, c) can
-    overflow), and ``_walk`` walks it again by ``step``.
+    ``values`` call; any other c is called inside the product's loop, jump
+    by jump, so the first failure in walk order is the one raised.  A block
+    returns None where a factor trips the guard, a value is not finite, the
+    product leaves [1e-280, 1e280] or a gap is below 1e-300 (where
+    mu * map(mu, c) can overflow), and ``_walk`` walks it again by ``step``.
+    The library's own quotients of p take ``_Ratios`` instead.
     """
 
     __slots__ = ("c", "listed", "eta", "at_sigma")
@@ -573,11 +589,9 @@ class _Exponent(Terms):
         if not callable(coeff):
             raise TypeError("coefficient must be a ScaleFunction or a callable (tau, mu) -> complex")
         if isinstance(coeff, ScaleFunction):
-            c, self.listed = (lambda tau, mu: coeff(tau)), (lambda ats, mus: coeff.values(ats))
+            c, self.listed = (lambda tau, mu: coeff(tau)), coeff.values
         else:
             c, self.listed = coeff, None
-            if isinstance(coeff, partial) and coeff.func is _quotient:  # delta_quotient's
-                self.listed = partial(_quotient_block, *coeff.args)
         at_sigma = variant is LogVariant.NABLA_PRINCIPAL
         term = (lambda tau, mu, sigma: c(sigma, mu)) if at_sigma else (lambda tau, mu, sigma: c(tau, mu))
         super().__init__(lambda x: c(x, 0.0), _cylinder_term(variant, term), cfg.quad_tol)
@@ -589,9 +603,83 @@ class _Exponent(Terms):
         if min(mus) < 1e-300:
             return None
         ats = sigmas if self.at_sigma else taus
-        cs = self.listed(ats, mus) if self.listed else map(complex, map(self.c, ats, mus))
-        log = None if cs is None else cylinder._log_product(self.eta, map(operator.mul, mus, cs))
+        cs = self.listed(ats) if self.listed else map(complex, map(self.c, ats, mus))
+        log = cylinder._log_product(self.eta, map(operator.mul, mus, cs))
         return None if log is None else total + log
+
+
+class _Ratios(Terms):
+    """An exponential of p's own quotient: ``Terms`` whose jumps are ratios of p at the stored points.
+
+    For c = delta_quotient(p) forward and nabla_quotient(p) backward, a
+    jump's factor, 1 + mu*c(tau, mu) or 1/(1 - mu*c(sigma, mu)), is
+    p(sigma)/p(tau) in exact arithmetic, so a run of jumps from x_j to x_m
+    multiplies by p(x_m)/p(x_j) over the float values of p.  A run keeps p
+    at its two ends and adds the Log of that ratio where a continuous piece
+    or a mark (``close``) ends it: no Log per jump, no product to keep in
+    range, no 1 + mu*c to cancel.  A piece adds the integral of p'/p.
+
+    p is evaluated once per point, carried from jump to jump and listed over
+    a block from one ``values`` call (``run``).  Each point gets the
+    coefficient's eps_min floor and the finiteness check, and each factor
+    the row's guard (``_vanishes``), which raises the row's map's error and
+    message.  A failing block returns None, and ``_walk`` walks it again by
+    ``step``.
+    """
+
+    __slots__ = ("p", "cfg", "row", "eta", "anchor", "last", "last_abs")
+
+    def __init__(self, variant: LogVariant, coeff: partial, cfg: ToleranceConfig):
+        super().__init__(lambda x: coeff(x, 0.0), None, cfg.quad_tol)
+        self.p, self.cfg = coeff.args  # the floor is the coefficient's eps_min
+        self.row = cylinder._ROWS[_ROWS[variant]]
+        self.eta = self.row[1]
+        self.anchor = self.last = None  # p at the ends of the open run of jumps
+
+    def piece(self, total: complex, lo: float, hi: float) -> complex:
+        total = self.close(total)
+        self.anchor = self.last = None
+        return super().piece(total, lo, hi)
+
+    def step(self, total: complex, tau: float, mu: float, sigma: float) -> complex:
+        p, cfg = self.p, self.cfg
+        if self.last is None:
+            pv = self.anchor = _checked(p, tau, cfg)
+            apv = abs(pv)
+        else:
+            pv, apv = self.last, self.last_abs
+        ps = _checked(p, sigma, cfg)
+        aps = abs(ps)
+        eta = self.eta
+        if (aps < _SCREEN * apv or apv < _SCREEN * aps) and _vanishes(eta, pv, ps):
+            raise cylinder._vanishing(self.row, eta, mu, (ps - pv) / mu / ((1.0 - eta) * pv + eta * ps))
+        self.last, self.last_abs = ps, aps
+        return total
+
+    def run(self, total: complex, xs: Sequence[float]) -> complex | None:
+        # xs[0] is the walk's current point, whose p the last step carried
+        vs = self.p.values(xs[1:])
+        avs = list(map(abs, vs))
+        if min(avs) < self.cfg.eps_min:
+            return None
+        eta, screen = self.eta, _SCREEN
+        for pv, ps, apv, aps in zip([self.last] + vs, vs, [self.last_abs] + avs, avs):
+            if (aps < screen * apv or apv < screen * aps) and _vanishes(eta, pv, ps):
+                return None
+        self.last, self.last_abs = vs[-1], avs[-1]
+        return total
+
+    def close(self, total: complex) -> complex:
+        return total if self.anchor is None else total + _log_ratio(self.last, self.anchor)
+
+
+def _exponent(variant: LogVariant, coeff, cfg: ToleranceConfig) -> Terms:
+    # the exponent's sum: _Ratios for the row's own quotient of p,
+    # delta_quotient forward and nabla_quotient backward, else _Exponent
+    own = {"backward": True} if variant is LogVariant.NABLA_PRINCIPAL else {}
+    if isinstance(coeff, partial) and coeff.func is _quotient and len(coeff.args) == 2 and coeff.keywords == own:
+        return _Ratios(variant, coeff, cfg)
+    return _Exponent(variant, coeff, cfg)
 
 
 def exp_delta(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | None = None) -> complex:
@@ -600,12 +688,12 @@ def exp_delta(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | N
     The coefficient c(tau, mu) is sampled at tau.  It must be regressive:
     1 + mu*c != 0 at every scattered point of the window.  A run of jumps
     contributes the product of its factors 1 + mu*c, a block of them from
-    one loop, and a single jump exp(mu * xi(mu, c)).  The factor is formed
-    from the coefficient, so for c = pDelta/p it is 1 + (p_sigma/p - 1),
-    which cancels when p_sigma/p << 1; given only c, the public (h, z)
-    maps cannot avoid this.
+    one loop, and a single jump exp(mu * xi(mu, c)).  For c =
+    ``delta_quotient(p)`` each factor is the ratio p(sigma)/p(tau) at the
+    stored points, so a run contributes p at its end over p at its start,
+    with no 1 + mu*c formed (``_Ratios``).
     """
-    return cexp(_window(_Exponent(LogVariant.DELTA_PRINCIPAL, coeff, cfg or DEFAULT_TOLERANCES), ts, s, t))
+    return cexp(_window(_exponent(LogVariant.DELTA_PRINCIPAL, coeff, cfg or DEFAULT_TOLERANCES), ts, s, t))
 
 
 def exp_nabla(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | None = None) -> complex:
@@ -614,12 +702,11 @@ def exp_nabla(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | N
     them; needs 1 - nu*c != 0 there.
 
     A run of jumps contributes the product of its factors 1/(1 - nu*c), a
-    block of them from one loop.  The factor is formed from the coefficient,
-    so for c = pNabla/p at sigma it is 1 - (1 - p/p_sigma), which cancels
-    when p/p_sigma << 1; given only c, the public (h, z) maps cannot avoid
-    this.
+    block of them from one loop.  For c = ``nabla_quotient(p)`` each factor
+    is the ratio p(sigma)/p(tau) at the stored points, so a run contributes
+    p at its end over p at its start, with no 1 - nu*c formed (``_Ratios``).
     """
-    return cexp(_window(_Exponent(LogVariant.NABLA_PRINCIPAL, coeff, cfg or DEFAULT_TOLERANCES), ts, s, t))
+    return cexp(_window(_exponent(LogVariant.NABLA_PRINCIPAL, coeff, cfg or DEFAULT_TOLERANCES), ts, s, t))
 
 
 def legacy_log(

@@ -59,7 +59,18 @@ def test_tracer_counts_the_gated_layers_and_uninstalls_cleanly():
         p = calculus.ScaleFunction.from_text("t^2+1")
         q = calculus.ScaleFunction.from_text("t+3")
 
-        logexp.exp_delta(logexp.delta_quotient(p), grid, 0.0, 20.0)
+        # the theorem's single jumps evaluate p one point at a time
+        logexp.log_ts("delta-principal", p, grid, 0.0, 20.0)
+        assert tracer.layer_metrics(1)["expr.p_evals"] > 0
+
+        # the benchmark's exp_nabla takes a plain (tau, nu) coefficient, whose
+        # single jumps go through the row's map; exp_delta(delta_quotient(p))
+        # takes ratios of p and reaches no map
+        def backward(tau, nu):
+            pv = p(tau)
+            return (pv - p(tau - nu)) / nu / pv if nu > 0 else p.prime(tau) / pv
+
+        logexp.exp_nabla(backward, grid, 0.0, 20.0)
         walk = tracer.layer_metrics(1)
         assert walk["cylinder.map_calls"] > 0
         assert walk["expr.p_evals"] > 0

@@ -178,6 +178,8 @@ def test_table_cap_counts_rows_not_gaps():
         ("r", 0.1, 7.7, 0.3),
         ("hz:0.5", 0, 4, None),
         ("union:[-1,0];[0.5,2]", -1, 2, 1 / 3),
+        # a step below the float spacing: 101 rows, not 1600002 tries
+        ("r", 1e17, 1e17 + 1600, 1e-3),
     ],
 )
 def test_table_cap_counts_the_rows_it_builds(monkeypatch, scale, start, stop, step):
@@ -189,6 +191,20 @@ def test_table_cap_counts_the_rows_it_builds(monkeypatch, scale, start, stop, st
     monkeypatch.setattr("chronolog.cli.MAX_WINDOW_JUMPS", rows - 1)
     with pytest.raises(UnboundedWindow, match=f"the table has {rows} rows, more than {rows - 1}"):
         _walk_points(ts, start, stop, step)
+
+
+def test_table_below_the_float_spacing_has_its_rows_not_its_tries(run):
+    # the tries 1e17 + k*0.001 round onto the 101 floats of [1e17, 1e17 + 1600],
+    # 16 apart: the table has those rows, each once, and a cap between the
+    # rows and the tries admits it
+    argv = ["table", "--timescale", "r", "--p", "t", "--quantity", "logderiv", "--format", "json", "--from", "1e17"]
+    rc, out, err = run(*argv, "--to", "1.000000000000016e17", "--step", "1e-3")
+    assert (rc, err) == (0, "")
+    assert [row["t"] for row in json.loads(out)] == [1e17 + 16 * k for k in range(101)]
+    # past the cap by the rows, the refusal says so without walking every try
+    rc, out, err = run(*argv, "--to", "1.00016e17", "--step", "1e-3")
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["message"].startswith("the table has more rows than 1000000")
 
 
 @pytest.mark.parametrize(
@@ -608,9 +624,10 @@ def test_table_no_partial_output_on_failure(run, args, error):
     "args, count",
     [
         (["--from", "0", "--to", "1", "--step", "1e-8"], "100000001 rows"),
-        # below the float spacing of the start, k*step would not move it
-        (["--from", "1e17", "--to", "2e17", "--step", "1"], "1e+17 rows"),
-        (["--from", "0", "--to", "1", "--step", "1e-320"], "inf rows"),
+        # below the float spacing of the start, k*step would not move it: the
+        # rows are too many even at their widest, step + 4 ulps = 65 apart
+        (["--from", "1e17", "--to", "2e17", "--step", "1"], "more rows than 1000000"),
+        (["--from", "0", "--to", "1", "--step", "1e-320"], "more rows than 1000000"),
     ],
     ids=["small-step", "step-below-spacing", "subnormal-step"],
 )

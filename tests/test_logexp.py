@@ -44,6 +44,7 @@ from chronolog.logexp import (
     log_nabla_principal,
     log_table,
     log_ts,
+    nabla_quotient,
     scaled_residual,
 )
 from chronolog.multivalue import TWO_PI_I, MultiLog, lattice_gap
@@ -809,18 +810,22 @@ def test_blocks_of_jumps_give_the_bits_of_single_jumps(monkeypatch, spec):
 
 
 def _exp_cases(p):
-    # (exponential, coefficient, factor of one jump from tau to sigma): the
-    # coefficient listed in one call (delta_quotient, a ScaleFunction) and
-    # one called jump by jump, forward and backward
+    # (exponential, coefficient, factor of one jump from tau to sigma, whether
+    # it is p's own quotient): p's forward and backward quotients, whose
+    # factors are the ratios p(sigma)/p(tau); a coefficient listed in one
+    # call (a ScaleFunction); and ones called jump by jump, forward and
+    # backward, delta_quotient among them on the nabla row
     dq = delta_quotient(p)
     c = ScaleFunction.from_text("0.002*i*t-0.001")
     back = lambda tau, nu: (p(tau) - p(tau - nu)) / nu / p(tau)  # noqa: E731
     mpc = lambda z: mpmath.mpc(z.real, z.imag)  # noqa: E731
+    ratio = lambda tau, sigma: mpc(p(sigma)) / mpc(p(tau))  # noqa: E731
     return [
-        (exp_delta, dq, lambda tau, sigma: mpc(1 + (sigma - tau) * dq(tau, sigma - tau))),
-        (exp_delta, c, lambda tau, sigma: mpc(1 + (sigma - tau) * c(tau))),
-        (exp_nabla, dq, lambda tau, sigma: 1 / mpc(1 - (sigma - tau) * dq(sigma, sigma - tau))),
-        (exp_nabla, back, lambda tau, sigma: 1 / mpc(1 - (sigma - tau) * back(sigma, sigma - tau))),
+        (exp_delta, dq, ratio, True),
+        (exp_delta, c, lambda tau, sigma: mpc(1 + (sigma - tau) * c(tau)), False),
+        (exp_nabla, nabla_quotient(p), ratio, True),
+        (exp_nabla, dq, lambda tau, sigma: 1 / mpc(1 - (sigma - tau) * dq(sigma, sigma - tau)), False),
+        (exp_nabla, back, lambda tau, sigma: 1 / mpc(1 - (sigma - tau) * back(sigma, sigma - tau)), False),
     ]
 
 
@@ -828,30 +833,37 @@ def _exp_cases(p):
 def test_exponentials_in_blocks_are_the_product_of_their_factors(monkeypatch, spec):
     # the blocked and the jump-by-jump exponentials, either way over a
     # window of _LONG jumps, against the exact product of the float factors.
-    # The blocks are within 1e-13; exp of the single jumps' sum of Logs
-    # carries the sum's rounding, a few ulps of the sum of |Log factor|, into
-    # its relative error, 6.2e-13 for the second p on hz:1, which winds
+    # The blocks are within 1e-13, and so are p's own quotients by single
+    # jumps, whose product is the ratio of p at the window's ends, with the
+    # bits of the blocks.  Other coefficients' single jumps take exp of a
+    # sum of Logs, which carries the sum's rounding, a few ulps of the sum of
+    # |Log factor|, into its relative error, 6.2e-13 for the second p on
+    # hz:1, which winds
     ts, points = _long_window(spec)
     lo, hi = points[0], points[-1]
     functions = [ScaleFunction.from_text(text) for text in ("(t-2-3*i)^3+exp(i*t)", "exp(30*i*t)+0.5")]
     with mpmath.workdps(40):
-        cases, want, mass = [], [], []
+        cases, want, mass, own = [], [], [], []
         for p in functions:
-            for exp, coeff, factor in _exp_cases(p):
+            for exp, coeff, factor, ratios in _exp_cases(p):
                 factors = [factor(tau, sigma) for tau, sigma in zip(points, points[1:])]
                 product = mpmath.fprod(factors)
                 cases += [(exp, coeff, lo, hi), (exp, coeff, hi, lo)]
                 want += [product, 1 / product]
                 mass += 2 * [float(sum(abs(mpmath.log(f)) for f in factors))]
+                own += 2 * [ratios]
         walks = {}
         for handful in (_H, 10**9):
             monkeypatch.setattr(calculus, "_HANDFUL", handful)
             walks[handful] = [exp(coeff, ts, s, t) for exp, coeff, s, t in cases]
         for handful, values in walks.items():
-            for value, exact, logs in zip(values, want, mass):
-                tol = 1e-13 if handful == _H else max(1e-13, 8 * 2**-52 * logs)
+            for value, exact, logs, ratios in zip(values, want, mass, own):
+                tol = 1e-13 if handful == _H or ratios else max(1e-13, 8 * 2**-52 * logs)
                 assert abs(mpmath.mpc(value.real, value.imag) / exact - 1) < tol
     assert walks[10**9] != walks[_H]  # the blocks were taken
+    assert [_bits(a) for a, ratios in zip(walks[_H], own) if ratios] == [
+        _bits(b) for b, ratios in zip(walks[10**9], own) if ratios
+    ]
 
 
 @pytest.mark.parametrize("exp", [exp_delta, exp_nabla])
@@ -878,25 +890,33 @@ def test_an_exponential_block_out_of_float_range_is_walked_by_single_jumps(monke
 
 
 class _SingleCallsFunction(RecordingFunction):
-    """A RecordingFunction that also keeps the points it is called at one at a time."""
+    """A RecordingFunction that also keeps the points it is called at one at a
+    time, and counts the lists it is called on."""
 
     def __call__(self, t):
         self.singles.append(t)
         return super().__call__(t)
+
+    def values(self, xs):
+        self.lists += 1
+        return super().values(xs)
 
 
 @pytest.mark.parametrize("listed", ["delta_quotient", "ScaleFunction"])
 def test_an_exponential_lists_a_chronolog_coefficient_in_one_call_per_block(listed):
     # over _LONG jumps, the coefficient is called point by point only on
     # the _H single jumps; the two blocks after them (of _B jumps and of the
-    # last _H) take their values from values calls
+    # last _H) take their values from one values call each: p once per
+    # point of the window, the first jump evaluating both its ends, or c at
+    # each tau
     ts, points = _long_window("hz:1")
     f = _SingleCallsFunction.from_text("t^2+1" if listed == "delta_quotient" else "0.001*i*t")
-    f.singles = []
-    per_jump = 2 if listed == "delta_quotient" else 1  # p at tau and tau + mu, or c at tau
+    f.singles, f.lists = [], 0
+    extra = 1 if listed == "delta_quotient" else 0  # p at all _LONG + 1 points, or c at the _LONG taus
     exp_delta(delta_quotient(f) if listed == "delta_quotient" else f, ts, points[0], points[-1])
-    assert len(f.singles) == per_jump * _H
-    assert len(f.points) == per_jump * _LONG
+    assert len(f.singles) == _H + extra
+    assert len(f.points) == _LONG + extra
+    assert f.lists == 2
 
 
 def _exp_outcome(compute):
@@ -974,9 +994,11 @@ def test_an_exponential_term_that_overflows_on_a_tiny_gap_is_the_single_jumps(mo
 @pytest.mark.parametrize("defect", ["floor", "not-finite", "spike"])
 def test_a_listed_coefficient_error_across_a_block_boundary_is_the_single_jumps(monkeypatch, spec, defect):
     # delta_quotient(p) with p's defects of the logs' test above, both
-    # exponentials and both directions: p below the floor or not finite at
-    # a point d next to a boundary gap, or a spike of 1e12 there, whose
-    # factor 1e-12 out of d (delta) or into it (nabla) vanishes
+    # exponentials and both directions, and nabla_quotient(p) backward: p
+    # below the floor or not finite at a point d next to a boundary gap, or
+    # a spike of 1e12 there, whose factor 1e-12 out of d (delta) or into it
+    # (nabla) vanishes; delta_quotient on the nabla row is called jump by
+    # jump, the row's own quotients take ratios of p
     cfg = ToleranceConfig(eps_min=1e-10)
     ts, points = _long_window(spec)
     lo, hi = points[0], points[-1]
@@ -993,15 +1015,16 @@ def test_a_listed_coefficient_error_across_a_block_boundary_is_the_single_jumps(
                 "not-finite": f"1+exp(800-{width!r}*(t-({x!r}))^2)",
                 "spike": f"1+1e12*exp(-{width!r}*(t-({x!r}))^2)",
             }[defect]
-            coeff = delta_quotient(ScaleFunction.from_text(text), cfg)
-            for exp in (exp_delta, exp_nabla):
+            p = ScaleFunction.from_text(text)
+            for exp, quotient in ((exp_delta, delta_quotient), (exp_nabla, delta_quotient), (exp_nabla, nabla_quotient)):
+                coeff = quotient(p, cfg)
                 for s, t in ((lo, hi), (hi, lo)):
                     got.append(_exp_outcome(lambda: exp(coeff, ts, s, t, cfg)))
     assert _same_outcomes(outcomes[_H], outcomes[10**9])
     assert {kind for kind, _ in outcomes[10**9]} >= {
         "floor": {"NonvanishingViolation"},
         "not-finite": {"NonFiniteValue"},
-        "spike": {"NotRegressive"},
+        "spike": {"NotRegressive", "NotNuRegressive"},
     }[defect]
 
 
@@ -1490,6 +1513,49 @@ def test_exp_of_log_recovers_quotient():
     ts = parse_timescale("hz:1")
     got = exp_delta(delta_quotient(p), ts, 1.0, 5.0)
     assert got == pytest.approx(p(5.0) / p(1.0), rel=1e-9)
+
+
+def test_nabla_quotient_is_the_backward_quotient():
+    # across the gap nu below tau, and p'/p at nu = 0, with the floor at both points
+    p = ScaleFunction.from_text("t^2+1")
+    assert nabla_quotient(p)(2.0, 1.0) == (p(2.0) - p(1.0)) / 1.0 / p(2.0)
+    assert nabla_quotient(p)(2.0, 0.0) == p.prime(2.0) / p(2.0)
+    with pytest.raises(NonvanishingViolation):
+        nabla_quotient(ScaleFunction.from_text("t-1"))(2.0, 1.0)
+
+
+@pytest.mark.parametrize("spec, s, t", [("hz:1", 1.0, 5.0), ("r", 0.5, 3.0), ("union:[0,1];[1.5,2];[3,4]", 0.5, 3.5)])
+def test_exp_of_each_quotient_recovers_the_quotient(spec, s, t):
+    # jumps as ratios of p, continuous pieces as exp of the integral of p'/p
+    p = ScaleFunction.from_text("exp(i*t)+2")
+    ts = parse_timescale(spec)
+    for exp, quotient in ((exp_delta, delta_quotient), (exp_nabla, nabla_quotient)):
+        assert exp(quotient(p), ts, s, t) == pytest.approx(p(t) / p(s), rel=1e-9)
+        assert exp(quotient(p), ts, t, s) == pytest.approx(p(s) / p(t), rel=1e-9)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+@pytest.mark.parametrize("text", ["t", "1/t"])
+def test_an_exponential_of_a_quotient_over_one_wide_jump_is_the_ratio(k, text):
+    # on set:1,10^k the one jump's ratio p(10^k)/p(1) is 10^k or 10^-k; each
+    # row takes its factor as that ratio, so both windows are within 1e-14
+    # of the exact quotient of the float values of p, with no 1 + mu*c to
+    # cancel.  At 10^12 the factor 1e-12 of the row's map, 1 + mu*c = p_sigma/p
+    # forward and 1 - nu*c = p/p_sigma backward, trips the guard
+    ts = parse_timescale(f"set:1,1e{k}")
+    p = ScaleFunction.from_text(text)
+    cfg = ToleranceConfig(eps_min=1e-300)
+    hi = 10.0**k
+    mpc = lambda z: mpmath.mpc(z.real, z.imag)  # noqa: E731
+    for exp, quotient, error in ((exp_delta, delta_quotient, NotRegressive), (exp_nabla, nabla_quotient, NotNuRegressive)):
+        factor = p(hi) / p(1.0) if exp is exp_delta else p(1.0) / p(hi)
+        for s, t in ((1.0, hi), (hi, 1.0)):
+            if abs(factor) < 1e-11:
+                with pytest.raises(error, match=r"vanishes .* on the gap after tau=1\.0$"):
+                    exp(quotient(p, cfg), ts, s, t, cfg)
+            else:
+                value = exp(quotient(p, cfg), ts, s, t, cfg)
+                assert abs(mpc(value) / (mpc(p(t)) / mpc(p(s))) - 1) < 1e-14
 
 
 def test_exp_coefficient_type_check():
