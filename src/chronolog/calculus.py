@@ -9,7 +9,8 @@ jump adds ``gap * f`` (integrals, exponentials, the older logarithms and
 the cylinder-map definition of the logarithm), or the window logarithm's
 theorem (``logexp._Winding``), which adds one closed form
 Log(p(x_n)/p(x_0)) + 2*pi*i*K for the whole walk and integrates only to
-find the integer K.
+find the integer K; the exponentials of p's own quotients take exp of
+the theorem's sum.
 On the point families a long run of jumps goes to the sum in blocks, its
 ``run`` taking a block's points at once; a block whose run fails is
 walked again jump by jump, so that every error is the one a single jump
@@ -66,7 +67,8 @@ class ToleranceConfig(Record):
               exponentials, the older logarithms and the logarithm's
               definition: the bound on the sum of the piece's G7K15 error
               estimates |K15 - G7|; and the floor of the window
-              logarithm's search for its winding K, which starts at the
+              logarithm's search for its winding K (also in the
+              exponentials of p's own quotients), which starts at the
               loose ``logexp._WINDING_TOL`` and tightens 100-fold only
               while K lacks a witness
     eps_min   minimum admissible |p(t)| for logarithm arguments
@@ -311,11 +313,11 @@ class Terms:
     ``close(total)`` marks the walk's current point, leaving the walk open,
     and ``between(a, b)`` gives the sum from mark a to mark b.  Here a mark
     is the running total and ``between`` is b - a; ``run`` is a loop of
-    ``step``, and the exponentials' subclasses take a block as the product
-    of its factors (``logexp._Exponent``), or, for p's own quotient, as the
-    ratio of p at the run's ends (``logexp._Ratios``).  ``_walk`` re-walks
-    a block whose run fails by ``step``, which names the gap.  Every walk
-    gets a fresh sum.
+    ``step``, and the exponentials' subclass takes a block as the product
+    of its factors (``logexp._Exponent``); the exponentials of p's own
+    quotient take the theorem's sum instead.  ``_walk`` re-walks a block
+    whose run fails by ``step``, which names the gap.  Every walk gets a
+    fresh sum.
     """
 
     __slots__ = ("dense", "term", "tol")

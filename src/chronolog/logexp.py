@@ -47,11 +47,9 @@ map's NonFiniteValue.  Since exp of a sum of Log(1 + mu*c) is the product
 of the factors 1 + mu*c, a block of jumps adds the Log of its factors'
 product, taken in one loop under the maps' guard, with a ScaleFunction
 coefficient listed from one call.  The exponential of p's own quotient,
-delta_quotient(p) forward or nabla_quotient(p) backward, whose factor at
-each jump is p(sigma)/p(tau), takes that ratio at the stored points
-instead (``_Ratios``): p once per point, as the theorem takes it, a run
-of jumps multiplying by p at its end over p at its start, and each factor
-under the row's guard.
+delta_quotient(p) forward or nabla_quotient(p) backward, is p(t)/p(s),
+exp of the window logarithm: it takes the theorem's walk (``_Winding``)
+at its row, xi or xi_hat, and exp discards the winding.
 
 The window logarithm is additive over the window, L(s, u') = L(s, u) +
 L(u, u'), so ``log_table`` gives the logarithm from one base to every
@@ -152,8 +150,9 @@ def delta_quotient(p: ScaleFunction, cfg: ToleranceConfig | None = None) -> Call
     cannot see the stored successor, so a call evaluates p at tau + mu, which
     may round off the scale (0.04999999999999999 for the point 0.05 of
     hz:0.3:0.05 after tau = -0.25).  ``exp_delta`` knows this coefficient
-    (``_quotient`` at (p, cfg)) and takes each jump's factor 1 + mu*c as the
-    ratio p(sigma)/p(tau) at the stored points instead (``_Ratios``).
+    (``_quotient`` at (p, cfg)) and takes its exponential as exp of the
+    delta logarithm of p, the theorem's walk (``_Winding``) at the row of
+    xi, with p only at stored points and eps_min from ``cfg``.
     """
     return partial(_quotient, p, cfg or DEFAULT_TOLERANCES)
 
@@ -163,9 +162,9 @@ def nabla_quotient(p: ScaleFunction, cfg: ToleranceConfig | None = None) -> Call
 
     At nu = 0 this is p'(tau)/p(tau); across the gap nu below tau it is
     (p(tau) - p(tau - nu)) / nu / p(tau).  ``exp_nabla`` knows this
-    coefficient and takes each jump's factor 1/(1 - nu*c) as the ratio
-    p(sigma)/p(tau) at the stored points (``_Ratios``), so that it reproduces
-    p(t)/p(s), as ``exp_delta`` of ``delta_quotient`` does.
+    coefficient and takes its exponential as exp of the nabla logarithm of
+    p, the theorem's walk (``_Winding``) at the row of xi_hat, so that it
+    reproduces p(t)/p(s), as ``exp_delta`` of ``delta_quotient`` does.
     """
     return partial(_quotient, p, cfg or DEFAULT_TOLERANCES, backward=True)
 
@@ -216,14 +215,14 @@ def _vanishes(eta: float, pv: complex, ps: complex) -> bool:
     return cylinder._singular(eta, ps, pv, bound)
 
 
-def _row(variant: LogVariant, eta: float | None) -> tuple[float, type, float]:
-    # the variant's map row (eta, error, side of the cut), the eta row's at the checked eta
-    _, weight, error, side = cylinder._ROWS[_ROWS[variant]]
-    if weight is None:
-        if eta is None:
-            raise ValidationError("the eta variant needs an explicit eta value")
-        weight = cylinder._require_eta(eta)
-    return weight, error, side
+def _row(variant: LogVariant, eta: float | None) -> tuple[tuple, float]:
+    # the variant's map row in `cylinder` and its weight, the eta row's at the checked eta
+    row = cylinder._ROWS[_ROWS[variant]]
+    if row[1] is not None:
+        return row, row[1]
+    if eta is None:
+        raise ValidationError("the eta variant needs an explicit eta value")
+    return row, cylinder._require_eta(eta)
 
 
 def _cylinder_term(variant: LogVariant, coeff: Callable, eta: float | None = None) -> Callable:
@@ -252,8 +251,8 @@ def _kernel(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: fl
     identity suite checks the theorem and the exponential round trip
     against this walk.
     """
-    eta, error, _ = _row(variant, eta)
-    keep = 1.0 - eta
+    row, eta = _row(variant, eta)
+    error, keep = row[2], 1.0 - eta
 
     def coeff(tau: float, mu: float, sigma: float) -> complex:
         pv = _checked(p, tau, cfg)
@@ -302,10 +301,17 @@ class _Winding:
     both its ends, and each later one only its new end, carrying the other
     forward.  Each jump raises what the row's map would:
     NonvanishingViolation below eps_min and NonFiniteValue at each point,
-    and the row's error when (1-eta)p + eta*p_sigma is 0 or when a factor
-    of the map, p_sigma/mix or p/mix, falls under the maps' guard
-    (``_vanishes``, run only where one value is far below the other)
-    relative to 1 + |mu*z| = (|mix| + |p_sigma - p|)/|mix|.
+    the row's error when (1-eta)p + eta*p_sigma is 0, and, when a factor of
+    the map, p_sigma/mix or p/mix, falls under the maps' guard (``_vanishes``,
+    run only where one value is far below the other) relative to 1 + |mu*z|
+    = (|mix| + |p_sigma - p|)/|mix|, the map's own error and message at mu
+    and z = (p_sigma - p)/mu/mix (``cylinder._vanishing``).  A ratio
+    p_sigma/p that overflows or underflows raises NonFiniteIntegrand.
+
+    The exponentials of p's own quotients are exp of this walk at the rows
+    of xi and xi_hat: in exact arithmetic each jump's factor is p_sigma/p,
+    and a piece's exp is p(hi)/p(lo), so the winding, which exp discards,
+    only has to be witnessed.
 
     ``run`` takes a block of jumps through increasing points xs of a point
     family, after a step has opened the walk: p at xs[1:] from one
@@ -316,16 +322,16 @@ class _Winding:
     at its gap.
     """
 
-    __slots__ = ("p", "cfg", "slope", "keep", "eta", "error", "cut", "first", "last", "last_abs", "turns")
+    __slots__ = ("p", "cfg", "slope", "row", "keep", "eta", "cut", "first", "last", "last_abs", "turns")
 
-    def __init__(self, p: ScaleFunction, cfg: ToleranceConfig, eta: float, error: type, side: float):
+    def __init__(self, p: ScaleFunction, cfg: ToleranceConfig, row: tuple, eta: float):
         self.p = p
         self.cfg = cfg
         self.slope = partial(_slope, p, cfg)
+        self.row = row
         self.keep = 1.0 - eta
         self.eta = eta
-        self.error = error
-        self.cut = side * math.pi  # Arg of an exactly negative real ratio
+        self.cut = row[3] * math.pi  # Arg of an exactly negative real ratio
         self.first = None  # p at the walk's first point, evaluated with its first piece or jump
         self.turns = 0.0
 
@@ -371,12 +377,13 @@ class _Winding:
                 _above_floor(p, sigma, ps, cfg)  # raises
         self.last, self.last_abs = ps, aps
         eta = self.eta
+        mix = self.keep * pv + eta * ps
         # at eta = 0 or 1 the weighted denominator is p or p_sigma, above the floor
-        if 0.0 < eta < 1.0 and self.keep * pv + eta * ps == 0:
-            raise self.error(f"(1-eta)p + eta*p_sigma vanishes for eta={eta}")
-        r = ps / pv
+        if 0.0 < eta < 1.0 and mix == 0:
+            raise self.row[2](f"(1-eta)p + eta*p_sigma vanishes for eta={eta}")
         if (aps < _SCREEN * apv or apv < _SCREEN * aps) and _vanishes(eta, pv, ps):
-            raise self.error(f"the jump ratio p_sigma/p = {r} is not regressive for eta={eta}")
+            raise cylinder._vanishing(self.row, eta, mu, (ps - pv) / mu / mix)
+        r = ps / pv
         if r == 0 or not cmath.isfinite(r):
             raise NonFiniteIntegrand(f"the jump ratio p_sigma/p = {r} is not finite and nonzero")
         self.turns += self.cut if r.imag == 0.0 and r.real < 0.0 else math.atan2(r.imag, r.real)
@@ -580,7 +587,8 @@ class _Exponent(Terms):
     returns None where a factor trips the guard, a value is not finite, the
     product leaves [1e-280, 1e280] or a gap is below 1e-300 (where
     mu * map(mu, c) can overflow), and ``_walk`` walks it again by ``step``.
-    The library's own quotients of p take ``_Ratios`` instead.
+    The library's own quotients of p take the theorem's walk (``_Winding``)
+    instead.
     """
 
     __slots__ = ("c", "listed", "eta", "at_sigma")
@@ -595,7 +603,7 @@ class _Exponent(Terms):
         at_sigma = variant is LogVariant.NABLA_PRINCIPAL
         term = (lambda tau, mu, sigma: c(sigma, mu)) if at_sigma else (lambda tau, mu, sigma: c(tau, mu))
         super().__init__(lambda x: c(x, 0.0), _cylinder_term(variant, term), cfg.quad_tol)
-        self.c, self.eta, self.at_sigma = c, _row(variant, None)[0], at_sigma
+        self.c, self.eta, self.at_sigma = c, _row(variant, None)[1], at_sigma
 
     def run(self, total: complex, xs: Sequence[float]) -> complex | None:
         taus, sigmas = xs[:-1], xs[1:]
@@ -608,77 +616,15 @@ class _Exponent(Terms):
         return None if log is None else total + log
 
 
-class _Ratios(Terms):
-    """An exponential of p's own quotient: ``Terms`` whose jumps are ratios of p at the stored points.
-
-    For c = delta_quotient(p) forward and nabla_quotient(p) backward, a
-    jump's factor, 1 + mu*c(tau, mu) or 1/(1 - mu*c(sigma, mu)), is
-    p(sigma)/p(tau) in exact arithmetic, so a run of jumps from x_j to x_m
-    multiplies by p(x_m)/p(x_j) over the float values of p.  A run keeps p
-    at its two ends and adds the Log of that ratio where a continuous piece
-    or a mark (``close``) ends it: no Log per jump, no product to keep in
-    range, no 1 + mu*c to cancel.  A piece adds the integral of p'/p.
-
-    p is evaluated once per point, carried from jump to jump and listed over
-    a block from one ``values`` call (``run``).  Each point gets the
-    coefficient's eps_min floor and the finiteness check, and each factor
-    the row's guard (``_vanishes``), which raises the row's map's error and
-    message.  A failing block returns None, and ``_walk`` walks it again by
-    ``step``.
-    """
-
-    __slots__ = ("p", "cfg", "row", "eta", "anchor", "last", "last_abs")
-
-    def __init__(self, variant: LogVariant, coeff: partial, cfg: ToleranceConfig):
-        super().__init__(lambda x: coeff(x, 0.0), None, cfg.quad_tol)
-        self.p, self.cfg = coeff.args  # the floor is the coefficient's eps_min
-        self.row = cylinder._ROWS[_ROWS[variant]]
-        self.eta = self.row[1]
-        self.anchor = self.last = None  # p at the ends of the open run of jumps
-
-    def piece(self, total: complex, lo: float, hi: float) -> complex:
-        total = self.close(total)
-        self.anchor = self.last = None
-        return super().piece(total, lo, hi)
-
-    def step(self, total: complex, tau: float, mu: float, sigma: float) -> complex:
-        p, cfg = self.p, self.cfg
-        if self.last is None:
-            pv = self.anchor = _checked(p, tau, cfg)
-            apv = abs(pv)
-        else:
-            pv, apv = self.last, self.last_abs
-        ps = _checked(p, sigma, cfg)
-        aps = abs(ps)
-        eta = self.eta
-        if (aps < _SCREEN * apv or apv < _SCREEN * aps) and _vanishes(eta, pv, ps):
-            raise cylinder._vanishing(self.row, eta, mu, (ps - pv) / mu / ((1.0 - eta) * pv + eta * ps))
-        self.last, self.last_abs = ps, aps
-        return total
-
-    def run(self, total: complex, xs: Sequence[float]) -> complex | None:
-        # xs[0] is the walk's current point, whose p the last step carried
-        vs = self.p.values(xs[1:])
-        avs = list(map(abs, vs))
-        if min(avs) < self.cfg.eps_min:
-            return None
-        eta, screen = self.eta, _SCREEN
-        for pv, ps, apv, aps in zip([self.last] + vs, vs, [self.last_abs] + avs, avs):
-            if (aps < screen * apv or apv < screen * aps) and _vanishes(eta, pv, ps):
-                return None
-        self.last, self.last_abs = vs[-1], avs[-1]
-        return total
-
-    def close(self, total: complex) -> complex:
-        return total if self.anchor is None else total + _log_ratio(self.last, self.anchor)
-
-
-def _exponent(variant: LogVariant, coeff, cfg: ToleranceConfig) -> Terms:
-    # the exponent's sum: _Ratios for the row's own quotient of p,
-    # delta_quotient forward and nabla_quotient backward, else _Exponent
+def _exponent(variant: LogVariant, coeff, cfg: ToleranceConfig) -> Terms | _Winding:
+    # the exponent's sum: for the row's own quotient of p, delta_quotient
+    # forward and nabla_quotient backward, the theorem's log at the row, whose
+    # winding exp discards; else _Exponent.  The floor is the coefficient's
+    # eps_min and the winding search goes down to the exponential's quad_tol
     own = {"backward": True} if variant is LogVariant.NABLA_PRINCIPAL else {}
     if isinstance(coeff, partial) and coeff.func is _quotient and len(coeff.args) == 2 and coeff.keywords == own:
-        return _Ratios(variant, coeff, cfg)
+        p, floor = coeff.args
+        return _theorem(variant, p, ToleranceConfig(cfg.quad_tol, floor.eps_min, cfg.cmp_tol), None)
     return _Exponent(variant, coeff, cfg)
 
 
@@ -689,9 +635,10 @@ def exp_delta(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | N
     1 + mu*c != 0 at every scattered point of the window.  A run of jumps
     contributes the product of its factors 1 + mu*c, a block of them from
     one loop, and a single jump exp(mu * xi(mu, c)).  For c =
-    ``delta_quotient(p)`` each factor is the ratio p(sigma)/p(tau) at the
-    stored points, so a run contributes p at its end over p at its start,
-    with no 1 + mu*c formed (``_Ratios``).
+    ``delta_quotient(p)`` each factor is p(sigma)/p(tau), so the exponential
+    is exp of the delta logarithm of p by the theorem (``_Winding``): p(t)/p(s)
+    from p at stored points, with no 1 + mu*c formed, and each vanishing
+    factor raising what xi raises.
     """
     return cexp(_window(_exponent(LogVariant.DELTA_PRINCIPAL, coeff, cfg or DEFAULT_TOLERANCES), ts, s, t))
 
@@ -703,8 +650,9 @@ def exp_nabla(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | N
 
     A run of jumps contributes the product of its factors 1/(1 - nu*c), a
     block of them from one loop.  For c = ``nabla_quotient(p)`` each factor
-    is the ratio p(sigma)/p(tau) at the stored points, so a run contributes
-    p at its end over p at its start, with no 1 - nu*c formed (``_Ratios``).
+    is p(sigma)/p(tau), so the exponential is exp of the nabla logarithm of
+    p by the theorem (``_Winding``): p(t)/p(s) from p at stored points, with
+    no 1 - nu*c formed, and each vanishing factor raising what xi_hat raises.
     """
     return cexp(_window(_exponent(LogVariant.NABLA_PRINCIPAL, coeff, cfg or DEFAULT_TOLERANCES), ts, s, t))
 

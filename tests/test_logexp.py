@@ -9,7 +9,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from chronolog import calculus, logexp, timescale
+from chronolog import calculus, cylinder, logexp, timescale
 from chronolog.calculus import ScaleFunction, ToleranceConfig
 from chronolog.cylinder import xi, xi_hat
 from chronolog.errors import (
@@ -17,6 +17,7 @@ from chronolog.errors import (
     ChronologError,
     EtaNotRegressive,
     EvalDomain,
+    NonFiniteIntegrand,
     NonvanishingViolation,
     NotNuRegressive,
     NotRegressive,
@@ -1028,6 +1029,75 @@ def test_a_listed_coefficient_error_across_a_block_boundary_is_the_single_jumps(
     }[defect]
 
 
+
+# each map row: its cylinder map, its log_ts variant and eta, and the
+# quotient exponential that takes its walk, if any
+_MAP_ROWS = {
+    "xi": (cylinder.xi, "delta-principal", None, 0.0, (exp_delta, delta_quotient)),
+    "xi_hat": (cylinder.xi_hat, "nabla-principal", None, 1.0, (exp_nabla, nabla_quotient)),
+    "cayley_psi": (cylinder.cayley_psi, "cayley-principal", None, 0.5, None),
+    "eta_psi": (functools.partial(cylinder.eta_psi, 0.25), "eta", 0.25, 0.25, None),
+}
+
+
+@pytest.mark.parametrize("row", list(_MAP_ROWS))
+def test_a_vanishing_factor_raises_its_maps_message(row):
+    # p is 1 at 0 and 2 and 1 + 1e13 at 1: the factor p/mix of the jump up
+    # vanishes where eta > 0, and p_sigma/mix of the jump down where eta < 1.
+    # The first jump to trip the guard raises, in the window log and in the
+    # quotient exponential of its row, the class and the text of the row's
+    # map called at that jump's mu and z = (p_sigma - p)/mu/mix, naming the gap
+    cylinder_map, variant, eta, weight, quotient_exp = _MAP_ROWS[row]
+    ts = parse_timescale("set:0,1,2")
+    p = ScaleFunction.from_text("1+1e13*t*(2-t)")
+    tau, sigma = (1.0, 2.0) if weight == 0.0 else (0.0, 1.0)
+    pv, ps, mu = p(tau), p(sigma), sigma - tau
+    z = (ps - pv) / mu / ((1.0 - weight) * pv + weight * ps)
+    with pytest.raises(ChronologError) as direct:
+        cylinder_map(mu, z)
+    assert str(direct.value).startswith(f"{row}: a factor vanishes for eta={weight}, h={mu}, z=")
+    walks = [lambda s, t: log_ts(variant, p, ts, s, t, eta=eta)]
+    if quotient_exp is not None:
+        exp, quotient = quotient_exp
+        walks.append(lambda s, t: exp(quotient(p), ts, s, t))
+    want = f"{direct.value} on the gap after tau={tau}"
+    for walk in walks:
+        for s, t in ((0.0, 2.0), (2.0, 0.0)):
+            with pytest.raises(type(direct.value)) as got:
+                walk(s, t)
+            assert type(got.value) is type(direct.value) and str(got.value) == want
+
+
+def test_quotient_exponentials_of_a_fast_oscillation_are_the_ratio_of_p():
+    # 2 + sin(1e4*t) turns p'/p about 800 times over [0, 0.5]: its integral
+    # to quad_tol takes more than MAX_QUAD_SAMPLES samples, but the
+    # exponential is p(t)/p(s), exp of the window log, whose winding the
+    # loose integral witnesses and exp discards
+    p = ScaleFunction.from_text("2+sin(1e4*t)")
+    with pytest.raises(QuadratureFailure):
+        calculus.adaptive_simpson(lambda x: delta_quotient(p)(x, 0.0), 0.0, 0.5)
+    for spec, s, t in (("r", 0.0, 0.5), ("r", 0.5, 0.0), ("union:[0,0.25];[0.3,0.5]", 0.0, 0.5)):
+        ts = parse_timescale(spec)
+        want = p(t) / p(s)
+        for exp, quotient in ((exp_delta, delta_quotient), (exp_nabla, nabla_quotient)):
+            assert abs(exp(quotient(p), ts, s, t) - want) <= 1e-15, (spec, s, t, exp.__name__)
+
+
+def test_an_overflowing_jump_ratio_of_a_quotient_exponential_names_its_gap():
+    # p(1)/p(0) = 1e310 overflows: exp_delta raises what the delta log
+    # raises, at its gap, either way round (the walk goes up), where a
+    # product of ratios would overflow only in exp, naming no gap; on the
+    # nabla row the factor p(0)/p(1) of xi_hat vanishes first
+    ts = parse_timescale("set:0,1")
+    p = ScaleFunction.from_text("1e300*t+1e-10")
+    for s, t in ((0.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(NonFiniteIntegrand) as got:
+            exp_delta(delta_quotient(p), ts, s, t)
+        assert str(got.value) == "the jump ratio p_sigma/p = (inf+0j) is not finite and nonzero on the gap after tau=0.0"
+        with pytest.raises(NotNuRegressive) as got:
+            exp_nabla(nabla_quotient(p), ts, s, t)
+        assert str(got.value) == "xi_hat: a factor vanishes for eta=1.0, h=1.0, z=(1+0j) on the gap after tau=0.0"
+
 def test_a_block_never_walks_past_a_stop(monkeypatch):
     # should the lookup of a stop's index land 40 jumps past it, the walk
     # still stops there, with the bits of a walk that found it
@@ -1366,7 +1436,8 @@ def test_log_derivative_differs_from_plain_quotient_on_grids():
     "text, quotient_error, dense_error",
     [
         # where p and p' both fail, the quotient reports p and the log's
-        # integrand reports p' (it evaluates p' first)
+        # integrand reports p' (it evaluates p' first), as do the
+        # exponentials of p's own quotients, which are exp of the log
         ("log(t)", (EvalDomain, "log of zero"), (EvalDomain, "division by zero at t=0j on the piece")),
         (
             "1e-12+0*sqrt(t)",
@@ -1386,6 +1457,9 @@ def test_p_and_its_derivative_failing_together_keep_their_order(text, quotient_e
     error, message = dense_error
     with pytest.raises(error, match=re.escape(message)):
         log_delta_principal(p, r, 0.0, 1.0)
+    for exp, quotient in ((exp_delta, delta_quotient), (exp_nabla, nabla_quotient)):
+        with pytest.raises(error, match=re.escape(message)):
+            exp(quotient(p), r, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("spec, t", [("hz:1", 2.0), ("r", 2.0), ("union:[0,1];[2,5]", 1.0), ("set:1,2,5", 2.0)])
