@@ -12,9 +12,10 @@ Log(p(x_n)/p(x_0)) + 2*pi*i*K for the whole walk and integrates only to
 find the integer K; the exponentials of p's own quotients take exp of
 the theorem's sum.
 On the point families a long run of jumps goes to the sum in blocks, its
-``run`` taking a block's points at once; a block whose run fails is
-walked again jump by jump, so that every error is the one a single jump
-raises, at the same gap.
+``run`` taking a block's points at once, the theorem's only those that
+its certified spans of jumps keep; a block whose run fails is walked
+again jump by jump, so that every error is the one a single jump raises,
+at the same gap.
 Both integrate with one globally adaptive Gauss-Kronrod (G7K15)
 integrator, ``adaptive_simpson``.  It keeps its panels in a heap ordered
 by the error estimate |K15 - G7| and bisects the worst until the
@@ -104,10 +105,11 @@ class ScaleFunction:
     scale is dense; difference quotients take over at scattered points.
     The tree and its derivative are compiled into straight-line code that
     computes each shared subexpression once (``expr.CompiledPair``), each
-    of p, p', the pair and the list on its first use; ``pair`` returns p and
-    p' from one evaluation, and ``values`` p at each point of a list from
-    one call.  Values must stay finite; callers that take logarithms
-    additionally check the nonvanishing floor.
+    of p, p', the pair, the list and the disc on its first use; ``pair``
+    returns p and p' from one evaluation, ``values`` p at each point of a
+    list from one call, and ``disc`` a disc that holds p over a disc of t.
+    Values must stay finite; callers that take logarithms additionally
+    check the nonvanishing floor.
     """
 
     __slots__ = ("body", "derivative", "label", "_code")
@@ -158,6 +160,12 @@ class ScaleFunction:
         except ChronologError:
             pass
         return [self(x) for x in xs]  # raises at the first point that fails
+
+    def disc(self, t: complex, r: float) -> tuple[complex, float]:
+        """(P, R) with ``self(x)`` in the disc D(P, R) at every x of the disc
+        D(t, r), or R = inf where the enclosure is refused; P has the bits
+        of ``self(t)`` (``expr.CompiledPair.disc``)."""
+        return self._code.disc(complex(t), r)
 
     def __mul__(self, other: "ScaleFunction") -> "ScaleFunction":
         return ScaleFunction(_Mul(self.body, other.body), label=f"({self.label})*({other.label})")
@@ -378,8 +386,9 @@ def _walk(sums, ts: TimeScale, s: float, stops: list[float]) -> list:
     On the point families, a stop at least ``_HANDFUL + _LONG_RUN`` jumps
     away is reached in blocks: after ``_HANDFUL`` single jumps, the walk
     lists up to ``_BLOCK`` jumps' points at once (``TimeScale._points``)
-    and hands them to ``sums.run``, so that a run of jumps costs one call;
-    a nearer stop is reached jump by jump.  A block is taken only where
+    and hands them to ``sums.run``, so that a run of jumps costs one call
+    (the theorem's run evaluates p only at the points that its certified
+    spans keep); a nearer stop is reached jump by jump.  A block is taken only where
     every gap in it is a distinct finite float and it passes no stop; a
     run that fails (returns None, or raises) leaves ``sums`` as it was, and
     the walk re-walks that block once, jump by jump, so that the same

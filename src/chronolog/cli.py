@@ -25,7 +25,7 @@ import os
 import sys
 from itertools import islice
 
-from .calculus import ScaleFunction, ToleranceConfig, delta_derivative
+from .calculus import ScaleFunction, ToleranceConfig
 from .errors import ChronologError, UnboundedWindow, ValidationError
 from .logexp import (
     LegacyKind,
@@ -188,7 +188,7 @@ def _cmd_table(args, cfg: ToleranceConfig, ts: TimeScale) -> tuple[list, int]:
             {
                 "t": u,
                 "value": _complex(log_delta_derivative(p, ts, u, cfg)),
-                "quotient": _complex(delta_derivative(p, ts, u) / p(u)),
+                "quotient": _complex(legacy_log(LegacyKind.JACKSON, p, ts, None, u, cfg)),
             }
             for u in pts
         ]

@@ -21,9 +21,12 @@ Trees are evaluated by generated code: ``compile_expr`` and
 ``CompiledPair`` write Python source with one assignment per distinct node,
 fold the subtrees that read no t, and compile it once per shape of tree
 (constants reach the code through its namespace, never as text).
-``CompiledPair`` gives p, p' and both at once from one program, computing
-what the two trees share once, and p at each point of a list from one
-call.  ``evaluate`` compiles the tree and checks that the value is finite.
+``CompiledPair`` gives five functions from one program: p, p' and both at
+once, computing what the two trees share once, p at each point of a list
+from one call, and ``disc``, a disc that holds p over a complex disc of t
+(circular arithmetic, one radius rule per op in ``_DISC``, next to
+``_APPLY``), whose centre has the bits of p.  ``evaluate`` compiles the
+tree and checks that the value is finite.
 The generated code raises the typed errors that a walk of the tree would,
 with the same messages, and returns the same bits.  It calls no Python
 helper for an integer power or for exp, sin and cos, so it raises bare
@@ -35,6 +38,7 @@ raises the typed error.
 from __future__ import annotations
 
 import cmath
+import math
 import operator
 from functools import cached_property, lru_cache, partial
 from types import CodeType
@@ -360,6 +364,54 @@ _APPLY = {
     **_HELPERS,
 }
 
+# The radius of each step's value over discs of its operands, for ``disc``:
+# the operands' discs D(a, r) and D(b, s), the step's own centre v (the
+# line of ``value``), and for a power the exponent b.  A rule bounds the
+# exact op over the discs; each radius is then inflated by 2^-40 (|v| + R),
+# plus 1e-300 for underflow, which bounds the op's own rounding at v and
+# at any point of the disc (a few ulps of |v| + R in each comment below),
+# so that ``value`` at every point of the input disc lies in every disc.
+# Where |v| + R reaches 2^1013 the inflation is inf: no point overflows.
+# A rule that meets a singularity is inf, and so is an op with no rule.
+_CUT = "(abs({a}.imag) if {a}.real < 0 else abs({a}))"  # distance from a to (-inf, 0]
+
+
+def _away(n: str, d: str) -> str:
+    # |x^n - a^n| <= |v| ((1 - rho)^-|n| - 1), rho = r/|a|: the binomial
+    # series of (1 + w)^n bounded term by term; only where the disc keeps
+    # half of d, its distance from the singularity, so that 1 - rho rounds
+    # by 1 ulp of itself, and 1e-300 (log's guard)
+    return f"abs({{v}})*expm1(-abs({n})*log1p(-{{r}}/abs({{a}}))) if {{r}} + 1e-300 < 0.5*{d} else inf"
+
+
+_DISC = {
+    # sums and negation: radii add; one rounding, 1 ulp of |v|
+    "+": "{r} + {s}",
+    "-": "{r} + {s}",
+    "neg": "{r}",
+    # |xy - ab| <= |a| s + |b| r + r s; a complex product rounds by < 3 ulps
+    "*": "abs({a})*{s} + abs({b})*{r} + {r}*{s}",
+    # |x/y - a/b| <= (r + |a/b| s) / (|b| - s), with s < 0.999 |b| so that
+    # |b| - s rounds by < 2^-43 of itself; a complex quotient rounds by < 6 ulps
+    "/": "({r} + abs({v})*{s}) / (abs({b}) - {s}) if {s} < 0.999*abs({b}) else inf",
+    # (|a| + r)^n - |a|^n for n > 0, whose cancellation costs < n + 3 ulps of
+    # (|a| + r)^n, and 1/x^|n| otherwise; CPython squares, < 2n ulps, n <= 100
+    "**": "(abs({a}) + {r})**{b} - abs({a})**{b} if {b} > 0 else " + _away("{b}", "abs({a})"),
+    # principal powers off the cut, in polar form: < (|n log|x|| + 4) ulps,
+    # below 2^12 while |v| + R stays in range
+    "_pow": _away("{b}", _CUT),
+    "_sqrt": _away("0.5", _CUT),
+    # |Log x - Log a| = |log(1 + w)| <= -log(1 - rho) off the cut; < 3 ulps
+    "_log": f"-log1p(-{{r}}/abs({{a}})) if {{r}} + 1e-300 < 0.5*{_CUT} else inf",
+    # |exp x - exp a| <= |exp a| (e^r - 1); cmath rounds by < 4 ulps
+    "_exp": "abs({v})*expm1({r})",
+    # |sin x - sin a| <= |sin a| (cosh r - 1) + |cos a| sinh r <= cosh(Im a) (e^r - 1), cos alike
+    "_sin": "cosh({a}.imag)*expm1({r})",
+    "_cos": "cosh({a}.imag)*expm1({r})",
+}
+_INFLATE = " += (abs({v}) + {r}) * 2048.0 * 4.440892098500626e-16 + 1e-300"  # 2^11 * 2^-51
+_DISC_NAMES = {"expm1": math.expm1, "log1p": math.log1p, "cosh": math.cosh, "inf": math.inf, "ChronologError": ChronologError}
+
 # compiled sources kept for reuse: a source depends only on a tree's shape,
 # so every p of one shape shares its code objects
 _CODE_MEMO_SIZE = 64
@@ -500,6 +552,27 @@ class _Program:
         replay = tuple((s, *self.steps[s]) for s in steps), operator.itemgetter(*results), loop
         return "\n".join(lines) + "\n", replay
 
+    def disc_source(self, root: str) -> tuple[str, None]:
+        """The source of ``def disc(t, r)``: ``value``'s lines for root, each
+        followed by its radius over the disc D(t, r) (``_DISC``), returning
+        (centre, radius), or (0j, inf) where any line raises or the radius
+        is not finite (never a nan centre, whose abs() can raise a stale
+        OverflowError)."""
+
+        def radius(name: str) -> str:
+            return "r" if name == "t" else "r" + name[1:] if name in self.steps else "0.0"
+
+        lines = ["def disc(t, r):", "    try:"]
+        for name in self.post_order(root):
+            op, args = self.steps[name]
+            a, b = args[0], args[-1]
+            rule = _DISC.get(op, "inf").format(v=name, a=a, r=radius(a), b=b, s=radius(b))
+            lines += [self._line(name), f"        {radius(name)} = {rule}"]
+            lines.append("        " + radius(name) + _INFLATE.format(v=name, r=radius(name)))
+        lines += [f"        if {radius(root)} < inf:", f"            return {root}, {radius(root)}"]
+        lines += ["    except (ArithmeticError, ValueError, ChronologError):", "        pass", "    return 0j, inf"]
+        return "\n".join(lines) + "\n", None
+
 
 @lru_cache(maxsize=_CODE_MEMO_SIZE)
 def _code(source: str) -> CodeType:
@@ -509,7 +582,7 @@ def _code(source: str) -> CodeType:
 def _function(source: str, replay: tuple, fname: str, consts: dict) -> Callable:
     # the function fname of the source, in a namespace of the constants, the
     # helpers and its replay
-    namespace = {**_HELPERS, **_DIRECT, **consts, "_rerun": _rerun, "_replay": replay}
+    namespace = {**_HELPERS, **_DIRECT, **_DISC_NAMES, **consts, "_rerun": _rerun, "_replay": replay}
     exec(_code(source), namespace)
     return namespace[fname]
 
@@ -554,20 +627,24 @@ def compile_expr(e: Expr) -> Callable[[complex], complex]:
 
 class CompiledPair:
     """Functions of a complex t for a tree e and its derivative de:
-    ``value`` (e), ``prime`` (de) and ``pair`` ((e, de) at once), and
-    ``values``, e at each point of a sequence, from one call.
+    ``value`` (e), ``prime`` (de) and ``pair`` ((e, de) at once),
+    ``values``, e at each point of a sequence, from one call, and
+    ``disc(t, r)``, a disc (P, R) that holds ``value`` at every point of
+    the disc D(t, r), or R = inf where it is refused.
 
-    All four come from one program, so ``pair`` computes each
-    subexpression the two trees share once, and ``values`` runs the steps
-    of ``value`` in a loop inside the generated code, for the same bits
-    point by point.  The first use of any of them builds the program and
-    writes the four sources with their replays (see ``_Program``), keeping
-    only those and the constants; each function is compiled on its first
-    use, from its own source, which is then dropped: compiling costs more
-    than writing, and most callers use one or two of the four.  ``pair``
-    runs de's steps first, so it raises what ``prime`` would raise before
-    what ``value`` would.  At a complex t every value is complex, a
-    constant tree's too.  No finiteness checks, as for ``compile_expr``.
+    All five come from one program, so ``pair`` computes each
+    subexpression the two trees share once, ``values`` runs the steps of
+    ``value`` in a loop inside the generated code, for the same bits point
+    by point, and ``disc`` runs ``value``'s lines, so that P at r = 0 has
+    its bits, each followed by the step's radius rule (``_DISC``).  The
+    first use of any of them builds the program and writes the five
+    sources with their replays (see ``_Program``), keeping only those and
+    the constants; each function is compiled on its first use, from its
+    own source, which is then dropped: compiling costs more than writing,
+    and most callers use one or two of the five.  ``pair`` runs de's steps
+    first, so it raises what ``prime`` would raise before what ``value``
+    would.  At a complex t every value is complex, a constant tree's too.
+    No finiteness checks, as for ``compile_expr``; ``disc`` raises nothing.
     """
 
     def __init__(self, e: Expr, de: Expr):
@@ -589,6 +666,7 @@ class CompiledPair:
                 "prime": prog.source("prime", (d,), prime_steps),
                 "pair": prog.source("pair", (p, d), prog.steps),
                 "values": prog.source("values", (p,), prog.post_order(p), loop=True),
+                "disc": prog.disc_source(p),
             }
         return _function(*self._sources.pop(fname), fname, self._consts)
 
@@ -607,6 +685,10 @@ class CompiledPair:
     @cached_property
     def values(self) -> Callable[[Sequence[float]], list[complex]]:
         return self._compile("values")
+
+    @cached_property
+    def disc(self) -> Callable[[complex, float], tuple[complex, float]]:
+        return self._compile("disc")
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,13 @@ Arg(p(x_j+1)/p(x_j)), and a piece by Arg(p(b)/p(a)) plus 2*pi times its
 own integer, which a loose integral of p'/p finds and two witnesses
 confirm.  Each side has one path.  The theorem: ``log_ts``, which every
 ``log_*`` function calls, and ``log_table`` walk their window this way
-(``_Winding``): p once per point, carried from each end to the next
-piece or jump, and at each jump the checks and errors of the row's map,
-through the maps' one guard (``cylinder._singular``).  A whole window is
-one run, and a long run of jumps is taken in blocks, p at a block's points
-from one call (``_Winding.run``).  The definition: every walk of the
+(``_Winding``): p once per point it keeps, carried from each end to the
+next piece or jump, and at each jump the checks and errors of the row's
+map, through the maps' one guard (``cylinder._singular``).  A whole window
+is one run, and a long run of jumps is taken in blocks (``_Winding.run``),
+p at the points a block keeps from one call: a span of jumps over which a
+disc holding p (``ScaleFunction.disc``) stays clear of 0 turns by its
+principal Arg, and keeps only its end.  The definition: every walk of the
 cylinder maps takes its jump terms from ``_cylinder_term``.  Its walk of
 the weighted quotient (``_kernel``), which integrates p'/p on each piece
 to ``quad_tol`` and sums one principal Log per jump, is the independent
@@ -272,6 +274,16 @@ _WINDING_TOL = 1e-2
 _WINDING_SLACK = 0.05
 
 
+# the thinning of a run (``_Winding._kept``): the fewest jumps a span must
+# have to be tried, the jumps of the smallest span worth splitting towards,
+# the relative margin by which p's disc must clear 0, and the widening that
+# covers the rounding of a span's radius about its rounded midpoint
+_FEWEST = 16
+_SPLIT_TO = 8
+_MARGIN = 2.0**-20
+_WIDEN = 1.0 + 2.0**-50
+
+
 class _Winding:
     """The theorem over a walk x_0 -> ... -> x_n of pieces and jumps, for ``_walk``.
 
@@ -297,9 +309,9 @@ class _Winding:
     the piece raises QuadratureFailure.  The integral samples each end, p'
     before p and the floor at each, before the closed form reads p there.
 
-    p is evaluated once per point: the walk's first piece or jump evaluates
-    both its ends, and each later one only its new end, carrying the other
-    forward.  Each jump raises what the row's map would:
+    p is evaluated once per kept point: the walk's first piece or jump
+    evaluates both its ends, and each later one only its new end, carrying
+    the other forward.  Each jump raises what the row's map would:
     NonvanishingViolation below eps_min and NonFiniteValue at each point,
     the row's error when (1-eta)p + eta*p_sigma is 0, and, when a factor of
     the map, p_sigma/mix or p/mix, falls under the maps' guard (``_vanishes``,
@@ -314,12 +326,18 @@ class _Winding:
     only has to be witnessed.
 
     ``run`` takes a block of jumps through increasing points xs of a point
-    family, after a step has opened the walk: p at xs[1:] from one
-    ``ScaleFunction.values`` call, then the floor, every check of ``step``
-    and the turns in one loop.  It commits the turns and the carried value
-    only when the whole block passes, and otherwise returns None, so that
-    ``_walk`` walks the block again by ``step``, which raises the error
-    at its gap.
+    family, after a step has opened the walk.  It first thins the block
+    (``_kept``): a span [x_i, x_j] is certified where p's disc over the
+    disc with diameter [x_i, x_j] has |P| - R >= max(eps_min, 2^-20 (|P|
+    + R)), and keeps only x_j.  That is sound: p at each point of the span
+    lies in one disc clear of 0, so every ratio in it turns by less than
+    pi, the span's Arg is the sum of its jumps' turns, and every check
+    passes.  Then p at the kept points from one ``ScaleFunction.values``
+    call, and the floor, every check of ``step`` and the turns in one loop
+    over them, a certified span taken as one jump.  It commits the turns
+    and the carried value only when the whole block passes, and otherwise
+    returns None, so that ``_walk`` walks the block again by ``step``,
+    which raises the error at its gap.
     """
 
     __slots__ = ("p", "cfg", "slope", "row", "keep", "eta", "cut", "first", "last", "last_abs", "turns")
@@ -391,7 +409,7 @@ class _Winding:
 
     def run(self, total: complex, xs: Sequence[float]) -> complex | None:
         # xs[0] is the walk's current point, whose p the last step carried
-        vs = self.p.values(xs[1:])
+        vs = self.p.values(self._kept(xs))
         avs = list(map(abs, vs))
         if min(avs) < self.cfg.eps_min:
             return None
@@ -414,6 +432,36 @@ class _Winding:
         self.turns = turns
         self.last, self.last_abs = vs[-1], avs[-1]
         return total
+
+    def _kept(self, xs: Sequence[float]) -> list[float]:
+        # the points of xs[1:] that the run evaluates p at: xs's index range
+        # bisected, left half first, each span [x_i, x_j] of at least
+        # _FEWEST jumps kept as its end point alone where p's disc over it
+        # is certified, and split only where its R/|P| leaves a span of
+        # _SPLIT_TO jumps a chance: log(1 + R/|P|) at most halves with the
+        # span under the rules of sums, products, powers and exp.  A refused
+        # disc keeps its span whole
+        disc, floor = self.p.disc, self.cfg.eps_min
+        kept: list[float] = []
+        spans = [(0, len(xs) - 1)]
+        while spans:
+            i, j = spans.pop()
+            n = j - i
+            if n >= _FEWEST:
+                a, b = xs[i], xs[j]
+                c = 0.5 * (a + b)
+                centre, radius = disc(c, max(b - c, c - a) * _WIDEN)
+                m = abs(centre)
+                gap = m - radius
+                if gap >= floor and gap >= _MARGIN * (m + radius):
+                    kept.append(b)
+                    continue
+                if radius < m * (2.0 ** (n / _SPLIT_TO) - 1.0):
+                    h = (i + j) // 2
+                    spans += ((h, j), (i, h))
+                    continue
+            kept += xs[i + 1 : j + 1]
+        return kept
 
     def close(self, total: complex) -> tuple[complex, float] | None:
         # p at the walk's current point and the turns so far; None at its first point
@@ -566,14 +614,23 @@ def log_delta_derivative(
     """Pointwise forward derivative of the logarithm of p.
 
     (1/mu) Log(p_sigma/p) at right-scattered points, p'(t)/p(t) at dense
-    points.
+    points.  A ratio p_sigma/p or a value that is not finite raises
+    NonFiniteIntegrand naming t.
     """
     cfg = cfg or DEFAULT_TOLERANCES
     t, sigma = ts.delta_point(t)
     pv = _checked(p, t, cfg)
     if sigma > t:
-        return principal_log(_checked(p, sigma, cfg) / pv) / (sigma - t)
-    return p.prime(t) / pv
+        r = _finite_at(_checked(p, sigma, cfg) / pv, "the jump ratio p_sigma/p", t)
+        return _finite_at(principal_log(r) / (sigma - t), "the log derivative", t)
+    return _finite_at(p.prime(t) / pv, "the log derivative", t)
+
+
+def _finite_at(v: complex, what: str, t: float) -> complex:
+    # a pointwise value, or NonFiniteIntegrand naming its point
+    if not cmath.isfinite(v):
+        raise NonFiniteIntegrand(f"{what} = {v} is not finite at t={t}")
+    return v
 
 
 class _Exponent(Terms):
@@ -670,7 +727,7 @@ def legacy_log(
     huff                integral of 2/(tau + sigma(tau)) from t0 to t
     euler-cauchy        integral of 1/(tau + 2*mu(tau)) from t0 to t
     integral-quotient   integral of pDelta/p from t0 to t (no cylinder map)
-    jackson             pointwise pDelta(t)/p(t); ignores t0
+    jackson             pointwise pDelta(t)/p(t), which must be finite; ignores t0
     mozyrska            integral of 1/tau from 1 to t; needs 1 in the scale; ignores t0
 
     t0 may be None for jackson and mozyrska; the three kinds that integrate
@@ -699,7 +756,7 @@ def legacy_log(
         return _window(Terms(dense, term, cfg.quad_tol), ts, t0, t)
     if kind is LegacyKind.JACKSON:
         t, sigma = ts.delta_point(t)
-        return _quotient(p, cfg, t, sigma - t, sigma)
+        return _finite_at(_quotient(p, cfg, t, sigma - t, sigma), "the quotient pDelta/p", t)
     # mozyrska
     try:
         one = ts.snap(1.0)

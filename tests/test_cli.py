@@ -621,6 +621,40 @@ def test_table_no_partial_output_on_failure(run, args, error):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        # p(1)/p(0) = 1e310 overflows: the log derivative's ratio at t = 0
+        (
+            ["table", "--timescale", "hz:1", "--p", "1e300*t+1e-10", "--quantity", "logderiv", "--from", "0", "--to", "2"],
+            "the jump ratio p_sigma/p = (inf+0j) is not finite at t=0.0",
+        ),
+        (
+            ["legacy", "--timescale", "set:0,1", "--kind", "jackson", "--p", "1e300*t+1e-10", "--t", "0"],
+            "the quotient pDelta/p = (inf+0j) is not finite at t=0.0",
+        ),
+        (
+            ["legacy", "--timescale", "set:0,1", "--kind", "jackson", "--p", "1e300*t+1e-10", "--t", "0", "--format", "csv"],
+            "the quotient pDelta/p = (inf+0j) is not finite at t=0.0",
+        ),
+        # the ratio e^23 and its Log / 1e-300 are finite, (e^23 - 1) / 1e-300 is not:
+        # only the table's quotient column fails
+        (
+            ["table", "--timescale", "set:0,1e-300", "--p", "exp(2.3e301*t)", "--quantity", "logderiv", "--from", "0", "--to", "0"],
+            "the quotient pDelta/p = (inf+nanj) is not finite at t=0.0",
+        ),
+    ],
+    ids=["table-logderiv-ratio", "legacy-jackson", "legacy-jackson-csv", "table-quotient-column"],
+)
+def test_a_pointwise_result_that_is_not_finite_exits_3(run, argv, message):
+    # a value that would print as inf, nan or Infinity (not JSON) raises
+    # instead, naming its point, and nothing reaches stdout
+    rc, out, err = run(*argv)
+    assert (rc, out) == (3, "")
+    assert not any(word in out for word in ("inf", "nan", "Infinity"))
+    assert json.loads(err) == {"error": "NonFiniteIntegrand", "message": message}
+
+
+@pytest.mark.parametrize(
     "args, count",
     [
         (["--from", "0", "--to", "1", "--step", "1e-8"], "100000001 rows"),

@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+import pathlib
 import random
 import re
 import sys
@@ -654,10 +656,11 @@ def test_compiled_pair_keeps_no_program():
     code = CompiledPair(parse("exp(i*t)+2*t^2"), differentiate(parse("exp(i*t)+2*t^2")))
     code.value(0.5j)
     assert not any(isinstance(v, expr._Program) for v in vars(code).values())
-    assert sorted(code._sources) == ["pair", "prime", "values"]
+    assert sorted(code._sources) == ["disc", "pair", "prime", "values"]
     code.prime(0.5j)
     code.pair(0.5j)
     code.values([0.5])
+    code.disc(0.5j, 0.1)
     assert code._sources == {}
 
 
@@ -668,3 +671,121 @@ def test_code_memo_stays_bounded():
         e = Add(e, Var())  # one more step each time: a new shape
         compile_expr(e)
         assert expr._code.cache_info().currsize <= expr._CODE_MEMO_SIZE
+
+
+# ---------------------------------------------------------------------------
+# the disc enclosure
+# ---------------------------------------------------------------------------
+
+# one expression per rule of expr._DISC, the op at its root
+_DISC_OPS = [
+    ("+", "t+t*t"),
+    ("-", "t-t*t"),
+    ("neg", "-t"),
+    ("*", "t*(t+1-i)"),
+    ("/", "1/(t-1+i)"),
+    ("/", "exp(t)/(t-1+i)"),
+    ("**", "t^3"),
+    ("**", "t^-2"),
+    ("**", "t^0"),
+    ("_pow", "t^2.5"),
+    ("_pow", "t^-0.5"),
+    ("_sqrt", "sqrt(t)"),
+    ("_log", "log(t)"),
+    ("_exp", "exp(t)"),
+    ("_sin", "sin(t)"),
+    ("_cos", "cos(t)"),
+]
+
+
+def _code(text):
+    e = parse(text)
+    return CompiledPair(e, differentiate(e))
+
+
+def test_every_disc_rule_has_an_expression():
+    assert {op for op, _ in _DISC_OPS} == set(expr._DISC)
+    for op, text in _DISC_OPS:
+        prog = expr._Program()
+        assert prog.steps[prog.node(parse(text))][0] == op
+
+
+@pytest.mark.parametrize("op, text", _DISC_OPS, ids=[text for _, text in _DISC_OPS])
+@settings(max_examples=60, deadline=None)
+@given(
+    centre=st.builds(complex, st.floats(-6, 6), st.floats(-6, 6)),
+    radius=st.one_of(st.floats(0, 3), st.floats(-40, 0).map(lambda x: 2.0**x)),
+    inside=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 2 * math.pi)), min_size=1, max_size=8),
+)
+def test_the_disc_holds_the_value_at_every_point_of_its_input(op, text, centre, radius, inside):
+    # value at points on the boundary of D(centre, radius) and inside it
+    # lies in the disc D(P, R), wherever the disc is not refused
+    code = _code(text)
+    P, R = code.disc(centre, radius)
+    if R == math.inf:
+        return
+    assert R >= 0
+    boundary = [(1.0 - 1e-12, 2 * math.pi * k / 12) for k in range(12)]
+    for scale, angle in boundary + inside:
+        x = centre + scale * radius * cmath.exp(1j * angle)
+        assert abs(code.value(x) - P) <= R, (x, P, R)
+
+
+_PINNED = sorted(
+    {
+        pin["argv"][k + 1]
+        for pin in json.loads(pathlib.Path(__file__).with_name("cli_stdout_pins.json").read_text(encoding="utf-8"))
+        for k, word in enumerate(pin["argv"])
+        if word in ("--p", "--q")
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    _PINNED
+    + [family(1.25, -0.75, 2.5, 0.45) for family in _FAMILIES]
+    + [family(-3.1, 2.2, -0.5, -1.7) for family in _FAMILIES],
+)
+def test_the_disc_centre_has_the_bits_of_value(text):
+    # at radius 0 the centre is value's own line at t: the same bits,
+    # signed zeros included, at real and complex points
+    code = _code(text)
+    for t in (0j, -0.0 + 0j, 0.5 + 0j, -2.25 + 0j, 3.0 + 1.5j, complex(17.0, -0.0), -40.5 - 3j):
+        try:
+            want = code.value(t)
+        except ChronologError:
+            assert code.disc(t, 0.0)[1] == math.inf
+            continue
+        got = code.disc(t, 0.0)[0]
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (t, got, want)
+
+
+@pytest.mark.parametrize(
+    "text, t, r",
+    [
+        # a divisor's disc holds 0
+        ("1/t", 0.5, 1.0),
+        ("(t+2)/(t-1)", 1.2 + 0j, 0.5),
+        # a log, sqrt or fractional power whose disc meets (-inf, 0]
+        ("log(t)", -1 + 0.5j, 1.0),
+        ("log(t+3)", 0j, 4.0),
+        ("sqrt(t)", -2 + 0.25j, 0.5),
+        ("t^0.5", 0.1 + 0j, 0.2),
+        ("t^-1.5", -3 + 0.1j, 0.2),
+        # a bare ArithmeticError (OverflowError, ZeroDivisionError) or
+        # ValueError in the code, and a typed error of a helper
+        ("exp(t)", 800 + 0j, 0.0),
+        ("1/t", 0j, 0.0),
+        ("sin(t)", complex(math.inf, 0.0), 0.0),
+        ("log(t)", 0j, 0.0),
+    ],
+)
+def test_a_disc_that_meets_a_singularity_or_raises_is_refused(text, t, r):
+    assert _code(text).disc(t, r)[1] == math.inf
+
+
+def test_an_op_with_no_rule_is_refused(monkeypatch):
+    monkeypatch.setattr(expr, "_DISC", {op: rule for op, rule in expr._DISC.items() if op != "_sin"})
+    assert _code("sin(t)+3").disc(0.5 + 0j, 0.1)[1] == math.inf
+    assert _code("cos(t)+3").disc(0.5 + 0j, 0.1)[1] < 0.2

@@ -907,17 +907,151 @@ class _SingleCallsFunction(RecordingFunction):
 def test_an_exponential_lists_a_chronolog_coefficient_in_one_call_per_block(listed):
     # over _LONG jumps, the coefficient is called point by point only on
     # the _H single jumps; the two blocks after them (of _B jumps and of the
-    # last _H) take their values from one values call each: p once per
-    # point of the window, the first jump evaluating both its ends, or c at
-    # each tau
+    # last _H) take their values from one values call each.  A listed c is
+    # called at each tau.  p's own quotient takes the theorem's walk, the
+    # first jump evaluating both its ends, whose blocks list p only at the
+    # points their certified spans keep: of the block over [8, 520], the
+    # spans [24, 40], [40, 72], [72, 136], [136, 264] and [264, 520] keep
+    # their ends, and [8, 24] fails and keeps its 16 points; the last block,
+    # of _H jumps, is too short to certify.  So p at 38 of the 529 points
     ts, points = _long_window("hz:1")
     f = _SingleCallsFunction.from_text("t^2+1" if listed == "delta_quotient" else "0.001*i*t")
     f.singles, f.lists = [], 0
-    extra = 1 if listed == "delta_quotient" else 0  # p at all _LONG + 1 points, or c at the _LONG taus
     exp_delta(delta_quotient(f) if listed == "delta_quotient" else f, ts, points[0], points[-1])
-    assert len(f.singles) == _H + extra
-    assert len(f.points) == _LONG + extra
+    if listed == "delta_quotient":
+        assert len(f.singles) == _H + 1
+        assert len(f.points) == _H + 1 + (16 + 5) + _H
+    else:
+        assert len(f.singles) == _H
+        assert len(f.points) == _LONG
     assert f.lists == 2
+
+
+# ---------------------------------------------------------------------------
+# certified spans: a run evaluates p only where a span can wind
+# ---------------------------------------------------------------------------
+
+
+def _refuse_every_disc(monkeypatch):
+    # every enclosure refused: each run keeps, and evaluates p at, all its points
+    monkeypatch.setattr(ScaleFunction, "disc", lambda self, t, r: (0j, math.inf))
+
+
+def _whole_outcome(compute):
+    # the bits of a walk's value (or a table's rows), or the class and whole
+    # message of its error
+    try:
+        value = compute()
+    except ChronologError as exc:
+        return type(exc).__name__, str(exc)
+    return "value", [_bits(complex(_rep(v))) for v in (value if isinstance(value, list) else [value])]
+
+
+def _row_walks(p, ts, lo, hi, stops, cfg=None):
+    # every row's log over [lo, hi] both ways, its table from either end and,
+    # on the xi and xi_hat rows, p's own quotient exponential both ways
+    out = []
+    for variant, (weight, _) in _ROW_ERRORS.items():
+        eta = weight if variant == "eta" else None
+        out += [
+            _whole_outcome(lambda: log_ts(variant, p, ts, lo, hi, cfg, eta=eta)),
+            _whole_outcome(lambda: log_ts(variant, p, ts, hi, lo, cfg, eta=eta)),
+            _whole_outcome(lambda: log_table(variant, p, ts, lo, stops, cfg, eta=eta)),
+            _whole_outcome(lambda: log_table(variant, p, ts, hi, stops, cfg, eta=eta)),
+        ]
+    for exp, quotient in ((exp_delta, delta_quotient), (exp_nabla, nabla_quotient)):
+        out += [_whole_outcome(lambda: exp(quotient(p, cfg), ts, s, t, cfg)) for s, t in ((lo, hi), (hi, lo))]
+    return out
+
+
+# p whose trouble lies between the points 3 and 4 of hz:1, inside the first
+# block of a window from -260, whose next block is certified: a pole (whose
+# refused disc keeps the first block whole); p crossing the negative real axis,
+# the cut of each ratio's Arg, near 0 and far from it (where certified
+# spans cross it); sqrt and log crossing their own cut, so that p jumps;
+# ratios next to -1, and a p that winds about 4 times with certified spans
+_BETWEEN_POINTS = (
+    "1/(t-3.5)",
+    "-1+i*(t-3.5)",
+    "-100+i*(t-3.5)",
+    "sqrt(-1+i*(t-3.5))",
+    "log(-1+i*(t-3.5))+5",
+    "exp(3.141592653589793*i*t)",
+    "exp(0.05*i*t)+0.5",
+)
+
+
+@pytest.mark.parametrize("text", _BETWEEN_POINTS)
+def test_certified_spans_keep_the_bits_of_every_jump(monkeypatch, text):
+    ts = parse_timescale("hz:1")
+    lo, hi = -260.0, -260.0 + 2 * _LONG
+    stops = [lo, -200.0, 3.0, 4.0, 100.0, 600.0, hi]
+    p = ScaleFunction.from_text(text)
+    certified = _row_walks(p, ts, lo, hi, stops)
+    _refuse_every_disc(monkeypatch)
+    assert _row_walks(p, ts, lo, hi, stops) == certified
+    if text == "exp(0.05*i*t)+0.5":
+        assert abs(float.fromhex(certified[0][1][0][1])) > 6 * math.pi  # the winding K is not 0
+
+
+@pytest.mark.parametrize("spec", ["hz:1", "q:1.001", "alt:0.4,0.7", "set"])
+@pytest.mark.parametrize("defect", ["floor", "not-finite", "spike"])
+def test_certified_spans_keep_every_error_across_a_block_boundary(monkeypatch, spec, defect):
+    # the defect corpus of the block-boundary tests, every row both ways:
+    # each outcome, value bits or error class and message, is the one of
+    # runs that keep every point
+    cfg = ToleranceConfig(eps_min=1e-10)
+    ts, points = _long_window(spec)
+    lo, hi = points[0], points[-1]
+    stops = [lo, points[_H + 3], hi]
+    functions = []
+    for d in sorted(set(_BOUNDARY_GAPS) | {g + 1 for g in _BOUNDARY_GAPS}):
+        x = points[d]
+        near = min(abs(x - y) for y in points[max(d - 1, 0) : d + 2] if y != x)
+        width = 2000.0 / near**2
+        functions.append(
+            ScaleFunction.from_text(
+                {
+                    "floor": f"t-({x!r})+1e-11",
+                    "not-finite": f"1+exp(800-{width!r}*(t-({x!r}))^2)",
+                    "spike": f"1+1e12*exp(-{width!r}*(t-({x!r}))^2)",
+                }[defect]
+            )
+        )
+    certified = [_row_walks(p, ts, lo, hi, stops, cfg) for p in functions]
+    _refuse_every_disc(monkeypatch)
+    assert [_row_walks(p, ts, lo, hi, stops, cfg) for p in functions] == certified
+
+
+@pytest.mark.parametrize(
+    "centre, radius, certified",
+    [
+        (1.0, 0.5, True),
+        # |P| - R = 5e-11, under eps_min = 1e-10
+        (2e-10, 1.5e-10, False),
+        # |P| - R = 2^-21, under 2^-20 (|P| + R) but far above eps_min
+        (1.0, 1.0 - 2.0**-21, False),
+        (1.0, 1.0 - 2.0**-18, True),
+        # a refused disc
+        (0.0, math.inf, False),
+    ],
+)
+def test_a_span_is_certified_only_above_the_floor_and_the_margin(monkeypatch, centre, radius, certified):
+    # every span's disc is (centre, radius): a certified block keeps its end
+    # alone, any other keeps every point
+    ts, points = _long_window("hz:1")
+    p = RecordingFunction.from_text("t+1000")
+    monkeypatch.setattr(ScaleFunction, "disc", lambda self, t, r: (complex(centre), radius))
+    log_ts("delta-principal", p, ts, points[0], points[-1], ToleranceConfig(eps_min=1e-10))
+    assert len(p.points) == (_H + 1) + (1 if certified else _B) + _H
+
+
+def test_a_long_smooth_window_evaluates_p_at_under_2_percent_of_its_points():
+    ts = parse_timescale("hz:1")
+    p = RecordingFunction.from_text("t^2+1")
+    want = log_ts("delta-principal", p, ts, 0.0, 5000.0)
+    assert len(p.points) < 0.02 * 5001
+    assert abs(want - cmath.log(p(5000.0) / p(0.0))) == 0.0
 
 
 def _exp_outcome(compute):
@@ -1430,6 +1564,50 @@ def test_log_derivative_differs_from_plain_quotient_on_grids():
     assert quot == pytest.approx(0.5)
     assert logd == pytest.approx(math.log(1.5))
     assert abs(quot - logd) > 0.09
+
+
+@pytest.mark.parametrize(
+    "spec, text, t, log_message, quotient_message",
+    [
+        # p(1)/p(0) = 1e310 overflows
+        (
+            "hz:1",
+            "1e300*t+1e-10",
+            0.0,
+            "the jump ratio p_sigma/p = (inf+0j) is not finite at t=0.0",
+            "the quotient pDelta/p = (inf+0j) is not finite at t=0.0",
+        ),
+        # the ratio e^23 is finite, its Log and the quotient over mu = 1e-300 are not
+        (
+            "set:0,1e-300",
+            "exp(2.3e301*t)+1e300*t",
+            0.0,
+            None,
+            "the quotient pDelta/p = (inf+nanj) is not finite at t=0.0",
+        ),
+        # on a dense point p'/p overflows
+        (
+            "r",
+            "1e300*t+1e-10",
+            0.0,
+            "the log derivative = (inf+0j) is not finite at t=0.0",
+            "the quotient pDelta/p = (inf+0j) is not finite at t=0.0",
+        ),
+    ],
+)
+def test_a_pointwise_value_that_is_not_finite_raises_naming_its_point(spec, text, t, log_message, quotient_message):
+    ts = parse_timescale(spec)
+    p = ScaleFunction.from_text(text)
+    for compute, message in (
+        (lambda: log_delta_derivative(p, ts, t), log_message),
+        (lambda: legacy_log("jackson", p, ts, None, t), quotient_message),
+    ):
+        if message is None:
+            assert cmath.isfinite(compute())
+        else:
+            with pytest.raises(NonFiniteIntegrand) as got:
+                compute()
+            assert str(got.value) == message
 
 
 @pytest.mark.parametrize(
