@@ -380,8 +380,8 @@ def _walk(sums, ts: TimeScale, s: float, stops: list[float]) -> list:
     ``sums.between`` turns into the sum from one stop to another.  It hands
     ``sums`` (``Terms`` or ``logexp._Winding``) each continuous stretch as
     [lo, hi] and each jump from tau to its stored successor sigma, a gap mu
-    = sigma - tau.  A ChronologError in a term names its piece or gap.
-    MAX_WINDOW_JUMPS caps the whole span, before any term.
+    = sigma - tau.  A ChronologError in a term names its piece or gap
+    (``_jump``).  MAX_WINDOW_JUMPS caps the whole span, before any term.
 
     On the point families, a stop at least ``_HANDFUL + _LONG_RUN`` jumps
     away is reached in blocks: after ``_HANDFUL`` single jumps, the walk
@@ -439,16 +439,22 @@ def _walk(sums, ts: TimeScale, s: float, stops: list[float]) -> list:
             mu = sigma - tau
             if not 0.0 < mu < math.inf:
                 raise PointNotInScale(f"the neighbour of {tau} is not a distinct finite float")
-            try:
-                total = sums.step(total, tau, mu, sigma)
-            except ChronologError as exc:
-                _name(exc, f"gap after tau={tau}")
-                raise
+            total = _jump(sums, total, tau, mu, sigma)
             k += 1
             x = sigma
             single -= 1
         marks.append(sums.close(total))
     return marks
+
+
+def _jump(sums, total: complex, tau: float, mu: float, sigma: float) -> complex:
+    # one jump of a walk, from tau to its stored successor sigma; an error
+    # in its term names the gap, here and in the pointwise log derivative
+    try:
+        return sums.step(total, tau, mu, sigma)
+    except ChronologError as exc:
+        _name(exc, f"gap after tau={tau}")
+        raise
 
 
 def _block(ts: TimeScale, k: int, m: int, stop: float) -> Sequence[float] | None:

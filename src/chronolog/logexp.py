@@ -22,15 +22,14 @@ Log(p(x_n)/p(x_0)) + 2*pi*i*K, with the winding K the exact integer
 round((sum of the turns - Arg(p(x_n)/p(x_0))) / 2*pi): a jump turns by
 Arg(p(x_j+1)/p(x_j)), and a piece by Arg(p(b)/p(a)) plus 2*pi times its
 own integer, which a loose integral of p'/p finds and two witnesses
-confirm.  Each side has one path.  The theorem: ``log_ts``, which every
-``log_*`` function calls, and ``log_table`` walk their window this way
-(``_Winding``): p once per point it keeps, carried from each end to the
-next piece or jump, and at each jump the checks and errors of the row's
-map, through the maps' one guard (``cylinder._singular``).  A whole window
-is one run, and a long run of jumps is taken in blocks (``_Winding.run``),
-p at the points a block keeps from one call: a span of jumps over which a
-disc holding p (``ScaleFunction.disc``) stays clear of 0 turns by its
-principal Arg, and keeps only its end.  The definition: every walk of the
+confirm.  Each side has one path.  The theorem (``_Winding``) walks the
+window of ``log_ts``, which every ``log_*`` function calls, of
+``log_table`` and, over one jump, of the pointwise log derivative: p once
+per point it keeps, and every jump, single or in a block, through one
+checked loop under the maps' one guard (``cylinder._singular``), which
+raises the row's map's errors.  A block keeps only the end of each span
+of jumps over which a disc holding p (``ScaleFunction.disc``) stays clear
+of 0.  The definition: every walk of the
 cylinder maps takes its jump terms from ``_cylinder_term``.  Its walk of
 the weighted quotient (``_kernel``), which integrates p'/p on each piece
 to ``quad_tol`` and sums one principal Log per jump, is the independent
@@ -58,9 +57,8 @@ L(u, u'), so ``log_table`` gives the logarithm from one base to every
 point of a list from one walk up through all of them, each row the
 closed form between the base and the row, instead of one walk per point.
 
-Also here: the pointwise logarithmic derivative, five older logarithm
-constructions kept for comparison, and an identity-checking suite used by
-the CLI.
+Also here: five older logarithm constructions kept for comparison, and an
+identity-checking suite used by the CLI.
 """
 
 from __future__ import annotations
@@ -94,7 +92,7 @@ from .errors import (
     QuadratureFailure,
     ValidationError,
 )
-from .multivalue import TWO_PI, TWO_PI_I, MultiLog, exp as cexp, lattice_gap, principal_log
+from .multivalue import TWO_PI, TWO_PI_I, MultiLog, exp as cexp, lattice_gap
 from .timescale import TimeScale
 from . import calculus, cylinder
 
@@ -310,15 +308,18 @@ class _Winding:
     before p and the floor at each, before the closed form reads p there.
 
     p is evaluated once per kept point: the walk's first piece or jump
-    evaluates both its ends, and each later one only its new end, carrying
-    the other forward.  Each jump raises what the row's map would:
-    NonvanishingViolation below eps_min and NonFiniteValue at each point,
-    the row's error when (1-eta)p + eta*p_sigma is 0, and, when a factor of
-    the map, p_sigma/mix or p/mix, falls under the maps' guard (``_vanishes``,
-    run only where one value is far below the other) relative to 1 + |mu*z|
-    = (|mix| + |p_sigma - p|)/|mix|, the map's own error and message at mu
-    and z = (p_sigma - p)/mu/mix (``cylinder._vanishing``).  A ratio
-    p_sigma/p that overflows or underflows raises NonFiniteIntegrand.
+    evaluates both its ends (``_open``), and each later one only its new
+    end, carrying the other forward.  Each point raises NonvanishingViolation
+    below eps_min and NonFiniteValue, and every jump, single or in a block,
+    goes through one loop (``_advance``), which raises what the row's map
+    would: the row's error when (1-eta)p + eta*p_sigma is 0, and, when a
+    factor of the map, p_sigma/mix or p/mix, falls under the maps' guard
+    (``_vanishes``, run only where one value is far below the other)
+    relative to 1 + |mu*z| = (|mix| + |p_sigma - p|)/|mix|, the map's own
+    error and message at mu and z = (p_sigma - p)/mu/mix
+    (``cylinder._vanishing``); a ratio p_sigma/p that overflows or
+    underflows raises NonFiniteIntegrand.  It commits the turns and the
+    carried p only when every jump passes.
 
     The exponentials of p's own quotients are exp of this walk at the rows
     of xi and xi_hat: in exact arithmetic each jump's factor is p_sigma/p,
@@ -333,36 +334,33 @@ class _Winding:
     lies in one disc clear of 0, so every ratio in it turns by less than
     pi, the span's Arg is the sum of its jumps' turns, and every check
     passes.  Then p at the kept points from one ``ScaleFunction.values``
-    call, and the floor, every check of ``step`` and the turns in one loop
-    over them, a certified span taken as one jump.  It commits the turns
-    and the carried value only when the whole block passes, and otherwise
-    returns None, so that ``_walk`` walks the block again by ``step``,
-    which raises the error at its gap.
+    call, the floor, and ``_advance``, a certified span taken as one jump.
+    A block that fails raises, typed but named at no gap, and ``_walk``
+    walks it again by ``step``, which names the gap.
     """
 
-    __slots__ = ("p", "cfg", "slope", "row", "keep", "eta", "cut", "first", "last", "last_abs", "turns")
+    __slots__ = ("p", "cfg", "row", "keep", "eta", "cut", "first", "last", "last_abs", "turns")
 
     def __init__(self, p: ScaleFunction, cfg: ToleranceConfig, row: tuple, eta: float):
-        self.p = p
-        self.cfg = cfg
-        self.slope = partial(_slope, p, cfg)
-        self.row = row
-        self.keep = 1.0 - eta
-        self.eta = eta
+        self.p, self.cfg, self.row, self.eta, self.keep = p, cfg, row, eta, 1.0 - eta
         self.cut = row[3] * math.pi  # Arg of an exactly negative real ratio
         self.first = None  # p at the walk's first point, evaluated with its first piece or jump
         self.turns = 0.0
 
+    def _open(self, x: float) -> None:
+        # p at the walk's first point x, carried to its first piece or jump
+        self.first = self.last = v = _checked(self.p, x, self.cfg)
+        self.last_abs = abs(v)
+
     def piece(self, total: complex, lo: float, hi: float) -> complex:
         p, cfg = self.p, self.cfg
+        slope = partial(_slope, p, cfg)
         tol = max(_WINDING_TOL, cfg.quad_tol)
         # sampling lo and hi first, the integral raises at the ends what the definition would
-        integral = calculus.adaptive_simpson(self.slope, lo, hi, tol)
+        integral = calculus.adaptive_simpson(slope, lo, hi, tol)
         if self.first is None:
-            pl, ph = _checked(p, lo, cfg), _checked(p, hi, cfg)
-            self.first = pl
-        else:
-            pl, ph = self.last, _checked(p, hi, cfg)
+            self._open(lo)
+        pl, ph = self.last, _checked(p, hi, cfg)
         self.last, self.last_abs = ph, abs(ph)
         log = _log_ratio(ph, pl)
         while True:
@@ -378,60 +376,48 @@ class _Winding:
                     f"{x:.6g} turns, real part off by {off:.3g}"
                 )
             tol = max(tol / 100.0, cfg.quad_tol)
-            integral = calculus.adaptive_simpson(self.slope, lo, hi, tol)
+            integral = calculus.adaptive_simpson(slope, lo, hi, tol)
 
     def step(self, total: complex, tau: float, mu: float, sigma: float) -> complex:
-        p, cfg = self.p, self.cfg
         if self.first is None:
-            pv = _checked(p, tau, cfg)
-            ps = _checked(p, sigma, cfg)
-            apv, aps = abs(pv), abs(ps)
-            self.first = pv
-        else:
-            pv, apv = self.last, self.last_abs
-            ps = p(sigma)
-            aps = abs(ps)
-            if aps < cfg.eps_min:
-                _above_floor(p, sigma, ps, cfg)  # raises
-        self.last, self.last_abs = ps, aps
-        eta = self.eta
-        mix = self.keep * pv + eta * ps
-        # at eta = 0 or 1 the weighted denominator is p or p_sigma, above the floor
-        if 0.0 < eta < 1.0 and mix == 0:
-            raise self.row[2](f"(1-eta)p + eta*p_sigma vanishes for eta={eta}")
-        if (aps < _SCREEN * apv or apv < _SCREEN * aps) and _vanishes(eta, pv, ps):
-            raise cylinder._vanishing(self.row, eta, mu, (ps - pv) / mu / mix)
-        r = ps / pv
-        if r == 0 or not cmath.isfinite(r):
-            raise NonFiniteIntegrand(f"the jump ratio p_sigma/p = {r} is not finite and nonzero")
-        self.turns += self.cut if r.imag == 0.0 and r.real < 0.0 else math.atan2(r.imag, r.real)
+            self._open(tau)
+        ps = _checked(self.p, sigma, self.cfg)
+        self._advance(tau, (sigma,), (ps,), (abs(ps),))
         return total
 
-    def run(self, total: complex, xs: Sequence[float]) -> complex | None:
+    def run(self, total: complex, xs: Sequence[float]) -> complex:
         # xs[0] is the walk's current point, whose p the last step carried
-        vs = self.p.values(self._kept(xs))
+        kept = self._kept(xs)
+        vs = self.p.values(kept)
         avs = list(map(abs, vs))
         if min(avs) < self.cfg.eps_min:
-            return None
-        pvs, apvs = [self.last] + vs, [self.last_abs] + avs
+            for x, v in zip(kept, vs):
+                _above_floor(self.p, x, v, self.cfg)
+        self._advance(xs[0], kept, vs, avs)
+        return total
+
+    def _advance(self, tau: float, sigmas: Sequence[float], vs: Sequence[complex], avs: Sequence[float]) -> None:
+        # the jumps from tau, the walk's current point, through the points
+        # sigmas, with p there in vs (above the floor) and |p| in avs
         keep, eta, cut = self.keep, self.eta, self.cut
         mixed = 0.0 < eta < 1.0
         isfinite, atan2, screen = cmath.isfinite, math.atan2, _SCREEN
-        turns = self.turns
-        for pv, ps, apv, aps in zip(pvs, vs, apvs, avs):
+        pv, apv, turns = self.last, self.last_abs, self.turns
+        for sigma, ps, aps in zip(sigmas, vs, avs):
+            # at eta = 0 or 1 the weighted denominator is p or p_sigma, above the floor
             if mixed and keep * pv + eta * ps == 0:
-                return None
+                raise self.row[2](f"(1-eta)p + eta*p_sigma vanishes for eta={eta}")
             r = ps / pv
             # r can be 0 only where |p_sigma| < _SCREEN * |p|, on a screened jump
-            if (aps < screen * apv or apv < screen * aps) and (r == 0 or _vanishes(eta, pv, ps)):
-                return None
-            if not isfinite(r):
-                return None
+            if (aps < screen * apv or apv < screen * aps) and (r == 0 or _vanishes(eta, pv, ps)) or not isfinite(r):
+                if _vanishes(eta, pv, ps):
+                    mu = sigma - tau
+                    raise cylinder._vanishing(self.row, eta, mu, (ps - pv) / mu / (keep * pv + eta * ps))
+                raise NonFiniteIntegrand(f"the jump ratio p_sigma/p = {r} is not finite and nonzero")
             im = r.imag
             turns += cut if im == 0.0 and r.real < 0.0 else atan2(im, r.real)
-        self.turns = turns
-        self.last, self.last_abs = vs[-1], avs[-1]
-        return total
+            tau, pv, apv = sigma, ps, aps
+        self.turns, self.last, self.last_abs = turns, pv, apv
 
     def _kept(self, xs: Sequence[float]) -> list[float]:
         # the points of xs[1:] that the run evaluates p at: xs's index range
@@ -613,17 +599,18 @@ def log_delta_derivative(
 ) -> complex:
     """Pointwise forward derivative of the logarithm of p.
 
-    (1/mu) Log(p_sigma/p) at right-scattered points, p'(t)/p(t) at dense
-    points.  A ratio p_sigma/p or a value that is not finite raises
-    NonFiniteIntegrand naming t.
+    At a right-scattered t, the theorem's one jump over mu, equal to
+    ``log_ts("delta-principal", p, ts, t, sigma(t)) / mu`` bit for bit and
+    raising what that call raises; p'(t)/p(t) at a dense t.  A value that
+    is not finite raises NonFiniteIntegrand naming t.
     """
     cfg = cfg or DEFAULT_TOLERANCES
     t, sigma = ts.delta_point(t)
-    pv = _checked(p, t, cfg)
-    if sigma > t:
-        r = _finite_at(_checked(p, sigma, cfg) / pv, "the jump ratio p_sigma/p", t)
-        return _finite_at(principal_log(r) / (sigma - t), "the log derivative", t)
-    return _finite_at(p.prime(t) / pv, "the log derivative", t)
+    if sigma == t:
+        return _finite_at(_quotient(p, cfg, t, 0.0), "the log derivative", t)
+    winding = _theorem(LogVariant.DELTA_PRINCIPAL, p, cfg, None)
+    mark = winding.close(calculus._jump(winding, 0j, t, sigma - t, sigma))
+    return _finite_at(winding.between(None, mark) / (sigma - t), "the log derivative", t)
 
 
 def _finite_at(v: complex, what: str, t: float) -> complex:
@@ -822,11 +809,12 @@ def identity_suite(
     raise ValidationError.  Rows are sorted by identity name.
 
     The five logarithms on the left of the rules, among them the reference
-    Lp, come from the theorem (``log_ts``).  The other six walks are the
-    definition (``_kernel``: the cylinder maps): the Cayley and eta rows
-    compare it with Lp, and the exponential round trip compares exp(Lp)
-    with exp of the delta row's walk, so a fault in either construction
-    fails a row rather than appearing on both sides of it.
+    Lp, come from the theorem (``log_ts``).  The other five walks, one per
+    distinct row, are the definition (``_kernel``: the cylinder maps): the
+    Cayley and eta rows compare it with Lp, and the exponential round trip
+    compares exp(Lp) with exp of the delta row's walk, which is also the
+    eta = 0 row's, so a fault in either construction fails a row rather
+    than appearing on both sides of it.
     """
     s = ts.snap(s)
     t = ts.snap(t)
@@ -849,7 +837,8 @@ def identity_suite(
 
     Lp = log_delta_principal(p, ts, s, t, cfg)
     Lq = log_delta_principal(q, ts, s, t, cfg)
-    exact("exp-of-principal-log", cexp(Lp), cexp(definition(LogVariant.DELTA_PRINCIPAL)))
+    delta = definition(LogVariant.DELTA_PRINCIPAL)
+    exact("exp-of-principal-log", cexp(Lp), cexp(delta))
     modulo_lattice("product-rule", log_delta_principal(p * q, ts, s, t, cfg), Lp + Lq)
     modulo_lattice("quotient-rule", log_delta_principal(p / q, ts, s, t, cfg), Lp - Lq)
 
@@ -863,10 +852,11 @@ def identity_suite(
 
     cayley = definition(LogVariant.CAYLEY_PRINCIPAL)
     exact("cayley-principal", cayley, Lp)
-    # the multi-valued Cayley log and eta = 1/2 are the same walk with the lattice attached
+    # the multi-valued Cayley log and eta = 1/2 are the same walk with the lattice
+    # attached, and eta = 0 is the delta walk: the same map arithmetic at eta 0
     modulo_lattice("cayley-multi", cayley, Lp)
     for eta in (0.0, 0.25, 0.5, 0.75, 1.0):
-        lhs = cayley if eta == 0.5 else definition(LogVariant.ETA, eta)
+        lhs = delta if eta == 0.0 else cayley if eta == 0.5 else definition(LogVariant.ETA, eta)
         modulo_lattice(f"eta-{eta:g}", lhs, Lp)
 
     rows.sort(key=lambda r: r.identity)

@@ -623,10 +623,11 @@ def test_table_no_partial_output_on_failure(run, args, error):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # p(1)/p(0) = 1e310 overflows: the log derivative's ratio at t = 0
+        # p(1)/p(0) = 1e310 overflows: the log derivative's jump at t = 0 raises
+        # what the window log over [0, 1] raises, named at its gap
         (
             ["table", "--timescale", "hz:1", "--p", "1e300*t+1e-10", "--quantity", "logderiv", "--from", "0", "--to", "2"],
-            "the jump ratio p_sigma/p = (inf+0j) is not finite at t=0.0",
+            "the jump ratio p_sigma/p = (inf+0j) is not finite and nonzero on the gap after tau=0.0",
         ),
         (
             ["legacy", "--timescale", "set:0,1", "--kind", "jackson", "--p", "1e300*t+1e-10", "--t", "0"],
@@ -652,6 +653,19 @@ def test_a_pointwise_result_that_is_not_finite_exits_3(run, argv, message):
     assert (rc, out) == (3, "")
     assert not any(word in out for word in ("inf", "nan", "Infinity"))
     assert json.loads(err) == {"error": "NonFiniteIntegrand", "message": message}
+
+
+def test_a_log_derivative_whose_factor_vanishes_exits_3_as_its_window_log_does(run):
+    # p(1)/p(0) = e^-30 falls under the maps' guard, as xi(1, e^-30 - 1) does:
+    # the log derivative at 0 raises what the window log over [0, 1] raises
+    p = ["--timescale", "hz:1", "--p", "1e10*exp(-30*t)"]
+    table = run("table", *p, "--quantity", "logderiv", "--from", "0", "--to", "0")
+    window = run("eval", *p, "--s", "0", "--t", "1", "--variant", "delta-principal")
+    for rc, out, err in (table, window):
+        lines = err.splitlines()
+        assert (rc, out, len(lines)) == (3, "", 1)
+        assert json.loads(lines[0])["error"] == "NotRegressive"
+    assert table[2] == window[2]
 
 
 @pytest.mark.parametrize(

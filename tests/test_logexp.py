@@ -1,6 +1,8 @@
 import cmath
 import functools
+import json
 import math
+import pathlib
 import random
 import re
 from bisect import bisect_left
@@ -1569,12 +1571,12 @@ def test_log_derivative_differs_from_plain_quotient_on_grids():
 @pytest.mark.parametrize(
     "spec, text, t, log_message, quotient_message",
     [
-        # p(1)/p(0) = 1e310 overflows
+        # p(1)/p(0) = 1e310 overflows: the window log's jump raises, named at its gap
         (
             "hz:1",
             "1e300*t+1e-10",
             0.0,
-            "the jump ratio p_sigma/p = (inf+0j) is not finite at t=0.0",
+            "the jump ratio p_sigma/p = (inf+0j) is not finite and nonzero on the gap after tau=0.0",
             "the quotient pDelta/p = (inf+0j) is not finite at t=0.0",
         ),
         # the ratio e^23 is finite, its Log and the quotient over mu = 1e-300 are not
@@ -1638,6 +1640,84 @@ def test_p_and_its_derivative_failing_together_keep_their_order(text, quotient_e
     for exp, quotient in ((exp_delta, delta_quotient), (exp_nabla, nabla_quotient)):
         with pytest.raises(error, match=re.escape(message)):
             exp(quotient(p), r, 0.0, 1.0)
+
+
+# the p of the pointwise corpus: every --p and --q of the CLI stdout pins,
+# two draws of each benchmark family, and p whose jumps overflow, underflow,
+# vanish under the maps' guard, land exactly on the cut or meet a pole
+_PINS = json.loads(pathlib.Path(__file__).with_name("cli_stdout_pins.json").read_text(encoding="utf-8"))
+_POINTWISE_P = sorted({argv[i + 1] for argv in (pin["argv"] for pin in _PINS) for i, a in enumerate(argv) if a in ("--p", "--q")}) + [
+    "(t-(608.0513))^2+1.8626",
+    "(t-(502.6925))^2+3.6401",
+    "(t-(353.0185-1.2719*i))^3",
+    "(t-(1637.2659-1.6318*i))^3",
+    "exp(i*t)+(2.0179+0.69*i)",
+    "exp(i*t)+(-1.8224+1.6788*i)",
+    "exp(1.2641*sin(0.9646*t))+1.9094",
+    "exp(1.2909*sin(1.0211*t))+2.0122",
+    "exp(i*1.2145*sin(t))+(0.2743-1.9194*i)",
+    "exp(i*1.26*sin(t))+(-0.0416-2.05*i)",
+    "(t-(-13.1242-0.4311*i))*(t-(-9.7135-0.4684*i))",
+    "(t-(2.35-0.4444*i))*(t-(4.148-0.4657*i))",
+    "1e10*exp(-30*t)",
+    "1e300*exp(-701*t)",
+    "1e300*t+1e-10",
+    "1-2*t",
+    "1/(t-3.5)",
+]
+# each scale with the points t tried, of which the right-scattered ones are kept
+_POINTWISE_SCALES = [
+    ("hz:1", [float(k) for k in range(-3, 8)]),
+    ("hz:0.5", [0.5 * k for k in range(-8, 17)]),
+    ("q:2", [2.0**k for k in range(12)]),
+    ("q:1.5", [1.5**k for k in range(12)]),
+    ("alt:0.5,1.5", [2.0 * k + d for k in range(8) for d in (0.0, 0.5)]),
+    ("set:-3,-1,0,0.5,1,2,3.5,4,352.5,353.5,502,503,608,609,1637,1638,2000",
+     [-3.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.5, 4.0, 352.5, 502.0, 608.0, 1637.0, 1638.0]),
+    ("union:[-2,-1];[0,0];[0.5,1];[2,3];[3.5,3.5];[5,6]", [-1.5, -1.0, 0.0, 0.75, 1.0, 2.5, 3.0, 3.5]),
+]
+
+
+def _bits_or_error(compute):
+    # the bits of a value, or the class and message of what it raised
+    try:
+        v = compute()
+    except ChronologError as exc:
+        return type(exc), str(exc)
+    return v.real.hex(), v.imag.hex()
+
+
+def test_pointwise_log_derivative_is_the_window_log_over_one_jump():
+    # at a right-scattered t the log derivative is the window logarithm over
+    # [t, sigma(t)] divided by mu, bit for bit, or raises what that log raises
+    outcomes = {}
+    for spec, points in _POINTWISE_SCALES:
+        ts = parse_timescale(spec)
+        for text in _POINTWISE_P:
+            p = ScaleFunction.from_text(text)
+            for t in points:
+                x, sigma = ts.delta_point(t)
+                if sigma == x:
+                    continue
+                want = _bits_or_error(lambda: log_ts("delta-principal", p, ts, x, sigma) / (sigma - x))
+                got = _bits_or_error(lambda: log_delta_derivative(p, ts, t))
+                assert got == want, (spec, text, t)
+                outcomes[spec, text, x] = got
+    assert len(outcomes) > 1500
+    errors = {o[0] for o in outcomes.values() if isinstance(o[0], type)}
+    assert {NotRegressive, NonFiniteIntegrand, EvalDomain} <= errors
+    # a factor p_sigma/p under the maps' guard is NotRegressive, as xi says
+    # of the coefficient (p_sigma - p)/p, and a gap's error names the gap
+    assert outcomes["hz:1", "1e10*exp(-30*t)", 0.0] == (
+        NotRegressive,
+        "xi: a factor vanishes for eta=0.0, h=1.0, z=(-0.9999999999999063+0j) on the gap after tau=0.0",
+    )
+    with pytest.raises(NotRegressive):
+        xi(1.0, -0.9999999999999063)
+    assert outcomes["hz:1", "1e300*exp(-701*t)", 0.0][0] is NotRegressive
+    assert outcomes["hz:1", "1e300*t+1e-10", -1.0][0] is NotRegressive
+    # an exactly negative ratio lands on xi's side of the cut, +i*pi
+    assert outcomes["hz:1", "1-2*t", 0.0] == ((0.0).hex(), math.pi.hex())
 
 
 @pytest.mark.parametrize("spec, t", [("hz:1", 2.0), ("r", 2.0), ("union:[0,1];[2,5]", 1.0), ("set:1,2,5", 2.0)])
@@ -1920,11 +2000,11 @@ def test_identity_suite_all_pass_on_unit_grid():
     assert "power-rule" in names and "eta-0.25" in names
 
 
-def test_identity_suite_is_eleven_walks(monkeypatch):
-    # five logs by the theorem (p, q, pq, p/q, p^alpha) and six definition
+def test_identity_suite_is_ten_walks(monkeypatch):
+    # five logs by the theorem (p, q, pq, p/q, p^alpha) and five definition
     # walks, all of them _kernel: the delta row for the exponential round
-    # trip, Cayley, which the eta-1/2 and cayley-multi rows reuse, and four
-    # more eta rows
+    # trip, which the eta-0 row reuses, Cayley, which the eta-1/2 and
+    # cayley-multi rows reuse, and three more eta rows
     calls = {"walk": 0, "theorem": 0, "definition": 0}
 
     def counting(name, fn):
@@ -1934,16 +2014,24 @@ def test_identity_suite_is_eleven_walks(monkeypatch):
 
         return wrapper
 
+    kernel = logexp._kernel
     monkeypatch.setattr(calculus, "_walk", counting("walk", calculus._walk))
     monkeypatch.setattr(logexp, "_theorem", counting("theorem", logexp._theorem))
-    monkeypatch.setattr(logexp, "_kernel", counting("definition", logexp._kernel))
+    monkeypatch.setattr(logexp, "_kernel", counting("definition", kernel))
     p = ScaleFunction.from_text("t^2+1")
     q = ScaleFunction.from_text("t+3")
-    rows = identity_suite(p, q, parse_timescale("hz:1"), 0.0, 6.0, 2.0)
+    ts = parse_timescale("hz:1")
+    rows = identity_suite(p, q, ts, 0.0, 6.0, 2.0)
     assert len(rows) == 11
-    assert calls == {"walk": 11, "theorem": 5, "definition": 6}
+    assert calls == {"walk": 10, "theorem": 5, "definition": 5}
     by_name = {r.identity: r for r in rows}
     assert by_name["eta-0.5"].lhs == by_name["cayley-principal"].lhs
+    # the eta-0 row is the delta walk, whose bits the eta row's own walk at 0 has
+    cfg = logexp.DEFAULT_TOLERANCES
+    delta = logexp._window(kernel(LogVariant.DELTA_PRINCIPAL, p, cfg, None), ts, 0.0, 6.0)
+    eta0 = logexp._window(kernel(LogVariant.ETA, p, cfg, 0.0), ts, 0.0, 6.0)
+    assert by_name["eta-0"].lhs == delta
+    assert (delta.real.hex(), delta.imag.hex()) == (eta0.real.hex(), eta0.imag.hex())
 
 
 def _old_positivity_samples(ts, lo, hi):
