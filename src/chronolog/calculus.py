@@ -3,14 +3,14 @@
 Integrals, exponentials and window logarithms are computed by one walk,
 ``_walk``, which streams the scale's pieces by index up from the lower end
 of a window, keeping nothing per jump, and hands each continuous stretch
-and each jump to a sum object.  The sum is either ``Terms``, the
-definition, in which a stretch adds its integral to ``quad_tol`` and a
-jump adds ``gap * f`` (integrals, exponentials, the older logarithms and
-the cylinder-map definition of the logarithm), or the window logarithm's
-theorem (``logexp._Winding``), which adds one closed form
-Log(p(x_n)/p(x_0)) + 2*pi*i*K for the whole walk and integrates only to
-find the integer K; the exponentials of p's own quotients take exp of
-the theorem's sum.
+and each jump to a sum object.  The sum is ``Terms``, in which a stretch
+adds its integral to ``quad_tol`` and a jump adds ``gap * f`` (integrals,
+exponentials and the older logarithms); the cylinder-map definition of
+the logarithm (``logexp._Definition``), which sums several rows at once,
+each the way ``Terms`` would; or the window logarithm's theorem
+(``logexp._Winding``), which adds one closed form Log(p(x_n)/p(x_0)) +
+2*pi*i*K for the whole walk and integrates only to find the integer K;
+the exponentials of p's own quotients take exp of the theorem's sum.
 On the point families a long run of jumps goes to the sum in blocks, its
 ``run`` taking a block's points at once, the theorem's only those that
 its certified spans of jumps keep; a block whose run fails is walked
@@ -312,20 +312,20 @@ class Terms:
     A continuous piece [lo, hi] adds the integral of ``dense`` over it, to
     ``tol``; a jump from tau to its stored successor sigma, a gap mu = sigma
     - tau, adds ``mu * term(tau, mu, sigma)``.  This sums integrals,
-    exponentials, the older logarithms and the cylinder-map definition of
-    the window logarithm.  The other sum ``_walk`` takes is the window
-    logarithm's theorem (``logexp._Winding``).  Both answer the same five
-    calls: ``piece(total, lo, hi)`` takes a continuous piece, ``step(total,
-    tau, mu, sigma)`` a jump and ``run(total, xs)`` a block of jumps through
-    the increasing points xs, each returning the running total;
-    ``close(total)`` marks the walk's current point, leaving the walk open,
-    and ``between(a, b)`` gives the sum from mark a to mark b.  Here a mark
-    is the running total and ``between`` is b - a; ``run`` is a loop of
-    ``step``, and the exponentials' subclass takes a block as the product
-    of its factors (``logexp._Exponent``); the exponentials of p's own
-    quotient take the theorem's sum instead.  ``_walk`` re-walks a block
-    whose run fails by ``step``, which names the gap.  Every walk gets a
-    fresh sum.
+    exponentials and the older logarithms.  The other sums ``_walk`` takes
+    are the window logarithm's definition (``logexp._Definition``), whose
+    total is a tuple of rows and whose ``run`` and ``close`` are these, and
+    its theorem (``logexp._Winding``).  All answer the same five calls:
+    ``piece(total, lo, hi)`` takes a continuous piece, ``step(total, tau,
+    mu, sigma)`` a jump and ``run(total, xs)`` a block of jumps through the
+    increasing points xs, each returning the running total; ``close(total)``
+    marks the walk's current point, leaving the walk open, and ``between(a,
+    b)`` gives the sum from mark a to mark b.  Here a mark is the running
+    total and ``between`` is b - a; ``run`` is a loop of ``step``, and the
+    exponentials' subclass takes a block as the product of its factors
+    (``logexp._Exponent``); the exponentials of p's own quotient take the
+    theorem's sum instead.  ``_walk`` re-walks a block whose run fails by
+    ``step``, which names the gap.  Every walk gets a fresh sum.
     """
 
     __slots__ = ("dense", "term", "tol")

@@ -29,11 +29,12 @@ per point it keeps, and every jump, single or in a block, through one
 checked loop under the maps' one guard (``cylinder._singular``), which
 raises the row's map's errors.  A block keeps only the end of each span
 of jumps over which a disc holding p (``ScaleFunction.disc``) stays clear
-of 0.  The definition: every walk of the
-cylinder maps takes its jump terms from ``_cylinder_term``.  Its walk of
-the weighted quotient (``_kernel``), which integrates p'/p on each piece
-to ``quad_tol`` and sums one principal Log per jump, is the independent
-second side of the identity suite: the two sides share no step that
+of 0.  The definition (``_Definition``) is the independent second side
+of the identity suite: one walk of the weighted quotient for any number
+of rows, which integrates p'/p once per piece to ``quad_tol``, evaluates
+p once per jump end, and adds one principal Log per jump and row from
+the row's cylinder map.  That map, looked up by name in ``cylinder``
+(``_row``), is also the exponentials'.  The two sides share no step that
 computes a value on a dense piece.
 
 Delta, nabla and Cayley each have a principal version (a plain complex
@@ -187,9 +188,10 @@ def _quotient(
         raise
 
 
-# The variant table: the name of the variant's map, looked up in `cylinder` per
-# call so that a wrapper on the module sees every map.  The map's row there
-# gives eta, the error (also raised when (1-eta)p + eta*p_sigma is 0) and the side.
+# The variant table: the name of the variant's map, looked up in `cylinder` by
+# `_row` for each walk, so that a wrapper on the module sees every call of the
+# map.  The map's row there gives eta, the error (also raised when (1-eta)p +
+# eta*p_sigma is 0) and the side.
 _ROWS = {
     LogVariant.DELTA_MULTI: "xi",
     LogVariant.DELTA_PRINCIPAL: "xi",
@@ -215,54 +217,58 @@ def _vanishes(eta: float, pv: complex, ps: complex) -> bool:
     return cylinder._singular(eta, ps, pv, bound)
 
 
-def _row(variant: LogVariant, eta: float | None) -> tuple[tuple, float]:
-    # the variant's map row in `cylinder` and its weight, the eta row's at the checked eta
+def _row(variant: LogVariant, eta: float | None) -> tuple[tuple, float, Callable]:
+    # the variant's map row in `cylinder`, its weight and its map, the eta
+    # row's bound to the checked eta
     row = cylinder._ROWS[_ROWS[variant]]
     if row[1] is not None:
-        return row, row[1]
+        return row, row[1], getattr(cylinder, row[0])
     if eta is None:
         raise ValidationError("the eta variant needs an explicit eta value")
-    return row, cylinder._require_eta(eta)
+    eta = cylinder._require_eta(eta)
+    return row, eta, partial(getattr(cylinder, row[0]), eta)
 
 
-def _cylinder_term(variant: LogVariant, coeff: Callable, eta: float | None = None) -> Callable:
-    """The definition's jump term of a coefficient, set by the variant's row, for ``Terms``.
+class _Definition:
+    """The logarithm by its definition, for ``_walk``: one walk for the (variant, eta) ``rows``.
 
-    A jump from tau to its stored successor sigma, a gap mu, has the term
-    ``map(mu, coeff(tau, mu, sigma))``, which ``Terms`` adds mu times; the
-    row's cylinder map (the eta row's at the checked ``eta``) is the only
-    regressivity check.  Every walk of the cylinder maps takes its jumps
-    from here: ``_kernel`` and both exponentials (``_Exponent``).
+    The total is the tuple of the rows' sums (the walk's first total, 0j,
+    stands for all 0).  A piece adds one integral of p'/p, to ``quad_tol``,
+    to every row.  A jump evaluates p at both ends once, then for each row
+    in order raises the row's error where mix = (1-eta)p + eta*p_sigma is
+    0 and adds mu times the row's map of z = (p_sigma - p)/mu/mix, which
+    must be finite.  So each row has the bits of a walk of that row alone,
+    and the first failing jump, there the first failing row, raises.
     """
-    cylinder_map = getattr(cylinder, _ROWS[variant])
-    if variant is LogVariant.ETA:
-        cylinder_map = partial(cylinder_map, eta)
-    return lambda tau, mu, sigma: cylinder_map(mu, coeff(tau, mu, sigma))
 
+    __slots__ = ("p", "cfg", "rows", "zeros")
 
-def _kernel(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: float | None) -> Terms:
-    """The logarithm by its definition, set by the variant's row: ``Terms`` for ``_walk``.
+    def __init__(self, p: ScaleFunction, cfg: ToleranceConfig, rows: Sequence[tuple[LogVariant, float | None]]):
+        self.p, self.cfg = p, cfg
+        self.rows = [_row(variant, eta) for variant, eta in rows]
+        self.zeros = (0j,) * len(self.rows)
 
-    The integral of p'/p on each piece, at ``cfg.quad_tol``, and one
-    principal Log per jump, in blocks too: the ``_cylinder_term`` of the
-    weighted quotient ``(p_sigma - p) / mu / ((1-eta) p + eta p_sigma)``,
-    which raises the row's error when its denominator is 0.  p is evaluated
-    only at stored points, twice at each point inside the window.  The
-    identity suite checks the theorem and the exponential round trip
-    against this walk.
-    """
-    row, eta = _row(variant, eta)
-    error, keep = row[2], 1.0 - eta
+    def piece(self, total: tuple | complex, lo: float, hi: float) -> tuple:
+        integral = calculus.adaptive_simpson(partial(_slope, self.p, self.cfg), lo, hi, self.cfg.quad_tol)
+        return tuple(v + integral for v in total or self.zeros)
 
-    def coeff(tau: float, mu: float, sigma: float) -> complex:
-        pv = _checked(p, tau, cfg)
-        ps = _checked(p, sigma, cfg)
-        mix = keep * pv + eta * ps
-        if mix == 0:
-            raise error(f"(1-eta)p + eta*p_sigma vanishes for eta={eta}")
-        return (ps - pv) / mu / mix
+    def step(self, total: tuple | complex, tau: float, mu: float, sigma: float) -> tuple:
+        pv, ps = _checked(self.p, tau, self.cfg), _checked(self.p, sigma, self.cfg)
+        sums = []
+        for (row, eta, cylinder_map), v in zip(self.rows, total or self.zeros):
+            mix = (1.0 - eta) * pv + eta * ps
+            if mix == 0:
+                raise row[2](f"(1-eta)p + eta*p_sigma vanishes for eta={eta}")
+            term = cylinder_map(mu, (ps - pv) / mu / mix)
+            if not cmath.isfinite(term):
+                raise NonFiniteIntegrand("jump term is not finite")
+            sums.append(v + mu * term)
+        return tuple(sums)
 
-    return Terms(partial(_slope, p, cfg), _cylinder_term(variant, coeff, eta), cfg.quad_tol)
+    run, close = Terms.run, Terms.close
+
+    def between(self, a: tuple | complex, b: tuple | complex) -> list[complex]:
+        return [v - u for u, v in zip(a or self.zeros, b or self.zeros)]
 
 
 # the window logarithm's theorem needs only the integer winding of p'/p over
@@ -474,7 +480,7 @@ def _log_ratio(num: complex, den: complex) -> complex:
 
 def _theorem(variant: LogVariant, p: ScaleFunction, cfg: ToleranceConfig, eta: float | None) -> _Winding:
     """The logarithm by the theorem, set by the variant's row: ``_Winding`` for ``_walk``."""
-    return _Winding(p, cfg, *_row(variant, eta))
+    return _Winding(p, cfg, *_row(variant, eta)[:2])
 
 
 def log_delta_principal(
@@ -621,7 +627,7 @@ def _finite_at(v: complex, what: str, t: float) -> complex:
 
 
 class _Exponent(Terms):
-    """An exponential's exponent: ``Terms`` of the ``_cylinder_term`` of c at tau (delta) or sigma (nabla).
+    """An exponential's exponent: ``Terms`` of the row's map of c at tau (delta) or sigma (nabla).
 
     ``run`` adds a block's terms as the Log of the product of the row's
     factors (``cylinder._log_product``), equal to their sum modulo 2*pi*i,
@@ -644,10 +650,11 @@ class _Exponent(Terms):
             c, self.listed = (lambda tau, mu: coeff(tau)), coeff.values
         else:
             c, self.listed = coeff, None
+        _, eta, cylinder_map = _row(variant, None)
         at_sigma = variant is LogVariant.NABLA_PRINCIPAL
-        term = (lambda tau, mu, sigma: c(sigma, mu)) if at_sigma else (lambda tau, mu, sigma: c(tau, mu))
-        super().__init__(lambda x: c(x, 0.0), _cylinder_term(variant, term), cfg.quad_tol)
-        self.c, self.eta, self.at_sigma = c, _row(variant, None)[1], at_sigma
+        term = lambda tau, mu, sigma: cylinder_map(mu, c(sigma if at_sigma else tau, mu))
+        super().__init__(lambda x: c(x, 0.0), term, cfg.quad_tol)
+        self.c, self.eta, self.at_sigma = c, eta, at_sigma
 
     def run(self, total: complex, xs: Sequence[float]) -> complex | None:
         taus, sigmas = xs[:-1], xs[1:]
@@ -809,12 +816,12 @@ def identity_suite(
     raise ValidationError.  Rows are sorted by identity name.
 
     The five logarithms on the left of the rules, among them the reference
-    Lp, come from the theorem (``log_ts``).  The other five walks, one per
-    distinct row, are the definition (``_kernel``: the cylinder maps): the
-    Cayley and eta rows compare it with Lp, and the exponential round trip
-    compares exp(Lp) with exp of the delta row's walk, which is also the
-    eta = 0 row's, so a fault in either construction fails a row rather
-    than appearing on both sides of it.
+    Lp, come from the theorem (``log_ts``).  One walk, right after Lp and
+    Lq, is the definition (``_Definition``: the cylinder maps) at the rows
+    delta, Cayley and eta 1/4, 3/4 and 1: the Cayley and eta rows compare
+    it with Lp, and the exponential round trip compares exp(Lp) with exp
+    of the delta row, also the eta = 0 row's, so a fault in either
+    construction fails a row rather than appearing on both sides of it.
     """
     s = ts.snap(s)
     t = ts.snap(t)
@@ -832,12 +839,15 @@ def identity_suite(
         k, res = lattice_gap(lhs, rhs)
         rows.append(IdentityResult(name, getattr(lhs, "rep", lhs), rhs, res, k, res <= tol))
 
-    def definition(variant: LogVariant, eta: float | None = None) -> complex:
-        return _window(_kernel(variant, p, cfg, eta), ts, s, t)
-
     Lp = log_delta_principal(p, ts, s, t, cfg)
     Lq = log_delta_principal(q, ts, s, t, cfg)
-    delta = definition(LogVariant.DELTA_PRINCIPAL)
+    # the definition's rows from one walk up, reversed as _window reverses a window
+    etas = (0.25, 0.75, 1.0)
+    definition = _Definition(
+        p, cfg, [(LogVariant.DELTA_PRINCIPAL, None), (LogVariant.CAYLEY_PRINCIPAL, None)] + [(LogVariant.ETA, e) for e in etas]
+    )
+    sums = definition.between(*_walk(definition, ts, min(s, t), [min(s, t), max(s, t)]))
+    delta, cayley, *walked = sums if s <= t else [-1.0 * v for v in sums]
     exact("exp-of-principal-log", cexp(Lp), cexp(delta))
     modulo_lattice("product-rule", log_delta_principal(p * q, ts, s, t, cfg), Lp + Lq)
     modulo_lattice("quotient-rule", log_delta_principal(p / q, ts, s, t, cfg), Lp - Lq)
@@ -850,13 +860,11 @@ def identity_suite(
     else:
         raise ValidationError("power rule with non-integer alpha needs p positive real on the window")
 
-    cayley = definition(LogVariant.CAYLEY_PRINCIPAL)
     exact("cayley-principal", cayley, Lp)
-    # the multi-valued Cayley log and eta = 1/2 are the same walk with the lattice
-    # attached, and eta = 0 is the delta walk: the same map arithmetic at eta 0
+    # the multi-valued Cayley log and eta = 1/2 are the Cayley row with the
+    # lattice attached, and eta = 0 is the delta row: the same map arithmetic at eta 0
     modulo_lattice("cayley-multi", cayley, Lp)
-    for eta in (0.0, 0.25, 0.5, 0.75, 1.0):
-        lhs = delta if eta == 0.0 else cayley if eta == 0.5 else definition(LogVariant.ETA, eta)
+    for eta, lhs in zip((0.0, 0.5) + etas, [delta, cayley] + walked):
         modulo_lattice(f"eta-{eta:g}", lhs, Lp)
 
     rows.sort(key=lambda r: r.identity)

@@ -75,9 +75,11 @@ def test_tracer_counts_the_gated_layers_and_uninstalls_cleanly():
         assert walk["cylinder.map_calls"] > 0
         assert walk["expr.p_evals"] > 0
 
+        # the suite's one definition walk calls each of its five rows' maps,
+        # by name through the module, once per jump
         logexp.identity_suite(p, q, grid, 0.0, 10.0, 2.0)
         suite = tracer.layer_metrics(1)
-        assert suite["cylinder.map_calls"] > walk["cylinder.map_calls"]
+        assert suite["cylinder.map_calls"] == walk["cylinder.map_calls"] + 5 * 10
         assert suite["logexp.windows_per_suite"] > 0
 
         logexp.log_delta_principal(p, timescale.parse_timescale("r"), 0.0, 2.0)

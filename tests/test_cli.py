@@ -418,6 +418,22 @@ def test_check_tol_flag_reaches_quadrature(run):
     assert "above tol 1e-300 after" in payload["message"]
 
 
+def test_check_raises_at_the_definition_walks_first_failing_jump(run):
+    # p = 1, -3, 3: (1-eta)p + eta*p_sigma vanishes for eta = 1/4 on the
+    # first gap and for Cayley on the second.  The definition's rows share
+    # one walk, which raises at the first failing jump, where one walk per
+    # row raised at the Cayley walk's gap
+    rc, out, err = run(
+        "check", "--timescale", "set:0,1,2", "--p", "5*t^2-9*t+1", "--q", "t+3",
+        "--s", "0", "--t", "2",
+    )
+    assert rc == 3 and out == ""
+    assert json.loads(err) == {
+        "error": "EtaNotRegressive",
+        "message": "(1-eta)p + eta*p_sigma vanishes for eta=0.25 on the gap after tau=0.0",
+    }
+
+
 def test_check_fractional_alpha_complex_p_exits_2(run):
     rc, _, err = run(
         "check", "--timescale", "hz:1", "--p", "t+3*i", "--q", "t+10",

@@ -1,10 +1,12 @@
 import cmath
 import functools
+import importlib
 import json
 import math
 import pathlib
 import random
 import re
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -522,21 +524,31 @@ def _stored_points(ts, lo, hi, midpoints=True):
     return points
 
 
+def _definitions(rows, p, ts, s, t, cfg=None):
+    # the cylinder-map walk of the rows, (variant, eta) pairs, which the
+    # identity suite checks the theorem against, over the window walked up
+    # and reversed as _window reverses one
+    s, t = ts.snap(s), ts.snap(t)
+    lo, hi = sorted((s, t))
+    walk = logexp._Definition(p, cfg or calculus.DEFAULT_TOLERANCES, [(LogVariant(v), eta) for v, eta in rows])
+    sums = walk.between(*calculus._walk(walk, ts, lo, [lo, hi]))
+    return sums if s <= t else [-1.0 * v for v in sums]
+
+
 def _definition(variant, p, ts, s, t, cfg=None, eta=None):
-    # the cylinder-map walk, which the identity suite checks the theorem against
-    cfg = cfg or calculus.DEFAULT_TOLERANCES
-    return calculus._window(logexp._kernel(LogVariant(variant), p, cfg, eta), ts, s, t)
+    # one row's walk
+    return _definitions([(variant, eta)], p, ts, s, t, cfg)[0]
 
 
 def _definition_table(variant, p, ts, base, points, cfg, eta):
     # log_table's one walk up through the points and the base, summing the
-    # cylinder-map terms; each row is the sum from the base to its point
-    terms = logexp._kernel(LogVariant(variant), p, cfg, eta)
+    # cylinder-map terms of one row; each row is the sum from the base to its point
+    walk = logexp._Definition(p, cfg, [(LogVariant(variant), eta)])
     n = bisect_left(points, base)
     stops = points[:n] + [base] + points[n:]
-    marks = calculus._walk(terms, ts, stops[0], stops)
+    marks = calculus._walk(walk, ts, stops[0], stops)
     at_base = marks.pop(n)
-    return [terms.between(at_base, m) for m in marks]
+    return [walk.between(at_base, m)[0] for m in marks]
 
 
 THEOREM_WINDOWS = [
@@ -2000,11 +2012,11 @@ def test_identity_suite_all_pass_on_unit_grid():
     assert "power-rule" in names and "eta-0.25" in names
 
 
-def test_identity_suite_is_ten_walks(monkeypatch):
-    # five logs by the theorem (p, q, pq, p/q, p^alpha) and five definition
-    # walks, all of them _kernel: the delta row for the exponential round
-    # trip, which the eta-0 row reuses, Cayley, which the eta-1/2 and
-    # cayley-multi rows reuse, and three more eta rows
+def test_identity_suite_is_six_walks(monkeypatch):
+    # five logs by the theorem (p, q, pq, p/q, p^alpha) and one definition
+    # walk, a _Definition of five rows: delta, for the exponential round trip
+    # and the eta-0 row, Cayley, which the eta-1/2 and cayley-multi rows
+    # reuse, and three more eta rows
     calls = {"walk": 0, "theorem": 0, "definition": 0}
 
     def counting(name, fn):
@@ -2014,24 +2026,108 @@ def test_identity_suite_is_ten_walks(monkeypatch):
 
         return wrapper
 
-    kernel = logexp._kernel
-    monkeypatch.setattr(calculus, "_walk", counting("walk", calculus._walk))
+    walk = counting("walk", calculus._walk)
+    monkeypatch.setattr(calculus, "_walk", walk)
+    monkeypatch.setattr(logexp, "_walk", walk)
     monkeypatch.setattr(logexp, "_theorem", counting("theorem", logexp._theorem))
-    monkeypatch.setattr(logexp, "_kernel", counting("definition", kernel))
+    monkeypatch.setattr(logexp, "_Definition", counting("definition", logexp._Definition))
     p = ScaleFunction.from_text("t^2+1")
     q = ScaleFunction.from_text("t+3")
     ts = parse_timescale("hz:1")
     rows = identity_suite(p, q, ts, 0.0, 6.0, 2.0)
     assert len(rows) == 11
-    assert calls == {"walk": 10, "theorem": 5, "definition": 5}
+    assert calls == {"walk": 6, "theorem": 5, "definition": 1}
     by_name = {r.identity: r for r in rows}
     assert by_name["eta-0.5"].lhs == by_name["cayley-principal"].lhs
-    # the eta-0 row is the delta walk, whose bits the eta row's own walk at 0 has
-    cfg = logexp.DEFAULT_TOLERANCES
-    delta = logexp._window(kernel(LogVariant.DELTA_PRINCIPAL, p, cfg, None), ts, 0.0, 6.0)
-    eta0 = logexp._window(kernel(LogVariant.ETA, p, cfg, 0.0), ts, 0.0, 6.0)
+    # the eta-0 row is the delta row, whose bits the eta row's own walk at 0 has
+    delta, eta0 = _definitions([("delta-principal", None), ("eta", 0.0)], p, ts, 0.0, 6.0)
     assert by_name["eta-0"].lhs == delta
     assert (delta.real.hex(), delta.imag.hex()) == (eta0.real.hex(), eta0.imag.hex())
+
+
+def test_identity_suite_evaluates_p_twice_per_jump_for_its_definition(monkeypatch):
+    # the definition's rows share one walk, which evaluates p at both ends of
+    # each of the 10 jumps once for all rows, not once per row
+    p = RecordingFunction.from_text("t^2+1")
+    walk = calculus._walk
+    evaluations = []
+
+    def counting(sums, *args):
+        before = len(p.points)
+        marks = walk(sums, *args)
+        if not isinstance(sums, logexp._Winding):
+            evaluations.append(len(p.points) - before)
+        return marks
+
+    monkeypatch.setattr(calculus, "_walk", counting)
+    monkeypatch.setattr(logexp, "_walk", counting)
+    identity_suite(p, ScaleFunction.from_text("t+3"), parse_timescale("hz:1"), 0.0, 10.0, 2.0)
+    assert sum(evaluations) == 2 * 10
+
+
+# the identity suite's definition rows, in the order its walk checks them
+_SUITE_ROWS = [("delta-principal", None), ("cayley-principal", None), ("eta", 0.25), ("eta", 0.75), ("eta", 1.0)]
+
+
+def _check_windows():
+    # (spec, p, s, t) of every `check` argv of the CLI stdout pins and of the
+    # benchmark's cli_sessions on seeds 1, 7 and 20261017
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.pop(0)
+    argvs = [pin["argv"] for pin in _PINS]
+    argvs += [op["argv"] for seed in (1, 7, 20261017) for op in workloads.cli_sessions(seed)]
+    windows = []
+    for argv in argvs:
+        if argv[0] == "check":
+            arg = dict(zip(argv[1::2], argv[2::2]))
+            windows.append((arg["--timescale"], arg["--p"], float(arg["--s"]), float(arg["--t"])))
+    return windows
+
+
+def test_definition_rows_from_one_walk_have_the_bits_of_one_walk_each(monkeypatch):
+    # the suite's five rows walked at once, with every run of jumps it can
+    # take in blocks, against each row walked alone jump by jump; on a
+    # window without jumps each row is the same integral, walked once
+    cases = []
+    for spec, text, lo, hi in (param.values for param in THEOREM_WINDOWS):
+        cases += [(spec, text, lo, hi), (spec, text, hi, lo)]
+    cases += _check_windows()
+    assert len(cases) == 2 * len(THEOREM_WINDOWS) + 15
+    alone = []
+    for spec, text, s, t in cases:
+        ts = parse_timescale(spec)
+        p = ScaleFunction.from_text(text)
+        lo, hi = sorted((s, t))
+        if not _jumps(ts, lo, hi):
+            alone.append(5 * [_jump_free_definitions(spec, text, lo, hi, s <= t)[0]])
+        else:
+            alone.append([_definition(v, p, ts, s, t, eta=eta) for v, eta in _SUITE_ROWS])
+    runs = []
+    run = logexp._Definition.run
+    monkeypatch.setattr(logexp._Definition, "run", lambda self, total, xs: runs.append(xs) or run(self, total, xs))
+    monkeypatch.setattr(calculus, "_HANDFUL", 0)
+    monkeypatch.setattr(calculus, "_LONG_RUN", 1)
+    for (spec, text, s, t), want in zip(cases, alone):
+        got = _definitions(_SUITE_ROWS, ScaleFunction.from_text(text), parse_timescale(spec), s, t)
+        assert [_bits(v) for v in got] == [_bits(v) for v in want], (spec, text, s, t)
+    # a block on every window on a point family
+    assert len(runs) >= sum(spec.startswith(("hz:", "q:", "alt:", "set:")) for spec, *_ in cases) > 10
+
+
+def test_definition_walk_raises_at_its_first_failing_jump():
+    # p = 1, -3, 3 on set:0,1,2: (1-eta)p + eta*p_sigma vanishes for eta =
+    # 1/4 on the first gap and for Cayley on the second, so the one walk
+    # raises the eta row's error at the first gap, where the Cayley row
+    # alone would raise at the second
+    p = ScaleFunction.from_text("5*t^2-9*t+1")
+    ts = parse_timescale("set:0,1,2")
+    with pytest.raises(CayleyNotRegressive, match=re.escape("eta=0.5 on the gap after tau=1.0")):
+        _definition("cayley-principal", p, ts, 0.0, 2.0)
+    with pytest.raises(EtaNotRegressive, match=re.escape("eta=0.25 on the gap after tau=0.0")):
+        identity_suite(p, ScaleFunction.from_text("t+3"), ts, 0.0, 2.0, 2.0)
 
 
 def _old_positivity_samples(ts, lo, hi):
