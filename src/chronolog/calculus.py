@@ -105,9 +105,9 @@ class ScaleFunction:
     scale is dense; difference quotients take over at scattered points.
     The tree and its derivative are compiled into straight-line code that
     computes each shared subexpression once (``expr.CompiledPair``), each
-    of p, p', the pair, the list and the disc on its first use; ``pair``
+    of p, p', the pair, the list and the box on its first use; ``pair``
     returns p and p' from one evaluation, ``values`` p at each point of a
-    list from one call, and ``disc`` a disc that holds p over a disc of t.
+    list from one call, and ``box`` a box that holds p over a real segment.
     Values must stay finite; callers that take logarithms additionally
     check the nonvanishing floor.
     """
@@ -161,11 +161,12 @@ class ScaleFunction:
             pass
         return [self(x) for x in xs]  # raises at the first point that fails
 
-    def disc(self, t: complex, r: float) -> tuple[complex, float]:
-        """(P, R) with ``self(x)`` in the disc D(P, R) at every x of the disc
-        D(t, r), or R = inf where the enclosure is refused; P has the bits
-        of ``self(t)`` (``expr.CompiledPair.disc``)."""
-        return self._code.disc(complex(t), r)
+    def box(self, a: float, b: float) -> tuple[float, float, float, float] | None:
+        """(x_lo, x_hi, y_lo, y_hi) with ``self(x)`` in the box [x_lo, x_hi]
+        x [y_lo, y_hi] at every float x of [a, b], or None where the
+        enclosure is refused; where it is not, ``self`` raises at no such x
+        (``expr.CompiledPair.box``)."""
+        return self._code.box(a, b)
 
     def __mul__(self, other: "ScaleFunction") -> "ScaleFunction":
         return ScaleFunction(_Mul(self.body, other.body), label=f"({self.label})*({other.label})")

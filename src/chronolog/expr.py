@@ -23,10 +23,11 @@ fold the subtrees that read no t, and compile it once per shape of tree
 (constants reach the code through its namespace, never as text).
 ``CompiledPair`` gives five functions from one program: p, p' and both at
 once, computing what the two trees share once, p at each point of a list
-from one call, and ``disc``, a disc that holds p over a complex disc of t
-(circular arithmetic, one radius rule per op in ``_DISC``, next to
-``_APPLY``), whose centre has the bits of p.  ``evaluate`` compiles the
-tree and checks that the value is finite.
+from one call, and ``box``, a box (x_lo, x_hi, y_lo, y_hi) that holds p
+at every float of a real segment of t (complex interval arithmetic in
+rectangular form, one rule per op in ``_BOX``, next to ``_APPLY``, each
+widened past its own rounding and ``value``'s).  ``evaluate`` compiles
+the tree and checks that the value is finite.
 The generated code raises the typed errors that a walk of the tree would,
 with the same messages, and returns the same bits.  It calls no Python
 helper for an integer power or for exp, sin and cos, so it raises bare
@@ -364,53 +365,162 @@ _APPLY = {
     **_HELPERS,
 }
 
-# The radius of each step's value over discs of its operands, for ``disc``:
-# the operands' discs D(a, r) and D(b, s), the step's own centre v (the
-# line of ``value``), and for a power the exponent b.  A rule bounds the
-# exact op over the discs; each radius is then inflated by 2^-40 (|v| + R),
-# plus 1e-300 for underflow, which bounds the op's own rounding at v and
-# at any point of the disc (a few ulps of |v| + R in each comment below),
-# so that ``value`` at every point of the input disc lies in every disc.
-# Where |v| + R reaches 2^1013 the inflation is inf: no point overflows.
-# A rule that meets a singularity is inf, and so is an op with no rule.
-_CUT = "(abs({a}.imag) if {a}.real < 0 else abs({a}))"  # distance from a to (-inf, 0]
+# The box of each step's value over boxes of its operands, for ``box``: a box
+# (x_lo, x_hi, y_lo, y_hi) holds every x + iy with x and y in those ranges.
+# A rule takes its operands' boxes (an exponent as it is) and holds the exact
+# op over them; ``_out`` then widens each endpoint outward by 2^-40 of the
+# largest magnitude m that entered it (not of the result: X^2 - Y^2 can
+# cancel), plus 1e-300 for underflow.  That bounds the rounding of the rule's
+# own endpoints and of ``value``'s line, a few ulps of m in each comment
+# below, so ``value`` at every float t of the segment lies in every box.  A
+# rule raises where it meets a singularity, as does an endpoint not finite.
+_WIDTH = 2.0**-40
+_ONE = (1.0, 1.0, 0.0, 0.0)
 
 
-def _away(n: str, d: str) -> str:
-    # |x^n - a^n| <= |v| ((1 - rho)^-|n| - 1), rho = r/|a|: the binomial
-    # series of (1 + w)^n bounded term by term; only where the disc keeps
-    # half of d, its distance from the singularity, so that 1 - rho rounds
-    # by 1 ulp of itself, and 1e-300 (log's guard)
-    return f"abs({{v}})*expm1(-abs({n})*log1p(-{{r}}/abs({{a}}))) if {{r}} + 1e-300 < 0.5*{d} else inf"
+def _out(xl: float, xh: float, yl: float, yh: float, m: float) -> tuple:
+    w = m * _WIDTH + 1e-300
+    box = xl - w, xh + w, yl - w, yh + w
+    if math.isfinite(sum(box)):  # an inf or a nan anywhere makes the sum one
+        return box
+    raise OverflowError("a box endpoint is not finite")
 
 
-_DISC = {
-    # sums and negation: radii add; one rounding, 1 ulp of |v|
-    "+": "{r} + {s}",
-    "-": "{r} + {s}",
-    "neg": "{r}",
-    # |xy - ab| <= |a| s + |b| r + r s; a complex product rounds by < 3 ulps
-    "*": "abs({a})*{s} + abs({b})*{r} + {r}*{s}",
-    # |x/y - a/b| <= (r + |a/b| s) / (|b| - s), with s < 0.999 |b| so that
-    # |b| - s rounds by < 2^-43 of itself; a complex quotient rounds by < 6 ulps
-    "/": "({r} + abs({v})*{s}) / (abs({b}) - {s}) if {s} < 0.999*abs({b}) else inf",
-    # (|a| + r)^n - |a|^n for n > 0, whose cancellation costs < n + 3 ulps of
-    # (|a| + r)^n, and 1/x^|n| otherwise; CPython squares, < 2n ulps, n <= 100
-    "**": "(abs({a}) + {r})**{b} - abs({a})**{b} if {b} > 0 else " + _away("{b}", "abs({a})"),
-    # principal powers off the cut, in polar form: < (|n log|x|| + 4) ulps,
-    # below 2^12 while |v| + R stays in range
-    "_pow": _away("{b}", _CUT),
-    "_sqrt": _away("0.5", _CUT),
-    # |Log x - Log a| = |log(1 + w)| <= -log(1 - rho) off the cut; < 3 ulps
-    "_log": f"-log1p(-{{r}}/abs({{a}})) if {{r}} + 1e-300 < 0.5*{_CUT} else inf",
-    # |exp x - exp a| <= |exp a| (e^r - 1); cmath rounds by < 4 ulps
-    "_exp": "abs({v})*expm1({r})",
-    # |sin x - sin a| <= |sin a| (cosh r - 1) + |cos a| sinh r <= cosh(Im a) (e^r - 1), cos alike
-    "_sin": "cosh({a}.imag)*expm1({r})",
-    "_cos": "cosh({a}.imag)*expm1({r})",
+def _mul(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
+    # the interval product [al, ah] * [bl, bh]; by a point, two products
+    if al == ah:
+        return (al * bl, al * bh) if al >= 0.0 else (al * bh, al * bl)
+    if bl == bh:
+        return (al * bl, ah * bl) if bl >= 0.0 else (ah * bl, al * bl)
+    p, q, r, s = al * bl, al * bh, ah * bl, ah * bh
+    return min(p, q, r, s), max(p, q, r, s)
+
+
+def _sq(lo: float, hi: float) -> tuple[float, float]:
+    # the interval square, from 0 where [lo, hi] holds it
+    return (lo * lo, hi * hi) if lo >= 0.0 else (hi * hi, lo * lo) if hi <= 0.0 else (0.0, max(lo * lo, hi * hi))
+
+
+def _wave(f: Callable, lo: float, hi: float, top: int) -> tuple[float, float]:
+    # the range of f = cos (top 0) or sin (top 1) over [lo, hi]: f at the
+    # ends, and 1 (-1) at each multiple k pi/2 in [lo, hi] with k = top
+    # (top + 2) mod 4.  k's range is widened by 2^-40 (|lo| + |hi|), so that
+    # the rounding of x 2/pi can add an extremum but never drop one
+    w = (abs(lo) + abs(hi)) * _WIDTH
+    k0, k1 = math.ceil(lo * (2.0 / math.pi) - w), math.floor(hi * (2.0 / math.pi) + w)
+    if k1 - k0 >= 3:
+        return -1.0, 1.0
+    fl, fh = f(lo), f(hi)
+    if fh < fl:
+        fl, fh = fh, fl
+    for k in range(k0, k1 + 1):
+        fl, fh = -1.0 if k % 4 == top + 2 else fl, 1.0 if k % 4 == top else fh
+    return fl, fh
+
+
+def _polar(rl: float, rh: float, pl: float, ph: float, m: float) -> tuple:
+    # r (cos p + i sin p) for r in [rl, rh] >= 0 and p in [pl, ph]
+    return _out(*_mul(rl, rh, *_wave(math.cos, pl, ph, 0)), *_mul(rl, rh, *_wave(math.sin, pl, ph, 1)), m)
+
+
+def _box_add(a: tuple, b: tuple) -> tuple:
+    # interval sums; value rounds by 1 ulp of m
+    (xl, xh, yl, yh), (ul, uh, vl, vh) = a, b
+    return _out(xl + ul, xh + uh, yl + vl, yh + vh, max(-xl, xh, -yl, yh, -ul, uh, -vl, vh))
+
+
+def _box_mul(a: tuple, b: tuple) -> tuple:
+    # (x + iy)(u + iv) = (xu - yv) + i(xv + yu) from interval products; a
+    # step times itself from interval squares, (x^2 - y^2) + 2ixy, so that a
+    # box about 0 squares to x^2 >= 0.  Each part of a complex product
+    # rounds by < 3 ulps of m, the largest product
+    (xl, xh, yl, yh), (ul, uh, vl, vh) = a, b
+    if a is b:
+        (xul, xuh), (yvl, yvh) = _sq(xl, xh), _sq(yl, yh)
+        xvl, xvh = yul, yuh = _mul(xl, xh, yl, yh)
+    else:
+        (xul, xuh), (yvl, yvh) = _mul(xl, xh, ul, uh), _mul(yl, yh, vl, vh)
+        (xvl, xvh), (yul, yuh) = _mul(xl, xh, vl, vh), _mul(yl, yh, ul, uh)
+    m = max(-xul, xuh, -yvl, yvh, -xvl, xvh, -yul, yuh)
+    return _out(xul - yvh, xuh - yvl, xvl + yul, xvh + yuh, m)
+
+
+def _box_div(a: tuple, b: tuple) -> tuple:
+    # a conj(b)/|b|^2, refused where b's box holds 0 (or |b|^2 nears the
+    # subnormals); 1/|b|^2 rounds by < 4 ulps, a complex quotient by < 6
+    # ulps of |a/b| < 4 m
+    (x2l, x2h), (y2l, y2h) = _sq(*b[:2]), _sq(*b[2:])
+    if not x2l + y2l > 1e-290:
+        raise ZeroDivisionError("the divisor's box holds 0")
+    u, v = 1.0 / (x2h + y2h), 1.0 / (x2l + y2l)
+    (rl, rh), (il, ih) = _mul(*b[:2], u, v), _mul(*b[2:], u, v)
+    return _box_mul(a, _out(rl, rh, -ih, -il, max(-rl, rh, -il, ih)))
+
+
+def _box_ipow(a: tuple, n: int) -> tuple:
+    # x^n by squares and products, 1/x^|n| for n < 0; value's powering
+    # rounds by < 8n ulps of m in all, whatever the order of its products
+    if n < 0:
+        return _box_div(_ONE, _box_ipow(a, -n))
+    if n < 2:
+        return a if n else _ONE
+    r = _box_ipow(_box_mul(a, a), n // 2)
+    return _box_mul(a, r) if n % 2 else r
+
+
+def _off_cut(a: tuple) -> tuple[float, float, float, float]:
+    # the modulus range and the Arg range of a box off the cut (-inf, 0]
+    # (and off 0 by 1e-290, where log raises): its nearest and farthest
+    # points, and Arg at the corners, where it has its extremes
+    xl, xh, yl, yh = a
+    near = math.hypot(xl if xl > 0.0 else xh if xh < 0.0 else 0.0, yl if yl > 0.0 else yh if yh < 0.0 else 0.0)
+    if xl <= 0.0 and yl <= 0.0 <= yh or not near > 1e-290:
+        raise ValueError("the box meets the cut")
+    args = [math.atan2(y, x) for x in (xl, xh) for y in (yl, yh)]
+    return near, math.hypot(max(-xl, xh), max(-yl, yh)), min(args), max(args)
+
+
+def _box_pow(a: tuple, n: float) -> tuple:
+    # the principal x^n = |x|^n e^(i n Arg x); CPython's polar power rounds
+    # by < (8|n| + 4) ulps of |x^n|, under 2^12 ulps of m = max|x^n| max(1, |n|)
+    near, far, lo, hi = _off_cut(a)
+    (rl, rh), (pl, ph) = sorted((near**n, far**n)), sorted((n * lo, n * hi))
+    return _polar(rl, rh, pl, ph, rh * max(1.0, abs(n)))
+
+
+def _box_log(a: tuple) -> tuple:
+    # ln|x| + i Arg x; the ln of a modulus that rounds by an ulp is off by an
+    # ulp of 1, so 1 enters m too; cmath.log rounds by < 3 ulps
+    near, far, lo, hi = _off_cut(a)
+    rl, rh = math.log(near), math.log(far)
+    return _out(rl, rh, lo, hi, max(1.0, -rl, rh, -lo, hi))
+
+
+def _box_sin(a: tuple, cos: bool = False) -> tuple:
+    # sin(x + iy) = sin x cosh y + i cos x sinh y, and cos(x + iy) =
+    # cos x cosh y - i sin x sinh y; cmath rounds by < 4 ulps of cosh y_hi
+    yl, yh = a[2:]
+    ch = (1.0 if yl <= 0.0 <= yh else math.cosh(min(-yl, yh))), math.cosh(max(-yl, yh))
+    re = _mul(*_wave(math.cos if cos else math.sin, *a[:2], 1 - cos), *ch)
+    il, ih = _mul(*_wave(math.sin if cos else math.cos, *a[:2], cos), math.sinh(yl), math.sinh(yh))
+    return _out(*re, *((-ih, -il) if cos else (il, ih)), ch[1])
+
+
+_BOX = {
+    "+": _box_add,
+    "-": lambda a, b: _box_add(a, (-b[1], -b[0], -b[3], -b[2])),
+    "neg": lambda a: (-a[1], -a[0], -a[3], -a[2]),  # exact
+    "*": _box_mul,
+    "/": _box_div,
+    "**": _box_ipow,
+    "_pow": _box_pow,
+    "_sqrt": partial(_box_pow, n=0.5),
+    "_log": _box_log,
+    # e^x (cos y + i sin y); cmath.exp rounds by < 4 ulps of e^x_hi
+    "_exp": lambda a: _polar(math.exp(a[0]), math.exp(a[1]), *a[2:], math.exp(a[1])),
+    "_sin": _box_sin,
+    "_cos": partial(_box_sin, cos=True),
 }
-_INFLATE = " += (abs({v}) + {r}) * 2048.0 * 4.440892098500626e-16 + 1e-300"  # 2^11 * 2^-51
-_DISC_NAMES = {"expm1": math.expm1, "log1p": math.log1p, "cosh": math.cosh, "inf": math.inf, "ChronologError": ChronologError}
 
 # compiled sources kept for reuse: a source depends only on a tree's shape,
 # so every p of one shape shares its code objects
@@ -552,25 +662,18 @@ class _Program:
         replay = tuple((s, *self.steps[s]) for s in steps), operator.itemgetter(*results), loop
         return "\n".join(lines) + "\n", replay
 
-    def disc_source(self, root: str) -> tuple[str, None]:
-        """The source of ``def disc(t, r)``: ``value``'s lines for root, each
-        followed by its radius over the disc D(t, r) (``_DISC``), returning
-        (centre, radius), or (0j, inf) where any line raises or the radius
-        is not finite (never a nan centre, whose abs() can raise a stale
-        OverflowError)."""
-
-        def radius(name: str) -> str:
-            return "r" if name == "t" else "r" + name[1:] if name in self.steps else "0.0"
-
-        lines = ["def disc(t, r):", "    try:"]
+    def box_source(self, root: str) -> tuple[str, None]:
+        """The source of ``def box(a, b)``: from t's box [a, b] x [0, 0],
+        one line per step of ``value`` for root, the op's rule in ``_BOX``
+        on its operands' boxes, returning root's box (checked by ``_out``
+        where root is t or a constant), or None where a line raises, an
+        endpoint is not finite or an op has no rule."""
+        lines = ["def box(a, b):", "    t = a, b, 0.0, 0.0", "    try:"]
         for name in self.post_order(root):
             op, args = self.steps[name]
-            a, b = args[0], args[-1]
-            rule = _DISC.get(op, "inf").format(v=name, a=a, r=radius(a), b=b, s=radius(b))
-            lines += [self._line(name), f"        {radius(name)} = {rule}"]
-            lines.append("        " + radius(name) + _INFLATE.format(v=name, r=radius(name)))
-        lines += [f"        if {radius(root)} < inf:", f"            return {root}, {radius(root)}"]
-        lines += ["    except (ArithmeticError, ValueError, ChronologError):", "        pass", "    return 0j, inf"]
+            lines.append(f"        {name} = _BOX[{op!r}]({', '.join(args)})")
+        lines.append(f"        return {root if root in self.steps else f'_out(*{root}, 0.0)'}")
+        lines += ["    except (ArithmeticError, LookupError, ValueError):", "        return None"]
         return "\n".join(lines) + "\n", None
 
 
@@ -582,7 +685,7 @@ def _code(source: str) -> CodeType:
 def _function(source: str, replay: tuple, fname: str, consts: dict) -> Callable:
     # the function fname of the source, in a namespace of the constants, the
     # helpers and its replay
-    namespace = {**_HELPERS, **_DIRECT, **_DISC_NAMES, **consts, "_rerun": _rerun, "_replay": replay}
+    namespace = {**_HELPERS, **_DIRECT, **consts, "_rerun": _rerun, "_replay": replay}
     exec(_code(source), namespace)
     return namespace[fname]
 
@@ -629,22 +732,22 @@ class CompiledPair:
     """Functions of a complex t for a tree e and its derivative de:
     ``value`` (e), ``prime`` (de) and ``pair`` ((e, de) at once),
     ``values``, e at each point of a sequence, from one call, and
-    ``disc(t, r)``, a disc (P, R) that holds ``value`` at every point of
-    the disc D(t, r), or R = inf where it is refused.
+    ``box(a, b)``, a box (x_lo, x_hi, y_lo, y_hi) that holds ``value`` at
+    every float t of the real segment [a, b], or None where it is refused.
 
     All five come from one program, so ``pair`` computes each
     subexpression the two trees share once, ``values`` runs the steps of
     ``value`` in a loop inside the generated code, for the same bits point
-    by point, and ``disc`` runs ``value``'s lines, so that P at r = 0 has
-    its bits, each followed by the step's radius rule (``_DISC``).  The
-    first use of any of them builds the program and writes the five
+    by point, and ``box`` runs one rule of ``_BOX`` per step of ``value``.
+    The first use of any of them builds the program and writes the five
     sources with their replays (see ``_Program``), keeping only those and
     the constants; each function is compiled on its first use, from its
     own source, which is then dropped: compiling costs more than writing,
     and most callers use one or two of the five.  ``pair`` runs de's steps
     first, so it raises what ``prime`` would raise before what ``value``
     would.  At a complex t every value is complex, a constant tree's too.
-    No finiteness checks, as for ``compile_expr``; ``disc`` raises nothing.
+    No finiteness checks, as for ``compile_expr``; ``box`` raises nothing,
+    and where it is not refused ``value`` raises at no float of [a, b].
     """
 
     def __init__(self, e: Expr, de: Expr):
@@ -666,9 +769,13 @@ class CompiledPair:
                 "prime": prog.source("prime", (d,), prime_steps),
                 "pair": prog.source("pair", (p, d), prog.steps),
                 "values": prog.source("values", (p,), prog.post_order(p), loop=True),
-                "disc": prog.disc_source(p),
+                "box": prog.box_source(p),
             }
-        return _function(*self._sources.pop(fname), fname, self._consts)
+        consts = self._consts
+        if fname == "box":  # a complex constant's box is its point
+            consts = {k: (v.real, v.real, v.imag, v.imag) if type(v) is complex else v for k, v in consts.items()}
+            consts.update(_BOX=_BOX, _out=_out)
+        return _function(*self._sources.pop(fname), fname, consts)
 
     @cached_property
     def value(self) -> Callable[[complex], complex]:
@@ -687,8 +794,8 @@ class CompiledPair:
         return self._compile("values")
 
     @cached_property
-    def disc(self) -> Callable[[complex, float], tuple[complex, float]]:
-        return self._compile("disc")
+    def box(self) -> Callable[[float, float], tuple[float, float, float, float] | None]:
+        return self._compile("box")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ window of ``log_ts``, which every ``log_*`` function calls, of
 per point it keeps, and every jump, single or in a block, through one
 checked loop under the maps' one guard (``cylinder._singular``), which
 raises the row's map's errors.  A block keeps only the end of each span
-of jumps over which a disc holding p (``ScaleFunction.disc``) stays clear
+of jumps over which a box holding p (``ScaleFunction.box``) stays clear
 of 0.  The definition (``_Definition``) is the independent second side
 of the identity suite: one walk of the weighted quotient for any number
 of rows, which integrates p'/p once per piece to ``quad_tol``, evaluates
@@ -68,6 +68,7 @@ import cmath
 import math
 import operator
 from bisect import bisect_left
+from contextlib import suppress
 from enum import Enum
 from functools import partial
 from typing import Callable, Sequence, Union
@@ -280,12 +281,11 @@ _WINDING_SLACK = 0.05
 
 # the thinning of a run (``_Winding._kept``): the fewest jumps a span must
 # have to be tried, the jumps of the smallest span worth splitting towards,
-# the relative margin by which p's disc must clear 0, and the widening that
-# covers the rounding of a span's radius about its rounded midpoint
+# and the margin by which p's box must clear 0, relative to its farthest
+# corner
 _FEWEST = 16
 _SPLIT_TO = 8
 _MARGIN = 2.0**-20
-_WIDEN = 1.0 + 2.0**-50
 
 
 class _Winding:
@@ -334,13 +334,14 @@ class _Winding:
 
     ``run`` takes a block of jumps through increasing points xs of a point
     family, after a step has opened the walk.  It first thins the block
-    (``_kept``): a span [x_i, x_j] is certified where p's disc over the
-    disc with diameter [x_i, x_j] has |P| - R >= max(eps_min, 2^-20 (|P|
-    + R)), and keeps only x_j.  That is sound: p at each point of the span
-    lies in one disc clear of 0, so every ratio in it turns by less than
-    pi, the span's Arg is the sum of its jumps' turns, and every check
-    passes.  Then p at the kept points from one ``ScaleFunction.values``
-    call, the floor, and ``_advance``, a certified span taken as one jump.
+    (``_kept``): a span [x_i, x_j] is certified where p's box over it
+    (``ScaleFunction.box``) lies at least max(eps_min, 2^-20 |far corner|)
+    from 0, and keeps only x_j.  That is sound: a convex box that misses 0
+    lies in an open half-plane, so every ratio of p in it turns by less
+    than pi, the span's Arg is the sum of its jumps' turns, every weighted
+    mean (1-eta)p + eta*p_sigma lies in it, and every check passes.  Then p
+    at the kept points from one ``ScaleFunction.values`` call, the floor,
+    and ``_advance``, a certified span taken as one jump.
     A block that fails raises, typed but named at no gap, and ``_walk``
     walks it again by ``step``, which names the gap.
     """
@@ -428,27 +429,25 @@ class _Winding:
     def _kept(self, xs: Sequence[float]) -> list[float]:
         # the points of xs[1:] that the run evaluates p at: xs's index range
         # bisected, left half first, each span [x_i, x_j] of at least
-        # _FEWEST jumps kept as its end point alone where p's disc over it
-        # is certified, and split only where its R/|P| leaves a span of
-        # _SPLIT_TO jumps a chance: log(1 + R/|P|) at most halves with the
-        # span under the rules of sums, products, powers and exp.  A refused
-        # disc keeps its span whole
-        disc, floor = self.p.disc, self.cfg.eps_min
+        # _FEWEST jumps kept as its end point alone where p's box over it
+        # is certified, and split only where the box's half-diagonal is
+        # under |centre| (2^(n/_SPLIT_TO) - 1), which leaves a span of
+        # _SPLIT_TO jumps a chance: log(1 + half-diagonal/|centre|) at
+        # most halves with the span under the rules of sums, products,
+        # powers and exp.  A refused box keeps its span whole
+        box, floor, hypot = self.p.box, self.cfg.eps_min, math.hypot
         kept: list[float] = []
         spans = [(0, len(xs) - 1)]
         while spans:
             i, j = spans.pop()
             n = j - i
-            if n >= _FEWEST:
-                a, b = xs[i], xs[j]
-                c = 0.5 * (a + b)
-                centre, radius = disc(c, max(b - c, c - a) * _WIDEN)
-                m = abs(centre)
-                gap = m - radius
-                if gap >= floor and gap >= _MARGIN * (m + radius):
-                    kept.append(b)
+            if n >= _FEWEST and (enclosure := box(xs[i], xs[j])) is not None:
+                xl, xh, yl, yh = enclosure
+                gap = hypot(max(xl, -xh, 0.0), max(yl, -yh, 0.0))  # the box's distance from 0
+                if gap >= floor and gap >= _MARGIN * hypot(max(-xl, xh), max(-yl, yh)):
+                    kept.append(xs[j])
                     continue
-                if radius < m * (2.0 ** (n / _SPLIT_TO) - 1.0):
+                if hypot(xh - xl, yh - yl) < hypot(xl + xh, yl + yh) * (2.0 ** (n / _SPLIT_TO) - 1.0):
                     h = (i + j) // 2
                     spans += ((h, j), (i, h))
                     continue
@@ -812,8 +811,9 @@ def identity_suite(
     Product and quotient rules and the variant comparisons hold modulo the
     2*pi*i lattice; the exponential round trip and (for positive real p)
     the power rule hold exactly.  The power rule with general complex p is
-    only testable for integer alpha (mod the lattice); other combinations
-    raise ValidationError.  Rows are sorted by identity name.
+    only testable for integer alpha (mod the lattice); for other alpha a p
+    that is not positive real raises ValidationError before any walk.  Rows
+    are sorted by identity name.
 
     The five logarithms on the left of the rules, among them the reference
     Lp, come from the theorem (``log_ts``).  One walk, right after Lp and
@@ -828,6 +828,15 @@ def identity_suite(
     cfg = cfg or DEFAULT_TOLERANCES
     alpha = float(alpha)
     p_alpha = p.pow(alpha)
+    # a fractional alpha needs p positive real on the window: an input error,
+    # found before any walk can fail numerically; where p itself fails there,
+    # the walks raise that, naming where, or the scan below raises it again
+    positive = None
+    if not alpha.is_integer():
+        with suppress(ChronologError):
+            positive = _positive_real_on_window(p, ts, s, t)
+        if positive is False:
+            raise ValidationError("power rule with non-integer alpha needs p positive real on the window")
     tol = cfg.cmp_tol
     rows: list[IdentityResult] = []
 
@@ -853,12 +862,10 @@ def identity_suite(
     modulo_lattice("quotient-rule", log_delta_principal(p / q, ts, s, t, cfg), Lp - Lq)
 
     lhs = log_delta_principal(p_alpha, ts, s, t, cfg)
-    if _positive_real_on_window(p, ts, s, t):
+    if positive or _positive_real_on_window(p, ts, s, t):
         exact("power-rule", lhs, alpha * Lp)
-    elif alpha == int(alpha):
-        modulo_lattice("power-rule", lhs, alpha * Lp)
     else:
-        raise ValidationError("power rule with non-integer alpha needs p positive real on the window")
+        modulo_lattice("power-rule", lhs, alpha * Lp)
 
     exact("cayley-principal", cayley, Lp)
     # the multi-valued Cayley log and eta = 1/2 are the Cayley row with the

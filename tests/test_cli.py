@@ -443,6 +443,21 @@ def test_check_fractional_alpha_complex_p_exits_2(run):
     assert json.loads(err)["error"] == "ValidationError"
 
 
+def test_check_fractional_alpha_is_an_input_error_before_any_walk(run):
+    # p = t - 0.5 is not positive real on the window, and its Cayley mean
+    # (p + p_sigma)/2 vanishes on the gap after 0: the input error comes
+    # first, with nothing on stdout
+    rc, out, err = run(
+        "check", "--timescale", "hz:1", "--p", "t-0.5", "--q", "t+3",
+        "--s", "-1", "--t", "5", "--alpha", "0.5",
+    )
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "ValidationError",
+        "message": "power rule with non-integer alpha needs p positive real on the window",
+    }
+
+
 @pytest.mark.parametrize("alpha", ["inf", "nan"])
 def test_check_non_finite_alpha_exits_2(run, alpha):
     # a non-finite exponent is an input error, not an int() failure mid-suite

@@ -924,17 +924,17 @@ def test_an_exponential_lists_a_chronolog_coefficient_in_one_call_per_block(list
     # last _H) take their values from one values call each.  A listed c is
     # called at each tau.  p's own quotient takes the theorem's walk, the
     # first jump evaluating both its ends, whose blocks list p only at the
-    # points their certified spans keep: of the block over [8, 520], the
-    # spans [24, 40], [40, 72], [72, 136], [136, 264] and [264, 520] keep
-    # their ends, and [8, 24] fails and keeps its 16 points; the last block,
-    # of _H jumps, is too short to certify.  So p at 38 of the 529 points
+    # points their certified spans keep: the block over [8, 520] is one span
+    # whose box, which squares [8, 520] whole, stays clear of 0, so it keeps
+    # its end; the last block, of _H jumps, is too short to certify.  So p
+    # at 18 of the 529 points
     ts, points = _long_window("hz:1")
     f = _SingleCallsFunction.from_text("t^2+1" if listed == "delta_quotient" else "0.001*i*t")
     f.singles, f.lists = [], 0
     exp_delta(delta_quotient(f) if listed == "delta_quotient" else f, ts, points[0], points[-1])
     if listed == "delta_quotient":
         assert len(f.singles) == _H + 1
-        assert len(f.points) == _H + 1 + (16 + 5) + _H
+        assert len(f.points) == _H + 1 + 1 + _H
     else:
         assert len(f.singles) == _H
         assert len(f.points) == _LONG
@@ -946,9 +946,9 @@ def test_an_exponential_lists_a_chronolog_coefficient_in_one_call_per_block(list
 # ---------------------------------------------------------------------------
 
 
-def _refuse_every_disc(monkeypatch):
+def _refuse_every_box(monkeypatch):
     # every enclosure refused: each run keeps, and evaluates p at, all its points
-    monkeypatch.setattr(ScaleFunction, "disc", lambda self, t, r: (0j, math.inf))
+    monkeypatch.setattr(ScaleFunction, "box", lambda self, a, b: None)
 
 
 def _whole_outcome(compute):
@@ -980,7 +980,7 @@ def _row_walks(p, ts, lo, hi, stops, cfg=None):
 
 # p whose trouble lies between the points 3 and 4 of hz:1, inside the first
 # block of a window from -260, whose next block is certified: a pole (whose
-# refused disc keeps the first block whole); p crossing the negative real axis,
+# refused box keeps the first block whole); p crossing the negative real axis,
 # the cut of each ratio's Arg, near 0 and far from it (where certified
 # spans cross it); sqrt and log crossing their own cut, so that p jumps;
 # ratios next to -1, and a p that winds about 4 times with certified spans
@@ -1002,7 +1002,7 @@ def test_certified_spans_keep_the_bits_of_every_jump(monkeypatch, text):
     stops = [lo, -200.0, 3.0, 4.0, 100.0, 600.0, hi]
     p = ScaleFunction.from_text(text)
     certified = _row_walks(p, ts, lo, hi, stops)
-    _refuse_every_disc(monkeypatch)
+    _refuse_every_box(monkeypatch)
     assert _row_walks(p, ts, lo, hi, stops) == certified
     if text == "exp(0.05*i*t)+0.5":
         assert abs(float.fromhex(certified[0][1][0][1])) > 6 * math.pi  # the winding K is not 0
@@ -1033,39 +1033,74 @@ def test_certified_spans_keep_every_error_across_a_block_boundary(monkeypatch, s
             )
         )
     certified = [_row_walks(p, ts, lo, hi, stops, cfg) for p in functions]
-    _refuse_every_disc(monkeypatch)
+    _refuse_every_box(monkeypatch)
     assert [_row_walks(p, ts, lo, hi, stops, cfg) for p in functions] == certified
+
+
+@pytest.mark.parametrize("spec", ["hz:0.25", "hz:1", "q:1.001", "alt:0.4,0.7", "set"])
+def test_certified_spans_of_a_fast_turning_p_keep_the_bits_of_every_jump(monkeypatch, spec):
+    # exp(i*t) + c turns by the whole gap at each jump, so only its box over
+    # the real segment, which sees that |exp(i*t)| = 1, certifies its spans
+    ts, points = _long_window(spec)
+    lo, hi = points[0], points[-1]
+    stops = [lo, points[_H + 3], points[_H + _B // 2], hi]
+    p = ScaleFunction.from_text("exp(i*t)+(2-1.5*i)")
+    certified = _row_walks(p, ts, lo, hi, stops)
+    _refuse_every_box(monkeypatch)
+    assert _row_walks(p, ts, lo, hi, stops) == certified
 
 
 @pytest.mark.parametrize(
     "centre, radius, certified",
     [
         (1.0, 0.5, True),
-        # |P| - R = 5e-11, under eps_min = 1e-10
+        # at 5e-11 from 0, under eps_min = 1e-10
         (2e-10, 1.5e-10, False),
-        # |P| - R = 2^-21, under 2^-20 (|P| + R) but far above eps_min
+        # at 2^-21 from 0, under 2^-20 of its farthest corner's modulus
+        # (about 2.24) but far above eps_min
         (1.0, 1.0 - 2.0**-21, False),
         (1.0, 1.0 - 2.0**-18, True),
-        # a refused disc
+        # left of 0, holding 0, and refused
+        (-2.0, 1.0, True),
+        (0.25, 0.5, False),
         (0.0, math.inf, False),
     ],
 )
 def test_a_span_is_certified_only_above_the_floor_and_the_margin(monkeypatch, centre, radius, certified):
-    # every span's disc is (centre, radius): a certified block keeps its end
-    # alone, any other keeps every point
+    # every span's box is the square of half-side radius about centre, or
+    # refused where that is inf: a certified block keeps its end alone, any
+    # other keeps every point
+    box = None if radius == math.inf else (centre - radius, centre + radius, -radius, radius)
     ts, points = _long_window("hz:1")
     p = RecordingFunction.from_text("t+1000")
-    monkeypatch.setattr(ScaleFunction, "disc", lambda self, t, r: (complex(centre), radius))
+    monkeypatch.setattr(ScaleFunction, "box", lambda self, a, b: box)
     log_ts("delta-principal", p, ts, points[0], points[-1], ToleranceConfig(eps_min=1e-10))
     assert len(p.points) == (_H + 1) + (1 if certified else _B) + _H
 
 
-def test_a_long_smooth_window_evaluates_p_at_under_2_percent_of_its_points():
+@pytest.mark.parametrize("text", ["t^2+1", "exp(i*t)+(2-1.5*i)"])
+def test_a_long_smooth_window_evaluates_p_at_under_2_percent_of_its_points(text):
     ts = parse_timescale("hz:1")
-    p = RecordingFunction.from_text("t^2+1")
+    p = RecordingFunction.from_text(text)
     want = log_ts("delta-principal", p, ts, 0.0, 5000.0)
     assert len(p.points) < 0.02 * 5001
     assert abs(want - cmath.log(p(5000.0) / p(0.0))) == 0.0
+
+
+def test_a_span_that_winds_is_split_only_while_its_box_leaves_a_chance(monkeypatch):
+    # exp(pi*i*t) turns by pi at each jump of hz:1, so no span of 16 jumps
+    # or more is certified, and a box that holds the whole unit circle,
+    # centred near 0, leaves no smaller span a chance: over 1,056 jumps, one
+    # box for each of the blocks of 512, 512 and 24 jumps, over all of it
+    ts, points = _long_window("hz:1", 2 * _LONG)
+    calls = []
+    box = ScaleFunction.box
+    monkeypatch.setattr(ScaleFunction, "box", lambda self, a, b: calls.append((a, b)) or box(self, a, b))
+    p = RecordingFunction.from_text("exp(3.141592653589793*i*t)")
+    log_ts("delta-principal", p, ts, points[0], points[-1])
+    assert len(points) - 1 == 1056 and len(p.points) == len(points)
+    ends = [points[k] for k in (_H, _H + _B, _H + 2 * _B, 2 * _LONG)]
+    assert calls == list(zip(ends, ends[1:]))
 
 
 def _exp_outcome(compute):
