@@ -13,9 +13,9 @@ each the way ``Terms`` would; or the window logarithm's theorem
 the exponentials of p's own quotients take exp of the theorem's sum.
 On the point families a long run of jumps goes to the sum in blocks, its
 ``run`` taking a block's points at once, the theorem's only those that
-its certified spans of jumps keep; a block whose run fails is walked
-again jump by jump, so that every error is the one a single jump raises,
-at the same gap.
+its certified spans of jumps keep.  A run returns its total or raises,
+and a block whose run raises is walked again jump by jump, so that every
+error is the one a single jump raises, at the same gap.
 Both integrate with one globally adaptive Gauss-Kronrod (G7K15)
 integrator, ``adaptive_simpson``.  It keeps its panels in a heap ordered
 by the error estimate |K15 - G7| and bisects the worst until the
@@ -312,7 +312,8 @@ class Terms:
 
     A continuous piece [lo, hi] adds the integral of ``dense`` over it, to
     ``tol``; a jump from tau to its stored successor sigma, a gap mu = sigma
-    - tau, adds ``mu * term(tau, mu, sigma)``.  This sums integrals,
+    - tau, adds ``mu * term(tau, mu, sigma)``, either raising
+    NonFiniteIntegrand where the sum turns non-finite.  This sums integrals,
     exponentials and the older logarithms.  The other sums ``_walk`` takes
     are the window logarithm's definition (``logexp._Definition``), whose
     total is a tuple of rows and whose ``run`` and ``close`` are these, and
@@ -325,8 +326,9 @@ class Terms:
     total and ``between`` is b - a; ``run`` is a loop of ``step``, and the
     exponentials' subclass takes a block as the product of its factors
     (``logexp._Exponent``); the exponentials of p's own quotient take the
-    theorem's sum instead.  ``_walk`` re-walks a block whose run fails by
-    ``step``, which names the gap.  Every walk gets a fresh sum.
+    theorem's sum instead.  A ``run`` returns its total or raises, and
+    ``_walk`` then re-walks the block by ``step``, which names the gap.
+    Every walk gets a fresh sum.
     """
 
     __slots__ = ("dense", "term", "tol")
@@ -337,13 +339,16 @@ class Terms:
         self.tol = tol
 
     def piece(self, total: complex, lo: float, hi: float) -> complex:
-        return total + adaptive_simpson(self.dense, lo, hi, self.tol)
+        total += adaptive_simpson(self.dense, lo, hi, self.tol)
+        if not cmath.isfinite(total):
+            raise NonFiniteIntegrand(f"the running sum {total} is not finite")
+        return total
 
     def step(self, total: complex, tau: float, mu: float, sigma: float) -> complex:
-        v = self.term(tau, mu, sigma)
-        if not cmath.isfinite(v):
-            raise NonFiniteIntegrand("jump term is not finite")
-        return total + mu * v
+        total += mu * self.term(tau, mu, sigma)
+        if not cmath.isfinite(total):
+            raise NonFiniteIntegrand(f"the running sum {total} is not finite")
+        return total
 
     def run(self, total: complex, xs: Sequence[float]) -> complex:
         for tau, sigma in zip(xs, xs[1:]):
@@ -390,13 +395,11 @@ def _walk(sums, ts: TimeScale, s: float, stops: list[float]) -> list:
     and hands them to ``sums.run``, so that a run of jumps costs one call
     (the theorem's run evaluates p only at the points that its certified
     spans keep); a nearer stop is reached jump by jump.  A block is taken only where
-    every gap in it is a distinct finite float and it passes no stop; a
-    run that fails (returns None, or raises) leaves ``sums`` as it was, and
-    the walk re-walks that block once, jump by jump, so that the same
-    error is raised at the same gap.
+    every gap in it is a distinct finite float and it passes no stop.  A
+    run returns its total or raises; one that raises leaves ``sums`` as it
+    was, and the walk re-walks that block once, jump by jump, so that the
+    same error is raised at the same gap.
     """
-    if not stops:
-        return []
     k, kt, _, _, _ = ts._span(s, stops[-1])
     blocks = ts._points(k, k) is not None
     b = ts._piece(k)[1]
@@ -423,18 +426,14 @@ def _walk(sums, ts: TimeScale, s: float, stops: list[float]) -> list:
                     single = kstop - k  # the rest of a short run, jump by jump
             if single <= 0 and blocks:
                 m = k + min(kstop - k, _BLOCK)
-                xs = _block(ts, k, m, stop)
-                ran = None
-                if xs is not None:
-                    try:
-                        ran = sums.run(total, xs)
-                    except (ChronologError, ArithmeticError):
-                        pass
-                if ran is not None:
-                    total, k, x = ran, m, xs[-1]
-                    b = x
+                try:
+                    xs = _block(ts, k, m, stop)
+                    total = sums.run(total, xs)
+                except (ChronologError, ArithmeticError):
+                    single = max(1, m - k)  # the block again, jump by jump
+                else:
+                    k, x, b = m, xs[-1], xs[-1]
                     continue
-                single = max(1, m - k)  # the block again, jump by jump
             tau = b
             sigma, b = ts._piece(k + 1)
             mu = sigma - tau
@@ -458,13 +457,13 @@ def _jump(sums, total: complex, tau: float, mu: float, sigma: float) -> complex:
         raise
 
 
-def _block(ts: TimeScale, k: int, m: int, stop: float) -> Sequence[float] | None:
+def _block(ts: TimeScale, k: int, m: int, stop: float) -> Sequence[float]:
     # the points x_k, ..., x_m, if single jumps through them would each pass
-    # the walk's gap check and none would pass the stop
+    # the walk's gap check and none would pass the stop; else PointNotInScale
     xs = ts._points(k, m)
     if len(xs) > 1 and all(map(operator.lt, xs, xs[1:])) and xs[-1] - xs[0] < math.inf and xs[-1] <= stop:
         return xs
-    return None
+    raise PointNotInScale(f"the points {k} to {m} have a gap that is not a distinct finite float, or pass {stop}")
 
 
 def _window(sums, ts: TimeScale, s: float, t: float) -> complex:

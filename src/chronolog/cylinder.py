@@ -8,19 +8,18 @@ and z itself at h = 0.  Each public map is that body at its row
 (``_ROWS``): eta 0 for xi, 1 for xi_hat (on the -i*pi side), 1/2 for
 cayley_psi and the caller's for eta_psi.  The Cayley and eta maps may
 return the multi-valued map, period 2*pi*i/h, as do ``zeta`` and
-``zeta_hat`` for xi and xi_hat.  One guard
-(``_singular``) serves every regressivity check, here and in the window
-logarithm's closed form: a factor that depends on h*z, num if eta < 1 and
-den if eta > 0, vanishes below GUARD * (1 + |h*z|).  No function here
-returns an infinity or NaN: it raises NonFiniteValue, a predicate where
-h*z is not finite.
+``zeta_hat`` for xi and xi_hat.  One guard (``_singular``) serves every
+regressivity check, here, in the window logarithm's closed form and in
+an exponential's block product (``logexp._Exponent``): a factor that
+depends on h*z, num if eta < 1 and den if eta > 0, vanishes below
+GUARD * (1 + |h*z|).  No function here returns an infinity or NaN: it
+raises NonFiniteValue, a predicate where h*z is not finite.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterable
 
 from .errors import (
     CayleyNotRegressive,
@@ -93,29 +92,6 @@ def _psi(row: tuple, h: float, z: complex, principal: bool = True, eta: float | 
     if not cmath.isfinite(val):
         raise NonFiniteValue(f"{name} is not finite for eta={eta}, h={h}, z={z}: {val!r}")
     return val if principal else MultiLog(val, complex(0.0, TWO_PI / h) if h > 0 else 0j)
-
-
-def _log_product(eta: float, hzs: Iterable[complex]) -> complex | None:
-    """Log of the product of the exponentials' factors over a run's values of h*z.
-
-    The forward row (xi, eta 0) multiplies by each 1 + h*z and the backward
-    row (xi_hat, eta 1) divides by each 1 - h*z, so the Log equals the run's
-    sum of h * map(h, z) modulo 2*pi*i.  The values are drawn in order, and
-    each factor passes ``_psi``'s guard before the next is drawn.  Returns
-    None, and draws no further value, where a guard trips or the running
-    product leaves [1e-280, 1e280], a non-finite one included.
-    """
-    forward = eta == 0.0
-    prod = 1 + 0j
-    for hz in hzs:
-        factor = 1 + hz if forward else 1 - hz
-        # the factor is xi's num or xi_hat's den, the one _singular tests at eta
-        if abs(hz) > 0.5 and _singular(eta, factor, factor, REGRESSIVITY_GUARD * (1.0 + abs(hz))):
-            return None
-        prod = prod * factor if forward else prod / factor
-        if not 1e-280 <= abs(prod) <= 1e280:
-            return None
-    return principal_log(prod)
 
 
 def _is_regressive(row: tuple, h: float, z: complex) -> bool:

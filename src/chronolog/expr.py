@@ -192,23 +192,23 @@ class _Parser:
             reads = self.reads
             self.enter()
             try:
-                exponent_tree, _ = self.unary()
+                exponent_tree, depth = self.unary()
             finally:
                 self.leave()
             if self.reads != reads:
                 self.fail("exponent must be a real constant, not a function of t", caret)
             # the exponent folds to a constant, so only the base adds depth
-            return Pow(node, self._constant_exponent(exponent_tree, caret)), 1 + d
+            return Pow(node, self._constant_exponent(exponent_tree, depth, caret)), 1 + d
         return node, d
 
-    def _constant_exponent(self, tree: Expr, offset: int) -> float:
+    def _constant_exponent(self, tree: Expr, depth: int, offset: int) -> float:
         # the tree reads no t, so the constant folder computes it whole; a
         # node left unfolded is one that raised
         prog = _Program()
         try:
             value = prog.consts.get(prog.node(tree))
-        except RecursionError:  # an exponent too deep to fold
-            value = None
+        except RecursionError:
+            raise DepthExceeded(f"exponent tree of depth {depth} is too deep to fold") from None
         if value is None or not cmath.isfinite(value):
             self.fail("exponent must evaluate to a real constant", offset)
         if value.imag != 0.0:

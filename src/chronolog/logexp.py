@@ -88,13 +88,14 @@ from .errors import (
     ChronologError,
     EvalDomain,
     NonFiniteIntegrand,
+    NonFiniteValue,
     NonvanishingViolation,
     OneNotInScale,
     PointNotInScale,
     QuadratureFailure,
     ValidationError,
 )
-from .multivalue import TWO_PI, TWO_PI_I, MultiLog, exp as cexp, lattice_gap
+from .multivalue import TWO_PI, TWO_PI_I, MultiLog, exp as cexp, lattice_gap, principal_log
 from .timescale import TimeScale
 from . import calculus, cylinder
 
@@ -260,10 +261,7 @@ class _Definition:
             mix = (1.0 - eta) * pv + eta * ps
             if mix == 0:
                 raise row[2](f"(1-eta)p + eta*p_sigma vanishes for eta={eta}")
-            term = cylinder_map(mu, (ps - pv) / mu / mix)
-            if not cmath.isfinite(term):
-                raise NonFiniteIntegrand("jump term is not finite")
-            sums.append(v + mu * term)
+            sums.append(v + mu * cylinder_map(mu, (ps - pv) / mu / mix))
         return tuple(sums)
 
     run, close = Terms.run, Terms.close
@@ -629,18 +627,20 @@ class _Exponent(Terms):
     """An exponential's exponent: ``Terms`` of the row's map of c at tau (delta) or sigma (nabla).
 
     ``run`` adds a block's terms as the Log of the product of the row's
-    factors (``cylinder._log_product``), equal to their sum modulo 2*pi*i,
-    which exp discards.  A ScaleFunction lists the block's c from one
-    ``values`` call; any other c is called inside the product's loop, jump
-    by jump, so the first failure in walk order is the one raised.  A block
-    returns None where a factor trips the guard, a value is not finite, the
-    product leaves [1e-280, 1e280] or a gap is below 1e-300 (where
-    mu * map(mu, c) can overflow), and ``_walk`` walks it again by ``step``.
-    The library's own quotients of p take the theorem's walk (``_Winding``)
-    instead.
+    factors, equal to their sum modulo 2*pi*i, which exp discards: times
+    each 1 + mu*c forward (xi), over each 1 - mu*c backward (xi_hat).  The
+    product is prod * 2^power, prod scaled into [1/2, 1) by a power of 2,
+    which is exact, wherever it would leave [1e-280, 1e280].  A
+    ScaleFunction lists the block's c from one ``values`` call; any other c
+    is called inside the loop, jump by jump, so the first failure in walk
+    order is the one raised.  A block raises where a factor trips the maps'
+    guard, the product is not finite or under 1e-300, or a gap is below
+    1e-300 (where mu * map(mu, c) can overflow); ``_walk`` then walks it by
+    ``step``.  The library's own quotients of p take the theorem's walk
+    (``_Winding``) instead.
     """
 
-    __slots__ = ("c", "listed", "eta", "at_sigma")
+    __slots__ = ("c", "listed", "row", "at_sigma")
 
     def __init__(self, variant: LogVariant, coeff, cfg: ToleranceConfig):
         if not callable(coeff):
@@ -649,21 +649,34 @@ class _Exponent(Terms):
             c, self.listed = (lambda tau, mu: coeff(tau)), coeff.values
         else:
             c, self.listed = coeff, None
-        _, eta, cylinder_map = _row(variant, None)
+        row, _, cylinder_map = _row(variant, None)
         at_sigma = variant is LogVariant.NABLA_PRINCIPAL
         term = lambda tau, mu, sigma: cylinder_map(mu, c(sigma if at_sigma else tau, mu))
         super().__init__(lambda x: c(x, 0.0), term, cfg.quad_tol)
-        self.c, self.eta, self.at_sigma = c, eta, at_sigma
+        self.c, self.row, self.at_sigma = c, row, at_sigma
 
-    def run(self, total: complex, xs: Sequence[float]) -> complex | None:
+    def run(self, total: complex, xs: Sequence[float]) -> complex:
         taus, sigmas = xs[:-1], xs[1:]
         mus = list(map(operator.sub, sigmas, taus))
         if min(mus) < 1e-300:
-            return None
+            raise NonFiniteValue("a gap below 1e-300, where a jump's term can overflow")
         ats = sigmas if self.at_sigma else taus
         cs = self.listed(ats) if self.listed else map(complex, map(self.c, ats, mus))
-        log = cylinder._log_product(self.eta, map(operator.mul, mus, cs))
-        return None if log is None else total + log
+        row, eta, forward = self.row, self.row[1], not self.at_sigma
+        prod, power = 1 + 0j, 0
+        for hz in map(operator.mul, mus, cs):
+            factor = 1 + hz if forward else 1 - hz
+            # the factor is xi's num or xi_hat's den, the one _singular tests at eta
+            if abs(hz) > 0.5 and cylinder._singular(eta, factor, factor, REGRESSIVITY_GUARD * (1.0 + abs(hz))):
+                raise row[2](f"{row[0]}: a factor vanishes for eta={eta}, h*z={hz}")
+            prod = prod * factor if forward else prod / factor
+            if not 1e-280 <= abs(prod) <= 1e280:
+                if not 1e-300 < abs(prod) < math.inf:
+                    raise NonFiniteValue(f"the block's product {prod} is not finite or under 1e-300")
+                a = math.frexp(abs(prod))[1]
+                prod, power = prod * 2.0**-a, power + a
+        log = principal_log(prod)  # + power * ln 2, split so that power times the high part is exact
+        return total + complex(log.real + power * 1.9082149292705877e-10 + power * 0.6931471803691238, log.imag)
 
 
 def _exponent(variant: LogVariant, coeff, cfg: ToleranceConfig) -> Terms | _Winding:

@@ -235,6 +235,26 @@ def test_integral_nonfinite_jump_value():
         delta_integral(lambda x, mu: complex(float("inf")), ts, 0.0, 3.0)
 
 
+@pytest.mark.parametrize("integral", [delta_integral, nabla_integral])
+def test_an_integral_whose_sum_overflows_raises_naming_where(integral):
+    # a finite term whose mu * term overflows, on hz:10; a term whose
+    # quadrature sum overflows inside a piece of r; and two finite piece
+    # integrals of 1e308 each, whose sum does not fit a float
+    big = lambda x, mu: 1e308  # noqa: E731
+    message = "^the running sum \\(inf\\+0j\\) is not finite on the gap after tau=0.0$"
+    with pytest.raises(NonFiniteIntegrand, match=message):
+        integral(big, UniformGrid(10.0), 0.0, 10.0)
+    message = "^quadrature sum is not finite on \\[0.0, 5.0\\] on the piece \\[0.0, 10.0\\]$"
+    with pytest.raises(NonFiniteIntegrand, match=message):
+        integral(big, Reals(), 0.0, 10.0)
+    dense = lambda x, mu: 0.0 if mu else 1e307  # noqa: E731
+    ts = parse_timescale("union:[0,10];[11,21]")
+    assert integral(dense, ts, 0.0, 10.0) == integral(dense, ts, 11.0, 21.0) == pytest.approx(1e308)
+    message = "^the running sum \\(inf\\+0j\\) is not finite on the piece \\[11.0, 21.0\\]$"
+    with pytest.raises(NonFiniteIntegrand, match=message):
+        integral(dense, ts, 0.0, 21.0)
+
+
 def test_integral_tolerance_config_respected():
     # a Lorentzian spike of height 1e6 at x = 1/3, finite at every node
     ts = Reals()

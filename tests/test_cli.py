@@ -326,6 +326,12 @@ def test_eval_bad_variant_exits_2(run):
     )
     assert rc == 2
     assert json.loads(err)["error"] == "ValidationError"
+    rc, _, err = run(
+        "eval", "--timescale", "r", "--p", "t", "--s", "1", "--t", "2",
+        "--variant", "eta:abc",
+    )
+    assert rc == 2
+    assert json.loads(err) == {"error": "ValidationError", "message": "bad eta value in variant 'eta:abc'"}
 
 
 def test_eval_vanishing_p_exits_3(run):
@@ -683,6 +689,16 @@ def test_a_pointwise_result_that_is_not_finite_exits_3(run, argv, message):
     rc, out, err = run(*argv)
     assert (rc, out) == (3, "")
     assert not any(word in out for word in ("inf", "nan", "Infinity"))
+    assert json.loads(err) == {"error": "NonFiniteIntegrand", "message": message}
+
+
+def test_a_sum_that_overflows_exits_3_naming_its_gap(run):
+    # the jump's quotient pDelta/p = 5e298 is finite, but mu = 1e11 times it
+    # overflows the sum, which would print as Infinity (not JSON)
+    argv = ["--timescale", "set:0,1e11", "--kind", "integral-quotient", "--p", "2e-10+1e289*t"]
+    rc, out, err = run("legacy", *argv, "--t0", "0", "--t", "1e11")
+    assert (rc, out, len(err.splitlines())) == (3, "", 1)
+    message = "the running sum (inf+0j) is not finite on the gap after tau=0.0"
     assert json.loads(err) == {"error": "NonFiniteIntegrand", "message": message}
 
 

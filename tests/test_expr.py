@@ -230,9 +230,12 @@ def test_depth_limit_flat_sum():
     # chains deeper than the Python recursion limit, still under MAX_SOURCE_LEN
     with pytest.raises(DepthExceeded):
         parse("+".join(["t"] * 1500))
-    # an exponent folds to a constant, so its own depth is not the tree's
-    with pytest.raises(ValidationError):
+    # an exponent folds to a constant, so its own depth is not the tree's;
+    # one too deep to fold raises DepthExceeded, naming that depth
+    with pytest.raises(DepthExceeded, match="^exponent tree of depth 1500 is too deep to fold$"):
         parse("2^(" + "+".join(["1"] * 1500) + ")")
+    with pytest.raises(DepthExceeded, match="^exponent tree of depth 1000 is too deep to fold$"):
+        parse("t^(" + "+".join(["1"] * 1000) + ")")
 
 
 def test_eval_division_by_zero():

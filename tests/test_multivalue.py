@@ -183,6 +183,7 @@ def test_multilog_zero_period_joins_with_anything():
     exact = MultiLog(1 + 0j, period=0j)
     lattice = MultiLog(2 + 0j)
     assert (exact + lattice).period == TWO_PI_I
+    assert (lattice + exact).period == TWO_PI_I
 
 
 def test_multilog_negation_and_subtraction():
@@ -190,6 +191,7 @@ def test_multilog_negation_and_subtraction():
     assert (-a).rep == -3 - 1j
     assert (a - MultiLog(1 + 1j)).rep == 2 + 0j
     assert ((4 + 0j) - a).rep == 1 - 1j
+    assert (a - 1.5) == MultiLog(1.5 + 1j)
 
 
 def test_multilog_real_scalar_multiplication_keeps_lattice():

@@ -296,6 +296,8 @@ def test_interval_union_validation():
         IntervalUnion(())
     with pytest.raises(InvalidTimeScale):
         IntervalUnion(((float("nan"), 1.0),))
+    with pytest.raises(InvalidTimeScale, match="^bad interval list"):
+        IntervalUnion((("a", 1.0),))
 
 
 def test_grid_points_beyond_float_range_or_resolution_raise():
@@ -304,6 +306,9 @@ def test_grid_points_beyond_float_range_or_resolution_raise():
         UniformGrid(0.5).snap(1e308)
     with pytest.raises(PointNotInScale):
         AlternatingGrid(0.1, 0.2).snap(1e308)
+    # and the successor of 2^1023 on q:2
+    with pytest.raises(PointNotInScale, match="q\\^1024 overflows"):
+        parse_timescale("q:2").sigma(2.0**1023)
     # 2^53 is on hz:0.5, but its neighbours round onto it
     ts = UniformGrid(0.5)
     big = 2.0 ** 53
