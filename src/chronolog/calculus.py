@@ -42,15 +42,11 @@ from ._record import Record
 from .errors import (
     ChronologError,
     NonFiniteIntegrand,
-    NonFiniteValue,
     PointNotInScale,
     QuadratureFailure,
     ValidationError,
 )
-from .expr import CompiledPair, Expr, differentiate, parse, to_text
-from .expr import Mul as _Mul
-from .expr import Div as _Div
-from .expr import Pow as _Pow
+from .expr import ScaleFunction
 from .timescale import TimeScale
 
 Integrand = Callable[[float, float], complex]
@@ -64,21 +60,20 @@ MAX_QUAD_SAMPLES = 200_000
 class ToleranceConfig(Record):
     """Numerical knobs shared by the integration and comparison layers.
 
-    quad_tol  absolute tolerance per continuous piece of integrals,
-              exponentials, the older logarithms and the logarithm's
-              definition: the bound on the sum of the piece's G7K15 error
-              estimates |K15 - G7|; and the floor of the window
-              logarithm's search for its winding K (also in the
-              exponentials of p's own quotients), which starts at the
-              loose ``logexp._WINDING_TOL`` and tightens 100-fold only
-              while K lacks a witness
+    quad_tol  absolute tolerance per continuous piece of integrals only:
+              the bound on the sum of the piece's G7K15 error estimates
+              |K15 - G7| in the integrals, the generic exponentials, the
+              older logarithms (``legacy``) and the logarithm's definition
+              walk (in ``check``).  The window logarithm's theorem, also
+              behind the exponentials of p's own quotients, does not read
+              it: its search for the winding K has its own ladder,
+              ``logexp._WINDING_TOL`` down to ``logexp._WINDING_FLOOR``
     eps_min   minimum admissible |p(t)| for logarithm arguments
     cmp_tol   residual threshold for identity comparisons
 
     The quadrature's work is capped by ``MAX_QUAD_SAMPLES`` per
     piece, not by a knob here: a quad_tol that the cap cannot reach raises
-    QuadratureFailure instead of returning an unconverged value, except
-    in a window logarithm whose winding is witnessed at a looser tolerance.
+    QuadratureFailure instead of returning an unconverged value.
 
     The eps_min floor is absolute and stays at 1e-10 by default: a p that
     never vanishes but dips below it where it is sampled raises
@@ -96,92 +91,6 @@ class ToleranceConfig(Record):
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
-
-
-class ScaleFunction:
-    """A function of t given by an expression tree, with its derivative.
-
-    The symbolic derivative supplies the classical derivative wherever the
-    scale is dense; difference quotients take over at scattered points.
-    The tree and its derivative are compiled into straight-line code that
-    computes each shared subexpression once (``expr.CompiledPair``), each
-    of p, p', the pair, the list and the box on its first use; ``pair``
-    returns p and p' from one evaluation, ``values`` p at each point of a
-    list from one call, and ``box`` a box that holds p over a real segment.
-    Values must stay finite; callers that take logarithms additionally
-    check the nonvanishing floor.
-    """
-
-    __slots__ = ("body", "derivative", "label", "_code")
-
-    def __init__(self, body: Expr, derivative: Expr | None = None, label: str = ""):
-        self.body = body
-        self.derivative = differentiate(body) if derivative is None else derivative
-        self.label = label or to_text(body)
-        self._code = CompiledPair(self.body, self.derivative)
-
-    @classmethod
-    def from_text(cls, text: str) -> "ScaleFunction":
-        return cls(parse(text), label=text.strip())
-
-    def __call__(self, t: complex) -> complex:
-        v = self._code.value(complex(t))
-        if not cmath.isfinite(v):
-            raise NonFiniteValue(f"{self.label} is not finite at t={t}")
-        return v
-
-    def prime(self, t: complex) -> complex:
-        v = self._code.prime(complex(t))
-        if not cmath.isfinite(v):
-            raise NonFiniteValue(f"derivative of {self.label} is not finite at t={t}")
-        return v
-
-    def pair(self, t: complex) -> tuple[complex, complex]:
-        """(p(t), p'(t)) from one evaluation, raising what ``prime(t)`` and
-        then ``self(t)`` would raise."""
-        try:
-            v, d = self._code.pair(complex(t))
-        except ChronologError:
-            self.prime(t)  # a failure of p' comes first, even a non-finite value
-            raise
-        if not cmath.isfinite(d):
-            raise NonFiniteValue(f"derivative of {self.label} is not finite at t={t}")
-        if not cmath.isfinite(v):
-            raise NonFiniteValue(f"{self.label} is not finite at t={t}")
-        return v, d
-
-    def values(self, xs: Sequence[float]) -> list[complex]:
-        """``[self(x) for x in xs]``, the same bits from one generated loop,
-        raising what that list would raise."""
-        try:
-            vs = self._code.values(xs)
-            if all(map(cmath.isfinite, vs)):
-                return vs
-        except ChronologError:
-            pass
-        return [self(x) for x in xs]  # raises at the first point that fails
-
-    def box(self, a: float, b: float) -> tuple[float, float, float, float] | None:
-        """(x_lo, x_hi, y_lo, y_hi) with ``self(x)`` in the box [x_lo, x_hi]
-        x [y_lo, y_hi] at every float x of [a, b], or None where the
-        enclosure is refused; where it is not, ``self`` raises at no such x
-        (``expr.CompiledPair.box``)."""
-        return self._code.box(a, b)
-
-    def __mul__(self, other: "ScaleFunction") -> "ScaleFunction":
-        return ScaleFunction(_Mul(self.body, other.body), label=f"({self.label})*({other.label})")
-
-    def __truediv__(self, other: "ScaleFunction") -> "ScaleFunction":
-        return ScaleFunction(_Div(self.body, other.body), label=f"({self.label})/({other.label})")
-
-    def pow(self, alpha: float) -> "ScaleFunction":
-        exponent = float(alpha)
-        if not math.isfinite(exponent):
-            raise ValidationError(f"alpha must be finite, got {alpha}")
-        return ScaleFunction(_Pow(self.body, exponent), label=f"({self.label})^{alpha}")
-
-    def __repr__(self) -> str:
-        return f"ScaleFunction({self.label!r})"
 
 
 def delta_derivative(p: ScaleFunction, ts: TimeScale, t: float) -> complex:
@@ -250,6 +159,14 @@ def _panel(f: Callable[[float], complex], a: float, b: float) -> tuple[float, fl
     return -err, a, b, complex(kronrod)
 
 
+def _fsum(xs, a: float, b: float) -> float:
+    # the exact sum of the panels' finite values, or NonFiniteIntegrand where it overflows
+    try:
+        return math.fsum(xs)
+    except OverflowError:
+        raise NonFiniteIntegrand(f"quadrature sum is not finite on [{a}, {b}]") from None
+
+
 def adaptive_simpson(
     f: Callable[[float], complex],
     a: float,
@@ -267,7 +184,7 @@ def adaptive_simpson(
     and b, where a log's integrand checks p.  Raises QuadratureFailure when
     another bisection would pass ``MAX_QUAD_SAMPLES`` samples or
     the worst panel is too narrow to bisect, and NonFiniteIntegrand on bad
-    samples.
+    samples or where the panels' sum overflows.
     """
     if a == b:
         return 0j
@@ -285,7 +202,7 @@ def adaptive_simpson(
     while True:
         if err <= tol:
             # the running sum drifts by rounding; settle on the exact one
-            err = math.fsum(-e for e, *_ in heap)
+            err = _fsum((-e for e, *_ in heap), a, b)
             if err <= tol:
                 break
         if samples + 30 > MAX_QUAD_SAMPLES:
@@ -302,8 +219,8 @@ def adaptive_simpson(
         heapq.heappush(heap, right)
         samples += 30
         err += neg - left[0] - right[0]
-    re = math.fsum(v.real for *_, v in heap)
-    im = math.fsum(v.imag for *_, v in heap)
+    re = _fsum((v.real for *_, v in heap), a, b)
+    im = _fsum((v.imag for *_, v in heap), a, b)
     return sign * complex(re, im)
 
 
@@ -384,7 +301,9 @@ def _walk(sums, ts: TimeScale, s: float, stops: list[float]) -> list:
     walk streams the scale's pieces by index up from s, keeping nothing per
     jump, and returns ``sums.close`` at each stop, a mark that
     ``sums.between`` turns into the sum from one stop to another.  It hands
-    ``sums`` (``Terms`` or ``logexp._Winding``) each continuous stretch as
+    ``sums`` (``Terms`` and the exponentials' ``logexp._Exponent``, or the
+    logarithm's definition ``logexp._Definition`` or its theorem
+    ``logexp._Winding``) each continuous stretch as
     [lo, hi] and each jump from tau to its stored successor sigma, a gap mu
     = sigma - tau.  A ChronologError in a term names its piece or gap
     (``_jump``).  MAX_WINDOW_JUMPS caps the whole span, before any term.

@@ -253,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp, fmt_default):
         sp.add_argument("--timescale", required=True, help="scale spec, e.g. r, hz:1, q:2, alt:1,2, union:[0,1];[2,3], set:1,2,5")
-        sp.add_argument("--tol", type=float, default=None, help=f"quadrature tolerance (default 1e-10, or ${TOL_ENV_VAR})")
+        sp.add_argument("--tol", type=float, default=None, help=f"tolerance of integrals only: check's definition walk and legacy; eval's and table's logs do not read it (default 1e-10, or ${TOL_ENV_VAR})")
         sp.add_argument("--format", choices=("json", "csv"), default=fmt_default)
         sp.add_argument("--out", default=None, help="write output to this file instead of stdout")
 

@@ -18,16 +18,17 @@ returns its node with that node's depth, and it counts the reads of ``t``
 so that an exponent depending on t is refused as it is read.
 
 Trees are evaluated by generated code: ``compile_expr`` and
-``CompiledPair`` write Python source with one assignment per distinct node,
-fold the subtrees that read no t, and compile it once per shape of tree
-(constants reach the code through its namespace, never as text).
-``CompiledPair`` gives five functions from one program: p, p' and both at
-once, computing what the two trees share once, p at each point of a list
-from one call, and ``box``, a box (x_lo, x_hi, y_lo, y_hi) that holds p
-at every float of a real segment of t (complex interval arithmetic in
-rectangular form, one rule per op in ``_BOX``, next to ``_APPLY``, each
-widened past its own rounding and ``value``'s).  ``evaluate`` compiles
-the tree and checks that the value is finite.
+``ScaleFunction`` write Python source with one assignment per distinct
+node, fold the subtrees that read no t, and compile it once per shape of
+tree (constants reach the code through its namespace, never as text).
+``ScaleFunction``, a p with its derivative, gets five functions from one
+program: p, p' and both at once, computing what the two trees share once,
+p at each point of a list from one call, and ``box``, a box (x_lo, x_hi,
+y_lo, y_hi) that holds p at every float of a real segment of t (complex
+interval arithmetic in rectangular form, one rule per op in ``_BOX``, next
+to ``_APPLY``, each widened past its own rounding and p's), and checks
+that its values are finite.  ``evaluate`` compiles the tree and checks
+that the value is finite.
 The generated code raises the typed errors that a walk of the tree would,
 with the same messages, and returns the same bits.  It calls no Python
 helper for an integer power or for exp, sin and cos, so it raises bare
@@ -41,7 +42,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from types import CodeType
 from typing import Callable, Sequence, Union
 
@@ -728,39 +729,55 @@ def compile_expr(e: Expr) -> Callable[[complex], complex]:
     return _function(*prog.source("value", (root,), prog.steps), "value", prog.consts)
 
 
-class CompiledPair:
-    """Functions of a complex t for a tree e and its derivative de:
-    ``value`` (e), ``prime`` (de) and ``pair`` ((e, de) at once),
-    ``values``, e at each point of a sequence, from one call, and
-    ``box(a, b)``, a box (x_lo, x_hi, y_lo, y_hi) that holds ``value`` at
-    every float t of the real segment [a, b], or None where it is refused.
+class ScaleFunction:
+    """A function p of t given by an expression tree, with its derivative.
 
-    All five come from one program, so ``pair`` computes each
-    subexpression the two trees share once, ``values`` runs the steps of
-    ``value`` in a loop inside the generated code, for the same bits point
-    by point, and ``box`` runs one rule of ``_BOX`` per step of ``value``.
-    The first use of any of them builds the program and writes the five
-    sources with their replays (see ``_Program``), keeping only those and
-    the constants; each function is compiled on its first use, from its
-    own source, which is then dropped: compiling costs more than writing,
-    and most callers use one or two of the five.  ``pair`` runs de's steps
-    first, so it raises what ``prime`` would raise before what ``value``
-    would.  At a complex t every value is complex, a constant tree's too.
-    No finiteness checks, as for ``compile_expr``; ``box`` raises nothing,
-    and where it is not refused ``value`` raises at no float of [a, b].
+    The symbolic derivative supplies the classical derivative wherever the
+    scale is dense; difference quotients take over at scattered points.
+    ``p(t)`` and ``prime(t)`` give p and p', ``pair`` both from one
+    evaluation, ``values`` p at each point of a list from one call, and
+    ``box`` a box that holds p over a real segment.  Values must stay
+    finite; callers that take logarithms additionally check the
+    nonvanishing floor.
+
+    The five come from generated functions of one program for the tree and
+    its derivative, so ``pair`` computes each subexpression the two trees
+    share once, ``values`` runs the steps of p in a loop inside the
+    generated code, for the same bits point by point, and ``box`` runs one
+    rule of ``_BOX`` per step of p.  The first use of any of them builds
+    the program and writes the five sources with their replays (see
+    ``_Program``), keeping only those and the constants; each function is
+    compiled into its slot on its first use (``_compiled``), from its own
+    source, which is then dropped: compiling costs more than writing, and
+    most p use one or two of the five.  The generated pair runs the
+    derivative's steps first, so it raises what p' would raise before what
+    p would.  At a complex t every value is complex, a constant tree's too.
     """
 
-    def __init__(self, e: Expr, de: Expr):
-        self._trees = (e, de)
-        self._sources: dict[str, tuple[str, tuple]] | None = None
+    __slots__ = ("body", "derivative", "label", "_consts", "_sources", "_value", "_prime", "_pair", "_values", "_box")
 
-    def _compile(self, fname: str) -> Callable:
+    def __init__(self, body: Expr, derivative: Expr | None = None, label: str = ""):
+        self.body = body
+        self.derivative = differentiate(body) if derivative is None else derivative
+        self.label = label or to_text(body)
+        self._sources: dict[str, tuple[str, tuple]] | None = None
+        self._value = self._prime = self._pair = self._values = self._box = None
+
+    @classmethod
+    def from_text(cls, text: str) -> "ScaleFunction":
+        return cls(parse(text), label=text.strip())
+
+    def _compiled(self, fname: str) -> Callable:
+        """The generated function ``fname`` (value, prime, pair, values or
+        box), unchecked, compiled into its slot on its first use."""
+        fn = getattr(self, "_" + fname)
+        if fn is not None:
+            return fn
         if self._sources is None:
-            e, de = self._trees
             prog = _Program()
-            d = prog.node(de)
+            d = prog.node(self.derivative)
             prime_steps = list(prog.steps)
-            p = prog.node(e)
+            p = prog.node(self.body)
             # a constant tree's value is returned complex, like every other
             p, d = (prog.const(complex(prog.consts[r])) if r in prog.consts else r for r in (p, d))
             self._consts = prog.consts
@@ -775,27 +792,71 @@ class CompiledPair:
         if fname == "box":  # a complex constant's box is its point
             consts = {k: (v.real, v.real, v.imag, v.imag) if type(v) is complex else v for k, v in consts.items()}
             consts.update(_BOX=_BOX, _out=_out)
-        return _function(*self._sources.pop(fname), fname, consts)
+        fn = _function(*self._sources.pop(fname), fname, consts)
+        setattr(self, "_" + fname, fn)
+        return fn
 
-    @cached_property
-    def value(self) -> Callable[[complex], complex]:
-        return self._compile("value")
+    def __call__(self, t: complex) -> complex:
+        v = (self._value or self._compiled("value"))(complex(t))
+        if not cmath.isfinite(v):
+            raise NonFiniteValue(f"{self.label} is not finite at t={t}")
+        return v
 
-    @cached_property
-    def prime(self) -> Callable[[complex], complex]:
-        return self._compile("prime")
+    def prime(self, t: complex) -> complex:
+        v = (self._prime or self._compiled("prime"))(complex(t))
+        if not cmath.isfinite(v):
+            raise NonFiniteValue(f"derivative of {self.label} is not finite at t={t}")
+        return v
 
-    @cached_property
-    def pair(self) -> Callable[[complex], tuple[complex, complex]]:
-        return self._compile("pair")
+    def pair(self, t: complex) -> tuple[complex, complex]:
+        """(p(t), p'(t)) from one evaluation, raising what ``prime(t)`` and
+        then ``self(t)`` would raise."""
+        try:
+            v, d = (self._pair or self._compiled("pair"))(complex(t))
+        except ChronologError:
+            self.prime(t)  # a failure of p' comes first, even a non-finite value
+            raise
+        if not cmath.isfinite(d):
+            raise NonFiniteValue(f"derivative of {self.label} is not finite at t={t}")
+        if not cmath.isfinite(v):
+            raise NonFiniteValue(f"{self.label} is not finite at t={t}")
+        return v, d
 
-    @cached_property
-    def values(self) -> Callable[[Sequence[float]], list[complex]]:
-        return self._compile("values")
+    def values(self, xs: Sequence[float]) -> list[complex]:
+        """``[self(x) for x in xs]``, the same bits from one generated loop,
+        raising what that list would raise."""
+        try:
+            vs = (self._values or self._compiled("values"))(xs)
+            if all(map(cmath.isfinite, vs)):
+                return vs
+        except ChronologError:
+            pass
+        return [self(x) for x in xs]  # raises at the first point that fails
 
-    @cached_property
-    def box(self) -> Callable[[float, float], tuple[float, float, float, float] | None]:
-        return self._compile("box")
+    def box(self, a: float, b: float) -> tuple[float, float, float, float] | None:
+        """(x_lo, x_hi, y_lo, y_hi) with ``self(x)`` in the box [x_lo, x_hi]
+        x [y_lo, y_hi] at every float x of [a, b] (complex interval
+        arithmetic in rectangular form, each endpoint widened past its own
+        rounding and p's), or None where the enclosure is refused: a
+        divisor's box holds 0, a log, sqrt or fractional power's box meets
+        the cut, a rule raises or an endpoint is not finite.  Where it is
+        not refused, ``self`` raises at no such x."""
+        return (self._box or self._compiled("box"))(a, b)
+
+    def __mul__(self, other: "ScaleFunction") -> "ScaleFunction":
+        return ScaleFunction(Mul(self.body, other.body), label=f"({self.label})*({other.label})")
+
+    def __truediv__(self, other: "ScaleFunction") -> "ScaleFunction":
+        return ScaleFunction(Div(self.body, other.body), label=f"({self.label})/({other.label})")
+
+    def pow(self, alpha: float) -> "ScaleFunction":
+        exponent = float(alpha)
+        if not math.isfinite(exponent):
+            raise ValidationError(f"alpha must be finite, got {alpha}")
+        return ScaleFunction(Pow(self.body, exponent), label=f"({self.label})^{alpha}")
+
+    def __repr__(self) -> str:
+        return f"ScaleFunction({self.label!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -271,9 +271,11 @@ class _Definition:
 
 
 # the window logarithm's theorem needs only the integer winding of p'/p over
-# a continuous piece: it integrates at this loose tolerance first, and accepts
-# the integer where the integral's turns lie within this slack of it
+# a continuous piece: it integrates at the loose tolerance first, tightening
+# 100-fold down to the floor (1e-2, 1e-4, ..., 1e-10, whatever quad_tol is),
+# and accepts the integer where the integral's turns lie within the slack of it
 _WINDING_TOL = 1e-2
+_WINDING_FLOOR = 1e-10
 _WINDING_SLACK = 0.05
 
 
@@ -307,9 +309,11 @@ class _Winding:
     on two witnesses: its ratio (Im I - Arg)/2*pi lies within
     ``_WINDING_SLACK`` of an integer, and Re I, which equals ln|p(hi)/p(lo)|
     exactly, agrees with it within the tolerance.  Otherwise the integral is
-    retried at 1/100 of the tolerance, down to ``cfg.quad_tol``, after which
-    the piece raises QuadratureFailure.  The integral samples each end, p'
-    before p and the floor at each, before the closed form reads p there.
+    retried at 1/100 of the tolerance, down to ``_WINDING_FLOOR``, after
+    which the piece raises QuadratureFailure.  ``cfg.quad_tol`` plays no
+    part, so a log has the same bits at every quad_tol.  The integral
+    samples each end, p' before p and the floor at each, before the closed
+    form reads p there.
 
     p is evaluated once per kept point: the walk's first piece or jump
     evaluates both its ends (``_open``), and each later one only its new
@@ -360,7 +364,7 @@ class _Winding:
     def piece(self, total: complex, lo: float, hi: float) -> complex:
         p, cfg = self.p, self.cfg
         slope = partial(_slope, p, cfg)
-        tol = max(_WINDING_TOL, cfg.quad_tol)
+        tol = _WINDING_TOL
         # sampling lo and hi first, the integral raises at the ends what the definition would
         integral = calculus.adaptive_simpson(slope, lo, hi, tol)
         if self.first is None:
@@ -375,12 +379,12 @@ class _Winding:
             if abs(x - k) <= _WINDING_SLACK and off <= tol:
                 self.turns += log.imag + TWO_PI * k
                 return total
-            if tol <= cfg.quad_tol:
+            if tol <= _WINDING_FLOOR:
                 raise QuadratureFailure(
                     f"no integer winding of p'/p is witnessed at tol {tol:.3g}: "
                     f"{x:.6g} turns, real part off by {off:.3g}"
                 )
-            tol = max(tol / 100.0, cfg.quad_tol)
+            tol /= 100.0
             integral = calculus.adaptive_simpson(slope, lo, hi, tol)
 
     def step(self, total: complex, tau: float, mu: float, sigma: float) -> complex:
@@ -682,12 +686,11 @@ class _Exponent(Terms):
 def _exponent(variant: LogVariant, coeff, cfg: ToleranceConfig) -> Terms | _Winding:
     # the exponent's sum: for the row's own quotient of p, delta_quotient
     # forward and nabla_quotient backward, the theorem's log at the row, whose
-    # winding exp discards; else _Exponent.  The floor is the coefficient's
-    # eps_min and the winding search goes down to the exponential's quad_tol
+    # winding exp discards, under the coefficient's own config (its eps_min);
+    # else _Exponent
     own = {"backward": True} if variant is LogVariant.NABLA_PRINCIPAL else {}
     if isinstance(coeff, partial) and coeff.func is _quotient and len(coeff.args) == 2 and coeff.keywords == own:
-        p, floor = coeff.args
-        return _theorem(variant, p, ToleranceConfig(cfg.quad_tol, floor.eps_min, cfg.cmp_tol), None)
+        return _theorem(variant, *coeff.args, None)
     return _Exponent(variant, coeff, cfg)
 
 

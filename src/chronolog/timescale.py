@@ -49,7 +49,7 @@ MEMBERSHIP_TOL = 1e-12
 MAX_WINDOW_JUMPS = 10**6
 
 
-# unused by the library; perfbench/tracer.py reads it, until ROADMAP item 1's benchmark change
+# unused by the library; perfbench/tracer.py reads it, until ROADMAP item 2's benchmark change
 class ScatteredJump(Record):
     """A right-scattered point tau, its stored successor sigma and the gap mu = sigma - tau."""
 

@@ -255,6 +255,20 @@ def test_an_integral_whose_sum_overflows_raises_naming_where(integral):
         integral(dense, ts, 0.0, 21.0)
 
 
+@pytest.mark.parametrize("integral", [delta_integral, nabla_integral])
+@pytest.mark.parametrize("value", [1e307, 1e307j, -1e307 - 1e307j])
+def test_panels_that_sum_past_float_range_raise_naming_their_piece(integral, value):
+    # every panel of 1e307 over [0, 30] is finite, and so is their running
+    # error; only the exact sum of the panels, 3e308, overflows, and that
+    # must raise typed, naming its piece, as a non-finite sample does
+    message = "^quadrature sum is not finite on \\[0.0, 30.0\\] on the piece \\[0.0, 30.0\\]$"
+    for s, t in ((0.0, 30.0), (30.0, 0.0)):
+        with pytest.raises(NonFiniteIntegrand, match=message):
+            integral(lambda x, mu: value, Reals(), s, t)
+    got = integral(lambda x, mu: value, Reals(), 0.0, 15.0)
+    assert (got.real, got.imag) == pytest.approx((15.0 * value.real, 15.0 * value.imag), rel=1e-14)
+
+
 def test_integral_tolerance_config_respected():
     # a Lorentzian spike of height 1e6 at x = 1/3, finite at every node
     ts = Reals()

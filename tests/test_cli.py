@@ -882,6 +882,15 @@ def test_tol_env_variable_used(run, monkeypatch):
     assert all(r["pass"] for r in json.loads(out))
 
 
+def test_a_loose_tol_leaves_eval_as_the_default(run):
+    # --tol is the tolerance of integrals only; the log's winding search
+    # keeps its own ladder, so a loose --tol changes no byte
+    argv = ("eval", "--timescale", "r", "--p", "exp(53.1*i*t)+0.56", "--s", "0", "--t", "3")
+    want = run(*argv)
+    assert want[0] == 0
+    assert run(*argv, "--tol", "0.5") == want
+
+
 def test_tol_env_bad_value_exits_2(run, monkeypatch):
     monkeypatch.setenv("CHRONOLOG_TOL", "not-a-number")
     rc, _, err = run(

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chronolog import expr
-from chronolog.calculus import ScaleFunction
 from chronolog.errors import (
     ChronologError,
     DepthExceeded,
@@ -31,11 +30,11 @@ from chronolog.expr import (
     Mul,
     Neg,
     Pow,
+    ScaleFunction,
     Sub,
     Var,
     _call_value,
     _pow_value,
-    CompiledPair,
     compile_expr,
     differentiate,
     evaluate,
@@ -394,8 +393,8 @@ def _checked(fn):
 
 
 def _assert_matches_walk(e, d, t):
-    code = CompiledPair(e, d)
-    value, prime, pair = code.value, code.prime, code.pair
+    code = ScaleFunction(e, d)
+    value, prime, pair, values = map(code._compiled, ("value", "prime", "pair", "values"))
 
     def walked_pair():
         dv = _walk(d, t)
@@ -408,7 +407,7 @@ def _assert_matches_walk(e, d, t):
         assert _outcome(lambda: fn(t)) == _outcome(lambda: _walk(d, t))
     for fn in (pair, _checked(pair)):
         assert _outcome(lambda: fn(t)) == _outcome(walked_pair)
-    for fn in (code.values, _checked(code.values)):
+    for fn in (values, _checked(values)):
         assert _outcome(lambda: fn([t, t])) == _outcome(lambda: [_walk(e, t), _walk(e, t)])
 
     sf = ScaleFunction(e, d)
@@ -533,35 +532,35 @@ def test_fast_powers_match_checked_form_and_walk(a, t):
 def test_fast_form_failures_keep_class_and_message(text, good, bad, error, message):
     e = parse(text)
     d = differentiate(e)
-    code = CompiledPair(e, d)
+    code = ScaleFunction(e, d)
     good, bad = complex(good), complex(bad)
-    assert _outcome(lambda: code.value(bad)) == (error, message)
+    assert _outcome(lambda: code._compiled("value")(bad)) == (error, message)
     assert _outcome(lambda: compile_expr(e)(bad)) == (error, message)
     _assert_matches_walk(e, d, bad)
     # the first point that raises, after one that does not
     points = [good, bad, 2 * bad]
-    assert isinstance(_outcome(lambda: code.values([good])), str)
-    assert _outcome(lambda: code.values(points)) == _outcome(lambda: [_walk(e, x) for x in points])
+    assert isinstance(_outcome(lambda: code._compiled("values")([good])), str)
+    assert _outcome(lambda: code._compiled("values")(points)) == _outcome(lambda: [_walk(e, x) for x in points])
 
 
 def test_failing_calls_compile_no_source():
     e = parse("exp(i*t)+(t-1)^2*sin(t)/cos(t)+t^0.5")
-    code = CompiledPair(e, differentiate(e))
-    sources = _compiled_sources(
-        lambda: (code.value(0.5), code.prime(0.5), code.pair(0.5), code.values([0.5, 1.5]), compile_expr(e)(0.5))
-    )
+    code = ScaleFunction(e, differentiate(e))
+    calls = (("value", 0.5), ("prime", 0.5), ("pair", 0.5), ("values", [0.5, 1.5]))
+    sources = _compiled_sources(lambda: ([code._compiled(f)(arg) for f, arg in calls], compile_expr(e)(0.5)))
     assert [source.split("(")[0] for source in sources] == ["def value", "def prime", "def pair", "def values", "def value"]
+    value, pair, values = map(code._compiled, ("value", "pair", "values"))
     # a failure replays the steps, and compiles nothing
     sources = _compiled_sources(
         lambda: [
-            [_outcome(lambda: fn(arg)) for fn, arg in ((code.value, 1000j), (code.values, [0.5, 1000j]), (code.pair, 0j))]
+            [_outcome(lambda: fn(arg)) for fn, arg in ((value, 1000j), (values, [0.5, 1000j]), (pair, 0j))]
             for _ in range(3)
         ]
     )
     assert sources == []
-    assert _outcome(lambda: code.value(1000j)) == (NonFiniteValue, "overflow in sin(1000j)")
-    assert _outcome(lambda: code.values([0.5, 1000j])) == (NonFiniteValue, "overflow in sin(1000j)")
-    assert _outcome(lambda: code.pair(0j)) == (EvalDomain, "0 raised to a negative power")
+    assert _outcome(lambda: value(1000j)) == (NonFiniteValue, "overflow in sin(1000j)")
+    assert _outcome(lambda: values([0.5, 1000j])) == (NonFiniteValue, "overflow in sin(1000j)")
+    assert _outcome(lambda: pair(0j)) == (EvalDomain, "0 raised to a negative power")
 
 
 # ---------------------------------------------------------------------------
@@ -610,15 +609,15 @@ def _compiled_sources(build):
 
 
 def _compile_functions(code):
-    """Compile a pair's four functions."""
-    for fn in (code.value, code.prime, code.pair, code.values):
-        assert callable(fn)
+    """Compile a p's four functions of t."""
+    for name in ("value", "prime", "pair", "values"):
+        assert callable(code._compiled(name))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_trees)
 def test_generated_source_holds_only_names_and_operators(e):
-    code = CompiledPair(e, differentiate(e))
+    code = ScaleFunction(e, differentiate(e))
     sources = _compiled_sources(lambda: _compile_functions(code))
     assert len(sources) == 4
     for source in sources:
@@ -628,7 +627,7 @@ def test_generated_source_holds_only_names_and_operators(e):
 
 def test_parsed_text_never_reaches_the_source():
     texts = DERIVATIVE_CORPUS + ["exp(i*1.25*sin(t))+(0.1-2.0*i)", "1e999*t+2^(1/3)", "t^(2^-1)+.5e1"]
-    codes = [CompiledPair(e, differentiate(e)) for e in map(parse, texts)]
+    codes = [ScaleFunction(e, differentiate(e)) for e in map(parse, texts)]
     sources = _compiled_sources(lambda: [_compile_functions(code) for code in codes])
     assert len(sources) == 4 * len(texts)
     for source in sources:
@@ -642,7 +641,7 @@ def test_functions_of_one_shape_share_one_code_object():
     assert a(0.5) != b(0.5) and a.prime(0.5) != b.prime(0.5) and a.pair(0.5) != b.pair(0.5)
     assert a.values([0.5]) != b.values([0.5])
     for name in ("value", "prime", "pair", "values"):
-        assert getattr(a._code, name).__code__ is getattr(b._code, name).__code__
+        assert a._compiled(name).__code__ is b._compiled(name).__code__
 
 
 def test_scale_function_compiles_each_function_on_first_use():
@@ -653,16 +652,16 @@ def test_scale_function_compiles_each_function_on_first_use():
     assert [source.split("(")[0] for source in sources] == ["def value", "def pair"]
 
 
-def test_compiled_pair_keeps_no_program():
+def test_scale_function_keeps_no_program():
     # the program is only a step towards the sources; once the code is
-    # written, a pair keeps the sources it has not compiled yet, and no more
-    code = CompiledPair(parse("exp(i*t)+2*t^2"), differentiate(parse("exp(i*t)+2*t^2")))
-    code.value(0.5j)
-    assert not any(isinstance(v, expr._Program) for v in vars(code).values())
+    # written, a p keeps the sources it has not compiled yet, and no more
+    code = ScaleFunction(parse("exp(i*t)+2*t^2"), differentiate(parse("exp(i*t)+2*t^2")))
+    code._compiled("value")(0.5j)
+    assert not any(isinstance(getattr(code, name), expr._Program) for name in ScaleFunction.__slots__)
     assert sorted(code._sources) == ["box", "pair", "prime", "values"]
-    code.prime(0.5j)
-    code.pair(0.5j)
-    code.values([0.5])
+    code._compiled("prime")(0.5j)
+    code._compiled("pair")(0.5j)
+    code._compiled("values")([0.5])
     code.box(0.5, 0.6)
     assert code._sources == {}
 
@@ -722,7 +721,7 @@ _REFUSABLE = {"t^-2", "t^2.5", "t^-0.5", "sqrt(t)", "log(t)"}
 
 def _code(text):
     e = parse(text)
-    return CompiledPair(e, differentiate(e))
+    return ScaleFunction(e, differentiate(e))
 
 
 def _holds(box, v) -> bool:
@@ -755,7 +754,7 @@ def test_the_box_holds_the_value_at_every_float_of_its_segment(op, text, a, widt
     assert box is not None and box[0] <= box[1] and box[2] <= box[3]
     spread = [a + (b - a) * k / 11 for k in range(12)] + [a + (b - a) * u for u in inside]
     for x in [a, b] + [min(max(x, a), b) for x in spread]:
-        assert _holds(box, code.value(complex(x))), (x, box)
+        assert _holds(box, code._compiled("value")(complex(x))), (x, box)
 
 
 _PINNED = sorted(
@@ -783,7 +782,7 @@ def test_the_box_of_a_point_holds_its_value_and_is_refused_where_value_fails(tex
     for x in (0.0, -0.0, 0.5, -2.25, 3.3, 17.0, -40.5, 1e-300, 750.0):
         box = code.box(x, x)
         try:
-            v = code.value(complex(x))
+            v = code._compiled("value")(complex(x))
         except ChronologError:
             assert box is None, (x, box)
             continue

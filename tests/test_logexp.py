@@ -309,7 +309,29 @@ def test_a_winding_never_witnessed_raises_naming_its_piece(monkeypatch, shift):
     ts = parse_timescale("union:[0,1];[2,3]")
     with pytest.raises(QuadratureFailure, match=re.escape("on the piece [0.5, 1.0]")):
         log_delta_principal(p, ts, 0.5, 3.0, ToleranceConfig(quad_tol=1e-7))
-    assert tols == [1e-2, 1e-4, 1e-6, 1e-7]
+    # the winding's own ladder, whatever quad_tol is
+    assert tols == [1e-2, 1e-4, 1e-6, 1e-8, 1e-10]
+
+
+@pytest.mark.parametrize(
+    "text, quad_tol",
+    [("exp(53.1*i*t)+0.56", 0.5), ("(t-0.3-0.01*i)*(t-0.7+0.01*i)", 10.0), ("exp(i*t)+2", 1e-300)],
+)
+def test_the_theorem_has_the_defaults_bits_at_any_quad_tol(text, quad_tol):
+    # the winding search has its own ladder and does not read quad_tol, so
+    # a loose quad_tol cannot end it at an unwitnessed integral
+    p = ScaleFunction.from_text(text)
+    r = parse_timescale("r")
+    cfg = ToleranceConfig(quad_tol=quad_tol)
+    for compute in (
+        lambda cfg: log_delta_principal(p, r, 0.0, 3.0, cfg),
+        lambda cfg: log_cayley_principal(p, r, 3.0, 0.0, cfg),
+        lambda cfg: log_table("nabla-principal", p, r, 1.0, [0.0, 3.0], cfg)[1],
+        lambda cfg: exp_delta(delta_quotient(p, cfg), r, 0.0, 3.0),
+        lambda cfg: exp_nabla(nabla_quotient(p), r, 0.0, 3.0, cfg),
+    ):
+        want, got = compute(None), compute(cfg)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 def test_a_theorem_log_needs_no_tolerance_the_integrator_cannot_meet():

@@ -3,13 +3,14 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chronolog import timescale
-from chronolog.calculus import delta_integral
-from chronolog.cli import _window_has_jumps
+from chronolog.calculus import ScaleFunction, delta_integral
+from chronolog.cli import _walk_points, _window_has_jumps
 from chronolog.errors import InvalidTimeScale, KappaBoundary, PointNotInScale, UnboundedWindow, ValidationError
+from chronolog.logexp import exp_delta, log_delta_derivative, log_table, log_ts
 from chronolog.timescale import (
     AlternatingGrid,
     DiscreteSet,
@@ -320,6 +321,30 @@ def test_grid_points_beyond_float_range_or_resolution_raise():
         _pieces(ts, big, big + 4.0)
 
 
+def test_every_path_to_a_neighbour_that_rounds_onto_its_point_raises_one_message():
+    # on hz:0.1:1e17 both neighbours of 1e17 round onto it (the float
+    # spacing there is 16); every lookup of a neighbour says so the same way
+    ts = parse_timescale("hz:0.1:1e17")
+    x, far = 1e17, 1.0000000000000016e17
+    assert ts.snap(x) == x and ts.snap(far) == far
+    p = ScaleFunction.from_text("t+1")
+    for compute in (
+        lambda: ts.sigma(x),
+        lambda: ts.rho(x),
+        lambda: ts.delta_point(x),
+        lambda: ts.nabla_point(x),
+        lambda: _walk_points(ts, x, far, None),
+        lambda: log_ts("delta-principal", p, ts, x, far),
+        lambda: log_ts("nabla-multi", p, ts, far, x),
+        lambda: log_table("delta-principal", p, ts, x, [x, far]),
+        lambda: log_delta_derivative(p, ts, x),
+        lambda: exp_delta(p, ts, x, far),
+    ):
+        with pytest.raises(PointNotInScale) as info:
+            compute()
+        assert str(info.value) == "the neighbour of 1e+17 is not a distinct finite float"
+
+
 def test_snap_returns_exact_stored_points():
     ts = QGrid(3.0)
     t = 3.0 ** 7
@@ -439,6 +464,41 @@ def test_points_are_the_pieces_stored_points_bit_for_bit(spec, k0, k1):
     want = [ts._piece(k)[0].hex() for k in range(k0, k1 + 1)]
     assert [x.hex() for x in ts._points(k0, k1)] == want
     assert len(ts._points(k1, k0 - 1)) == 0
+
+
+@st.composite
+def _point_family_range(draw):
+    """A point family, a first index k0 and a count n <= 40 of jumps from
+    it, all points finite: hz with a drawn step and anchor and negative k too."""
+    family = draw(st.sampled_from(["hz", "q", "alt", "set"]))
+    n = draw(st.integers(0, 40))
+    if family == "hz":
+        h = draw(st.floats(1e-300, 1e300))
+        anchor = draw(st.sampled_from([0.0, -0.0]) | st.floats(-1e300, 1e300))
+        limit = int(min(1e12, 1e300 / h))
+        return UniformGrid(h, anchor), draw(st.integers(-limit, limit)), n
+    if family == "q":
+        q = draw(st.floats(1.0001, 1e6))
+        return QGrid(q), draw(st.integers(0, int(1000 / math.log2(q)) - n)), n
+    if family == "alt":
+        a = draw(st.floats(1e-6, 1e6))
+        b = draw(st.floats(1e-6, 1e6).filter(lambda b: b != a))
+        return AlternatingGrid(a, b), draw(st.integers(0, 10**12)), n
+    pts = sorted(draw(st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=50, unique=True)))
+    k0 = draw(st.integers(0, len(pts) - 1))
+    return DiscreteSet(tuple(pts)), k0, min(n, len(pts) - 1 - k0)
+
+
+@given(_point_family_range())
+@example((DiscreteSet((-1.0, -0.0, 2.0)), 0, 2))  # a stored -0.0 stays -0.0
+@settings(max_examples=300, deadline=None)
+def test_points_and_pieces_agree_bit_for_bit_hypothesis(family_range):
+    # the walk's blocks take _points where its single jumps take _piece: the
+    # two must give the same floats, signed zeros included
+    ts, k0, n = family_range
+    pieces = [ts._piece(k) for k in range(k0, k0 + n + 1)]
+    assert [a.hex() for a, _ in pieces] == [b.hex() for _, b in pieces]
+    assert [x.hex() for x in ts._points(k0, k0 + n)] == [a.hex() for a, _ in pieces]
 
 
 @pytest.mark.parametrize("spec", ["r", "union:[-6,-4];[2,5]", "union:[0,0];[2,3]"])
