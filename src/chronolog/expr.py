@@ -21,14 +21,13 @@ Trees are evaluated by generated code: ``compile_expr`` and
 ``ScaleFunction`` write Python source with one assignment per distinct
 node, fold the subtrees that read no t, and compile it once per shape of
 tree (constants reach the code through its namespace, never as text).
-``ScaleFunction``, a p with its derivative, gets five functions from one
+``ScaleFunction``, a p with its derivative, gets four functions from one
 program: p, p' and both at once, computing what the two trees share once,
-p at each point of a list from one call, and ``box``, a box (x_lo, x_hi,
-y_lo, y_hi) that holds p at every float of a real segment of t (complex
-interval arithmetic in rectangular form, one rule per op in ``_BOX``, next
-to ``_APPLY``, each widened past its own rounding and p's), and checks
-that its values are finite.  ``evaluate`` compiles the tree and checks
-that the value is finite.
+and ``box``, a box (x_lo, x_hi, y_lo, y_hi) that holds p at every float of
+a real segment of t (complex interval arithmetic in rectangular form, one
+rule per op in ``_BOX``, next to ``_APPLY``, each widened past its own
+rounding and p's), and checks that its values are finite.  ``evaluate``
+compiles the tree and checks that the value is finite.
 The generated code raises the typed errors that a walk of the tree would,
 with the same messages, and returns the same bits.  It calls no Python
 helper for an integer power or for exp, sin and cos, so it raises bare
@@ -44,7 +43,7 @@ import math
 import operator
 from functools import lru_cache, partial
 from types import CodeType
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 from ._record import Record
 from .errors import (
@@ -644,24 +643,14 @@ class _Program:
             text = f"{op}({', '.join(args)})"
         return f"        {name} = {text}"
 
-    def source(self, fname: str, results: tuple[str, ...], steps, loop: bool = False) -> tuple[str, tuple]:
+    def source(self, fname: str, results: tuple[str, ...], steps) -> tuple[str, tuple]:
         """The source of ``def fname(t)``, which runs the named steps in
-        turn and returns ``results``; with ``loop``, of ``def fname(xs)``,
-        which runs them at t = complex(x) for each x of xs in turn and
-        returns the list of ``results[0]``.  With it, the replay that
-        ``_rerun`` runs when anything in the function raises: the steps as
-        ``(name, op, args)``, a getter of the results, and ``loop``."""
-        body = [self._line(s) for s in steps]
-        if loop:
-            lines = [f"def {fname}(xs):", "    out = []", "    append = out.append", "    t = None", "    try:"]
-            lines += ["        for t in map(complex, xs):", *["    " + line for line in body]]
-            lines += [f"            append({results[0]})", "        return out"]
-        else:
-            lines = [f"def {fname}(t):", "    try:", *body, f"        return {', '.join(results)}"]
-        lines += ["    except (ArithmeticError, ValueError):", "        pass"]
-        lines.append(f"    return _rerun(globals(), {'xs' if loop else 't'})")
-        replay = tuple((s, *self.steps[s]) for s in steps), operator.itemgetter(*results), loop
-        return "\n".join(lines) + "\n", replay
+        turn and returns ``results``, with the replay that ``_rerun`` runs
+        when anything in it raises: the steps as ``(name, op, args)`` and a
+        getter of the results."""
+        lines = [f"def {fname}(t):", "    try:", *[self._line(s) for s in steps], f"        return {', '.join(results)}"]
+        lines += ["    except (ArithmeticError, ValueError):", "        pass", "    return _rerun(globals(), t)"]
+        return "\n".join(lines) + "\n", (tuple((s, *self.steps[s]) for s in steps), operator.itemgetter(*results))
 
     def box_source(self, root: str) -> tuple[str, None]:
         """The source of ``def box(a, b)``: from t's box [a, b] x [0, 0],
@@ -691,23 +680,18 @@ def _function(source: str, replay: tuple, fname: str, consts: dict) -> Callable:
     return namespace[fname]
 
 
-def _rerun(namespace: dict, arg):
-    # the steps of a generated function that failed at arg, replayed one by
+def _rerun(namespace: dict, t: complex):
+    # the steps of a generated function that failed at t, replayed one by
     # one through _APPLY, which types what the code raised bare; a division
     # by zero is the one failure that no step types itself
-    steps, results, loop = namespace["_replay"]
-    env = dict(namespace)
-
-    def run(t):
-        env["t"] = t
-        try:
-            for name, op, args in steps:
-                env[name] = _APPLY[op](*[env[a] for a in args])
-        except ZeroDivisionError as e:
-            raise EvalDomain(f"division by zero at t={t}") from e
-        return results(env)
-
-    return [run(t) for t in map(complex, arg)] if loop else run(arg)
+    steps, results = namespace["_replay"]
+    env = {**namespace, "t": t}
+    try:
+        for name, op, args in steps:
+            env[name] = _APPLY[op](*[env[a] for a in args])
+    except ZeroDivisionError as e:
+        raise EvalDomain(f"division by zero at t={t}") from e
+    return results(env)
 
 
 def evaluate(e: Expr, t: complex) -> complex:
@@ -735,41 +719,38 @@ class ScaleFunction:
     The symbolic derivative supplies the classical derivative wherever the
     scale is dense; difference quotients take over at scattered points.
     ``p(t)`` and ``prime(t)`` give p and p', ``pair`` both from one
-    evaluation, ``values`` p at each point of a list from one call, and
-    ``box`` a box that holds p over a real segment.  Values must stay
-    finite; callers that take logarithms additionally check the
+    evaluation, and ``box`` a box that holds p over a real segment.  Values
+    must stay finite; callers that take logarithms additionally check the
     nonvanishing floor.
 
-    The five come from generated functions of one program for the tree and
+    The four come from generated functions of one program for the tree and
     its derivative, so ``pair`` computes each subexpression the two trees
-    share once, ``values`` runs the steps of p in a loop inside the
-    generated code, for the same bits point by point, and ``box`` runs one
-    rule of ``_BOX`` per step of p.  The first use of any of them builds
-    the program and writes the five sources with their replays (see
-    ``_Program``), keeping only those and the constants; each function is
-    compiled into its slot on its first use (``_compiled``), from its own
-    source, which is then dropped: compiling costs more than writing, and
-    most p use one or two of the five.  The generated pair runs the
+    share once, and ``box`` runs one rule of ``_BOX`` per step of p.  The
+    first use of any of them builds the program and writes the four sources
+    with their replays (see ``_Program``), keeping only those and the
+    constants; each function is compiled into its slot on its first use
+    (``_compiled``), from its own source, which is then dropped: compiling
+    costs more than writing, and most p use one or two of the four.  The generated pair runs the
     derivative's steps first, so it raises what p' would raise before what
     p would.  At a complex t every value is complex, a constant tree's too.
     """
 
-    __slots__ = ("body", "derivative", "label", "_consts", "_sources", "_value", "_prime", "_pair", "_values", "_box")
+    __slots__ = ("body", "derivative", "label", "_consts", "_sources", "_value", "_prime", "_pair", "_box")
 
     def __init__(self, body: Expr, derivative: Expr | None = None, label: str = ""):
         self.body = body
         self.derivative = differentiate(body) if derivative is None else derivative
         self.label = label or to_text(body)
         self._sources: dict[str, tuple[str, tuple]] | None = None
-        self._value = self._prime = self._pair = self._values = self._box = None
+        self._value = self._prime = self._pair = self._box = None
 
     @classmethod
     def from_text(cls, text: str) -> "ScaleFunction":
         return cls(parse(text), label=text.strip())
 
     def _compiled(self, fname: str) -> Callable:
-        """The generated function ``fname`` (value, prime, pair, values or
-        box), unchecked, compiled into its slot on its first use."""
+        """The generated function ``fname`` (value, prime, pair or box),
+        unchecked, compiled into its slot on its first use."""
         fn = getattr(self, "_" + fname)
         if fn is not None:
             return fn
@@ -785,7 +766,6 @@ class ScaleFunction:
                 "value": prog.source("value", (p,), prog.post_order(p)),
                 "prime": prog.source("prime", (d,), prime_steps),
                 "pair": prog.source("pair", (p, d), prog.steps),
-                "values": prog.source("values", (p,), prog.post_order(p), loop=True),
                 "box": prog.box_source(p),
             }
         consts = self._consts
@@ -821,17 +801,6 @@ class ScaleFunction:
         if not cmath.isfinite(v):
             raise NonFiniteValue(f"{self.label} is not finite at t={t}")
         return v, d
-
-    def values(self, xs: Sequence[float]) -> list[complex]:
-        """``[self(x) for x in xs]``, the same bits from one generated loop,
-        raising what that list would raise."""
-        try:
-            vs = (self._values or self._compiled("values"))(xs)
-            if all(map(cmath.isfinite, vs)):
-                return vs
-        except ChronologError:
-            pass
-        return [self(x) for x in xs]  # raises at the first point that fails
 
     def box(self, a: float, b: float) -> tuple[float, float, float, float] | None:
         """(x_lo, x_hi, y_lo, y_hi) with ``self(x)`` in the box [x_lo, x_hi]

@@ -47,8 +47,8 @@ xi_hat(mu, c(sigma(tau))), with the map as the only regressivity and
 finiteness check: a coefficient that is not finite at a jump raises the
 map's NonFiniteValue.  Since exp of a sum of Log(1 + mu*c) is the product
 of the factors 1 + mu*c, a block of jumps adds the Log of its factors'
-product, taken in one loop under the maps' guard, with a ScaleFunction
-coefficient listed from one call.  The exponential of p's own quotient,
+product, taken in one loop under the maps' guard, which calls the
+coefficient once per jump.  The exponential of p's own quotient,
 delta_quotient(p) forward or nabla_quotient(p) backward, is p(t)/p(s),
 exp of the window logarithm: it takes the theorem's walk (``_Winding``)
 at its row, xi or xi_hat, and exp discards the winding.
@@ -317,17 +317,17 @@ class _Winding:
 
     p is evaluated once per kept point: the walk's first piece or jump
     evaluates both its ends (``_open``), and each later one only its new
-    end, carrying the other forward.  Each point raises NonvanishingViolation
-    below eps_min and NonFiniteValue, and every jump, single or in a block,
-    goes through one loop (``_advance``), which raises what the row's map
-    would: the row's error when (1-eta)p + eta*p_sigma is 0, and, when a
-    factor of the map, p_sigma/mix or p/mix, falls under the maps' guard
-    (``_vanishes``, run only where one value is far below the other)
-    relative to 1 + |mu*z| = (|mix| + |p_sigma - p|)/|mix|, the map's own
-    error and message at mu and z = (p_sigma - p)/mu/mix
-    (``cylinder._vanishing``); a ratio p_sigma/p that overflows or
-    underflows raises NonFiniteIntegrand.  It commits the turns and the
-    carried p only when every jump passes.
+    end, carrying the other forward.  Every jump, single or in a block,
+    goes through one loop (``_advance``), which evaluates p at each new
+    point in walk order, raising NonvanishingViolation below eps_min and
+    NonFiniteValue there, and raises what the row's map would: the row's
+    error when (1-eta)p + eta*p_sigma is 0, and, when a factor of the map,
+    p_sigma/mix or p/mix, falls under the maps' guard (``_vanishes``, run
+    only where one value is far below the other) relative to 1 + |mu*z| =
+    (|mix| + |p_sigma - p|)/|mix|, the map's own error and message at mu
+    and z = (p_sigma - p)/mu/mix (``cylinder._vanishing``); a ratio
+    p_sigma/p that overflows or underflows raises NonFiniteIntegrand.  It
+    commits the turns and the carried p only when every jump passes.
 
     The exponentials of p's own quotients are exp of this walk at the rows
     of xi and xi_hat: in exact arithmetic each jump's factor is p_sigma/p,
@@ -341,9 +341,8 @@ class _Winding:
     from 0, and keeps only x_j.  That is sound: a convex box that misses 0
     lies in an open half-plane, so every ratio of p in it turns by less
     than pi, the span's Arg is the sum of its jumps' turns, every weighted
-    mean (1-eta)p + eta*p_sigma lies in it, and every check passes.  Then p
-    at the kept points from one ``ScaleFunction.values`` call, the floor,
-    and ``_advance``, a certified span taken as one jump.
+    mean (1-eta)p + eta*p_sigma lies in it, and every check passes.  Then
+    ``_advance`` takes the kept points, a certified span as one jump.
     A block that fails raises, typed but named at no gap, and ``_walk``
     walks it again by ``step``, which names the gap.
     """
@@ -390,29 +389,24 @@ class _Winding:
     def step(self, total: complex, tau: float, mu: float, sigma: float) -> complex:
         if self.first is None:
             self._open(tau)
-        ps = _checked(self.p, sigma, self.cfg)
-        self._advance(tau, (sigma,), (ps,), (abs(ps),))
+        self._advance(tau, (sigma,))
         return total
 
     def run(self, total: complex, xs: Sequence[float]) -> complex:
         # xs[0] is the walk's current point, whose p the last step carried
-        kept = self._kept(xs)
-        vs = self.p.values(kept)
-        avs = list(map(abs, vs))
-        if min(avs) < self.cfg.eps_min:
-            for x, v in zip(kept, vs):
-                _above_floor(self.p, x, v, self.cfg)
-        self._advance(xs[0], kept, vs, avs)
+        self._advance(xs[0], self._kept(xs))
         return total
 
-    def _advance(self, tau: float, sigmas: Sequence[float], vs: Sequence[complex], avs: Sequence[float]) -> None:
+    def _advance(self, tau: float, sigmas: Sequence[float]) -> None:
         # the jumps from tau, the walk's current point, through the points
-        # sigmas, with p there in vs (above the floor) and |p| in avs
-        keep, eta, cut = self.keep, self.eta, self.cut
+        # sigmas, p evaluated at each in turn and checked against the floor
+        p, cfg, keep, eta, cut = self.p, self.cfg, self.keep, self.eta, self.cut
         mixed = 0.0 < eta < 1.0
         isfinite, atan2, screen = cmath.isfinite, math.atan2, _SCREEN
         pv, apv, turns = self.last, self.last_abs, self.turns
-        for sigma, ps, aps in zip(sigmas, vs, avs):
+        for sigma in sigmas:
+            ps = _checked(p, sigma, cfg)
+            aps = abs(ps)
             # at eta = 0 or 1 the weighted denominator is p or p_sigma, above the floor
             if mixed and keep * pv + eta * ps == 0:
                 raise self.row[2](f"(1-eta)p + eta*p_sigma vanishes for eta={eta}")
@@ -634,25 +628,22 @@ class _Exponent(Terms):
     factors, equal to their sum modulo 2*pi*i, which exp discards: times
     each 1 + mu*c forward (xi), over each 1 - mu*c backward (xi_hat).  The
     product is prod * 2^power, prod scaled into [1/2, 1) by a power of 2,
-    which is exact, wherever it would leave [1e-280, 1e280].  A
-    ScaleFunction lists the block's c from one ``values`` call; any other c
-    is called inside the loop, jump by jump, so the first failure in walk
-    order is the one raised.  A block raises where a factor trips the maps'
+    which is exact, wherever it would leave [1e-280, 1e280].  The
+    coefficient, a ScaleFunction c(tau) or a callable c(tau, mu), is called
+    inside the loop, jump by jump, so the first failure in walk order is
+    the one raised.  A block raises where a factor trips the maps'
     guard, the product is not finite or under 1e-300, or a gap is below
     1e-300 (where mu * map(mu, c) can overflow); ``_walk`` then walks it by
     ``step``.  The library's own quotients of p take the theorem's walk
     (``_Winding``) instead.
     """
 
-    __slots__ = ("c", "listed", "row", "at_sigma")
+    __slots__ = ("c", "row", "at_sigma")
 
     def __init__(self, variant: LogVariant, coeff, cfg: ToleranceConfig):
         if not callable(coeff):
             raise TypeError("coefficient must be a ScaleFunction or a callable (tau, mu) -> complex")
-        if isinstance(coeff, ScaleFunction):
-            c, self.listed = (lambda tau, mu: coeff(tau)), coeff.values
-        else:
-            c, self.listed = coeff, None
+        c = (lambda tau, mu: coeff(tau)) if isinstance(coeff, ScaleFunction) else coeff
         row, _, cylinder_map = _row(variant, None)
         at_sigma = variant is LogVariant.NABLA_PRINCIPAL
         term = lambda tau, mu, sigma: cylinder_map(mu, c(sigma if at_sigma else tau, mu))
@@ -665,10 +656,9 @@ class _Exponent(Terms):
         if min(mus) < 1e-300:
             raise NonFiniteValue("a gap below 1e-300, where a jump's term can overflow")
         ats = sigmas if self.at_sigma else taus
-        cs = self.listed(ats) if self.listed else map(complex, map(self.c, ats, mus))
         row, eta, forward = self.row, self.row[1], not self.at_sigma
         prod, power = 1 + 0j, 0
-        for hz in map(operator.mul, mus, cs):
+        for hz in map(operator.mul, mus, map(complex, map(self.c, ats, mus))):
             factor = 1 + hz if forward else 1 - hz
             # the factor is xi's num or xi_hat's den, the one _singular tests at eta
             if abs(hz) > 0.5 and cylinder._singular(eta, factor, factor, REGRESSIVITY_GUARD * (1.0 + abs(hz))):

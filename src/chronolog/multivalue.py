@@ -55,15 +55,28 @@ def lattice_gap(a, b, period: complex = TWO_PI_I) -> tuple[int, float]:
     """Best integer k and the residual ``|a - b - k*period|``.
 
     ``a`` and ``b`` may be complex numbers or :class:`MultiLog` values (only
-    representatives are compared).  The period must be purely imaginary; a
-    zero period compares the values directly (k is then 0).
+    representatives are compared).  The period must be finite
+    (NonFiniteValue) and purely imaginary (ValidationError), as a MultiLog's
+    is; a zero period compares the values directly (k is then 0).  A
+    difference a - b that is not finite, or holds more periods than a float
+    can count, raises NonFiniteValue.
     """
+    period = complex(period)
+    if not cmath.isfinite(period):
+        raise NonFiniteValue(f"non-finite period {period!r}")
+    if period.real != 0.0:
+        raise ValidationError("period must be purely imaginary")
     ra = a.rep if isinstance(a, MultiLog) else complex(a)
     rb = b.rep if isinstance(b, MultiLog) else complex(b)
     d = ra - rb
+    if not cmath.isfinite(d):
+        raise NonFiniteValue(f"the difference {d!r} is not finite")
     if period == 0:
         return 0, abs(d)
-    k = round(d.imag / period.imag)
+    x = d.imag / period.imag
+    if not math.isfinite(x):
+        raise NonFiniteValue(f"the difference {d!r} holds too many periods {period!r} to count")
+    k = round(x)
     return k, abs(d - k * period)
 
 

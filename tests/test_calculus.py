@@ -15,7 +15,6 @@ from chronolog.calculus import (
     nabla_integral,
 )
 from chronolog.errors import (
-    ChronologError,
     EvalDomain,
     KappaBoundary,
     NonFiniteIntegrand,
@@ -370,41 +369,27 @@ def test_scale_function_nonfinite_value_raises():
         p(1e6)
 
 
-def _listed(f):
-    # a list by the bits of each value, an error by class and message
-    try:
-        return [(v.real.hex(), v.imag.hex()) for v in f()]
-    except ChronologError as e:
-        return type(e), str(e)
-
-
 @pytest.mark.parametrize(
-    "text, xs, error",
+    "text, x, error, message",
     [
-        ("(t-1-2*i)^3+sin(t)/t", [0.1 * k - 2.05 for k in range(41)], None),
-        ("exp(i*t)+0.5", [2.5**k for k in range(60)], None),
-        ("-0.0*t", [0.0, -0.0, 1.0, -1.0], None),  # the sign of each zero
-        ("3+0*t", [1.0, 2.0], None),
-        ("t", [], None),
-        # the first bad point raises, as it would in the list comprehension
-        ("1/(t-3)", [float(k) for k in range(-2, 7)], EvalDomain),
-        ("1/(t-3)", [3.0, 4.0], EvalDomain),
-        ("exp(t)", [700.0, 709.0, 709.5, 710.0, 800.0], NonFiniteValue),
-        ("exp(t)+1/(t-710)", [709.0, 710.0, 711.0], NonFiniteValue),
-        ("1/(t-710)+exp(t)", [709.0, 710.0, 711.0], EvalDomain),
-        ("log(t)", [1.0, 0.5, 0.0, -1.0], EvalDomain),
-        # an infinite value that no operation raises for, before a point that raises
-        ("1e300*t^2", [1.0, 1e10, 2.0], NonFiniteValue),
-        ("1e300*t^2+1/(t-3)", [1.0, 1e10, 3.0], NonFiniteValue),
-        ("1e300*t^2+1/(t-3)", [1.0, 3.0, 1e10], EvalDomain),
+        ("1/(t-3)", 3.0, EvalDomain, "division by zero at t=(3+0j)"),
+        ("exp(t)", 710.0, NonFiniteValue, "overflow in exp((710+0j))"),
+        # the first step to fail, in the order the tree is evaluated
+        ("exp(t)+1/(t-710)", 710.0, NonFiniteValue, "overflow in exp((710+0j))"),
+        ("1/(t-710)+exp(t)", 710.0, EvalDomain, "division by zero at t=(710+0j)"),
+        ("log(t)", 0.0, EvalDomain, "log of zero"),
+        ("log(t)", -0.0, EvalDomain, "log of zero"),
+        # an infinite value that no operation raises for, and one that does
+        ("1e300*t^2", 1e10, NonFiniteValue, "1e300*t^2 is not finite at t=10000000000.0"),
+        ("1e300*t^2+1/(t-3)", 1e10, NonFiniteValue, "1e300*t^2+1/(t-3) is not finite at t=10000000000.0"),
+        ("1e300*t^2+1/(t-3)", 3.0, EvalDomain, "division by zero at t=(3+0j)"),
     ],
 )
-def test_scale_function_values_is_the_list_of_its_values(text, xs, error):
+def test_scale_function_call_raises_the_first_failing_step(text, x, error, message):
     p = ScaleFunction.from_text(text)
-    want = _listed(lambda: [p(x) for x in xs])
-    assert _listed(lambda: p.values(xs)) == want
-    assert _listed(lambda: p.values(tuple(xs))) == want
-    assert want[0] is error if error else len(want) == len(xs)
+    with pytest.raises(error) as info:
+        p(x)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_tolerance_config_validation():

@@ -564,23 +564,16 @@ def test_table_log_rows_below_the_base(run, spec, step):
 
 def test_table_log_is_one_walk(run, monkeypatch):
     # a walk per row evaluates p about rows^2 times; one walk through the
-    # rows and the base evaluates it once per point, one at a time or in a
-    # list, the base once too where it lies among the rows
+    # rows and the base evaluates it once per point, the base once too
+    # where it lies among the rows
     evaluate = chronolog.ScaleFunction.__call__
-    evaluate_all = chronolog.ScaleFunction.values
 
     def counting(self, t):
         nonlocal calls
         calls += 1
         return evaluate(self, t)
 
-    def counting_all(self, xs):
-        nonlocal calls
-        calls += len(xs)
-        return evaluate_all(self, xs)
-
     monkeypatch.setattr(chronolog.ScaleFunction, "__call__", counting)
-    monkeypatch.setattr(chronolog.ScaleFunction, "values", counting_all)
     for base in ([], ["--s", "500"]):
         calls = 0
         rc, out, _ = run(

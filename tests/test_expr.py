@@ -394,7 +394,7 @@ def _checked(fn):
 
 def _assert_matches_walk(e, d, t):
     code = ScaleFunction(e, d)
-    value, prime, pair, values = map(code._compiled, ("value", "prime", "pair", "values"))
+    value, prime, pair = map(code._compiled, ("value", "prime", "pair"))
 
     def walked_pair():
         dv = _walk(d, t)
@@ -407,8 +407,6 @@ def _assert_matches_walk(e, d, t):
         assert _outcome(lambda: fn(t)) == _outcome(lambda: _walk(d, t))
     for fn in (pair, _checked(pair)):
         assert _outcome(lambda: fn(t)) == _outcome(walked_pair)
-    for fn in (values, _checked(values)):
-        assert _outcome(lambda: fn([t, t])) == _outcome(lambda: [_walk(e, t), _walk(e, t)])
 
     sf = ScaleFunction(e, d)
 
@@ -417,7 +415,6 @@ def _assert_matches_walk(e, d, t):
         return sf(t), dv
 
     assert _outcome(lambda: sf.pair(t)) == _outcome(separately)
-    assert _outcome(lambda: sf.values([t])) == _outcome(lambda: [sf(t)])
 
 
 _SPECIAL = (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 1e308, -1e308, 5e-324, math.inf, -math.inf, math.nan)
@@ -534,32 +531,25 @@ def test_fast_form_failures_keep_class_and_message(text, good, bad, error, messa
     d = differentiate(e)
     code = ScaleFunction(e, d)
     good, bad = complex(good), complex(bad)
+    assert isinstance(_outcome(lambda: code._compiled("value")(good)), str)
     assert _outcome(lambda: code._compiled("value")(bad)) == (error, message)
     assert _outcome(lambda: compile_expr(e)(bad)) == (error, message)
     _assert_matches_walk(e, d, bad)
-    # the first point that raises, after one that does not
-    points = [good, bad, 2 * bad]
-    assert isinstance(_outcome(lambda: code._compiled("values")([good])), str)
-    assert _outcome(lambda: code._compiled("values")(points)) == _outcome(lambda: [_walk(e, x) for x in points])
 
 
 def test_failing_calls_compile_no_source():
     e = parse("exp(i*t)+(t-1)^2*sin(t)/cos(t)+t^0.5")
     code = ScaleFunction(e, differentiate(e))
-    calls = (("value", 0.5), ("prime", 0.5), ("pair", 0.5), ("values", [0.5, 1.5]))
+    calls = (("value", 0.5), ("prime", 0.5), ("pair", 0.5))
     sources = _compiled_sources(lambda: ([code._compiled(f)(arg) for f, arg in calls], compile_expr(e)(0.5)))
-    assert [source.split("(")[0] for source in sources] == ["def value", "def prime", "def pair", "def values", "def value"]
-    value, pair, values = map(code._compiled, ("value", "pair", "values"))
+    assert [source.split("(")[0] for source in sources] == ["def value", "def prime", "def pair", "def value"]
+    value, pair = map(code._compiled, ("value", "pair"))
     # a failure replays the steps, and compiles nothing
     sources = _compiled_sources(
-        lambda: [
-            [_outcome(lambda: fn(arg)) for fn, arg in ((value, 1000j), (values, [0.5, 1000j]), (pair, 0j))]
-            for _ in range(3)
-        ]
+        lambda: [[_outcome(lambda: fn(arg)) for fn, arg in ((value, 1000j), (pair, 0j))] for _ in range(3)]
     )
     assert sources == []
     assert _outcome(lambda: value(1000j)) == (NonFiniteValue, "overflow in sin(1000j)")
-    assert _outcome(lambda: values([0.5, 1000j])) == (NonFiniteValue, "overflow in sin(1000j)")
     assert _outcome(lambda: pair(0j)) == (EvalDomain, "0 raised to a negative power")
 
 
@@ -573,26 +563,18 @@ _SOURCE_LINE = re.compile(
         (
             r"def (?:value|prime|pair)\(t\):",
             r"    try:",
-            rf"        (?:    )?v\d+ = {_NAME} [-+*/] {_NAME}",
-            rf"        (?:    )?v\d+ = -{_NAME}",
-            rf"        (?:    )?v\d+ = _pow\({_NAME}, c\d+\)",
-            rf"        (?:    )?v\d+ = _(?:log|sqrt)\({_NAME}\)",
+            rf"        v\d+ = {_NAME} [-+*/] {_NAME}",
+            rf"        v\d+ = -{_NAME}",
+            rf"        v\d+ = _pow\({_NAME}, c\d+\)",
+            rf"        v\d+ = _(?:log|sqrt)\({_NAME}\)",
             # an integer power and the direct cmath calls
-            rf"        (?:    )?v\d+ = (?P<b>{_NAME}) \*\* (?P<n>c\d+) if (?P=b) else _pow\((?P=b), (?P=n)\)",
-            rf"        (?:    )?v\d+ = (?:exp|sin|cos)\({_NAME}\)",
+            rf"        v\d+ = (?P<b>{_NAME}) \*\* (?P<n>c\d+) if (?P=b) else _pow\((?P=b), (?P=n)\)",
+            rf"        v\d+ = (?:exp|sin|cos)\({_NAME}\)",
             rf"        return {_NAME}(?:, {_NAME})?",
             # a failure: the replay reruns the argument
             r"    except \(ArithmeticError, ValueError\):",
             r"        pass",
-            r"    return _rerun\(globals\(\), (?:t|xs)\)",
-            # values: the steps of value in a loop over the points
-            r"def values\(xs\):",
-            r"    out = \[\]",
-            r"    append = out\.append",
-            r"    t = None",
-            r"        for t in map\(complex, xs\):",
-            rf"            append\({_NAME}\)",
-            r"        return out",
+            r"    return _rerun\(globals\(\), t\)",
         )
     )
 )
@@ -609,8 +591,8 @@ def _compiled_sources(build):
 
 
 def _compile_functions(code):
-    """Compile a p's four functions of t."""
-    for name in ("value", "prime", "pair", "values"):
+    """Compile a p's three functions of t."""
+    for name in ("value", "prime", "pair"):
         assert callable(code._compiled(name))
 
 
@@ -619,7 +601,7 @@ def _compile_functions(code):
 def test_generated_source_holds_only_names_and_operators(e):
     code = ScaleFunction(e, differentiate(e))
     sources = _compiled_sources(lambda: _compile_functions(code))
-    assert len(sources) == 4
+    assert len(sources) == 3
     for source in sources:
         for line in source.splitlines():
             assert _SOURCE_LINE.fullmatch(line), line
@@ -629,7 +611,7 @@ def test_parsed_text_never_reaches_the_source():
     texts = DERIVATIVE_CORPUS + ["exp(i*1.25*sin(t))+(0.1-2.0*i)", "1e999*t+2^(1/3)", "t^(2^-1)+.5e1"]
     codes = [ScaleFunction(e, differentiate(e)) for e in map(parse, texts)]
     sources = _compiled_sources(lambda: [_compile_functions(code) for code in codes])
-    assert len(sources) == 4 * len(texts)
+    assert len(sources) == 3 * len(texts)
     for source in sources:
         for line in source.splitlines():
             assert _SOURCE_LINE.fullmatch(line), line
@@ -639,8 +621,7 @@ def test_functions_of_one_shape_share_one_code_object():
     a = ScaleFunction.from_text("exp(1.25*sin(0.98*t))+2.04")
     b = ScaleFunction.from_text("exp(1.21*sin(1.03*t))+1.93")
     assert a(0.5) != b(0.5) and a.prime(0.5) != b.prime(0.5) and a.pair(0.5) != b.pair(0.5)
-    assert a.values([0.5]) != b.values([0.5])
-    for name in ("value", "prime", "pair", "values"):
+    for name in ("value", "prime", "pair"):
         assert a._compiled(name).__code__ is b._compiled(name).__code__
 
 
@@ -658,10 +639,9 @@ def test_scale_function_keeps_no_program():
     code = ScaleFunction(parse("exp(i*t)+2*t^2"), differentiate(parse("exp(i*t)+2*t^2")))
     code._compiled("value")(0.5j)
     assert not any(isinstance(getattr(code, name), expr._Program) for name in ScaleFunction.__slots__)
-    assert sorted(code._sources) == ["box", "pair", "prime", "values"]
+    assert sorted(code._sources) == ["box", "pair", "prime"]
     code._compiled("prime")(0.5j)
     code._compiled("pair")(0.5j)
-    code._compiled("values")([0.5])
     code.box(0.5, 0.6)
     assert code._sources == {}
 

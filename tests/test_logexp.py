@@ -425,8 +425,7 @@ def test_vanishing_weighted_denominator_raises_typed_error():
 
 
 class RecordingFunction(ScaleFunction):
-    """A ScaleFunction that remembers every point it is evaluated at, one
-    at a time or in a list."""
+    """A ScaleFunction that remembers every point it is evaluated at."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -435,10 +434,6 @@ class RecordingFunction(ScaleFunction):
     def __call__(self, t):
         self.points.append(t)
         return super().__call__(t)
-
-    def values(self, xs):
-        self.points.extend(xs)
-        return super().values(xs)
 
 
 @pytest.mark.parametrize(
@@ -850,9 +845,9 @@ def test_blocks_of_jumps_give_the_bits_of_single_jumps(monkeypatch, spec):
 def _exp_cases(p):
     # (exponential, coefficient, factor of one jump from tau to sigma, whether
     # it is p's own quotient): p's forward and backward quotients, whose
-    # factors are the ratios p(sigma)/p(tau); a coefficient listed in one
-    # call (a ScaleFunction); and ones called jump by jump, forward and
-    # backward, delta_quotient among them on the nabla row
+    # factors are the ratios p(sigma)/p(tau); a ScaleFunction coefficient;
+    # and callables (tau, mu), forward and backward, delta_quotient among
+    # them on the nabla row
     dq = delta_quotient(p)
     c = ScaleFunction.from_text("0.002*i*t-0.001")
     back = lambda tau, nu: (p(tau) - p(tau - nu)) / nu / p(tau)  # noqa: E731
@@ -973,41 +968,31 @@ def test_exponential_blocks_that_leave_float_range_keep_the_products_accuracy(ex
     assert draws == [1100] * 40
 
 
-class _SingleCallsFunction(RecordingFunction):
-    """A RecordingFunction that also keeps the points it is called at one at a
-    time, and counts the lists it is called on."""
-
-    def __call__(self, t):
-        self.singles.append(t)
-        return super().__call__(t)
-
-    def values(self, xs):
-        self.lists += 1
-        return super().values(xs)
-
-
-@pytest.mark.parametrize("listed", ["delta_quotient", "ScaleFunction"])
-def test_an_exponential_lists_a_chronolog_coefficient_in_one_call_per_block(listed):
-    # over _LONG jumps, the coefficient is called point by point only on
-    # the _H single jumps; the two blocks after them (of _B jumps and of the
-    # last _H) take their values from one values call each.  A listed c is
-    # called at each tau.  p's own quotient takes the theorem's walk, the
-    # first jump evaluating both its ends, whose blocks list p only at the
-    # points their certified spans keep: the block over [8, 520] is one span
-    # whose box, which squares [8, 520] whole, stays clear of 0, so it keeps
-    # its end; the last block, of _H jumps, is too short to certify.  So p
-    # at 18 of the 529 points
+def test_an_exponential_of_p_s_quotient_evaluates_p_at_each_block_s_kept_points(monkeypatch):
+    # over _LONG jumps, exp_delta of p's own quotient takes the theorem's
+    # walk: the first of the _H single jumps evaluates p at both its ends,
+    # and each of the two blocks after them (of _B jumps and of the last _H)
+    # evaluates p once at each point that its certified spans keep, in walk
+    # order: the block over [8, 520] is one span whose box, which squares
+    # [8, 520] whole, stays clear of 0, so it keeps its end; the last
+    # block, of _H jumps, is too short to certify.  So p at 18 of the 529
+    # points
     ts, points = _long_window("hz:1")
-    f = _SingleCallsFunction.from_text("t^2+1" if listed == "delta_quotient" else "0.001*i*t")
-    f.singles, f.lists = [], 0
-    exp_delta(delta_quotient(f) if listed == "delta_quotient" else f, ts, points[0], points[-1])
-    if listed == "delta_quotient":
-        assert len(f.singles) == _H + 1
-        assert len(f.points) == _H + 1 + 1 + _H
-    else:
-        assert len(f.singles) == _H
-        assert len(f.points) == _LONG
-    assert f.lists == 2
+    f = RecordingFunction.from_text("t^2+1")
+    kept, blocks = logexp._Winding._kept, []
+
+    def recording_kept(self, xs):
+        # the evaluations so far, and the block's kept points
+        blocks.append((len(f.points), kept(self, xs)))
+        return blocks[-1][1]
+
+    monkeypatch.setattr(logexp._Winding, "_kept", recording_kept)
+    exp_delta(delta_quotient(f), ts, points[0], points[-1])
+    assert f.points[: _H + 1] == points[: _H + 1]
+    starts = [n for n, _ in blocks] + [len(f.points)]
+    assert [f.points[a:b] for a, b in zip(starts, starts[1:])] == [k for _, k in blocks]
+    assert [len(k) for _, k in blocks] == [1, _H]
+    assert len(f.points) == _H + 1 + 1 + _H
 
 
 # ---------------------------------------------------------------------------
@@ -1245,7 +1230,7 @@ def test_an_exponential_term_that_overflows_on_a_tiny_gap_is_the_single_jumps(mo
 
 @pytest.mark.parametrize("spec", ["hz:1", "q:1.001", "alt:0.4,0.7", "set"])
 @pytest.mark.parametrize("defect", ["floor", "not-finite", "spike"])
-def test_a_listed_coefficient_error_across_a_block_boundary_is_the_single_jumps(monkeypatch, spec, defect):
+def test_a_quotient_coefficient_error_across_a_block_boundary_is_the_single_jumps(monkeypatch, spec, defect):
     # delta_quotient(p) with p's defects of the logs' test above, both
     # exponentials and both directions, and nabla_quotient(p) backward: p
     # below the floor or not finite at a point d next to a boundary gap, or
@@ -1619,7 +1604,6 @@ def test_log_table_caps_the_whole_walk_before_any_term(monkeypatch, base):
     monkeypatch.setattr(ScaleFunction, "__call__", lambda self, t: evals.append(t))
     monkeypatch.setattr(ScaleFunction, "prime", lambda self, t: evals.append(t))
     monkeypatch.setattr(ScaleFunction, "pair", lambda self, t: evals.append(t))
-    monkeypatch.setattr(ScaleFunction, "values", lambda self, xs: evals.extend(xs))
     ts = parse_timescale("hz:1")
     with pytest.raises(UnboundedWindow):
         log_table("delta-principal", ScaleFunction.from_text("t+10"), ts, base, [float(k) for k in range(13)])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chronolog.errors import LogOfZero, NonFiniteValue
+from chronolog.errors import LogOfZero, NonFiniteValue, ValidationError
 from chronolog.multivalue import (
     TWO_PI_I,
     MultiLog,
@@ -113,6 +113,41 @@ def test_lattice_gap_accepts_multilog():
     k, res = lattice_gap(m, 2.0 + 1.0j + TWO_PI_I)
     assert k == -1
     assert res <= 1e-15
+
+
+_INF, _NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize(
+    "a, b, period, error",
+    [
+        # a difference that is not finite
+        (complex(0.0, _INF), 0j, TWO_PI_I, NonFiniteValue),
+        (complex(0.0, _NAN), 0j, TWO_PI_I, NonFiniteValue),
+        (complex(_INF, 0.0), 0j, TWO_PI_I, NonFiniteValue),
+        (complex(_NAN, 0.0), 0j, 0j, NonFiniteValue),
+        (1e308 + 0j, -1e308 + 0j, TWO_PI_I, NonFiniteValue),
+        # more periods than a float can count
+        (1e300j, 0j, 1e-300j, NonFiniteValue),
+        # a period that is not finite, or not purely imaginary, as MultiLog refuses
+        (1 + 1j, 0j, complex(0.0, _INF), NonFiniteValue),
+        (1 + 1j, 0j, complex(0.0, _NAN), NonFiniteValue),
+        (1 + 1j, 0j, 1 + 0j, ValidationError),
+        (1 + 1j, 0j, 2 + 2j, ValidationError),
+    ],
+)
+def test_lattice_gap_refuses_what_has_no_finite_gap(a, b, period, error):
+    with pytest.raises(error):
+        lattice_gap(a, b, period)
+    if period == TWO_PI_I:
+        with pytest.raises(error):
+            mod2pi_equal(a, b, tol=1e-9)
+    if error is ValidationError:
+        with pytest.raises(ValidationError):
+            MultiLog(a, period)
+    elif cmath.isfinite(a) and cmath.isfinite(period):
+        with pytest.raises(error):
+            MultiLog(a, period).mod_equal(b, tol=1e-9)
 
 
 def test_mod2pi_equal_tolerance_validation():
