@@ -3,14 +3,16 @@
 Integrals, exponentials and window logarithms are computed by one walk,
 ``_walk``, which streams the scale's pieces by index up from the lower end
 of a window, keeping nothing per jump, and hands each continuous stretch
-and each jump to a sum object.  The sum is ``Terms``, in which a stretch
-adds its integral to ``quad_tol`` and a jump adds ``gap * f`` (integrals,
-exponentials and the older logarithms); the cylinder-map definition of
-the logarithm (``logexp._Definition``), which sums several rows at once,
-each the way ``Terms`` would; or the window logarithm's theorem
-(``logexp._Winding``), which adds one closed form Log(p(x_n)/p(x_0)) +
-2*pi*i*K for the whole walk and integrates only to find the integer K;
-the exponentials of p's own quotients take exp of the theorem's sum.
+and each jump to a sum object that takes the running total, the walk's
+only state, to the next; the total at a stop is its mark.  The sum is
+``Terms``, in which a stretch adds its integral to ``quad_tol`` and a jump
+adds ``gap * f`` (integrals, exponentials and the older logarithms); the
+cylinder-map definition of the logarithm (``logexp._Definition``), which
+sums several rows at once, each the way ``Terms`` would; or the window
+logarithm's theorem (``logexp._Winding``), whose total carries p and the
+turns, for one closed form Log(p(x_n)/p(x_0)) + 2*pi*i*K, integrating only
+to find the integer K; the exponentials of p's own quotients take exp of
+the theorem's sum.
 On the point families a long run of jumps goes to the sum in blocks, its
 ``run`` taking a block's points at once, the theorem's only those that
 its certified spans of jumps keep.  A run returns its total or raises,
@@ -233,22 +235,24 @@ class Terms:
     NonFiniteIntegrand where the sum turns non-finite.  This sums integrals,
     exponentials and the older logarithms.  The other sums ``_walk`` takes
     are the window logarithm's definition (``logexp._Definition``), whose
-    total is a tuple of rows and whose ``run`` and ``close`` are these, and
-    its theorem (``logexp._Winding``).  All answer the same five calls:
-    ``piece(total, lo, hi)`` takes a continuous piece, ``step(total, tau,
-    mu, sigma)`` a jump and ``run(total, xs)`` a block of jumps through the
-    increasing points xs, each returning the running total; ``close(total)``
-    marks the walk's current point, leaving the walk open, and ``between(a,
-    b)`` gives the sum from mark a to mark b.  Here a mark is the running
-    total and ``between`` is b - a; ``run`` is a loop of ``step``, and the
-    exponentials' subclass takes a block as the product of its factors
-    (``logexp._Exponent``); the exponentials of p's own quotient take the
-    theorem's sum instead.  A ``run`` returns its total or raises, and
-    ``_walk`` then re-walks the block by ``step``, which names the gap.
-    Every walk gets a fresh sum.
+    total is a tuple of rows and whose ``run`` is this one, and its theorem
+    (``logexp._Winding``).  A sum holds no state of a walk: the running
+    total is all of it, and the total at a stop is the stop's mark.  Each
+    sum names the total a walk starts from, ``start``, and answers the same
+    four calls: ``piece(total, lo, hi)`` takes a continuous piece,
+    ``step(total, tau, mu, sigma)`` a jump and ``run(total, xs)`` a block
+    of jumps through the increasing points xs, each returning the next
+    total, and ``between(a, b)`` gives the sum from mark a to mark b.  Here
+    a walk starts from 0j and ``between`` is b - a; ``run`` is a loop of
+    ``step``, and the exponentials' subclass takes a block as the product
+    of its factors (``logexp._Exponent``); the exponentials of p's own
+    quotient take the theorem's sum instead.  A ``run`` returns its total
+    or raises, and ``_walk`` then re-walks the block by ``step`` from the
+    total before it, which names the gap.
     """
 
     __slots__ = ("dense", "term", "tol")
+    start = 0j
 
     def __init__(self, dense: Callable[[float], complex], term: JumpTerm, tol: float):
         self.dense = dense
@@ -270,9 +274,6 @@ class Terms:
     def run(self, total: complex, xs: Sequence[float]) -> complex:
         for tau, sigma in zip(xs, xs[1:]):
             total = self.step(total, tau, sigma - tau, sigma)
-        return total
-
-    def close(self, total: complex) -> complex:
         return total
 
     def between(self, a: complex, b: complex) -> complex:
@@ -302,14 +303,15 @@ def _walk(sums, ts: TimeScale, s: float, stops: list[float]) -> list:
 
     ``s`` and ``stops`` are scale points, the stops increasing from s.  The
     walk streams the scale's pieces by index up from s, keeping nothing per
-    jump, and returns ``sums.close`` at each stop, a mark that
-    ``sums.between`` turns into the sum from one stop to another.  It hands
+    jump, and threads one running total, from ``sums.start``, through
     ``sums`` (``Terms`` and the exponentials' ``logexp._Exponent``, or the
     logarithm's definition ``logexp._Definition`` or its theorem
-    ``logexp._Winding``) each continuous stretch as
-    [lo, hi] and each jump from tau to its stored successor sigma, a gap mu
-    = sigma - tau.  A ChronologError in a term names its piece or gap
-    (``_jump``).  MAX_WINDOW_JUMPS caps the whole span, before any term.
+    ``logexp._Winding``): each continuous stretch as [lo, hi] and each
+    jump from tau to its stored successor sigma, a gap mu = sigma - tau,
+    takes the total to the next.  It returns the total at each stop, a mark
+    that ``sums.between`` turns into the sum from one stop to another.  A
+    ChronologError in a term names its piece or gap (``_jump``).
+    MAX_WINDOW_JUMPS caps the whole span, before any term.
 
     On the point families, a stop at least ``_HANDFUL + _LONG_RUN`` jumps
     away is reached in blocks: after ``_HANDFUL`` single jumps, the walk
@@ -318,15 +320,15 @@ def _walk(sums, ts: TimeScale, s: float, stops: list[float]) -> list:
     (the theorem's run evaluates p only at the points that its certified
     spans keep); a nearer stop is reached jump by jump.  A block is taken only where
     every gap in it is a distinct finite float and it passes no stop.  A
-    run returns its total or raises; one that raises leaves ``sums`` as it
-    was, and the walk re-walks that block once, jump by jump, so that the
-    same error is raised at the same gap.
+    run returns its total or raises, and the walk re-walks a block that
+    raised once, jump by jump from the total before it, so that the same
+    error is raised at the same gap.
     """
     k, kt, _, _, _ = ts._span(s, stops[-1])
     blocks = ts._points(k, k) is not None
     b = ts._piece(k)[1]
     x = s  # the current point, in piece k, which ends at b
-    total = 0j
+    total = sums.start
     marks = []
     for stop in stops:
         single = _HANDFUL  # jumps to take one at a time before the next block
@@ -365,7 +367,7 @@ def _walk(sums, ts: TimeScale, s: float, stops: list[float]) -> list:
             k += 1
             x = sigma
             single -= 1
-        marks.append(sums.close(total))
+        marks.append(total)
     return marks
 
 

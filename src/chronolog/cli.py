@@ -181,6 +181,10 @@ def _cmd_check(args, cfg: ToleranceConfig, ts: TimeScale) -> tuple[list, int]:
 
 
 def _cmd_table(args, cfg: ToleranceConfig, ts: TimeScale) -> tuple[list, int]:
+    if args.quantity == "logderiv":
+        for option, value in (("--s", args.s), ("--variant", args.variant)):
+            if value is not None:
+                raise ValidationError(f"{option} applies to --quantity log only")
     p = ScaleFunction.from_text(args.p)
     pts = _walk_points(ts, getattr(args, "from"), args.to, args.step)
     if args.quantity == "logderiv":
@@ -193,7 +197,7 @@ def _cmd_table(args, cfg: ToleranceConfig, ts: TimeScale) -> tuple[list, int]:
             for u in pts
         ]
     else:  # log
-        variant, eta = _parse_variant(args.variant)
+        variant, eta = _parse_variant(args.variant if args.variant is not None else LogVariant.DELTA_PRINCIPAL.value)
         base = args.s if args.s is not None else getattr(args, "from")
         values = log_table(variant, p, ts, base, pts, cfg, eta=eta)
         rows = [{"t": u, "value": _complex(value)} for u, value in zip(pts, values)]
@@ -280,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--to", type=float, required=True)
     sp.add_argument("--step", type=float, default=None, help="sampling step on continuous stretches")
     sp.add_argument("--s", type=float, default=None, help="window base for --quantity log (default --from)")
-    sp.add_argument("--variant", default=LogVariant.DELTA_PRINCIPAL.value)
+    sp.add_argument("--variant", default=None, help="variant for --quantity log (default delta-principal)")
 
     sp = sub.add_parser("legacy", help="older logarithm constructions")
     common(sp, "json")

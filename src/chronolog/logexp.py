@@ -234,40 +234,40 @@ def _row(variant: LogVariant, eta: float | None) -> tuple[tuple, float, Callable
 class _Definition:
     """The logarithm by its definition, for ``_walk``: one walk for the (variant, eta) ``rows``.
 
-    The total is the tuple of the rows' sums (the walk's first total, 0j,
-    stands for all 0).  A piece adds one integral of p'/p, to ``quad_tol``,
-    to every row.  A jump evaluates p at both ends once, then for each row
+    The total, and so the mark at a stop, is the tuple of the rows' sums,
+    which a walk starts at 0 (``start``).  A piece adds one integral of
+    p'/p, to ``quad_tol``, to every row.  A jump evaluates p at both ends once, then for each row
     in order raises the row's error where mix = (1-eta)p + eta*p_sigma is
     0 and adds mu times the row's map of z = (p_sigma - p)/mu/mix, which
     must be finite.  So each row has the bits of a walk of that row alone,
     and the first failing jump, there the first failing row, raises.
     """
 
-    __slots__ = ("p", "cfg", "rows", "zeros")
+    __slots__ = ("p", "cfg", "rows", "start")
 
     def __init__(self, p: ScaleFunction, cfg: ToleranceConfig, rows: Sequence[tuple[LogVariant, float | None]]):
         self.p, self.cfg = p, cfg
         self.rows = [_row(variant, eta) for variant, eta in rows]
-        self.zeros = (0j,) * len(self.rows)
+        self.start = (0j,) * len(self.rows)
 
-    def piece(self, total: tuple | complex, lo: float, hi: float) -> tuple:
+    def piece(self, total: tuple, lo: float, hi: float) -> tuple:
         integral = calculus.adaptive_simpson(partial(_slope, self.p, self.cfg), lo, hi, self.cfg.quad_tol)
-        return tuple(v + integral for v in total or self.zeros)
+        return tuple(v + integral for v in total)
 
-    def step(self, total: tuple | complex, tau: float, mu: float, sigma: float) -> tuple:
+    def step(self, total: tuple, tau: float, mu: float, sigma: float) -> tuple:
         pv, ps = _checked(self.p, tau, self.cfg), _checked(self.p, sigma, self.cfg)
         sums = []
-        for (row, eta, cylinder_map), v in zip(self.rows, total or self.zeros):
+        for (row, eta, cylinder_map), v in zip(self.rows, total):
             mix = (1.0 - eta) * pv + eta * ps
             if mix == 0:
                 raise row[2](f"(1-eta)p + eta*p_sigma vanishes for eta={eta}")
             sums.append(v + mu * cylinder_map(mu, (ps - pv) / mu / mix))
         return tuple(sums)
 
-    run, close = Terms.run, Terms.close
+    run = Terms.run
 
-    def between(self, a: tuple | complex, b: tuple | complex) -> list[complex]:
-        return [v - u for u, v in zip(a or self.zeros, b or self.zeros)]
+    def between(self, a: tuple, b: tuple) -> list[complex]:
+        return [v - u for u, v in zip(a, b)]
 
 
 # the window logarithm's theorem needs only the integer winding of p'/p over
@@ -301,10 +301,12 @@ class _Winding:
 
     with K an exact integer, a jump turning by Arg(p_sigma/p) and a piece by
     Arg(p(hi)/p(lo)) + 2*pi*K_piece.  The same holds between any two points
-    of the walk: ``close`` marks a point with p there and the turns so far,
-    and ``between`` takes the closed form from one mark to another.  Only
-    the integer K_piece needs the integral, so it is taken at the loose
-    tolerance ``_WINDING_TOL``, by
+    of the walk.  So the walk's total, and the mark at a stop, is (p at the
+    walk's first point, p at its current point, the modulus of that p, the
+    turns so far), from ``start``, None, before its first piece or jump;
+    ``between`` takes the closed form from one mark to another, a start
+    mark standing for the first point.  Only the integer K_piece needs the
+    integral, so it is taken at the loose tolerance ``_WINDING_TOL``, by
     ``calculus.adaptive_simpson`` looked up at call time, and accepted only
     on two witnesses: its ratio (Im I - Arg)/2*pi lies within
     ``_WINDING_SLACK`` of an integer, and Re I, which equals ln|p(hi)/p(lo)|
@@ -315,19 +317,19 @@ class _Winding:
     samples each end, p' before p and the floor at each, before the closed
     form reads p there.
 
-    p is evaluated once per kept point: the walk's first piece or jump
-    evaluates both its ends (``_open``), and each later one only its new
-    end, carrying the other forward.  Every jump, single or in a block,
-    goes through one loop (``_advance``), which evaluates p at each new
-    point in walk order, raising NonvanishingViolation below eps_min and
-    NonFiniteValue there, and raises what the row's map would: the row's
-    error when (1-eta)p + eta*p_sigma is 0, and, when a factor of the map,
-    p_sigma/mix or p/mix, falls under the maps' guard (``_vanishes``, run
-    only where one value is far below the other) relative to 1 + |mu*z| =
-    (|mix| + |p_sigma - p|)/|mix|, the map's own error and message at mu
-    and z = (p_sigma - p)/mu/mix (``cylinder._vanishing``); a ratio
-    p_sigma/p that overflows or underflows raises NonFiniteIntegrand.  It
-    commits the turns and the carried p only when every jump passes.
+    p is evaluated once per kept point: the walk's first piece, jump or
+    block evaluates both its ends (``_open``), and each later one only its
+    new end, carrying the other forward in the mark.  Every jump, single or
+    in a block, goes through one loop (``_advance``), which evaluates p at
+    each new point in walk order, raising NonvanishingViolation below
+    eps_min and NonFiniteValue there, and raises what the row's map would:
+    the row's error when (1-eta)p + eta*p_sigma is 0, and, when a factor of
+    the map, p_sigma/mix or p/mix, falls under the maps' guard
+    (``_vanishes``, run only where one value is far below the other)
+    relative to 1 + |mu*z| = (|mix| + |p_sigma - p|)/|mix|, the map's own
+    error and message at mu and z = (p_sigma - p)/mu/mix
+    (``cylinder._vanishing``); a ratio p_sigma/p that overflows or
+    underflows raises NonFiniteIntegrand.
 
     The exponentials of p's own quotients are exp of this walk at the rows
     of xi and xi_hat: in exact arithmetic each jump's factor is p_sigma/p,
@@ -335,7 +337,7 @@ class _Winding:
     only has to be witnessed.
 
     ``run`` takes a block of jumps through increasing points xs of a point
-    family, after a step has opened the walk.  It first thins the block
+    family, from the walk's current point xs[0].  It first thins the block
     (``_kept``): a span [x_i, x_j] is certified where p's box over it
     (``ScaleFunction.box``) lies at least max(eps_min, 2^-20 |far corner|)
     from 0, and keeps only x_j.  That is sound: a convex box that misses 0
@@ -347,37 +349,33 @@ class _Winding:
     walks it again by ``step``, which names the gap.
     """
 
-    __slots__ = ("p", "cfg", "row", "keep", "eta", "cut", "first", "last", "last_abs", "turns")
+    __slots__ = ("p", "cfg", "row", "keep", "eta", "cut")
+    start = None
 
     def __init__(self, p: ScaleFunction, cfg: ToleranceConfig, row: tuple, eta: float):
         self.p, self.cfg, self.row, self.eta, self.keep = p, cfg, row, eta, 1.0 - eta
         self.cut = row[3] * math.pi  # Arg of an exactly negative real ratio
-        self.first = None  # p at the walk's first point, evaluated with its first piece or jump
-        self.turns = 0.0
 
-    def _open(self, x: float) -> None:
-        # p at the walk's first point x, carried to its first piece or jump
-        self.first = self.last = v = _checked(self.p, x, self.cfg)
-        self.last_abs = abs(v)
+    def _open(self, x: float) -> tuple:
+        # the mark at the walk's first point x, p there evaluated with its first piece, jump or block
+        v = _checked(self.p, x, self.cfg)
+        return v, v, abs(v), 0.0
 
-    def piece(self, total: complex, lo: float, hi: float) -> complex:
+    def piece(self, mark: tuple | None, lo: float, hi: float) -> tuple:
         p, cfg = self.p, self.cfg
         slope = partial(_slope, p, cfg)
         tol = _WINDING_TOL
         # sampling lo and hi first, the integral raises at the ends what the definition would
         integral = calculus.adaptive_simpson(slope, lo, hi, tol)
-        if self.first is None:
-            self._open(lo)
-        pl, ph = self.last, _checked(p, hi, cfg)
-        self.last, self.last_abs = ph, abs(ph)
+        first, pl, _, turns = mark or self._open(lo)
+        ph = _checked(p, hi, cfg)
         log = _log_ratio(ph, pl)
         while True:
             x = (integral.imag - log.imag) / TWO_PI
             k = round(x)
             off = abs(integral.real - log.real)
             if abs(x - k) <= _WINDING_SLACK and off <= tol:
-                self.turns += log.imag + TWO_PI * k
-                return total
+                return first, ph, abs(ph), turns + (log.imag + TWO_PI * k)
             if tol <= _WINDING_FLOOR:
                 raise QuadratureFailure(
                     f"no integer winding of p'/p is witnessed at tol {tol:.3g}: "
@@ -386,24 +384,20 @@ class _Winding:
             tol /= 100.0
             integral = calculus.adaptive_simpson(slope, lo, hi, tol)
 
-    def step(self, total: complex, tau: float, mu: float, sigma: float) -> complex:
-        if self.first is None:
-            self._open(tau)
-        self._advance(tau, (sigma,))
-        return total
+    def step(self, mark: tuple | None, tau: float, mu: float, sigma: float) -> tuple:
+        return self._advance(mark or self._open(tau), tau, (sigma,))
 
-    def run(self, total: complex, xs: Sequence[float]) -> complex:
-        # xs[0] is the walk's current point, whose p the last step carried
-        self._advance(xs[0], self._kept(xs))
-        return total
+    def run(self, mark: tuple | None, xs: Sequence[float]) -> tuple:
+        # xs[0] is the walk's current point
+        return self._advance(mark or self._open(xs[0]), xs[0], self._kept(xs))
 
-    def _advance(self, tau: float, sigmas: Sequence[float]) -> None:
-        # the jumps from tau, the walk's current point, through the points
-        # sigmas, p evaluated at each in turn and checked against the floor
+    def _advance(self, mark: tuple, tau: float, sigmas: Sequence[float]) -> tuple:
+        # the mark after the jumps from tau, the walk's current point, through
+        # the points sigmas, p evaluated at each in turn and checked against the floor
         p, cfg, keep, eta, cut = self.p, self.cfg, self.keep, self.eta, self.cut
         mixed = 0.0 < eta < 1.0
         isfinite, atan2, screen = cmath.isfinite, math.atan2, _SCREEN
-        pv, apv, turns = self.last, self.last_abs, self.turns
+        first, pv, apv, turns = mark
         for sigma in sigmas:
             ps = _checked(p, sigma, cfg)
             aps = abs(ps)
@@ -420,7 +414,7 @@ class _Winding:
             im = r.imag
             turns += cut if im == 0.0 and r.real < 0.0 else atan2(im, r.real)
             tau, pv, apv = sigma, ps, aps
-        self.turns, self.last, self.last_abs = turns, pv, apv
+        return first, pv, apv, turns
 
     def _kept(self, xs: Sequence[float]) -> list[float]:
         # the points of xs[1:] that the run evaluates p at: xs's index range
@@ -450,17 +444,14 @@ class _Winding:
             kept += xs[i + 1 : j + 1]
         return kept
 
-    def close(self, total: complex) -> tuple[complex, float] | None:
-        # p at the walk's current point and the turns so far; None at its first point
-        return None if self.first is None else (self.last, self.turns)
-
-    def between(self, a: tuple[complex, float] | None, b: tuple[complex, float] | None) -> complex:
+    def between(self, a: tuple | None, b: tuple | None) -> complex:
         # Log(p_b/p_a) + 2*pi*i*round((T_b - T_a - Arg(p_b/p_a)) / 2*pi), from
-        # the marks (p, T) of two points of the walk
+        # the marks of two points of the walk, p and the turns T at each
         if a is None and b is None:
             return 0j
-        pa, ta = (self.first, 0.0) if a is None else a
-        pb, tb = (self.first, 0.0) if b is None else b
+        first = (a or b)[0]
+        pa, ta = (a[1], a[3]) if a else (first, 0.0)
+        pb, tb = (b[1], b[3]) if b else (first, 0.0)
         log = _log_ratio(pb, pa)
         k = round((tb - ta - log.imag) / TWO_PI)
         return complex(log.real, log.imag + TWO_PI * k)
@@ -600,18 +591,19 @@ def log_delta_derivative(
 ) -> complex:
     """Pointwise forward derivative of the logarithm of p.
 
-    At a right-scattered t, the theorem's one jump over mu, equal to
-    ``log_ts("delta-principal", p, ts, t, sigma(t)) / mu`` bit for bit and
-    raising what that call raises; p'(t)/p(t) at a dense t.  A value that
-    is not finite raises NonFiniteIntegrand naming t.
+    At a right-scattered t, the theorem's one jump over mu, a step from
+    the start mark to the mark at sigma(t), whose closed form divided by mu
+    equals ``log_ts("delta-principal", p, ts, t, sigma(t)) / mu`` bit for
+    bit, raising what that call raises; p'(t)/p(t) at a dense t.  A value
+    that is not finite raises NonFiniteIntegrand naming t.
     """
     cfg = cfg or DEFAULT_TOLERANCES
     t, sigma = ts.delta_point(t)
     if sigma == t:
         return _finite_at(_quotient(p, cfg, t, 0.0), "the log derivative", t)
     winding = _theorem(LogVariant.DELTA_PRINCIPAL, p, cfg, None)
-    mark = winding.close(calculus._jump(winding, 0j, t, sigma - t, sigma))
-    return _finite_at(winding.between(None, mark) / (sigma - t), "the log derivative", t)
+    mark = calculus._jump(winding, winding.start, t, sigma - t, sigma)
+    return _finite_at(winding.between(winding.start, mark) / (sigma - t), "the log derivative", t)
 
 
 def _finite_at(v: complex, what: str, t: float) -> complex:

@@ -585,6 +585,32 @@ def test_table_log_is_one_walk(run, monkeypatch):
         assert calls == 1000, base
 
 
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["--variant", "bogus"], "--variant"),
+        (["--variant", "delta-principal"], "--variant"),
+        (["--s", "2"], "--s"),
+        (["--s", "1"], "--s"),
+        (["--s", "2", "--variant", "delta-multi"], "--s"),
+    ],
+)
+@pytest.mark.parametrize("quantity", [[], ["--quantity", "logderiv"]], ids=["default", "logderiv"])
+def test_table_logderiv_refuses_the_log_options(run, quantity, args, option):
+    # a log derivative has no base and no variant: either option is refused
+    # before any row, even where its value is the log table's default
+    rc, out, err = run("table", "--timescale", "hz:1", "--p", "t^2+1", *quantity, "--from", "1", "--to", "3", *args)
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": "ValidationError", "message": f"{option} applies to --quantity log only"}
+
+
+def test_table_log_defaults_to_delta_principal_from_the_first_row(run):
+    argv = ["table", "--timescale", "hz:1", "--p", "t^2+1", "--quantity", "log", "--from", "1", "--to", "3"]
+    assert run(*argv) == run(*argv, "--s", "1", "--variant", "delta-principal")
+    rc, _, err = run(*argv, "--variant", "bogus")
+    assert rc == 2 and json.loads(err)["error"] == "ValidationError"
+
+
 def test_table_json_format(run):
     rc, out, _ = run(
         "table", "--timescale", "hz:1", "--p", "t", "--quantity", "logderiv",

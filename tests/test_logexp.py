@@ -1450,6 +1450,67 @@ def test_a_failing_block_is_walked_again_once(up):
     assert len(p.points) <= len(points) + _B // 2 + 2
 
 
+def test_a_theorem_walk_may_open_with_a_block(monkeypatch):
+    # with no single jump before the first block, the theorem's run opens
+    # the walk itself: a window's log, p's own exponential and a table each
+    # keep the bits of the default walk, which opens with single jumps
+    ts = parse_timescale("hz:1")
+    p = ScaleFunction.from_text("t^2+1")
+
+    def walks():
+        return [
+            _bits(log_ts("delta-principal", p, ts, 0.0, 600.0)),
+            _bits(exp_delta(delta_quotient(p), ts, 0.0, 600.0)),
+            [_bits(v) for v in log_table("delta-principal", p, ts, 0.0, [300.0, 600.0])],
+        ]
+
+    want = walks()
+    starts = []
+    run = logexp._Winding.run
+    monkeypatch.setattr(logexp._Winding, "run", lambda self, mark, xs: starts.append(mark) or run(self, mark, xs))
+    monkeypatch.setattr(calculus, "_HANDFUL", 0)
+    assert walks() == want
+    assert starts.count(logexp._Winding.start) == 3
+
+
+def _marks(sums, ts, s, stops):
+    # a walk's marks, compared by repr, which tells every float's bits
+    return repr(calculus._walk(sums, ts, s, stops))
+
+
+def test_a_sum_holds_nothing_between_walks():
+    # each sum walked twice over the same window, with blocks on the way to
+    # each stop, gives the same marks: the running total is all the state
+    ts = parse_timescale("hz:1")
+    p = ScaleFunction.from_text("t^2+1")
+    cfg = calculus.DEFAULT_TOLERANCES
+    c = ScaleFunction.from_text("1/(t+1)")
+    sums = [
+        calculus.Terms(c, lambda tau, mu, sigma: c(tau), cfg.quad_tol),
+        logexp._Exponent(LogVariant.DELTA_PRINCIPAL, c, cfg),
+        logexp._Definition(p, cfg, [(LogVariant(v), eta) for v, eta in _SUITE_ROWS]),
+        logexp._theorem(LogVariant.CAYLEY_MULTI, p, cfg, None),
+    ]
+    stops = [0.0, 300.0, 600.0]
+    for walk in sums:
+        assert _marks(walk, ts, 0.0, stops) == _marks(walk, ts, 0.0, stops), type(walk)
+
+
+def test_a_theorem_walk_after_one_that_raised_is_a_fresh_walk():
+    # p fails at 300, inside the walk's first block, which is then walked
+    # jump by jump up to the failing gap; the same sum then walks a good
+    # window with the bits of a new one
+    ts = parse_timescale("hz:1")
+    p = ScaleFunction.from_text("1/(t-300)")
+    cfg = calculus.DEFAULT_TOLERANCES
+    used = logexp._theorem(LogVariant.DELTA_PRINCIPAL, p, cfg, None)
+    with pytest.raises(EvalDomain, match=re.escape("on the gap after tau=299.0")):
+        calculus._walk(used, ts, 0.0, [0.0, 1000.0])
+    fresh = logexp._theorem(LogVariant.DELTA_PRINCIPAL, p, cfg, None)
+    stops = [301.0, 700.0, 1000.0]
+    assert _marks(used, ts, 301.0, stops) == _marks(fresh, ts, 301.0, stops)
+
+
 @pytest.mark.parametrize(
     "spec, k0, k1",
     [
