@@ -24,9 +24,10 @@ by the error estimate |K15 - G7| and bisects the worst until the
 estimates sum to at most its tolerance; a piece that needs more than
 ``MAX_QUAD_SAMPLES`` samples raises QuadratureFailure rather
 than return an unconverged value.  An integral is additive over windows
-and reversing a window negates it, so the walk only goes up: it marks
-each of a list of stops, one walk serving every window between two of
-them, and a window with swapped ends is walked up and negated.  Public
+and reversing a window negates it, so the walk only goes up, from its
+first stop, and marks each of them; ``_window`` is the one way from a
+walk to window values, from one point s to each of a list of points, a
+window below s walked up and negated.  Public
 integrands receive ``(tau, mu)``, with mu = 0.0 on continuous pieces; the
 walk's own jump terms also receive the stored successor sigma, which tau
 + mu may round off.
@@ -38,6 +39,7 @@ import cmath
 import heapq
 import math
 import operator
+from bisect import bisect_left
 from typing import Callable, Sequence
 
 from ._record import Record
@@ -298,20 +300,21 @@ _LONG_RUN = 256
 _BLOCK = 512
 
 
-def _walk(sums, ts: TimeScale, s: float, stops: list[float]) -> list:
+def _walk(sums, ts: TimeScale, stops: list[float]) -> list:
     """The one walk behind every integral, exponential and window logarithm.
 
-    ``s`` and ``stops`` are scale points, the stops increasing from s.  The
-    walk streams the scale's pieces by index up from s, keeping nothing per
-    jump, and threads one running total, from ``sums.start``, through
+    ``stops`` are increasing scale points, and the walk starts at the first.
+    It streams the scale's pieces by index up from there, keeping nothing
+    per jump, and threads one running total, from ``sums.start``, through
     ``sums`` (``Terms`` and the exponentials' ``logexp._Exponent``, or the
     logarithm's definition ``logexp._Definition`` or its theorem
     ``logexp._Winding``): each continuous stretch as [lo, hi] and each
     jump from tau to its stored successor sigma, a gap mu = sigma - tau,
     takes the total to the next.  It returns the total at each stop, a mark
-    that ``sums.between`` turns into the sum from one stop to another.  A
-    ChronologError in a term names its piece or gap (``_jump``).
-    MAX_WINDOW_JUMPS caps the whole span, before any term.
+    that ``sums.between`` turns into the sum from one stop to another; its
+    one caller, ``_window``, does.  A ChronologError in a term names its
+    piece or gap (``_jump``).  MAX_WINDOW_JUMPS caps the whole span, before
+    any term.
 
     On the point families, a stop at least ``_HANDFUL + _LONG_RUN`` jumps
     away is reached in blocks: after ``_HANDFUL`` single jumps, the walk
@@ -324,10 +327,10 @@ def _walk(sums, ts: TimeScale, s: float, stops: list[float]) -> list:
     raised once, jump by jump from the total before it, so that the same
     error is raised at the same gap.
     """
-    k, kt, _, _, _ = ts._span(s, stops[-1])
+    x = stops[0]  # the current point, in piece k, which ends at b
+    k, kt, _, _, _ = ts._span(x, stops[-1])
     blocks = ts._points(k, k) is not None
     b = ts._piece(k)[1]
-    x = s  # the current point, in piece k, which ends at b
     total = sums.start
     marks = []
     for stop in stops:
@@ -390,18 +393,27 @@ def _block(ts: TimeScale, k: int, m: int, stop: float) -> Sequence[float]:
     raise PointNotInScale(f"the points {k} to {m} have a gap that is not a distinct finite float, or pass {stop}")
 
 
-def _window(sums, ts: TimeScale, s: float, t: float) -> complex:
-    """The walk over one window [s, t], from mark to mark.
+def _window(sums, ts: TimeScale, s: float, points: Sequence[float]) -> list:
+    """The sum over each window [s, u], u in ``points``, from one walk.
 
-    The walk goes up from the lower end, with both ends as stops; swapped
-    endpoints negate, so reversing a window negates its value exactly.
+    The one way from a walk to window values.  The points, snapped, must
+    increase; the walk goes up from the lowest, with s among its stops, and
+    the value at u is ``sums.between`` from the mark at s to the one at u.
+    Below s it is the window [u, s] negated, as ``-1.0 * value``, not
+    ``-value``, which differ in the signs of zero parts that the CLI prints.
+    Many points are passed only with the theorem's sum (``logexp._Winding``),
+    whose ``between`` is a closed form, so each value has the bits of a
+    one-point call; for a running-total sum they would be differences of
+    running totals.
     """
     s = ts.snap(s)
-    t = ts.snap(t)
-    lo, hi = (s, t) if s <= t else (t, s)
-    value = sums.between(*_walk(sums, ts, lo, [lo, hi]))
-    # -1.0 * value, not -value: the two differ in the signs of zero parts, which the CLI prints
-    return value if s <= t else -1.0 * value
+    points = [ts.snap(u) for u in points]
+    if any(v < u for u, v in zip(points, points[1:])):
+        raise ValidationError("table points must be in increasing order")
+    n = bisect_left(points, s)
+    marks = _walk(sums, ts, points[:n] + [s] + points[n:])
+    at_s = marks.pop(n)
+    return [-1.0 * sums.between(m, at_s) for m in marks[:n]] + [sums.between(at_s, m) for m in marks[n:]]
 
 
 def delta_integral(
@@ -414,7 +426,7 @@ def delta_integral(
     endpoints negates the result.
     """
     cfg = cfg or DEFAULT_TOLERANCES
-    return _window(Terms(lambda x: f(x, 0.0), lambda tau, mu, sigma: f(tau, mu), cfg.quad_tol), ts, s, t)
+    return _window(Terms(lambda x: f(x, 0.0), lambda tau, mu, sigma: f(tau, mu), cfg.quad_tol), ts, s, [t])[0]
 
 
 def nabla_integral(
@@ -427,4 +439,4 @@ def nabla_integral(
     in (s, t], the stored successors, with nu the gap below tau'.
     """
     cfg = cfg or DEFAULT_TOLERANCES
-    return _window(Terms(lambda x: f(x, 0.0), lambda tau, nu, sigma: f(sigma, nu), cfg.quad_tol), ts, s, t)
+    return _window(Terms(lambda x: f(x, 0.0), lambda tau, nu, sigma: f(sigma, nu), cfg.quad_tol), ts, s, [t])[0]

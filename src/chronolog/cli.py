@@ -206,6 +206,12 @@ def _cmd_table(args, cfg: ToleranceConfig, ts: TimeScale) -> tuple[list, int]:
 
 def _cmd_legacy(args, cfg: ToleranceConfig, ts: TimeScale) -> tuple[dict, int]:
     kind = LegacyKind(args.kind)
+    for option, value, kinds in (
+        ("--t0", args.t0, ("huff", "euler-cauchy", "integral-quotient")),
+        ("--p", args.p, ("integral-quotient", "jackson")),
+    ):
+        if value is not None and kind.value not in kinds:
+            raise ValidationError(f"{option} applies to --kind {', '.join(kinds[:-1])} and {kinds[-1]} only")
     p = ScaleFunction.from_text(args.p) if args.p is not None else None
     t0, t = args.t0, args.t
     value = legacy_log(kind, p, ts, t0, t, cfg)

@@ -67,7 +67,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from bisect import bisect_left
 from contextlib import suppress
 from enum import Enum
 from functools import partial
@@ -79,7 +78,6 @@ from .calculus import (
     ScaleFunction,
     Terms,
     ToleranceConfig,
-    _walk,
     _window,
     delta_integral,
 )
@@ -446,8 +444,9 @@ class _Winding:
 
     def between(self, a: tuple | None, b: tuple | None) -> complex:
         # Log(p_b/p_a) + 2*pi*i*round((T_b - T_a - Arg(p_b/p_a)) / 2*pi), from
-        # the marks of two points of the walk, p and the turns T at each
-        if a is None and b is None:
+        # the marks of two points of the walk, p and the turns T at each; 0j
+        # from a mark to itself, one point, where p/p may round off 1
+        if a is b:
             return 0j
         first = (a or b)[0]
         pa, ta = (a[1], a[3]) if a else (first, 0.0)
@@ -540,7 +539,7 @@ def log_ts(
     """
     variant = LogVariant(variant)
     cfg = cfg or DEFAULT_TOLERANCES
-    value = _window(_theorem(variant, p, cfg, eta), ts, s, t)
+    value = _window(_theorem(variant, p, cfg, eta), ts, s, [t])[0]
     return value if variant.value.endswith("-principal") else MultiLog(value, TWO_PI_I)
 
 
@@ -557,33 +556,13 @@ def log_table(
 
     ``points`` must be in increasing order; each value is the principal
     value (``.rep`` of the multi-valued variants) of ``log_ts`` over
-    [base, u].  One walk goes up from the lowest of the base and the
-    points, with the base among its stops, and each row is the theorem
-    between the marks at the base and at u (``_Winding.between``):
-    Log(p(u)/p(base)) plus 2*pi*i times the winding between them, and 0 at
-    the base.  A row above the base comes from the same two values of p as
-    ``log_ts``, so the values agree bit for bit on every scale (the points
-    split continuous pieces, which changes the turns summed, but not their
-    integer).  A row below the base is that closed form too, where
-    ``log_ts`` takes Log(p(base)/p(u)) and negates it, so they may differ in
-    the last bits.  Outside the winding integrals, p is evaluated once per
-    scale point the walk crosses or stops at, the base included.
+    [base, u], bit for bit, from one ``calculus._window`` of the theorem's
+    sum: Log(p(u)/p(base)) plus 2*pi*i times the winding between them, a
+    row below the base the one of [u, base] negated.  Outside the winding
+    integrals, p is evaluated once per scale point the walk crosses or
+    stops at, the base included.
     """
-    variant = LogVariant(variant)
-    cfg = cfg or DEFAULT_TOLERANCES
-    winding = _theorem(variant, p, cfg, eta)
-    base = ts.snap(base)
-    points = [ts.snap(u) for u in points]
-    if any(v < u for u, v in zip(points, points[1:])):
-        raise ValidationError("table points must be in increasing order")
-    n = bisect_left(points, base)
-    stops = points[:n] + [base] + points[n:]
-    marks = _walk(winding, ts, stops[0], stops)
-    at_base = marks.pop(n)
-    rows = [0j if u == base else winding.between(at_base, m) for u, m in zip(points, marks)]
-    # a row below the base reverses the window [u, base], 0j - v, as _window
-    # reverses one, so that its zero parts have the signs of log_ts(base, u)
-    return [-1.0 * (0j - v) for v in rows[:n]] + rows[n:]
+    return _window(_theorem(LogVariant(variant), p, cfg or DEFAULT_TOLERANCES, eta), ts, base, points)
 
 
 def log_delta_derivative(
@@ -688,7 +667,7 @@ def exp_delta(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | N
     from p at stored points, with no 1 + mu*c formed, and each vanishing
     factor raising what xi raises.
     """
-    return cexp(_window(_exponent(LogVariant.DELTA_PRINCIPAL, coeff, cfg or DEFAULT_TOLERANCES), ts, s, t))
+    return cexp(_window(_exponent(LogVariant.DELTA_PRINCIPAL, coeff, cfg or DEFAULT_TOLERANCES), ts, s, [t])[0])
 
 
 def exp_nabla(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | None = None) -> complex:
@@ -702,7 +681,7 @@ def exp_nabla(coeff, ts: TimeScale, s: float, t: float, cfg: ToleranceConfig | N
     p by the theorem (``_Winding``): p(t)/p(s) from p at stored points, with
     no 1 - nu*c formed, and each vanishing factor raising what xi_hat raises.
     """
-    return cexp(_window(_exponent(LogVariant.NABLA_PRINCIPAL, coeff, cfg or DEFAULT_TOLERANCES), ts, s, t))
+    return cexp(_window(_exponent(LogVariant.NABLA_PRINCIPAL, coeff, cfg or DEFAULT_TOLERANCES), ts, s, [t])[0])
 
 
 def legacy_log(
@@ -739,12 +718,12 @@ def legacy_log(
 
     if kind is LegacyKind.HUFF:
         dense, term = (lambda x: ratio(2.0, 2.0 * x, x)), (lambda tau, mu, sigma: ratio(2.0, tau + sigma, tau))
-        return _window(Terms(dense, term, cfg.quad_tol), ts, t0, t)
+        return _window(Terms(dense, term, cfg.quad_tol), ts, t0, [t])[0]
     if kind is LegacyKind.EULER_CAUCHY:
         return delta_integral(lambda tau, mu: ratio(1.0, tau + 2.0 * mu, tau), ts, t0, t, cfg)
     if kind is LegacyKind.INTEGRAL_QUOTIENT:
         dense, term = (lambda x: _quotient(p, cfg, x, 0.0)), (lambda tau, mu, sigma: _quotient(p, cfg, tau, mu, sigma))
-        return _window(Terms(dense, term, cfg.quad_tol), ts, t0, t)
+        return _window(Terms(dense, term, cfg.quad_tol), ts, t0, [t])[0]
     if kind is LegacyKind.JACKSON:
         t, sigma = ts.delta_point(t)
         return _finite_at(_quotient(p, cfg, t, sigma - t, sigma), "the quotient pDelta/p", t)
@@ -853,7 +832,7 @@ def identity_suite(
     definition = _Definition(
         p, cfg, [(LogVariant.DELTA_PRINCIPAL, None), (LogVariant.CAYLEY_PRINCIPAL, None)] + [(LogVariant.ETA, e) for e in etas]
     )
-    sums = definition.between(*_walk(definition, ts, min(s, t), [min(s, t), max(s, t)]))
+    sums = _window(definition, ts, min(s, t), [max(s, t)])[0]
     delta, cayley, *walked = sums if s <= t else [-1.0 * v for v in sums]
     exact("exp-of-principal-log", cexp(Lp), cexp(delta))
     modulo_lattice("product-rule", log_delta_principal(p * q, ts, s, t, cfg), Lp + Lq)

@@ -586,6 +586,39 @@ def test_table_log_is_one_walk(run, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "spec, p, lo, hi, step",
+    [
+        ("hz:0.5", "(t-1-2*i)^3", "0", "6", []),
+        ("q:1.5", "(t-1-2*i)^3", "1", "25.62890625", []),
+        ("alt:0.3,0.7", "exp(i*t)+0.5", "0", "6", []),
+        ("set:-5,-4,-1.5,0.5,2,2.25,4,7", "1-t+i*t^2", "-5", "7", []),
+        ("union:[0,1];[1.5,1.5];[2,4]", "exp(i*t)+2", "0", "4", ["--step", "0.25"]),
+        ("r", "exp(i*3*t)+0.5", "0", "4", ["--step", "0.25"]),
+    ],
+    ids=["hz", "q", "alt", "set", "union", "r"],
+)
+@pytest.mark.parametrize("variant", ["delta-principal", "nabla-multi"])
+def test_table_log_rows_are_the_eval_values_of_their_windows(run, spec, p, lo, hi, step, variant):
+    # a base in the middle of the range: every row, below the base too, is
+    # what `eval --s B --t u` prints, float for float
+    argv = ["table", "--timescale", spec, "--p", p, "--quantity", "log", "--from", lo, "--to", hi, *step]
+    rc, out, _ = run(*argv, "--format", "json")
+    assert rc == 0
+    points = [row["t"] for row in json.loads(out)]
+    base = points[len(points) // 2]
+    rc, out, _ = run(*argv, "--format", "json", "--s", repr(base), "--variant", variant)
+    assert rc == 0
+    rows = json.loads(out)
+    assert [row["t"] for row in rows] == points
+    assert sum(u < base for u in points) >= 3
+    for row in rows:
+        rc, out, _ = run("eval", "--timescale", spec, "--p", p, "--s", repr(base), "--t", repr(row["t"]), "--variant", variant)
+        assert rc == 0
+        point = json.loads(out)
+        assert (row["value"]["re"].hex(), row["value"]["im"].hex()) == (point["rep_re"].hex(), point["rep_im"].hex()), row
+
+
+@pytest.mark.parametrize(
     "args, option",
     [
         (["--variant", "bogus"], "--variant"),
@@ -835,6 +868,25 @@ def test_legacy_scattered_flag(run, args, scattered):
     rc, out, _ = run("legacy", *args)
     assert rc == 0
     assert json.loads(out)["scattered_contributed"] is scattered
+
+
+@pytest.mark.parametrize(
+    "kind, args, option",
+    [
+        ("jackson", ["--p", "t^2+1", "--t0", "7"], "--t0"),
+        ("mozyrska", ["--t0", "3"], "--t0"),
+        ("huff", ["--t0", "1", "--p", "t"], "--p"),
+        ("euler-cauchy", ["--t0", "1", "--p", "t"], "--p"),
+        ("mozyrska", ["--p", "t"], "--p"),
+        ("mozyrska", ["--p", "((("], "--p"),
+    ],
+)
+def test_legacy_refuses_the_options_its_kind_does_not_read(run, kind, args, option):
+    # before p is parsed: an option the kind ignores exits 2 naming it
+    rc, out, err = run("legacy", "--timescale", "hz:1", "--kind", kind, "--t", "5", *args)
+    assert (rc, out) == (2, "")
+    kinds = {"--t0": "huff, euler-cauchy and integral-quotient", "--p": "integral-quotient and jackson"}[option]
+    assert json.loads(err) == {"error": "ValidationError", "message": f"{option} applies to --kind {kinds} only"}
 
 
 def test_legacy_huff_needs_t0(run):

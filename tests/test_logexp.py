@@ -549,7 +549,7 @@ def _definitions(rows, p, ts, s, t, cfg=None):
     s, t = ts.snap(s), ts.snap(t)
     lo, hi = sorted((s, t))
     walk = logexp._Definition(p, cfg or calculus.DEFAULT_TOLERANCES, [(LogVariant(v), eta) for v, eta in rows])
-    sums = walk.between(*calculus._walk(walk, ts, lo, [lo, hi]))
+    sums = walk.between(*calculus._walk(walk, ts, [lo, hi]))
     return sums if s <= t else [-1.0 * v for v in sums]
 
 
@@ -564,7 +564,7 @@ def _definition_table(variant, p, ts, base, points, cfg, eta):
     walk = logexp._Definition(p, cfg, [(LogVariant(variant), eta)])
     n = bisect_left(points, base)
     stops = points[:n] + [base] + points[n:]
-    marks = calculus._walk(walk, ts, stops[0], stops)
+    marks = calculus._walk(walk, ts, stops)
     at_base = marks.pop(n)
     return [walk.between(at_base, m)[0] for m in marks]
 
@@ -1343,7 +1343,7 @@ def test_a_block_never_walks_past_a_stop(monkeypatch):
 
     def walks():
         winding = logexp._theorem(LogVariant.DELTA_PRINCIPAL, p, calculus.DEFAULT_TOLERANCES, None)
-        marks = calculus._walk(winding, ts, 0.0, [0.0, 300.0, 600.0])
+        marks = calculus._walk(winding, ts, [0.0, 300.0, 600.0])
         return [_bits(winding.between(a, b)) for a in marks for b in marks if a is not b]
 
     want = walks()
@@ -1473,9 +1473,9 @@ def test_a_theorem_walk_may_open_with_a_block(monkeypatch):
     assert starts.count(logexp._Winding.start) == 3
 
 
-def _marks(sums, ts, s, stops):
+def _marks(sums, ts, stops):
     # a walk's marks, compared by repr, which tells every float's bits
-    return repr(calculus._walk(sums, ts, s, stops))
+    return repr(calculus._walk(sums, ts, stops))
 
 
 def test_a_sum_holds_nothing_between_walks():
@@ -1493,7 +1493,7 @@ def test_a_sum_holds_nothing_between_walks():
     ]
     stops = [0.0, 300.0, 600.0]
     for walk in sums:
-        assert _marks(walk, ts, 0.0, stops) == _marks(walk, ts, 0.0, stops), type(walk)
+        assert _marks(walk, ts, stops) == _marks(walk, ts, stops), type(walk)
 
 
 def test_a_theorem_walk_after_one_that_raised_is_a_fresh_walk():
@@ -1505,10 +1505,10 @@ def test_a_theorem_walk_after_one_that_raised_is_a_fresh_walk():
     cfg = calculus.DEFAULT_TOLERANCES
     used = logexp._theorem(LogVariant.DELTA_PRINCIPAL, p, cfg, None)
     with pytest.raises(EvalDomain, match=re.escape("on the gap after tau=299.0")):
-        calculus._walk(used, ts, 0.0, [0.0, 1000.0])
+        calculus._walk(used, ts, [0.0, 1000.0])
     fresh = logexp._theorem(LogVariant.DELTA_PRINCIPAL, p, cfg, None)
     stops = [301.0, 700.0, 1000.0]
-    assert _marks(used, ts, 301.0, stops) == _marks(fresh, ts, 301.0, stops)
+    assert _marks(used, ts, stops) == _marks(fresh, ts, stops)
 
 
 @pytest.mark.parametrize(
@@ -1618,41 +1618,41 @@ def test_log_table_dense_rows_match_log_ts_and_closed_form(variant, eta, spec):
 
 @pytest.mark.parametrize("spec", ["hz:1", "q:1.001", "alt:0.4,0.7", "set", "r", "union:[0,1];[1.5,1.5];[2,4]"])
 @pytest.mark.parametrize("variant, eta", TABLE_VARIANTS)
-def test_log_table_rows_below_the_base_are_the_closed_form_bit_for_bit(monkeypatch, variant, eta, spec):
-    # a mid-range base; each row below it is Log(p(u)/p(base)) + 2*pi*i*K
-    # from the walk's two values of p, and near log_ts(base, u), which takes
-    # Log(p(base)/p(u)) and negates it.  On the point families the stops
-    # below and above the base lie far enough apart that blocks run on both
-    # sides of it
+def test_log_table_rows_on_both_sides_of_the_base_match_log_ts_bit_for_bit(monkeypatch, variant, eta, spec):
+    # a mid-range base; each row is log_ts(base, u) bit for bit, and a row
+    # below the base is the closed form of [u, base], Log(p(base)/p(u)) +
+    # 2*pi*i*K from the walk's two values of p, negated.  On the point
+    # families the stops below and above the base lie far enough apart that
+    # blocks run on both sides of it.  The row at the base is 0j, also where
+    # p/p rounds off 1, as for exp(i*t)+2 at the base 2.25 of the union
     if spec in ("r", "union:[0,1];[1.5,1.5];[2,4]"):
         ts = parse_timescale(spec)
         points = [u for u in (0.25 * k for k in range(17)) if ts.contains(u)]
         base = points[len(points) // 2]
     else:
         ts, everything = _long_window(spec, 2 * _LONG)
-        points = [everything[k] for k in (0, 3, 200, _LONG - 1, _LONG + 5, _LONG + 300, 2 * _LONG)]
+        points = [everything[k] for k in (0, 3, 200, _LONG - 1, _LONG, _LONG + 5, _LONG + 300, 2 * _LONG)]
         base = everything[_LONG]
     blocks = []
     run = logexp._Winding.run
 
     def recording(self, total, xs):
         ran = run(self, total, xs)
-        if ran is not None:
-            blocks.append((xs[0], xs[-1]))
+        blocks.append((xs[0], xs[-1]))
         return ran
 
     monkeypatch.setattr(logexp._Winding, "run", recording)
-    for text in TABLE_FUNCTIONS:
+    for text in TABLE_FUNCTIONS + ("exp(i*t)+2",):
         p = ScaleFunction.from_text(text)
         rows = log_table(variant, p, ts, base, points, eta=eta)
-        below = [(u, row) for u, row in zip(points, rows) if u < base]
-        assert len(below) >= 3
-        for u, row in below:
-            log = logexp._log_ratio(p(u), p(base))
-            k = round((row.imag - log.imag) / (2 * math.pi))
-            assert row.real == log.real and row.imag == log.imag + 2 * math.pi * k, (u, row, log)
-            gap, res = lattice_gap(row, _rep(log_ts(variant, p, ts, base, u, eta=eta)))
-            assert gap == 0 and res <= 1e-12 * max(1.0, abs(row)), (u, row)
+        assert len(rows) == len(points) and _bits(rows[points.index(base)]) == _bits(0j)
+        assert sum(u < base for u in points) >= 3 and sum(u > base for u in points) >= 3
+        for u, row in zip(points, rows):
+            assert _bits(row) == _bits(_rep(log_ts(variant, p, ts, base, u, eta=eta))), (u, row)
+            if u < base:
+                log = logexp._log_ratio(p(base), p(u))
+                k = round((-row.imag - log.imag) / (2 * math.pi))
+                assert _bits(row) == _bits(-1.0 * complex(log.real, log.imag + 2 * math.pi * k)), (u, row, log)
     if ts._points(0, 0) is not None:
         assert any(hi <= base for _, hi in blocks) and any(lo >= base for lo, _ in blocks)
 
@@ -2181,7 +2181,6 @@ def test_identity_suite_is_six_walks(monkeypatch):
 
     walk = counting("walk", calculus._walk)
     monkeypatch.setattr(calculus, "_walk", walk)
-    monkeypatch.setattr(logexp, "_walk", walk)
     monkeypatch.setattr(logexp, "_theorem", counting("theorem", logexp._theorem))
     monkeypatch.setattr(logexp, "_Definition", counting("definition", logexp._Definition))
     p = ScaleFunction.from_text("t^2+1")
@@ -2213,7 +2212,6 @@ def test_identity_suite_evaluates_p_twice_per_jump_for_its_definition(monkeypatc
         return marks
 
     monkeypatch.setattr(calculus, "_walk", counting)
-    monkeypatch.setattr(logexp, "_walk", counting)
     identity_suite(p, ScaleFunction.from_text("t+3"), parse_timescale("hz:1"), 0.0, 10.0, 2.0)
     assert sum(evaluations) == 2 * 10
 
