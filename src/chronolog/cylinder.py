@@ -8,12 +8,15 @@ and z itself at h = 0.  Each public map is that body at its row
 (``_ROWS``): eta 0 for xi, 1 for xi_hat (on the -i*pi side), 1/2 for
 cayley_psi and the caller's for eta_psi.  The Cayley and eta maps may
 return the multi-valued map, period 2*pi*i/h, as do ``zeta`` and
-``zeta_hat`` for xi and xi_hat.  One guard (``_singular``) serves every
-regressivity check, here, in the window logarithm's closed form and in
-an exponential's block product (``logexp._Exponent``): a factor that
-depends on h*z, num if eta < 1 and den if eta > 0, vanishes below
-GUARD * (1 + |h*z|).  No function here returns an infinity or NaN: it
-raises NonFiniteValue, a predicate where h*z is not finite.
+``zeta_hat`` for xi and xi_hat.  This module alone decides when a factor
+vanishes, for every regressivity check here and in ``logexp``: a factor
+that depends on h*z, num if eta < 1 and den if eta > 0, vanishes below
+GUARD * (1 + |h*z|) (``_vanishes``); on a jump from p to p_sigma, where
+h*z = (p_sigma - p)/mix with mix = (1-eta)p + eta*p_sigma, the factors
+are p_sigma/mix and p/mix, and the same rule is ``_jump_vanishes``; a
+mix that is 0 raises ``_vanishing_mean``.  No function here returns an
+infinity or NaN: it raises NonFiniteValue, a predicate where h*z is not
+finite.
 """
 
 from __future__ import annotations
@@ -48,9 +51,39 @@ def _singular(eta: float, num: complex, den: complex, bound: float) -> bool:
     return (eta < 1.0 and abs(num) < bound) or (eta > 0.0 and abs(den) < bound)
 
 
+def _factors(eta: float, hz: complex) -> tuple[complex, complex, float]:
+    """The eta map's factors num = 1 + (1-eta)hz and den = 1 - eta*hz, and the guard's bound on them."""
+    return 1 + (1.0 - eta) * hz, 1 - eta * hz, REGRESSIVITY_GUARD * (1.0 + abs(hz))
+
+
+def _vanishes(eta: float, hz: complex) -> bool:
+    """Whether a factor of the eta map vanishes at h*z."""
+    return _singular(eta, *_factors(eta, hz))
+
+
+# the jump rule's bound is at most 3 * GUARD * max(|p|, |p_sigma|), so a factor
+# can vanish only where one value is this far below the other: a cheap
+# necessary condition for the guard
+_SCREEN = 4.0 * REGRESSIVITY_GUARD
+
+
+def _jump_vanishes(eta: float, p: complex, p_sigma: complex) -> bool:
+    """Whether a factor of the eta map vanishes on the jump from p to p_sigma.
+
+    The factors are p_sigma/mix and p/mix, mix = (1-eta)p + eta*p_sigma,
+    and 1 + |h*z| = (|mix| + |p_sigma - p|)/|mix|: the h*z rule, scaled by |mix|.
+    """
+    return _singular(eta, p_sigma, p, REGRESSIVITY_GUARD * (abs((1.0 - eta) * p + eta * p_sigma) + abs(p_sigma - p)))
+
+
 def _vanishing(row: tuple, eta: float, h: float, z: complex) -> Exception:
     """The row's regressivity error for a factor that vanishes at eta, h and z."""
     return row[2](f"{row[0]}: a factor vanishes for eta={eta}, h={h}, z={z}")
+
+
+def _vanishing_mean(row: tuple, eta: float) -> Exception:
+    """The row's regressivity error for a jump whose weighted mean (1-eta)p + eta*p_sigma is 0."""
+    return row[2](f"(1-eta)p + eta*p_sigma vanishes for eta={eta}")
 
 
 def _require_step(h: float) -> float:
@@ -83,10 +116,9 @@ def _psi(row: tuple, h: float, z: complex, principal: bool = True, eta: float | 
         val = z
     else:
         hz = h * z
-        num = 1 + (1.0 - eta) * hz
-        den = 1 - eta * hz
+        num, den, bound = _factors(eta, hz)
         # where |hz| <= 1/2 both factors are at least 1/2, far above the bound
-        if abs(hz) > 0.5 and _singular(eta, num, den, REGRESSIVITY_GUARD * (1.0 + abs(hz))):
+        if abs(hz) > 0.5 and _singular(eta, num, den, bound):
             raise _vanishing(row, eta, h, z)
         val = principal_log(num / den) / h if side > 0 else -principal_log(den / num) / h
     if not cmath.isfinite(val):
@@ -95,8 +127,7 @@ def _psi(row: tuple, h: float, z: complex, principal: bool = True, eta: float | 
 
 
 def _is_regressive(row: tuple, h: float, z: complex) -> bool:
-    eta, hz = row[1], _finite(_require_step(h) * z, "h*z")
-    return not _singular(eta, 1 + (1.0 - eta) * hz, 1 - eta * hz, REGRESSIVITY_GUARD * (1.0 + abs(hz)))
+    return not _vanishes(row[1], _finite(_require_step(h) * z, "h*z"))
 
 
 def is_regressive(h: float, z: complex) -> bool:
@@ -166,10 +197,9 @@ def circle_minus(h: float, z: complex, w: complex) -> complex:
     """Inverse operation (z - w) / (1 + h*w)."""
     h = _require_step(h)
     hw = h * w
-    den = 1 + hw
-    if _singular(0.0, den, 1.0, REGRESSIVITY_GUARD * (1.0 + abs(hw))):
+    if _vanishes(0.0, hw):
         raise NotRegressive(f"1 + h*w vanishes for h={h}, w={w}")
-    return _finite((z - w) / den, "circle_minus")
+    return _finite((z - w) / (1 + hw), "circle_minus")
 
 
 def circle_dot(h: float, alpha: float, z: complex) -> complex:
@@ -179,7 +209,6 @@ def circle_dot(h: float, alpha: float, z: complex) -> complex:
     if h == 0:
         return _finite(alpha * z, "circle_dot")
     hz = h * z
-    w = 1 + hz
-    if _singular(0.0, w, 1.0, REGRESSIVITY_GUARD * (1.0 + abs(hz))):
+    if _vanishes(0.0, hz):
         raise NotRegressive(f"1 + h*z vanishes for h={h}, z={z}")
-    return _finite((pow_real(w, alpha) - 1) / h, "circle_dot")
+    return _finite((pow_real(1 + hz, alpha) - 1) / h, "circle_dot")

@@ -839,10 +839,8 @@ def differentiate(e: Expr) -> Expr:
         return Const(0j)
     if isinstance(e, Var):
         return Const(1 + 0j)
-    if isinstance(e, Add):
-        return Add(differentiate(e.left), differentiate(e.right))
-    if isinstance(e, Sub):
-        return Sub(differentiate(e.left), differentiate(e.right))
+    if isinstance(e, (Add, Sub)):
+        return type(e)(differentiate(e.left), differentiate(e.right))
     if isinstance(e, Mul):
         return Add(
             Mul(differentiate(e.left), e.right),
@@ -905,20 +903,13 @@ def _fmt(e: Expr) -> tuple[str, int]:
         return _const_text(e.value)
     if isinstance(e, Var):
         return "t", _PREC_ATOM
-    if isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
+    if type(e) in _BINARY:
+        prec = _PREC_ADD if isinstance(e, (Add, Sub)) else _PREC_MUL
         lt, lp = _fmt(e.left)
         rt, rp = _fmt(e.right)
-        left = lt if lp >= _PREC_ADD else f"({lt})"
-        right = rt if rp > _PREC_ADD else f"({rt})"
-        return f"{left}{op}{right}", _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        lt, lp = _fmt(e.left)
-        rt, rp = _fmt(e.right)
-        left = lt if lp >= _PREC_MUL else f"({lt})"
-        right = rt if rp > _PREC_MUL else f"({rt})"
-        return f"{left}{op}{right}", _PREC_MUL
+        left = lt if lp >= prec else f"({lt})"
+        right = rt if rp > prec else f"({rt})"
+        return f"{left}{_BINARY[type(e)]}{right}", prec
     if isinstance(e, Pow):
         bt, bp = _fmt(e.base)
         base = bt if bp >= _PREC_ATOM else f"({bt})"

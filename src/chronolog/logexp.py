@@ -26,14 +26,15 @@ confirm.  Each side has one path.  The theorem (``_Winding``) walks the
 window of ``log_ts``, which every ``log_*`` function calls, of
 ``log_table`` and, over one jump, of the pointwise log derivative: p once
 per point it keeps, and every jump, single or in a block, through one
-checked loop under the maps' one guard (``cylinder._singular``), which
-raises the row's map's errors.  A block keeps only the end of each span
-of jumps over which a box holding p (``ScaleFunction.box``) stays clear
-of 0.  The definition (``_Definition``) is the independent second side
-of the identity suite: one walk of the weighted quotient for any number
-of rows, which integrates p'/p once per piece to ``quad_tol``, evaluates
-p once per jump end, and adds one principal Log per jump and row from
-the row's cylinder map.  That map, looked up by name in ``cylinder``
+checked loop that asks ``cylinder`` whether a factor of the row's map
+vanishes (``cylinder._jump_vanishes``) and raises the row's map's errors.
+A block keeps only the end of each span of jumps over which a box holding
+p (``ScaleFunction.box``) stays clear of 0.  The definition
+(``_Definition``) is the independent second side of the identity suite:
+one walk of the weighted quotient for any number of rows, which
+integrates p'/p once per piece to ``quad_tol``, evaluates p once per jump
+end, and adds one principal Log per jump and row from the row's cylinder
+map.  That map, looked up by name in ``cylinder``
 (``_row``), is also the exponentials'.  The two sides share no step that
 computes a value on a dense piece.
 
@@ -81,7 +82,6 @@ from .calculus import (
     _window,
     delta_integral,
 )
-from .cylinder import REGRESSIVITY_GUARD
 from .errors import (
     ChronologError,
     EvalDomain,
@@ -203,20 +203,6 @@ _ROWS = {
 }
 
 
-# the guard's bound is at most 3 * GUARD * max(|p|, |p_sigma|), so a factor
-# can vanish only where one value is this far below the other: a cheap
-# necessary condition for the guard
-_SCREEN = 4.0 * REGRESSIVITY_GUARD
-
-
-def _vanishes(eta: float, pv: complex, ps: complex) -> bool:
-    # whether a factor of the row's map vanishes on the jump from p to
-    # p_sigma: the maps' guard relative to 1 + |mu*z| = (|mix| + |p_sigma - p|)/|mix|,
-    # with mix = (1-eta)p + eta*p_sigma
-    bound = REGRESSIVITY_GUARD * (abs((1.0 - eta) * pv + eta * ps) + abs(ps - pv))
-    return cylinder._singular(eta, ps, pv, bound)
-
-
 def _row(variant: LogVariant, eta: float | None) -> tuple[tuple, float, Callable]:
     # the variant's map row in `cylinder`, its weight and its map, the eta
     # row's bound to the checked eta
@@ -227,6 +213,15 @@ def _row(variant: LogVariant, eta: float | None) -> tuple[tuple, float, Callable
         raise ValidationError("the eta variant needs an explicit eta value")
     eta = cylinder._require_eta(eta)
     return row, eta, partial(getattr(cylinder, row[0]), eta)
+
+
+class _Rows(tuple):
+    # the rows' sums over a window, which ``_window`` negates row by row,
+    # ``-1.0 * rows``, for a window below its start
+    __slots__ = ()
+
+    def __rmul__(self, c: float) -> _Rows:
+        return _Rows(c * v for v in self)
 
 
 class _Definition:
@@ -258,14 +253,14 @@ class _Definition:
         for (row, eta, cylinder_map), v in zip(self.rows, total):
             mix = (1.0 - eta) * pv + eta * ps
             if mix == 0:
-                raise row[2](f"(1-eta)p + eta*p_sigma vanishes for eta={eta}")
+                raise cylinder._vanishing_mean(row, eta)
             sums.append(v + mu * cylinder_map(mu, (ps - pv) / mu / mix))
         return tuple(sums)
 
     run = Terms.run
 
-    def between(self, a: tuple, b: tuple) -> list[complex]:
-        return [v - u for u, v in zip(a, b)]
+    def between(self, a: tuple, b: tuple) -> _Rows:
+        return _Rows(v - u for u, v in zip(a, b))
 
 
 # the window logarithm's theorem needs only the integer winding of p'/p over
@@ -321,13 +316,12 @@ class _Winding:
     in a block, goes through one loop (``_advance``), which evaluates p at
     each new point in walk order, raising NonvanishingViolation below
     eps_min and NonFiniteValue there, and raises what the row's map would:
-    the row's error when (1-eta)p + eta*p_sigma is 0, and, when a factor of
-    the map, p_sigma/mix or p/mix, falls under the maps' guard
-    (``_vanishes``, run only where one value is far below the other)
-    relative to 1 + |mu*z| = (|mix| + |p_sigma - p|)/|mix|, the map's own
-    error and message at mu and z = (p_sigma - p)/mu/mix
-    (``cylinder._vanishing``); a ratio p_sigma/p that overflows or
-    underflows raises NonFiniteIntegrand.
+    the row's error when (1-eta)p + eta*p_sigma is 0, and, when ``cylinder``
+    finds that a factor of the map vanishes on the jump
+    (``cylinder._jump_vanishes``, asked only where one value is far below
+    the other), the map's own error and message at mu and z = (p_sigma -
+    p)/mu/mix; a ratio p_sigma/p that overflows or underflows raises
+    NonFiniteIntegrand.
 
     The exponentials of p's own quotients are exp of this walk at the rows
     of xi and xi_hat: in exact arithmetic each jump's factor is p_sigma/p,
@@ -394,18 +388,18 @@ class _Winding:
         # the points sigmas, p evaluated at each in turn and checked against the floor
         p, cfg, keep, eta, cut = self.p, self.cfg, self.keep, self.eta, self.cut
         mixed = 0.0 < eta < 1.0
-        isfinite, atan2, screen = cmath.isfinite, math.atan2, _SCREEN
+        isfinite, atan2, screen, vanishes = cmath.isfinite, math.atan2, cylinder._SCREEN, cylinder._jump_vanishes
         first, pv, apv, turns = mark
         for sigma in sigmas:
             ps = _checked(p, sigma, cfg)
             aps = abs(ps)
             # at eta = 0 or 1 the weighted denominator is p or p_sigma, above the floor
             if mixed and keep * pv + eta * ps == 0:
-                raise self.row[2](f"(1-eta)p + eta*p_sigma vanishes for eta={eta}")
+                raise cylinder._vanishing_mean(self.row, eta)
             r = ps / pv
-            # r can be 0 only where |p_sigma| < _SCREEN * |p|, on a screened jump
-            if (aps < screen * apv or apv < screen * aps) and (r == 0 or _vanishes(eta, pv, ps)) or not isfinite(r):
-                if _vanishes(eta, pv, ps):
+            # r can be 0 only where |p_sigma| < cylinder._SCREEN * |p|, on a screened jump
+            if (aps < screen * apv or apv < screen * aps) and (r == 0 or vanishes(eta, pv, ps)) or not isfinite(r):
+                if vanishes(eta, pv, ps):
                     mu = sigma - tau
                     raise cylinder._vanishing(self.row, eta, mu, (ps - pv) / mu / (keep * pv + eta * ps))
                 raise NonFiniteIntegrand(f"the jump ratio p_sigma/p = {r} is not finite and nonzero")
@@ -630,10 +624,10 @@ class _Exponent(Terms):
         row, eta, forward = self.row, self.row[1], not self.at_sigma
         prod, power = 1 + 0j, 0
         for hz in map(operator.mul, mus, map(complex, map(self.c, ats, mus))):
-            factor = 1 + hz if forward else 1 - hz
-            # the factor is xi's num or xi_hat's den, the one _singular tests at eta
-            if abs(hz) > 0.5 and cylinder._singular(eta, factor, factor, REGRESSIVITY_GUARD * (1.0 + abs(hz))):
+            # where |hz| <= 1/2 the factor, xi's num or xi_hat's den, is at least 1/2
+            if abs(hz) > 0.5 and cylinder._vanishes(eta, hz):
                 raise row[2](f"{row[0]}: a factor vanishes for eta={eta}, h*z={hz}")
+            factor = 1 + hz if forward else 1 - hz
             prod = prod * factor if forward else prod / factor
             if not 1e-280 <= abs(prod) <= 1e280:
                 if not 1e-300 < abs(prod) < math.inf:
@@ -827,13 +821,11 @@ def identity_suite(
 
     Lp = log_delta_principal(p, ts, s, t, cfg)
     Lq = log_delta_principal(q, ts, s, t, cfg)
-    # the definition's rows from one walk up, reversed as _window reverses a window
     etas = (0.25, 0.75, 1.0)
     definition = _Definition(
         p, cfg, [(LogVariant.DELTA_PRINCIPAL, None), (LogVariant.CAYLEY_PRINCIPAL, None)] + [(LogVariant.ETA, e) for e in etas]
     )
-    sums = _window(definition, ts, min(s, t), [max(s, t)])[0]
-    delta, cayley, *walked = sums if s <= t else [-1.0 * v for v in sums]
+    delta, cayley, *walked = _window(definition, ts, s, [t])[0]
     exact("exp-of-principal-log", cexp(Lp), cexp(delta))
     modulo_lattice("product-rule", log_delta_principal(p * q, ts, s, t, cfg), Lp + Lq)
     modulo_lattice("quotient-rule", log_delta_principal(p / q, ts, s, t, cfg), Lp - Lq)

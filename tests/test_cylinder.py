@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chronolog.errors import (
@@ -12,7 +12,9 @@ from chronolog.errors import (
     NotNuRegressive,
     NotRegressive,
 )
+from chronolog import cylinder
 from chronolog.cylinder import (
+    REGRESSIVITY_GUARD,
     cayley_psi,
     circle_dot,
     circle_minus,
@@ -378,3 +380,29 @@ def test_exp_of_xi_reconstructs_factor(h, z):
     if abs(w) > 1e100:
         return
     assert cmath.exp(h * xi(h, z)) == pytest.approx(w, rel=1e-12)
+
+
+@given(
+    st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
+    st.floats(min_value=-8.0, max_value=8.0),
+    st.floats(min_value=-16.0, max_value=16.0),
+    st.floats(min_value=-math.pi, max_value=math.pi),
+    st.floats(min_value=-math.pi, max_value=math.pi),
+)
+@example(0.0, 0.0, -14.0, 0.0, 1.0)
+@example(1.0, 0.0, 14.0, 0.0, 1.0)
+@example(0.5, 0.0, 0.0, 0.0, 3.0)
+@settings(max_examples=300, deadline=None)
+def test_the_jump_rule_is_the_maps_rule(eta, size, ratio, phase, turn):
+    # on a jump from p to p_sigma, with mix = (1-eta)p + eta*p_sigma and
+    # z = (p_sigma - p)/mix, the map's factors 1 + (1-eta)z and 1 - eta*z
+    # are p_sigma/mix and p/mix in exact arithmetic: the jump rule and the
+    # h*z rule agree wherever neither factor lies within a factor 2 of the
+    # bound; |p| is 10^size and |p_sigma/p| is 10^ratio
+    p = cmath.rect(10.0**size, phase)
+    p_sigma = p * cmath.rect(10.0**ratio, turn)
+    mix = (1.0 - eta) * p + eta * p_sigma
+    assume(mix != 0)
+    bound = REGRESSIVITY_GUARD * (abs(mix) + abs(p_sigma - p))
+    assume(not any(bound / 2 <= abs(v) <= 2 * bound for v in (p, p_sigma)))
+    assert cylinder._vanishes(eta, (p_sigma - p) / mix) == cylinder._jump_vanishes(eta, p, p_sigma)

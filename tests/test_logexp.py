@@ -2197,6 +2197,24 @@ def test_identity_suite_is_six_walks(monkeypatch):
     assert (delta.real.hex(), delta.imag.hex()) == (eta0.real.hex(), eta0.imag.hex())
 
 
+@pytest.mark.parametrize(
+    "spec, text, hi",
+    [("hz:1", "t^2+1", 6.0), ("union:[0,1];[1.5,2];[3,4]", "exp(i*t)+2", 4.0)],
+    ids=["hz", "union"],
+)
+def test_a_reversed_window_negates_the_definition_rows(spec, text, hi):
+    # _window takes a window below its start as the forward one times -1.0,
+    # row by row, so the identity suite walks a reversed window like any other
+    ts = parse_timescale(spec)
+    definition = logexp._Definition(
+        ScaleFunction.from_text(text), calculus.DEFAULT_TOLERANCES, [(LogVariant(v), eta) for v, eta in _SUITE_ROWS]
+    )
+    forward = calculus._window(definition, ts, 0.0, [hi])[0]
+    backward = calculus._window(definition, ts, hi, [0.0])[0]
+    assert len(backward) == len(_SUITE_ROWS)
+    assert [_bits(v) for v in backward] == [_bits(-1.0 * v) for v in forward]
+
+
 def test_identity_suite_evaluates_p_twice_per_jump_for_its_definition(monkeypatch):
     # the definition's rows share one walk, which evaluates p at both ends of
     # each of the 10 jumps once for all rows, not once per row
@@ -2246,7 +2264,7 @@ def test_definition_rows_from_one_walk_have_the_bits_of_one_walk_each(monkeypatc
     for spec, text, lo, hi in (param.values for param in THEOREM_WINDOWS):
         cases += [(spec, text, lo, hi), (spec, text, hi, lo)]
     cases += _check_windows()
-    assert len(cases) == 2 * len(THEOREM_WINDOWS) + 15
+    assert len(cases) == 2 * len(THEOREM_WINDOWS) + 17
     alone = []
     for spec, text, s, t in cases:
         ts = parse_timescale(spec)
