@@ -13,11 +13,12 @@ logarithm's theorem (``logexp._Winding``), whose total carries p and the
 turns, for one closed form Log(p(x_n)/p(x_0)) + 2*pi*i*K, integrating only
 to find the integer K; the exponentials of p's own quotients take exp of
 the theorem's sum.
-On the point families a long run of jumps goes to the sum in blocks, its
-``run`` taking a block's points at once, the theorem's only those that
-its certified spans of jumps keep.  A run returns its total or raises,
-and a block whose run raises is walked again jump by jump, so that every
-error is the one a single jump raises, at the same gap.
+Every jump reaches the sum through one call, ``run``, with the points
+it passes: a single jump's two ends or, on the point families, a long
+run's block of points at once, of which the theorem evaluates p only at
+those that its certified spans of jumps keep.  A run returns its total or
+raises, and a block whose run raises is walked again jump by jump, so
+that every error is the one a single jump raises, at the same gap.
 Both integrate with one globally adaptive Gauss-Kronrod (G7K15)
 integrator, ``adaptive_simpson``.  It keeps its panels in a heap ordered
 by the error estimate |K15 - G7| and bisects the worst until the
@@ -237,20 +238,20 @@ class Terms:
     NonFiniteIntegrand where the sum turns non-finite.  This sums integrals,
     exponentials and the older logarithms.  The other sums ``_walk`` takes
     are the window logarithm's definition (``logexp._Definition``), whose
-    total is a tuple of rows and whose ``run`` is this one, and its theorem
-    (``logexp._Winding``).  A sum holds no state of a walk: the running
-    total is all of it, and the total at a stop is the stop's mark.  Each
-    sum names the total a walk starts from, ``start``, and answers the same
-    four calls: ``piece(total, lo, hi)`` takes a continuous piece,
-    ``step(total, tau, mu, sigma)`` a jump and ``run(total, xs)`` a block
-    of jumps through the increasing points xs, each returning the next
-    total, and ``between(a, b)`` gives the sum from mark a to mark b.  Here
-    a walk starts from 0j and ``between`` is b - a; ``run`` is a loop of
-    ``step``, and the exponentials' subclass takes a block as the product
-    of its factors (``logexp._Exponent``); the exponentials of p's own
-    quotient take the theorem's sum instead.  A ``run`` returns its total
-    or raises, and ``_walk`` then re-walks the block by ``step`` from the
-    total before it, which names the gap.
+    total is a tuple of rows, and its theorem (``logexp._Winding``).  A sum
+    holds no state of a walk: the running total is all of it, and the total
+    at a stop is the stop's mark.  Each sum names the total a walk starts
+    from, ``start``, and answers the same three calls: ``piece(total, lo,
+    hi)`` takes a continuous piece and ``run(total, xs)`` the jumps through
+    the increasing points xs, one jump (two points) or a block, each
+    returning the next total, and ``between(a, b)`` gives the sum from mark
+    a to mark b.  Here a walk starts from 0j, ``between`` is b - a and
+    ``run`` adds its jumps' terms in walk order; the exponentials' subclass
+    takes a block as the product of its factors (``logexp._Exponent``),
+    and the exponentials of p's own quotient take the theorem's sum
+    instead.  A ``run`` returns its total or raises, and ``_walk`` then
+    re-walks a block jump by jump from the total before it, which names
+    the gap.
     """
 
     __slots__ = ("dense", "term", "tol")
@@ -267,15 +268,12 @@ class Terms:
             raise NonFiniteIntegrand(f"the running sum {total} is not finite")
         return total
 
-    def step(self, total: complex, tau: float, mu: float, sigma: float) -> complex:
-        total += mu * self.term(tau, mu, sigma)
-        if not cmath.isfinite(total):
-            raise NonFiniteIntegrand(f"the running sum {total} is not finite")
-        return total
-
     def run(self, total: complex, xs: Sequence[float]) -> complex:
         for tau, sigma in zip(xs, xs[1:]):
-            total = self.step(total, tau, sigma - tau, sigma)
+            mu = sigma - tau
+            total += mu * self.term(tau, mu, sigma)
+            if not cmath.isfinite(total):
+                raise NonFiniteIntegrand(f"the running sum {total} is not finite")
         return total
 
     def between(self, a: complex, b: complex) -> complex:
@@ -316,16 +314,17 @@ def _walk(sums, ts: TimeScale, stops: list[float]) -> list:
     piece or gap (``_jump``).  MAX_WINDOW_JUMPS caps the whole span, before
     any term.
 
-    On the point families, a stop at least ``_HANDFUL + _LONG_RUN`` jumps
-    away is reached in blocks: after ``_HANDFUL`` single jumps, the walk
-    lists up to ``_BLOCK`` jumps' points at once (``TimeScale._points``)
-    and hands them to ``sums.run``, so that a run of jumps costs one call
-    (the theorem's run evaluates p only at the points that its certified
-    spans keep); a nearer stop is reached jump by jump.  A block is taken only where
-    every gap in it is a distinct finite float and it passes no stop.  A
-    run returns its total or raises, and the walk re-walks a block that
-    raised once, jump by jump from the total before it, so that the same
-    error is raised at the same gap.
+    Every jump goes to ``sums.run``: a single jump as its two ends
+    (``_jump``), a block as its list of points.  On the point families, a
+    stop at least ``_HANDFUL + _LONG_RUN`` jumps away is reached in blocks:
+    after ``_HANDFUL`` single jumps, the walk lists up to ``_BLOCK`` jumps'
+    points at once (``TimeScale._points``), so that a run of jumps costs
+    one call (the theorem's run evaluates p only at the points that its
+    certified spans keep); a nearer stop is reached jump by jump.  A block
+    is taken only where every gap in it is a distinct finite float and it
+    passes no stop.  A run returns its total or raises, and the walk
+    re-walks a block that raised once, jump by jump from the total before
+    it, so that the same error is raised at the same gap.
     """
     x = stops[0]  # the current point, in piece k, which ends at b
     k, kt, _, _, _ = ts._span(x, stops[-1])
@@ -363,10 +362,9 @@ def _walk(sums, ts: TimeScale, stops: list[float]) -> list:
                     continue
             tau = b
             sigma, b = ts._piece(k + 1)
-            mu = sigma - tau
-            if not 0.0 < mu < math.inf:
+            if not 0.0 < sigma - tau < math.inf:
                 raise PointNotInScale(f"the neighbour of {tau} is not a distinct finite float")
-            total = _jump(sums, total, tau, mu, sigma)
+            total = _jump(sums, total, tau, sigma)
             k += 1
             x = sigma
             single -= 1
@@ -374,11 +372,12 @@ def _walk(sums, ts: TimeScale, stops: list[float]) -> list:
     return marks
 
 
-def _jump(sums, total: complex, tau: float, mu: float, sigma: float) -> complex:
-    # one jump of a walk, from tau to its stored successor sigma; an error
-    # in its term names the gap, here and in the pointwise log derivative
+def _jump(sums, total: complex, tau: float, sigma: float) -> complex:
+    # one jump of a walk, from tau to its stored successor sigma, as a run of
+    # its two ends; an error in its term names the gap, here and in the
+    # pointwise log derivative
     try:
-        return sums.step(total, tau, mu, sigma)
+        return sums.run(total, (tau, sigma))
     except ChronologError as exc:
         _name(exc, f"gap after tau={tau}")
         raise

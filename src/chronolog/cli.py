@@ -9,7 +9,8 @@ Subcommands:
 
 Each command returns a dict (eval, legacy) or a list of dicts (check,
 table), which one renderer writes as JSON or CSV.  Input checks live in the
-library, which raises ValidationError.  Errors print a single-line JSON
+library, which raises ValidationError, except for the CLI's own flags and
+an option the command would not read.  Errors print a single-line JSON
 object on stderr; exit code 2 flags bad input (an unwritable ``--out``
 file too) and 3 a numerical failure.  `check` exits 1 when an identity
 fails.  Output is deterministic: identical invocations produce identical

@@ -32,11 +32,11 @@ A block keeps only the end of each span of jumps over which a box holding
 p (``ScaleFunction.box``) stays clear of 0.  The definition
 (``_Definition``) is the independent second side of the identity suite:
 one walk of the weighted quotient for any number of rows, which
-integrates p'/p once per piece to ``quad_tol``, evaluates p once per jump
-end, and adds one principal Log per jump and row from the row's cylinder
-map.  That map, looked up by name in ``cylinder``
-(``_row``), is also the exponentials'.  The two sides share no step that
-computes a value on a dense piece.
+integrates p'/p once per piece to ``quad_tol``, evaluates p once per
+point of each run of jumps, a single jump's or a block's, and adds one
+principal Log per jump and row from the row's cylinder map.  That map,
+looked up by name in ``cylinder`` (``_row``), is also the exponentials'.
+The two sides share no step that computes a value on a dense piece.
 
 Delta, nabla and Cayley each have a principal version (a plain complex
 number) and a multi-valued version carrying the 2*pi*i lattice; eta is
@@ -229,9 +229,10 @@ class _Definition:
 
     The total, and so the mark at a stop, is the tuple of the rows' sums,
     which a walk starts at 0 (``start``).  A piece adds one integral of
-    p'/p, to ``quad_tol``, to every row.  A jump evaluates p at both ends once, then for each row
-    in order raises the row's error where mix = (1-eta)p + eta*p_sigma is
-    0 and adds mu times the row's map of z = (p_sigma - p)/mu/mix, which
+    p'/p, to ``quad_tol``, to every row.  A run of jumps, one or a block,
+    evaluates p once per point in walk order, then for each jump and each
+    row in order raises the row's error where mix = (1-eta)p + eta*p_sigma
+    is 0 and adds mu times the row's map of z = (p_sigma - p)/mu/mix, which
     must be finite.  So each row has the bits of a walk of that row alone,
     and the first failing jump, there the first failing row, raises.
     """
@@ -247,17 +248,19 @@ class _Definition:
         integral = calculus.adaptive_simpson(partial(_slope, self.p, self.cfg), lo, hi, self.cfg.quad_tol)
         return tuple(v + integral for v in total)
 
-    def step(self, total: tuple, tau: float, mu: float, sigma: float) -> tuple:
-        pv, ps = _checked(self.p, tau, self.cfg), _checked(self.p, sigma, self.cfg)
-        sums = []
-        for (row, eta, cylinder_map), v in zip(self.rows, total):
-            mix = (1.0 - eta) * pv + eta * ps
-            if mix == 0:
-                raise cylinder._vanishing_mean(row, eta)
-            sums.append(v + mu * cylinder_map(mu, (ps - pv) / mu / mix))
-        return tuple(sums)
-
-    run = Terms.run
+    def run(self, total: tuple, xs: Sequence[float]) -> tuple:
+        p, cfg = self.p, self.cfg
+        tau, pv = xs[0], _checked(p, xs[0], cfg)
+        for sigma in xs[1:]:
+            ps, mu = _checked(p, sigma, cfg), sigma - tau
+            sums = []
+            for (row, eta, cylinder_map), v in zip(self.rows, total):
+                mix = (1.0 - eta) * pv + eta * ps
+                if mix == 0:
+                    raise cylinder._vanishing_mean(row, eta)
+                sums.append(v + mu * cylinder_map(mu, (ps - pv) / mu / mix))
+            total, tau, pv = tuple(sums), sigma, ps
+        return total
 
     def between(self, a: tuple, b: tuple) -> _Rows:
         return _Rows(v - u for u, v in zip(a, b))
@@ -328,17 +331,18 @@ class _Winding:
     and a piece's exp is p(hi)/p(lo), so the winding, which exp discards,
     only has to be witnessed.
 
-    ``run`` takes a block of jumps through increasing points xs of a point
-    family, from the walk's current point xs[0].  It first thins the block
-    (``_kept``): a span [x_i, x_j] is certified where p's box over it
-    (``ScaleFunction.box``) lies at least max(eps_min, 2^-20 |far corner|)
-    from 0, and keeps only x_j.  That is sound: a convex box that misses 0
-    lies in an open half-plane, so every ratio of p in it turns by less
-    than pi, the span's Arg is the sum of its jumps' turns, every weighted
-    mean (1-eta)p + eta*p_sigma lies in it, and every check passes.  Then
-    ``_advance`` takes the kept points, a certified span as one jump.
+    ``run`` takes the jumps through increasing points xs, from the walk's
+    current point xs[0]: a lone jump as it is, and a block of a point
+    family thinned first (``_kept``): a span [x_i, x_j] is certified where
+    p's box over it (``ScaleFunction.box``) lies at least max(eps_min,
+    2^-20 |far corner|) from 0, and keeps only x_j.  That is sound: a
+    convex box that misses 0 lies in an open half-plane, so every ratio of
+    p in it turns by less than pi, the span's Arg is the sum of its jumps'
+    turns, every weighted mean (1-eta)p + eta*p_sigma lies in it, and every
+    check passes.  Then ``_advance`` takes the kept points, a certified span
+    as one jump.
     A block that fails raises, typed but named at no gap, and ``_walk``
-    walks it again by ``step``, which names the gap.
+    walks it again jump by jump, which names the gap.
     """
 
     __slots__ = ("p", "cfg", "row", "keep", "eta", "cut")
@@ -376,12 +380,9 @@ class _Winding:
             tol /= 100.0
             integral = calculus.adaptive_simpson(slope, lo, hi, tol)
 
-    def step(self, mark: tuple | None, tau: float, mu: float, sigma: float) -> tuple:
-        return self._advance(mark or self._open(tau), tau, (sigma,))
-
     def run(self, mark: tuple | None, xs: Sequence[float]) -> tuple:
-        # xs[0] is the walk's current point
-        return self._advance(mark or self._open(xs[0]), xs[0], self._kept(xs))
+        # xs[0] is the walk's current point; a lone jump has nothing to thin
+        return self._advance(mark or self._open(xs[0]), xs[0], xs[1:] if len(xs) == 2 else self._kept(xs))
 
     def _advance(self, mark: tuple, tau: float, sigmas: Sequence[float]) -> tuple:
         # the mark after the jumps from tau, the walk's current point, through
@@ -564,7 +565,7 @@ def log_delta_derivative(
 ) -> complex:
     """Pointwise forward derivative of the logarithm of p.
 
-    At a right-scattered t, the theorem's one jump over mu, a step from
+    At a right-scattered t, the theorem's one jump over mu, a run from
     the start mark to the mark at sigma(t), whose closed form divided by mu
     equals ``log_ts("delta-principal", p, ts, t, sigma(t)) / mu`` bit for
     bit, raising what that call raises; p'(t)/p(t) at a dense t.  A value
@@ -575,7 +576,7 @@ def log_delta_derivative(
     if sigma == t:
         return _finite_at(_quotient(p, cfg, t, 0.0), "the log derivative", t)
     winding = _theorem(LogVariant.DELTA_PRINCIPAL, p, cfg, None)
-    mark = calculus._jump(winding, winding.start, t, sigma - t, sigma)
+    mark = calculus._jump(winding, winding.start, t, sigma)
     return _finite_at(winding.between(winding.start, mark) / (sigma - t), "the log derivative", t)
 
 
@@ -589,7 +590,8 @@ def _finite_at(v: complex, what: str, t: float) -> complex:
 class _Exponent(Terms):
     """An exponential's exponent: ``Terms`` of the row's map of c at tau (delta) or sigma (nabla).
 
-    ``run`` adds a block's terms as the Log of the product of the row's
+    ``run`` adds a lone jump's term through the row's map, as ``Terms``
+    does, and a block's terms as the Log of the product of the row's
     factors, equal to their sum modulo 2*pi*i, which exp discards: times
     each 1 + mu*c forward (xi), over each 1 - mu*c backward (xi_hat).  The
     product is prod * 2^power, prod scaled into [1/2, 1) by a power of 2,
@@ -598,8 +600,8 @@ class _Exponent(Terms):
     inside the loop, jump by jump, so the first failure in walk order is
     the one raised.  A block raises where a factor trips the maps'
     guard, the product is not finite or under 1e-300, or a gap is below
-    1e-300 (where mu * map(mu, c) can overflow); ``_walk`` then walks it by
-    ``step``.  The library's own quotients of p take the theorem's walk
+    1e-300 (where mu * map(mu, c) can overflow); ``_walk`` then walks it
+    jump by jump.  The library's own quotients of p take the theorem's walk
     (``_Winding``) instead.
     """
 
@@ -616,6 +618,8 @@ class _Exponent(Terms):
         self.c, self.row, self.at_sigma = c, row, at_sigma
 
     def run(self, total: complex, xs: Sequence[float]) -> complex:
+        if len(xs) == 2:
+            return super().run(total, xs)
         taus, sigmas = xs[:-1], xs[1:]
         mus = list(map(operator.sub, sigmas, taus))
         if min(mus) < 1e-300:

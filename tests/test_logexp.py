@@ -352,6 +352,22 @@ def test_dense_log_of_a_fast_oscillation_matches_mpmath():
     assert abs(got.real - float(want)) <= 1e-15
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the loose winding integral misses two spikes of p'/p")
+def test_a_dense_log_past_three_near_zeros_has_their_winding():
+    # p passes 1e-7 below its roots 0.3, 0.6 and 0.9 on r, and |p| stays
+    # above eps_min, so over [0, 1] the log is Log(p(1)/p(0)) + 2*pi*i, K =
+    # 1.  The winding integral at 1e-2 samples no closer than 3.5e-3 to the
+    # roots at 0.6 and 0.9, whose spikes are about 1e-7 wide, and both its
+    # witnesses accept K = 0.  An error would be honest too
+    p = ScaleFunction.from_text("(t-0.3-1e-07*i)*(t-0.6-1e-07*i)*(t-0.9-1e-07*i)")
+    want = cmath.log(p(1.0) / p(0.0)) + 2j * math.pi
+    try:
+        got = log_ts("delta-principal", p, parse_timescale("r"), 0.0, 1.0)
+    except ChronologError:
+        return
+    assert abs(got - want) < 1e-9, got
+
+
 # ---------------------------------------------------------------------------
 # nabla variant
 # ---------------------------------------------------------------------------
@@ -1465,12 +1481,13 @@ def test_a_theorem_walk_may_open_with_a_block(monkeypatch):
         ]
 
     want = walks()
-    starts = []
+    runs = []
     run = logexp._Winding.run
-    monkeypatch.setattr(logexp._Winding, "run", lambda self, mark, xs: starts.append(mark) or run(self, mark, xs))
+    monkeypatch.setattr(logexp._Winding, "run", lambda self, mark, xs: runs.append((mark, xs)) or run(self, mark, xs))
     monkeypatch.setattr(calculus, "_HANDFUL", 0)
     assert walks() == want
-    assert starts.count(logexp._Winding.start) == 3
+    # single jumps are runs of two points too: count the blocks that open a walk
+    assert [mark for mark, xs in runs if len(xs) > 2].count(logexp._Winding.start) == 3
 
 
 def _marks(sums, ts, stops):
@@ -1638,7 +1655,8 @@ def test_log_table_rows_on_both_sides_of_the_base_match_log_ts_bit_for_bit(monke
 
     def recording(self, total, xs):
         ran = run(self, total, xs)
-        blocks.append((xs[0], xs[-1]))
+        if len(xs) > 2:  # a block, not a single jump
+            blocks.append((xs[0], xs[-1]))
         return ran
 
     monkeypatch.setattr(logexp._Winding, "run", recording)
@@ -2263,8 +2281,10 @@ def test_definition_rows_from_one_walk_have_the_bits_of_one_walk_each(monkeypatc
     cases = []
     for spec, text, lo, hi in (param.values for param in THEOREM_WINDOWS):
         cases += [(spec, text, lo, hi), (spec, text, hi, lo)]
-    cases += _check_windows()
-    assert len(cases) == 2 * len(THEOREM_WINDOWS) + 17
+    checks = _check_windows()
+    assert len(checks) >= 17
+    cases += checks
+    monkeypatch.setattr(calculus, "_HANDFUL", 10**9)
     alone = []
     for spec, text, s, t in cases:
         ts = parse_timescale(spec)
@@ -2282,8 +2302,29 @@ def test_definition_rows_from_one_walk_have_the_bits_of_one_walk_each(monkeypatc
     for (spec, text, s, t), want in zip(cases, alone):
         got = _definitions(_SUITE_ROWS, ScaleFunction.from_text(text), parse_timescale(spec), s, t)
         assert [_bits(v) for v in got] == [_bits(v) for v in want], (spec, text, s, t)
-    # a block on every window on a point family
-    assert len(runs) >= sum(spec.startswith(("hz:", "q:", "alt:", "set:")) for spec, *_ in cases) > 10
+    # a block, a run of more than one jump, on every window on a point family
+    blocks = sum(len(xs) > 2 for xs in runs)
+    assert blocks >= sum(spec.startswith(("hz:", "q:", "alt:", "set:")) for spec, *_ in cases) > 10
+
+
+def test_a_definition_run_evaluates_p_once_per_point():
+    # a run of n jumps evaluates p at its n + 1 points in walk order, not at
+    # both ends of each jump, and a single jump, a run of two points, at
+    # both its ends; so a walk of _LONG jumps, _H single jumps and then
+    # blocks of _B and _H jumps, evaluates p 2 * _H + _B + 1 + _H + 1 times
+    ts, points = _long_window("hz:1")
+    f = RecordingFunction.from_text("t^2+1")
+    cfg = calculus.DEFAULT_TOLERANCES
+    walk = logexp._Definition(f, cfg, [(LogVariant(v), eta) for v, eta in _SUITE_ROWS])
+    walk.run(walk.start, points)
+    assert f.points == points
+    f.points.clear()
+    walk.run(walk.start, points[:2])
+    assert f.points == points[:2]
+    f.points.clear()
+    calculus._walk(walk, ts, [points[0], points[-1]])
+    assert len(f.points) == 2 * _H + (_B + 1) + (_H + 1) < 2 * _LONG
+    assert sorted(set(f.points)) == points
 
 
 def test_definition_walk_raises_at_its_first_failing_jump():
