@@ -15,10 +15,12 @@ to find the integer K; the exponentials of p's own quotients take exp of
 the theorem's sum.
 Every jump reaches the sum through one call, ``run``, with the points
 it passes: a single jump's two ends or, on the point families, a long
-run's block of points at once, of which the theorem evaluates p only at
-those that its certified spans of jumps keep.  A run returns its total or
-raises, and a block whose run raises is walked again jump by jump, so
-that every error is the one a single jump raises, at the same gap.
+run's block, an index range of points read by index
+(``timescale._Points``).  The theorem reads only the points that its
+certified spans of jumps keep, and evaluates p only there; the other sums
+list the block once.  A run returns its total or raises, and a block
+whose run raises is walked again jump by jump, so that every error is the
+one a single jump raises, at the same gap.
 Both integrate with one globally adaptive Gauss-Kronrod (G7K15)
 integrator, ``adaptive_simpson``.  It keeps its panels in a heap ordered
 by the error estimate |K15 - G7| and bisects the worst until the
@@ -269,6 +271,7 @@ class Terms:
         return total
 
     def run(self, total: complex, xs: Sequence[float]) -> complex:
+        xs = xs[:]  # a block listed once
         for tau, sigma in zip(xs, xs[1:]):
             mu = sigma - tau
             total += mu * self.term(tau, mu, sigma)
@@ -292,7 +295,8 @@ def _name(exc: ChronologError, where: str) -> None:
 # compile takes 70-90 us, as long as 55-65 of the theorem's single jumps,
 # and a fresh p's run breaks even in blocks at about 100-130 jumps, so
 # 256 leaves a margin of two; and the most jumps in one block, which
-# bounds the memory a block holds
+# bounds the points that a sum reading them all, or a block of q's
+# compared, lists at once
 _HANDFUL = 8
 _LONG_RUN = 256
 _BLOCK = 512
@@ -315,16 +319,18 @@ def _walk(sums, ts: TimeScale, stops: list[float]) -> list:
     any term.
 
     Every jump goes to ``sums.run``: a single jump as its two ends
-    (``_jump``), a block as its list of points.  On the point families, a
-    stop at least ``_HANDFUL + _LONG_RUN`` jumps away is reached in blocks:
-    after ``_HANDFUL`` single jumps, the walk lists up to ``_BLOCK`` jumps'
-    points at once (``TimeScale._points``), so that a run of jumps costs
-    one call (the theorem's run evaluates p only at the points that its
-    certified spans keep); a nearer stop is reached jump by jump.  A block
-    is taken only where every gap in it is a distinct finite float and it
-    passes no stop.  A run returns its total or raises, and the walk
-    re-walks a block that raised once, jump by jump from the total before
-    it, so that the same error is raised at the same gap.
+    (``_jump``), a block as its points (``_block``).  On the point
+    families, a stop at least ``_HANDFUL + _LONG_RUN`` jumps away is
+    reached in blocks: after ``_HANDFUL`` single jumps, the walk takes up
+    to ``_BLOCK`` jumps at once as an index range read by index
+    (``TimeScale._points``), so that a run of jumps costs one call and
+    what its sum reads of it (the theorem's run reads and evaluates p only
+    at the points that its certified spans keep); a nearer stop is reached
+    jump by jump.  A block is taken only where every gap in it is a
+    distinct finite float and it passes no stop.  A run returns its total
+    or raises, and the walk re-walks a block that raised once, jump by
+    jump from the total before it, so that the same error is raised at the
+    same gap.
     """
     x = stops[0]  # the current point, in piece k, which ends at b
     k, kt, _, _, _ = ts._span(x, stops[-1])
@@ -385,9 +391,15 @@ def _jump(sums, total: complex, tau: float, sigma: float) -> complex:
 
 def _block(ts: TimeScale, k: int, m: int, stop: float) -> Sequence[float]:
     # the points x_k, ..., x_m, if single jumps through them would each pass
-    # the walk's gap check and none would pass the stop; else PointNotInScale
+    # the walk's gap check and none would pass the stop; else PointNotInScale.
+    # Where the family proves that they strictly increase (``_distinct``),
+    # they stay unlisted; elsewhere (q, and hz or alt near float resolution)
+    # they are listed once and compared, and the run takes the list
     xs = ts._points(k, m)
-    if len(xs) > 1 and all(map(operator.lt, xs, xs[1:])) and xs[-1] - xs[0] < math.inf and xs[-1] <= stop:
+    distinct = ts._distinct(k, m)
+    if not distinct:
+        xs = xs[:]
+    if len(xs) > 1 and (distinct or all(map(operator.lt, xs, xs[1:]))) and xs[-1] - xs[0] < math.inf and xs[-1] <= stop:
         return xs
     raise PointNotInScale(f"the points {k} to {m} have a gap that is not a distinct finite float, or pass {stop}")
 

@@ -417,7 +417,9 @@ class _Winding:
         # under |centre| (2^(n/_SPLIT_TO) - 1), which leaves a span of
         # _SPLIT_TO jumps a chance: log(1 + half-diagonal/|centre|) at
         # most halves with the span under the rules of sums, products,
-        # powers and exp.  A refused box keeps its span whole
+        # powers and exp.  A refused box keeps its span whole.  A block is
+        # read by index (``timescale._Points``), so only the spans kept
+        # whole are listed
         box, floor, hypot = self.p.box, self.cfg.eps_min, math.hypot
         kept: list[float] = []
         spans = [(0, len(xs) - 1)]
@@ -620,6 +622,7 @@ class _Exponent(Terms):
     def run(self, total: complex, xs: Sequence[float]) -> complex:
         if len(xs) == 2:
             return super().run(total, xs)
+        xs = xs[:]  # the block listed once
         taus, sigmas = xs[:-1], xs[1:]
         mus = list(map(operator.sub, sigmas, taus))
         if min(mus) < 1e-300:

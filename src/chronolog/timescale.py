@@ -43,9 +43,10 @@ MEMBERSHIP_TOL = 1e-12
 
 # the most gaps one window may jump; a longer window raises UnboundedWindow
 # before any work.  The window walk and the CLI's table stream the pieces, so
-# for them the cap is a time bound (a million jumps take seconds): the walk
-# holds at most one block of a few hundred points at a time, and it is the
-# block, not the window, that bounds its memory
+# for them the cap is a time bound (a million jumps take seconds): the walk's
+# block of jumps is an index range read point by point (``_Points``), and it
+# lists at most a few hundred points at a time, so its memory does not grow
+# with the window
 MAX_WINDOW_JUMPS = 10**6
 
 
@@ -63,8 +64,15 @@ class TimeScale(Record):
     ``_piece(k)`` -> (a_k, b_k), ``_nearest(t)`` (the index of the piece
     nearest t) and the index bounds ``_kmin``/``_kmax`` (None when
     unbounded), and may override the snap tolerance ``_tol(x)``.  The four
-    point families also list the points x_k0, ..., x_k1 at once
-    (``_points``), for the walk's blocks of jumps.
+    point families also list the points of a range of indices
+    (``_list``), by the expression of ``_piece(k)[0]``, so the bits match.
+    Their block of jumps x_k0, ..., x_k1 (``_points``) is that index range,
+    read by index (``_Points``), and ``_distinct(k0, k1)`` proves, where it
+    can without listing them, that its points strictly increase: always on
+    a set, which its constructor checks, and on hz and alt where the step
+    or both gaps are far enough above the rounding of the points' closed
+    form; never on q, whose points come from libm ``pow``, which has no
+    error bound, so the walk lists and compares them.
     Inside a piece every point is dense; sigma(b_k) = a_{k+1} and
     rho(a_k) = b_{k-1}, each end itself past the first or last piece.
     """
@@ -107,10 +115,15 @@ class TimeScale(Record):
             raise PointNotInScale(f"the neighbour of {x} is not a distinct finite float")
         return y
 
-    def _points(self, k0: int, k1: int) -> list[float] | tuple[float, ...] | None:
-        # the points x_k0, ..., x_k1 of a point family, each by the expression
-        # of _piece(k)[0], so the bits match; None where pieces are intervals
-        return None
+    _list = None  # a point family's points x_k, k in a range of indices
+
+    def _points(self, k0: int, k1: int) -> _Points | None:
+        # the points x_k0, ..., x_k1 of a point family, unlisted; None where pieces are intervals
+        return None if self._list is None else _Points(self, range(k0, k1 + 1))
+
+    def _distinct(self, k0: int, k1: int) -> bool:
+        # True only where the points x_k0, ..., x_k1 are proven to strictly increase
+        return False
 
     def contains(self, t: float) -> bool:
         try:
@@ -210,6 +223,31 @@ class TimeScale(Record):
         yield x, t
 
 
+class _Points:
+    """A point family's points x_k, k in a range of indices, read by index.
+
+    An integer index, negative ones too, reads one point as ``_piece(k)[0]``;
+    a slice, of neighbouring points only (no step), lists only its own
+    points, by the family's ``_list``.  So a block of jumps costs what its
+    reader reads of it, and the two reads have the same bits.
+    """
+
+    __slots__ = ("ts", "ks")
+
+    def __init__(self, ts: TimeScale, ks: range):
+        self.ts, self.ks = ts, ks
+
+    def __len__(self) -> int:
+        return len(self.ks)
+
+    def __getitem__(self, i):
+        if not isinstance(i, slice):
+            return self.ts._piece(self.ks[i])[0]
+        if i.step is not None:
+            raise ValueError("a block lists runs of neighbouring points only")
+        return self.ts._list(self.ks[i])
+
+
 def _require_finite(x: float, what: str) -> float:
     x = float(x)
     if not math.isfinite(x):
@@ -249,9 +287,19 @@ class UniformGrid(TimeScale):
         x = self.anchor + k * self.h
         return x, x
 
-    def _points(self, k0: int, k1: int) -> list[float]:
+    def _list(self, ks: range) -> list[float]:
         anchor, h = self.anchor, self.h
-        return [anchor + k * h for k in range(k0, k1 + 1)]
+        return [anchor + k * h for k in ks]
+
+    def _distinct(self, k0: int, k1: int) -> bool:
+        # each point is anchor + k*h rounded twice, k*h and then the sum, each
+        # within u = 2^-53 relative; so where h > 2^-50 (K h + X), K = max |k|
+        # and X = max |x_k| at the two ends, neighbours differ by at least
+        # h - 2u (K h + X)(1 + O(u)) > 0, a margin of 4.  That needs K < 2^50,
+        # so k converts to a float exactly, and 2^-1000 < h keeps k*h normal
+        h = self.h
+        top = max(abs(k0), abs(k1)) * h + max(abs(self._piece(k0)[0]), abs(self._piece(k1)[0]))
+        return 2.0**-1000 < h and h > 2.0**-50 * top
 
 
 class QGrid(TimeScale):
@@ -272,10 +320,11 @@ class QGrid(TimeScale):
             raise PointNotInScale(f"q^{k} overflows") from None
         return x, x
 
-    def _points(self, k0: int, k1: int) -> list[float]:
-        # inside a window, whose two ends are finite, no power overflows
+    def _list(self, ks: range) -> list[float]:
+        # inside a window, whose two ends are finite, no power overflows.  libm
+        # pow has no error bound, so no _distinct: a block of q's is compared
         q = self.q
-        return [q ** k for k in range(k0, k1 + 1)]
+        return [q ** k for k in ks]
 
     def _nearest(self, t: float) -> int:
         return max(0, round(math.log(t) / math.log(self.q))) if t > 0 else 0
@@ -307,8 +356,11 @@ class DiscreteSet(TimeScale):
         x = self.points[k]
         return x, x
 
-    def _points(self, k0: int, k1: int) -> tuple[float, ...]:
-        return self.points[k0 : k1 + 1]
+    def _list(self, ks: range) -> list[float]:
+        return list(self.points[ks.start : ks.stop])
+
+    def _distinct(self, k0: int, k1: int) -> bool:
+        return True  # __post_init__ checks that the points strictly increase
 
     def _nearest(self, t: float) -> int:
         pts = self.points
@@ -339,9 +391,21 @@ class AlternatingGrid(TimeScale):
         x = j * (self.alpha + self.beta) + (self.alpha if odd else 0.0)
         return x, x
 
-    def _points(self, k0: int, k1: int) -> list[float]:
+    def _list(self, ks: range) -> list[float]:
         alpha, period = self.alpha, self.alpha + self.beta
-        return [(k >> 1) * period + (alpha if k & 1 else 0.0) for k in range(k0, k1 + 1)]
+        return [(k >> 1) * period + (alpha if k & 1 else 0.0) for k in ks]
+
+    def _distinct(self, k0: int, k1: int) -> bool:
+        # x_k is (k >> 1) * P, plus alpha where k is odd, P = fl(alpha + beta)
+        # >= (alpha + beta)(1 - u), u = 2^-53, rounded two or three times; so
+        # two neighbours' errors sum to at most 6u (j + 1)(alpha + beta), j =
+        # k1 >> 1, and where min(alpha, beta) > 2^-49 ((j + 1)(alpha + beta) +
+        # x_k1) every gap is positive, a margin above 2.5.  That needs j <
+        # 2^48, so j converts exactly, and 2^-1000 < min(alpha, beta) keeps
+        # the sums normal
+        alpha, beta = self.alpha, self.beta
+        gap = min(alpha, beta)
+        return 2.0**-1000 < gap and gap > 2.0**-49 * (((k1 >> 1) + 1) * (alpha + beta) + self._piece(k1)[0])
 
     def _nearest(self, t: float) -> int:
         # the first nearest point of periods j-1, j and j+1, j being t's own

@@ -2,7 +2,9 @@
 a property test that fails in CI fails the same way locally under
 ``HYPOTHESIS_PROFILE=ci``; without it, local runs draw fresh examples.
 ``ci-long`` is ``ci`` with 2,000 examples a test, for the box enclosure
-fuzz, whose rounding rests on each platform's libm exp, cos and sin."""
+fuzz, whose rounding rests on each platform's libm exp, cos and sin, and
+for the rounding bound by which hz and alt prove a block's points
+distinct."""
 
 import os
 

@@ -128,6 +128,18 @@ def test_eval_point_outside_scale_exits_2(run, scale, p, s, t):
     assert err.count("\n") == 1  # single line
 
 
+def test_eval_alt_points_that_collapse_inside_a_block_exit_2_naming_the_gap(run):
+    # past 1024 the gap alpha = 1e-13 of alt:1e-13,1 is under the float
+    # spacing: the block there is not proven distinct, so it is listed and
+    # compared, and walked again jump by jump, which names the first collapse
+    rc, out, err = run("eval", "--timescale", "alt:1e-13,1", "--p", "t+1", "--s", "0", "--t", "1050.000000000105")
+    assert (rc, out, err.count("\n")) == (2, "", 1)
+    assert json.loads(err) == {
+        "error": "PointNotInScale",
+        "message": "the neighbour of 1024.0000000001023 is not a distinct finite float",
+    }
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

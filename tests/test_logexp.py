@@ -1528,20 +1528,20 @@ def test_a_theorem_walk_after_one_that_raised_is_a_fresh_walk():
     assert _marks(used, ts, stops) == _marks(fresh, ts, stops)
 
 
-@pytest.mark.parametrize(
-    "spec, k0, k1",
-    [
-        # the first jump from 1.0 rounds onto it
-        ("hz:1e-17:1.0", 0, 22),
-        # h = 1.5e-16 is more than the float spacing below |x| = 1 and less
-        # than the one above it: the points collapse past 1.0, a block's
-        # length from the anchor, and from the start of the window to -1.0
-        (f"hz:1.5e-16:{1.0 - 20 * 1.5e-16!r}", 0, 35),
-        (f"hz:1.5e-16:{1.0 - 20 * 1.5e-16!r}", 5, 60),
-        (f"hz:1.5e-16:{1.0 - 600 * 1.5e-16!r}", 0, 640),
-        (f"hz:1.5e-16:{-1.0 - 40 * 1.5e-16!r}", 0, 640),
-    ],
-)
+_NOT_DISTINCT = [
+    # the first jump from 1.0 rounds onto it
+    ("hz:1e-17:1.0", 0, 22),
+    # h = 1.5e-16 is more than the float spacing below |x| = 1 and less
+    # than the one above it: the points collapse past 1.0, a block's
+    # length from the anchor, and from the start of the window to -1.0
+    (f"hz:1.5e-16:{1.0 - 20 * 1.5e-16!r}", 0, 35),
+    (f"hz:1.5e-16:{1.0 - 20 * 1.5e-16!r}", 5, 60),
+    (f"hz:1.5e-16:{1.0 - 600 * 1.5e-16!r}", 0, 640),
+    (f"hz:1.5e-16:{-1.0 - 40 * 1.5e-16!r}", 0, 640),
+]
+
+
+@pytest.mark.parametrize("spec, k0, k1", _NOT_DISTINCT)
 def test_points_that_are_not_distinct_floats_raise_at_the_first_such_gap(spec, k0, k1):
     ts = parse_timescale(spec)
     h, anchor = ts.h, ts.anchor
@@ -1564,6 +1564,87 @@ def test_points_that_are_not_distinct_floats_raise_at_the_first_such_gap(spec, k
         with pytest.raises(PointNotInScale) as info:
             compute()
         assert ("PointNotInScale", str(info.value)) == want
+
+
+@pytest.mark.parametrize("spec, k0, k1", _NOT_DISTINCT)
+def test_points_that_are_not_distinct_floats_are_not_proven_distinct(spec, k0, k1):
+    # so a block over them is listed and compared, which finds the collapse
+    ts = parse_timescale(spec)
+    assert not any(ts._distinct(a, b) for a in range(k0, k1) for b in range(a + 1, k1 + 1))
+
+
+def _generated_set(jumps: int = 5000) -> str:
+    rng = random.Random(20261022)
+    points = [0.0]
+    for _ in range(jumps):
+        points.append(round(points[-1] + rng.uniform(0.5, 1.5), 3))
+    return "set:" + ",".join(map(repr, points))
+
+
+def _recording_lists(monkeypatch, ts) -> list:
+    # every listing of the scale's points, as (index range, points)
+    lists, lister = [], type(ts)._list
+    monkeypatch.setattr(type(ts), "_list", lambda self, ks: lists.append((ks, lister(self, ks))) or lists[-1][1])
+    return lists
+
+
+@pytest.mark.parametrize("spec", ["hz:1", "alt:0.4,0.7", "set"])
+def test_a_theorem_log_lists_only_the_points_of_spans_it_keeps_whole(monkeypatch, spec):
+    # over 5,000 jumps of t^2+1 every block is an index range: the theorem
+    # reads the ends of the spans it tries by index and lists only the
+    # points of the spans that it keeps whole, refused or too short to try;
+    # neither the walk's gap check, which _distinct proves, nor the run lists
+    # any other.  Every box over a span that holds the point c is widened to
+    # touch 0, so those spans are split until they are short: the two on
+    # either side of c, each of under _FEWEST jumps
+    ts = parse_timescale(_generated_set() if spec == "set" else spec)
+    lo = ts.snap(0.0)
+    hi = ts._piece(ts._nearest(lo) + 5000)[0]
+    c = ts._piece(ts._nearest(lo) + 2000)[0]
+    box, tried = ScaleFunction.box, []
+
+    def widened(self, a, b):
+        xl, xh, yl, yh = box(self, a, b)
+        tried.append((a, b))
+        return (-1e-300, xh, min(yl, 0.0), max(yh, 0.0)) if a <= c <= b else (xl, xh, yl, yh)
+
+    monkeypatch.setattr(ScaleFunction, "box", widened)
+    lists, keep, runs = _recording_lists(monkeypatch, ts), logexp._Winding._kept, []
+
+    def recording_kept(self, xs):
+        before = len(lists)
+        kept = keep(self, xs)
+        runs.append((kept, [x for _, listed in lists[before:] for x in listed]))
+        return kept
+
+    monkeypatch.setattr(logexp._Winding, "_kept", recording_kept)
+    p = RecordingFunction.from_text("t^2+1")
+    value = log_ts("delta-principal", p, ts, lo, hi)
+    assert abs(value - cmath.log(p(hi) / p(lo))) <= 1e-12
+    certified = {b for a, b in tried if not a <= c <= b}
+    assert sum(len(listed) for _, listed in runs) == sum(len(points) for _, points in lists)
+    assert [listed for _, listed in runs] == [[x for x in kept if x not in certified] for kept, _ in runs]
+    assert 0 < sum(len(listed) for _, listed in runs) < 2 * logexp._FEWEST
+
+
+@pytest.mark.parametrize(
+    "spec, kind",
+    [("q:1.001", "log")] + [(spec, "exp_nabla") for spec in ("q:1.001", "hz:1", "alt:0.4,0.7", "set")],
+)
+def test_a_block_that_must_be_read_whole_is_listed_once(monkeypatch, spec, kind):
+    # on q the walk lists each block to compare its points, and the theorem
+    # thins that list; an exponential with a generic coefficient lists each
+    # block once on every family, in the walk on q and in its run elsewhere
+    ts = parse_timescale(_generated_set() if spec == "set" else spec)
+    lo = ts.snap(1.0 if spec.startswith("q:") else 0.0)
+    hi = ts._piece(ts._nearest(lo) + 5000)[0]
+    lists, block, blocks = _recording_lists(monkeypatch, ts), calculus._block, []
+    monkeypatch.setattr(calculus, "_block", lambda ts, k, m, stop: blocks.append(range(k, m + 1)) or block(ts, k, m, stop))
+    if kind == "log":
+        log_ts("delta-principal", ScaleFunction.from_text("t^2+1"), ts, lo, hi)
+    else:
+        exp_nabla(lambda tau, nu: 1e-4 * (1 + 1j), ts, lo, hi)
+    assert len(blocks) == 10 and [ks for ks, _ in lists] == blocks
 
 
 # ---------------------------------------------------------------------------

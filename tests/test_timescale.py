@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chronolog import timescale
@@ -462,7 +462,7 @@ def test_delta_and_nabla_points_agree_with_snap_sigma_rho(spec):
 def test_points_are_the_pieces_stored_points_bit_for_bit(spec, k0, k1):
     ts = parse_timescale(spec)
     want = [ts._piece(k)[0].hex() for k in range(k0, k1 + 1)]
-    assert [x.hex() for x in ts._points(k0, k1)] == want
+    assert [x.hex() for x in ts._points(k0, k1)[:]] == want
     assert len(ts._points(k1, k0 - 1)) == 0
 
 
@@ -498,7 +498,91 @@ def test_points_and_pieces_agree_bit_for_bit_hypothesis(family_range):
     ts, k0, n = family_range
     pieces = [ts._piece(k) for k in range(k0, k0 + n + 1)]
     assert [a.hex() for a, _ in pieces] == [b.hex() for _, b in pieces]
-    assert [x.hex() for x in ts._points(k0, k0 + n)] == [a.hex() for a, _ in pieces]
+    assert [x.hex() for x in ts._points(k0, k0 + n)[:]] == [a.hex() for a, _ in pieces]
+
+
+@given(_point_family_range(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_block_reads_the_points_it_is_asked_for_bit_for_bit_hypothesis(family_range, data):
+    # a block is an index range: an integer, negative ones too, reads one
+    # point and a slice of neighbours lists its own, with the bits of the
+    # whole listing
+    ts, k0, n = family_range
+    block = ts._points(k0, k0 + n)
+    listed = [x.hex() for x in block[:]]
+    assert len(block) == len(listed) == n + 1
+    assert [block[i].hex() for i in range(n + 1)] == listed
+    assert [block[i].hex() for i in range(-n - 1, 0)] == listed
+    for _ in range(3):
+        start, stop = data.draw(st.integers(-n - 3, n + 3)), data.draw(st.integers(-n - 3, n + 3) | st.none())
+        assert [x.hex() for x in block[start:stop]] == listed[start:stop]
+    with pytest.raises(ValueError, match="neighbouring points only"):
+        block[::1]
+    with pytest.raises(IndexError):
+        block[n + 1]
+    with pytest.raises(IndexError):
+        block[-n - 2]
+
+
+@st.composite
+def _grid_near_its_bound(draw):
+    """An hz or alt grid and a block k0..k1 on it whose step, or smaller gap,
+    is from 1/256 to 2 times where ``_distinct`` starts to prove its points
+    increasing, down to where they collapse: anchors up to +-1e17, |k| up
+    to 2^53, subnormal steps too."""
+    n = draw(st.integers(1, 600))
+    factor = 2.0 ** draw(st.floats(-8.0, 1.0))
+    if draw(st.booleans()):
+        anchor = draw(st.sampled_from([0.0, 1.0, -1.0, 1e17, -1e17]) | st.floats(-1e17, 1e17))
+        k0 = draw(st.sampled_from([-(2**53), 2**53 - n, -(2**49), 2**49 - n, 0]) | st.integers(-(2**53), 2**53 - n))
+        big = max(abs(k0), abs(k0 + n))
+        room = 1.0 - 2.0**-49 * big  # h = 2^-50 (2 big h + |anchor|), solved for h
+        near = 2.0**-50 * abs(anchor) / room if room > 0 and anchor else 2.0**-1000
+        h = draw(st.sampled_from([factor * near, factor * 2.0**-1000]) | st.floats(5e-324, 2.0**-1022))
+        return UniformGrid(min(h, 1e300), anchor), k0, k0 + n
+    j = draw(st.sampled_from([0, 1, 2**20, 2**46]) | st.integers(0, 2**47))
+    wide = draw(st.floats(1e-300, 1e300) | st.floats(5e-324, 2.0**-990))
+    # the narrower gap g = 2^-49 ((j + 1)(g + wide) + x_k1), x_k1 <= (j + 1)(g + wide), solved for g
+    room = 1.0 - 2.0**-48 * (j + 1)
+    narrow = factor * 2.0**-48 * (j + 1) * wide / room
+    narrow = draw(st.sampled_from([narrow, factor * 2.0**-1000]) | st.floats(5e-324, 2.0**-1022))
+    assume(0.0 < narrow != wide)
+    alpha, beta = draw(st.sampled_from([(narrow, wide), (wide, narrow)]))
+    k1 = 2 * j + draw(st.integers(0, 1))
+    return AlternatingGrid(alpha, beta), max(0, k1 - n), k1
+
+
+@given(_grid_near_its_bound())
+@example((UniformGrid(2.0**-1000 * 1.01), 0, 600))
+@example((UniformGrid(1e17 * 2.0**-50 * 1.01, 1e17), -300, 300))
+@example((AlternatingGrid(2.0**-49 * 1.01 * 3 * 2.0, 2.0), 0, 3))
+# points that collapse, which a bound 16 times looser would prove distinct
+@example((UniformGrid(1.2396040572872295e-16, 1.0), 0, 6))
+@example((UniformGrid(4.0308478996752063e-16, 3.0), 388, 427))
+@example((AlternatingGrid(0.05045844188399117, 1.0796451755680483e-15), 161, 166))
+@example((AlternatingGrid(0.7, 3.4000908772343475e-11), 433232, 433235))
+# steps lost in the rounding of k*h, where the anchor cancels k*h: a bound
+# without K h would prove these distinct
+@example((UniformGrid(0.3, 2702159776422261.5), -(2**53 - 100), -(2**53 - 140)))
+@settings(deadline=None)  # the example count is the active profile's (tests/conftest.py)
+def test_points_proven_distinct_strictly_increase_hypothesis(grid_block):
+    # where the rounding bound proves a block's points distinct, the walk
+    # skips listing and comparing them, so its proof must hold
+    ts, k0, k1 = grid_block
+    if ts._distinct(k0, k1):
+        points = ts._points(k0, k1)[:]
+        assert all(a < b for a, b in zip(points, points[1:])), (ts, k0, k1)
+
+
+@pytest.mark.parametrize("spec", ["hz:1", "hz:0.3:0.05", "alt:0.4,0.7", "alt:2,0.5", "set:-5,-4,3"])
+def test_grids_far_from_float_resolution_are_proven_distinct(spec):
+    ts = parse_timescale(spec)
+    assert ts._distinct(0, 2) and (spec.startswith("set") or ts._distinct(5000, 5512))
+
+
+def test_geometric_grids_are_never_proven_distinct():
+    # libm pow has no error bound, so a block of q's is listed and compared
+    assert not QGrid(1.001)._distinct(0, 512)
 
 
 @pytest.mark.parametrize("spec", ["r", "union:[-6,-4];[2,5]", "union:[0,0];[2,3]"])
